@@ -6,8 +6,9 @@ violation for inequalities), not-applicable when a documented hypothesis
 fails everywhere (Gauss-map rank above 2, vanishing second fundamental
 form, wrong immersion kind).
 
-Grid checks share one :class:`PointContext` per point, so a scenario that
-runs ten checks still evaluates the geometric pipeline once per point.
+Grid checks share one :class:`BlockContext` per block of up to BLOCK_SIZE
+grid points: the geometry and every derived jet are computed once per block
+in array code, and each check's evaluator then reads its point's values.
 Growth tables and the estimate probes integrate over extrinsic balls with
 a masked tensor-product midpoint rule.
 """
@@ -33,22 +34,22 @@ from .geometry import (
     GaussRankError,
     GeometryError,
     PointGeometry,
+    _take,
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
     curvature_pack_at,
-    frame_pairing,
     gauss_rank_at,
     gradient_norm2_of_jet,
     laplace_beltrami_of_jet,
     point_geometry_at,
-    replaced_pairing,
     scalar_field_jet,
 )
 from .immersions import GridSpec, Immersion
 from .jets import JetDomainError, jet_elementary
 
 RANK_TOL = 1e-8
+BLOCK_SIZE = 64  # grid points evaluated together in one pass of array code
 EQUALITY_THRESHOLD = 1e-4  # looser than identity tolerances by design
 IDENTITY_DEEP_TOL = 1e-4  # fourth-order two-route identities
 MINIMALITY_TOL = 1e-8  # hypothesis probe, not the minimality check itself
@@ -147,17 +148,23 @@ class KatoReport:
     xi2: float | None
 
 
-class PointContext:
-    """Lazy per-point cache shared by all grid checks."""
+class BlockContext:
+    """Lazy per-block cache shared by all grid checks.
 
-    def __init__(self, imm: Immersion, point, reference_frame):
+    Each attribute is computed once, for every point of the block, by the
+    array code of `geometry`; a PointView is what the check evaluators see.
+    """
+
+    def __init__(self, imm: Immersion, points, reference_frame):
         self.imm = imm
-        self.point = tuple(float(p) for p in point)
+        self.points = [tuple(float(p) for p in point) for point in points]
         self.reference_frame = reference_frame
+        self._laplacians = {}
+        self._sheared = {}
 
     @cached_property
     def pg(self) -> PointGeometry:
-        return point_geometry_at(self.imm, self.point)
+        return point_geometry_at(self.imm, np.array(self.points))
 
     @cached_property
     def rank(self):
@@ -165,40 +172,119 @@ class PointContext:
 
     @cached_property
     def canon(self):
+        return canonical_frame_at(self.pg)
+
+    @cached_property
+    def apack(self):
+        return alignment_pack_at(
+            self.imm, self.points, self.reference_frame, pg=self.pg, canon=self.canon
+        )
+
+    @cached_property
+    def cpack(self):
+        return complex_pack_at(self.imm, self.points, pg=self.pg)
+
+    @cached_property
+    def curvpack(self):
+        return curvature_pack_at(self.imm, self.points, pg=self.pg)
+
+    @cached_property
+    def volume_jet(self):
+        return scalar_field_jet(self.imm, self.points, "volume", pg=self.pg)
+
+    @cached_property
+    def grad_normB_sq(self):
+        # |grad |B||^2 = |grad |B|^2|^2 / (4 |B|^2); read only where |B| > 0
+        return gradient_norm2_of_jet(self.pg, self.pg.normB2_jet) / (4.0 * self.pg.normB2)
+
+    def laplacian(self, field):
+        """Per-point Laplacian of a derived field, and the failures of its jet.
+
+        `field` is "normB2", "log-alignment" or ("subharmonic", s, q) for
+        |B|^(2s) v^q; each is built once per block.
+        """
+        if field not in self._laplacians:
+            if field == "normB2":
+                jet = self.pg.normB2_jet
+            elif field == "log-alignment":
+                jet = jet_elementary("log", self.apack.jet)
+            else:
+                _, s, q = field
+                jet = _power_jet(self.pg.normB2_jet, s) * _power_jet(self.volume_jet, q)
+            self._laplacians[field] = (laplace_beltrami_of_jet(self.pg, jet), jet.failures)
+        return self._laplacians[field]
+
+    def sheared(self, state) -> PointGeometry:
+        """Geometry of the isothermal check's sheared immersion at the sheared points."""
+        if id(state) not in self._sheared:
+            x = np.array(self.points)
+            u = np.stack([x[:, 0], state["a"] * x[:, 0] + state["b"] * x[:, 1]], axis=1)
+            self._sheared[id(state)] = point_geometry_at(state["sheared"], u)
+        return self._sheared[id(state)]
+
+
+class PointView:
+    """One point of a BlockContext: the per-point quantities the evaluators read.
+
+    Reading pg, canon, apack or cpack raises the point's failure, as the
+    per-point functions of `geometry` would.
+    """
+
+    def __init__(self, block: BlockContext, index: int):
+        self.block = block
+        self.index = index
+        self.point = block.points[index]
+
+    def _at(self, batched):
+        failure = batched.errors[self.index]
+        if failure is not None:
+            raise failure
+        return _take(batched, self.index)
+
+    @cached_property
+    def pg(self) -> PointGeometry:
+        return self._at(self.block.pg)
+
+    @cached_property
+    def canon(self):
+        self.pg  # the point's geometry failure comes first
         try:
-            return canonical_frame_at(self.pg)
+            return self._at(self.block.canon)
         except GaussRankError as exc:
             self.canon_error = str(exc)
             return None
 
     @cached_property
     def apack(self):
-        if self.reference_frame is None:
+        if self.block.reference_frame is None:
             raise GeometryError("check requires a reference frame")
-        return alignment_pack_at(
-            self.imm, self.point, self.reference_frame, pg=self.pg, canon=self.canon
-        )
+        self.canon  # geometry failures first, then the canonical frame's
+        return _take(self.block.apack, self.index)
 
     @cached_property
     def cpack(self):
-        return complex_pack_at(self.imm, self.point, pg=self.pg)
+        self.pg  # the point's geometry failure comes first
+        return _take(self.block.cpack, self.index)
 
-    @cached_property
-    def curvpack(self):
-        return curvature_pack_at(self.imm, self.point, pg=self.pg)
+    def laplacian(self, field) -> float:
+        values, failures = self.block.laplacian(field)
+        if self.index in failures:
+            raise failures[self.index]
+        return float(values[self.index])
 
-    @cached_property
-    def volume_jet(self):
-        return scalar_field_jet(self.imm, self.point, "volume", pg=self.pg)
+    def sheared_g0(self, state) -> np.ndarray:
+        sheared = self.block.sheared(state)
+        if sheared.errors[self.index] is not None:
+            raise sheared.errors[self.index]
+        return sheared.g0[self.index]
 
-    @cached_property
-    def lap_normB2(self):
-        return laplace_beltrami_of_jet(self.pg, self.pg.normB2_jet)
+    @property
+    def volume(self) -> float:
+        return float(self.block.volume_jet.value[self.index])
 
-    @cached_property
-    def grad_normB_sq(self):
-        # |grad |B||^2 = |grad |B|^2|^2 / (4 |B|^2); defined where |B| > 0
-        return gradient_norm2_of_jet(self.pg, self.pg.normB2_jet) / (4.0 * self.pg.normB2)
+    @property
+    def grad_normB_sq(self) -> float:
+        return float(self.block.grad_normB_sq[self.index])
 
     @cached_property
     def minimal(self) -> bool:
@@ -215,7 +301,7 @@ def _skip(reason):
 
 # -- individual check evaluators -------------------------------------------------
 # Each check has a setup(imm, frame, options) -> state (validated once) and an
-# eval(ctx, state) -> record.  States must be picklable for the parallel runner.
+# eval(ctx, state) -> record, where ctx is one point's PointView.
 
 def _need_graph(imm, name):
     if imm.kind != "graph":
@@ -260,17 +346,13 @@ def _setup_pluecker(imm, frame, options):
 
 
 def _eval_pluecker(ctx, state):
-    pg = ctx.pg
-    e, nu, a = pg.tangent_frame, pg.normal_frame, ctx.reference_frame
-    nu1 = nu[0]
-    nu2 = nu[1] if pg.m > 1 else nu[0]
-    base = frame_pairing(e, a)
-    both = replaced_pairing(e, a, {0: nu1, 1: nu2})
-    r1 = replaced_pairing(e, a, {0: nu1})
-    r2 = replaced_pairing(e, a, {1: nu2})
-    r12 = replaced_pairing(e, a, {0: nu2})
-    r21 = replaced_pairing(e, a, {1: nu1})
-    return _record(residual=abs(base * both - r1 * r2 + r12 * r21))
+    # the alignment pack's pairings <e with slots replaced by normals, A>
+    ap = ctx.apack
+    b = 1 if ctx.pg.m > 1 else 0  # nu2, or nu1 again in codimension one
+    one, two = ap.single_pairings, ap.double_pairings
+    return _record(residual=abs(
+        ap.value_from_frames * two[0, 0, 1, b] - one[0, 0] * one[1, b] + one[0, b] * one[1, 0]
+    ))
 
 
 def _setup_alignment_identities(imm, frame, options):
@@ -307,10 +389,7 @@ def _eval_log_alignment(ctx, state):
     ap = ctx.apack
     if ap.value <= 0.0:
         return _skip("alignment function not positive")
-    jet = jet_elementary("log", scalar_field_jet(
-        ctx.imm, ctx.point, "alignment", reference_frame=ctx.reference_frame, pg=ctx.pg
-    ))
-    lap = laplace_beltrami_of_jet(ctx.pg, jet)
+    lap = ctx.laplacian("log-alignment")
     scale = 1.0 + ctx.pg.normB2
     signed = (lap + ctx.pg.normB2) / scale  # positive = inequality violated
     equality = abs(lap + ctx.pg.normB2) / scale
@@ -339,7 +418,7 @@ def _eval_simons(ctx, state):
     if not ctx.minimal:
         return _skip("mean curvature does not vanish")
     pg = ctx.pg
-    lapB2 = ctx.lap_normB2
+    lapB2 = ctx.laplacian("normB2")
     nablaB2 = pg.nablaB2
     inner_numeric = 0.5 * (lapB2 - 2.0 * nablaB2)
     tilde, under = _shape_operator_terms(pg.h)
@@ -477,7 +556,7 @@ def _eval_refined_simons(ctx, state):
     pg = ctx.pg
     if pg.normB2 <= RANK_TOL:
         return _skip("second fundamental form vanishes")
-    lhs = ctx.lap_normB2
+    lhs = ctx.laplacian("normB2")
     rhs = 4.0 * ctx.grad_normB_sq - 3.0 * pg.normB2**2
     scale = 1.0 + pg.normB2**2
     return _record(residual=(rhs - lhs) / scale, margin=lhs - rhs)
@@ -585,10 +664,7 @@ def _setup_isothermal(imm, frame, options):
 
 def _eval_isothermal(ctx, state):
     a, b = state["a"], state["b"]
-    x = ctx.point
-    u = (x[0], a * x[0] + b * x[1])
-    pg_u = point_geometry_at(state["sheared"], u)
-    g = pg_u.g0
+    g = ctx.sheared_g0(state)
     scale = 1.0 + abs(g[0, 0])
     residual = max(abs(g[0, 0] - g[1, 1]), abs(g[0, 1])) / scale
     lam_sq = g[0, 0]
@@ -626,9 +702,8 @@ def _eval_subharmonicity(ctx, state):
     if pg.normB2 <= RANK_TOL:
         # the function touches its minimum 0: both sides vanish
         return _record(residual=0.0, margin=0.0, lap=0.0, rhs=0.0)
-    phi = _power_jet(pg.normB2_jet, s) * _power_jet(ctx.volume_jet, q)
-    lap = laplace_beltrami_of_jet(pg, phi)
-    rhs = (q - 3.0 * s) * pg.normB2 ** (s + 1.0) * ctx.volume_jet.value**q
+    lap = ctx.laplacian(("subharmonic", s, q))
+    rhs = (q - 3.0 * s) * pg.normB2 ** (s + 1.0) * ctx.volume**q
     scale = 1.0 + abs(rhs)
     return _record(residual=(rhs - lap) / scale, margin=lap - rhs, lap=lap, rhs=rhs)
 
@@ -650,7 +725,7 @@ _CHECK_TABLE = {
 
 
 def make_check_state(name: str, imm: Immersion, frame, options: dict, tol: float):
-    """Validate a grid check's options once; the state is passed to workers."""
+    """Validate a grid check's options once; the state is shared by every point."""
     if name not in _CHECK_TABLE:
         raise CheckConfigError(f"unknown check {name!r}")
     setup, _, _ = _CHECK_TABLE[name]
@@ -659,27 +734,47 @@ def make_check_state(name: str, imm: Immersion, frame, options: dict, tol: float
     return state
 
 
-def evaluate_point(imm: Immersion, frame, specs, point) -> dict:
+def blocks(points: list):
+    """Consecutive runs of at most BLOCK_SIZE points, in order."""
+    return [points[i:i + BLOCK_SIZE] for i in range(0, len(points), BLOCK_SIZE)]
+
+
+def _views(imm: Immersion, frame, chunks):
+    for chunk in chunks:
+        block = BlockContext(imm, chunk, frame)
+        yield from (PointView(block, i) for i in range(len(chunk)))
+
+
+def evaluate_point(imm: Immersion, frame, specs, point):
     """Evaluate all requested grid checks at one point; shares one context.
 
     `specs` is a list of (name, state) pairs.  Evaluation errors are
-    collected per point, never fatal here.
+    collected per point, never fatal here.  `point` may also be a sequence
+    of points, evaluated as one block: the result is then one dict per point,
+    each the same as evaluating that point alone.
     """
-    ctx = PointContext(imm, point, frame)
-    out = {}
-    for name, state in specs:
-        _, evaluator, _ = _CHECK_TABLE[name]
-        try:
-            rec = evaluator(ctx, state)
-        except (GeometryError, ExpressionDomainError, JetDomainError, ArithmeticError) as exc:
-            rec = _skip(f"evaluation error: {exc}")
-        rec["point"] = ctx.point
-        out[name] = rec
-    return out
+    out = []
+    with np.errstate(all="ignore"):
+        for ctx in _views(imm, frame, [point] if np.ndim(point) == 2 else [[point]]):
+            by_check = {}
+            for name, state in specs:
+                _, evaluator, _ = _CHECK_TABLE[name]
+                try:
+                    rec = evaluator(ctx, state)
+                except (GeometryError, ExpressionDomainError, JetDomainError, ArithmeticError) as exc:
+                    rec = _skip(f"evaluation error: {exc}")
+                rec["point"] = ctx.point
+                by_check[name] = rec
+            out.append(by_check)
+    return out if np.ndim(point) == 2 else out[0]
 
 
 def aggregate_check(name: str, tol: float, records: list, keep_details: bool = True) -> CheckResult:
-    """Fold per-point records into a CheckResult."""
+    """Fold per-point records into a CheckResult.
+
+    A non-finite residual fails the check; their count goes to
+    extras["n_nonfinite"].
+    """
     _, _, aggregator = _CHECK_TABLE[name]
     live = [r for r in records if not r["skipped"]]
     skipped = [r for r in records if r["skipped"]]
@@ -691,10 +786,13 @@ def aggregate_check(name: str, tol: float, records: list, keep_details: bool = T
             n_points=len(records), n_skipped=len(skipped), extras=extras,
             details=records if keep_details else [], reason=reason,
         )
-    worst = max(r["residual"] for r in live)
-    verdict = "pass" if (worst <= tol and extra_ok) else "fail"
+    finite = [r["residual"] for r in live if math.isfinite(r["residual"])]
+    if len(finite) < len(live):
+        extras = {**extras, "n_nonfinite": len(live) - len(finite)}
+    worst = max(finite, default=None)
+    ok = len(finite) == len(live) and worst <= tol and extra_ok
     return CheckResult(
-        name=name, tolerance=tol, worst_residual=worst, verdict=verdict,
+        name=name, tolerance=tol, worst_residual=worst, verdict="pass" if ok else "fail",
         n_points=len(records), n_skipped=len(skipped), extras=extras,
         details=records if keep_details else [],
     )
@@ -704,8 +802,8 @@ def _run_grid_check(imm, grid: GridSpec, name, frame=None, tol=None, **options):
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     state = make_check_state(name, imm, frame, options, tol)
     records = []
-    for point in grid.points():
-        records.append(evaluate_point(imm, frame, [(name, state)], point)[name])
+    for chunk in blocks(grid.points()):
+        records.extend(by_check[name] for by_check in evaluate_point(imm, frame, [(name, state)], chunk))
     return aggregate_check(name, tol, records)
 
 
@@ -1046,8 +1144,7 @@ def estimate_probe(
         reason = "integral probes require a graph immersion"
     else:
         probe_pts = [tuple(0.1 * k for _ in range(imm.n)) for k in (0, 1, 3)]
-        for pt in probe_pts:
-            ctx = PointContext(imm, pt, reference_frame)
+        for ctx in _views(imm, reference_frame, [probe_pts]):
             if not ctx.minimal:
                 reason = "mean curvature does not vanish"
                 break
@@ -1062,8 +1159,7 @@ def estimate_probe(
     sub_points = 0
     if grid is not None and imm.kind == "graph":
         state = {"s": params.s, "q": q, "tol": None}
-        for point in grid.points():
-            ctx = PointContext(imm, point, reference_frame)
+        for ctx in _views(imm, reference_frame, blocks(grid.points())):
             rec = _eval_subharmonicity(ctx, state)
             if not rec["skipped"]:
                 sub_points += 1

@@ -25,6 +25,9 @@ from .scenario import (
 )
 
 
+JOBS_HELP = "deprecated and ignored: grid points are evaluated in blocks in one process"
+
+
 def _resolve_config_path(name: str) -> str:
     """Accept a file path or the name of a bundled scenario."""
     if os.path.exists(name):
@@ -52,7 +55,7 @@ def _print_report(report: Report) -> None:
 
 def _cmd_check(args) -> int:
     config = load_config_file(_resolve_config_path(args.config))
-    report = run_scenario(config, jobs=args.jobs)
+    report = run_scenario(config)
     _print_report(report)
     out = args.out or config.output_path
     fmt = args.format or config.output_format
@@ -67,7 +70,7 @@ def _cmd_sweep(args) -> int:
     path = _resolve_config_path(args.config)
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    reports, table = sweep(raw, jobs=args.jobs)
+    reports, table = sweep(raw)
     for report, row in zip(reports, table):
         print(f"-- {row['parameter']} = {row['value']}")
         _print_report(report)
@@ -109,15 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("config", help="config file path or bundled scenario name")
     p_check.add_argument("--out", help="write the report to this path")
     p_check.add_argument("--format", choices=("json", "csv"), help="report format")
-    p_check.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="parallel workers over grid points (default: all cores)")
+    p_check.add_argument("--jobs", type=int, help=JOBS_HELP)
     p_check.add_argument("--detail", action="store_true", help="include per-point records")
     p_check.set_defaults(func=_cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario once per swept parameter value")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_sweep.add_argument("--jobs", type=int, help=JOBS_HELP)
     p_sweep.add_argument("--detail", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 

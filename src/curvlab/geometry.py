@@ -20,18 +20,36 @@ Conventions
 * Anything that is later differentiated is computed by smooth frame-free
   formulas (projectors, determinants); Gram-Schmidt frames are used only
   for point values, where smoothness is not needed.
+
+Blocks
+------
+Every function here takes one point or a block of points, given as a (P, n)
+array.  For a block, each array of the result gains a leading axis of length
+P, jets are batched, and a failure at one point is recorded in `errors` (or
+in a jet's `failures`) instead of raised.  One point runs the same array code
+as a block of one, then raises that point's failure or drops the batch axis.
+Contractions that feed per-point results are summed in a fixed index order,
+so a point's values do not depend on the block it was evaluated in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .expressions import ExpressionDomainError
 from .immersions import Immersion, evaluate_immersion
-from .jets import Jet, JetDomainError, jet_constant, jet_elementary
+from .jets import (
+    Jet,
+    JetDomainError,
+    jet_constant,
+    jet_einsum,
+    jet_elementary,
+    jet_variable,
+    multi_indices,
+    ordered_einsum,
+)
 
 RANK_TOL = 1e-8
 
@@ -50,66 +68,153 @@ class GaussRankError(GeometryError):
     """An operation assuming Gauss-map rank <= 2 met a higher rank."""
 
 
-# -- small jet linear algebra -------------------------------------------------
+# -- blocks ---------------------------------------------------------------------
 
-def _jet_dot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
+def _objects(values: list) -> np.ndarray:
+    # a 1-d object array; tuples stay whole
+    out = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        out[i] = v
+    return out
+
+
+def _optional(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Per-point values as Python scalars, None where `present` is false."""
+    return _objects([v if ok else None for v, ok in zip(values.tolist(), present.tolist())])
+
+
+def _take(obj, p):
+    """Point p of a block result: arrays lose the batch axis, scalars become Python values."""
+    if isinstance(obj, np.ndarray):
+        item = obj[p]
+        return item.item() if isinstance(item, np.generic) else item
+    if isinstance(obj, Jet):
+        return Jet(obj.dim, obj.order, obj.coeffs[p])
+    if is_dataclass(obj):
+        return type(obj)(**{name: None if name == "errors" else _take(value, p)
+                            for name, value in vars(obj).items()})
+    return obj
+
+
+def _batch1(obj):
+    """A block of one from a single-point result; the inverse of _take(., 0)."""
+    if isinstance(obj, np.ndarray):
+        return obj[None]
+    if isinstance(obj, Jet):
+        return Jet(obj.dim, obj.order, obj.coeffs[None])
+    if isinstance(obj, tuple):
+        return _objects([obj])
+    if isinstance(obj, float):
+        return np.array([obj])
+    if is_dataclass(obj):
+        return replace(obj, **{f.name: [None] if f.name == "errors" else _batch1(getattr(obj, f.name))
+                               for f in fields(obj)})
+    return obj
+
+
+def _single(obj):
+    """The only point of a block of one: raise its failure, else drop the batch axis."""
+    failure = obj.failures.get(0) if isinstance(obj, Jet) else obj.errors[0]
+    if failure is not None:
+        raise failure
+    return _take(obj, 0)
+
+
+def _dot(u, v):
+    """Sum over the last axis of u * v, accumulated in index order."""
+    acc = u[..., 0] * v[..., 0]
+    for A in range(1, u.shape[-1]):
+        acc = acc + u[..., A] * v[..., A]
     return acc
 
 
-def _jet_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if n == 3:
-        return (
-            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-        )
-    raise ValueError("jet determinants implemented for n <= 3")
+def _pivot(norms: np.ndarray) -> np.ndarray:
+    """First index whose norm is within a relative 1e-9 of the largest (last axis).
+
+    Candidates that tie in exact arithmetic (the normal directions of a
+    holomorphic graph) would otherwise be decided by rounding.
+    """
+    return np.argmax(norms >= norms.max(axis=-1, keepdims=True) * (1.0 - 1e-9), axis=-1)
 
 
-def _jet_inverse(mat, det):
-    n = len(mat)
-    inv_det = jet_elementary("recip", det)
-    if n == 2:
-        adj = [[mat[1][1], -mat[0][1]], [-mat[1][0], mat[0][0]]]
-    elif n == 3:
-        def cof(r, c):
-            rows = [i for i in range(3) if i != r]
-            cols = [j for j in range(3) if j != c]
-            minor = (
-                mat[rows[0]][cols[0]] * mat[rows[1]][cols[1]]
-                - mat[rows[0]][cols[1]] * mat[rows[1]][cols[0]]
-            )
-            return minor if (r + c) % 2 == 0 else -minor
+def _gram_schmidt(vectors: np.ndarray, count: int, floor: float, fixed=()):
+    """`count` orthonormal rows chosen from the rows of `vectors` (P, K, N) by pivoted Gram-Schmidt.
 
-        adj = [[cof(c, r) for c in range(3)] for r in range(3)]
+    Step r takes the remaining row of largest norm, left unnormalised when
+    that norm is <= floor; fixed[r] = (rows, mask) overrides it with the
+    given row at the points where mask is set.  The remaining rows are then
+    projected off the chosen one.  Returns the rows (P, count, N) and each
+    step's pivot norm (P, count).
+    """
+    P = len(vectors)
+    out, tops = np.empty((P, count, vectors.shape[-1])), np.empty((P, count))
+    for r in range(count):
+        norms = np.sqrt(_dot(vectors, vectors))
+        pick = _pivot(norms)
+        tops[:, r] = top = norms[np.arange(P), pick]
+        vec = vectors[np.arange(P), pick] / np.where(top > floor, top, 1.0)[:, None]
+        if r < len(fixed):
+            vec = np.where(fixed[r][1][:, None], fixed[r][0], vec)
+        out[:, r] = vec
+        vectors = vectors - _dot(vectors, vec[:, None, :])[:, :, None] * vec[:, None, :]
+    return out, tops
+
+
+def _frame_B(C: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C_ik C_jl B_klA: the second fundamental form in the frame with coefficient rows C."""
+    return ordered_einsum("pik,pjl,pklA->pijA", C, C, B)
+
+
+# -- jet linear algebra on tensor jets (P, n, n, ncoef) -----------------------
+
+def _tensor(rows: list) -> Jet:
+    """Tensor jet (P, r, c, ..., ncoef) from an r x c nested list of batched jets (P, ..., ncoef)."""
+    first = rows[0][0]
+    return Jet(first.dim, first.order, np.moveaxis(np.array([[j.coeffs for j in row] for row in rows]), 2, 0))
+
+
+def _cofactor(mat: Jet, r: int, c: int) -> Jet:
+    # signed minor of an (n, n) tensor jet, n = 2 or 3
+    e = lambda i, j: mat[..., i, j, :]  # noqa: E731
+    n = mat.coeffs.shape[-2]
+    rows, cols = [i for i in range(n) if i != r], [j for j in range(n) if j != c]
+    if len(rows) == 1:
+        minor = e(rows[0], cols[0])
     else:
-        raise ValueError("jet inverses implemented for n <= 3")
-    return [[adj[r][c] * inv_det for c in range(n)] for r in range(n)]
+        minor = e(rows[0], cols[0]) * e(rows[1], cols[1]) - e(rows[0], cols[1]) * e(rows[1], cols[0])
+    return minor if (r + c) % 2 == 0 else -minor
 
 
-def _unit_coefficient(jet: Jet, axis: int) -> float:
-    """Value of d_axis f, read off the degree-1 coefficient."""
-    return jet.coefficient(tuple(1 if a == axis else 0 for a in range(jet.dim)))
+def _jet_det(mat: Jet) -> Jet:
+    n = mat.coeffs.shape[-2]
+    det = mat[..., 0, 0, :] * _cofactor(mat, 0, 0)
+    for c in range(1, n):
+        det = det + mat[..., 0, c, :] * _cofactor(mat, 0, c)
+    return det
+
+
+def _jet_inverse(mat: Jet, det: Jet) -> Jet:
+    n = mat.coeffs.shape[-2]
+    inv_det = jet_elementary("recip", det)
+    return _tensor([[_cofactor(mat, c, r) * inv_det for c in range(n)] for r in range(n)])
+
+
+def _gradient(jet: Jet, n: int) -> np.ndarray:
+    """Values of d_k f, k = 0..n-1, on the last axis: the degree-1 coefficients."""
+    multis = multi_indices(n, jet.order)
+    return jet.coeffs[..., [multis.index(tuple(int(a == k) for a in range(n))) for k in range(n)]]
 
 
 # -- point geometry -------------------------------------------------------------
 
 @dataclass
 class PointGeometry:
-    """Full geometric state of an immersion at one parameter point."""
+    """Full geometric state of an immersion at one parameter point (or a block)."""
 
     point: tuple[float, ...]
     n: int
     m: int
-    g: list  # n x n nested list of order-2 jets
+    g: Jet  # (n, n) tensor jet of the metric, order 2
     g0: np.ndarray  # (n, n) metric values
     g_inv: np.ndarray  # (n, n)
     christoffel: np.ndarray  # (n, n, n): christoffel[l, k, i] = Gamma^l_{ki}
@@ -125,144 +230,117 @@ class PointGeometry:
     mean_curvature: np.ndarray  # (n+m,)
     normB2: float
     nablaB2: float
-    # jet-valued fields reused by scalar_field_jet and the packs
-    dF_jets: list  # [i][A] order-2 jets of d_i F
+    # order-2 jets reused by scalar_field_jet and the packs
+    dF_jets: Jet  # (n, n+m) tensor jet of d_i F
     detg_jet: Jet
-    ginv_jets: list
-    B_jets: list  # [i][j][A] order-2 jets of the normal-projected Hessian
+    ginv_jets: Jet  # (n, n)
+    B_jets: Jet  # (n, n, n+m) normal-projected Hessian
     normB2_jet: Jet
+    errors: list | None = None  # block only: the failure of each point, or None
 
 
 def point_geometry_at(imm: Immersion, point) -> PointGeometry:
     """Evaluate the full per-point geometric bundle at `point`.
 
     Raises ImmersionRankError when det g degenerates, and propagates
-    expression/jet domain errors from component evaluation.
+    expression/jet domain errors from component evaluation.  `point` may
+    also be a (P, n) block of points; those failures are then collected per
+    point in `errors`.
     """
-    n, m, N = imm.n, imm.m, imm.n + imm.m
-    comps = evaluate_immersion(imm, point, 4)
+    coords = np.asarray(point, dtype=float)
+    if coords.ndim == 2:
+        return _geometry(imm, coords, [tuple(row) for row in coords.tolist()])
+    return _single(_geometry(imm, coords[None], [tuple(point)]))
 
+
+def _metric(F: Jet, n: int):
     # first partials as order-2 jets (order-3 tails are never consumed)
-    dF_jets = [[comps[A].derivative(i).truncate(2) for A in range(N)] for i in range(n)]
-    dF = np.array([[j.value for j in row] for row in dF_jets])
+    dF = _tensor([[F.derivative(i).truncate(2)] for i in range(n)])[:, :, 0]
+    g = jet_einsum("piA,pjA->pij", dF, dF)
+    return dF, g, _jet_det(g)
 
-    g_jets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = _jet_dot(dF_jets[i], dF_jets[j])
-            g_jets[i][j] = entry
-            g_jets[j][i] = entry
-    g0 = np.array([[g_jets[i][j].value for j in range(n)] for i in range(n)])
 
-    detg_jet = _jet_det(g_jets)
-    detg = detg_jet.value
-    scale = float(np.prod(np.diag(g0))) or 1.0
-    if not detg > 1e-13 * scale:
-        raise ImmersionRankError(
-            f"Jacobian rank-deficient at {tuple(point)}: det g = {detg:.3e}"
+def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry:
+    n, m, N = imm.n, imm.m, imm.n + imm.m
+    P = len(coords)
+    comps = evaluate_immersion(imm, coords, 4)
+    errors = [None] * P
+    for jet in comps:
+        for p, exc in jet.failures.items():
+            errors[p] = errors[p] or exc
+    F = _tensor([comps])[:, 0]  # (P, N, ncoef)
+
+    dF_jets, g_jets, detg_jet = _metric(F, n)
+    g0, detg = g_jets.value, detg_jet.value
+    scale = np.prod(np.diagonal(g0, axis1=1, axis2=2), axis=1)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    for p in np.flatnonzero(~(detg > 1e-13 * scale)):
+        errors[p] = errors[p] or ImmersionRankError(
+            f"Jacobian rank-deficient at {labels[p]}: det g = {detg[p]:.3e}"
         )
+    failed = np.array([exc is not None for exc in errors])
+    if failed.any():
+        # failed points go on as a flat coordinate plane, so the array code
+        # below stays finite; their results are never read
+        flat = _tensor([[jet_variable(A, coords[:, A], n, 4) if A < n
+                         else jet_constant(np.zeros(P), n, 4) for A in range(N)]])[:, 0]
+        F = Jet(n, 4, np.where(failed[:, None, None], flat.coeffs, F.coeffs))
+        dF_jets, g_jets, detg_jet = _metric(F, n)
+        g0 = g_jets.value
+    dF = dF_jets.value
     try:
         L = np.linalg.cholesky(g0)
-    except np.linalg.LinAlgError as exc:
-        raise ImmersionRankError(f"metric not positive definite at {tuple(point)}") from exc
+    except np.linalg.LinAlgError:
+        L = np.array([np.eye(n)] * P)
+        for p in range(P):
+            try:
+                L[p] = np.linalg.cholesky(g0[p])
+            except np.linalg.LinAlgError:
+                errors[p] = errors[p] or ImmersionRankError(f"metric not positive definite at {labels[p]}")
 
     # oriented Gram-Schmidt: T = L^-1 is lower triangular with positive diagonal
-    T = np.linalg.solve(L, np.eye(n))
+    T = np.linalg.solve(L, np.broadcast_to(np.eye(n), L.shape))
     e = T @ dF
     ginv_jets = _jet_inverse(g_jets, detg_jet)
-    g_inv = np.array([[ginv_jets[i][j].value for j in range(n)] for i in range(n)])
+    g_inv = ginv_jets.value
 
     # normal frame: ambient basis projected to the normal space, pivoted
-    # Gram-Schmidt with first-maximum tie-break for reproducibility
-    PT0 = dF.T @ g_inv @ dF
-    candidates = np.eye(N) - PT0
-    nu_rows = []
-    for _ in range(m):
-        norms = np.linalg.norm(candidates, axis=0)
-        pick = int(np.argmax(norms))
-        if norms[pick] <= 1e-10:
-            raise ImmersionRankError(f"normal space degenerate at {tuple(point)}")
-        vec = candidates[:, pick] / norms[pick]
-        nu_rows.append(vec)
-        candidates -= np.outer(vec, vec @ candidates)
-    nu = np.array(nu_rows)
+    # Gram-Schmidt with a tie-robust first-maximum pick for reproducibility
+    PT0 = np.swapaxes(dF, 1, 2) @ g_inv @ dF
+    PN0 = np.eye(N) - PT0
+    nu, tops = _gram_schmidt(np.swapaxes(PN0, 1, 2), m, 1e-10)
+    for p in np.flatnonzero((tops <= 1e-10).any(axis=1)):
+        errors[p] = errors[p] or ImmersionRankError(f"normal space degenerate at {labels[p]}")
 
     # Christoffels from the degree-1 metric coefficients:
     # Gamma^l_{ki} = g^{lr} (d_k g_{ir} + d_i g_{kr} - d_r g_{ki}) / 2
-    dg = np.array(
-        [[[_unit_coefficient(g_jets[i][j], k) for j in range(n)] for i in range(n)]
-         for k in range(n)]
-    )  # dg[k, i, j] = d_k g_ij
-    term = dg + dg.transpose(1, 0, 2) - dg.transpose(2, 1, 0)
-    christoffel = 0.5 * np.einsum("lr,kir->lki", g_inv, term)
+    dg = np.moveaxis(_gradient(g_jets, n), -1, 1)  # dg[:, k, i, j] = d_k g_ij
+    term = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 3, 2, 1)
+    christoffel = 0.5 * ordered_einsum("plr,pkir->plki", g_inv, term)
 
-    # normal projector as jets: P^N = I - dF^T g^{-1} dF
-    Q = [[_jet_dot([ginv_jets[i][j] for j in range(n)],
-                   [dF_jets[j][B] for j in range(n)]) for B in range(N)]
-         for i in range(n)]
-    PT_jets = [[_jet_dot([dF_jets[i][A] for i in range(n)],
-                         [Q[i][B] for i in range(n)]) for B in range(N)]
-               for A in range(N)]
+    # normal-projected Hessian as jets: B_ij = P^N d_i d_j F, P^N = I - dF^T g^{-1} dF
+    PT_jets = jet_einsum("piA,piB->pAB", dF_jets, jet_einsum("pij,pjB->piB", ginv_jets, dF_jets))
+    F2_jets = _tensor([[F.derivative(i).derivative(j) for j in range(n)] for i in range(n)])
+    B_jets = F2_jets - jet_einsum("pAB,pijB->pijA", PT_jets, F2_jets)
+    second_partials, B_coord = F2_jets.value, B_jets.value
 
-    F2_jets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = [comps[A].derivative(i).derivative(j) for A in range(N)]
-            F2_jets[i][j] = entry
-            F2_jets[j][i] = entry
-    second_partials = np.array(
-        [[[jet.value for jet in F2_jets[i][j]] for j in range(n)] for i in range(n)]
-    )
-
-    B_jets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            row = []
-            for A in range(N):
-                proj = _jet_dot(PT_jets[A], F2_jets[i][j])
-                row.append(F2_jets[i][j][A] - proj)
-            B_jets[i][j] = row
-            B_jets[j][i] = row
-    B_coord = np.array([[[jet.value for jet in B_jets[i][j]] for j in range(n)] for i in range(n)])
-
-    # |B|^2 as an order-2 jet: g^{ik} g^{jl} <B_ij, B_kl>
-    pair_ids = [(i, j) for i in range(n) for j in range(i, n)]
-    S = {}
-    for idx, (i, j) in enumerate(pair_ids):
-        for (k, l) in pair_ids[idx:]:
-            s = _jet_dot(B_jets[i][j], B_jets[k][l])
-            S[(i, j, k, l)] = s
-            S[(k, l, i, j)] = s
-
-    def inner(i, j, k, l):
-        return S[(min(i, j), max(i, j), min(k, l), max(k, l))]
-
-    normB2_jet = jet_constant(0.0, n, 2)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    normB2_jet = normB2_jet + ginv_jets[i][k] * (
-                        ginv_jets[j][l] * inner(i, j, k, l)
-                    )
+    # |B|^2 as an order-2 jet: <g^{ik} g^{jl} B_ij, B_kl>
+    raised = jet_einsum("pjl,pkjA->pklA", ginv_jets, jet_einsum("pik,pijA->pkjA", ginv_jets, B_jets))
+    normB2_jet = jet_einsum("pklA,pklA->p", raised, B_jets)
 
     # covariant derivative of B in coordinates:
     # (grad_k B)_ij = P^N(d_k of the B_ij field) - Gamma^l_{ki} B_lj - Gamma^l_{kj} B_il
-    PN0 = np.eye(N) - PT0
-    dB = np.array(
-        [[[[_unit_coefficient(jet, k) for jet in B_jets[i][j]] for j in range(n)]
-          for i in range(n)] for k in range(n)]
-    )  # dB[k, i, j, A]
-    nablaB_coord = np.einsum("AB,kijB->kijA", PN0, dB)
-    nablaB_coord -= np.einsum("lki,ljA->kijA", christoffel, B_coord)
-    nablaB_coord -= np.einsum("lkj,ilA->kijA", christoffel, B_coord)
+    dB = np.moveaxis(_gradient(B_jets, n), -1, 1)  # dB[:, k, i, j, A]
+    nablaB_coord = ordered_einsum("pAB,pkijB->pkijA", PN0, dB)
+    nablaB_coord -= ordered_einsum("plki,pljA->pkijA", christoffel, B_coord)
+    nablaB_coord -= ordered_einsum("plkj,pilA->pkijA", christoffel, B_coord)
 
-    h = np.einsum("ik,jl,klA,aA->aij", T, T, B_coord, nu)
-    h3 = np.einsum("kc,ia,jb,cabA,mA->mijk", T, T, T, nablaB_coord, nu)
-    mean_curvature = np.einsum("ij,ijA->A", g_inv, B_coord)
+    h = ordered_einsum("pijA,paA->paij", _frame_B(T, B_coord), nu)
+    h3 = ordered_einsum("pkc,pia,pjb,pcabA,pmA->pmijk", T, T, T, nablaB_coord, nu)
+    mean_curvature = ordered_einsum("pij,pijA->pA", g_inv, B_coord)
 
     return PointGeometry(
-        point=tuple(float(p) for p in point),
+        point=_objects([tuple(row) for row in coords.tolist()]),
         n=n,
         m=m,
         g=g_jets,
@@ -279,13 +357,14 @@ def point_geometry_at(imm: Immersion, point) -> PointGeometry:
         h=h,
         h3=h3,
         mean_curvature=mean_curvature,
-        normB2=float(np.sum(h * h)),
-        nablaB2=float(np.sum(h3 * h3)),
+        normB2=_dot(h.reshape(P, -1), h.reshape(P, -1)),
+        nablaB2=_dot(h3.reshape(P, -1), h3.reshape(P, -1)),
         dF_jets=dF_jets,
         detg_jet=detg_jet,
         ginv_jets=ginv_jets,
         B_jets=B_jets,
         normB2_jet=normB2_jet,
+        errors=errors,
     )
 
 
@@ -293,15 +372,18 @@ def point_geometry_at(imm: Immersion, point) -> PointGeometry:
 
 def _gauss_matrix(pg: PointGeometry) -> np.ndarray:
     # row i of the Gauss-map differential in the orthonormal bases: (j, a) -> h_{a,ij}
-    return np.transpose(pg.h, (1, 2, 0)).reshape(pg.n, pg.n * pg.m)
+    return np.moveaxis(pg.h, -3, -1).reshape(pg.h.shape[:-3] + (pg.n, pg.n * pg.m))
 
 
 def gauss_rank_at(pg: PointGeometry, tol: float = RANK_TOL):
-    """Numerical rank of the Gauss-map differential and its singular values."""
+    """Numerical rank of the Gauss-map differential and its singular values.
+
+    For a block: (P,) ranks and (P, n) singular values.
+    """
     sv = np.linalg.svd(_gauss_matrix(pg), compute_uv=False)
-    base = sv[0] if sv[0] > 0 else 1.0
-    rank = int(np.sum(sv > tol * base))
-    return rank, sv
+    base = np.where(sv[..., 0] > 0, sv[..., 0], 1.0)
+    rank = np.sum(sv > tol * base[..., None], axis=-1)
+    return (rank, sv) if pg.errors is not None else (int(rank), sv)
 
 
 @dataclass
@@ -326,119 +408,105 @@ class CanonicalFrame:
     residual: float
     tangent_frame: np.ndarray  # (n, n+m): e1, e2, kernel...
     normal_frame: np.ndarray  # (m, n+m): nu1, nu2, completion...
+    errors: list | None = None  # block only: the failure of each point, or None
 
 
 def canonical_frame_at(pg: PointGeometry, tol: float = RANK_TOL) -> CanonicalFrame:
     """Rotate frames so the shape operators take their rank-2 normal form.
 
     Requires Gauss-map rank <= 2; raises GaussRankError otherwise (the
-    hypothesis is reported, never silently clamped).
+    hypothesis is reported, never silently clamped).  For a block the
+    failures are collected in `errors`.
     """
+    if pg.errors is None:
+        return _single(_canonical(_batch1(pg), tol))
+    return _canonical(pg, tol)
+
+
+def _canonical(pg: PointGeometry, tol: float) -> CanonicalFrame:
     n, m, N = pg.n, pg.m, pg.n + pg.m
+    P = len(pg.h)
     rank, sv = gauss_rank_at(pg, tol)
-    if rank > 2:
-        raise GaussRankError(
-            f"Gauss-map rank {rank} > 2 at {pg.point} (singular values {sv})"
+    errors = list(pg.errors)
+    for p in np.flatnonzero(rank > 2):
+        errors[p] = errors[p] or GaussRankError(
+            f"Gauss-map rank {rank[p]} > 2 at {pg.point[p]} (singular values {sv[p]})"
         )
 
     if n == 2:
-        U = np.eye(2)
+        U = np.broadcast_to(np.eye(2), (P, 2, 2))
     else:
-        U, _, _ = np.linalg.svd(_gauss_matrix(pg))
+        U = np.linalg.svd(_gauss_matrix(pg))[0]
+        # the SVD fixes U only up to column signs; det U = +1 keeps the
+        # canonical tangent frame oriented like e
+        U[np.linalg.det(U) < 0, :, 2] *= -1.0
 
     # frame-valued second fundamental form
-    Bf = np.einsum("ik,jl,klA->ijA", pg.frame_coeffs, pg.frame_coeffs, pg.B_coord)
-    Bhat = np.einsum("ia,jb,abA->ijA", U.T, U.T, Bf)
-
-    B11, B12 = Bhat[0, 0], Bhat[0, 1]
-    G = np.array(
-        [[B11 @ B11, B11 @ B12],
-         [B12 @ B11, B12 @ B12]]
-    )
+    Bf = _frame_B(pg.frame_coeffs, pg.B_coord)
+    Bhat = _frame_B(np.swapaxes(U, 1, 2), Bf)
+    B11, B12 = Bhat[:, 0, 0], Bhat[:, 0, 1]
+    G00, G01, G11 = _dot(B11, B11), _dot(B11, B12), _dot(B12, B12)
 
     # rotation angle in (-pi/4, pi/4]; order of mu1, mu2 fixed by post-swap
-    if abs(G[0, 0] - G[1, 1]) <= 1e-300 and abs(G[0, 1]) <= 1e-300:
-        theta = 0.0
-    elif abs(G[0, 0] - G[1, 1]) < abs(G[0, 1]) * 1e-14:
-        theta = math.pi / 4
-    else:
-        theta = 0.5 * math.atan(2.0 * G[0, 1] / (G[0, 0] - G[1, 1]))
+    d, g = G00 - G11, G01
+    theta = np.where(np.abs(d) < np.abs(g) * 1e-14, math.pi / 4,
+                     0.5 * np.arctan(2.0 * g / np.where(d == 0.0, 1.0, d)))
+    theta = np.where((np.abs(d) <= 1e-300) & (np.abs(g) <= 1e-300), 0.0, theta)
 
     def rotated(alpha):
-        c, s = math.cos(alpha), math.sin(alpha)
-        f1 = c * U.T[0] - s * U.T[1]  # coefficients in the e-frame
-        f2 = s * U.T[0] + c * U.T[1]
-        return f1, f2
+        c, s = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
+        f1 = c * U[:, :, 0] - s * U[:, :, 1]  # coefficients in the e-frame
+        f2 = s * U[:, :, 0] + c * U[:, :, 1]
+        b11 = ordered_einsum("pi,pj,pijA->pA", f1, f1, Bf)
+        b12 = ordered_einsum("pi,pj,pijA->pA", f1, f2, Bf)
+        return f1, f2, b11, b12
 
     alpha = -theta / 2.0
-    f1c, f2c = rotated(alpha)
+    *_, b11, b12 = rotated(alpha)
+    alpha = np.where(_dot(b11, b11) < _dot(b12, b12), alpha + math.pi / 4.0, alpha)  # mu1 >= mu2
+    f1c, f2c, b11, b12 = rotated(alpha)
+    mu1 = np.sqrt(np.maximum(_dot(b11, b11), 0.0))
+    mu2 = np.sqrt(np.maximum(_dot(b12, b12), 0.0))
 
-    def block(f1c, f2c):
-        b11 = np.einsum("i,j,ijA->A", f1c, f1c, Bf)
-        b12 = np.einsum("i,j,ijA->A", f1c, f2c, Bf)
-        return b11, b12
-
-    b11, b12 = block(f1c, f2c)
-    if b11 @ b11 < b12 @ b12:
-        alpha += math.pi / 4.0  # swap so that mu1 >= mu2
-        f1c, f2c = rotated(alpha)
-        b11, b12 = block(f1c, f2c)
-
-    mu1 = math.sqrt(max(b11 @ b11, 0.0))
-    mu2 = math.sqrt(max(b12 @ b12, 0.0))
-
-    e1 = f1c @ pg.tangent_frame
-    e2 = f2c @ pg.tangent_frame
-    kernel = U.T[2:] @ pg.tangent_frame if n > 2 else np.zeros((0, N))
-    tangent_frame = np.vstack([e1[None, :], e2[None, :], kernel])
+    e1 = ordered_einsum("pi,piA->pA", f1c, pg.tangent_frame)
+    e2 = ordered_einsum("pi,piA->pA", f2c, pg.tangent_frame)
+    kernel = ordered_einsum("pjr,pjA->prA", U[:, :, 2:], pg.tangent_frame)
+    tangent_frame = np.concatenate([e1[:, None], e2[:, None], kernel], axis=1)
 
     # normal rotation: align nu1 with B(e1,e1), nu2 with B(e1,e2); complete by
     # pivoted Gram-Schmidt over the original normal frame
-    frame_rows = []
-    if mu1 > tol:
-        frame_rows.append(b11 / mu1)
-        if mu2 > tol:
-            frame_rows.append(b12 / mu2)
-    remaining = np.array(pg.normal_frame)
-    for vec in frame_rows:
-        remaining = remaining - np.outer(remaining @ vec, vec)
-    while len(frame_rows) < m:
-        norms = np.linalg.norm(remaining, axis=1)
-        pick = int(np.argmax(norms))
-        vec = remaining[pick] / norms[pick]
-        frame_rows.append(vec)
-        remaining = remaining - np.outer(remaining @ vec, vec)
-    normal_frame = np.array(frame_rows)
+    fixed = [(b11 / np.where(mu1 > tol, mu1, 1.0)[:, None], mu1 > tol),
+             (b12 / np.where(mu2 > tol, mu2, 1.0)[:, None], (mu1 > tol) & (mu2 > tol))]
+    normal_frame, _ = _gram_schmidt(pg.normal_frame, m, 0.0, fixed)
 
     # residual of the normal form, over the full n x n blocks: express the
     # canonical tangent rows in the coordinate basis (e = T dF) and contract
-    in_e = np.vstack([f1c[None, :], f2c[None, :], U.T[2:]])
-    coeffs = in_e @ pg.frame_coeffs
-    B_can = np.einsum("ik,jl,klA->ijA", coeffs, coeffs, pg.B_coord)
-    h_can = np.einsum("aA,ijA->aij", normal_frame, B_can)
+    in_e = np.concatenate([f1c[:, None], f2c[:, None], np.swapaxes(U[:, :, 2:], 1, 2)], axis=1)
+    B_can = _frame_B(in_e @ pg.frame_coeffs, pg.B_coord)
+    h_can = ordered_einsum("paA,pijA->paij", normal_frame, B_can)
 
     target = np.zeros_like(h_can)
-    target[0, 0, 0] = mu1
-    target[0, 1, 1] = -mu1
+    target[:, 0, 0, 0] = mu1
+    target[:, 0, 1, 1] = -mu1
     if m >= 2:
-        target[1, 0, 1] = mu2
-        target[1, 1, 0] = mu2
-    residual = float(np.max(np.abs(h_can - target)))
+        target[:, 1, 0, 1] = mu2
+        target[:, 1, 1, 0] = mu2
 
     return CanonicalFrame(
         kernel_basis=kernel,
         e1=e1,
         e2=e2,
-        nu1=normal_frame[0],
-        nu2=normal_frame[1] if m >= 2 else None,
+        nu1=normal_frame[:, 0],
+        nu2=normal_frame[:, 1] if m >= 2 else None,
         mu1=mu1,
         mu2=mu2,
         theta=theta,
-        shape1=h_can[0, :2, :2].copy(),
-        shape2=h_can[1, :2, :2].copy() if m >= 2 else None,
-        residual=residual,
+        shape1=h_can[:, 0, :2, :2].copy(),
+        shape2=h_can[:, 1, :2, :2].copy() if m >= 2 else None,
+        residual=np.max(np.abs(h_can - target), axis=(1, 2, 3)),
         tangent_frame=tangent_frame,
         normal_frame=normal_frame,
+        errors=errors,
     )
 
 
@@ -450,12 +518,10 @@ def _alignment_jet(pg: PointGeometry, reference_frame: np.ndarray) -> Jet:
     This differentiable route avoids Gram-Schmidt, whose pivoting is not
     smooth; it agrees with det(<e_i, a_k>) for the oriented frame.
     """
-    n = pg.n
     a = np.asarray(reference_frame, dtype=float)
-    M = [[sum((pg.dF_jets[j][A] * a[k][A] for A in range(pg.n + pg.m)),
-              jet_constant(0.0, n, 2)) for k in range(n)] for j in range(n)]
-    det = _jet_det(M)
-    return det * jet_elementary("pow-const", pg.detg_jet, param=-0.5)
+    d = pg.dF_jets.coeffs  # <d_j F, a_k> as an (n, n) tensor jet
+    M = Jet(pg.n, 2, sum(d[..., :, A, None, :] * a[:, A, None] for A in range(pg.n + pg.m)))
+    return _jet_det(M) * jet_elementary("pow-const", pg.detg_jet, param=-0.5)
 
 
 def scalar_field_jet(
@@ -471,7 +537,7 @@ def scalar_field_jet(
     Fields: 'volume' (sqrt det g), 'alignment' (needs reference_frame),
     'log-alignment', 'normB2', 'normB'.  The whole geometric pipeline is
     re-run in jet arithmetic, so the returned jet carries exact first and
-    second derivatives of the field.
+    second derivatives of the field.  For a block the jet is batched.
     """
     if field not in SCALAR_FIELDS:
         raise ValueError(f"unknown scalar field {field!r} (known: {SCALAR_FIELDS})")
@@ -484,9 +550,12 @@ def scalar_field_jet(
     elif field == "normB2":
         jet = pg.normB2_jet
     elif field == "normB":
-        if pg.normB2_jet.value <= 0.0:
-            raise JetDomainError("|B| is singular at a zero of the second fundamental form")
-        jet = jet_elementary("sqrt", pg.normB2_jet)
+        nb2 = pg.normB2_jet
+        flat = {int(p): JetDomainError("|B| is singular at a zero of the second fundamental form")
+                for p in np.flatnonzero(np.atleast_1d(nb2.value <= 0.0))}
+        if flat and pg.errors is None:
+            raise flat[0]
+        jet = jet_elementary("sqrt", replace(nb2, failures={**flat, **nb2.failures}))
     else:
         if reference_frame is None:
             raise ValueError(f"field {field!r} requires a reference frame")
@@ -496,26 +565,31 @@ def scalar_field_jet(
     return jet.truncate(order) if order < 2 else jet
 
 
-def laplace_beltrami_of_jet(pg: PointGeometry, field_jet: Jet) -> float:
+def laplace_beltrami_of_jet(pg: PointGeometry, field_jet: Jet):
     """Lap phi = g^{ij} (d_i d_j phi - Gamma^k_{ij} d_k phi) from an order-2 jet."""
     n = pg.n
-    grad = np.array([_unit_coefficient(field_jet, k) for k in range(n)])
-    hess = np.empty((n, n))
+    grad = _gradient(field_jet, n)
+    lap = 0.0
     for i in range(n):
         for j in range(n):
             alpha = [0] * n
             alpha[i] += 1
             alpha[j] += 1
-            c = field_jet.coefficient(tuple(alpha))
-            hess[i, j] = c * (2.0 if i == j else 1.0)
-    corrected = hess - np.einsum("kij,k->ij", pg.christoffel, grad)
-    return float(np.einsum("ij,ij->", pg.g_inv, corrected))
+            corrected = field_jet.coefficient(tuple(alpha)) * (2.0 if i == j else 1.0)
+            for k in range(n):
+                corrected = corrected - pg.christoffel[..., k, i, j] * grad[..., k]
+            lap = lap + pg.g_inv[..., i, j] * corrected
+    return float(lap) if np.ndim(lap) == 0 else lap
 
 
-def gradient_norm2_of_jet(pg: PointGeometry, field_jet: Jet) -> float:
+def gradient_norm2_of_jet(pg: PointGeometry, field_jet: Jet):
     """|grad phi|^2 = g^{ij} d_i phi d_j phi."""
-    grad = np.array([_unit_coefficient(field_jet, k) for k in range(pg.n)])
-    return float(grad @ pg.g_inv @ grad)
+    grad = _gradient(field_jet, pg.n)
+    out = 0.0
+    for i in range(pg.n):
+        for j in range(pg.n):
+            out = out + grad[..., i] * pg.g_inv[..., i, j] * grad[..., j]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def laplace_beltrami(
@@ -524,8 +598,8 @@ def laplace_beltrami(
     field: str,
     reference_frame=None,
     pg: PointGeometry | None = None,
-) -> float:
-    """Laplace-Beltrami of a derived scalar field at a point."""
+):
+    """Laplace-Beltrami of a derived scalar field at a point (or a block)."""
     if pg is None:
         pg = point_geometry_at(imm, point)
     jet = scalar_field_jet(imm, point, field, 2, reference_frame, pg)
@@ -534,19 +608,20 @@ def laplace_beltrami(
 
 # -- plane pairings and the alignment pack ---------------------------------------
 
-def frame_pairing(rows: np.ndarray, reference: np.ndarray) -> float:
-    """<b_1 ^ ... ^ b_n, a_1 ^ ... ^ a_n> = det(<b_i, a_j>)."""
-    return float(np.linalg.det(np.asarray(rows) @ np.asarray(reference).T))
+def frame_pairing(rows: np.ndarray, reference: np.ndarray):
+    """<b_1 ^ ... ^ b_n, a_1 ^ ... ^ a_n> = det(<b_i, a_j>); rows may be a (P, n, N) block."""
+    det = np.linalg.det(np.asarray(rows) @ np.asarray(reference).T)
+    return float(det) if np.ndim(det) == 0 else det
 
 
-def replaced_pairing(e_rows: np.ndarray, reference: np.ndarray, replacements: dict) -> float:
+def replaced_pairing(e_rows: np.ndarray, reference: np.ndarray, replacements: dict):
     """Pairing after substituting normal vectors into tangent slots.
 
     `replacements` maps slot index j to the vector standing in for e_j.
     """
     rows = np.array(e_rows, dtype=float)
     for slot, vec in replacements.items():
-        rows[slot] = vec
+        rows[..., slot, :] = vec
     return frame_pairing(rows, reference)
 
 
@@ -570,6 +645,7 @@ class AlignmentPack:
     double_pairings: np.ndarray  # (n, m, n, m): <e_{j a, k b}, A>
     formula_applicable: bool
     reason: str | None
+    jet: Jet  # the alignment scalar as an order-2 jet
 
 
 def alignment_pack_at(
@@ -583,67 +659,66 @@ def alignment_pack_at(
     """Evaluate the alignment function and its structural identities."""
     if pg is None:
         pg = point_geometry_at(imm, point)
+    if pg.errors is None:
+        canon = None if canon is None else _batch1(canon)
+        return _take(_alignment(_batch1(pg), reference_frame, canon, minimality_tol), 0)
+    return _alignment(pg, reference_frame, canon, minimality_tol)
+
+
+def _alignment(pg, reference_frame, canon, minimality_tol) -> AlignmentPack:
     a = np.asarray(reference_frame, dtype=float)
-    n, m = pg.n, pg.m
+    n, m, P = pg.n, pg.m, len(pg.h)
     e, nu = pg.tangent_frame, pg.normal_frame
 
     jet = _alignment_jet(pg, a)
-    value = jet.value
-    value_from_frames = frame_pairing(e, a)
+    grad_coord = _gradient(jet, n)
+    grad_frame = ordered_einsum("pij,pj->pi", pg.frame_coeffs, grad_coord)
 
-    grad_coord = np.array([_unit_coefficient(jet, k) for k in range(n)])
-    grad_frame = pg.frame_coeffs @ grad_coord
-
-    single = np.empty((n, m))
+    single = np.empty((P, n, m))
     for j in range(n):
         for al in range(m):
-            single[j, al] = replaced_pairing(e, a, {j: nu[al]})
-    double = np.zeros((n, m, n, m))
+            single[:, j, al] = replaced_pairing(e, a, {j: nu[:, al]})
+    double = np.zeros((P, n, m, n, m))
     for j in range(n):
         for k in range(n):
             if j == k:
                 continue
             for al in range(m):
                 for be in range(m):
-                    double[j, al, k, be] = replaced_pairing(
-                        e, a, {j: nu[al], k: nu[be]}
-                    )
+                    double[:, j, al, k, be] = replaced_pairing(e, a, {j: nu[:, al], k: nu[:, be]})
 
-    grad_formula = np.einsum("aij,ja->i", pg.h, single)
+    grad_formula = ordered_einsum("paij,pja->pi", pg.h, single)
 
-    lap_numeric = laplace_beltrami_of_jet(pg, jet)
-
-    lap_formula = None
-    applicable = True
-    reason = None
-    if float(np.linalg.norm(pg.mean_curvature)) > minimality_tol:
-        applicable, reason = False, "mean curvature does not vanish"
-    else:
-        try:
-            if canon is None:
-                canon = canonical_frame_at(pg)
-        except GaussRankError as exc:
-            applicable, reason = False, str(exc)
-    if applicable:
+    minimal = np.sqrt(_dot(pg.mean_curvature, pg.mean_curvature)) <= minimality_tol
+    reasons = [None if ok else "mean curvature does not vanish" for ok in minimal.tolist()]
+    if canon is None and minimal.any():
+        canon = canonical_frame_at(pg)
+    for p in np.flatnonzero(minimal):
+        if canon.errors[p] is not None:
+            reasons[p] = str(canon.errors[p])
+    applicable = np.array([r is None for r in reasons])
+    lap_formula = np.zeros(P)
+    if applicable.any():
         if m == 1:
             pair_canon = 0.0  # mu2 = 0 in codimension one; the term drops
         else:
-            rows = np.vstack([canon.normal_frame[:2], canon.tangent_frame[2:]])
+            rows = np.concatenate([canon.normal_frame[:, :2], canon.tangent_frame[:, 2:]], axis=1)
             pair_canon = frame_pairing(rows, a)
-        lap_formula = -pg.normB2 * value + 4.0 * canon.mu1 * canon.mu2 * pair_canon
+        lap_formula = -pg.normB2 * jet.value + 4.0 * canon.mu1 * canon.mu2 * pair_canon
 
     return AlignmentPack(
-        reference_frame=a,
-        value=value,
-        value_from_frames=value_from_frames,
+        reference_frame=np.broadcast_to(a, (P,) + a.shape),
+        value=jet.value,
+        value_from_frames=frame_pairing(e, a),
         grad_frame=grad_frame,
         grad_formula=grad_formula,
-        laplacian_numeric=lap_numeric,
-        laplacian_formula=lap_formula,
+        laplacian_numeric=laplace_beltrami_of_jet(pg, jet),
+        laplacian_formula=_optional(lap_formula, applicable),
         single_pairings=single,
         double_pairings=double,
         formula_applicable=applicable,
-        reason=reason,
+        reason=_objects(reasons),
+        jet=jet,
     )
 
 
@@ -678,41 +753,38 @@ def complex_pack_at(
         raise GeometryError("complex pack requires a 2-dimensional domain")
     if pg is None:
         pg = point_geometry_at(imm, point)
+    if pg.errors is None:
+        return _take(complex_pack_at(imm, point, _batch1(pg), tol), 0)
 
-    Fu, Fv = pg.dF[0], pg.dF[1]
-    Fuu, Fuv, Fvv = pg.second_partials[0, 0], pg.second_partials[0, 1], pg.second_partials[1, 1]
+    Fu, Fv = pg.dF[:, 0], pg.dF[:, 1]
+    sp = pg.second_partials
     Fw = 0.5 * (Fu - 1j * Fv)
-    Fww = 0.25 * (Fuu - Fvv) - 0.5j * Fuv
+    Fww = 0.25 * (sp[:, 0, 0] - sp[:, 1, 1]) - 0.5j * sp[:, 0, 1]
 
-    conf = complex(np.sum(Fw * Fw))
-    scale = float(np.sum(np.abs(Fw) ** 2))
-    isothermal = abs(conf) <= tol * (scale + tol)
+    conf = _dot(Fw, Fw)
+    scale = _dot(np.abs(Fw), np.abs(Fw))
 
-    omega = complex(np.sum(Fww * Fww))
+    B_ww = 0.5 * pg.B_coord[:, 0, 0] - 0.5j * pg.B_coord[:, 0, 1]
+    nablaB_www = 0.5 * pg.nablaB_coord[:, 0, 0, 0] - 0.5j * pg.nablaB_coord[:, 1, 0, 0]
 
-    B_ww = 0.5 * pg.B_coord[0, 0] - 0.5j * pg.B_coord[0, 1]
-    nablaB_www = 0.5 * pg.nablaB_coord[0, 0, 0] - 0.5j * pg.nablaB_coord[1, 0, 0]
-
-    denom = float(np.sum(np.abs(B_ww) ** 2))
-    if denom > tol * tol:
-        zeta = complex(np.sum(nablaB_www * np.conj(B_ww))) / denom
-        zres = float(np.linalg.norm(nablaB_www - zeta * B_ww))
-        xi1, xi2 = zeta.real, -zeta.imag
-    else:
-        zeta, zres, xi1, xi2 = None, None, None, None
+    denom = _dot(np.abs(B_ww), np.abs(B_ww))
+    has_zeta = denom > tol * tol
+    zeta = _dot(nablaB_www, np.conj(B_ww)) / np.where(has_zeta, denom, 1.0)
+    miss = np.abs(nablaB_www - zeta[:, None] * B_ww)
+    zres = np.sqrt(_dot(miss, miss))
 
     return ComplexPack(
         Fw=Fw,
         Fww=Fww,
-        conformality_residual=abs(conf),
-        isothermal=isothermal,
-        omega_coeff=omega,
+        conformality_residual=np.abs(conf),
+        isothermal=np.abs(conf) <= tol * (scale + tol),
+        omega_coeff=_dot(Fww, Fww),
         B_ww=B_ww,
         nablaB_www=nablaB_www,
-        zeta=zeta,
-        zeta_residual=zres,
-        xi1=xi1,
-        xi2=xi2,
+        zeta=_optional(zeta, has_zeta),
+        zeta_residual=_optional(zres, has_zeta),
+        xi1=_optional(zeta.real, has_zeta),
+        xi2=_optional(-zeta.imag, has_zeta),
     )
 
 
@@ -731,9 +803,11 @@ def curvature_pack_at(imm: Immersion, point, pg: PointGeometry | None = None) ->
         raise GeometryError("curvature pack requires a 2-dimensional domain")
     if pg is None:
         pg = point_geometry_at(imm, point)
+    if pg.errors is None:
+        return _take(curvature_pack_at(imm, point, _batch1(pg)), 0)
 
-    Bf = np.einsum("ik,jl,klA->ijA", pg.frame_coeffs, pg.frame_coeffs, pg.B_coord)
-    K_ext = float(Bf[0, 0] @ Bf[1, 1] - Bf[0, 1] @ Bf[0, 1])
+    Bf = _frame_B(pg.frame_coeffs, pg.B_coord)
+    K_ext = _dot(Bf[:, 0, 0], Bf[:, 1, 1]) - _dot(Bf[:, 0, 1], Bf[:, 0, 1])
 
     def d(jet, *axes):
         alpha = [0, 0]
@@ -742,26 +816,27 @@ def curvature_pack_at(imm: Immersion, point, pg: PointGeometry | None = None) ->
         fact = math.prod(math.factorial(c) for c in alpha)
         return jet.coefficient(tuple(alpha)) * fact
 
-    E, F, G = pg.g[0][0], pg.g[0][1], pg.g[1][1]
-    m1 = np.array(
+    E, F, G = pg.g[:, 0, 0], pg.g[:, 0, 1], pg.g[:, 1, 1]
+    zero = np.zeros(len(Bf))
+    m1 = np.moveaxis(np.array(
         [
             [-0.5 * d(E, 1, 1) + d(F, 0, 1) - 0.5 * d(G, 0, 0), 0.5 * d(E, 0), d(F, 0) - 0.5 * d(E, 1)],
             [d(F, 1) - 0.5 * d(G, 0), E.value, F.value],
             [0.5 * d(G, 1), F.value, G.value],
         ]
-    )
-    m2 = np.array(
+    ), -1, 0)
+    m2 = np.moveaxis(np.array(
         [
-            [0.0, 0.5 * d(E, 1), 0.5 * d(G, 0)],
+            [zero, 0.5 * d(E, 1), 0.5 * d(G, 0)],
             [0.5 * d(E, 1), E.value, F.value],
             [0.5 * d(G, 0), F.value, G.value],
         ]
-    )
+    ), -1, 0)
     denom = (E.value * G.value - F.value**2) ** 2
-    K_int = float((np.linalg.det(m1) - np.linalg.det(m2)) / denom)
+    K_int = (np.linalg.det(m1) - np.linalg.det(m2)) / denom
 
-    lam = None
-    if abs(E.value - G.value) <= 1e-8 * (abs(E.value) + 1) and abs(F.value) <= 1e-8 * (abs(E.value) + 1):
-        lam = E.value
-
-    return CurvaturePack(K_intrinsic=K_int, K_extrinsic=K_ext, conformal_factor=lam)
+    conformal = (np.abs(E.value - G.value) <= 1e-8 * (np.abs(E.value) + 1)) & (
+        np.abs(F.value) <= 1e-8 * (np.abs(E.value) + 1)
+    )
+    return CurvaturePack(K_intrinsic=K_int, K_extrinsic=K_ext,
+                         conformal_factor=_optional(E.value, conformal))

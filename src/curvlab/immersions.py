@@ -122,15 +122,19 @@ def build_graph_immersion(f_components, n: int, name: str = "") -> Immersion:
 
 
 def evaluate_immersion(imm: Immersion, point, order: int) -> list[Jet]:
-    """Ambient components of F as jets expanded at `point`."""
-    if len(point) != imm.n:
-        raise ImmersionError(f"point has {len(point)} coordinates, expected {imm.n}")
-    variables = [jet_variable(i, point[i], imm.n, order) for i in range(imm.n)]
+    """Ambient components of F as jets expanded at `point`.
+
+    A (P, n) block of points gives batched jets, one row per point.
+    """
+    coords = np.asarray(point, dtype=float)
+    if coords.shape[-1] != imm.n:
+        raise ImmersionError(f"point has {coords.shape[-1]} coordinates, expected {imm.n}")
+    variables = [jet_variable(i, coords[..., i], imm.n, order) for i in range(imm.n)]
     jets = []
     for comp in imm.components:
         val = evaluate_expression(comp, variables)
         if not isinstance(val, Jet):
-            val = jet_constant(float(val), imm.n, order)
+            val = jet_constant(np.full(coords.shape[:-1], float(val)), imm.n, order)
         jets.append(val)
     return jets
 

@@ -13,15 +13,23 @@ gather.  Elementary functions are composed through Horner evaluation of the
 univariate series in the nilpotent part; the series coefficients come from
 forward recurrences.
 
-Jets are immutable values and every operation is a pure function, so they
-are safe to use from any number of concurrent evaluators.
+A jet may carry leading axes, `coeffs` of shape (P, ..., ncoef): a batch
+axis of P points first, then optional tensor axes (a tensor jet holds, say,
+every entry of a metric).  Every operation below acts on all of them at once
+through the same code.  Where an elementary function meets a value outside
+its domain, a single jet raises; a batched jet marks that row as failed
+(NaN coefficients, the exception kept in `failures`) and the rest go on.
+
+Jets are immutable values and every operation is a pure function.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,10 +81,8 @@ def _degree_multis(dim: int, deg: int) -> list[tuple[int, ...]]:
 class _JetTable:
     """Precomputed index tables for one (dim, order) coefficient layout."""
 
-    __slots__ = (
-        "dim", "order", "multis", "index", "ncoef",
-        "diag_i", "diag_k", "off_i", "off_j", "off_k", "deriv",
-    )
+    __slots__ = ("dim", "order", "multis", "index", "ncoef", "pair_i", "pair_j", "weight",
+                 "starts", "deriv")
 
     def __init__(self, dim: int, order: int):
         self.dim = dim
@@ -88,29 +94,19 @@ class _JetTable:
         self.index = {m: i for i, m in enumerate(multis)}
         self.ncoef = len(multis)
 
-        # Unordered-pair product table.  Off-diagonal terms are accumulated as
-        # a[i]*b[j] + a[j]*b[i], which makes jet_product bitwise commutative.
-        diag_i, diag_k = [], []
-        off_i, off_j, off_k = [], [], []
+        # Unordered-pair product table, sorted by the output coefficient k.  A
+        # pair term is a[i]*b[j] + a[j]*b[i], halved on the diagonal (exact), which
+        # makes jet_product bitwise commutative; reduceat then sums each k's run.
+        pairs = []
         for i, mi in enumerate(multis):
             for j in range(i, self.ncoef):
-                mj = multis[j]
-                s = tuple(p + q for p, q in zip(mi, mj))
-                if sum(s) > order:
-                    continue
-                k = self.index[s]
-                if i == j:
-                    diag_i.append(i)
-                    diag_k.append(k)
-                else:
-                    off_i.append(i)
-                    off_j.append(j)
-                    off_k.append(k)
-        self.diag_i = np.array(diag_i, dtype=np.intp)
-        self.diag_k = np.array(diag_k, dtype=np.intp)
-        self.off_i = np.array(off_i, dtype=np.intp)
-        self.off_j = np.array(off_j, dtype=np.intp)
-        self.off_k = np.array(off_k, dtype=np.intp)
+                s = tuple(p + q for p, q in zip(mi, multis[j]))
+                if sum(s) <= order:
+                    pairs.append((self.index[s], i, j))
+        pairs.sort(key=lambda t: t[0])  # stable: (i, j) order within each k
+        k, self.pair_i, self.pair_j = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+        self.weight = np.where(self.pair_i == self.pair_j, 0.5, 1.0)
+        self.starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
 
         # Per-axis differentiation tables: coefficient of b in d_axis f comes
         # from the coefficient of b + e_axis, scaled by b_axis + 1.
@@ -136,31 +132,54 @@ def _table(dim: int, order: int) -> _JetTable:
     return _JetTable(dim, order)
 
 
-def _make(dim: int, order: int, coeffs: np.ndarray) -> "Jet":
+_NO_FAILURES = MappingProxyType({})
+
+
+def _make(dim: int, order: int, coeffs: np.ndarray, failures=_NO_FAILURES) -> "Jet":
     coeffs.flags.writeable = False
-    return Jet(dim, order, coeffs)
+    return Jet(dim, order, coeffs, failures)
+
+
+def _merged(a: "Jet", b: "Jet"):
+    # the earlier operand's failure wins, as the first exception would
+    return {**b.failures, **a.failures} if (a.failures or b.failures) else _NO_FAILURES
+
+
+def _scalar(c: np.ndarray):
+    return float(c) if c.ndim == 0 else c
 
 
 @dataclass(frozen=True, eq=False)
 class Jet:
-    """Dense truncated Taylor expansion of a scalar field at a point."""
+    """Dense truncated Taylor expansion of a scalar field at a point or a block.
+
+    `failures` maps a row of a batched jet to the exception that row met.
+    """
 
     dim: int
     order: int
     coeffs: np.ndarray
+    failures: dict = field(default_factory=lambda: _NO_FAILURES)
 
     @property
-    def value(self) -> float:
-        """Degree-0 coefficient, i.e. the field value at the expansion point."""
-        return float(self.coeffs[0])
+    def value(self):
+        """Degree-0 coefficient, i.e. the field value at the expansion point.
 
-    def coefficient(self, alpha: tuple[int, ...]) -> float:
+        A float for a single jet, a (P,) array for a batched one.
+        """
+        return _scalar(self.coeffs[..., 0])
+
+    def coefficient(self, alpha: tuple[int, ...]):
         """Taylor coefficient c_alpha = (d^alpha f) / alpha!."""
         tab = _table(self.dim, self.order)
         key = tuple(alpha)
         if len(key) != self.dim or key not in tab.index:
             raise JetIndexError(f"multi-index {alpha} invalid for dim={self.dim}, order={self.order}")
-        return float(self.coeffs[tab.index[key]])
+        return _scalar(self.coeffs[..., tab.index[key]])
+
+    def __getitem__(self, key) -> "Jet":
+        """The jets selected by indexing the leading (batch and tensor) axes."""
+        return Jet(self.dim, self.order, self.coeffs[key], self.failures)
 
     def derivative(self, axis: int) -> "Jet":
         """Jet of the partial derivative along `axis`, one order lower."""
@@ -169,7 +188,7 @@ class Jet:
         if self.order == 0:
             raise JetShapeError("cannot differentiate an order-0 jet")
         src, fac = _table(self.dim, self.order).deriv[axis]
-        return _make(self.dim, self.order - 1, self.coeffs[src] * fac)
+        return _make(self.dim, self.order - 1, self.coeffs[..., src] * fac, self.failures)
 
     def truncate(self, order: int) -> "Jet":
         """Drop coefficients above `order` (graded layout makes this a slice)."""
@@ -177,7 +196,8 @@ class Jet:
             return self
         if not (0 <= order < self.order):
             raise JetShapeError(f"cannot truncate order {self.order} jet to order {order}")
-        return _make(self.dim, order, self.coeffs[: coefficient_count(self.dim, order)].copy())
+        count = coefficient_count(self.dim, order)
+        return _make(self.dim, order, self.coeffs[..., :count].copy(), self.failures)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -190,11 +210,11 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._is_compatible(other)
-            return _make(self.dim, self.order, self.coeffs + other.coeffs)
+            return _make(self.dim, self.order, self.coeffs + other.coeffs, _merged(self, other))
         if isinstance(other, (int, float)):
             c = self.coeffs.copy()
-            c[0] += other
-            return _make(self.dim, self.order, c)
+            c[..., 0] += other
+            return _make(self.dim, self.order, c, self.failures)
         return NotImplemented
 
     __radd__ = __add__
@@ -202,25 +222,25 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._is_compatible(other)
-            return _make(self.dim, self.order, self.coeffs - other.coeffs)
+            return _make(self.dim, self.order, self.coeffs - other.coeffs, _merged(self, other))
         if isinstance(other, (int, float)):
             c = self.coeffs.copy()
-            c[0] -= other
-            return _make(self.dim, self.order, c)
+            c[..., 0] -= other
+            return _make(self.dim, self.order, c, self.failures)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
             c = -self.coeffs
-            c[0] += other
-            return _make(self.dim, self.order, c)
+            c[..., 0] += other
+            return _make(self.dim, self.order, c, self.failures)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             return jet_product(self, other)
         if isinstance(other, (int, float)):
-            return _make(self.dim, self.order, self.coeffs * float(other))
+            return _make(self.dim, self.order, self.coeffs * float(other), self.failures)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -231,7 +251,7 @@ class Jet:
         if isinstance(other, (int, float)):
             if other == 0:
                 raise JetDomainError("division of a jet by scalar zero")
-            return _make(self.dim, self.order, self.coeffs / float(other))
+            return _make(self.dim, self.order, self.coeffs / float(other), self.failures)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -240,7 +260,7 @@ class Jet:
         return NotImplemented
 
     def __neg__(self):
-        return _make(self.dim, self.order, -self.coeffs)
+        return _make(self.dim, self.order, -self.coeffs, self.failures)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -262,24 +282,28 @@ class Jet:
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 
 
-def jet_constant(value: float, dim: int, order: int) -> Jet:
-    """Jet of the constant field `value`."""
-    c = np.zeros(coefficient_count(dim, order))
-    _table(dim, order)  # validates dim/order
-    c[0] = float(value)
+def jet_constant(value, dim: int, order: int) -> Jet:
+    """Jet of the constant field `value` (a float, or a (P,) array for a block)."""
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (_table(dim, order).ncoef,))
+    c[..., 0] = value
     return _make(dim, order, c)
 
 
-def jet_variable(index: int, value: float, dim: int, order: int) -> Jet:
-    """Jet of the coordinate function u^index at a point where it equals `value`."""
+def jet_variable(index: int, value, dim: int, order: int) -> Jet:
+    """Jet of the coordinate function u^index at a point where it equals `value`.
+
+    `value` may be a (P,) array: the jets of u^index at P points.
+    """
     tab = _table(dim, order)
     if not (0 <= index < dim):
         raise JetIndexError(f"variable index {index} out of range for dim {dim}")
-    c = np.zeros(tab.ncoef)
-    c[0] = float(value)
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (tab.ncoef,))
+    c[..., 0] = value
     if order >= 1:
         unit = tuple(1 if a == index else 0 for a in range(dim))
-        c[tab.index[unit]] = 1.0
+        c[..., tab.index[unit]] = 1.0
     return _make(dim, order, c)
 
 
@@ -289,12 +313,69 @@ def jet_product(a: Jet, b: Jet) -> Jet:
         raise JetShapeError("jet_product requires two jets")
     a._is_compatible(b)
     tab = _table(a.dim, a.order)
+    i, j = tab.pair_i, tab.pair_j
     ca, cb = a.coeffs, b.coeffs
-    out = np.bincount(tab.diag_k, weights=ca[tab.diag_i] * cb[tab.diag_i], minlength=tab.ncoef)
-    if tab.off_i.size:
-        w = ca[tab.off_i] * cb[tab.off_j] + ca[tab.off_j] * cb[tab.off_i]
-        out += np.bincount(tab.off_k, weights=w, minlength=tab.ncoef)
-    return _make(a.dim, a.order, out)
+    return _make(a.dim, a.order, _fold(ca[..., i] * cb[..., j], ca[..., j] * cb[..., i], tab),
+                 _merged(a, b))
+
+
+def _fold(ab: np.ndarray, ba: np.ndarray, tab: _JetTable) -> np.ndarray:
+    # pair terms a_i b_j and a_j b_i on the last axis -> product coefficients;
+    # `ab` is overwritten
+    ab += ba
+    ab *= tab.weight
+    return np.add.reduceat(ab, tab.starts, axis=-1)
+
+
+def _ordered_sum(spec: str, operands, product) -> np.ndarray:
+    # sum of product(kept_spec, parts) over the summed indices of spec, in
+    # lexicographic order; parts are the operands with those indices fixed
+    inputs, out = spec.split("->")
+    subs = inputs.split(",")
+    summed = list(dict.fromkeys(c for c in inputs if c not in out + ","))
+    sizes = {c: size for sub, op in zip(subs, operands) for c, size in zip(sub, op.shape)}
+    kept = ",".join("".join(c for c in sub if c not in summed) for sub in subs) + "->" + out
+    total = None
+    for values in itertools.product(*(range(sizes[c]) for c in summed)):
+        fix = dict(zip(summed, values))
+        term = product(kept, [op[tuple(fix.get(c, slice(None)) for c in sub)]
+                              for sub, op in zip(subs, operands)])
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
+
+
+def ordered_einsum(spec: str, *operands) -> np.ndarray:
+    """np.einsum with explicit subscripts, its sums accumulated in a fixed order.
+
+    np.einsum may reorder a reduction by the operands' shapes, so a point's
+    result could depend on how many points share its block.  Here each
+    combination of the summed indices is one product term, and the terms are
+    added in lexicographic order.
+    """
+    return _ordered_sum(spec, operands, lambda kept, parts: np.einsum(kept, *parts))
+
+
+def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
+    """Truncated products of tensor jets, summed over their leading axes as in np.einsum.
+
+    `spec` names the leading axes only, e.g. "pij,pjk->pik" for a batch of
+    jet-valued matrix products; the sums run in a fixed order as in
+    ordered_einsum.
+    """
+    a._is_compatible(b)
+    tab = _table(a.dim, a.order)
+    i, j = tab.pair_i, tab.pair_j
+
+    def product(kept, parts):
+        inputs, out = kept.split("->")
+        spec_t = "{}t,{}t->{}t".format(*inputs.split(","), out)
+        x, y = parts
+        return _fold(np.einsum(spec_t, x[..., i], y[..., j]), np.einsum(spec_t, x[..., j], y[..., i]), tab)
+
+    return _make(a.dim, a.order, _ordered_sum(spec, (a.coeffs, b.coeffs), product), _merged(a, b))
 
 
 def jet_extract(a: Jet, alpha: tuple[int, ...]) -> float:
@@ -319,36 +400,38 @@ def _series_reciprocal(poly: list[float], order: int) -> list[float]:
     return h
 
 
-def _univariate_series(name: str, x0: float, order: int, param) -> list[float]:
-    """Taylor coefficients [g(x0), g'(x0), g''(x0)/2!, ...] up to `order`."""
+_DOMAINS = {  # function -> (test for values outside its domain, error message)
+    "log": (lambda x: x <= 0, "log of non-positive jet value {}"),
+    "sqrt": (lambda x: x <= 0, "sqrt of non-positive jet value {}"),
+    "pow-const": (lambda x: x <= 0, "pow-const of non-positive jet value {}"),
+    "recip": (lambda x: x == 0, "reciprocal of a jet with zero value"),
+}
+
+
+def _univariate_series(name: str, x0: np.ndarray, order: int, param) -> list[np.ndarray]:
+    """Taylor coefficients [g(x0), g'(x0), g''(x0)/2!, ...] up to `order`, at every value of x0."""
     if name == "exp":
-        e = math.exp(x0)
+        e = np.exp(x0)
         return [e / math.factorial(j) for j in range(order + 1)]
     if name in ("sin", "cos"):
-        s, c = math.sin(x0), math.cos(x0)
+        s, c = np.sin(x0), np.cos(x0)
         cycle = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
         return [cycle[j % 4] / math.factorial(j) for j in range(order + 1)]
     if name in ("sinh", "cosh"):
-        s, c = math.sinh(x0), math.cosh(x0)
+        s, c = np.sinh(x0), np.cosh(x0)
         cycle = (s, c) if name == "sinh" else (c, s)
         return [cycle[j % 2] / math.factorial(j) for j in range(order + 1)]
     if name == "log":
-        if x0 <= 0:
-            raise JetDomainError(f"log of non-positive jet value {x0}")
-        out = [math.log(x0)]
+        out = [np.log(x0)]
         for j in range(1, order + 1):
             out.append((-1.0) ** (j - 1) / (j * x0 ** j))
         return out
     if name == "sqrt":
-        if x0 <= 0:
-            raise JetDomainError(f"sqrt of non-positive jet value {x0}")
-        out = [math.sqrt(x0)]
+        out = [np.sqrt(x0)]
         for j in range(1, order + 1):
             out.append(out[-1] * (1.5 - j) / (j * x0))
         return out
     if name == "recip":
-        if x0 == 0:
-            raise JetDomainError("reciprocal of a jet with zero value")
         out = [1.0 / x0]
         for j in range(1, order + 1):
             out.append(-out[-1] / x0)
@@ -357,8 +440,6 @@ def _univariate_series(name: str, x0: float, order: int, param) -> list[float]:
         if param is None:
             raise JetShapeError("pow-const requires an exponent parameter")
         p = float(param)
-        if x0 <= 0:
-            raise JetDomainError(f"pow-const of non-positive jet value {x0}")
         out = [x0 ** p]
         for j in range(1, order + 1):
             out.append(out[-1] * (p - j + 1) / (j * x0))
@@ -366,7 +447,7 @@ def _univariate_series(name: str, x0: float, order: int, param) -> list[float]:
     if name == "atan":
         # Integrate the series of 1/(1 + x^2) expanded at x0.
         h = _series_reciprocal([1.0 + x0 * x0, 2.0 * x0, 1.0], max(order - 1, 0))
-        out = [math.atan(x0)]
+        out = [np.arctan(x0)]
         for j in range(1, order + 1):
             out.append(h[j - 1] / j)
         return out
@@ -377,13 +458,33 @@ def jet_elementary(name: str, a: Jet, param: float | None = None) -> Jet:
     """Truncated Taylor composition g(a) for an elementary function g.
 
     The univariate series of g at a.value is evaluated by Horner's rule in
-    the nilpotent part of `a`, which is exact at the jet order.
+    the nilpotent part of `a`, which is exact at the jet order.  A single
+    jet outside g's domain raises JetDomainError; a batched jet records the
+    failure for that row instead.
     """
     if not isinstance(a, Jet):
         raise JetShapeError("jet_elementary requires a jet operand")
-    series = _univariate_series(name, a.value, a.order, param)
-    tilde = a - a.value
-    out = jet_constant(series[-1], a.dim, a.order)
-    for d in series[-2::-1]:
-        out = jet_product(out, tilde) + d
-    return out
+    x0 = a.coeffs[..., 0]
+    failed = {}
+    if name in _DOMAINS:
+        outside, message = _DOMAINS[name]
+        bad = outside(x0)
+        failed = {i: JetDomainError(message.format(v))
+                  for i, v in zip(np.flatnonzero(bad).tolist(), x0[bad].tolist())}
+    with np.errstate(all="ignore"):
+        columns = np.array(_univariate_series(name, x0, a.order, param))
+    for i in np.flatnonzero(np.isfinite(x0) & ~np.isfinite(columns).all(axis=0)).tolist():
+        failed.setdefault(i, OverflowError("math range error"))  # as the scalar math functions raise
+    if failed and a.coeffs.ndim == 1:
+        raise failed[0]
+    columns.reshape(len(columns), -1)[:, list(failed)] = np.nan
+    tilde = a.coeffs.copy()
+    tilde[..., 0] -= x0
+    tilde = _make(a.dim, a.order, tilde)
+    c = np.zeros(a.coeffs.shape)
+    c[..., 0] = columns[-1]
+    for d in columns[-2::-1]:
+        c = jet_product(_make(a.dim, a.order, c), tilde).coeffs.copy()
+        c[..., 0] += d
+    failures = {**failed, **a.failures} if (failed or a.failures) else _NO_FAILURES
+    return _make(a.dim, a.order, c, failures)

@@ -3,8 +3,8 @@
 A scenario is a single JSON document describing a surface, a grid, a
 reference frame, a list of checks with optional tolerance overrides, and
 probe/growth parameters.  Runs are deterministic: a fixed config yields a
-byte-identical report, regardless of the parallelism degree, because grid
-points are reduced in a fixed order and all reductions are associative.
+byte-identical report, because grid points are evaluated in blocks whose
+per-point results do not depend on the block, and reduced in a fixed order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ from .checks import (
     GRID_CHECKS,
     ProbeParams,
     aggregate_check,
+    blocks,
     evaluate_point,
     growth_check_result,
     make_check_state,
@@ -278,18 +278,12 @@ def _jsonify(obj):
     return obj
 
 
-# module-level worker so ProcessPoolExecutor can pickle it
-def _point_worker(payload, point):
-    imm, frame, specs = payload
-    return evaluate_point(imm, frame, specs, point)
-
-
-def run_scenario(config: ScenarioConfig, jobs: int = 1) -> Report:
+def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
     """Execute every configured check; deterministic for a fixed config.
 
-    Grid points are mapped (possibly in parallel) in a fixed order and
-    reduced by order-independent max/sum aggregations, so the report does
-    not depend on the parallelism degree.
+    Grid points are evaluated block by block in a fixed order and reduced
+    by order-independent max/sum aggregations.  `jobs` is deprecated and
+    ignored: one process evaluates a block faster than a pool did.
     """
     start = time.perf_counter()
     imm = config.surface
@@ -304,15 +298,8 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> Report:
     points = config.grid.points()
     per_point = []
     if grid_specs:
-        payload = (imm, frame, grid_specs)
-        if jobs is not None and jobs > 1 and len(points) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(points) // (4 * jobs))
-                per_point = list(
-                    pool.map(_point_worker, [payload] * len(points), points, chunksize=chunk)
-                )
-        else:
-            per_point = [_point_worker(payload, p) for p in points]
+        for chunk in blocks(points):
+            per_point.extend(evaluate_point(imm, frame, grid_specs, chunk))
         all_failed = per_point and all(
             all(rec["skipped"] and str(rec["reason"]).startswith("evaluation error")
                 for rec in by_check.values())
@@ -403,12 +390,13 @@ def _set_by_path(data: dict, dotted: str, value):
     cur[keys[-1]] = value
 
 
-def sweep(raw_config: dict, jobs: int = 1):
+def sweep(raw_config: dict, jobs: int | None = None):
     """Run the scenario once per swept parameter value.
 
     The config's `sweep` section is {"parameter": <dotted.path>, "values":
     [...]}.  Returns (reports, aggregation table); the table collects the
-    implied constants and growth fits that each run produced.
+    implied constants and growth fits that each run produced.  `jobs` is
+    deprecated and ignored, as in run_scenario.
     """
     sweep_cfg = raw_config.get("sweep")
     if not isinstance(sweep_cfg, dict):
@@ -427,7 +415,7 @@ def sweep(raw_config: dict, jobs: int = 1):
         variant.pop("sweep", None)
         _set_by_path(variant, parameter, value)
         config = load_config(variant)
-        report = run_scenario(config, jobs=jobs)
+        report = run_scenario(config)
         reports.append(report)
         row = {"parameter": parameter, "value": _jsonify(value), "overall": report.overall}
         for res in report.results:

@@ -361,6 +361,20 @@ class TestProbe:
         assert "mean curvature" in rec.reason
 
 
+class TestAggregation:
+    @pytest.mark.parametrize("residuals", [[1e-12, math.nan], [math.nan, 1e-12]])
+    def test_nonfinite_residual_fails_in_any_order(self, residuals):
+        records = [C._record(residual=r) for r in residuals]
+        res = C.aggregate_check("minimality", 1e-10, records)
+        assert res.verdict == "fail"
+        assert res.worst_residual == 1e-12
+        assert res.extras["n_nonfinite"] == 1
+
+    def test_finite_residuals_add_no_count(self):
+        res = C.aggregate_check("minimality", 1e-10, [C._record(residual=1e-12)])
+        assert res.verdict == "pass" and "n_nonfinite" not in res.extras
+
+
 class TestCrossValidation:
     def test_array_fields_match_jet_pipeline(self, z2):
         gf = C._GraphFields(z2)

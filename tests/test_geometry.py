@@ -278,6 +278,16 @@ class TestAlignmentPack:
             ap = alignment_pack_at(imm, pt, frame)
             assert abs(ap.value - ap.value_from_frames) <= 1e-10
 
+    def test_cylinder_canonical_frame_keeps_orientation(self):
+        # the SVD may return det U = -1 here; the canonical tangent frame must
+        # keep e's orientation or the 4 mu1 mu2 <e_11,22, A> term flips sign
+        imm = catalogue_lookup("cylinder-over", {"base": "holo-curve", "base_params": {"coeffs": [0, 0, 1]}})
+        pg = point_geometry_at(imm, (-0.5, 0.0, -1.0))
+        ap = alignment_pack_at(imm, (-0.5, 0.0, -1.0), np.eye(3, 5), pg=pg)
+        assert abs(ap.laplacian_numeric) <= 1e-12
+        assert abs(ap.laplacian_formula - ap.laplacian_numeric) <= 1e-12
+        assert np.linalg.det(canonical_frame_at(pg).tangent_frame @ pg.tangent_frame.T) > 0
+
     def test_nonminimal_formula_not_applicable(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
         ap = alignment_pack_at(imm, (0.3, 0.3), COORD_PLANE_2)

@@ -208,3 +208,55 @@ class TestJetMethods:
         p = x ** -2
         fd = richardson_derivative(lambda q: q[0] ** -2.0, (2.0,), (2,))
         assert rel_err(jet_extract(p, (2,)), fd) <= 1e-6
+
+
+class TestBatch:
+    """A batched jet (P, ncoef) must give, row by row, the single-jet results bit for bit."""
+
+    @staticmethod
+    def rows(dim, order, values, seed=0):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1.0, 1.0, (len(values), coefficient_count(dim, order)))
+        coeffs[:, 0] = values
+        return Jet(dim, order, coeffs)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_product_derivative_truncate_row_by_row(self, dim):
+        a = self.rows(dim, 4, [0.3, -1.2, 2.0, 0.0], seed=1)
+        b = self.rows(dim, 4, [1.1, 0.4, -0.7, 5.0], seed=2)
+        batched = [jet_product(a, b), a.derivative(dim - 1), a.truncate(2)]
+        for p in range(4):
+            single = [jet_product(a[p], b[p]), a[p].derivative(dim - 1), a[p].truncate(2)]
+            for got, want in zip(batched, single):
+                assert np.array_equal(got.coeffs[p], want.coeffs)
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "sinh", "cosh", "exp", "log", "sqrt",
+                                      "atan", "recip", "pow-const"])
+    def test_elementary_row_by_row(self, name):
+        a = self.rows(2, 4, [0.3, 1.7, 0.05, 2.5])
+        batched = jet_elementary(name, a, param=-0.5)
+        assert not batched.failures
+        for p in range(4):
+            assert np.array_equal(batched.coeffs[p], jet_elementary(name, a[p], param=-0.5).coeffs)
+
+    def test_domain_failure_marks_its_row_only(self):
+        a = self.rows(2, 3, [0.5, -2.0, 3.0])
+        out = jet_elementary("log", a)
+        assert list(out.failures) == [1]
+        with pytest.raises(JetDomainError) as single:
+            jet_elementary("log", a[1])
+        assert str(out.failures[1]) == str(single.value)
+        assert np.isnan(out.coeffs[1]).all()
+        for p in (0, 2):
+            assert np.array_equal(out.coeffs[p], jet_elementary("log", a[p]).coeffs)
+        # failures travel through later arithmetic
+        assert list((out * a + 1.0).failures) == [1]
+
+    def test_overflow_marks_its_row_only(self):
+        a = self.rows(1, 2, [1.0, 800.0])
+        out = jet_elementary("exp", a)
+        assert list(out.failures) == [1] and isinstance(out.failures[1], OverflowError)
+        assert np.array_equal(out.coeffs[0], jet_elementary("exp", a[0]).coeffs)
+        with pytest.raises(OverflowError):
+            jet_elementary("exp", a[1])
+        assert np.isnan(out.coeffs[1]).all()
