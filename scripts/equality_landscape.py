@@ -9,10 +9,8 @@ shapes (catenoid, helicoid) sit at the opposite end with ratio 1.
 
 import argparse
 
-import numpy as np
-
-from curvlab import checks as C
 from curvlab.immersions import GridSpec, catalogue_lookup
+from curvlab.scenario import CheckSpec, run_checks
 
 SURFACES = [
     ("holo-curve z^2", "holo-curve", {"coeffs": [0, 0, 1]}),
@@ -33,11 +31,12 @@ def main():
           f"{'|omega| max':>12} {'conformal pts':>14}")
     for label, name, params in SURFACES:
         imm = catalogue_lookup(name, params)
-        _, sreports = C.check_simons(imm, grid)
-        kres, kreports = C.check_kato(imm, grid)
-        gres = C.check_gauss_conformal(imm, grid)
-        ratios = [r.ratio for r in sreports if r.ratio is not None]
-        gaps = [abs(r.gap) for r in kreports]
+        sres, kres, gres = run_checks(
+            imm, grid, [CheckSpec("simons"), CheckSpec("kato"), CheckSpec("gauss-conformal")]
+        )
+        ratios = [r["detail"]["ratio"] for r in sres.details
+                  if not r["skipped"] and r["detail"]["ratio"] is not None]
+        gaps = [abs(r["detail"]["gap"]) for r in kres.details if not r["skipped"]]
         omega = gres.extras.get("omega_max", float("nan"))
         print(
             f"{label:<16} {min(ratios):>10.6f} {max(ratios):>10.6f} "

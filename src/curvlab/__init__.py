@@ -9,24 +9,10 @@ structural identities and inequalities into residuals with verdicts.
 from .checks import (
     CheckResult,
     GrowthTable,
-    KatoReport,
     ProbeParams,
     ProbeRecord,
-    SimonsReport,
-    check_alignment_identities,
-    check_gauss_conformal,
-    check_jacobian_identities,
-    check_kato,
-    check_log_alignment,
-    check_minimal_system,
-    check_minimality,
-    check_pluecker,
-    check_refined_simons,
-    check_simons,
-    check_subharmonicity,
     estimate_probe,
     growth_table,
-    verify_isothermal,
 )
 from .expressions import (
     ExprNode,
@@ -69,6 +55,15 @@ from .jets import (
     jet_product,
     jet_variable,
 )
-from .scenario import Report, ScenarioConfig, emit_report, load_config, run_scenario, sweep
+from .scenario import (
+    CheckSpec,
+    Report,
+    ScenarioConfig,
+    emit_report,
+    load_config,
+    run_checks,
+    run_scenario,
+    sweep,
+)
 
 __version__ = "0.1.0"

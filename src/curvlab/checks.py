@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .geometry import (
     point_geometry_at,
     scalar_field_jet,
 )
-from .immersions import GridSpec, Immersion
+from .immersions import Immersion
 from .jets import JetDomainError, jet_elementary
 
 RANK_TOL = 1e-8
@@ -71,20 +72,6 @@ DEFAULT_TOLERANCES = {
     "probe": 1e-6,
 }
 
-GRID_CHECKS = (
-    "minimality",
-    "minimal-system",
-    "pluecker",
-    "alignment-identities",
-    "log-alignment",
-    "simons",
-    "kato",
-    "refined-simons",
-    "gauss-conformal",
-    "jacobian",
-    "isothermal",
-    "subharmonicity",
-)
 GLOBAL_CHECKS = ("growth", "probe")
 
 CHECK_DESCRIPTIONS = {
@@ -109,6 +96,10 @@ class CheckConfigError(ValueError):
     """A check was configured outside its documented parameter domain."""
 
 
+# what evaluating one point may raise; such a point is skipped, never fatal
+EVALUATION_ERRORS = (GeometryError, ExpressionDomainError, JetDomainError, ArithmeticError)
+
+
 @dataclass
 class CheckResult:
     """Aggregated verdict of one check over a grid."""
@@ -124,30 +115,6 @@ class CheckResult:
     reason: str | None = None
 
 
-@dataclass
-class SimonsReport:
-    point: tuple
-    lapB2: float
-    nablaB2: float
-    inner_term_numeric: float
-    inner_term_formula: float | None
-    ratio: float | None
-    tilde_term: float
-    under_term: float
-
-
-@dataclass
-class KatoReport:
-    point: tuple
-    nablaB2: float
-    grad_normB2: float
-    gap: float
-    zeta: complex | None
-    zeta_residual: float | None
-    xi1: float | None
-    xi2: float | None
-
-
 class BlockContext:
     """Lazy per-block cache shared by all grid checks.
 
@@ -161,6 +128,9 @@ class BlockContext:
         self.reference_frame = reference_frame
         self._laplacians = {}
         self._sheared = {}
+
+    def views(self):
+        return [PointView(self, i) for i in range(len(self.points))]
 
     @cached_property
     def pg(self) -> PointGeometry:
@@ -300,31 +270,12 @@ def _skip(reason):
 
 
 # -- individual check evaluators -------------------------------------------------
-# Each check has a setup(imm, frame, options) -> state (validated once) and an
-# eval(ctx, state) -> record, where ctx is one point's PointView.
-
-def _need_graph(imm, name):
-    if imm.kind != "graph":
-        raise CheckConfigError(f"check {name!r} requires a graph immersion")
-
-
-def _need_surface(imm, name):
-    if imm.n != 2:
-        raise CheckConfigError(f"check {name!r} requires a 2-dimensional domain")
-
-
-def _setup_minimality(imm, frame, options):
-    return {}
-
+# Each check has an eval(ctx, state) -> record, where ctx is one point's
+# PointView; a check with options also has a setup(imm, options) -> state,
+# validated once and shared by every point.
 
 def _eval_minimality(ctx, state):
     return _record(residual=float(np.linalg.norm(ctx.pg.mean_curvature)))
-
-
-def _setup_minimal_system(imm, frame, options):
-    _need_graph(imm, "minimal-system")
-    _need_surface(imm, "minimal-system")
-    return {}
 
 
 def _eval_minimal_system(ctx, state):
@@ -339,12 +290,6 @@ def _eval_minimal_system(ctx, state):
     return _record(residual=float(np.linalg.norm(vec)))
 
 
-def _setup_pluecker(imm, frame, options):
-    if frame is None:
-        raise CheckConfigError("check 'pluecker' requires a reference frame")
-    return {}
-
-
 def _eval_pluecker(ctx, state):
     # the alignment pack's pairings <e with slots replaced by normals, A>
     ap = ctx.apack
@@ -353,12 +298,6 @@ def _eval_pluecker(ctx, state):
     return _record(residual=abs(
         ap.value_from_frames * two[0, 0, 1, b] - one[0, 0] * one[1, b] + one[0, b] * one[1, 0]
     ))
-
-
-def _setup_alignment_identities(imm, frame, options):
-    if frame is None:
-        raise CheckConfigError("check 'alignment-identities' requires a reference frame")
-    return {}
 
 
 def _eval_alignment_identities(ctx, state):
@@ -377,9 +316,7 @@ def _eval_alignment_identities(ctx, state):
     return _record(residual=max(grad_res, lap_res), **detail)
 
 
-def _setup_log_alignment(imm, frame, options):
-    if frame is None:
-        raise CheckConfigError("check 'log-alignment' requires a reference frame")
+def _setup_log_alignment(imm, options):
     return {"equality": imm.kind == "graph" and imm.n == 2}
 
 
@@ -408,10 +345,6 @@ def _shape_operator_terms(h):
             comm = h[a] @ h[b] - h[b] @ h[a]
             under -= float(np.trace(comm @ comm))
     return tilde, under
-
-
-def _setup_simons(imm, frame, options):
-    return {}
 
 
 def _eval_simons(ctx, state):
@@ -466,29 +399,23 @@ def _eval_simons(ctx, state):
 
 
 def _aggregate_simons(records, tol):
-    worst_identity = max(
-        (r["detail"]["identity_residual"] for r in records if not r["skipped"]), default=0.0
+    live = [r["detail"] for r in records if not r["skipped"]]
+    worst_identity, bad_identity = _finite_max(d["identity_residual"] for d in live)
+    worst_mu, bad_mu = _finite_max(
+        d["mu_residual"] for d in live if d.get("mu_residual") is not None
     )
-    mu_res = [
-        r["detail"]["mu_residual"]
-        for r in records
-        if not r["skipped"] and r["detail"].get("mu_residual") is not None
-    ]
     extras = {
-        "worst_identity_residual": worst_identity,
+        "worst_identity_residual": 0.0 if worst_identity is None else worst_identity,
         "identity_tolerance": IDENTITY_DEEP_TOL,
-        "worst_mu_residual": max(mu_res, default=None),
-        "conformal_points": sum(
-            1 for r in records if not r["skipped"] and r["detail"].get("conformal")
-        ),
+        "worst_mu_residual": worst_mu,
+        "conformal_points": sum(1 for d in live if d.get("conformal")),
     }
-    ok = worst_identity <= IDENTITY_DEEP_TOL and (
-        max(mu_res, default=0.0) <= IDENTITY_DEEP_TOL
-    )
+    worst = max(worst_identity or 0.0, worst_mu or 0.0)
+    ok = not (bad_identity or bad_mu) and worst <= IDENTITY_DEEP_TOL
     return extras, ok
 
 
-def _setup_kato(imm, frame, options):
+def _setup_kato(imm, options):
     return {"zeta_tol": float(options.get("zeta_tol", 1e-6))}
 
 
@@ -540,14 +467,10 @@ def _aggregate_kato(records, tol):
         "equality_points": eq,
         "evaluated_points": len(live),
         "zeta_without_equality": converse,
-        "worst_zeta_residual_at_equality": max(zeta_at_eq, default=None),
-        "worst_gap": max((abs(r["detail"]["gap"]) for r in live), default=None),
+        "worst_zeta_residual_at_equality": _finite_max(zeta_at_eq)[0],
+        "worst_gap": _finite_max(abs(r["detail"]["gap"]) for r in live)[0],
     }
     return extras, True
-
-
-def _setup_refined_simons(imm, frame, options):
-    return {}
 
 
 def _eval_refined_simons(ctx, state):
@@ -560,10 +483,6 @@ def _eval_refined_simons(ctx, state):
     rhs = 4.0 * ctx.grad_normB_sq - 3.0 * pg.normB2**2
     scale = 1.0 + pg.normB2**2
     return _record(residual=(rhs - lhs) / scale, margin=lhs - rhs)
-
-
-def _setup_gauss_conformal(imm, frame, options):
-    return {}
 
 
 def _eval_gauss_conformal(ctx, state):
@@ -605,16 +524,13 @@ def _aggregate_gauss_conformal(records, tol):
         "all_conformal": bool(conformal) and all(conformal),
     }
     if omegas:
-        extras["omega_max"] = max(omegas)
+        omega_max, n_nonfinite = _finite_max(omegas)
+        extras["omega_max"] = omega_max
         # the holomorphic coefficient vanishes on the grid iff every point is conformal
-        extras["omega_coupling_ok"] = (max(omegas) <= tol) == extras["all_conformal"]
+        extras["omega_coupling_ok"] = not n_nonfinite and (
+            (omega_max <= tol) == extras["all_conformal"]
+        )
     return extras, extras.get("omega_coupling_ok", True)
-
-
-def _setup_jacobian(imm, frame, options):
-    _need_graph(imm, "jacobian")
-    _need_surface(imm, "jacobian")
-    return {}
 
 
 def _eval_jacobian(ctx, state):
@@ -641,9 +557,7 @@ def _eval_jacobian(ctx, state):
     return _record(residual=residual, **detail)
 
 
-def _setup_isothermal(imm, frame, options):
-    _need_graph(imm, "isothermal")
-    _need_surface(imm, "isothermal")
+def _setup_isothermal(imm, options):
     a = float(options.get("a", 0.0))
     b = float(options.get("b", 1.0))
     if b <= 0:
@@ -678,7 +592,7 @@ def _eval_isothermal(ctx, state):
     )
 
 
-def _setup_subharmonicity(imm, frame, options):
+def _setup_subharmonicity(imm, options):
     s = float(options.get("s", 1.0))
     q = float(options.get("q", 1.0))
     if s < 1.0:
@@ -708,28 +622,47 @@ def _eval_subharmonicity(ctx, state):
     return _record(residual=(rhs - lap) / scale, margin=lap - rhs, lap=lap, rhs=rhs)
 
 
-_CHECK_TABLE = {
-    "minimality": (_setup_minimality, _eval_minimality, None),
-    "minimal-system": (_setup_minimal_system, _eval_minimal_system, None),
-    "pluecker": (_setup_pluecker, _eval_pluecker, None),
-    "alignment-identities": (_setup_alignment_identities, _eval_alignment_identities, None),
-    "log-alignment": (_setup_log_alignment, _eval_log_alignment, None),
-    "simons": (_setup_simons, _eval_simons, _aggregate_simons),
-    "kato": (_setup_kato, _eval_kato, _aggregate_kato),
-    "refined-simons": (_setup_refined_simons, _eval_refined_simons, None),
-    "gauss-conformal": (_setup_gauss_conformal, _eval_gauss_conformal, _aggregate_gauss_conformal),
-    "jacobian": (_setup_jacobian, _eval_jacobian, None),
-    "isothermal": (_setup_isothermal, _eval_isothermal, None),
-    "subharmonicity": (_setup_subharmonicity, _eval_subharmonicity, None),
+class _Check(NamedTuple):
+    evaluate: Callable  # (PointView, state) -> record
+    requires: tuple = ()  # keys of _REQUIREMENTS, checked in order
+    setup: Callable | None = None  # (imm, options) -> state
+    aggregate: Callable | None = None  # (records, tol) -> (extras, ok)
+
+
+_REQUIREMENTS = {
+    "frame": (lambda imm, frame: frame is not None, "a reference frame"),
+    "graph": (lambda imm, frame: imm.kind == "graph", "a graph immersion"),
+    "surface": (lambda imm, frame: imm.n == 2, "a 2-dimensional domain"),
 }
+_GRAPH_SURFACE = ("graph", "surface")
+
+_CHECK_TABLE = {
+    "minimality": _Check(_eval_minimality),
+    "minimal-system": _Check(_eval_minimal_system, _GRAPH_SURFACE),
+    "pluecker": _Check(_eval_pluecker, ("frame",)),
+    "alignment-identities": _Check(_eval_alignment_identities, ("frame",)),
+    "log-alignment": _Check(_eval_log_alignment, ("frame",), setup=_setup_log_alignment),
+    "simons": _Check(_eval_simons, aggregate=_aggregate_simons),
+    "kato": _Check(_eval_kato, setup=_setup_kato, aggregate=_aggregate_kato),
+    "refined-simons": _Check(_eval_refined_simons),
+    "gauss-conformal": _Check(_eval_gauss_conformal, aggregate=_aggregate_gauss_conformal),
+    "jacobian": _Check(_eval_jacobian, _GRAPH_SURFACE),
+    "isothermal": _Check(_eval_isothermal, _GRAPH_SURFACE, setup=_setup_isothermal),
+    "subharmonicity": _Check(_eval_subharmonicity, setup=_setup_subharmonicity),
+}
+GRID_CHECKS = tuple(_CHECK_TABLE)
 
 
 def make_check_state(name: str, imm: Immersion, frame, options: dict, tol: float):
     """Validate a grid check's options once; the state is shared by every point."""
     if name not in _CHECK_TABLE:
         raise CheckConfigError(f"unknown check {name!r}")
-    setup, _, _ = _CHECK_TABLE[name]
-    state = setup(imm, frame, options or {})
+    check = _CHECK_TABLE[name]
+    for need in check.requires:
+        holds, what = _REQUIREMENTS[need]
+        if not holds(imm, frame):
+            raise CheckConfigError(f"check {name!r} requires {what}")
+    state = check.setup(imm, options or {}) if check.setup else {}
     state["tol"] = tol
     return state
 
@@ -739,43 +672,42 @@ def blocks(points: list):
     return [points[i:i + BLOCK_SIZE] for i in range(0, len(points), BLOCK_SIZE)]
 
 
-def _views(imm: Immersion, frame, chunks):
-    for chunk in chunks:
-        block = BlockContext(imm, chunk, frame)
-        yield from (PointView(block, i) for i in range(len(chunk)))
+def evaluate_point(imm: Immersion, frame, specs, points):
+    """Evaluate grid checks at a block of points that share one BlockContext.
 
-
-def evaluate_point(imm: Immersion, frame, specs, point):
-    """Evaluate all requested grid checks at one point; shares one context.
-
-    `specs` is a list of (name, state) pairs.  Evaluation errors are
-    collected per point, never fatal here.  `point` may also be a sequence
-    of points, evaluated as one block: the result is then one dict per point,
-    each the same as evaluating that point alone.
+    `specs` is a list of (name, state) pairs.  Returns, per point, one record
+    per spec in spec order; a point's records do not depend on its block.
+    Evaluation errors are collected per point, never fatal here.
     """
     out = []
     with np.errstate(all="ignore"):
-        for ctx in _views(imm, frame, [point] if np.ndim(point) == 2 else [[point]]):
-            by_check = {}
+        for ctx in BlockContext(imm, points, frame).views():
+            records = []
             for name, state in specs:
-                _, evaluator, _ = _CHECK_TABLE[name]
                 try:
-                    rec = evaluator(ctx, state)
-                except (GeometryError, ExpressionDomainError, JetDomainError, ArithmeticError) as exc:
+                    rec = _CHECK_TABLE[name].evaluate(ctx, state)
+                except EVALUATION_ERRORS as exc:
                     rec = _skip(f"evaluation error: {exc}")
                 rec["point"] = ctx.point
-                by_check[name] = rec
-            out.append(by_check)
-    return out if np.ndim(point) == 2 else out[0]
+                records.append(rec)
+            out.append(records)
+    return out
 
 
-def aggregate_check(name: str, tol: float, records: list, keep_details: bool = True) -> CheckResult:
+def _finite_max(values):
+    """The largest finite value (None if there is none) and the count of the others."""
+    values = list(values)
+    finite = [v for v in values if math.isfinite(v)]
+    return max(finite, default=None), len(values) - len(finite)
+
+
+def aggregate_check(name: str, tol: float, records: list) -> CheckResult:
     """Fold per-point records into a CheckResult.
 
     A non-finite residual fails the check; their count goes to
     extras["n_nonfinite"].
     """
-    _, _, aggregator = _CHECK_TABLE[name]
+    aggregator = _CHECK_TABLE[name].aggregate
     live = [r for r in records if not r["skipped"]]
     skipped = [r for r in records if r["skipped"]]
     extras, extra_ok = (aggregator(records, tol) if aggregator else ({}, True))
@@ -784,111 +716,17 @@ def aggregate_check(name: str, tol: float, records: list, keep_details: bool = T
         return CheckResult(
             name=name, tolerance=tol, worst_residual=None, verdict="not-applicable",
             n_points=len(records), n_skipped=len(skipped), extras=extras,
-            details=records if keep_details else [], reason=reason,
+            details=records, reason=reason,
         )
-    finite = [r["residual"] for r in live if math.isfinite(r["residual"])]
-    if len(finite) < len(live):
-        extras = {**extras, "n_nonfinite": len(live) - len(finite)}
-    worst = max(finite, default=None)
-    ok = len(finite) == len(live) and worst <= tol and extra_ok
+    worst, n_nonfinite = _finite_max(r["residual"] for r in live)
+    if n_nonfinite:
+        extras = {**extras, "n_nonfinite": n_nonfinite}
+    ok = not n_nonfinite and worst <= tol and extra_ok
     return CheckResult(
         name=name, tolerance=tol, worst_residual=worst, verdict="pass" if ok else "fail",
         n_points=len(records), n_skipped=len(skipped), extras=extras,
-        details=records if keep_details else [],
+        details=records,
     )
-
-
-def _run_grid_check(imm, grid: GridSpec, name, frame=None, tol=None, **options):
-    tol = DEFAULT_TOLERANCES[name] if tol is None else tol
-    state = make_check_state(name, imm, frame, options, tol)
-    records = []
-    for chunk in blocks(grid.points()):
-        records.extend(by_check[name] for by_check in evaluate_point(imm, frame, [(name, state)], chunk))
-    return aggregate_check(name, tol, records)
-
-
-# -- public per-check entry points ------------------------------------------------
-
-def check_minimality(imm, grid, tol=None):
-    return _run_grid_check(imm, grid, "minimality", tol=tol)
-
-
-def check_minimal_system(imm, grid, tol=None):
-    return _run_grid_check(imm, grid, "minimal-system", tol=tol)
-
-
-def check_pluecker(imm, grid, reference_frame, tol=None):
-    return _run_grid_check(imm, grid, "pluecker", frame=reference_frame, tol=tol)
-
-
-def check_alignment_identities(imm, grid, reference_frame, tol=None):
-    return _run_grid_check(imm, grid, "alignment-identities", frame=reference_frame, tol=tol)
-
-
-def check_log_alignment(imm, grid, reference_frame, tol=None):
-    return _run_grid_check(imm, grid, "log-alignment", frame=reference_frame, tol=tol)
-
-
-def check_simons(imm, grid, tol=None):
-    result = _run_grid_check(imm, grid, "simons", tol=tol)
-    reports = [
-        SimonsReport(
-            point=r["point"],
-            lapB2=r["detail"]["lapB2"],
-            nablaB2=r["detail"]["nablaB2"],
-            inner_term_numeric=r["detail"]["inner_numeric"],
-            inner_term_formula=r["detail"]["inner_formula"],
-            ratio=r["detail"]["ratio"],
-            tilde_term=r["detail"]["tilde_term"],
-            under_term=r["detail"]["under_term"],
-        )
-        for r in result.details
-        if not r["skipped"]
-    ]
-    return result, reports
-
-
-def check_kato(imm, grid, tol=None):
-    result = _run_grid_check(imm, grid, "kato", tol=tol)
-    reports = [
-        KatoReport(
-            point=r["point"],
-            nablaB2=r["detail"]["nablaB2"],
-            grad_normB2=r["detail"]["grad_normB_sq"],
-            gap=r["detail"]["gap"],
-            zeta=(
-                complex(r["detail"]["zeta_re"], r["detail"]["zeta_im"])
-                if r["detail"].get("zeta_re") is not None
-                else None
-            ),
-            zeta_residual=r["detail"].get("zeta_residual"),
-            xi1=r["detail"].get("xi1"),
-            xi2=r["detail"].get("xi2"),
-        )
-        for r in result.details
-        if not r["skipped"]
-    ]
-    return result, reports
-
-
-def check_refined_simons(imm, grid, tol=None):
-    return _run_grid_check(imm, grid, "refined-simons", tol=tol)
-
-
-def check_gauss_conformal(imm, grid, tol=None):
-    return _run_grid_check(imm, grid, "gauss-conformal", tol=tol)
-
-
-def check_jacobian_identities(imm, grid, tol=None):
-    return _run_grid_check(imm, grid, "jacobian", tol=tol)
-
-
-def verify_isothermal(imm, a, b, grid, tol=None):
-    return _run_grid_check(imm, grid, "isothermal", tol=tol, a=a, b=b)
-
-
-def check_subharmonicity(imm, grid, s=1.0, q=1.0, tol=None):
-    return _run_grid_check(imm, grid, "subharmonicity", tol=tol, s=s, q=q)
 
 
 # -- quadrature over graphs ---------------------------------------------------------
@@ -1120,21 +958,14 @@ class ProbeRecord:
     volume_R: float | None
     volume_half_R: float | None
     implied_c4: float | None  # lhs R^2 (max v)^-3 (V(R)/V(R/2))^(-1/t)
-    subharmonicity_worst: float | None  # worst signed violation of the (s, q) bound
-    subharmonicity_points: int
 
 
-def estimate_probe(
-    imm: Immersion,
-    reference_frame,
-    params: ProbeParams,
-    grid: GridSpec | None = None,
-) -> ProbeRecord:
+def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> ProbeRecord:
     """Evaluate both sides of the integral estimates and report implied constants.
 
     The probes are reported, never asserted: the constants in the estimates
     are non-constructive, so only the measured quotients are meaningful.
-    The subharmonicity part is a signed pointwise check over `grid`.
+    The hypotheses are sampled at three points near the origin.
     """
     params.validate()
     t, q = params.t, params.q
@@ -1144,34 +975,25 @@ def estimate_probe(
         reason = "integral probes require a graph immersion"
     else:
         probe_pts = [tuple(0.1 * k for _ in range(imm.n)) for k in (0, 1, 3)]
-        for ctx in _views(imm, reference_frame, [probe_pts]):
-            if not ctx.minimal:
-                reason = "mean curvature does not vanish"
-                break
-            if ctx.canon is None:
-                reason = "Gauss-map rank above 2"
-                break
-            if reference_frame is not None and ctx.apack.value <= 0.0:
-                reason = "alignment function not positive on the sampled region"
-                break
-
-    sub_worst = None
-    sub_points = 0
-    if grid is not None and imm.kind == "graph":
-        state = {"s": params.s, "q": q, "tol": None}
-        for ctx in _views(imm, reference_frame, blocks(grid.points())):
-            rec = _eval_subharmonicity(ctx, state)
-            if not rec["skipped"]:
-                sub_points += 1
-                r = rec["residual"]
-                sub_worst = r if sub_worst is None else max(sub_worst, r)
+        try:
+            for ctx in BlockContext(imm, probe_pts, reference_frame).views():
+                if not ctx.minimal:
+                    reason = "mean curvature does not vanish"
+                    break
+                if ctx.canon is None:
+                    reason = "Gauss-map rank above 2"
+                    break
+                if reference_frame is not None and ctx.apack.value <= 0.0:
+                    reason = "alignment function not positive on the sampled region"
+                    break
+        except EVALUATION_ERRORS as exc:
+            reason = f"evaluation error near the origin: {exc}"
 
     if reason is not None:
         return ProbeRecord(
             params=params, applicable=False, reason=reason,
             lp_lhs=None, lp_rhs=None, implied_c3=None, pointwise_lhs=None,
             max_v=None, volume_R=None, volume_half_R=None, implied_c4=None,
-            subharmonicity_worst=sub_worst, subharmonicity_points=sub_points,
         )
 
     gf = _GraphFields(imm)
@@ -1208,14 +1030,18 @@ def estimate_probe(
         lp_lhs=lp_lhs, lp_rhs=lp_rhs, implied_c3=implied_c3,
         pointwise_lhs=pointwise_lhs, max_v=max_v, volume_R=volume_R,
         volume_half_R=volume_half, implied_c4=implied_c4,
-        subharmonicity_worst=sub_worst, subharmonicity_points=sub_points,
     )
 
 
-def probe_check_result(imm, reference_frame, params, grid=None, tol=None):
-    """Wrap a probe as a check: only the subharmonicity part is asserted."""
+def probe_check_result(imm, reference_frame, params, sub=None, tol=None):
+    """Wrap a probe as a check: only the subharmonicity part is asserted.
+
+    `sub` is the grid result of the probe's own ("subharmonicity", params.s,
+    params.q) check, or None when the grid was not evaluated for it.
+    """
     tol = DEFAULT_TOLERANCES["probe"] if tol is None else tol
-    record = estimate_probe(imm, reference_frame, params, grid)
+    record = estimate_probe(imm, reference_frame, params)
+    evaluated = 0 if sub is None else sub.n_points - sub.n_skipped
     extras = {
         "applicable": record.applicable,
         "implied_c3": record.implied_c3,
@@ -1226,23 +1052,18 @@ def probe_check_result(imm, reference_frame, params, grid=None, tol=None):
         "max_v": record.max_v,
         "volume_R": record.volume_R,
         "volume_half_R": record.volume_half_R,
-        "subharmonicity_points": record.subharmonicity_points,
+        "subharmonicity_points": evaluated,
     }
     if not record.applicable:
-        return (
-            CheckResult(
-                name="probe", tolerance=tol, worst_residual=None,
-                verdict="not-applicable", n_points=0, n_skipped=0,
-                extras=extras, reason=record.reason,
-            ),
-            record,
+        result = CheckResult(
+            name="probe", tolerance=tol, worst_residual=None,
+            verdict="not-applicable", n_points=0, n_skipped=0,
+            extras=extras, reason=record.reason,
         )
-    worst = record.subharmonicity_worst if record.subharmonicity_worst is not None else 0.0
-    return (
-        CheckResult(
-            name="probe", tolerance=tol, worst_residual=worst,
-            verdict="pass" if worst <= tol else "fail",
-            n_points=record.subharmonicity_points, n_skipped=0, extras=extras,
-        ),
-        record,
-    )
+    else:  # no evaluated point passes with worst residual 0
+        result = CheckResult(
+            name="probe", tolerance=tol, worst_residual=sub.worst_residual if evaluated else 0.0,
+            verdict=sub.verdict if evaluated else "pass", n_points=evaluated, n_skipped=0,
+            extras=extras,
+        )
+    return result, record

@@ -2,9 +2,10 @@
 
 A scenario is a single JSON document describing a surface, a grid, a
 reference frame, a list of checks with optional tolerance overrides, and
-probe/growth parameters.  Runs are deterministic: a fixed config yields a
-byte-identical report, because grid points are evaluated in blocks whose
-per-point results do not depend on the block, and reduced in a fixed order.
+probe/growth parameters.  `run_checks` is the one loop over grid blocks.
+Runs are deterministic: a fixed config yields a byte-identical report,
+because grid points are evaluated in blocks whose per-point results do not
+depend on the block, and reduced in a fixed order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checks as _checks
 from .checks import (
     CheckConfigError,
     CheckResult,
@@ -51,8 +51,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class CheckSpec:
+    """One configured check; `tol=None` means its DEFAULT_TOLERANCES entry."""
+
     name: str
-    tol: float
+    tol: float | None = None
     options: dict = field(default_factory=dict)
 
 
@@ -278,42 +280,56 @@ def _jsonify(obj):
     return obj
 
 
+def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=None) -> list[CheckResult]:
+    """Evaluate grid checks in one pass over `grid`: one CheckResult per spec, in order.
+
+    All specs share one block context per block of grid points, so the
+    geometry is computed once per block however many checks run; a point's
+    records do not depend on its block.  Raises CheckConfigError for options
+    outside a check's domain, a missing requirement (reference frame, graph,
+    n = 2), or a surface that fails to evaluate at every grid point.
+    """
+    if not specs:
+        return []
+    tols = [DEFAULT_TOLERANCES[s.name] if s.tol is None else s.tol for s in specs]
+    states = [(s.name, make_check_state(s.name, imm, frame, s.options, tol))
+              for s, tol in zip(specs, tols)]
+    per_point = []
+    for chunk in blocks(grid.points()):
+        per_point.extend(evaluate_point(imm, frame, states, chunk))
+    if per_point and all(rec["skipped"] and str(rec["reason"]).startswith("evaluation error")
+                         for records in per_point for rec in records):
+        raise CheckConfigError(
+            f"surface evaluation failed at every grid point: {per_point[0][0]['reason']}"
+        )
+    return [aggregate_check(spec.name, tol, [records[i] for records in per_point])
+            for i, (spec, tol) in enumerate(zip(specs, tols))]
+
+
 def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
     """Execute every configured check; deterministic for a fixed config.
 
-    Grid points are evaluated block by block in a fixed order and reduced
-    by order-independent max/sum aggregations.  `jobs` is deprecated and
-    ignored: one process evaluates a block faster than a pool did.
+    The grid checks, and a probe's subharmonicity part, run in one
+    `run_checks` pass.  `jobs` is deprecated and ignored: one process
+    evaluates a block faster than a pool did.
     """
     start = time.perf_counter()
     imm = config.surface
     frame = config.frame_or_default
+    params = config.probe if config.probe is not None else ProbeParams()
 
-    grid_specs = []
-    for spec in config.checks:
+    in_pass = {}  # index in config.checks -> the spec evaluated for it on the grid
+    for i, spec in enumerate(config.checks):
         if spec.name in GRID_CHECKS:
-            state = make_check_state(spec.name, imm, frame, spec.options, spec.tol)
-            grid_specs.append((spec.name, state))
-
-    points = config.grid.points()
-    per_point = []
-    if grid_specs:
-        for chunk in blocks(points):
-            per_point.extend(evaluate_point(imm, frame, grid_specs, chunk))
-        all_failed = per_point and all(
-            all(rec["skipped"] and str(rec["reason"]).startswith("evaluation error")
-                for rec in by_check.values())
-            for by_check in per_point
-        )
-        if all_failed:
-            first = next(iter(per_point[0].values()))
-            raise CheckConfigError(f"surface evaluation failed at every grid point: {first['reason']}")
+            in_pass[i] = spec
+        elif spec.name == "probe" and imm.kind == "graph":
+            in_pass[i] = CheckSpec("subharmonicity", spec.tol, {"s": params.s, "q": params.q})
+    on_grid = dict(zip(in_pass, run_checks(imm, config.grid, list(in_pass.values()), frame)))
 
     results = []
-    for spec in config.checks:
+    for i, spec in enumerate(config.checks):
         if spec.name in GRID_CHECKS:
-            records = [by_check[spec.name] for by_check in per_point]
-            results.append(aggregate_check(spec.name, spec.tol, records))
+            results.append(on_grid[i])
         elif spec.name == "growth":
             radii = spec.options.get("radii", [1.0, 2.0, 4.0])
             cells = int(spec.options.get("cells", 256))
@@ -326,8 +342,7 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
                 )
             results.append(result)
         elif spec.name == "probe":
-            params = config.probe if config.probe is not None else ProbeParams()
-            result, _ = probe_check_result(imm, frame, params, config.grid, spec.tol)
+            result, _ = probe_check_result(imm, frame, params, on_grid.get(i), spec.tol)
             results.append(result)
 
     overall = "pass" if all(r.verdict != "fail" for r in results) else "fail"
@@ -335,7 +350,7 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
         scenario=copy.deepcopy(config.raw),
         results=results,
         overall=overall,
-        n_grid_points=len(points),
+        n_grid_points=len(config.grid.points()),
         elapsed_seconds=time.perf_counter() - start,
     )
 

@@ -22,12 +22,17 @@ from curvlab.geometry import (
 )
 from curvlab.immersions import GridSpec, build_graph_immersion, catalogue_lookup
 from curvlab.jets import Jet, jet_constant, jet_extract, jet_variable, multi_indices
-from curvlab.scenario import emit_report, load_config, run_scenario
+from curvlab.scenario import CheckSpec, emit_report, load_config, run_checks, run_scenario
 
 import oracles
 from oracles import rel_err
 
 COORD_PLANE = np.eye(2, 4)
+
+
+def evaluated(res):
+    """Detail records of the points a check evaluated (not skipped)."""
+    return [r["detail"] for r in res.details if not r["skipped"]]
 
 
 def verdict(number: int, ok: bool, text: str) -> None:
@@ -170,13 +175,12 @@ def test_criterion_4_catenoid():
     notes.append(f"|B|^2 vs 2 sech^4 u: {worst_b2:.1e}")
 
     grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
-    _, sreports = C.check_simons(imm, grid)
-    ratio_dev = max(abs(rep.ratio - 1.0) for rep in sreports)
+    simons, kato = run_checks(imm, grid, [CheckSpec("simons"), CheckSpec("kato")])
+    ratio_dev = max(abs(rep["ratio"] - 1.0) for rep in evaluated(simons))
     ok &= ratio_dev <= 1e-5
     notes.append(f"ratio dev {ratio_dev:.1e}")
 
-    _, kreports = C.check_kato(imm, grid)
-    gap = max(abs(rep.gap) for rep in kreports)
+    gap = max(abs(rep["gap"]) for rep in evaluated(kato))
     ok &= gap <= 1e-5
     notes.append(f"|gap| {gap:.1e}")
 
@@ -210,12 +214,10 @@ def test_criterion_5_cylinder_over_helicoid():
     ok &= worst_sv3 <= 1e-10 and worst_h3j <= 1e-10
 
     frame = np.array([[1.0, 0, 0, 0, 0], [0, 0, 1.0, 0, 0], [0, 0, 0, 0, 1.0]])
-    inequality_checks = [
-        C.check_simons(imm, grid)[0],
-        C.check_kato(imm, grid)[0],
-        C.check_refined_simons(imm, grid),
-        C.check_log_alignment(imm, grid, frame),
-    ]
+    inequality_checks = run_checks(
+        imm, grid, [CheckSpec(name) for name in ("simons", "kato", "refined-simons", "log-alignment")],
+        frame,
+    )
     ok &= all(res.verdict == "pass" for res in inequality_checks)
     verdict(
         5,
@@ -256,12 +258,12 @@ def test_criterion_6_cross_validation():
     worst_inner = 0.0
     grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (5, 5))
     for imm in (surfaces[0][0], surfaces[1][0]):
-        _, reports = C.check_simons(imm, grid)
-        for rep in reports:
-            algebraic = -(rep.tilde_term + rep.under_term)
+        [simons] = run_checks(imm, grid, [CheckSpec("simons")])
+        for rep in evaluated(simons):
+            algebraic = -(rep["tilde_term"] + rep["under_term"])
             worst_inner = max(
                 worst_inner,
-                abs(rep.inner_term_numeric - algebraic) / (1.0 + abs(algebraic)),
+                abs(rep["inner_numeric"] - algebraic) / (1.0 + abs(algebraic)),
             )
 
     ok = worst_pluecker <= 1e-12 and worst_codazzi <= 1e-8 and worst_inner <= 1e-4
@@ -275,7 +277,7 @@ def test_criterion_6_cross_validation():
 
 def test_criterion_7_nonminimal_detection():
     imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
-    res = C.check_minimality(imm, GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (5, 5)))
+    [res] = run_checks(imm, GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (5, 5)), [CheckSpec("minimality")])
     origin = next(r for r in res.details if r["point"] == (0.0, 0.0))
     ok = res.verdict == "fail" and rel_err(origin["residual"], 4.0) <= 1e-10
     verdict(7, ok, f"paraboloid graph: verdict {res.verdict}, |H|(0) = {origin['residual']}")
@@ -295,8 +297,8 @@ def test_criterion_8_growth_and_probes(z2):
 
     margins = []
     grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
-    for s, q in [(1, 1), (1, 3)]:
-        res = C.check_subharmonicity(z2, grid, s=s, q=q)
+    specs = [CheckSpec("subharmonicity", options={"s": s, "q": q}) for s, q in [(1, 1), (1, 3)]]
+    for res in run_checks(z2, grid, specs):
         margins.append(min(r["detail"]["margin"] for r in res.details if not r["skipped"]))
     ok &= all(m >= -1e-6 for m in margins)
 

@@ -6,6 +6,7 @@ import pytest
 from curvlab import checks as C
 from curvlab.geometry import laplace_beltrami, point_geometry_at
 from curvlab.immersions import GridSpec, build_graph_immersion, catalogue_lookup
+from curvlab.scenario import CheckSpec, run_checks
 
 from oracles import rel_err
 
@@ -40,22 +41,32 @@ CYLINDER_PLANE = np.array(
 )
 
 
+def run(name, imm, grid, frame=None, tol=None, **options):
+    [res] = run_checks(imm, grid, [CheckSpec(name, tol, options)], frame)
+    return res
+
+
+def evaluated(res):
+    """Detail records of the points a check evaluated (not skipped)."""
+    return [r["detail"] for r in res.details if not r["skipped"]]
+
+
 class TestMinimality:
     def test_catenoid_minimal(self, catenoid):
-        res = C.check_minimality(catenoid, GridSpec(((-1, 1), (-1, 1)), (11, 11)))
+        res = run("minimality", catenoid, GridSpec(((-1, 1), (-1, 1)), (11, 11)))
         assert res.verdict == "pass"
         assert res.worst_residual <= 1e-10
 
     def test_paraboloid_fails_with_residual_four(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
-        res = C.check_minimality(imm, GRID5)
+        res = run("minimality", imm, GRID5)
         assert res.verdict == "fail"
         assert res.worst_residual >= 2.0
         origin = next(r for r in res.details if r["point"] == (0.0, 0.0))
         assert rel_err(origin["residual"], 4.0) <= 1e-10
 
     def test_affine_residual_zero(self, affine):
-        res = C.check_minimality(affine, GRID5)
+        res = run("minimality", affine, GRID5)
         assert res.verdict == "pass"
         assert res.worst_residual == 0.0
 
@@ -63,18 +74,18 @@ class TestMinimality:
 class TestMinimalSystem:
     def test_z3_solves_system(self):
         imm = build_graph_immersion(["x^3 - 3*x*y^2", "3*x^2*y - y^3"], 2)
-        res = C.check_minimal_system(imm, GRID7)
+        res = run("minimal-system", imm, GRID7)
         assert res.verdict == "pass"
         assert res.worst_residual <= 1e-9
 
     def test_paraboloid_residual_vector(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
-        res = C.check_minimal_system(imm, GRID5)
+        res = run("minimal-system", imm, GRID5)
         origin = next(r for r in res.details if r["point"] == (0.0, 0.0))
         assert rel_err(origin["residual"], 4.0) <= 1e-12
 
     def test_affine_zero(self, affine):
-        res = C.check_minimal_system(affine, GRID5)
+        res = run("minimal-system", affine, GRID5)
         assert res.worst_residual == 0.0
 
 
@@ -82,34 +93,34 @@ class TestPluecker:
     def test_catalogue_surfaces(self, z2, catenoid, cylinder):
         for imm, frame in [(z2, COORD_PLANE), (catenoid, CATENOID_PLANE), (cylinder, CYLINDER_PLANE)]:
             grid = GRID5 if imm.n == 2 else GRID3D
-            res = C.check_pluecker(imm, grid, frame)
+            res = run("pluecker", imm, grid, frame)
             assert res.verdict == "pass"
             assert res.worst_residual <= 1e-12
 
 
 class TestAlignmentIdentities:
     def test_z2(self, z2):
-        res = C.check_alignment_identities(z2, GRID7, COORD_PLANE)
+        res = run("alignment-identities", z2, GRID7, COORD_PLANE)
         assert res.verdict == "pass" and res.worst_residual <= 1e-6
 
     def test_affine_exact(self, affine):
         pg = point_geometry_at(affine, (0.0, 0.0))
-        res = C.check_alignment_identities(affine, GRID5, pg.tangent_frame)
+        res = run("alignment-identities", affine, GRID5, pg.tangent_frame)
         assert res.worst_residual <= 1e-12
 
     def test_cylinder_n3_path(self, cylinder):
-        res = C.check_alignment_identities(cylinder, GRID3D, CYLINDER_PLANE)
+        res = run("alignment-identities", cylinder, GRID3D, CYLINDER_PLANE)
         assert res.verdict == "pass"
 
 
 class TestLogAlignment:
     def test_z2_equality(self, z2):
-        res = C.check_log_alignment(z2, GRID7, COORD_PLANE)
+        res = run("log-alignment", z2, GRID7, COORD_PLANE)
         assert res.verdict == "pass"
         assert res.worst_residual <= 1e-5  # equality residual for 2d graphs
 
     def test_catenoid_inequality(self, catenoid):
-        res = C.check_log_alignment(catenoid, GRID7, CATENOID_PLANE)
+        res = run("log-alignment", catenoid, GRID7, CATENOID_PLANE)
         assert res.verdict == "pass"
         # strict slack away from the symmetry point
         slacks = [r["detail"]["signed_violation"] for r in res.details if not r["skipped"]]
@@ -117,77 +128,82 @@ class TestLogAlignment:
 
     def test_affine_zero_plus_zero(self, affine):
         pg = point_geometry_at(affine, (0.0, 0.0))
-        res = C.check_log_alignment(affine, GRID5, pg.tangent_frame)
+        res = run("log-alignment", affine, GRID5, pg.tangent_frame)
         assert res.worst_residual <= 1e-12
 
 
 class TestSimons:
     def test_z2_ratio_everywhere(self, z2):
-        res, reports = C.check_simons(z2, GRID7)
+        res = run("simons", z2, GRID7)
+        reports = evaluated(res)
         assert res.verdict == "pass"
         for rep in reports:
-            assert abs(rep.ratio - 1.5) <= 1e-6
+            assert abs(rep["ratio"] - 1.5) <= 1e-6
         assert res.extras["worst_identity_residual"] <= 1e-10
 
     def test_catenoid_ratio_one(self, catenoid):
-        res, reports = C.check_simons(catenoid, GRID7)
+        res = run("simons", catenoid, GRID7)
+        reports = evaluated(res)
         assert res.verdict == "pass"
         for rep in reports:
-            assert abs(rep.ratio - 1.0) <= 1e-6
+            assert abs(rep["ratio"] - 1.0) <= 1e-6
             # codimension-one terms: tilde = 4 mu1^4, under = 0
-            assert rel_err(rep.tilde_term, -rep.inner_term_formula) <= 1e-8
+            assert rel_err(rep["tilde_term"], -rep["inner_formula"]) <= 1e-8
 
     def test_affine_not_applicable_ratio(self, affine):
-        res, reports = C.check_simons(affine, GRID5)
+        res = run("simons", affine, GRID5)
+        reports = evaluated(res)
         assert res.verdict == "pass"
-        assert all(rep.ratio is None for rep in reports)
+        assert all(rep["ratio"] is None for rep in reports)
 
     def test_inner_term_two_routes(self, z2, catenoid, cylinder):
         for imm, grid in [(z2, GRID5), (catenoid, GRID5), (cylinder, GRID3D)]:
-            res, reports = C.check_simons(imm, grid)
-            for rep in reports:
-                if rep.inner_term_formula is None:
+            res = run("simons", imm, grid)
+            for rep in evaluated(res):
+                if rep["inner_formula"] is None:
                     continue
-                scale = 1.0 + abs(rep.inner_term_numeric)
-                assert abs(rep.inner_term_numeric - rep.inner_term_formula) / scale <= 1e-4
+                scale = 1.0 + abs(rep["inner_numeric"])
+                assert abs(rep["inner_numeric"] - rep["inner_formula"]) / scale <= 1e-4
 
 
 class TestKato:
     def test_catenoid_equality_everywhere(self, catenoid):
-        res, reports = C.check_kato(catenoid, GRID7)
+        res = run("kato", catenoid, GRID7)
+        reports = evaluated(res)
         assert res.verdict == "pass"
         for rep in reports:
-            assert abs(rep.gap) <= 1e-5
+            assert abs(rep["gap"]) <= 1e-5
 
     def test_z2_equality_with_zeta(self, z2):
-        res, reports = C.check_kato(z2, GRID7)
+        res = run("kato", z2, GRID7)
+        reports = evaluated(res)
         assert res.verdict == "pass"
         for rep in reports:
-            assert abs(rep.gap) <= 1e-5
-            assert rep.zeta is not None
-            assert rep.zeta_residual <= 1e-6
-            assert rep.xi1 == rep.zeta.real and rep.xi2 == -rep.zeta.imag
+            assert abs(rep["gap"]) <= 1e-5
+            assert rep["zeta_re"] is not None and rep["zeta_im"] is not None
+            assert rep["zeta_residual"] <= 1e-6
+            assert rep["xi1"] == rep["zeta_re"] and rep["xi2"] == -rep["zeta_im"]
 
     def test_affine_not_applicable(self, affine):
-        res, _ = C.check_kato(affine, GRID5)
+        res = run("kato", affine, GRID5)
         assert res.verdict == "not-applicable"
 
 
 class TestRefinedSimons:
     def test_catalogue(self, z2, catenoid, cylinder):
         for imm, grid in [(z2, GRID7), (catenoid, GRID7), (cylinder, GRID3D)]:
-            res = C.check_refined_simons(imm, grid)
+            res = run("refined-simons", imm, grid)
             assert res.verdict == "pass"
 
     def test_z2_is_equality(self, z2):
-        res = C.check_refined_simons(z2, GRID5)
+        res = run("refined-simons", z2, GRID5)
         margins = [abs(r["detail"]["margin"]) for r in res.details if not r["skipped"]]
         assert max(margins) <= 1e-9
 
 
 class TestGaussConformal:
     def test_z2_unanimous(self, z2):
-        res = C.check_gauss_conformal(z2, GRID7)
+        res = run("gauss-conformal", z2, GRID7)
         assert res.verdict == "pass"
         assert res.extras["all_conformal"]
         assert res.extras["omega_max"] <= 1e-10
@@ -196,26 +212,26 @@ class TestGaussConformal:
             assert d["criterion_mu"] == d["criterion_bww"] == d["criterion_omega"] is True
 
     def test_catenoid_false_everywhere(self, catenoid):
-        res = C.check_gauss_conformal(catenoid, GRID7)
+        res = run("gauss-conformal", catenoid, GRID7)
         assert res.verdict == "pass"
         assert res.extras["conformal_points"] == 0
         assert rel_err(res.extras["omega_max"], 0.25) <= 1e-8
 
     def test_affine_true_by_convention(self, affine):
-        res = C.check_gauss_conformal(affine, GRID5)
+        res = run("gauss-conformal", affine, GRID5)
         assert res.extras["all_conformal"]
 
     def test_simons_equality_couples_to_conformality(self, z2, catenoid):
         for imm, conformal in [(z2, True), (catenoid, False)]:
-            sres, sreports = C.check_simons(imm, GRID5)
-            cres = C.check_gauss_conformal(imm, GRID5)
-            simons_eq = all(abs(rep.ratio - 1.5) <= 1e-4 for rep in sreports)
+            sreports = evaluated(run("simons", imm, GRID5))
+            cres = run("gauss-conformal", imm, GRID5)
+            simons_eq = all(abs(rep["ratio"] - 1.5) <= 1e-4 for rep in sreports)
             assert simons_eq == conformal == cres.extras["all_conformal"]
 
 
 class TestJacobian:
     def test_z2_values(self, z2):
-        res = C.check_jacobian_identities(z2, GRID5)
+        res = run("jacobian", z2, GRID5)
         assert res.verdict == "pass"
         rec = next(r for r in res.details if r["point"] == (1.0, 0.0))
         assert rel_err(rec["detail"]["sigma1"], 2.0) <= 1e-12
@@ -225,13 +241,13 @@ class TestJacobian:
 
     def test_affine_zero_graph(self):
         imm = build_graph_immersion(["0"], 2)
-        res = C.check_jacobian_identities(imm, GRID5)
+        res = run("jacobian", imm, GRID5)
         rec = res.details[0]["detail"]
         assert rec["sigma1"] == 0.0 and rec["volume_factor"] == 1.0
 
     def test_independent_svd_oracle(self):
         imm = build_graph_immersion(["x^3", "y"], 2)
-        res = C.check_jacobian_identities(imm, GridSpec(((0.5, 1.5), (0.5, 1.5)), (3, 3)))
+        res = run("jacobian", imm, GridSpec(((0.5, 1.5), (0.5, 1.5)), (3, 3)))
         assert res.verdict == "pass"
         assert res.worst_residual <= 1e-10
         rec = next(r for r in res.details if r["point"] == (1.0, 1.0))
@@ -242,7 +258,7 @@ class TestJacobian:
 
 class TestIsothermal:
     def test_z2_already_conformal(self, z2):
-        res = C.verify_isothermal(z2, 0.0, 1.0, GRID5)
+        res = run("isothermal", z2, GRID5, a=0.0, b=1.0)
         assert res.verdict == "pass"
         assert res.worst_residual <= 1e-12
 
@@ -251,7 +267,7 @@ class TestIsothermal:
         # a = 1/sqrt(3), b = 2/sqrt(3) with lam^2 = 3/2
         imm = build_graph_immersion(["x + y", "0"], 2)
         a, b = 1.0 / math.sqrt(3.0), 2.0 / math.sqrt(3.0)
-        res = C.verify_isothermal(imm, a, b, GRID5)
+        res = run("isothermal", imm, GRID5, a=a, b=b)
         assert res.verdict == "pass"
         assert res.worst_residual <= 1e-12
         rec = res.details[0]["detail"]
@@ -259,26 +275,26 @@ class TestIsothermal:
         assert rec["decomposition_residual"] <= 1e-12
 
     def test_z2_bad_shear_fails(self, z2):
-        res = C.verify_isothermal(z2, 1.0, 1.0, GRID5)
+        res = run("isothermal", z2, GRID5, a=1.0, b=1.0)
         assert res.verdict == "fail"
         assert res.worst_residual > 0.1
 
     def test_b_must_be_positive(self, z2):
         with pytest.raises(C.CheckConfigError, match="b > 0"):
-            C.verify_isothermal(z2, 0.0, -1.0, GRID5)
+            run("isothermal", z2, GRID5, a=0.0, b=-1.0)
 
 
 class TestSubharmonicity:
     @pytest.mark.parametrize("s,q", [(1, 1), (1, 3)])
     def test_z2_pointwise(self, z2, s, q):
-        res = C.check_subharmonicity(z2, GridSpec(((-1, 1), (-1, 1)), (9, 9)), s=s, q=q)
+        res = run("subharmonicity", z2, GridSpec(((-1, 1), (-1, 1)), (9, 9)), s=s, q=q)
         assert res.verdict == "pass"
         margins = [r["detail"]["margin"] for r in res.details if not r["skipped"]]
         assert min(margins) >= -1e-6
 
     def test_domain_validation(self, z2):
         with pytest.raises(C.CheckConfigError, match="s >= 1"):
-            C.check_subharmonicity(z2, GRID5, s=0.5, q=1)
+            run("subharmonicity", z2, GRID5, s=0.5, q=1)
 
     def test_laplacian_route_against_direct_composition(self, z2):
         # independent route: Lap(|B|^2 v) = v Lap|B|^2 + |B|^2 Lap v + 2 <grad, grad>
@@ -360,6 +376,12 @@ class TestProbe:
         assert not rec.applicable
         assert "mean curvature" in rec.reason
 
+    def test_hypothesis_evaluation_error_not_applicable(self):
+        imm = build_graph_immersion(["log(x)", "x*y"], 2)  # log(x) fails at the origin
+        rec = C.estimate_probe(imm, COORD_PLANE, C.ProbeParams(cells=32))
+        assert not rec.applicable
+        assert "evaluation error" in rec.reason
+
 
 class TestAggregation:
     @pytest.mark.parametrize("residuals", [[1e-12, math.nan], [math.nan, 1e-12]])
@@ -373,6 +395,43 @@ class TestAggregation:
     def test_finite_residuals_add_no_count(self):
         res = C.aggregate_check("minimality", 1e-10, [C._record(residual=1e-12)])
         assert res.verdict == "pass" and "n_nonfinite" not in res.extras
+
+    @pytest.mark.parametrize("field", ["identity_residual", "mu_residual"])
+    @pytest.mark.parametrize("values", [[1e-12, math.nan], [math.nan, 1e-12]])
+    def test_nonfinite_simons_detail_fails_in_any_order(self, field, values):
+        records = [
+            C._record(residual=0.0, **{"identity_residual": 0.0, "mu_residual": None, field: v})
+            for v in values
+        ]
+        res = C.aggregate_check("simons", 1e-5, records)
+        assert res.verdict == "fail"
+
+    @pytest.mark.parametrize("omegas", [[1e-12, math.nan], [math.nan, 1e-12]])
+    def test_nonfinite_omega_fails_in_any_order(self, omegas):
+        records = [C._record(residual=0.0, conformal=True, omega=w) for w in omegas]
+        res = C.aggregate_check("gauss-conformal", 1e-6, records)
+        assert res.verdict == "fail"
+        assert res.extras["omega_max"] == 1e-12
+
+
+class TestRequirements:
+    @pytest.mark.parametrize("name,surface,frame,message", [
+        ("pluecker", ("holo-curve", {"coeffs": [0, 0, 1]}), None,
+         "check 'pluecker' requires a reference frame"),
+        ("jacobian", ("catenoid", {}), None, "check 'jacobian' requires a graph immersion"),
+        ("isothermal", ("cylinder-over", {"base": "helicoid"}), None,
+         "check 'isothermal' requires a graph immersion"),
+    ])
+    def test_missing_requirement_message(self, name, surface, frame, message):
+        imm = catalogue_lookup(*surface)
+        with pytest.raises(C.CheckConfigError, match=f"^{message}$"):
+            run(name, imm, GRID5, frame)
+
+    def test_graph_needs_two_dimensional_domain(self):
+        imm = build_graph_immersion(["x*y*z"], 3)
+        with pytest.raises(C.CheckConfigError,
+                           match="^check 'minimal-system' requires a 2-dimensional domain$"):
+            run("minimal-system", imm, GRID3D)
 
 
 class TestCrossValidation:

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from curvlab.checks import evaluate_point, make_check_state
-from curvlab.scenario import _jsonify, load_config, load_config_file, run_scenario
+from curvlab import checks
+from curvlab.scenario import _jsonify, load_config, load_config_file, run_checks, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -78,16 +78,11 @@ CUBIC = [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]  # generic: no symmetr
         "checks": [{"name": "minimality"}, {"name": "simons"}, {"name": "log-alignment"}],
     }),
 ], ids=["z2-full", "cubic", "cylinder-cubic", "partial-failures"])
-def test_block_composition_does_not_change_records(config):
-    imm, frame = config.surface, config.frame_or_default
-    specs = [(s.name, make_check_state(s.name, imm, frame, s.options, s.tol)) for s in config.checks]
-    points = config.grid.points()
-
-    one_block = evaluate_point(imm, frame, specs, points)
-    blocks_of_7 = [rec for i in range(0, len(points), 7)
-                   for rec in evaluate_point(imm, frame, specs, points[i:i + 7])]
-    point_by_point = [evaluate_point(imm, frame, specs, p) for p in points]
-
-    encode = [[json.dumps(_jsonify(rec)) for rec in recs]
-              for recs in (one_block, blocks_of_7, point_by_point)]
+def test_block_composition_does_not_change_records(config, monkeypatch):
+    encode = []
+    # one block, blocks of 7, point by point
+    for size in (len(config.grid.points()), 7, 1):
+        monkeypatch.setattr(checks, "BLOCK_SIZE", size)
+        results = run_checks(config.surface, config.grid, config.checks, config.frame_or_default)
+        encode.append([json.dumps(_jsonify(rec)) for res in results for rec in res.details])
     assert encode[0] == encode[1] == encode[2]

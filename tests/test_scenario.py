@@ -242,6 +242,24 @@ class TestCli:
         assert proc.returncode == 2
         assert "checks[0].name" in proc.stderr
 
+    def test_probe_on_partly_failing_graph_reports_instead_of_crashing(self, tmp_path):
+        # log(x + 0.5) cannot be evaluated at x <= -0.5: those grid points are skipped
+        cfg = {
+            "surface": {"kind": "graph", "exprs": ["log(x+0.5)", "x*y"], "n": 2},
+            "grid": {"ranges": [[-1, 1], [-1, 1]], "counts": [5, 5]},
+            "checks": [{"name": "minimality"}, {"name": "probe"}],
+            "probe": {"cells": 32},
+        }
+        probe = next(r for r in run_scenario(load_config(cfg)).results if r.name == "probe")
+        assert probe.verdict == "not-applicable"
+        assert probe.reason == "mean curvature does not vanish"
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(cfg))
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert "not-applicable" in proc.stdout and "overall: fail" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_list_commands(self):
         assert "catenoid" in self.run_cli("list-surfaces").stdout
         assert "kato" in self.run_cli("list-checks").stdout

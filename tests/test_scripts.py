@@ -1,0 +1,29 @@
+"""Each script in scripts/ runs end to end on tiny arguments.
+
+The scripts are library callers that no other test exercises, so an API
+change would otherwise break them silently.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script,args", [
+    ("equality_landscape.py", ["--samples", "3"]),
+    ("growth_experiment.py", ["--radii", "1", "2", "--cells", "32"]),
+    ("probe_constants.py", ["--t", "3", "--cells", "32"]),
+])
+def test_script_prints_a_table(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.strip()]
+    assert len(rows) >= 2, proc.stdout  # a header and at least one row
