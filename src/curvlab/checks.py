@@ -39,6 +39,7 @@ from .geometry import (
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
+    # the next two are unused here; perfbench's tracer rebinds them (test_perfbench_names.py)
     curvature_pack_at,
     gauss_rank_at,
     gradient_norm2_of_jet,
@@ -137,10 +138,6 @@ class BlockContext:
         return point_geometry_at(self.imm, np.array(self.points))
 
     @cached_property
-    def rank(self):
-        return gauss_rank_at(self.pg)
-
-    @cached_property
     def canon(self):
         return canonical_frame_at(self.pg)
 
@@ -153,10 +150,6 @@ class BlockContext:
     @cached_property
     def cpack(self):
         return complex_pack_at(self.imm, self.points, pg=self.pg)
-
-    @cached_property
-    def curvpack(self):
-        return curvature_pack_at(self.imm, self.points, pg=self.pg)
 
     @cached_property
     def volume_jet(self):
@@ -415,10 +408,6 @@ def _aggregate_simons(records, tol):
     return extras, ok
 
 
-def _setup_kato(imm, options):
-    return {"zeta_tol": float(options.get("zeta_tol", 1e-6))}
-
-
 def _eval_kato(ctx, state):
     if not ctx.minimal:
         return _skip("mean curvature does not vanish")
@@ -643,7 +632,7 @@ _CHECK_TABLE = {
     "alignment-identities": _Check(_eval_alignment_identities, ("frame",)),
     "log-alignment": _Check(_eval_log_alignment, ("frame",), setup=_setup_log_alignment),
     "simons": _Check(_eval_simons, aggregate=_aggregate_simons),
-    "kato": _Check(_eval_kato, setup=_setup_kato, aggregate=_aggregate_kato),
+    "kato": _Check(_eval_kato, aggregate=_aggregate_kato),
     "refined-simons": _Check(_eval_refined_simons),
     "gauss-conformal": _Check(_eval_gauss_conformal, aggregate=_aggregate_gauss_conformal),
     "jacobian": _Check(_eval_jacobian, _GRAPH_SURFACE),
@@ -734,23 +723,43 @@ def aggregate_check(name: str, tol: float, records: list) -> CheckResult:
 _UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
+def _dot(xs, ys):
+    """sum_k xs[k] * ys[k] over two short lists of per-point arrays."""
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total += x * y
+    return total
+
+
+def _det_cofactors(a):
+    """det and cofactors (= adjugate, a is symmetric) of a 2x2 or 3x3 matrix of arrays."""
+    if len(a) == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0], [[a[1][1], -a[1][0]], [-a[0][1], a[0][0]]]
+    cof = [
+        [a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+         - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
+        for i in range(3)
+    ]
+    return _dot(a[0], cof[0]), cof
+
+
 class _GraphFields:
     """Vectorized v, |B|^2 and extrinsic distance for a graph immersion.
 
     Uses symbolic derivatives of the graph components, so the quadrature
     path is independent of the jet pipeline (and cross-checked against it).
+    Fields are flat per-point arrays; the n <= 3 algebra is written out.
     """
 
     def __init__(self, imm: Immersion):
         if imm.kind != "graph":
             raise CheckConfigError("quadrature fields require a graph immersion")
-        self.imm = imm
         self.n, self.m = imm.n, imm.m
         comps = imm.graph_components()
         self.d1 = [[differentiate(c, i) for i in range(imm.n)] for c in comps]
-        self.d2 = [
-            [[differentiate(self.d1[a][i], j) for j in range(imm.n)] for i in range(imm.n)]
-            for a in range(imm.m)
+        self.d2 = [  # f_ij is symmetric: i <= j only
+            {(i, j): differentiate(d1[i], j) for i in range(imm.n) for j in range(i, imm.n)}
+            for d1 in self.d1
         ]
         self.f0 = np.array(
             [evaluate_expression(c, [0.0] * imm.n) for c in comps], dtype=float
@@ -765,28 +774,28 @@ class _GraphFields:
 
     def fields(self, axes, want_normB2=False):
         """Per-point v, squared extrinsic distance to F(0), optionally |B|^2."""
-        n, m = self.n, self.m
-        P = axes[0].size
-        D1 = np.empty((P, m, n))
-        for a in range(m):
-            for i in range(n):
-                D1[:, a, i] = self._eval(self.d1[a][i], axes)
-        g = np.eye(n)[None, :, :] + np.einsum("pai,paj->pij", D1, D1)
-        v = np.sqrt(np.linalg.det(g))
+        rn, rm = range(self.n), range(self.m)
+        cols = [[self._eval(self.d1[a][i], axes) for a in rm] for i in rn]  # cols[i][a] = f^a_i
+        g = [[_dot(cols[i], cols[j]) + (i == j) for j in rn] for i in rn]  # delta_ij + f_i . f_j
+        det, cof = _det_cofactors(g)
         f = np.stack([self._eval(c, axes) for c in self.comps], axis=1)
         dist2 = sum(ax**2 for ax in axes) + np.sum((f - self.f0[None, :]) ** 2, axis=1)
-        out = {"v": v, "dist2": dist2}
+        out = {"v": np.sqrt(det), "dist2": dist2}
         if want_normB2:
-            D2 = np.empty((P, m, n, n))
-            for a in range(m):
-                for i in range(n):
-                    for j in range(n):
-                        D2[:, a, i, j] = self._eval(self.d2[a][i][j], axes)
-            ginv = np.linalg.inv(g)
-            S = np.einsum("paij,pakl->pijkl", D2, D2)
-            c = np.einsum("paij,pak->pijk", D2, D1)
-            N = S - np.einsum("pijr,prs,pkls->pijkl", c, ginv, c)
-            out["normB2"] = np.einsum("pik,pjl,pijkl->p", ginv, ginv, N)
+            ginv = [[c / det for c in row] for row in cof]
+            # B_ij = F_ij - e_ij^r F_r is the normal part of F_ij = (0, f_ij), F_r = (e_r, f_r),
+            # e_ij = g^-1 c_ij, c_ijs = f_ij . f_s; its first n components, -e_ij, enter squared
+            B = {}
+            for i, j in self.d2[0]:
+                fij = [self._eval(d2[i, j], axes) for d2 in self.d2]
+                c = [_dot(fij, cols[s]) for s in rn]
+                e = [_dot(row, c) for row in ginv]
+                B[i, j] = B[j, i] = e + [fij[a] - _dot(e, [cols[r][a] for r in rn]) for a in rm]
+            # |B|^2 = g^ik g^jl <B_ij, B_kl>: per component, tr(A A) with A = g^-1 B
+            out["normB2"] = 0.0
+            for comp in range(self.n + self.m):
+                A = [[_dot(ginv[i], [B[k, j][comp] for k in rn]) for j in rn] for i in rn]
+                out["normB2"] += _dot(sum(A, []), [a for row in zip(*A) for a in row])
         return out
 
     def at_origin(self):

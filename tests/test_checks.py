@@ -188,6 +188,10 @@ class TestKato:
         res = run("kato", affine, GRID5)
         assert res.verdict == "not-applicable"
 
+    def test_state_is_only_the_tolerance(self, z2):
+        # kato has no options: an unread zeta_tol must not reach the state
+        assert C.make_check_state("kato", z2, None, {"zeta_tol": 1e-3}, 1e-6) == {"tol": 1e-6}
+
 
 class TestRefinedSimons:
     def test_catalogue(self, z2, catenoid, cylinder):
@@ -339,6 +343,15 @@ class TestGrowth:
         for vol, mv, R in zip(table.volumes, table.max_v, table.radii):
             assert vol <= mv * math.pi * R * R * (1 + 1e-9)
 
+    def test_affine_3d_ball_volume(self):
+        # the graph is a 3-plane, so Omega_R is a round 3-ball of radius R in it
+        imm = catalogue_lookup("affine", {"slopes": [[0.5, -0.25, 0.3], [0.1, 0.75, -0.4]]})
+        table = C.growth_table(imm, [1.0, 2.0, 4.0], cells=64)
+        for R, V in zip(table.radii, table.volumes):
+            assert abs(V - 4.0 * math.pi * R**3 / 3.0) <= 0.01 * 4.0 * math.pi * R**3 / 3.0
+        assert table.flags["volume_monotone"]
+        assert table.flags["volume_bound_ok"]
+
     def test_too_coarse_quadrature(self, affine):
         with pytest.raises(C.CheckConfigError, match="quadrature too coarse"):
             C.growth_table(affine, [1.0], cells=2)
@@ -444,3 +457,23 @@ class TestCrossValidation:
             pg = point_geometry_at(z2, (xs[i], ys[i]))
             assert rel_err(fields["normB2"][i], pg.normB2) <= 1e-10
             assert rel_err(fields["v"][i], math.sqrt(np.linalg.det(pg.g0))) <= 1e-12
+
+    @pytest.mark.parametrize("components, n", [
+        (["x^2-y^2", "2*x*y"], 2),
+        (["x^2-y^2+0.3*z", "2*x*y-z^2"], 3),
+        (["x^3-3*x*y^2+0.2*x", "exp(0.3*x)*sin(y)", "x*y^2"], 2),
+    ])
+    def test_closed_form_algebra_matches_jet_pipeline(self, components, n):
+        # n = 3 takes the 3x3 cofactor branch, m = 3 a third normal direction
+        imm = build_graph_immersion(components, n)
+        gf = C._GraphFields(imm)
+        points = np.array([[0.3, 0.5, -0.2], [-0.7, 0.2, 0.4], [0.1, -0.9, 0.6]])[:, :n]
+        fields = gf.fields(list(points.T), want_normB2=True)
+        for i, point in enumerate(points):
+            pg = point_geometry_at(imm, tuple(point))
+            assert rel_err(fields["normB2"][i], pg.normB2) <= 1e-10
+            assert rel_err(fields["v"][i], math.sqrt(np.linalg.det(pg.g0))) <= 1e-12
+        v0, normB2_0 = gf.at_origin()
+        pg = point_geometry_at(imm, (0.0,) * n)
+        assert rel_err(normB2_0, pg.normB2) <= 1e-10
+        assert rel_err(v0, math.sqrt(np.linalg.det(pg.g0))) <= 1e-12
