@@ -8,7 +8,8 @@ form, wrong immersion kind).
 
 Grid checks share one :class:`BlockContext` per block of up to BLOCK_SIZE
 grid points: the geometry and every derived jet are computed once per block
-in array code, and each check's evaluator then reads its point's values.
+in array code, and each check's evaluator computes its residuals and
+detail for the whole block at once, column by column.
 Growth tables and the estimate probes integrate over extrinsic balls with
 a masked tensor-product midpoint rule.
 """
@@ -25,17 +26,13 @@ import numpy as np
 from .expressions import (
     BinOp,
     Const,
-    ExpressionDomainError,
     Var,
     differentiate,
     evaluate_expression,
     substitute,
 )
 from .geometry import (
-    GaussRankError,
-    GeometryError,
     PointGeometry,
-    _take,
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
@@ -48,7 +45,7 @@ from .geometry import (
     scalar_field_jet,
 )
 from .immersions import Immersion
-from .jets import JetDomainError, jet_elementary
+from .jets import jet_elementary, ordered_einsum
 
 RANK_TOL = 1e-8
 BLOCK_SIZE = 64  # grid points evaluated together in one pass of array code
@@ -73,8 +70,6 @@ DEFAULT_TOLERANCES = {
     "probe": 1e-6,
 }
 
-GLOBAL_CHECKS = ("growth", "probe")
-
 CHECK_DESCRIPTIONS = {
     "minimality": "mean curvature vanishes on the grid",
     "minimal-system": "graph components solve the minimal-surface system (graphs, n=2)",
@@ -97,10 +92,6 @@ class CheckConfigError(ValueError):
     """A check was configured outside its documented parameter domain."""
 
 
-# what evaluating one point may raise; such a point is skipped, never fatal
-EVALUATION_ERRORS = (GeometryError, ExpressionDomainError, JetDomainError, ArithmeticError)
-
-
 @dataclass
 class CheckResult:
     """Aggregated verdict of one check over a grid."""
@@ -120,7 +111,7 @@ class BlockContext:
     """Lazy per-block cache shared by all grid checks.
 
     Each attribute is computed once, for every point of the block, by the
-    array code of `geometry`; a PointView is what the check evaluators see.
+    array code of `geometry`; the check evaluators read whole columns of it.
     """
 
     def __init__(self, imm: Immersion, points, reference_frame):
@@ -129,9 +120,6 @@ class BlockContext:
         self.reference_frame = reference_frame
         self._laplacians = {}
         self._sheared = {}
-
-    def views(self):
-        return [PointView(self, i) for i in range(len(self.points))]
 
     @cached_property
     def pg(self) -> PointGeometry:
@@ -160,6 +148,18 @@ class BlockContext:
         # |grad |B||^2 = |grad |B|^2|^2 / (4 |B|^2); read only where |B| > 0
         return gradient_norm2_of_jet(self.pg, self.pg.normB2_jet) / (4.0 * self.pg.normB2)
 
+    @cached_property
+    def minimal(self) -> np.ndarray:
+        mc = self.pg.mean_curvature
+        return np.sqrt(_dot(mc.T, mc.T)) <= MINIMALITY_TOL
+
+    def skips(self, minimal=False) -> _Skips:
+        """Fresh skip reasons: geometry failures, then non-minimal points if `minimal`."""
+        skips = _Skips(self.points).fail(self.pg.errors)
+        if minimal:
+            skips.where(~self.minimal, "mean curvature does not vanish")
+        return skips
+
     def laplacian(self, field):
         """Per-point Laplacian of a derived field, and the failures of its jet.
 
@@ -186,208 +186,220 @@ class BlockContext:
         return self._sheared[id(state)]
 
 
-class PointView:
-    """One point of a BlockContext: the per-point quantities the evaluators read.
-
-    Reading pg, canon, apack or cpack raises the point's failure, as the
-    per-point functions of `geometry` would.
-    """
-
-    def __init__(self, block: BlockContext, index: int):
-        self.block = block
-        self.index = index
-        self.point = block.points[index]
-
-    def _at(self, batched):
-        failure = batched.errors[self.index]
-        if failure is not None:
-            raise failure
-        return _take(batched, self.index)
-
-    @cached_property
-    def pg(self) -> PointGeometry:
-        return self._at(self.block.pg)
-
-    @cached_property
-    def canon(self):
-        self.pg  # the point's geometry failure comes first
-        try:
-            return self._at(self.block.canon)
-        except GaussRankError as exc:
-            self.canon_error = str(exc)
-            return None
-
-    @cached_property
-    def apack(self):
-        if self.block.reference_frame is None:
-            raise GeometryError("check requires a reference frame")
-        self.canon  # geometry failures first, then the canonical frame's
-        return _take(self.block.apack, self.index)
-
-    @cached_property
-    def cpack(self):
-        self.pg  # the point's geometry failure comes first
-        return _take(self.block.cpack, self.index)
-
-    def laplacian(self, field) -> float:
-        values, failures = self.block.laplacian(field)
-        if self.index in failures:
-            raise failures[self.index]
-        return float(values[self.index])
-
-    def sheared_g0(self, state) -> np.ndarray:
-        sheared = self.block.sheared(state)
-        if sheared.errors[self.index] is not None:
-            raise sheared.errors[self.index]
-        return sheared.g0[self.index]
-
-    @property
-    def volume(self) -> float:
-        return float(self.block.volume_jet.value[self.index])
-
-    @property
-    def grad_normB_sq(self) -> float:
-        return float(self.block.grad_normB_sq[self.index])
-
-    @cached_property
-    def minimal(self) -> bool:
-        return float(np.linalg.norm(self.pg.mean_curvature)) <= MINIMALITY_TOL
+_ABSENT = object()  # a detail column's value at a point whose record omits that key
 
 
 def _record(residual=None, skipped=False, reason=None, **detail):
     return {"residual": residual, "skipped": skipped, "reason": reason, "detail": detail}
 
 
-def _skip(reason):
-    return _record(skipped=True, reason=reason)
+class _Skips(list):
+    """One evaluator's skip reason per point of a block (None: evaluated).
+
+    A point keeps the first reason it is given, so reasons are applied in
+    the order the hypotheses are tested.
+    """
+
+    def __init__(self, points):
+        super().__init__([None] * len(points))
+        self.points = points
+
+    @property
+    def live(self) -> np.ndarray:
+        return np.array([r is None for r in self], dtype=bool)
+
+    @property
+    def done(self) -> bool:
+        return None not in self
+
+    def where(self, mask, reason):
+        """Skip the live points where `mask` holds; `reason` is a str or one per point."""
+        for i in np.flatnonzero(mask):
+            if self[i] is None:
+                self[i] = reason if isinstance(reason, str) else reason[i]
+        return self
+
+    def fail(self, errors, prefix="evaluation error: "):
+        """Skip the live points that have an error (a list per point, or {point: error})."""
+        for i, exc in (errors.items() if isinstance(errors, dict) else enumerate(errors)):
+            if exc is not None and self[i] is None:
+                self[i] = f"{prefix}{exc}"
+        return self
+
+    def records(self, residual=None, reason=None, **columns) -> list:
+        """The block's records: a skip where a reason is set, else the residual and detail.
+
+        `residual`, `reason` and each detail column hold one value per point
+        (an array or list) or one for all; a column value _ABSENT omits its
+        key from that point's detail.
+        """
+        names = list(columns)
+        rows = zip(self, self.points, *(_per_point(c, len(self))
+                                        for c in (residual, reason, *columns.values())))
+        out = []
+        for skip, point, res, note, *values in rows:
+            if skip is None:
+                rec = _record(res, False, note, **{k: v for k, v in zip(names, values)
+                                                  if v is not _ABSENT})
+            else:
+                rec = _record(skipped=True, reason=skip)
+            rec["point"] = point
+            out.append(rec)
+        return out
+
+
+def _per_point(values, size):
+    # Python scalars, one per point
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    return values if isinstance(values, list) else [values] * size
+
+
+def _pymax(first, *others):
+    """Elementwise max(first, *others) by Python's rule: a later value wins only if greater."""
+    for other in others:
+        first = np.where(other > first, other, first)
+    return first
+
+
+def _optional(values, present, absent=None):
+    """Per-point values, `absent` where `present` is false."""
+    return [v if ok else absent for v, ok in zip(values.tolist(), present.tolist())]
 
 
 # -- individual check evaluators -------------------------------------------------
-# Each check has an eval(ctx, state) -> record, where ctx is one point's
-# PointView; a check with options also has a setup(imm, options) -> state,
-# validated once and shared by every point.
+# Each check has an eval(block, state) -> records, one per point of the
+# BlockContext, computed column by column over the block; a check with
+# options also has a setup(imm, options) -> state, validated once and shared
+# by every block.
 
-def _eval_minimality(ctx, state):
-    return _record(residual=float(np.linalg.norm(ctx.pg.mean_curvature)))
+def _eval_minimality(block, state):
+    mc = block.pg.mean_curvature
+    return block.skips().records(np.sqrt(_dot(mc.T, mc.T)))
 
 
-def _eval_minimal_system(ctx, state):
-    pg = ctx.pg
+def _eval_minimal_system(block, state):
+    pg = block.pg
     n = pg.n
-    fx = pg.dF[0, n:]
-    fy = pg.dF[1, n:]
-    fxx = pg.second_partials[0, 0, n:]
-    fxy = pg.second_partials[0, 1, n:]
-    fyy = pg.second_partials[1, 1, n:]
-    vec = (1 + fy @ fy) * fxx - 2 * (fx @ fy) * fxy + (1 + fx @ fx) * fyy
-    return _record(residual=float(np.linalg.norm(vec)))
+    fx, fy = pg.dF[:, 0, n:], pg.dF[:, 1, n:]
+    sp = pg.second_partials[..., n:]
+    vec = ((1 + _dot(fy.T, fy.T))[:, None] * sp[:, 0, 0]
+           - (2 * _dot(fx.T, fy.T))[:, None] * sp[:, 0, 1]
+           + (1 + _dot(fx.T, fx.T))[:, None] * sp[:, 1, 1])
+    return block.skips().records(np.sqrt(_dot(vec.T, vec.T)))
 
 
-def _eval_pluecker(ctx, state):
+def _eval_pluecker(block, state):
+    skips = block.skips()
+    if skips.done:
+        return skips.records()
     # the alignment pack's pairings <e with slots replaced by normals, A>
-    ap = ctx.apack
-    b = 1 if ctx.pg.m > 1 else 0  # nu2, or nu1 again in codimension one
+    ap = block.apack
+    b = 1 if block.pg.m > 1 else 0  # nu2, or nu1 again in codimension one
     one, two = ap.single_pairings, ap.double_pairings
-    return _record(residual=abs(
-        ap.value_from_frames * two[0, 0, 1, b] - one[0, 0] * one[1, b] + one[0, b] * one[1, 0]
+    return skips.records(np.abs(
+        ap.value_from_frames * two[:, 0, 0, 1, b] - one[:, 0, 0] * one[:, 1, b]
+        + one[:, 0, b] * one[:, 1, 0]
     ))
 
 
-def _eval_alignment_identities(ctx, state):
-    ap = ctx.apack
-    grad_scale = 1.0 + float(np.abs(ap.grad_frame).max())
-    grad_res = float(np.abs(ap.grad_frame - ap.grad_formula).max()) / grad_scale
-    detail = {"grad_residual": grad_res, "alignment": ap.value}
-    if not ap.formula_applicable:
-        # the gradient identity holds for any immersion; only the rank-2
-        # Laplacian identity needs the hypotheses
-        detail["laplacian_residual"] = None
-        return _record(residual=grad_res, reason=ap.reason, **detail)
-    lap_scale = 1.0 + abs(ap.laplacian_numeric)
-    lap_res = abs(ap.laplacian_numeric - ap.laplacian_formula) / lap_scale
-    detail["laplacian_residual"] = lap_res
-    return _record(residual=max(grad_res, lap_res), **detail)
+def _eval_alignment_identities(block, state):
+    skips = block.skips()
+    if skips.done:
+        return skips.records()
+    ap = block.apack
+    grad_scale = 1.0 + np.abs(ap.grad_frame).max(axis=-1)
+    grad_res = np.abs(ap.grad_frame - ap.grad_formula).max(axis=-1) / grad_scale
+    # the gradient identity holds for any immersion; only the rank-2
+    # Laplacian identity needs the hypotheses (the pack's reason says which failed)
+    applicable = ap.formula_applicable
+    lap_formula = np.array(ap.laplacian_formula.tolist(), dtype=float)  # NaN where None
+    lap_res = np.abs(ap.laplacian_numeric - lap_formula) / (1.0 + np.abs(ap.laplacian_numeric))
+    return skips.records(
+        np.where(applicable, _pymax(grad_res, lap_res), grad_res),
+        ap.reason,
+        grad_residual=grad_res,
+        alignment=ap.value,
+        laplacian_residual=_optional(lap_res, applicable),
+    )
 
 
 def _setup_log_alignment(imm, options):
     return {"equality": imm.kind == "graph" and imm.n == 2}
 
 
-def _eval_log_alignment(ctx, state):
-    if not ctx.minimal:
-        return _skip("mean curvature does not vanish")
-    ap = ctx.apack
-    if ap.value <= 0.0:
-        return _skip("alignment function not positive")
-    lap = ctx.laplacian("log-alignment")
-    scale = 1.0 + ctx.pg.normB2
-    signed = (lap + ctx.pg.normB2) / scale  # positive = inequality violated
-    equality = abs(lap + ctx.pg.normB2) / scale
+def _eval_log_alignment(block, state):
+    skips = block.skips(minimal=True)
+    if not skips.done:
+        skips.where(block.apack.value <= 0.0, "alignment function not positive")
+    if not skips.done:
+        lap, failures = block.laplacian("log-alignment")
+        skips.fail(failures)
+    if skips.done:
+        return skips.records()
+    normB2 = block.pg.normB2
+    scale = 1.0 + normB2
+    signed = (lap + normB2) / scale  # positive = inequality violated
+    equality = np.abs(lap + normB2) / scale
     residual = equality if state["equality"] else signed
-    return _record(residual=residual, signed_violation=signed, equality_residual=equality)
+    return skips.records(residual, signed_violation=signed, equality_residual=equality)
 
 
 def _shape_operator_terms(h):
-    # tilde = sum_ab [tr(A^a A^b)]^2, under = -sum_ab tr([A^a, A^b]^2)
-    traces = np.einsum("aij,bij->ab", h, h)
-    tilde = float(np.sum(traces**2))
-    under = 0.0
-    m = h.shape[0]
-    for a in range(m):
-        for b in range(m):
-            comm = h[a] @ h[b] - h[b] @ h[a]
-            under -= float(np.trace(comm @ comm))
-    return tilde, under
+    # tilde = sum_ab [tr(A^a A^b)]^2, under = -sum_ab tr([A^a, A^b]^2), per point
+    traces = ordered_einsum("paij,pbij->pab", h, h)
+    products = ordered_einsum("paij,pbjk->pabik", h, h)
+    comm = products - np.swapaxes(products, 1, 2)
+    return (ordered_einsum("pab,pab->p", traces, traces),
+            -ordered_einsum("pabik,pabki->p", comm, comm))
 
 
-def _eval_simons(ctx, state):
-    if not ctx.minimal:
-        return _skip("mean curvature does not vanish")
-    pg = ctx.pg
-    lapB2 = ctx.laplacian("normB2")
-    nablaB2 = pg.nablaB2
+def _canon_failed(canon) -> np.ndarray:
+    return np.array([exc is not None for exc in canon.errors], dtype=bool)
+
+
+def _eval_simons(block, state):
+    skips = block.skips(minimal=True)
+    if not skips.done:
+        lapB2, failures = block.laplacian("normB2")
+        skips.fail(failures)
+    if skips.done:
+        return skips.records()
+    pg, canon = block.pg, block.canon
+    normB2, nablaB2 = pg.normB2, pg.nablaB2
     inner_numeric = 0.5 * (lapB2 - 2.0 * nablaB2)
     tilde, under = _shape_operator_terms(pg.h)
-    scale = 1.0 + pg.normB2**2
+    scale = 1.0 + normB2**2
 
     # (i) the inequality itself (valid in any codimension)
-    violation = (2.0 * nablaB2 - 3.0 * pg.normB2**2 - lapB2) / scale
+    violation = (2.0 * nablaB2 - 3.0 * normB2**2 - lapB2) / scale
     # (ii) two independent routes to <grad^2 B, B>
-    identity_res = abs(inner_numeric + tilde + under) / scale
+    identity_res = np.abs(inner_numeric + tilde + under) / scale
 
-    canon = ctx.canon
-    inner_formula = None
-    mu_residual = None
-    if canon is not None:
-        inner_formula = -(4 * canon.mu1**4 + 4 * canon.mu2**4 + 16 * canon.mu1**2 * canon.mu2**2)
-        mu_residual = abs((tilde + under) + inner_formula) / scale
+    has_canon = ~_canon_failed(canon)
+    mu1, mu2 = canon.mu1, canon.mu2
+    inner_formula = -(4 * mu1**4 + 4 * mu2**4 + 16 * mu1**2 * mu2**2)
+    mu_residual = np.abs((tilde + under) + inner_formula) / scale
 
-    ratio = None
-    bound_violation = 0.0
-    conformal = None
-    coupling = 0.0
-    if pg.normB2 > RANK_TOL:
-        ratio = -inner_numeric / pg.normB2**2
-        bound_violation = max(1.0 - ratio, ratio - 1.5)
-        if canon is not None:
-            conformal = abs(canon.mu1 - canon.mu2) <= EQUALITY_THRESHOLD * (
-                canon.mu1 + canon.mu2 + EQUALITY_THRESHOLD
-            )
-            if conformal:
-                coupling = abs(ratio - 1.5)  # ratio pinned at the equality case
-    residual = max(violation, bound_violation, coupling)
-    return _record(
-        residual=residual,
+    curved = normB2 > RANK_TOL
+    ratio = -inner_numeric / normB2**2
+    bound_violation = np.where(curved, _pymax(1.0 - ratio, ratio - 1.5), 0.0)
+    has_conformal = curved & has_canon
+    conformal = np.abs(mu1 - mu2) <= EQUALITY_THRESHOLD * (mu1 + mu2 + EQUALITY_THRESHOLD)
+    # at a conformal point the ratio is pinned at the equality case
+    coupling = np.where(has_conformal & conformal, np.abs(ratio - 1.5), 0.0)
+    return skips.records(
+        _pymax(violation, bound_violation, coupling),
         lapB2=lapB2,
         nablaB2=nablaB2,
         inner_numeric=inner_numeric,
-        inner_formula=inner_formula,
+        inner_formula=_optional(inner_formula, has_canon),
         tilde_term=tilde,
         under_term=under,
         identity_residual=identity_res,
-        mu_residual=mu_residual,
-        ratio=ratio,
-        conformal=conformal,
+        mu_residual=_optional(mu_residual, has_canon),
+        ratio=_optional(ratio, curved),
+        conformal=_optional(conformal, has_conformal),
     )
 
 
@@ -408,32 +420,32 @@ def _aggregate_simons(records, tol):
     return extras, ok
 
 
-def _eval_kato(ctx, state):
-    if not ctx.minimal:
-        return _skip("mean curvature does not vanish")
-    pg = ctx.pg
-    if ctx.canon is None:
-        return _skip(getattr(ctx, "canon_error", "Gauss-map rank above 2"))
-    if pg.normB2 <= RANK_TOL:
-        return _skip("second fundamental form vanishes")
-    grad_nb_sq = ctx.grad_normB_sq
+def _eval_kato(block, state):
+    skips = block.skips(minimal=True)
+    if not skips.done:
+        skips.fail(block.canon.errors, prefix="")
+    pg = block.pg
+    skips.where(pg.normB2 <= RANK_TOL, "second fundamental form vanishes")
+    if skips.done:
+        return skips.records()
+    grad_nb_sq = block.grad_normB_sq
     gap = pg.nablaB2 - 2.0 * grad_nb_sq
-    violation = -gap
-    detail = {"gap": gap, "nablaB2": pg.nablaB2, "grad_normB_sq": grad_nb_sq}
-    equality = abs(gap) <= EQUALITY_THRESHOLD * (1.0 + pg.nablaB2)
-    detail["equality"] = equality
-    residual = violation
+    equality = np.abs(gap) <= EQUALITY_THRESHOLD * (1.0 + pg.nablaB2)
+    residual = -gap
+    detail = {"gap": gap, "nablaB2": pg.nablaB2, "grad_normB_sq": grad_nb_sq, "equality": equality}
     if pg.n == 2:
-        cp = ctx.cpack
-        detail.update(zeta_re=None if cp.zeta is None else cp.zeta.real,
-                      zeta_im=None if cp.zeta is None else cp.zeta.imag,
-                      zeta_residual=cp.zeta_residual,
-                      xi1=cp.xi1, xi2=cp.xi2)
-        if equality and cp.zeta_residual is not None:
-            # equality forces the cubic derivative to be proportional to B_ww
-            residual = max(residual, cp.zeta_residual)
-            detail["zeta_asserted"] = True
-    return _record(residual=residual, **detail)
+        cp = block.cpack
+        zeta = cp.zeta.tolist()
+        zeta_residual = cp.zeta_residual.tolist()
+        detail.update(zeta_re=[None if z is None else z.real for z in zeta],
+                      zeta_im=[None if z is None else z.imag for z in zeta],
+                      zeta_residual=zeta_residual, xi1=cp.xi1, xi2=cp.xi2)
+        # equality forces the cubic derivative to be proportional to B_ww
+        asserted = equality & np.array([z is not None for z in zeta_residual], dtype=bool)
+        zres = np.array(zeta_residual, dtype=float)
+        residual = np.where(asserted, _pymax(residual, zres), residual)
+        detail["zeta_asserted"] = _optional(asserted, asserted, _ABSENT)
+    return skips.records(residual, **detail)
 
 
 def _aggregate_kato(records, tol):
@@ -462,45 +474,54 @@ def _aggregate_kato(records, tol):
     return extras, True
 
 
-def _eval_refined_simons(ctx, state):
-    if not ctx.minimal:
-        return _skip("mean curvature does not vanish")
-    pg = ctx.pg
-    if pg.normB2 <= RANK_TOL:
-        return _skip("second fundamental form vanishes")
-    lhs = ctx.laplacian("normB2")
-    rhs = 4.0 * ctx.grad_normB_sq - 3.0 * pg.normB2**2
+def _eval_refined_simons(block, state):
+    pg = block.pg
+    skips = block.skips(minimal=True)
+    skips.where(pg.normB2 <= RANK_TOL, "second fundamental form vanishes")
+    if not skips.done:
+        lhs, failures = block.laplacian("normB2")
+        skips.fail(failures)
+    if skips.done:
+        return skips.records()
+    rhs = 4.0 * block.grad_normB_sq - 3.0 * pg.normB2**2
     scale = 1.0 + pg.normB2**2
-    return _record(residual=(rhs - lhs) / scale, margin=lhs - rhs)
+    return skips.records((rhs - lhs) / scale, margin=lhs - rhs)
 
 
-def _eval_gauss_conformal(ctx, state):
-    pg = ctx.pg
+def _eval_gauss_conformal(block, state):
+    skips = block.skips()
+    if skips.done:
+        return skips.records()
+    pg, canon = block.pg, block.canon
     tol = state["tol"]
-    if pg.normB2 <= RANK_TOL:
-        return _record(residual=0.0, conformal=True, criteria="convention")
-    criteria = {}
-    if ctx.canon is None:
-        return _skip(getattr(ctx, "canon_error", "Gauss-map rank above 2"))
-    canon = ctx.canon
-    criteria["mu"] = abs(canon.mu1 - canon.mu2) <= tol * (canon.mu1 + canon.mu2 + tol)
-    omega = None
+    convention = pg.normB2 <= RANK_TOL  # a record, not a skip
+    skips.where(_canon_failed(canon) & ~convention, [str(exc) for exc in canon.errors])
+    crit_mu = np.abs(canon.mu1 - canon.mu2) <= tol * (canon.mu1 + canon.mu2 + tol)
+    agree = np.ones(len(skips), dtype=bool)
+    isothermal, omega = np.zeros(len(skips), dtype=bool), np.zeros(len(skips))
+    crit_bww = crit_omega = crit_mu
     if pg.n == 2:
-        cp = ctx.cpack
-        if cp.isothermal:
-            bww2 = float(np.sum(np.abs(cp.B_ww) ** 2))
-            criteria["bww"] = abs(complex(np.sum(cp.B_ww * cp.B_ww))) <= tol * (bww2 + tol)
-            criteria["omega"] = abs(cp.omega_coeff) <= tol
-            omega = abs(cp.omega_coeff)
-    values = list(criteria.values())
-    agree = all(v == values[0] for v in values)
-    return _record(
-        residual=0.0 if agree else 1.0,
-        conformal=values[0],
+        cp = block.cpack
+        isothermal = cp.isothermal
+        abs_bww = np.abs(cp.B_ww)
+        bww2 = _dot(abs_bww.T, abs_bww.T)
+        crit_bww = np.abs(_dot(cp.B_ww.T, cp.B_ww.T)) <= tol * (bww2 + tol)
+        omega = np.abs(cp.omega_coeff)
+        crit_omega = omega <= tol
+        agree = ~isothermal | ((crit_bww == crit_mu) & (crit_omega == crit_mu))
+    records = skips.records(
+        np.where(agree, 0.0, 1.0),
+        conformal=crit_mu,
         agree=agree,
-        omega=omega,
-        **{f"criterion_{k}": v for k, v in criteria.items()},
+        omega=_optional(omega, isothermal),
+        criterion_mu=crit_mu,
+        criterion_bww=_optional(crit_bww, isothermal, _ABSENT),
+        criterion_omega=_optional(crit_omega, isothermal, _ABSENT),
     )
+    for i in np.flatnonzero(convention):
+        if not records[i]["skipped"]:
+            records[i].update(residual=0.0, detail={"conformal": True, "criteria": "convention"})
+    return records
 
 
 def _aggregate_gauss_conformal(records, tol):
@@ -522,28 +543,28 @@ def _aggregate_gauss_conformal(records, tol):
     return extras, extras.get("omega_coupling_ok", True)
 
 
-def _eval_jacobian(ctx, state):
-    pg = ctx.pg
+def _eval_jacobian(block, state):
+    pg = block.pg
     n = pg.n
-    Df = pg.dF[:, n:].T  # (m, n)
+    Df = np.swapaxes(pg.dF[:, :, n:], 1, 2)  # (P, m, n)
+    m = Df.shape[1]
     sv = np.linalg.svd(Df, compute_uv=False)
-    s1 = sv[0] if sv.size > 0 else 0.0
-    s2 = sv[1] if sv.size > 1 else 0.0
+    s1 = sv[:, 0]
+    s2 = sv[:, 1] if m > 1 else 0.0
     minors = 0.0
-    m = Df.shape[0]
     for a in range(m):
         for b in range(a + 1, m):
-            minors += (Df[a, 0] * Df[b, 1] - Df[a, 1] * Df[b, 0]) ** 2
-    v = math.sqrt(float(np.linalg.det(pg.g0)))
-    res1 = abs(s1**2 * s2**2 - minors) / (1.0 + s1**2 * s2**2)
-    res2 = abs(v**2 - (1 + s1**2) * (1 + s2**2)) / (1.0 + v**2)
+            minors = minors + (Df[:, a, 0] * Df[:, b, 1] - Df[:, a, 1] * Df[:, b, 0]) ** 2
+    v = np.sqrt(np.linalg.det(pg.g0))
+    res1 = np.abs(s1**2 * s2**2 - minors) / (1.0 + s1**2 * s2**2)
+    res2 = np.abs(v**2 - (1 + s1**2) * (1 + s2**2)) / (1.0 + v**2)
     detail = {"sigma1": s1, "sigma2": s2, "minor_sum": minors, "volume_factor": v}
-    residual = max(res1, res2)
+    residual = _pymax(res1, res2)
     if m == 2:
-        jac = abs(float(np.linalg.det(Df)))
-        residual = max(residual, abs(s1 * s2 - jac) / (1.0 + jac))
+        jac = np.abs(np.linalg.det(Df))
+        residual = _pymax(residual, np.abs(s1 * s2 - jac) / (1.0 + jac))
         detail["abs_jacobian"] = jac
-    return _record(residual=residual, **detail)
+    return block.skips().records(residual, **detail)
 
 
 def _setup_isothermal(imm, options):
@@ -565,19 +586,19 @@ def _setup_isothermal(imm, options):
     return {"a": a, "b": b, "sheared": sheared, "lam12": lam12}
 
 
-def _eval_isothermal(ctx, state):
-    a, b = state["a"], state["b"]
-    g = ctx.sheared_g0(state)
-    scale = 1.0 + abs(g[0, 0])
-    residual = max(abs(g[0, 0] - g[1, 1]), abs(g[0, 1])) / scale
-    lam_sq = g[0, 0]
-    v = math.sqrt(float(np.linalg.det(ctx.pg.g0)))
-    decomposition_residual = abs(v - lam_sq * state["lam12"]) / (1.0 + v)
-    return _record(
-        residual=residual,
+def _eval_isothermal(block, state):
+    sheared = block.sheared(state)
+    skips = _Skips(block.points).fail(sheared.errors).fail(block.pg.errors)
+    g = sheared.g0
+    scale = 1.0 + np.abs(g[:, 0, 0])
+    residual = _pymax(np.abs(g[:, 0, 0] - g[:, 1, 1]), np.abs(g[:, 0, 1])) / scale
+    lam_sq = g[:, 0, 0]
+    v = np.sqrt(np.linalg.det(block.pg.g0))
+    return skips.records(
+        residual,
         conformal_factor=lam_sq,
         volume_factor=v,
-        decomposition_residual=decomposition_residual,
+        decomposition_residual=np.abs(v - lam_sq * state["lam12"]) / (1.0 + v),
     )
 
 
@@ -597,25 +618,27 @@ def _power_jet(jet, p: float):
     return jet_elementary("pow-const", jet, param=p)
 
 
-def _eval_subharmonicity(ctx, state):
-    if not ctx.minimal:
-        return _skip("mean curvature does not vanish")
+def _eval_subharmonicity(block, state):
     s, q = state["s"], state["q"]
-    pg = ctx.pg
-    if pg.normB2 <= RANK_TOL:
-        # the function touches its minimum 0: both sides vanish
-        return _record(residual=0.0, margin=0.0, lap=0.0, rhs=0.0)
-    lap = ctx.laplacian(("subharmonic", s, q))
-    rhs = (q - 3.0 * s) * pg.normB2 ** (s + 1.0) * ctx.volume**q
-    scale = 1.0 + abs(rhs)
-    return _record(residual=(rhs - lap) / scale, margin=lap - rhs, lap=lap, rhs=rhs)
+    pg = block.pg
+    # where |B| vanishes the function touches its minimum 0: both sides vanish
+    flat = pg.normB2 <= RANK_TOL
+    skips = block.skips(minimal=True)
+    lap = rhs = np.zeros(len(flat))
+    if (skips.live & ~flat).any():
+        lap, failures = block.laplacian(("subharmonic", s, q))
+        skips.fail({i: exc for i, exc in failures.items() if not flat[i]})
+        rhs = (q - 3.0 * s) * pg.normB2 ** (s + 1.0) * block.volume_jet.value**q
+        lap, rhs = np.where(flat, 0.0, lap), np.where(flat, 0.0, rhs)
+    return skips.records((rhs - lap) / (1.0 + np.abs(rhs)), margin=lap - rhs, lap=lap, rhs=rhs)
 
 
 class _Check(NamedTuple):
-    evaluate: Callable  # (PointView, state) -> record
+    evaluate: Callable  # (BlockContext, state) -> one record per point
     requires: tuple = ()  # keys of _REQUIREMENTS, checked in order
     setup: Callable | None = None  # (imm, options) -> state
     aggregate: Callable | None = None  # (records, tol) -> (extras, ok)
+    options: tuple = ()  # the option keys a config may give besides name and tol
 
 
 _REQUIREMENTS = {
@@ -636,10 +659,20 @@ _CHECK_TABLE = {
     "refined-simons": _Check(_eval_refined_simons),
     "gauss-conformal": _Check(_eval_gauss_conformal, aggregate=_aggregate_gauss_conformal),
     "jacobian": _Check(_eval_jacobian, _GRAPH_SURFACE),
-    "isothermal": _Check(_eval_isothermal, _GRAPH_SURFACE, setup=_setup_isothermal),
-    "subharmonicity": _Check(_eval_subharmonicity, setup=_setup_subharmonicity),
+    "isothermal": _Check(_eval_isothermal, _GRAPH_SURFACE, setup=_setup_isothermal,
+                         options=("a", "b")),
+    "subharmonicity": _Check(_eval_subharmonicity, setup=_setup_subharmonicity,
+                             options=("s", "q")),
 }
 GRID_CHECKS = tuple(_CHECK_TABLE)
+# a probe's parameters have their own config section
+_GLOBAL_OPTIONS = {"growth": ("radii", "cells"), "probe": ()}
+GLOBAL_CHECKS = tuple(_GLOBAL_OPTIONS)
+
+
+def check_options(name: str) -> tuple:
+    """The option keys a configured check accepts besides `name` and `tol`."""
+    return _CHECK_TABLE[name].options if name in _CHECK_TABLE else _GLOBAL_OPTIONS[name]
 
 
 def make_check_state(name: str, imm: Immersion, frame, options: dict, tol: float):
@@ -666,21 +699,12 @@ def evaluate_point(imm: Immersion, frame, specs, points):
 
     `specs` is a list of (name, state) pairs.  Returns, per point, one record
     per spec in spec order; a point's records do not depend on its block.
-    Evaluation errors are collected per point, never fatal here.
+    A point that fails to evaluate is skipped with its error as the reason.
     """
-    out = []
+    block = BlockContext(imm, points, frame)
     with np.errstate(all="ignore"):
-        for ctx in BlockContext(imm, points, frame).views():
-            records = []
-            for name, state in specs:
-                try:
-                    rec = _CHECK_TABLE[name].evaluate(ctx, state)
-                except EVALUATION_ERRORS as exc:
-                    rec = _skip(f"evaluation error: {exc}")
-                rec["point"] = ctx.point
-                records.append(rec)
-            out.append(records)
-    return out
+        columns = [_CHECK_TABLE[name].evaluate(block, state) for name, state in specs]
+    return [list(records) for records in zip(*columns)]
 
 
 def _finite_max(values):
@@ -984,19 +1008,18 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
         reason = "integral probes require a graph immersion"
     else:
         probe_pts = [tuple(0.1 * k for _ in range(imm.n)) for k in (0, 1, 3)]
-        try:
-            for ctx in BlockContext(imm, probe_pts, reference_frame).views():
-                if not ctx.minimal:
-                    reason = "mean curvature does not vanish"
-                    break
-                if ctx.canon is None:
-                    reason = "Gauss-map rank above 2"
-                    break
-                if reference_frame is not None and ctx.apack.value <= 0.0:
-                    reason = "alignment function not positive on the sampled region"
-                    break
-        except EVALUATION_ERRORS as exc:
-            reason = f"evaluation error near the origin: {exc}"
+        block = BlockContext(imm, probe_pts, reference_frame)
+        for i, failure in enumerate(block.pg.errors):
+            if failure is not None:
+                reason = f"evaluation error near the origin: {failure}"
+            elif not block.minimal[i]:
+                reason = "mean curvature does not vanish"
+            elif block.canon.errors[i] is not None:
+                reason = "Gauss-map rank above 2"
+            elif reference_frame is not None and block.apack.value[i] <= 0.0:
+                reason = "alignment function not positive on the sampled region"
+            if reason is not None:
+                break
 
     if reason is not None:
         return ProbeRecord(

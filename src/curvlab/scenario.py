@@ -26,6 +26,7 @@ from .checks import (
     ProbeParams,
     aggregate_check,
     blocks,
+    check_options,
     evaluate_point,
     growth_check_result,
     make_check_state,
@@ -161,6 +162,10 @@ def _build_checks(items, surface, frame) -> list[CheckSpec]:
         _require(isinstance(tol, (int, float)) and tol > 0, f"{path}.tol",
                  "tolerance must be positive")
         options = {k: v for k, v in item.items() if k not in ("name", "tol")}
+        accepted = check_options(name)
+        for key in options:
+            _require(key in accepted, f"{path}.{key}", f"unknown option for check {name!r} "
+                     f"(accepted: {', '.join(accepted) or 'none'})")
         if name in GRID_CHECKS:
             try:
                 make_check_state(name, surface, frame, options, float(tol))
@@ -258,8 +263,8 @@ class Report:
                 entry["reason"] = res.reason
             if res.extras:
                 entry["extras"] = _jsonify(res.extras)
-            if detail:
-                entry["details"] = _jsonify(res.details)
+            if detail:  # records hold only Python scalars, tuples and None
+                entry["details"] = res.details
             out["checks"].append(entry)
         return out
 
@@ -269,6 +274,8 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -280,7 +287,8 @@ def _jsonify(obj):
     return obj
 
 
-def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=None) -> list[CheckResult]:
+def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=None,
+               points=None) -> list[CheckResult]:
     """Evaluate grid checks in one pass over `grid`: one CheckResult per spec, in order.
 
     All specs share one block context per block of grid points, so the
@@ -288,6 +296,7 @@ def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=Non
     records do not depend on its block.  Raises CheckConfigError for options
     outside a check's domain, a missing requirement (reference frame, graph,
     n = 2), or a surface that fails to evaluate at every grid point.
+    `points` may pass `grid.points()` when the caller has it already.
     """
     if not specs:
         return []
@@ -295,7 +304,7 @@ def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=Non
     states = [(s.name, make_check_state(s.name, imm, frame, s.options, tol))
               for s, tol in zip(specs, tols)]
     per_point = []
-    for chunk in blocks(grid.points()):
+    for chunk in blocks(grid.points() if points is None else points):
         per_point.extend(evaluate_point(imm, frame, states, chunk))
     if per_point and all(rec["skipped"] and str(rec["reason"]).startswith("evaluation error")
                          for records in per_point for rec in records):
@@ -324,7 +333,9 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
             in_pass[i] = spec
         elif spec.name == "probe" and imm.kind == "graph":
             in_pass[i] = CheckSpec("subharmonicity", spec.tol, {"s": params.s, "q": params.q})
-    on_grid = dict(zip(in_pass, run_checks(imm, config.grid, list(in_pass.values()), frame)))
+    points = config.grid.points()
+    on_grid = dict(zip(in_pass, run_checks(imm, config.grid, list(in_pass.values()), frame,
+                                           points)))
 
     results = []
     for i, spec in enumerate(config.checks):
@@ -350,7 +361,7 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
         scenario=copy.deepcopy(config.raw),
         results=results,
         overall=overall,
-        n_grid_points=len(config.grid.points()),
+        n_grid_points=len(points),
         elapsed_seconds=time.perf_counter() - start,
     )
 

@@ -2,8 +2,11 @@
 
 tests/golden/<name>.json holds each bundled scenario's report,
 `to_dict(detail=False)`, as captured from the per-point pipeline before grid
-points were evaluated in blocks.  Verdicts, counts, reasons and every key
-must match exactly; floats within |delta| <= 1e-9 (1 + |x|).
+points were evaluated in blocks.  tests/golden/details-<name>.json holds the
+raw per-point records of a small config from DETAIL_CONFIGS, as captured from
+the per-point evaluators before they evaluated whole blocks.  Verdicts,
+counts, reasons, types and every key (in order) must match exactly; floats
+within |delta| <= 1e-9 (1 + |x|).
 """
 
 import json
@@ -16,7 +19,7 @@ from curvlab import checks
 from curvlab.scenario import _jsonify, load_config, load_config_file, run_checks, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
-SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json"))
+SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json") if not p.stem.startswith("details-"))
 FLOAT_BOUND = 1e-9
 
 
@@ -26,7 +29,7 @@ def bundled_path(name: str) -> str:
 
 def assert_matches(got, want, path="report"):
     if isinstance(want, dict):
-        assert isinstance(got, dict) and sorted(got) == sorted(want), f"{path}: keys differ"
+        assert isinstance(got, dict) and list(got) == list(want), f"{path}: keys differ"
         for key in want:
             assert_matches(got[key], want[key], f"{path}.{key}")
     elif isinstance(want, list):
@@ -53,7 +56,102 @@ def test_report_matches_golden(name):
     assert_matches(got, json.loads((GOLDEN / f"{name}.json").read_text()))
 
 
+LEAF_TYPES = (float, int, bool, str, type(None))
+
+
+def leaves(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from leaves(value)
+    elif type(obj) is tuple:
+        yield obj
+        for value in obj:
+            yield from leaves(value)
+    else:
+        yield obj
+
+
+def test_detail_records_hold_only_python_values():
+    # emit_report hands the records to json.dumps as they are
+    for name in SCENARIOS:
+        report = run_scenario(load_config_file(bundled_path(name)))
+        bad = {type(leaf).__name__ for res in report.results for rec in res.details
+               for leaf in leaves(rec) if type(leaf) not in LEAF_TYPES + (tuple,)}
+        assert not bad, f"{name}: detail records hold {sorted(bad)}"
+
+
 CUBIC = [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]  # generic: no symmetric values
+SURFACE_CHECKS = [c["name"] for c in
+                  json.loads(Path(bundled_path("z2-full")).read_text())["checks"]]
+SOLID_CHECKS = ["minimality", "pluecker", "alignment-identities", "log-alignment", "simons",
+                "kato", "refined-simons", "gauss-conformal", "subharmonicity"]
+SHEAR = {"name": "isothermal", "a": 0.3, "b": 0.8}
+
+
+def _checks(names, *extra):
+    return [{"name": n, "s": 1, "q": 1} if n == "subharmonicity" else {"name": n}
+            for n in names] + list(extra)
+
+
+def _grid(n, count):
+    return {"ranges": [[-1.0, 1.0]] * n, "counts": [count] * n}
+
+
+# small grids that between them reach every branch of every grid evaluator
+DETAIL_CONFIGS = {
+    "cubic": {
+        "surface": {"kind": "catalogue", "name": "holo-curve", "params": {"coeffs": CUBIC}},
+        "grid": _grid(2, 5),
+        "checks": _checks(SURFACE_CHECKS),
+    },
+    # w = z^3: B vanishes at the origin; the tilted frame gives an alignment of
+    # (1 - |f'|^2) / 2, positive for |z| < 0.58 only
+    "isothermal-shear": {
+        "surface": {"kind": "catalogue", "name": "holo-curve", "params": {"coeffs": [0, 0, 0, 1]}},
+        "grid": _grid(2, 5),
+        "reference_frame": [[0.5**0.5, 0, 0.5**0.5, 0], [0, 0.5**0.5, 0, -(0.5**0.5)]],
+        "checks": _checks(SURFACE_CHECKS[:-1], {"name": "subharmonicity", "s": 1.5, "q": 2.5},
+                          SHEAR),
+    },
+    "cylinder-cubic": {
+        "surface": {"kind": "catalogue", "name": "cylinder-over",
+                    "params": {"base": "holo-curve", "base_params": {"coeffs": CUBIC}}},
+        "grid": _grid(3, 3),
+        "checks": _checks(SOLID_CHECKS),
+    },
+    # Gauss-map rank 3 everywhere; the traceless Hessian makes the origin minimal
+    "rank3-quadric": {
+        "surface": {"kind": "graph", "exprs": ["x^2+y^2-2*z^2"], "n": 3},
+        "grid": _grid(3, 3),
+        "checks": _checks(SOLID_CHECKS),
+    },
+    # minimal but not conformal: conformal is False in simons and gauss-conformal
+    "catenoid": {
+        "surface": {"kind": "catalogue", "name": "catenoid"},
+        "grid": _grid(2, 5),
+        "reference_frame": [[0, 0, 1, 0], [0, 1, 0, 0]],
+        "checks": _checks(SOLID_CHECKS),
+    },
+    # half of this grid fails to evaluate (log of x <= 0): failures stay per point
+    "partial-failures": {
+        "surface": {"kind": "graph", "exprs": ["log(x)", "x*y"], "n": 2},
+        "grid": {"ranges": [[-1.0, 1.0], [-1.0, 1.0]], "counts": [6, 5]},
+        "checks": _checks(SURFACE_CHECKS, SHEAR),
+    },
+}
+
+
+def detail_records(name):
+    """The raw records of DETAIL_CONFIGS[name], one list per check, round-tripped through JSON."""
+    config = load_config(DETAIL_CONFIGS[name])
+    results = run_checks(config.surface, config.grid, config.checks, config.frame_or_default)
+    return json.loads(json.dumps([[res.name, res.details] for res in results]))
+
+
+@pytest.mark.parametrize("name", sorted(DETAIL_CONFIGS))
+def test_detail_records_match_golden(name):
+    want = json.loads((GOLDEN / f"details-{name}.json").read_text())
+    assert_matches(detail_records(name), want, f"details-{name}")
 
 
 @pytest.mark.parametrize("config", [
@@ -77,7 +175,10 @@ CUBIC = [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]  # generic: no symmetr
         "grid": {"ranges": [[-1.0, 1.0], [-1.0, 1.0]], "counts": [6, 5]},
         "checks": [{"name": "minimality"}, {"name": "simons"}, {"name": "log-alignment"}],
     }),
-], ids=["z2-full", "cubic", "cylinder-cubic", "partial-failures"])
+    load_config(DETAIL_CONFIGS["rank3-quadric"]),
+    load_config(DETAIL_CONFIGS["isothermal-shear"]),
+], ids=["z2-full", "cubic", "cylinder-cubic", "partial-failures", "rank3-quadric",
+        "isothermal-shear"])
 def test_block_composition_does_not_change_records(config, monkeypatch):
     encode = []
     # one block, blocks of 7, point by point

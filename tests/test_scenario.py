@@ -70,6 +70,25 @@ class TestConfigValidation:
         report = run_scenario(config)
         assert report.overall == "pass"  # z^3 is holomorphic, hence minimal
 
+    @pytest.mark.parametrize("check, key", [
+        ({"name": "kato", "zeta_tol": 1e-3}, "zeta_tol"),
+        ({"name": "simons", "tolerance": 5}, "tolerance"),
+        ({"name": "growth", "radii": [1.0, 2.0], "cell": 64}, "cell"),
+    ])
+    def test_unknown_check_option_names_field(self, check, key):
+        cfg = small_z2_config(checks=[{"name": "minimality"}, check])
+        with pytest.raises(ConfigError, match="unknown option") as err:
+            load_config(cfg)
+        assert err.value.path == f"checks[1].{key}"
+
+    def test_declared_check_options_load(self):
+        checks = [{"name": "isothermal", "a": 0.3, "b": 0.8},
+                  {"name": "subharmonicity", "s": 1, "q": 2},
+                  {"name": "growth", "radii": [1.0], "cells": 64}, {"name": "kato", "tol": 1e-6}]
+        config = load_config(small_z2_config(checks=checks))
+        assert [spec.options for spec in config.checks] == [
+            {"a": 0.3, "b": 0.8}, {"s": 1, "q": 2}, {"radii": [1.0], "cells": 64}, {}]
+
     def test_graph_check_on_parametric_surface_rejected(self):
         cfg = {
             "surface": {"kind": "catalogue", "name": "catenoid"},
@@ -146,6 +165,16 @@ class TestEmission:
         worst = {e["name"]: e["worst_residual"] for e in data["checks"]}
         for res in report.results:
             assert worst[res.name] == res.worst_residual
+
+    def test_json_booleans(self, tmp_path):
+        report = run_scenario(load_config(bundled("z2-full")))
+        out = tmp_path / "z2.json"
+        emit_report(report, "json", out, detail=True)
+        text = out.read_text()
+        assert '"all_conformal": true' in text and '"skipped": false' in text
+        entry = {e["name"]: e for e in json.loads(text)["checks"]}["gauss-conformal"]
+        assert entry["extras"]["omega_coupling_ok"] is True
+        assert entry["details"][0]["skipped"] is False
 
     def test_same_config_twice_is_byte_identical(self, tmp_path):
         config = load_config(bundled("catenoid-kato"))
