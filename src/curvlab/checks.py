@@ -23,15 +23,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expressions import (
-    BinOp,
-    Const,
-    Var,
-    differentiate,
-    evaluate_expression,
-    substitute,
-)
+from .expressions import differentiate, evaluate_expression
 from .geometry import (
+    MINIMALITY_TOL,
+    RANK_TOL,
     PointGeometry,
     alignment_pack_at,
     canonical_frame_at,
@@ -44,14 +39,12 @@ from .geometry import (
     point_geometry_at,
     scalar_field_jet,
 )
-from .immersions import Immersion
+from .immersions import Immersion, evaluate_array
 from .jets import jet_elementary, ordered_einsum
 
-RANK_TOL = 1e-8
 BLOCK_SIZE = 64  # grid points evaluated together in one pass of array code
 EQUALITY_THRESHOLD = 1e-4  # looser than identity tolerances by design
 IDENTITY_DEEP_TOL = 1e-4  # fourth-order two-route identities
-MINIMALITY_TOL = 1e-8  # hypothesis probe, not the minimality check itself
 
 DEFAULT_TOLERANCES = {
     "minimality": 1e-10,
@@ -119,7 +112,6 @@ class BlockContext:
         self.points = [tuple(float(p) for p in point) for point in points]
         self.reference_frame = reference_frame
         self._laplacians = {}
-        self._sheared = {}
 
     @cached_property
     def pg(self) -> PointGeometry:
@@ -176,14 +168,6 @@ class BlockContext:
                 jet = _power_jet(self.pg.normB2_jet, s) * _power_jet(self.volume_jet, q)
             self._laplacians[field] = (laplace_beltrami_of_jet(self.pg, jet), jet.failures)
         return self._laplacians[field]
-
-    def sheared(self, state) -> PointGeometry:
-        """Geometry of the isothermal check's sheared immersion at the sheared points."""
-        if id(state) not in self._sheared:
-            x = np.array(self.points)
-            u = np.stack([x[:, 0], state["a"] * x[:, 0] + state["b"] * x[:, 1]], axis=1)
-            self._sheared[id(state)] = point_geometry_at(state["sheared"], u)
-        return self._sheared[id(state)]
 
 
 _ABSENT = object()  # a detail column's value at a point whose record omits that key
@@ -572,33 +556,25 @@ def _setup_isothermal(imm, options):
     b = float(options.get("b", 1.0))
     if b <= 0:
         raise CheckConfigError("isothermal shear requires b > 0")
-    # u1 = x1, u2 = a x1 + b x2  =>  x1 = u1, x2 = (u2 - a u1) / b
-    x2 = BinOp("-", BinOp("/", Var(1), Const(b)), BinOp("*", Const(a / b), Var(0)))
-    mapping = {0: Var(0), 1: x2}
-    sheared = Immersion(
-        imm.n,
-        imm.m,
-        tuple(substitute(c, mapping) for c in imm.components),
-        "parametric",
-        f"{imm.name}-sheared",
-    )
-    lam12 = b  # product of the shear eigenvalues: det [[1+a^2, ab],[ab, b^2]] = b^2
-    return {"a": a, "b": b, "sheared": sheared, "lam12": lam12}
+    return {"a": a, "b": b}
 
 
 def _eval_isothermal(block, state):
-    sheared = block.sheared(state)
-    skips = _Skips(block.points).fail(sheared.errors).fail(block.pg.errors)
-    g = sheared.g0
-    scale = 1.0 + np.abs(g[:, 0, 0])
-    residual = _pymax(np.abs(g[:, 0, 0] - g[:, 1, 1]), np.abs(g[:, 0, 1])) / scale
-    lam_sq = g[:, 0, 0]
-    v = np.sqrt(np.linalg.det(block.pg.g0))
-    return skips.records(
+    # the sheared chart u1 = x1, u2 = a x1 + b x2 has dx/du = J = [[1, 0], [c, d]],
+    # c = -a/b, d = 1/b, so by the chain rule its metric is J^T g J of the block's g
+    g = block.pg.g0
+    c, d = -state["a"] / state["b"], 1.0 / state["b"]
+    g00 = g[:, 0, 0] + 2.0 * c * g[:, 0, 1] + c * c * g[:, 1, 1]
+    g01 = d * (g[:, 0, 1] + c * g[:, 1, 1])
+    g11 = d * d * g[:, 1, 1]
+    residual = _pymax(np.abs(g00 - g11), np.abs(g01)) / (1.0 + np.abs(g00))
+    v = np.sqrt(np.linalg.det(g))
+    # sqrt det g = lam^2 det J^-1 = lam^2 b, lam^2 the conformal factor g00
+    return block.skips().records(
         residual,
-        conformal_factor=lam_sq,
+        conformal_factor=g00,
         volume_factor=v,
-        decomposition_residual=np.abs(v - lam_sq * state["lam12"]) / (1.0 + v),
+        decomposition_residual=np.abs(v - g00 * state["b"]) / (1.0 + v),
     )
 
 
@@ -697,14 +673,14 @@ def blocks(points: list):
 def evaluate_point(imm: Immersion, frame, specs, points):
     """Evaluate grid checks at a block of points that share one BlockContext.
 
-    `specs` is a list of (name, state) pairs.  Returns, per point, one record
-    per spec in spec order; a point's records do not depend on its block.
-    A point that fails to evaluate is skipped with its error as the reason.
+    `specs` is a list of (name, state) pairs.  Returns, per spec in spec
+    order, one record per point; a point's records do not depend on its
+    block.  A point that fails to evaluate is skipped with its error as the
+    reason.
     """
     block = BlockContext(imm, points, frame)
     with np.errstate(all="ignore"):
-        columns = [_CHECK_TABLE[name].evaluate(block, state) for name, state in specs]
-    return [list(records) for records in zip(*columns)]
+        return [_CHECK_TABLE[name].evaluate(block, state) for name, state in specs]
 
 
 def _finite_max(values):
@@ -724,21 +700,19 @@ def aggregate_check(name: str, tol: float, records: list) -> CheckResult:
     live = [r for r in records if not r["skipped"]]
     skipped = [r for r in records if r["skipped"]]
     extras, extra_ok = (aggregator(records, tol) if aggregator else ({}, True))
-    if not live:
+    if live:
+        worst, n_nonfinite = _finite_max(r["residual"] for r in live)
+        if n_nonfinite:
+            extras = {**extras, "n_nonfinite": n_nonfinite}
+        ok = not n_nonfinite and worst <= tol and extra_ok
+        verdict, reason = "pass" if ok else "fail", None
+    else:
+        worst, verdict = None, "not-applicable"
         reason = skipped[0]["reason"] if skipped else "no points evaluated"
-        return CheckResult(
-            name=name, tolerance=tol, worst_residual=None, verdict="not-applicable",
-            n_points=len(records), n_skipped=len(skipped), extras=extras,
-            details=records, reason=reason,
-        )
-    worst, n_nonfinite = _finite_max(r["residual"] for r in live)
-    if n_nonfinite:
-        extras = {**extras, "n_nonfinite": n_nonfinite}
-    ok = not n_nonfinite and worst <= tol and extra_ok
     return CheckResult(
-        name=name, tolerance=tol, worst_residual=worst, verdict="pass" if ok else "fail",
+        name=name, tolerance=tol, worst_residual=worst, verdict=verdict,
         n_points=len(records), n_skipped=len(skipped), extras=extras,
-        details=records,
+        details=records, reason=reason,
     )
 
 
@@ -790,19 +764,13 @@ class _GraphFields:
         )
         self.comps = comps
 
-    def _eval(self, node, axes):
-        val = evaluate_expression(node, axes)
-        if not isinstance(val, np.ndarray):
-            val = np.full_like(axes[0], float(val))
-        return val
-
     def fields(self, axes, want_normB2=False):
         """Per-point v, squared extrinsic distance to F(0), optionally |B|^2."""
         rn, rm = range(self.n), range(self.m)
-        cols = [[self._eval(self.d1[a][i], axes) for a in rm] for i in rn]  # cols[i][a] = f^a_i
+        cols = [[evaluate_array(self.d1[a][i], axes) for a in rm] for i in rn]  # cols[i][a] = f^a_i
         g = [[_dot(cols[i], cols[j]) + (i == j) for j in rn] for i in rn]  # delta_ij + f_i . f_j
         det, cof = _det_cofactors(g)
-        f = np.stack([self._eval(c, axes) for c in self.comps], axis=1)
+        f = np.stack([evaluate_array(c, axes) for c in self.comps], axis=1)
         dist2 = sum(ax**2 for ax in axes) + np.sum((f - self.f0[None, :]) ** 2, axis=1)
         out = {"v": np.sqrt(det), "dist2": dist2}
         if want_normB2:
@@ -811,7 +779,7 @@ class _GraphFields:
             # e_ij = g^-1 c_ij, c_ijs = f_ij . f_s; its first n components, -e_ij, enter squared
             B = {}
             for i, j in self.d2[0]:
-                fij = [self._eval(d2[i, j], axes) for d2 in self.d2]
+                fij = [evaluate_array(d2[i, j], axes) for d2 in self.d2]
                 c = [_dot(fij, cols[s]) for s in rn]
                 e = [_dot(row, c) for row in ginv]
                 B[i, j] = B[j, i] = e + [fij[a] - _dot(e, [cols[r][a] for r in rn]) for a in rm]
@@ -842,7 +810,6 @@ class GrowthTable:
     radii: list
     volumes: list
     max_v: list
-    delta_f: list  # max slope over the ball; equals max_v for graphs
     half_volumes: list
     volume_ratios: list  # V(R) / V(R/2)
     volume_exponent: float | None
@@ -910,7 +877,6 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
         radii=radii,
         volumes=volumes,
         max_v=max_v,
-        delta_f=list(max_v),
         half_volumes=half_volumes,
         volume_ratios=ratios,
         volume_exponent=fit_exponent(volumes),
@@ -921,29 +887,31 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
     )
 
 
-def growth_check_result(imm, radii, cells=256, tol=None) -> tuple[CheckResult, GrowthTable]:
-    """Wrap the growth table as a check: volume monotonicity and the box bound."""
-    tol = DEFAULT_TOLERANCES["growth"] if tol is None else tol
-    table = growth_table(imm, radii, cells)
-    ok = table.flags["volume_monotone"] and table.flags["volume_bound_ok"]
-    extras = {
-        "radii": table.radii,
-        "volumes": table.volumes,
-        "max_v": table.max_v,
-        "volume_ratios": table.volume_ratios,
-        "volume_exponent": table.volume_exponent,
-        "slope_exponent": table.slope_exponent,
-        "v_over_R23": table.v_over_R23,
-        "flags": table.flags,
-    }
-    return (
-        CheckResult(
-            name="growth", tolerance=tol, worst_residual=0.0 if ok else 1.0,
-            verdict="pass" if ok else "fail", n_points=len(table.radii),
-            n_skipped=0, extras=extras,
-        ),
-        table,
+def _table_result(name, tol, verdict, worst=None, n_points=0, table=None, fields=(),
+                  reason=None, **extras) -> CheckResult:
+    """A growth or probe result: extras are `table`'s `fields` by name, then `extras`."""
+    return CheckResult(
+        name=name, tolerance=DEFAULT_TOLERANCES[name] if tol is None else tol,
+        worst_residual=worst, verdict=verdict, n_points=n_points, n_skipped=0,
+        extras={**{key: getattr(table, key) for key in fields}, **extras}, reason=reason,
     )
+
+
+def growth_check_result(imm, radii, cells, tol) -> tuple[CheckResult, GrowthTable | None]:
+    """Wrap the growth table as a check: volume monotonicity and the box bound.
+
+    Not applicable, with no table, when the table cannot be built (not a
+    graph, or too few cells inside a ball).
+    """
+    try:
+        table = growth_table(imm, radii, cells)
+    except CheckConfigError as exc:
+        return _table_result("growth", tol, "not-applicable", reason=str(exc)), None
+    ok = table.flags["volume_monotone"] and table.flags["volume_bound_ok"]
+    fields = ("radii", "volumes", "max_v", "volume_ratios", "volume_exponent",
+              "slope_exponent", "v_over_R23", "flags")
+    return _table_result("growth", tol, "pass" if ok else "fail", 0.0 if ok else 1.0,
+                         len(table.radii), table, fields), table
 
 
 # -- estimate probes -----------------------------------------------------------------
@@ -982,15 +950,15 @@ class ProbeParams:
 class ProbeRecord:
     params: ProbeParams
     applicable: bool
-    reason: str | None
-    lp_lhs: float | None  # || |B|^2 v^(2q/t) ||_{L^t(B_R0)}
-    lp_rhs: float | None  # || v^(2q/t) ||_{L^t(B_R)}
-    implied_c3: float | None  # lhs (R - R0)^2 / rhs
-    pointwise_lhs: float | None  # (|B|^2 v^3)(0)
-    max_v: float | None
-    volume_R: float | None
-    volume_half_R: float | None
-    implied_c4: float | None  # lhs R^2 (max v)^-3 (V(R)/V(R/2))^(-1/t)
+    reason: str | None = None
+    lp_lhs: float | None = None  # || |B|^2 v^(2q/t) ||_{L^t(B_R0)}
+    lp_rhs: float | None = None  # || v^(2q/t) ||_{L^t(B_R)}
+    implied_c3: float | None = None  # lhs (R - R0)^2 / rhs
+    pointwise_lhs: float | None = None  # (|B|^2 v^3)(0)
+    max_v: float | None = None
+    volume_R: float | None = None
+    volume_half_R: float | None = None
+    implied_c4: float | None = None  # lhs R^2 (max v)^-3 (V(R)/V(R/2))^(-1/t)
 
 
 def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> ProbeRecord:
@@ -1022,11 +990,7 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
                 break
 
     if reason is not None:
-        return ProbeRecord(
-            params=params, applicable=False, reason=reason,
-            lp_lhs=None, lp_rhs=None, implied_c3=None, pointwise_lhs=None,
-            max_v=None, volume_R=None, volume_half_R=None, implied_c4=None,
-        )
+        return ProbeRecord(params=params, applicable=False, reason=reason)
 
     gf = _GraphFields(imm)
     axes, weight = _midpoint_axes(params.R, gf.n, params.cells)
@@ -1058,44 +1022,28 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
         )
 
     return ProbeRecord(
-        params=params, applicable=True, reason=None,
+        params=params, applicable=True,
         lp_lhs=lp_lhs, lp_rhs=lp_rhs, implied_c3=implied_c3,
         pointwise_lhs=pointwise_lhs, max_v=max_v, volume_R=volume_R,
         volume_half_R=volume_half, implied_c4=implied_c4,
     )
 
 
-def probe_check_result(imm, reference_frame, params, sub=None, tol=None):
+def probe_check_result(imm, reference_frame, params, sub, tol):
     """Wrap a probe as a check: only the subharmonicity part is asserted.
 
     `sub` is the grid result of the probe's own ("subharmonicity", params.s,
     params.q) check, or None when the grid was not evaluated for it.
     """
-    tol = DEFAULT_TOLERANCES["probe"] if tol is None else tol
     record = estimate_probe(imm, reference_frame, params)
     evaluated = 0 if sub is None else sub.n_points - sub.n_skipped
-    extras = {
-        "applicable": record.applicable,
-        "implied_c3": record.implied_c3,
-        "implied_c4": record.implied_c4,
-        "lp_lhs": record.lp_lhs,
-        "lp_rhs": record.lp_rhs,
-        "pointwise_lhs": record.pointwise_lhs,
-        "max_v": record.max_v,
-        "volume_R": record.volume_R,
-        "volume_half_R": record.volume_half_R,
-        "subharmonicity_points": evaluated,
-    }
+    fields = ("applicable", "implied_c3", "implied_c4", "lp_lhs", "lp_rhs", "pointwise_lhs",
+              "max_v", "volume_R", "volume_half_R")
     if not record.applicable:
-        result = CheckResult(
-            name="probe", tolerance=tol, worst_residual=None,
-            verdict="not-applicable", n_points=0, n_skipped=0,
-            extras=extras, reason=record.reason,
-        )
+        verdict, worst = "not-applicable", None
+    elif evaluated:
+        verdict, worst = sub.verdict, sub.worst_residual
     else:  # no evaluated point passes with worst residual 0
-        result = CheckResult(
-            name="probe", tolerance=tol, worst_residual=sub.worst_residual if evaluated else 0.0,
-            verdict=sub.verdict if evaluated else "pass", n_points=evaluated, n_skipped=0,
-            extras=extras,
-        )
-    return result, record
+        verdict, worst = "pass", 0.0
+    return _table_result("probe", tol, verdict, worst, evaluated if record.applicable else 0,
+                         record, fields, record.reason, subharmonicity_points=evaluated), record

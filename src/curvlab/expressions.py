@@ -398,21 +398,6 @@ def differentiate(node: ExprNode, axis: int) -> ExprNode:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def substitute(node: ExprNode, mapping: dict[int, ExprNode]) -> ExprNode:
-    """Replace variables by expressions (used for linear reparametrizations)."""
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Var):
-        return mapping.get(node.index, node)
-    if isinstance(node, Call):
-        return Call(node.func, substitute(node.arg, mapping))
-    if isinstance(node, Pow):
-        return Pow(substitute(node.base, mapping), node.exponent)
-    if isinstance(node, BinOp):
-        return BinOp(node.op, substitute(node.left, mapping), substitute(node.right, mapping))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def expression_variables(node: ExprNode) -> set[int]:
     """Set of variable indices referenced by the expression."""
     if isinstance(node, Const):

@@ -51,7 +51,8 @@ from .jets import (
     ordered_einsum,
 )
 
-RANK_TOL = 1e-8
+RANK_TOL = 1e-8  # Gauss-map rank, and a vanishing second fundamental form
+MINIMALITY_TOL = 1e-8  # the minimality hypothesis, not the minimality check itself
 
 SCALAR_FIELDS = ("volume", "alignment", "log-alignment", "normB2", "normB")
 
@@ -375,14 +376,14 @@ def _gauss_matrix(pg: PointGeometry) -> np.ndarray:
     return np.moveaxis(pg.h, -3, -1).reshape(pg.h.shape[:-3] + (pg.n, pg.n * pg.m))
 
 
-def gauss_rank_at(pg: PointGeometry, tol: float = RANK_TOL):
+def gauss_rank_at(pg: PointGeometry):
     """Numerical rank of the Gauss-map differential and its singular values.
 
     For a block: (P,) ranks and (P, n) singular values.
     """
     sv = np.linalg.svd(_gauss_matrix(pg), compute_uv=False)
     base = np.where(sv[..., 0] > 0, sv[..., 0], 1.0)
-    rank = np.sum(sv > tol * base[..., None], axis=-1)
+    rank = np.sum(sv > RANK_TOL * base[..., None], axis=-1)
     return (rank, sv) if pg.errors is not None else (int(rank), sv)
 
 
@@ -411,7 +412,7 @@ class CanonicalFrame:
     errors: list | None = None  # block only: the failure of each point, or None
 
 
-def canonical_frame_at(pg: PointGeometry, tol: float = RANK_TOL) -> CanonicalFrame:
+def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
     """Rotate frames so the shape operators take their rank-2 normal form.
 
     Requires Gauss-map rank <= 2; raises GaussRankError otherwise (the
@@ -419,14 +420,15 @@ def canonical_frame_at(pg: PointGeometry, tol: float = RANK_TOL) -> CanonicalFra
     failures are collected in `errors`.
     """
     if pg.errors is None:
-        return _single(_canonical(_batch1(pg), tol))
-    return _canonical(pg, tol)
+        return _single(_canonical(_batch1(pg)))
+    return _canonical(pg)
 
 
-def _canonical(pg: PointGeometry, tol: float) -> CanonicalFrame:
+def _canonical(pg: PointGeometry) -> CanonicalFrame:
     n, m, N = pg.n, pg.m, pg.n + pg.m
     P = len(pg.h)
-    rank, sv = gauss_rank_at(pg, tol)
+    tol = RANK_TOL
+    rank, sv = gauss_rank_at(pg)
     errors = list(pg.errors)
     for p in np.flatnonzero(rank > 2):
         errors[p] = errors[p] or GaussRankError(
@@ -528,11 +530,10 @@ def scalar_field_jet(
     imm: Immersion,
     point,
     field: str,
-    order: int = 2,
     reference_frame=None,
     pg: PointGeometry | None = None,
 ) -> Jet:
-    """Order-<=2 jet of a derived scalar field of the immersion.
+    """Order-2 jet of a derived scalar field of the immersion.
 
     Fields: 'volume' (sqrt det g), 'alignment' (needs reference_frame),
     'log-alignment', 'normB2', 'normB'.  The whole geometric pipeline is
@@ -541,8 +542,6 @@ def scalar_field_jet(
     """
     if field not in SCALAR_FIELDS:
         raise ValueError(f"unknown scalar field {field!r} (known: {SCALAR_FIELDS})")
-    if order > 2:
-        raise ValueError("scalar fields are available to order 2")
     if pg is None:
         pg = point_geometry_at(imm, point)
     if field == "volume":
@@ -562,7 +561,7 @@ def scalar_field_jet(
         jet = _alignment_jet(pg, reference_frame)
         if field == "log-alignment":
             jet = jet_elementary("log", jet)
-    return jet.truncate(order) if order < 2 else jet
+    return jet
 
 
 def laplace_beltrami_of_jet(pg: PointGeometry, field_jet: Jet):
@@ -602,7 +601,7 @@ def laplace_beltrami(
     """Laplace-Beltrami of a derived scalar field at a point (or a block)."""
     if pg is None:
         pg = point_geometry_at(imm, point)
-    jet = scalar_field_jet(imm, point, field, 2, reference_frame, pg)
+    jet = scalar_field_jet(imm, point, field, reference_frame, pg)
     return laplace_beltrami_of_jet(pg, jet)
 
 
@@ -654,18 +653,17 @@ def alignment_pack_at(
     reference_frame,
     pg: PointGeometry | None = None,
     canon: CanonicalFrame | None = None,
-    minimality_tol: float = 1e-8,
 ) -> AlignmentPack:
     """Evaluate the alignment function and its structural identities."""
     if pg is None:
         pg = point_geometry_at(imm, point)
     if pg.errors is None:
         canon = None if canon is None else _batch1(canon)
-        return _take(_alignment(_batch1(pg), reference_frame, canon, minimality_tol), 0)
-    return _alignment(pg, reference_frame, canon, minimality_tol)
+        return _take(_alignment(_batch1(pg), reference_frame, canon), 0)
+    return _alignment(pg, reference_frame, canon)
 
 
-def _alignment(pg, reference_frame, canon, minimality_tol) -> AlignmentPack:
+def _alignment(pg, reference_frame, canon) -> AlignmentPack:
     a = np.asarray(reference_frame, dtype=float)
     n, m, P = pg.n, pg.m, len(pg.h)
     e, nu = pg.tangent_frame, pg.normal_frame
@@ -689,7 +687,7 @@ def _alignment(pg, reference_frame, canon, minimality_tol) -> AlignmentPack:
 
     grad_formula = ordered_einsum("paij,pja->pi", pg.h, single)
 
-    minimal = np.sqrt(_dot(pg.mean_curvature, pg.mean_curvature)) <= minimality_tol
+    minimal = np.sqrt(_dot(pg.mean_curvature, pg.mean_curvature)) <= MINIMALITY_TOL
     reasons = [None if ok else "mean curvature does not vanish" for ok in minimal.tolist()]
     if canon is None and minimal.any():
         canon = canonical_frame_at(pg)
@@ -745,17 +743,16 @@ class ComplexPack:
     xi2: float | None
 
 
-def complex_pack_at(
-    imm: Immersion, point, pg: PointGeometry | None = None, tol: float = 1e-8
-) -> ComplexPack:
+def complex_pack_at(imm: Immersion, point, pg: PointGeometry | None = None) -> ComplexPack:
     """Complex second-order data of a surface: conformality, omega, zeta."""
     if imm.n != 2:
         raise GeometryError("complex pack requires a 2-dimensional domain")
     if pg is None:
         pg = point_geometry_at(imm, point)
     if pg.errors is None:
-        return _take(complex_pack_at(imm, point, _batch1(pg), tol), 0)
+        return _take(complex_pack_at(imm, point, _batch1(pg)), 0)
 
+    tol = 1e-8  # the isothermal-chart test, and |B_ww| below which zeta is undefined
     Fu, Fv = pg.dF[:, 0], pg.dF[:, 1]
     sp = pg.second_partials
     Fw = 0.5 * (Fu - 1j * Fv)

@@ -106,7 +106,7 @@ class GridSpec:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         flat = [m.ravel() for m in mesh]
         if self.mask is not None:
-            keep = evaluate_expression(self.mask, flat) <= 0.0
+            keep = evaluate_array(self.mask, flat) <= 0.0
             flat = [f[keep] for f in flat]
         return [tuple(float(f[i]) for f in flat) for i in range(flat[0].size)]
 
@@ -139,15 +139,15 @@ def evaluate_immersion(imm: Immersion, point, order: int) -> list[Jet]:
     return jets
 
 
+def evaluate_array(node: ExprNode, arrays) -> np.ndarray:
+    """`node` over coordinate arrays; a constant is broadcast to their shape."""
+    val = evaluate_expression(node, arrays)
+    return val if isinstance(val, np.ndarray) else np.full_like(arrays[0], float(val))
+
+
 def evaluate_components_array(imm: Immersion, arrays) -> list[np.ndarray]:
     """Vectorized evaluation of all ambient components over coordinate arrays."""
-    out = []
-    for comp in imm.components:
-        val = evaluate_expression(comp, arrays)
-        if not isinstance(val, np.ndarray):
-            val = np.full_like(arrays[0], float(val))
-        out.append(val)
-    return out
+    return [evaluate_array(comp, arrays) for comp in imm.components]
 
 
 # -- catalogue -----------------------------------------------------------------

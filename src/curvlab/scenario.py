@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,15 +76,25 @@ class ScenarioConfig:
 
     @property
     def frame_or_default(self) -> np.ndarray:
-        if self.reference_frame is not None:
-            return self.reference_frame
-        # coordinate n-plane; for graphs this makes the alignment positive
-        return np.eye(self.surface.n, self.surface.n + self.surface.m)
+        return _frame_or_default(self.reference_frame, self.surface)
+
+
+def _frame_or_default(frame, surface: Immersion) -> np.ndarray:
+    # the coordinate n-plane when no frame is given; for graphs it makes the alignment positive
+    return frame if frame is not None else np.eye(surface.n, surface.n + surface.m)
 
 
 def _require(cond, path, message):
     if not cond:
         raise ConfigError(path, message)
+
+
+def _number(value, path: str, integral: bool = False):
+    """A number a config gives: finite and not a bool, and integral if `integral`."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value), path, f"must be a finite number, got {value!r}")
+    _require(not integral or float(value).is_integer(), path, f"must be an integer, got {value!r}")
+    return value
 
 
 def _build_surface(d: dict) -> Immersion:
@@ -158,14 +169,19 @@ def _build_checks(items, surface, frame) -> list[CheckSpec]:
         _require(isinstance(name, str), f"{path}.name", "missing check name")
         _require(name in known, f"{path}.name",
                  f"unknown check {name!r} (known: {', '.join(sorted(known))})")
-        tol = item.get("tol", DEFAULT_TOLERANCES[name])
-        _require(isinstance(tol, (int, float)) and tol > 0, f"{path}.tol",
-                 "tolerance must be positive")
+        tol = _number(item.get("tol", DEFAULT_TOLERANCES[name]), f"{path}.tol")
+        _require(tol > 0, f"{path}.tol", "tolerance must be positive")
         options = {k: v for k, v in item.items() if k not in ("name", "tol")}
         accepted = check_options(name)
-        for key in options:
+        for key, value in options.items():
             _require(key in accepted, f"{path}.{key}", f"unknown option for check {name!r} "
                      f"(accepted: {', '.join(accepted) or 'none'})")
+            if key == "radii":
+                _require(isinstance(value, list), f"{path}.radii", "must be a list of numbers")
+                for j, radius in enumerate(value):
+                    _number(radius, f"{path}.radii[{j}]")
+            else:
+                _number(value, f"{path}.{key}", integral=key == "cells")
         if name in GRID_CHECKS:
             try:
                 make_check_state(name, surface, frame, options, float(tol))
@@ -179,17 +195,11 @@ def _build_probe(d: dict | None) -> ProbeParams | None:
     if d is None:
         return None
     _require(isinstance(d, dict), "probe", "must be an object")
-    known = {"t", "q", "s", "R", "R0", "cells"}
-    for key in d:
+    known = {f.name for f in fields(ProbeParams)}
+    for key, value in d.items():
         _require(key in known, f"probe.{key}", "unknown probe parameter")
-    params = ProbeParams(
-        t=float(d.get("t", 3.0)),
-        q=float(d.get("q", 4.0)),
-        s=float(d.get("s", 1.0)),
-        R=float(d.get("R", 1.0)),
-        R0=float(d.get("R0", 0.5)),
-        cells=int(d.get("cells", 256)),
-    )
+        _number(value, f"probe.{key}", integral=key == "cells")
+    params = ProbeParams(**{k: int(v) if k == "cells" else float(v) for k, v in d.items()})
     try:
         params.validate()
     except CheckConfigError as exc:
@@ -203,8 +213,7 @@ def load_config(data: dict) -> ScenarioConfig:
     surface = _build_surface(data.get("surface", {}))
     grid = _build_grid(data.get("grid", {}), surface.n)
     frame = _build_frame(data.get("reference_frame"), surface)
-    effective_frame = frame if frame is not None else np.eye(surface.n, surface.n + surface.m)
-    specs = _build_checks(data.get("checks", []), surface, effective_frame)
+    specs = _build_checks(data.get("checks", []), surface, _frame_or_default(frame, surface))
     probe = _build_probe(data.get("probe"))
     if any(s.name == "probe" for s in specs) and probe is None:
         probe = _build_probe({})  # defaults, already legal
@@ -280,10 +289,6 @@ def _jsonify(obj):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 
@@ -303,16 +308,17 @@ def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=Non
     tols = [DEFAULT_TOLERANCES[s.name] if s.tol is None else s.tol for s in specs]
     states = [(s.name, make_check_state(s.name, imm, frame, s.options, tol))
               for s, tol in zip(specs, tols)]
-    per_point = []
+    records = [[] for _ in specs]  # per spec, one record per grid point
     for chunk in blocks(grid.points() if points is None else points):
-        per_point.extend(evaluate_point(imm, frame, states, chunk))
-    if per_point and all(rec["skipped"] and str(rec["reason"]).startswith("evaluation error")
-                         for records in per_point for rec in records):
+        for mine, block_records in zip(records, evaluate_point(imm, frame, states, chunk)):
+            mine.extend(block_records)
+    if records[0] and all(rec["skipped"] and str(rec["reason"]).startswith("evaluation error")
+                          for spec_records in records for rec in spec_records):
         raise CheckConfigError(
-            f"surface evaluation failed at every grid point: {per_point[0][0]['reason']}"
+            f"surface evaluation failed at every grid point: {records[0][0]['reason']}"
         )
-    return [aggregate_check(spec.name, tol, [records[i] for records in per_point])
-            for i, (spec, tol) in enumerate(zip(specs, tols))]
+    return [aggregate_check(spec.name, tol, spec_records)
+            for spec, tol, spec_records in zip(specs, tols, records)]
 
 
 def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
@@ -344,17 +350,9 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
         elif spec.name == "growth":
             radii = spec.options.get("radii", [1.0, 2.0, 4.0])
             cells = int(spec.options.get("cells", 256))
-            try:
-                result, _ = growth_check_result(imm, radii, cells, spec.tol)
-            except CheckConfigError as exc:
-                result = CheckResult(
-                    name="growth", tolerance=spec.tol, worst_residual=None,
-                    verdict="not-applicable", n_points=0, n_skipped=0, reason=str(exc),
-                )
-            results.append(result)
+            results.append(growth_check_result(imm, radii, cells, spec.tol)[0])
         elif spec.name == "probe":
-            result, _ = probe_check_result(imm, frame, params, on_grid.get(i), spec.tol)
-            results.append(result)
+            results.append(probe_check_result(imm, frame, params, on_grid.get(i), spec.tol)[0])
 
     overall = "pass" if all(r.verdict != "fail" for r in results) else "fail"
     return Report(

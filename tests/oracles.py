@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from curvlab.expressions import BinOp, Call, Const, Pow, Var
+
 # Central-difference stencils (offsets in units of h, weights) per derivative order.
 _STENCILS = {
     0: ((0,), (1.0,)),
@@ -145,3 +147,20 @@ def pluecker_residual(e_rows, nu1, nu2, a_rows):
     r12 = pairing([nu2] + e[1:])
     r21 = pairing(e[:1] + [nu1] + e[2:])
     return abs(base * both - r1 * r2 + r12 * r21)
+
+
+# -- reparametrization -------------------------------------------------------------
+
+def substitute(node, mapping):
+    """Replace variables by expressions, e.g. for a linear change of chart."""
+    if isinstance(node, Const):
+        return node
+    if isinstance(node, Var):
+        return mapping.get(node.index, node)
+    if isinstance(node, Call):
+        return Call(node.func, substitute(node.arg, mapping))
+    if isinstance(node, Pow):
+        return Pow(substitute(node.base, mapping), node.exponent)
+    if isinstance(node, BinOp):
+        return BinOp(node.op, substitute(node.left, mapping), substitute(node.right, mapping))
+    raise TypeError(f"not an expression node: {node!r}")

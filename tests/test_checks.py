@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from curvlab import checks as C
+from curvlab.expressions import BinOp, Const, Var
 from curvlab.geometry import laplace_beltrami, point_geometry_at
-from curvlab.immersions import GridSpec, build_graph_immersion, catalogue_lookup
+from curvlab.immersions import GridSpec, Immersion, build_graph_immersion, catalogue_lookup
 from curvlab.scenario import CheckSpec, run_checks
 
-from oracles import rel_err
+from oracles import rel_err, substitute
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +287,31 @@ class TestIsothermal:
     def test_b_must_be_positive(self, z2):
         with pytest.raises(C.CheckConfigError, match="b > 0"):
             run("isothermal", z2, GRID5, a=0.0, b=-1.0)
+
+    # w = z^2, the generic cubic of test_golden.py, and a graph whose metric has
+    # g01 != 0 (holomorphic curves are conformal, so g01 = 0 hides the sign of a)
+    @pytest.mark.parametrize("surface", [
+        lambda: catalogue_lookup("holo-curve", {"coeffs": [0, 0, 1]}),
+        lambda: catalogue_lookup("holo-curve", {"coeffs": [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5],
+                                                           [0.2, 0.1]]}),
+        lambda: build_graph_immersion(["x^2 - y^3", "x*y + y"], 2),
+    ], ids=["z2", "cubic", "non-conformal"])
+    @pytest.mark.parametrize("a, b", [(0.3, 0.8), (-1.7, 2.5)])
+    def test_pullback_matches_sheared_immersion(self, surface, a, b):
+        # independent route: the geometry of the re-parametrised immersion
+        # x1 = u1, x2 = (u2 - a u1) / b at the sheared points u = (x1, a x1 + b x2)
+        imm = surface()
+        x2 = BinOp("-", BinOp("/", Var(1), Const(b)), BinOp("*", Const(a / b), Var(0)))
+        sheared = Immersion(2, imm.m, tuple(substitute(c, {1: x2}) for c in imm.components),
+                            "parametric")
+        res = run("isothermal", imm, GRID5, a=a, b=b)
+        assert res.n_skipped == 0
+        for rec in res.details:
+            x, y = rec["point"]
+            g = point_geometry_at(sheared, (x, a * x + b * y)).g0
+            residual = max(abs(g[0, 0] - g[1, 1]), abs(g[0, 1])) / (1.0 + abs(g[0, 0]))
+            assert abs(rec["detail"]["conformal_factor"] - g[0, 0]) <= 1e-12 * (1.0 + abs(g[0, 0]))
+            assert abs(rec["residual"] - residual) <= 1e-12 * (1.0 + residual)
 
 
 class TestSubharmonicity:

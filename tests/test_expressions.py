@@ -17,11 +17,10 @@ from curvlab.expressions import (
     expression_variables,
     format_expression,
     parse_expression,
-    substitute,
 )
 from curvlab.jets import jet_extract, jet_variable
 
-from oracles import rel_err, richardson_derivative
+from oracles import rel_err, richardson_derivative, substitute
 
 
 class TestParse:

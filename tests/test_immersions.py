@@ -152,6 +152,11 @@ class TestGridSpec:
         assert (-1.0, -1.0) not in pts
         assert len(pts) == 5
 
+    @pytest.mark.parametrize("mask, kept", [("-1", 9), ("1", 0)])
+    def test_constant_mask(self, mask, kept):
+        grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (3, 3), parse_expression(mask, 2))
+        assert len(grid.points()) == kept
+
     def test_validation(self):
         with pytest.raises(ValueError, match="counts"):
             GridSpec(((0.0, 1.0),), (1,))

@@ -89,6 +89,30 @@ class TestConfigValidation:
         assert [spec.options for spec in config.checks] == [
             {"a": 0.3, "b": 0.8}, {"s": 1, "q": 2}, {"radii": [1.0], "cells": 64}, {}]
 
+    # each config below loaded with a wrong number, or failed mid-run, before
+    # every number a config gives was checked
+    @pytest.mark.parametrize("check, path", [
+        ('{"name": "minimality", "tol": true}', "checks[1].tol"),
+        ('{"name": "minimality", "tol": 1e999}', "checks[1].tol"),
+        ('{"name": "subharmonicity", "q": NaN}', "checks[1].q"),
+        ('{"name": "subharmonicity", "s": Infinity}', "checks[1].s"),
+        ('{"name": "growth", "cells": true}', "checks[1].cells"),
+        ('{"name": "growth", "cells": 64.5}', "checks[1].cells"),
+        ('{"name": "growth", "radii": [1.0, true]}', "checks[1].radii[1]"),
+        ('{"name": "isothermal", "a": NaN}', "checks[1].a"),
+    ], ids=["tol-true", "tol-inf", "q-nan", "s-inf", "cells-true", "cells-fraction",
+            "radius-true", "a-nan"])
+    def test_config_numbers_are_finite_and_not_bool(self, check, path):
+        cfg = small_z2_config(checks=[{"name": "minimality"}, json.loads(check)])
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.path == path
+
+    def test_probe_parameters_are_finite(self):
+        with pytest.raises(ConfigError) as err:
+            load_config(small_z2_config(probe=json.loads('{"R": 1e999}')))
+        assert err.value.path == "probe.R"
+
     def test_graph_check_on_parametric_surface_rejected(self):
         cfg = {
             "surface": {"kind": "catalogue", "name": "catenoid"},
@@ -131,6 +155,24 @@ class TestRunScenario:
         report = run_scenario(load_config(cfg))
         assert report.overall == "fail"
         assert report.results[0].worst_residual >= 2.0
+
+    @pytest.mark.parametrize("surface, options, reason", [
+        ({"kind": "catalogue", "name": "catenoid"}, {},
+         "quadrature fields require a graph immersion"),
+        ({"kind": "catalogue", "name": "affine"}, {"cells": 2}, "quadrature too coarse"),
+    ])
+    def test_growth_not_applicable_reports_its_reason(self, surface, options, reason):
+        cfg = {
+            "surface": surface,
+            "grid": {"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3]},
+            "checks": [{"name": "growth", **options}],
+        }
+        report = run_scenario(load_config(cfg))
+        [entry] = report.to_dict()["checks"]
+        assert entry["verdict"] == "not-applicable" and entry["n_points"] == 0
+        assert entry["reason"].startswith(reason)
+        assert "extras" not in entry
+        assert report.overall == "pass"
 
     def test_partial_evaluation_errors_are_collected(self):
         # log(x) is undefined for x <= 0: half the grid errors, half evaluates
@@ -287,6 +329,15 @@ class TestCli:
         proc = self.run_cli("check", str(path))
         assert proc.returncode == 1
         assert "not-applicable" in proc.stdout and "overall: fail" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_constant_mask_keeps_every_point(self, tmp_path):
+        grid = {"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3], "mask": "-1"}
+        path = tmp_path / "all.json"
+        path.write_text(json.dumps(small_z2_config(grid=grid, checks=[{"name": "minimality"}])))
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 0
+        assert "(9 grid points" in proc.stdout
         assert "Traceback" not in proc.stderr
 
     def test_list_commands(self):
