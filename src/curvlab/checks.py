@@ -123,17 +123,15 @@ class BlockContext:
 
     @cached_property
     def apack(self):
-        return alignment_pack_at(
-            self.imm, self.points, self.reference_frame, pg=self.pg, canon=self.canon
-        )
+        return alignment_pack_at(self.pg, self.reference_frame, self.canon)
 
     @cached_property
     def cpack(self):
-        return complex_pack_at(self.imm, self.points, pg=self.pg)
+        return complex_pack_at(self.pg)
 
     @cached_property
     def volume_jet(self):
-        return scalar_field_jet(self.imm, self.points, "volume", pg=self.pg)
+        return scalar_field_jet(self.pg, "volume")
 
     @cached_property
     def grad_normB_sq(self):
@@ -819,6 +817,15 @@ class GrowthTable:
     cells: int
 
 
+def growth_option_fault(key: str, value) -> str | None:
+    """Why a growth option breaks its rule, or None when it holds."""
+    if key == "cells":
+        return None if value >= 1 else f"cells must be at least 1, got {value}"
+    if value and value[0] > 0 and all(r2 > r1 for r1, r2 in zip(value, value[1:])):
+        return None
+    return f"radii must be non-empty, positive and strictly increasing, got {value}"
+
+
 def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
     """Quadrature of the volume element over extrinsic balls Omega_R.
 
@@ -827,8 +834,9 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
     cells land inside Omega_R.
     """
     radii = [float(r) for r in radii]
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise CheckConfigError("growth radii must be strictly increasing")
+    fault = growth_option_fault("radii", radii) or growth_option_fault("cells", cells)
+    if fault:
+        raise CheckConfigError(f"growth {fault}")
     gf = _GraphFields(imm)
 
     def ball_volume(R):

@@ -23,17 +23,19 @@ Conventions
 
 Blocks
 ------
-Every function here takes one point or a block of points, given as a (P, n)
-array.  For a block, each array of the result gains a leading axis of length
-P, jets are batched, and a failure at one point is recorded in `errors` (or
-in a jet's `failures`) instead of raised.  One point runs the same array code
-as a block of one, then raises that point's failure or drops the batch axis.
+`point_geometry_at` takes one point or a block of points, given as a (P, n)
+array; each function that reads geometry takes the PointGeometry it returned.
+For a block, each array of the result gains a leading axis of length P, jets
+are batched, and a failure at one point is recorded in `errors` (or in a
+jet's `failures`) instead of raised.  One point runs the same array code as a
+block of one, then raises that point's failure or drops the batch axis.
 Contractions that feed per-point results are summed in a fixed index order,
 so a point's values do not depend on the block it was evaluated in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
@@ -46,6 +48,7 @@ from .jets import (
     jet_constant,
     jet_einsum,
     jet_elementary,
+    jet_extract,
     jet_variable,
     multi_indices,
     ordered_einsum,
@@ -115,10 +118,27 @@ def _batch1(obj):
 
 def _single(obj):
     """The only point of a block of one: raise its failure, else drop the batch axis."""
-    failure = obj.failures.get(0) if isinstance(obj, Jet) else obj.errors[0]
+    failure = obj.failures.get(0) if isinstance(obj, Jet) else getattr(obj, "errors", [None])[0]
     if failure is not None:
         raise failure
     return _take(obj, 0)
+
+
+def _pointwise(block_fn):
+    """Let a function of a block PointGeometry also take a single-point one.
+
+    A single point (`errors is None`) runs as a block of one, together with
+    any CanonicalFrame passed for it; its failure is then raised, else the
+    batch axis dropped.
+    """
+    @functools.wraps(block_fn)
+    def run(pg, *args, **kwargs):
+        if pg.errors is not None:
+            return block_fn(pg, *args, **kwargs)
+        lift = lambda a: _batch1(a) if isinstance(a, CanonicalFrame) else a  # noqa: E731
+        return _single(block_fn(_batch1(pg), *map(lift, args),
+                                **{k: lift(v) for k, v in kwargs.items()}))
+    return run
 
 
 def _dot(u, v):
@@ -412,6 +432,7 @@ class CanonicalFrame:
     errors: list | None = None  # block only: the failure of each point, or None
 
 
+@_pointwise
 def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
     """Rotate frames so the shape operators take their rank-2 normal form.
 
@@ -419,12 +440,6 @@ def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
     hypothesis is reported, never silently clamped).  For a block the
     failures are collected in `errors`.
     """
-    if pg.errors is None:
-        return _single(_canonical(_batch1(pg)))
-    return _canonical(pg)
-
-
-def _canonical(pg: PointGeometry) -> CanonicalFrame:
     n, m, N = pg.n, pg.m, pg.n + pg.m
     P = len(pg.h)
     tol = RANK_TOL
@@ -526,34 +541,25 @@ def _alignment_jet(pg: PointGeometry, reference_frame: np.ndarray) -> Jet:
     return _jet_det(M) * jet_elementary("pow-const", pg.detg_jet, param=-0.5)
 
 
-def scalar_field_jet(
-    imm: Immersion,
-    point,
-    field: str,
-    reference_frame=None,
-    pg: PointGeometry | None = None,
-) -> Jet:
+@_pointwise
+def scalar_field_jet(pg: PointGeometry, field: str, reference_frame=None) -> Jet:
     """Order-2 jet of a derived scalar field of the immersion.
 
     Fields: 'volume' (sqrt det g), 'alignment' (needs reference_frame),
-    'log-alignment', 'normB2', 'normB'.  The whole geometric pipeline is
-    re-run in jet arithmetic, so the returned jet carries exact first and
-    second derivatives of the field.  For a block the jet is batched.
+    'log-alignment', 'normB2', 'normB'.  It is built from the order-2 jets
+    `pg` carries, so the returned jet holds exact first and second
+    derivatives of the field.  For a block the jet is batched.
     """
     if field not in SCALAR_FIELDS:
         raise ValueError(f"unknown scalar field {field!r} (known: {SCALAR_FIELDS})")
-    if pg is None:
-        pg = point_geometry_at(imm, point)
     if field == "volume":
         jet = jet_elementary("sqrt", pg.detg_jet)
     elif field == "normB2":
         jet = pg.normB2_jet
     elif field == "normB":
         nb2 = pg.normB2_jet
-        flat = {int(p): JetDomainError("|B| is singular at a zero of the second fundamental form")
-                for p in np.flatnonzero(np.atleast_1d(nb2.value <= 0.0))}
-        if flat and pg.errors is None:
-            raise flat[0]
+        flat = {p: JetDomainError("|B| is singular at a zero of the second fundamental form")
+                for p in np.flatnonzero(nb2.value <= 0.0).tolist()}
         jet = jet_elementary("sqrt", replace(nb2, failures={**flat, **nb2.failures}))
     else:
         if reference_frame is None:
@@ -571,10 +577,7 @@ def laplace_beltrami_of_jet(pg: PointGeometry, field_jet: Jet):
     lap = 0.0
     for i in range(n):
         for j in range(n):
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[j] += 1
-            corrected = field_jet.coefficient(tuple(alpha)) * (2.0 if i == j else 1.0)
+            corrected = jet_extract(field_jet, tuple((i, j).count(k) for k in range(n)))
             for k in range(n):
                 corrected = corrected - pg.christoffel[..., k, i, j] * grad[..., k]
             lap = lap + pg.g_inv[..., i, j] * corrected
@@ -591,18 +594,9 @@ def gradient_norm2_of_jet(pg: PointGeometry, field_jet: Jet):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def laplace_beltrami(
-    imm: Immersion,
-    point,
-    field: str,
-    reference_frame=None,
-    pg: PointGeometry | None = None,
-):
+def laplace_beltrami(pg: PointGeometry, field: str, reference_frame=None):
     """Laplace-Beltrami of a derived scalar field at a point (or a block)."""
-    if pg is None:
-        pg = point_geometry_at(imm, point)
-    jet = scalar_field_jet(imm, point, field, reference_frame, pg)
-    return laplace_beltrami_of_jet(pg, jet)
+    return laplace_beltrami_of_jet(pg, scalar_field_jet(pg, field, reference_frame))
 
 
 # -- plane pairings and the alignment pack ---------------------------------------
@@ -647,23 +641,10 @@ class AlignmentPack:
     jet: Jet  # the alignment scalar as an order-2 jet
 
 
-def alignment_pack_at(
-    imm: Immersion,
-    point,
-    reference_frame,
-    pg: PointGeometry | None = None,
-    canon: CanonicalFrame | None = None,
-) -> AlignmentPack:
+@_pointwise
+def alignment_pack_at(pg: PointGeometry, reference_frame,
+                      canon: CanonicalFrame | None = None) -> AlignmentPack:
     """Evaluate the alignment function and its structural identities."""
-    if pg is None:
-        pg = point_geometry_at(imm, point)
-    if pg.errors is None:
-        canon = None if canon is None else _batch1(canon)
-        return _take(_alignment(_batch1(pg), reference_frame, canon), 0)
-    return _alignment(pg, reference_frame, canon)
-
-
-def _alignment(pg, reference_frame, canon) -> AlignmentPack:
     a = np.asarray(reference_frame, dtype=float)
     n, m, P = pg.n, pg.m, len(pg.h)
     e, nu = pg.tangent_frame, pg.normal_frame
@@ -743,15 +724,11 @@ class ComplexPack:
     xi2: float | None
 
 
-def complex_pack_at(imm: Immersion, point, pg: PointGeometry | None = None) -> ComplexPack:
+@_pointwise
+def complex_pack_at(pg: PointGeometry) -> ComplexPack:
     """Complex second-order data of a surface: conformality, omega, zeta."""
-    if imm.n != 2:
+    if pg.n != 2:
         raise GeometryError("complex pack requires a 2-dimensional domain")
-    if pg is None:
-        pg = point_geometry_at(imm, point)
-    if pg.errors is None:
-        return _take(complex_pack_at(imm, point, _batch1(pg)), 0)
-
     tol = 1e-8  # the isothermal-chart test, and |B_ww| below which zeta is undefined
     Fu, Fv = pg.dF[:, 0], pg.dF[:, 1]
     sp = pg.second_partials
@@ -794,25 +771,15 @@ class CurvaturePack:
     conformal_factor: float | None
 
 
-def curvature_pack_at(imm: Immersion, point, pg: PointGeometry | None = None) -> CurvaturePack:
+@_pointwise
+def curvature_pack_at(pg: PointGeometry) -> CurvaturePack:
     """Gauss curvature by two routes: Brioschi (metric only) and det B."""
-    if imm.n != 2:
+    if pg.n != 2:
         raise GeometryError("curvature pack requires a 2-dimensional domain")
-    if pg is None:
-        pg = point_geometry_at(imm, point)
-    if pg.errors is None:
-        return _take(curvature_pack_at(imm, point, _batch1(pg)), 0)
-
     Bf = _frame_B(pg.frame_coeffs, pg.B_coord)
     K_ext = _dot(Bf[:, 0, 0], Bf[:, 1, 1]) - _dot(Bf[:, 0, 1], Bf[:, 0, 1])
 
-    def d(jet, *axes):
-        alpha = [0, 0]
-        for ax in axes:
-            alpha[ax] += 1
-        fact = math.prod(math.factorial(c) for c in alpha)
-        return jet.coefficient(tuple(alpha)) * fact
-
+    d = lambda jet, *axes: jet_extract(jet, tuple(axes.count(k) for k in range(2)))  # noqa: E731
     E, F, G = pg.g[:, 0, 0], pg.g[:, 0, 1], pg.g[:, 1, 1]
     zero = np.zeros(len(Bf))
     m1 = np.moveaxis(np.array(

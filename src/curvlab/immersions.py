@@ -145,11 +145,6 @@ def evaluate_array(node: ExprNode, arrays) -> np.ndarray:
     return val if isinstance(val, np.ndarray) else np.full_like(arrays[0], float(val))
 
 
-def evaluate_components_array(imm: Immersion, arrays) -> list[np.ndarray]:
-    """Vectorized evaluation of all ambient components over coordinate arrays."""
-    return [evaluate_array(comp, arrays) for comp in imm.components]
-
-
 # -- catalogue -----------------------------------------------------------------
 
 def _monomial(coef: float, px: int, py: int) -> ExprNode:

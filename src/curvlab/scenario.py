@@ -30,6 +30,7 @@ from .checks import (
     check_options,
     evaluate_point,
     growth_check_result,
+    growth_option_fault,
     make_check_state,
     probe_check_result,
 )
@@ -123,10 +124,15 @@ def _build_grid(d: dict, n: int) -> GridSpec:
     _require(isinstance(d, dict), "grid", "must be an object")
     ranges = d.get("ranges")
     counts = d.get("counts")
-    _require(isinstance(ranges, list) and len(ranges) == n, "grid.ranges",
-             f"need {n} [lo, hi] pairs")
+    _require(isinstance(ranges, list) and len(ranges) == n
+             and all(isinstance(pair, list) and len(pair) == 2 for pair in ranges),
+             "grid.ranges", f"need {n} [lo, hi] pairs")
     _require(isinstance(counts, list) and len(counts) == n, "grid.counts",
              f"need {n} sample counts")
+    for i, (pair, count) in enumerate(zip(ranges, counts)):
+        for j, value in enumerate(pair):
+            _number(value, f"grid.ranges[{i}][{j}]")
+        _number(count, f"grid.counts[{i}]", integral=True)
     mask = None
     if d.get("mask"):
         try:
@@ -139,7 +145,7 @@ def _build_grid(d: dict, n: int) -> GridSpec:
             tuple(int(c) for c in counts),
             mask,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("grid", str(exc)) from exc
 
 
@@ -182,6 +188,8 @@ def _build_checks(items, surface, frame) -> list[CheckSpec]:
                     _number(radius, f"{path}.radii[{j}]")
             else:
                 _number(value, f"{path}.{key}", integral=key == "cells")
+            fault = growth_option_fault(key, value) if name == "growth" else None
+            _require(fault is None, f"{path}.{key}", fault)
         if name in GRID_CHECKS:
             try:
                 make_check_state(name, surface, frame, options, float(tol))
@@ -271,25 +279,11 @@ class Report:
             if res.reason:
                 entry["reason"] = res.reason
             if res.extras:
-                entry["extras"] = _jsonify(res.extras)
+                entry["extras"] = res.extras
             if detail:  # records hold only Python scalars, tuples and None
                 entry["details"] = res.details
             out["checks"].append(entry)
         return out
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=None,
@@ -441,7 +435,7 @@ def sweep(raw_config: dict, jobs: int | None = None):
         config = load_config(variant)
         report = run_scenario(config)
         reports.append(report)
-        row = {"parameter": parameter, "value": _jsonify(value), "overall": report.overall}
+        row = {"parameter": parameter, "value": value, "overall": report.overall}
         for res in report.results:
             if res.name == "probe":
                 row["implied_c3"] = res.extras.get("implied_c3")
@@ -450,5 +444,5 @@ def sweep(raw_config: dict, jobs: int | None = None):
                 row["volumes"] = res.extras.get("volumes")
                 row["volume_exponent"] = res.extras.get("volume_exponent")
                 row["max_v"] = res.extras.get("max_v")
-        table.append(_jsonify(row))
+        table.append(row)
     return reports, table

@@ -115,7 +115,7 @@ def test_criterion_2_affine_plane():
             pg.normB2,
             pg.nablaB2,
             float(np.linalg.norm(pg.mean_curvature)),
-            abs(laplace_beltrami(imm, point, "alignment", plane, pg)),
+            abs(laplace_beltrami(pg, "alignment", plane)),
         )
         ranks.add(gauss_rank_at(pg)[0])
     verdict(2, worst <= 1e-12 and ranks == {0}, f"affine: worst quantity {worst:.2e}, ranks {ranks}")
@@ -185,13 +185,13 @@ def test_criterion_4_catenoid():
     notes.append(f"|gap| {gap:.1e}")
 
     omega_dev = max(
-        rel_err(abs(complex_pack_at(imm, pt).omega_coeff), 0.25)
+        rel_err(abs(complex_pack_at(point_geometry_at(imm, pt)).omega_coeff), 0.25)
         for pt in [(0.0, 0.0), (0.8, -0.5), (-1.0, 1.0)]
     )
     ok &= omega_dev <= 1e-8
     notes.append(f"omega vs 1/4: {omega_dev:.1e}")
 
-    kp = curvature_pack_at(imm, (0.0, 0.0))
+    kp = curvature_pack_at(point_geometry_at(imm, (0.0, 0.0)))
     ok &= abs(kp.K_extrinsic + 1.0) <= 1e-8
     ok &= rel_err(kp.K_intrinsic, kp.K_extrinsic) <= 1e-6
     notes.append(f"K(0,0) = {kp.K_extrinsic:.10f}")

@@ -337,7 +337,7 @@ class TestSubharmonicity:
         pt = (0.4, -0.3)
         pg = point_geometry_at(z2, pt)
         nb = pg.normB2_jet
-        v = scalar_field_jet(z2, pt, "volume", pg=pg)
+        v = scalar_field_jet(pg, "volume")
         lap_product = laplace_beltrami_of_jet(pg, nb * v)
         cross = np.array([nb.coefficient((1, 0)), nb.coefficient((0, 1))]) @ pg.g_inv @ np.array(
             [v.coefficient((1, 0)), v.coefficient((0, 1))]
@@ -385,6 +385,19 @@ class TestGrowth:
     def test_requires_graph(self, catenoid):
         with pytest.raises(C.CheckConfigError, match="graph"):
             C.growth_table(catenoid, [1.0])
+
+    # each of these crashed, or ran with no radius or a not-applicable verdict
+    @pytest.mark.parametrize("radii, cells, message", [
+        ([], 64, "growth radii must be non-empty, positive and strictly increasing, got []"),
+        ([2, 1], 64, "growth radii must be non-empty, positive and strictly increasing, got [2.0, 1.0]"),
+        ([-1, 2], 64, "growth radii must be non-empty, positive and strictly increasing, got [-1.0, 2.0]"),
+        ([0, 2], 64, "growth radii must be non-empty, positive and strictly increasing, got [0.0, 2.0]"),
+        ([1, 2], 0, "growth cells must be at least 1, got 0"),
+    ], ids=["empty", "decreasing", "negative", "zero", "no-cells"])
+    def test_options_outside_their_rule(self, affine, radii, cells, message):
+        with pytest.raises(C.CheckConfigError) as err:
+            C.growth_table(affine, radii, cells)
+        assert str(err.value) == message
 
 
 class TestProbe:

@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from curvlab.geometry import (
+    SCALAR_FIELDS,
     GaussRankError,
     ImmersionRankError,
     alignment_pack_at,
@@ -18,7 +20,7 @@ from curvlab.geometry import (
     scalar_field_jet,
 )
 from curvlab.immersions import build_graph_immersion, catalogue_lookup
-from curvlab.jets import JetDomainError
+from curvlab.jets import Jet, JetDomainError
 
 import oracles
 from oracles import rel_err
@@ -189,12 +191,12 @@ class TestCanonicalFrame:
 
 class TestScalarFields:
     def test_volume_field_z2(self, z2):
-        jet = scalar_field_jet(z2, (1.0, 0.0), "volume")
+        jet = scalar_field_jet(point_geometry_at(z2, (1.0, 0.0)), "volume")
         assert rel_err(jet.value, 5.0) <= 1e-12
         assert rel_err(jet.coefficient((1, 0)), 8.0) <= 1e-12  # dv/dx = 8x
 
     def test_normB2_field_critical_at_origin(self, z2):
-        jet = scalar_field_jet(z2, (0.0, 0.0), "normB2")
+        jet = scalar_field_jet(point_geometry_at(z2, (0.0, 0.0)), "normB2")
         assert rel_err(jet.value, 16.0) <= 1e-12
         assert abs(jet.coefficient((1, 0))) <= 1e-12
         assert abs(jet.coefficient((0, 1))) <= 1e-12
@@ -203,18 +205,18 @@ class TestScalarFields:
         imm = catalogue_lookup("affine", {})
         pg = point_geometry_at(imm, (0.2, 0.6))
         frame = pg.tangent_frame  # the plane itself
-        jet = scalar_field_jet(imm, (0.2, 0.6), "alignment", reference_frame=frame, pg=pg)
+        jet = scalar_field_jet(pg, "alignment", reference_frame=frame)
         assert rel_err(jet.value, 1.0) <= 1e-12
         assert np.abs(jet.coeffs[1:]).max() <= 1e-14
 
     def test_normB_singular_at_flat_points(self):
         imm = catalogue_lookup("affine", {})
         with pytest.raises(JetDomainError):
-            scalar_field_jet(imm, (0.0, 0.0), "normB")
+            scalar_field_jet(point_geometry_at(imm, (0.0, 0.0)), "normB")
 
     def test_unknown_field(self, z2):
         with pytest.raises(ValueError, match="unknown scalar field"):
-            scalar_field_jet(z2, (0.0, 0.0), "bogus")
+            scalar_field_jet(point_geometry_at(z2, (0.0, 0.0)), "bogus")
 
 
 class TestLaplaceBeltrami:
@@ -222,28 +224,28 @@ class TestLaplaceBeltrami:
         imm = catalogue_lookup("affine", {})
         pg = point_geometry_at(imm, (0.1, -0.2))
         frame = pg.tangent_frame
-        assert abs(laplace_beltrami(imm, (0.1, -0.2), "alignment", frame, pg)) <= 1e-12
-        assert abs(laplace_beltrami(imm, (0.1, -0.2), "normB2", pg=pg)) <= 1e-12
+        assert abs(laplace_beltrami(pg, "alignment", frame)) <= 1e-12
+        assert abs(laplace_beltrami(pg, "normB2")) <= 1e-12
 
     def test_z2_log_alignment(self, z2):
-        got = laplace_beltrami(z2, (0.0, 0.0), "log-alignment", COORD_PLANE_2)
+        got = laplace_beltrami(point_geometry_at(z2, (0.0, 0.0)), "log-alignment", COORD_PLANE_2)
         assert rel_err(got, -16.0) <= 1e-10
-        got = laplace_beltrami(z2, (0.4, -0.5), "log-alignment", COORD_PLANE_2)
+        got = laplace_beltrami(point_geometry_at(z2, (0.4, -0.5)), "log-alignment", COORD_PLANE_2)
         assert rel_err(got, oracles.z2_lap_log_alignment(0.4, -0.5)) <= 1e-9
 
     def test_catenoid_normB2_vs_finite_differences(self, catenoid):
-        got = laplace_beltrami(catenoid, (1.0, 0.0), "normB2")
+        got = laplace_beltrami(point_geometry_at(catenoid, (1.0, 0.0)), "normB2")
         want = oracles.catenoid_lap_scalar(oracles.catenoid_normB2, 1.0)
         assert rel_err(got, want) <= 1e-5
 
     def test_z2_lap_normB2_closed_form(self, z2):
-        got = laplace_beltrami(z2, (0.3, 0.7), "normB2")
+        got = laplace_beltrami(point_geometry_at(z2, (0.3, 0.7)), "normB2")
         assert rel_err(got, oracles.z2_lap_normB2(0.3, 0.7)) <= 1e-9
 
 
 class TestAlignmentPack:
     def test_z2_origin(self, z2):
-        ap = alignment_pack_at(z2, (0.0, 0.0), COORD_PLANE_2)
+        ap = alignment_pack_at(point_geometry_at(z2, (0.0, 0.0)), COORD_PLANE_2)
         assert rel_err(ap.value, 1.0) <= 1e-12
         assert np.abs(ap.grad_frame).max() <= 1e-12
         assert np.abs(ap.grad_formula).max() <= 1e-12
@@ -251,14 +253,14 @@ class TestAlignmentPack:
     def test_affine_with_own_plane(self):
         imm = catalogue_lookup("affine", {})
         pg = point_geometry_at(imm, (0.5, 0.5))
-        ap = alignment_pack_at(imm, (0.5, 0.5), pg.tangent_frame, pg=pg)
+        ap = alignment_pack_at(pg, pg.tangent_frame)
         assert abs(ap.value - 1.0) <= 1e-12
         assert abs(ap.laplacian_numeric) <= 1e-12
         assert ap.laplacian_formula is not None and abs(ap.laplacian_formula) <= 1e-12
 
     @pytest.mark.parametrize("pt", [(0.5, 0.2), (-0.8, 0.9), (0.0, 1.0)])
     def test_z2_identities_at_generic_points(self, z2, pt):
-        ap = alignment_pack_at(z2, pt, COORD_PLANE_2)
+        ap = alignment_pack_at(point_geometry_at(z2, pt), COORD_PLANE_2)
         scale = 1.0 + np.abs(ap.grad_frame).max()
         assert np.abs(ap.grad_frame - ap.grad_formula).max() <= 1e-6 * scale
         assert abs(ap.laplacian_numeric - ap.laplacian_formula) <= 1e-6 * (
@@ -266,7 +268,7 @@ class TestAlignmentPack:
         )
 
     def test_cylinder_identities(self, cylinder):
-        ap = alignment_pack_at(cylinder, (0.3, -0.2, 0.8), CYLINDER_PLANE)
+        ap = alignment_pack_at(point_geometry_at(cylinder, (0.3, -0.2, 0.8)), CYLINDER_PLANE)
         assert abs(ap.laplacian_numeric - ap.laplacian_formula) <= 1e-8
         assert np.abs(ap.grad_frame - ap.grad_formula).max() <= 1e-8
 
@@ -275,7 +277,7 @@ class TestAlignmentPack:
             (z2, (0.6, -0.4), COORD_PLANE_2),
             (catenoid, (0.5, 0.3), CATENOID_PLANE),
         ]:
-            ap = alignment_pack_at(imm, pt, frame)
+            ap = alignment_pack_at(point_geometry_at(imm, pt), frame)
             assert abs(ap.value - ap.value_from_frames) <= 1e-10
 
     def test_cylinder_canonical_frame_keeps_orientation(self):
@@ -283,14 +285,14 @@ class TestAlignmentPack:
         # keep e's orientation or the 4 mu1 mu2 <e_11,22, A> term flips sign
         imm = catalogue_lookup("cylinder-over", {"base": "holo-curve", "base_params": {"coeffs": [0, 0, 1]}})
         pg = point_geometry_at(imm, (-0.5, 0.0, -1.0))
-        ap = alignment_pack_at(imm, (-0.5, 0.0, -1.0), np.eye(3, 5), pg=pg)
+        ap = alignment_pack_at(pg, np.eye(3, 5))
         assert abs(ap.laplacian_numeric) <= 1e-12
         assert abs(ap.laplacian_formula - ap.laplacian_numeric) <= 1e-12
         assert np.linalg.det(canonical_frame_at(pg).tangent_frame @ pg.tangent_frame.T) > 0
 
     def test_nonminimal_formula_not_applicable(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
-        ap = alignment_pack_at(imm, (0.3, 0.3), COORD_PLANE_2)
+        ap = alignment_pack_at(point_geometry_at(imm, (0.3, 0.3)), COORD_PLANE_2)
         assert not ap.formula_applicable
         assert ap.laplacian_formula is None
         assert "mean curvature" in ap.reason
@@ -330,7 +332,7 @@ class TestPluecker:
 
 class TestComplexPack:
     def test_z2(self, z2):
-        cp = complex_pack_at(z2, (0.8, -0.3))
+        cp = complex_pack_at(point_geometry_at(z2, (0.8, -0.3)))
         assert cp.conformality_residual <= 1e-12
         assert cp.isothermal
         assert abs(cp.omega_coeff) <= 1e-10
@@ -338,40 +340,40 @@ class TestComplexPack:
 
     def test_catenoid_omega_constant(self, catenoid):
         for pt in [(0.0, 0.0), (0.9, -1.1), (-0.4, 0.6)]:
-            cp = complex_pack_at(catenoid, pt)
+            cp = complex_pack_at(point_geometry_at(catenoid, pt))
             assert rel_err(abs(cp.omega_coeff), 0.25) <= 1e-8
             assert cp.conformality_residual <= 1e-10
 
     def test_affine(self):
-        cp = complex_pack_at(catalogue_lookup("affine", {}), (0.0, 0.0))
+        cp = complex_pack_at(point_geometry_at(catalogue_lookup("affine", {}), (0.0, 0.0)))
         assert np.abs(cp.Fww).max() <= 1e-14
         assert abs(cp.omega_coeff) <= 1e-14
         assert cp.zeta is None
 
     def test_zeta_decomposition(self, z2):
-        cp = complex_pack_at(z2, (0.5, 0.2))
+        cp = complex_pack_at(point_geometry_at(z2, (0.5, 0.2)))
         assert cp.xi1 == cp.zeta.real
         assert cp.xi2 == -cp.zeta.imag
 
     def test_non_isothermal_flagged(self):
         imm = build_graph_immersion(["x^2 + x*y", "y"], 2)
-        cp = complex_pack_at(imm, (0.5, 0.5))
+        cp = complex_pack_at(point_geometry_at(imm, (0.5, 0.5)))
         assert not cp.isothermal
 
 
 class TestCurvaturePack:
     def test_catenoid(self, catenoid):
-        kp = curvature_pack_at(catenoid, (0.0, 0.0))
+        kp = curvature_pack_at(point_geometry_at(catenoid, (0.0, 0.0)))
         assert rel_err(kp.K_intrinsic, -1.0) <= 1e-8
         assert rel_err(kp.K_extrinsic, -1.0) <= 1e-8
 
     def test_z2_origin(self, z2):
-        kp = curvature_pack_at(z2, (0.0, 0.0))
+        kp = curvature_pack_at(point_geometry_at(z2, (0.0, 0.0)))
         assert rel_err(kp.K_extrinsic, -8.0) <= 1e-10
         assert rel_err(kp.K_intrinsic, -8.0) <= 1e-8
 
     def test_affine(self):
-        kp = curvature_pack_at(catalogue_lookup("affine", {}), (0.2, 0.8))
+        kp = curvature_pack_at(point_geometry_at(catalogue_lookup("affine", {}), (0.2, 0.8)))
         assert abs(kp.K_intrinsic) <= 1e-12
         assert abs(kp.K_extrinsic) <= 1e-12
 
@@ -383,7 +385,89 @@ class TestCurvaturePack:
             (catalogue_lookup("helicoid", {}), [(0.5, 0.8)]),
         ]:
             for pt in pts:
-                kp = curvature_pack_at(imm, pt)
-                assert rel_err(kp.K_intrinsic, kp.K_extrinsic) <= 1e-6
                 pg = point_geometry_at(imm, pt)
+                kp = curvature_pack_at(pg)
+                assert rel_err(kp.K_intrinsic, kp.K_extrinsic) <= 1e-6
                 assert rel_err(kp.K_extrinsic, -pg.normB2 / 2) <= 1e-8
+
+
+def outcome(fn, *args):
+    """(result, None), or (None, the exception fn raised)."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # noqa: BLE001 - the test compares exceptions
+        return None, exc
+
+
+def recorded_failure(block_result, p):
+    """The failure a block result records at point p, or None."""
+    if isinstance(block_result, Jet):
+        return block_result.failures.get(p)
+    errors = getattr(block_result, "errors", None)
+    return errors[p] if errors else None
+
+
+def assert_is_row(single, block, p, path="result"):
+    """`single` is row p of `block`: bit-equal numbers, None where the block holds None."""
+    if isinstance(single, Jet):
+        single, block = single.coeffs, block.coeffs
+    elif is_dataclass(single):
+        for f in fields(single):
+            if f.name != "errors":
+                assert_is_row(getattr(single, f.name), getattr(block, f.name), p, f"{path}.{f.name}")
+        return
+    row = None if block is None else block[p]
+    if row is None or isinstance(row, str):
+        assert single == row, path
+    else:
+        got, want = np.asarray(single), np.asarray(row)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), path
+
+
+class TestSinglePointAdapter:
+    # log-alignment fails at the catenoid's (0.3, 2.0), where the alignment is
+    # negative; the quadric has Gauss-map rank 3, so no canonical frame
+    CASES = {
+        "z2": ([(0.0, 0.0), (0.4, -0.5), (1.0, 1.0)], COORD_PLANE_2),
+        "catenoid": ([(0.0, 0.0), (-1.0, 0.7), (0.3, 2.0)], CATENOID_PLANE),
+        "cylinder": ([(0.3, -0.2, 0.8), (-0.5, 0.0, -1.0)], CYLINDER_PLANE),
+        "quadric": ([(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)], np.eye(3, 4)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_single_point_is_a_row_of_the_block(self, name, request):
+        points, frame = self.CASES[name]
+        if name == "quadric":
+            imm = build_graph_immersion(["x^2+y^2-2*z^2"], 3)
+        else:
+            imm = request.getfixturevalue(name)
+        calls = {
+            "canonical": lambda pg, canon: canonical_frame_at(pg),
+            "alignment": lambda pg, canon: alignment_pack_at(pg, frame),
+            "alignment-canon": lambda pg, canon: alignment_pack_at(pg, frame, canon),
+            "complex": lambda pg, canon: complex_pack_at(pg),
+            "curvature": lambda pg, canon: curvature_pack_at(pg),
+        }
+        for field in SCALAR_FIELDS:
+            calls[field] = lambda pg, canon, f=field: scalar_field_jet(pg, f, frame)
+            calls["lap-" + field] = lambda pg, canon, f=field: laplace_beltrami(pg, f, frame)
+        block = point_geometry_at(imm, np.array(points))
+        canon = canonical_frame_at(block)
+        blocks = {key: outcome(fn, block, canon) for key, fn in calls.items()}
+        failures = 0
+        for p, point in enumerate(points):
+            pg = point_geometry_at(imm, point)
+            single_canon = None if canon.errors[p] else canonical_frame_at(pg)
+            for key, fn in calls.items():
+                block_result, block_exc = blocks[key]
+                # a Laplacian records no failure of its own: its field's jet does
+                source = blocks[key[4:]][0] if key.startswith("lap-") else block_result
+                want = block_exc or recorded_failure(source, p)
+                result, exc = outcome(fn, pg, single_canon)
+                if want is None:
+                    assert exc is None, f"{key} at {point}: {exc!r}"
+                    assert_is_row(result, block_result, p, f"{key} at {point}")
+                else:
+                    failures += 1
+                    assert (type(exc), str(exc)) == (type(want), str(want)), f"{key} at {point}"
+        assert failures > 0 or name in ("z2", "cylinder")

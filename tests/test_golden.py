@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from curvlab import checks
-from curvlab.scenario import _jsonify, load_config, load_config_file, run_checks, run_scenario
+from curvlab.scenario import load_config, load_config_file, run_checks, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json") if not p.stem.startswith("details-"))
@@ -63,7 +63,7 @@ def leaves(obj):
     if isinstance(obj, dict):
         for value in obj.values():
             yield from leaves(value)
-    elif type(obj) is tuple:
+    elif type(obj) in (tuple, list):
         yield obj
         for value in obj:
             yield from leaves(value)
@@ -72,12 +72,15 @@ def leaves(obj):
 
 
 def test_detail_records_hold_only_python_values():
-    # emit_report hands the records to json.dumps as they are
+    # emit_report hands the records and the extras to json.dumps as they are
     for name in SCENARIOS:
         report = run_scenario(load_config_file(bundled_path(name)))
         bad = {type(leaf).__name__ for res in report.results for rec in res.details
                for leaf in leaves(rec) if type(leaf) not in LEAF_TYPES + (tuple,)}
         assert not bad, f"{name}: detail records hold {sorted(bad)}"
+        bad = {type(leaf).__name__ for res in report.results for leaf in leaves(res.extras)
+               if type(leaf) not in LEAF_TYPES + (list,)}
+        assert not bad, f"{name}: extras hold {sorted(bad)}"
 
 
 CUBIC = [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]  # generic: no symmetric values
@@ -185,5 +188,5 @@ def test_block_composition_does_not_change_records(config, monkeypatch):
     for size in (len(config.grid.points()), 7, 1):
         monkeypatch.setattr(checks, "BLOCK_SIZE", size)
         results = run_checks(config.surface, config.grid, config.checks, config.frame_or_default)
-        encode.append([json.dumps(_jsonify(rec)) for res in results for rec in res.details])
+        encode.append([json.dumps(rec) for res in results for rec in res.details])
     assert encode[0] == encode[1] == encode[2]

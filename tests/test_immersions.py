@@ -8,7 +8,7 @@ from curvlab.immersions import (
     build_graph_immersion,
     catalogue_lookup,
     catalogue_names,
-    evaluate_components_array,
+    evaluate_array,
     evaluate_immersion,
 )
 from curvlab.jets import coefficient_count
@@ -128,7 +128,7 @@ class TestArrays:
         imm = catalogue_lookup("enneper", {})
         xs = np.linspace(-1, 1, 5)
         ys = np.linspace(-1, 1, 5)
-        arrays = evaluate_components_array(imm, [xs, ys])
+        arrays = [evaluate_array(comp, [xs, ys]) for comp in imm.components]
         for i in range(5):
             jets = evaluate_immersion(imm, (xs[i], ys[i]), 0)
             for arr, jet in zip(arrays, jets):

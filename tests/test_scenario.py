@@ -108,6 +108,34 @@ class TestConfigValidation:
             load_config(cfg)
         assert err.value.path == path
 
+    # each grid below loaded and ran: NaN grid points, a count cut to 3, a bool read as 1.0
+    @pytest.mark.parametrize("grid, path", [
+        ('{"ranges": [[-1, 1e999], [-1, 1]], "counts": [3, 3]}', "grid.ranges[0][1]"),
+        ('{"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3.7]}', "grid.counts[1]"),
+        ('{"ranges": [[-1, true], [-1, 1]], "counts": [3, 3]}', "grid.ranges[0][1]"),
+    ], ids=["range-inf", "count-fraction", "range-true"])
+    def test_grid_numbers_are_checked(self, grid, path):
+        cfg = small_z2_config(surface={"kind": "catalogue", "name": "affine"}, grid=json.loads(grid),
+                              checks=[{"name": "minimality"}])
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.path == path
+
+    # each of these loaded, then crashed or ran with no radius or a not-applicable verdict
+    @pytest.mark.parametrize("options, path", [
+        ({"radii": []}, "checks[0].radii"),
+        ({"radii": [2, 1]}, "checks[0].radii"),
+        ({"radii": [-1, 2]}, "checks[0].radii"),
+        ({"radii": [0, 2]}, "checks[0].radii"),
+        ({"cells": 0}, "checks[0].cells"),
+    ], ids=["empty", "decreasing", "negative", "zero", "no-cells"])
+    def test_growth_options_are_checked_at_load(self, options, path):
+        cfg = small_z2_config(surface={"kind": "catalogue", "name": "affine"},
+                              checks=[{"name": "growth", **options}])
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.path == path
+
     def test_probe_parameters_are_finite(self):
         with pytest.raises(ConfigError) as err:
             load_config(small_z2_config(probe=json.loads('{"R": 1e999}')))
