@@ -18,6 +18,7 @@ from .scenario import (
     ConfigError,
     Report,
     emit_report,
+    emit_sweep,
     load_config,
     load_config_file,
     run_scenario,
@@ -78,12 +79,7 @@ def _cmd_sweep(args) -> int:
         print("sweep aggregation:")
         print(json.dumps(table, indent=2))
     if args.out:
-        payload = {
-            "reports": [r.to_dict(detail=args.detail) for r in reports],
-            "aggregation": table,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        emit_sweep(reports, table, args.out, detail=args.detail)
         print(f"wrote sweep report to {args.out}")
     ok = all(r.overall == "pass" for r in reports)
     return 0 if ok else 1

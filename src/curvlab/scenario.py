@@ -90,10 +90,17 @@ def _require(cond, path, message):
         raise ConfigError(path, message)
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer too large for a float
+        return False
+
+
 def _number(value, path: str, integral: bool = False):
     """A number a config gives: finite and not a bool, and integral if `integral`."""
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value), path, f"must be a finite number, got {value!r}")
+             and _finite(value), path, f"must be a finite number, got {value!r}")
     _require(not integral or float(value).is_integer(), path, f"must be an integer, got {value!r}")
     return value
 
@@ -226,17 +233,23 @@ def load_config(data: dict) -> ScenarioConfig:
     if any(s.name == "probe" for s in specs) and probe is None:
         probe = _build_probe({})  # defaults, already legal
     output = data.get("output", {}) or {}
+    _require(isinstance(output, dict), "output", "must be an object")
     fmt = output.get("format", "json")
     _require(fmt in ("json", "csv"), "output.format", "format must be json or csv")
+    path = output.get("path")
+    _require(path is None or isinstance(path, str) and path, "output.path",
+             f"must be a non-empty string, got {path!r}")
+    detail = output.get("detail", False)
+    _require(isinstance(detail, bool), "output.detail", f"must be true or false, got {detail!r}")
     return ScenarioConfig(
         surface=surface,
         grid=grid,
         reference_frame=frame,
         checks=specs,
         probe=probe,
-        output_path=output.get("path"),
+        output_path=path,
         output_format=fmt,
-        detail=bool(output.get("detail", False)),
+        detail=detail,
         raw=data,
     )
 
@@ -366,14 +379,48 @@ def _format_float(x) -> str:
     return repr(float(x))
 
 
+# Where a JSON file holds per-point records: each record of a check's
+# `details` list is one compact line, written by json's C encoder (`indent`
+# selects its pure-Python one); everything else is indented as by
+# `json.dumps(..., indent=2)`.
+_RECORDS = object()
+_REPORT_LAYOUT = {"checks": [{"details": _RECORDS}]}
+_SWEEP_LAYOUT = {"reports": [_REPORT_LAYOUT]}
+
+
+def _json_text(obj, layout, pad: str = "") -> str:
+    """`obj` as JSON starting at indentation `pad`, with the lists `layout` marks one record a line.
+
+    `layout` mirrors the containers on the way to those lists: a dict maps
+    keys to the layout of their values, a one-item list gives the layout of
+    every item, `_RECORDS` marks a list of records, and None (a key that
+    `layout` does not name) is plain `json.dumps(obj, indent=2)`.
+    """
+    if layout is None:  # json escapes newlines in strings, so every "\n" here is layout
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    inner = pad + "  "
+    if layout is _RECORDS:
+        items = [json.dumps(record) for record in obj]
+    elif isinstance(layout, dict):
+        items = [f"{json.dumps(key)}: {_json_text(value, layout.get(key), inner)}"
+                 for key, value in obj.items()]
+    else:
+        items = [_json_text(item, layout[0], inner) for item in obj]
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
     """Write a report to disk; floats round-trip at full double precision.
 
-    The wall-clock timing is deliberately omitted so identical configs
-    produce byte-identical files.
+    JSON is indented, with one compact line per detail record.  The
+    wall-clock timing is deliberately omitted so identical configs produce
+    byte-identical files.
     """
     if fmt == "json":
-        text = json.dumps(report.to_dict(detail=detail), indent=2) + "\n"
+        text = _json_text(report.to_dict(detail=detail), _REPORT_LAYOUT) + "\n"
     elif fmt == "csv":
         lines = ["check,u1,u2,u3,residual,status"]
         for res in report.results:
@@ -394,6 +441,13 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
         raise ValueError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def emit_sweep(reports: list[Report], table: list, path, detail: bool = False) -> None:
+    """Write a sweep's reports and aggregation table as one JSON file, laid out as emit_report's."""
+    payload = {"reports": [r.to_dict(detail=detail) for r in reports], "aggregation": table}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json_text(payload, _SWEEP_LAYOUT) + "\n")
 
 
 # -- sweeps ----------------------------------------------------------------------

@@ -14,11 +14,33 @@ from curvlab.scenario import (
     run_scenario,
     sweep,
 )
+from test_golden import DETAIL_CONFIGS
+
+BUNDLED = ["affine-growth", "catenoid-kato", "cylinder-helicoid", "z2-full", "z2-growth",
+           "z2-probe"]
 
 
 def bundled(name: str) -> dict:
     path = resources.files("curvlab") / "scenarios" / f"{name}.json"
     return json.loads(path.read_text())
+
+
+def detail_blocks(text, pad):
+    """The lines of each non-empty `details` list whose key is indented by `pad`."""
+    lines = text.splitlines()
+    starts = [i for i, line in enumerate(lines) if line == pad + '"details": [']
+    return [lines[i + 1:lines.index(pad + "]", i)] for i in starts]
+
+
+def assert_one_record_a_line(text, entries, pad):
+    """Each detail record of the check `entries` is one line of `text`, which parses to it."""
+    records = [entry["details"] for entry in entries if entry.get("details")]
+    blocks = detail_blocks(text, pad)
+    assert len(blocks) == len(records)
+    for block, recs in zip(blocks, records):
+        assert len(block) == len(recs)
+        for line, record in zip(block, recs):
+            assert json.dumps(json.loads(line.strip().removesuffix(","))) == json.dumps(record)
 
 
 def small_z2_config(**overrides):
@@ -100,20 +122,23 @@ class TestConfigValidation:
         ('{"name": "growth", "cells": 64.5}', "checks[1].cells"),
         ('{"name": "growth", "radii": [1.0, true]}', "checks[1].radii[1]"),
         ('{"name": "isothermal", "a": NaN}', "checks[1].a"),
+        ('{"name": "minimality", "tol": %d}' % 10**400, "checks[1].tol"),
     ], ids=["tol-true", "tol-inf", "q-nan", "s-inf", "cells-true", "cells-fraction",
-            "radius-true", "a-nan"])
+            "radius-true", "a-nan", "tol-huge-int"])
     def test_config_numbers_are_finite_and_not_bool(self, check, path):
         cfg = small_z2_config(checks=[{"name": "minimality"}, json.loads(check)])
         with pytest.raises(ConfigError) as err:
             load_config(cfg)
         assert err.value.path == path
 
-    # each grid below loaded and ran: NaN grid points, a count cut to 3, a bool read as 1.0
+    # each grid below loaded and ran (NaN grid points, a count cut to 3, a bool read as 1.0)
+    # or raised OverflowError (an integer too large for a float)
     @pytest.mark.parametrize("grid, path", [
         ('{"ranges": [[-1, 1e999], [-1, 1]], "counts": [3, 3]}', "grid.ranges[0][1]"),
         ('{"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3.7]}', "grid.counts[1]"),
         ('{"ranges": [[-1, true], [-1, 1]], "counts": [3, 3]}', "grid.ranges[0][1]"),
-    ], ids=["range-inf", "count-fraction", "range-true"])
+        ('{"ranges": [[-1, 1], [-1, 1]], "counts": [3, %d]}' % 10**400, "grid.counts[1]"),
+    ], ids=["range-inf", "count-fraction", "range-true", "count-huge-int"])
     def test_grid_numbers_are_checked(self, grid, path):
         cfg = small_z2_config(surface={"kind": "catalogue", "name": "affine"}, grid=json.loads(grid),
                               checks=[{"name": "minimality"}])
@@ -137,9 +162,29 @@ class TestConfigValidation:
         assert err.value.path == path
 
     def test_probe_parameters_are_finite(self):
+        for probe in ('{"R": 1e999}', '{"R": %d}' % 10**400):
+            with pytest.raises(ConfigError) as err:
+                load_config(small_z2_config(probe=json.loads(probe)))
+            assert err.value.path == "probe.R"
+
+    # "false" read as detail=True; a path of 7 loaded and failed in open()
+    @pytest.mark.parametrize("output, path", [
+        ({"detail": "false"}, "output.detail"),
+        ({"detail": 0}, "output.detail"),
+        ({"path": 7}, "output.path"),
+        ({"path": ""}, "output.path"),
+        (["report.json"], "output"),
+    ], ids=["detail-string", "detail-int", "path-int", "path-empty", "not-an-object"])
+    def test_output_fields_are_checked(self, output, path):
         with pytest.raises(ConfigError) as err:
-            load_config(small_z2_config(probe=json.loads('{"R": 1e999}')))
-        assert err.value.path == "probe.R"
+            load_config(small_z2_config(output=output))
+        assert err.value.path == path
+
+    def test_output_fields_load(self):
+        config = load_config(small_z2_config(output={"path": "r.json", "detail": True}))
+        assert (config.output_path, config.detail) == ("r.json", True)
+        config = load_config(small_z2_config())
+        assert (config.output_path, config.detail) == (None, False)
 
     def test_graph_check_on_parametric_surface_rejected(self):
         cfg = {
@@ -260,6 +305,32 @@ class TestEmission:
         emit_report(run_scenario(config, jobs=2), "json", b, detail=True)
         assert a.read_bytes() == b.read_bytes()
 
+    # a config's unknown top-level keys stay in the report's scenario, strings
+    # included; half this grid fails to evaluate, and growth has no records
+    USER_KEYS = {
+        "surface": {"kind": "graph", "exprs": ["log(x+0.5)", "0"], "n": 2},
+        "grid": {"ranges": [[-1.0, 1.0], [-1.0, 1.0]], "counts": [4, 3]},
+        "checks": [{"name": "minimality"}, {"name": "growth", "radii": [0.25], "cells": 16}],
+        "details": [0],
+        "note": '"details": [\n  {}\n]',
+    }
+
+    @pytest.mark.parametrize("raw", [bundled(name) for name in BUNDLED]
+                             + [DETAIL_CONFIGS[name] for name in sorted(DETAIL_CONFIGS)]
+                             + [USER_KEYS],
+                             ids=BUNDLED + [f"details-{name}" for name in sorted(DETAIL_CONFIGS)]
+                             + ["user-keys"])
+    def test_json_layout(self, raw, tmp_path):
+        report = run_scenario(load_config(raw))
+        out = tmp_path / "report.json"
+        emit_report(report, "json", out)
+        assert out.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
+        emit_report(report, "json", out, detail=True)
+        text = out.read_text()
+        want = report.to_dict(detail=True)
+        assert json.dumps(json.loads(text)) == json.dumps(want)  # key order included
+        assert_one_record_a_line(text, want["checks"], " " * 6)
+
     def test_csv_rows_per_point(self, tmp_path):
         cfg = small_z2_config(checks=[{"name": "minimality"}])
         report = run_scenario(load_config(cfg))
@@ -367,6 +438,24 @@ class TestCli:
         assert proc.returncode == 0
         assert "(9 grid points" in proc.stdout
         assert "Traceback" not in proc.stderr
+
+    def test_sweep_out_file(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        proc = self.run_cli("sweep", "z2-probe", "--out", str(out), "--detail")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        reports, table = sweep(bundled("z2-probe"))
+        want = {"reports": [r.to_dict(detail=True) for r in reports], "aggregation": table}
+        text = out.read_text()
+        assert json.dumps(json.loads(text)) == json.dumps(want)
+        entries = [entry for report in want["reports"] for entry in report["checks"]]
+        assert_one_record_a_line(text, entries, " " * 10)
+
+    def test_output_path_must_be_a_string(self, tmp_path):
+        path = tmp_path / "out7.json"
+        path.write_text(json.dumps(small_z2_config(output={"path": 7})))
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert "output.path" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_list_commands(self):
         assert "catenoid" in self.run_cli("list-surfaces").stdout
