@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expressions import differentiate, evaluate_expression
+# evaluate_expression is unused here; perfbench's tracer rebinds it (test_perfbench_names.py)
+from .expressions import differentiate, evaluate_expression  # noqa: F401
 from .geometry import (
     MINIMALITY_TOL,
     RANK_TOL,
@@ -278,9 +279,9 @@ def _eval_pluecker(block, state):
     # the alignment pack's pairings <e with slots replaced by normals, A>
     ap = block.apack
     b = 1 if block.pg.m > 1 else 0  # nu2, or nu1 again in codimension one
-    one, two = ap.single_pairings, ap.double_pairings
+    one = ap.single_pairings
     return skips.records(np.abs(
-        ap.value_from_frames * two[:, 0, 0, 1, b] - one[:, 0, 0] * one[:, 1, b]
+        ap.value_from_frames * ap.double_pairing - one[:, 0, 0] * one[:, 1, b]
         + one[:, 0, b] * one[:, 1, 0]
     ))
 
@@ -757,13 +758,16 @@ class _GraphFields:
             {(i, j): differentiate(d1[i], j) for i in range(imm.n) for j in range(i, imm.n)}
             for d1 in self.d1
         ]
-        self.f0 = np.array(
-            [evaluate_expression(c, [0.0] * imm.n) for c in comps], dtype=float
-        )
         self.comps = comps
+        with np.errstate(all="ignore"):  # F(0) is NaN where the graph is undefined there
+            self.f0 = np.array([evaluate_array(c, [np.zeros(1)] * imm.n)[0] for c in comps])
 
+    @np.errstate(all="ignore")
     def fields(self, axes, want_normB2=False):
-        """Per-point v, squared extrinsic distance to F(0), optionally |B|^2."""
+        """Per-point v, squared extrinsic distance to F(0), optionally |B|^2.
+
+        Not finite wherever the graph or the distance is undefined.
+        """
         rn, rm = range(self.n), range(self.m)
         cols = [[evaluate_array(self.d1[a][i], axes) for a in rm] for i in rn]  # cols[i][a] = f^a_i
         g = [[_dot(cols[i], cols[j]) + (i == j) for j in rn] for i in rn]  # delta_ij + f_i . f_j
@@ -793,12 +797,24 @@ class _GraphFields:
         f = self.fields(zero, want_normB2=True)
         return float(f["v"][0]), float(f["normB2"][0])
 
+    def box(self, radius: float, cells: int, want_normB2=False):
+        """`fields` on the midpoint cells of [-radius, radius]^n, and the cell volume.
 
-def _midpoint_axes(radius: float, n: int, cells: int):
-    h = 2.0 * radius / cells
-    centers = -radius + h * (np.arange(cells) + 0.5)
-    mesh = np.meshgrid(*([centers] * n), indexing="ij")
-    return [m.ravel() for m in mesh], h**n
+        Omega_radius lies in this box.  A cell whose fields are not finite
+        can be placed neither inside nor outside it, so any such cell
+        raises CheckConfigError, naming the radius and the count.
+        """
+        h = 2.0 * radius / cells
+        centers = -radius + h * (np.arange(cells) + 0.5)
+        axes = [m.ravel() for m in np.meshgrid(*([centers] * self.n), indexing="ij")]
+        fields = self.fields(axes, want_normB2)
+        undefined = int(np.sum(~np.logical_and.reduce([np.isfinite(f) for f in fields.values()])))
+        if undefined:
+            raise CheckConfigError(
+                f"graph undefined on {undefined} of {len(axes[0])} quadrature cells "
+                f"within radius {radius}"
+            )
+        return fields, h**self.n
 
 
 @dataclass
@@ -831,7 +847,7 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
 
     Omega_R = {x : |x|^2 + |f(x) - f(0)|^2 <= R^2} is covered by the box
     [-R, R]^n; a masked midpoint rule integrates v.  Fails when fewer than 8
-    cells land inside Omega_R.
+    cells land inside Omega_R, or when the graph is undefined on a cell of the box.
     """
     radii = [float(r) for r in radii]
     fault = growth_option_fault("radii", radii) or growth_option_fault("cells", cells)
@@ -840,8 +856,7 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
     gf = _GraphFields(imm)
 
     def ball_volume(R):
-        axes, weight = _midpoint_axes(R, gf.n, cells)
-        fields = gf.fields(axes)
+        fields, weight = gf.box(R, cells)
         inside = fields["dist2"] <= R * R
         if int(np.sum(inside)) < 8:
             raise CheckConfigError(
@@ -1001,8 +1016,10 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
         return ProbeRecord(params=params, applicable=False, reason=reason)
 
     gf = _GraphFields(imm)
-    axes, weight = _midpoint_axes(params.R, gf.n, params.cells)
-    fields = gf.fields(axes, want_normB2=True)
+    try:
+        fields, weight = gf.box(params.R, params.cells, want_normB2=True)
+    except CheckConfigError as exc:
+        return ProbeRecord(params=params, applicable=False, reason=str(exc))
     v, nb2, dist2 = fields["v"], fields["normB2"], fields["dist2"]
     inside_R = dist2 <= params.R**2
     inside_R0 = dist2 <= params.R0**2

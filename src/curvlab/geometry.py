@@ -254,8 +254,6 @@ class PointGeometry:
     # order-2 jets reused by scalar_field_jet and the packs
     dF_jets: Jet  # (n, n+m) tensor jet of d_i F
     detg_jet: Jet
-    ginv_jets: Jet  # (n, n)
-    B_jets: Jet  # (n, n, n+m) normal-projected Hessian
     normB2_jet: Jet
     errors: list | None = None  # block only: the failure of each point, or None
 
@@ -357,7 +355,9 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
     nablaB_coord -= ordered_einsum("plkj,pilA->pkijA", christoffel, B_coord)
 
     h = ordered_einsum("pijA,paA->paij", _frame_B(T, B_coord), nu)
-    h3 = ordered_einsum("pkc,pia,pjb,pcabA,pmA->pmijk", T, T, T, nablaB_coord, nu)
+    # normal projection first: bounds the term array of the frame change
+    h3 = ordered_einsum("pkc,pia,pjb,pmcab->pmijk", T, T, T,
+                        ordered_einsum("pcabA,pmA->pmcab", nablaB_coord, nu))
     mean_curvature = ordered_einsum("pij,pijA->pA", g_inv, B_coord)
 
     return PointGeometry(
@@ -382,8 +382,6 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
         nablaB2=_dot(h3.reshape(P, -1), h3.reshape(P, -1)),
         dF_jets=dF_jets,
         detg_jet=detg_jet,
-        ginv_jets=ginv_jets,
-        B_jets=B_jets,
         normB2_jet=normB2_jet,
         errors=errors,
     )
@@ -417,15 +415,9 @@ class CanonicalFrame:
     """
 
     kernel_basis: np.ndarray  # (n-2, n+m) ambient kernel directions
-    e1: np.ndarray
-    e2: np.ndarray
-    nu1: np.ndarray
-    nu2: np.ndarray | None
     mu1: float
     mu2: float
     theta: float
-    shape1: np.ndarray  # 2x2 block of A^1
-    shape2: np.ndarray | None  # 2x2 block of A^2 (None when m == 1)
     residual: float
     tangent_frame: np.ndarray  # (n, n+m): e1, e2, kernel...
     normal_frame: np.ndarray  # (m, n+m): nu1, nu2, completion...
@@ -511,15 +503,9 @@ def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
 
     return CanonicalFrame(
         kernel_basis=kernel,
-        e1=e1,
-        e2=e2,
-        nu1=normal_frame[:, 0],
-        nu2=normal_frame[:, 1] if m >= 2 else None,
         mu1=mu1,
         mu2=mu2,
         theta=theta,
-        shape1=h_can[:, 0, :2, :2].copy(),
-        shape2=h_can[:, 1, :2, :2].copy() if m >= 2 else None,
         residual=np.max(np.abs(h_can - target), axis=(1, 2, 3)),
         tangent_frame=tangent_frame,
         normal_frame=normal_frame,
@@ -627,7 +613,6 @@ class AlignmentPack:
     evaluated against exact jet differentiation of the alignment scalar.
     """
 
-    reference_frame: np.ndarray
     value: float
     value_from_frames: float
     grad_frame: np.ndarray  # grad_{e_i} a by jet differentiation
@@ -635,7 +620,7 @@ class AlignmentPack:
     laplacian_numeric: float
     laplacian_formula: float | None
     single_pairings: np.ndarray  # (n, m): <e_{j a}, A>
-    double_pairings: np.ndarray  # (n, m, n, m): <e_{j a, k b}, A>
+    double_pairing: float  # <e_{1 1, 2 2}, A>, with nu_1 again for nu_2 when m == 1
     formula_applicable: bool
     reason: str | None
     jet: Jet  # the alignment scalar as an order-2 jet
@@ -657,14 +642,7 @@ def alignment_pack_at(pg: PointGeometry, reference_frame,
     for j in range(n):
         for al in range(m):
             single[:, j, al] = replaced_pairing(e, a, {j: nu[:, al]})
-    double = np.zeros((P, n, m, n, m))
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            for al in range(m):
-                for be in range(m):
-                    double[:, j, al, k, be] = replaced_pairing(e, a, {j: nu[:, al], k: nu[:, be]})
+    double = replaced_pairing(e, a, {0: nu[:, 0], 1: nu[:, min(1, m - 1)]})
 
     grad_formula = ordered_einsum("paij,pja->pi", pg.h, single)
 
@@ -686,7 +664,6 @@ def alignment_pack_at(pg: PointGeometry, reference_frame,
         lap_formula = -pg.normB2 * jet.value + 4.0 * canon.mu1 * canon.mu2 * pair_canon
 
     return AlignmentPack(
-        reference_frame=np.broadcast_to(a, (P,) + a.shape),
         value=jet.value,
         value_from_frames=frame_pairing(e, a),
         grad_frame=grad_frame,
@@ -694,7 +671,7 @@ def alignment_pack_at(pg: PointGeometry, reference_frame,
         laplacian_numeric=laplace_beltrami_of_jet(pg, jet),
         laplacian_formula=_optional(lap_formula, applicable),
         single_pairings=single,
-        double_pairings=double,
+        double_pairing=double,
         formula_applicable=applicable,
         reason=_objects(reasons),
         jet=jet,
@@ -711,13 +688,11 @@ class ComplexPack:
     i.e. conformality_residual is small; `isothermal` records that flag.
     """
 
-    Fw: np.ndarray  # complex (n+m,)
-    Fww: np.ndarray
+    Fww: np.ndarray  # complex (n+m,)
     conformality_residual: float
     isothermal: bool
     omega_coeff: complex  # <F_ww, F_ww> complex-bilinear
     B_ww: np.ndarray
-    nablaB_www: np.ndarray
     zeta: complex | None
     zeta_residual: float | None
     xi1: float | None
@@ -748,13 +723,11 @@ def complex_pack_at(pg: PointGeometry) -> ComplexPack:
     zres = np.sqrt(_dot(miss, miss))
 
     return ComplexPack(
-        Fw=Fw,
         Fww=Fww,
         conformality_residual=np.abs(conf),
         isothermal=np.abs(conf) <= tol * (scale + tol),
         omega_coeff=_dot(Fww, Fww),
         B_ww=B_ww,
-        nablaB_www=nablaB_www,
         zeta=_optional(zeta, has_zeta),
         zeta_residual=_optional(zres, has_zeta),
         xi1=_optional(zeta.real, has_zeta),
@@ -768,7 +741,6 @@ def complex_pack_at(pg: PointGeometry) -> ComplexPack:
 class CurvaturePack:
     K_intrinsic: float
     K_extrinsic: float
-    conformal_factor: float | None
 
 
 @_pointwise
@@ -798,9 +770,4 @@ def curvature_pack_at(pg: PointGeometry) -> CurvaturePack:
     ), -1, 0)
     denom = (E.value * G.value - F.value**2) ** 2
     K_int = (np.linalg.det(m1) - np.linalg.det(m2)) / denom
-
-    conformal = (np.abs(E.value - G.value) <= 1e-8 * (np.abs(E.value) + 1)) & (
-        np.abs(F.value) <= 1e-8 * (np.abs(E.value) + 1)
-    )
-    return CurvaturePack(K_intrinsic=K_int, K_extrinsic=K_ext,
-                         conformal_factor=_optional(E.value, conformal))
+    return CurvaturePack(K_intrinsic=K_int, K_extrinsic=K_ext)

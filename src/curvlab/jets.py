@@ -25,7 +25,6 @@ Jets are immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,11 +34,6 @@ import numpy as np
 
 MAX_DIM = 3
 MAX_ORDER = 4
-
-ELEMENTARY_FUNCTIONS = (
-    "sin", "cos", "sinh", "cosh", "exp", "log", "sqrt", "atan",
-    "recip", "pow-const",
-)
 
 
 class JetError(ValueError):
@@ -327,55 +321,41 @@ def _fold(ab: np.ndarray, ba: np.ndarray, tab: _JetTable) -> np.ndarray:
     return np.add.reduceat(ab, tab.starts, axis=-1)
 
 
-def _ordered_sum(spec: str, operands, product) -> np.ndarray:
-    # sum of product(kept_spec, parts) over the summed indices of spec, in
-    # lexicographic order; parts are the operands with those indices fixed
-    inputs, out = spec.split("->")
-    subs = inputs.split(",")
-    summed = list(dict.fromkeys(c for c in inputs if c not in out + ","))
-    sizes = {c: size for sub, op in zip(subs, operands) for c, size in zip(sub, op.shape)}
-    kept = ",".join("".join(c for c in sub if c not in summed) for sub in subs) + "->" + out
-    total = None
-    for values in itertools.product(*(range(sizes[c]) for c in summed)):
-        fix = dict(zip(summed, values))
-        term = product(kept, [op[tuple(fix.get(c, slice(None)) for c in sub)]
-                              for sub, op in zip(subs, operands)])
-        if total is None:
-            total = term
-        else:
-            total += term
-    return total
-
-
 def ordered_einsum(spec: str, *operands) -> np.ndarray:
     """np.einsum with explicit subscripts, its sums accumulated in a fixed order.
 
     np.einsum may reorder a reduction by the operands' shapes, so a point's
-    result could depend on how many points share its block.  Here each
-    combination of the summed indices is one product term, and the terms are
-    added in lexicographic order.
+    result could depend on how many points share its block.  Here one
+    np.einsum call only multiplies, laying out every product term with the
+    summed indices first; the terms are then added one after another, in
+    lexicographic order of the summed indices.
     """
-    return _ordered_sum(spec, operands, lambda kept, parts: np.einsum(kept, *parts))
+    inputs, out = spec.split("->")
+    summed = "".join(dict.fromkeys(c for c in inputs if c not in out + ","))
+    terms = np.einsum(f"{inputs}->{summed}{out}", *operands)
+    k = len(summed)
+    terms = terms.reshape((math.prod(terms.shape[:k]),) + terms.shape[k:])
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     """Truncated products of tensor jets, summed over their leading axes as in np.einsum.
 
     `spec` names the leading axes only, e.g. "pij,pjk->pik" for a batch of
-    jet-valued matrix products; the sums run in a fixed order as in
-    ordered_einsum.
+    jet-valued matrix products.  The pair-table columns a_i b_j and a_j b_i
+    are contracted by ordered_einsum and folded once, as _fold is linear.
     """
     a._is_compatible(b)
     tab = _table(a.dim, a.order)
     i, j = tab.pair_i, tab.pair_j
-
-    def product(kept, parts):
-        inputs, out = kept.split("->")
-        spec_t = "{}t,{}t->{}t".format(*inputs.split(","), out)
-        x, y = parts
-        return _fold(np.einsum(spec_t, x[..., i], y[..., j]), np.einsum(spec_t, x[..., j], y[..., i]), tab)
-
-    return _make(a.dim, a.order, _ordered_sum(spec, (a.coeffs, b.coeffs), product), _merged(a, b))
+    inputs, out = spec.split("->")
+    spec_t = "{}t,{}t->{}t".format(*inputs.split(","), out)
+    ab = ordered_einsum(spec_t, a.coeffs[..., i], b.coeffs[..., j])
+    ba = ordered_einsum(spec_t, a.coeffs[..., j], b.coeffs[..., i])
+    return _make(a.dim, a.order, _fold(ab, ba, tab), _merged(a, b))
 
 
 def jet_extract(a: Jet, alpha: tuple[int, ...]) -> float:

@@ -105,14 +105,38 @@ def _number(value, path: str, integral: bool = False):
     return value
 
 
+def _numbers(value, path: str):
+    """A number, or nested lists of numbers, each checked by _number."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _numbers(item, f"{path}[{i}]")
+    else:
+        _number(value, path)
+
+
+def _catalogue_params(params, path: str):
+    """Catalogue params: `base` names a surface, `base_params` are params again,
+    and every other value is a number or nested lists of numbers."""
+    _require(isinstance(params, dict), path, f"must be an object, got {params!r}")
+    for key, value in params.items():
+        if key == "base":
+            _require(isinstance(value, str), f"{path}.base", f"must be a surface name, got {value!r}")
+        elif key == "base_params":
+            _catalogue_params(value, f"{path}.base_params")
+        else:
+            _numbers(value, f"{path}.{key}")
+
+
 def _build_surface(d: dict) -> Immersion:
     _require(isinstance(d, dict), "surface", "must be an object")
     kind = d.get("kind", "catalogue")
     if kind == "catalogue":
         name = d.get("name")
         _require(isinstance(name, str), "surface.name", "catalogue surfaces need a name")
+        params = d.get("params") or {}
+        _catalogue_params(params, "surface.params")
         try:
-            return catalogue_lookup(name, d.get("params", {}))
+            return catalogue_lookup(name, params)
         except ImmersionError as exc:
             raise ConfigError("surface", str(exc)) from exc
     if kind == "graph":
@@ -159,9 +183,14 @@ def _build_grid(d: dict, n: int) -> GridSpec:
 def _build_frame(rows, surface: Immersion) -> np.ndarray | None:
     if rows is None:
         return None
-    frame = np.asarray(rows, dtype=float)
     n, N = surface.n, surface.n + surface.m
-    _require(frame.shape == (n, N), "reference_frame", f"must be {n} rows of length {N}")
+    _require(isinstance(rows, list) and len(rows) == n
+             and all(isinstance(row, list) and len(row) == N for row in rows),
+             "reference_frame", f"must be {n} rows of length {N}")
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            _number(value, f"reference_frame[{i}][{j}]")
+    frame = np.array(rows, dtype=float)
     gram = frame @ frame.T
     _require(
         float(np.abs(gram - np.eye(n)).max()) <= 1e-8,

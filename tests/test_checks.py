@@ -434,6 +434,16 @@ class TestProbe:
         assert not rec.applicable
         assert "evaluation error" in rec.reason
 
+    @pytest.mark.filterwarnings("error")
+    def test_undefined_cell_not_applicable(self):
+        # w = 1/(z - c) is minimal, with its pole at the centre c of one of the 16 x 16 cells
+        c = "0.0625"
+        r2 = f"((x-{c})^2+(y-{c})^2)"
+        imm = build_graph_immersion([f"(x-{c})/{r2}", f"-(y-{c})/{r2}"], 2)
+        rec = C.estimate_probe(imm, COORD_PLANE, C.ProbeParams(cells=16))
+        assert not rec.applicable
+        assert rec.reason == "graph undefined on 1 of 256 quadrature cells within radius 1.0"
+
 
 class TestAggregation:
     @pytest.mark.parametrize("residuals", [[1e-12, math.nan], [math.nan, 1e-12]])

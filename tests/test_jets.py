@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from curvlab.jets import (
     JetShapeError,
     coefficient_count,
     jet_constant,
+    jet_einsum,
     jet_elementary,
     jet_extract,
     jet_product,
     jet_variable,
+    ordered_einsum,
 )
 
 from oracles import rel_err, richardson_derivative
@@ -260,3 +263,98 @@ class TestBatch:
         with pytest.raises(OverflowError):
             jet_elementary("exp", a[1])
         assert np.isnan(out.coeffs[1]).all()
+
+
+# Every contraction geometry.py and checks.py make, with the sizes of its indices
+# beyond SIZES: tangent n = 3, normal m = 2, ambient N = 5.
+SIZES = dict(p=64, i=3, j=3, k=3, l=3, r=3, c=3, a=2, b=2, m=2, A=5, B=5)
+TANGENT_AB = dict(a=3, b=3)
+ORDERED_SPECS = [
+    ("pik,pjl,pklA->pijA", {}),
+    ("plr,pkir->plki", {}),
+    ("pAB,pkijB->pkijA", {}),
+    ("plki,pljA->pkijA", {}),
+    ("plkj,pilA->pkijA", {}),
+    ("pijA,paA->paij", {}),
+    ("pcabA,pmA->pmcab", TANGENT_AB),
+    ("pkc,pia,pjb,pmcab->pmijk", TANGENT_AB),
+    ("pij,pijA->pA", {}),
+    ("pi,pj,pijA->pA", {}),
+    ("pi,piA->pA", {}),
+    ("pjr,pjA->prA", {}),
+    ("pjr,pjA->prA", dict(j=2, r=0, A=4)),  # the n = 2 kernel: no column
+    ("paA,pijA->paij", {}),
+    ("pij,pj->pi", {}),
+    ("paij,pja->pi", {}),
+    ("paij,pbij->pab", {}),
+    ("paij,pbjk->pabik", {}),
+    ("pab,pab->p", {}),
+    ("pabik,pabki->p", {}),
+    ("pi,pi->p", dict(i=40)),  # a long sum: numpy sums 8 or more terms pairwise
+]
+JET_SPECS = ["piA,pjA->pij", "piA,piB->pAB", "pij,pjB->piB", "pAB,pijB->pijA",
+             "pjl,pkjA->pklA", "pik,pijA->pkjA", "pklA,pklA->p"]
+
+
+def spec_operands(spec, extra, seed=0, trailing=(), order="C"):
+    """Random operands for `spec` with the index sizes of SIZES and `extra`, laid out in `order`."""
+    sizes = {**SIZES, **extra}
+    rng = np.random.default_rng(seed)
+    return [np.asarray(rng.standard_normal(tuple(sizes[c] for c in sub) + trailing), order=order)
+            for sub in spec.split("->")[0].split(",")]
+
+
+def spec_id(case):
+    spec, extra = case
+    return spec + "".join(f"-{c}{size}" for c, size in extra.items())
+
+
+class TestContraction:
+    """ordered_einsum and jet_einsum: np.einsum's sums, in an order fixed per point."""
+
+    @pytest.mark.parametrize("case", ORDERED_SPECS, ids=map(spec_id, ORDERED_SPECS))
+    def test_ordered_einsum_matches_einsum(self, case):
+        spec, extra = case
+        ops = spec_operands(spec, extra)
+        got, want = ordered_einsum(spec, *ops), np.einsum(spec, *ops)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    # the layout of a block's operands (slices, transposes) sets np.einsum's output layout
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", ORDERED_SPECS, ids=map(spec_id, ORDERED_SPECS))
+    def test_ordered_einsum_row_alone_is_bitwise_its_block_row(self, case, order):
+        spec, extra = case
+        ops = spec_operands(spec, extra, seed=1, order=order)
+        block = ordered_einsum(spec, *ops)
+        for p in range(SIZES["p"]):
+            alone = ordered_einsum(spec, *(op[p:p + 1] for op in ops))
+            assert alone.tobytes() == block[p:p + 1].tobytes()
+
+    @pytest.mark.parametrize("spec", JET_SPECS)
+    def test_jet_einsum_is_a_sum_of_jet_products(self, spec):
+        dim, order = 3, 3
+        ncoef = coefficient_count(dim, order)
+        a, b = (Jet(dim, order, op) for op in spec_operands(spec, {"p": 2}, trailing=(ncoef,)))
+        subs_a, subs_b = spec.split("->")[0].split(",")
+        out = spec.split("->")[1]
+        sizes = {**dict(zip(subs_a, a.coeffs.shape)), **dict(zip(subs_b, b.coeffs.shape))}
+        want = np.zeros(tuple(sizes[c] for c in out) + (ncoef,))
+        for values in itertools.product(*map(range, sizes.values())):
+            at = dict(zip(sizes, values))
+            term = jet_product(a[tuple(at[c] for c in subs_a)], b[tuple(at[c] for c in subs_b)])
+            want[tuple(at[c] for c in out)] += term.coeffs
+        got = jet_einsum(spec, a, b).coeffs
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("spec", JET_SPECS)
+    def test_jet_einsum_row_alone_is_bitwise_its_block_row(self, spec, order):
+        ncoef = coefficient_count(2, 4)
+        a, b = (Jet(2, 4, op) for op in spec_operands(spec, {}, seed=2, trailing=(ncoef,),
+                                                       order=order))
+        block = jet_einsum(spec, a, b).coeffs
+        for p in range(SIZES["p"]):
+            alone = jet_einsum(spec, a[p:p + 1], b[p:p + 1]).coeffs
+            assert alone.tobytes() == block[p:p + 1].tobytes()

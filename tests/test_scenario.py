@@ -161,6 +161,25 @@ class TestConfigValidation:
             load_config(cfg)
         assert err.value.path == path
 
+    # each of these raised OverflowError, ValueError or AttributeError, or loaded
+    # an infinite coefficient that failed at every grid point
+    @pytest.mark.parametrize("key, value, path", [
+        ("reference_frame", [[10**400, 0, 0, 0], [0, 1, 0, 0]], "reference_frame[0][0]"),
+        ("reference_frame", [[1, 0, 0, 0], [0, "a", 0, 0]], "reference_frame[1][1]"),
+        ("surface", {"params": {"coeffs": [0, 0, 10**400]}}, "surface.params.coeffs[2]"),
+        ("surface", {"params": {"coeffs": ["a"]}}, "surface.params.coeffs[0]"),
+        ("surface", {"params": {"coeffs": [0, 0, math.inf]}}, "surface.params.coeffs[2]"),
+        ("surface", {"name": "affine", "params": {"slopes": [["x", 0]]}}, "surface.params.slopes[0][0]"),
+        ("surface", {"params": [1]}, "surface.params"),
+    ], ids=["frame-huge-int", "frame-string", "coeff-huge-int", "coeff-string", "coeff-inf",
+            "slope-string", "params-list"])
+    def test_frame_and_catalogue_numbers_are_checked(self, key, value, path):
+        cfg = small_z2_config()
+        cfg[key] = {**cfg["surface"], **value} if key == "surface" else value
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.path == path
+
     def test_probe_parameters_are_finite(self):
         for probe in ('{"R": 1e999}', '{"R": %d}' % 10**400):
             with pytest.raises(ConfigError) as err:
@@ -229,10 +248,16 @@ class TestRunScenario:
         assert report.overall == "fail"
         assert report.results[0].worst_residual >= 2.0
 
+    # log(x) is undefined at F(0), so no distance is; log(x + 0.5) at the cells with x < -0.5
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("surface, options, reason", [
         ({"kind": "catalogue", "name": "catenoid"}, {},
          "quadrature fields require a graph immersion"),
         ({"kind": "catalogue", "name": "affine"}, {"cells": 2}, "quadrature too coarse"),
+        ({"kind": "graph", "exprs": ["log(x)", "0"]}, {},
+         "graph undefined on 65536 of 65536 quadrature cells within radius 1.0"),
+        ({"kind": "graph", "exprs": ["log(x+0.5)", "0"]}, {"radii": [1.0], "cells": 16},
+         "graph undefined on 64 of 256 quadrature cells within radius 1.0"),
     ])
     def test_growth_not_applicable_reports_its_reason(self, surface, options, reason):
         cfg = {
@@ -449,6 +474,14 @@ class TestCli:
         assert json.dumps(json.loads(text)) == json.dumps(want)
         entries = [entry for report in want["reports"] for entry in report["checks"]]
         assert_one_record_a_line(text, entries, " " * 10)
+
+    def test_catalogue_number_too_large_exits_2(self, tmp_path):
+        path = tmp_path / "huge.json"
+        surface = {"kind": "catalogue", "name": "holo-curve", "params": {"coeffs": [0, 0, 10**400]}}
+        path.write_text(json.dumps(small_z2_config(surface=surface)))
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert "surface.params.coeffs[2]" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_output_path_must_be_a_string(self, tmp_path):
         path = tmp_path / "out7.json"
