@@ -763,18 +763,28 @@ class _GraphFields:
             self.f0 = np.array([evaluate_array(c, [np.zeros(1)] * imm.n)[0] for c in comps])
 
     @np.errstate(all="ignore")
-    def fields(self, axes, want_normB2=False):
-        """Per-point v, squared extrinsic distance to F(0), optionally |B|^2.
+    def dist2(self, axes):
+        """Squared extrinsic distance |x|^2 + sum_a (f^a - f^a(0))^2 to F(0).
 
-        Not finite wherever the graph or the distance is undefined.
+        One evaluation of each graph component over `axes`, which broadcast
+        together (sparse grid axes give the whole grid); not finite wherever
+        F is undefined.
+        """
+        sq = [(evaluate_array(c, axes) - c0) ** 2 for c, c0 in zip(self.comps, self.f0)]
+        # the sum over a first, then |x|^2: a change of order moves cells on the boundary
+        return sum(ax**2 for ax in axes) + sum(sq[1:], sq[0])
+
+    @np.errstate(all="ignore")
+    def fields(self, axes, want_normB2=False):
+        """Per-point volume element v, optionally |B|^2.
+
+        Not finite wherever the graph or its derivatives are undefined.
         """
         rn, rm = range(self.n), range(self.m)
         cols = [[evaluate_array(self.d1[a][i], axes) for a in rm] for i in rn]  # cols[i][a] = f^a_i
         g = [[_dot(cols[i], cols[j]) + (i == j) for j in rn] for i in rn]  # delta_ij + f_i . f_j
         det, cof = _det_cofactors(g)
-        f = np.stack([evaluate_array(c, axes) for c in self.comps], axis=1)
-        dist2 = sum(ax**2 for ax in axes) + np.sum((f - self.f0[None, :]) ** 2, axis=1)
-        out = {"v": np.sqrt(det), "dist2": dist2}
+        out = {"v": np.sqrt(det)}
         if want_normB2:
             ginv = [[c / det for c in row] for row in cof]
             # B_ij = F_ij - e_ij^r F_r is the normal part of F_ij = (0, f_ij), F_r = (e_r, f_r),
@@ -798,22 +808,36 @@ class _GraphFields:
         return float(f["v"][0]), float(f["normB2"][0])
 
     def box(self, radius: float, cells: int, want_normB2=False):
-        """`fields` on the midpoint cells of [-radius, radius]^n, and the cell volume.
+        """The midpoint cells of [-radius, radius]^n inside Omega_radius, and the cell volume.
 
-        Omega_radius lies in this box.  A cell whose fields are not finite
-        can be placed neither inside nor outside it, so any such cell
-        raises CheckConfigError, naming the radius and the count.
+        Membership comes from F alone: `dist2` on every cell of the box, which
+        holds Omega_radius.  `fields` then runs only on the cells with
+        dist2 <= radius^2, in raster order, and the returned arrays (their
+        `dist2` included) hold those cells only.  CheckConfigError, naming the
+        radius and the count, when F(0) is not finite, when F or the distance
+        is not finite on a cell of the box (it can be placed neither inside nor
+        outside), or when v or |B|^2 is not finite on a cell inside.
         """
+        if not np.all(np.isfinite(self.f0)):
+            raise CheckConfigError("graph undefined at the origin: F(0) is not finite")
         h = 2.0 * radius / cells
         centers = -radius + h * (np.arange(cells) + 0.5)
-        axes = [m.ravel() for m in np.meshgrid(*([centers] * self.n), indexing="ij")]
-        fields = self.fields(axes, want_normB2)
+        dist2 = self.dist2(np.meshgrid(*([centers] * self.n), indexing="ij", sparse=True))
+        undefined = int(np.sum(~np.isfinite(dist2)))
+        if undefined:
+            raise CheckConfigError(
+                f"graph undefined on {undefined} of {dist2.size} quadrature cells "
+                f"within radius {radius}"
+            )
+        inside = dist2 <= radius * radius
+        fields = self.fields([centers[i] for i in np.nonzero(inside)], want_normB2)
         undefined = int(np.sum(~np.logical_and.reduce([np.isfinite(f) for f in fields.values()])))
         if undefined:
             raise CheckConfigError(
-                f"graph undefined on {undefined} of {len(axes[0])} quadrature cells "
-                f"within radius {radius}"
+                f"graph undefined on {undefined} of {fields['v'].size} quadrature cells "
+                f"inside the extrinsic ball of radius {radius}"
             )
+        fields["dist2"] = dist2[inside]
         return fields, h**self.n
 
 
@@ -846,8 +870,10 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
     """Quadrature of the volume element over extrinsic balls Omega_R.
 
     Omega_R = {x : |x|^2 + |f(x) - f(0)|^2 <= R^2} is covered by the box
-    [-R, R]^n; a masked midpoint rule integrates v.  Fails when fewer than 8
-    cells land inside Omega_R, or when the graph is undefined on a cell of the box.
+    [-R, R]^n; a masked midpoint rule integrates v over the cells inside it,
+    placed by f alone (`_GraphFields.box`).  Fails when fewer than 8 cells
+    land inside Omega_R, when f(0) or f on a cell of the box is undefined, or
+    when v is undefined on a cell inside Omega_R.
     """
     radii = [float(r) for r in radii]
     fault = growth_option_fault("radii", radii) or growth_option_fault("cells", cells)
@@ -857,14 +883,10 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
 
     def ball_volume(R):
         fields, weight = gf.box(R, cells)
-        inside = fields["dist2"] <= R * R
-        if int(np.sum(inside)) < 8:
-            raise CheckConfigError(
-                f"quadrature too coarse: {int(np.sum(inside))} cells inside radius {R}"
-            )
-        vol = float(np.sum(fields["v"][inside]) * weight)
-        vmax = float(np.max(fields["v"][inside]))
-        return vol, vmax
+        v = fields["v"]
+        if v.size < 8:
+            raise CheckConfigError(f"quadrature too coarse: {v.size} cells inside radius {R}")
+        return float(np.sum(v) * weight), float(np.max(v))
 
     volumes, max_v, half_volumes = [], [], []
     for R in radii:
@@ -989,7 +1011,11 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
 
     The probes are reported, never asserted: the constants in the estimates
     are non-constructive, so only the measured quotients are meaningful.
-    The hypotheses are sampled at three points near the origin.
+    The hypotheses are sampled at three points near the origin.  The
+    integrals take v and |B|^2 on the cells of Omega_R only (`_GraphFields.box`);
+    the Omega_R0 and Omega_(R/2) cells are among them, picked by their
+    distance.  Not applicable when f is undefined at the origin or on a cell
+    of the box, or v or |B|^2 on a cell inside Omega_R.
     """
     params.validate()
     t, q = params.t, params.q
@@ -1020,22 +1046,21 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
         fields, weight = gf.box(params.R, params.cells, want_normB2=True)
     except CheckConfigError as exc:
         return ProbeRecord(params=params, applicable=False, reason=str(exc))
-    v, nb2, dist2 = fields["v"], fields["normB2"], fields["dist2"]
-    inside_R = dist2 <= params.R**2
+    v, nb2, dist2 = fields["v"], fields["normB2"], fields["dist2"]  # cells inside Omega_R
     inside_R0 = dist2 <= params.R0**2
     inside_half = dist2 <= (params.R / 2.0) ** 2
 
     # the volume element is v dx: L^t norms carry one extra factor of v
     lhs_t = float(np.sum((nb2[inside_R0] ** t) * (v[inside_R0] ** (2 * q + 1))) * weight)
-    rhs_t = float(np.sum(v[inside_R] ** (2 * q + 1)) * weight)
+    rhs_t = float(np.sum(v ** (2 * q + 1)) * weight)
     lp_lhs = lhs_t ** (1.0 / t)
     lp_rhs = rhs_t ** (1.0 / t)
     implied_c3 = lp_lhs * (params.R - params.R0) ** 2 / lp_rhs if lp_rhs > 0 else None
 
     v0, nb0 = gf.at_origin()
     pointwise_lhs = nb0 * v0**3
-    max_v = float(np.max(v[inside_R]))
-    volume_R = float(np.sum(v[inside_R]) * weight)
+    max_v = float(np.max(v))
+    volume_R = float(np.sum(v) * weight)
     volume_half = float(np.sum(v[inside_half]) * weight)
     implied_c4 = None
     if volume_half > 0 and max_v > 0:

@@ -33,7 +33,14 @@ from .jets import Jet, jet_constant, jet_variable
 
 
 class ImmersionError(ValueError):
-    """Invalid immersion definition (bad components, unknown catalogue name)."""
+    """Invalid immersion definition (bad components, unknown catalogue name).
+
+    `param` names the catalogue param at fault (`coeffs[0]`), when there is one.
+    """
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message if param is None else f"params.{param}: {message}")
+        self.message, self.param = message, param
 
 
 @dataclass(frozen=True)
@@ -169,17 +176,33 @@ def _poly_sum(terms: list[tuple[float, int, int]]) -> ExprNode:
 _I_POWERS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # i^j as (re, im)
 
 
+def _param_number(value, param: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ImmersionError(f"must be a number, got {value!r}", param)
+    return float(value)
+
+
+def _param_numbers(value, param: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ImmersionError(f"must be a non-empty list of numbers, got {value!r}", param)
+    return [_param_number(x, f"{param}[{i}]") for i, x in enumerate(value)]
+
+
 def _holo_curve(params: dict) -> Immersion:
     coeffs = params.get("coeffs")
     if not coeffs:
         raise ImmersionError("holo-curve requires non-empty 'coeffs'")
+    if not isinstance(coeffs, (list, tuple)):
+        raise ImmersionError(f"must be a list of coefficients, got {coeffs!r}", "coeffs")
     re_terms: list[tuple[float, int, int]] = []
     im_terms: list[tuple[float, int, int]] = []
     for k, c in enumerate(coeffs):
-        if isinstance(c, (list, tuple)):
-            a, b = float(c[0]), float(c[1])
+        if not isinstance(c, (list, tuple)):
+            a, b = _param_number(c, f"coeffs[{k}]"), 0.0
+        elif len(c) == 2:
+            a, b = _param_numbers(c, f"coeffs[{k}]")
         else:
-            a, b = float(c), 0.0
+            raise ImmersionError(f"must be a number or an [re, im] pair, got {c!r}", f"coeffs[{k}]")
         for j in range(k + 1):
             ire, iim = _I_POWERS[j % 4]
             binom = math.comb(k, j)
@@ -191,24 +214,26 @@ def _holo_curve(params: dict) -> Immersion:
 
 def _affine(params: dict) -> Immersion:
     slopes = params.get("slopes", [[0.5, -0.25], [0.1, 0.75]])
-    offsets = params.get("offsets")
-    n = len(slopes[0])
+    if not isinstance(slopes, (list, tuple)) or not slopes:
+        raise ImmersionError(f"must be a non-empty list of rows, got {slopes!r}", "slopes")
+    rows = [_param_numbers(row, f"slopes[{r}]") for r, row in enumerate(slopes)]
+    n = len(rows[0])
     if n not in (2, 3):
-        raise ImmersionError("affine slopes must have 2 or 3 columns")
-    if offsets is None:
-        offsets = [0.0] * len(slopes)
-    if len(offsets) != len(slopes):
-        raise ImmersionError("affine offsets must match the number of slope rows")
+        raise ImmersionError("affine slopes must have 2 or 3 columns", "slopes[0]")
+    offsets = params.get("offsets")
+    offsets = [0.0] * len(rows) if offsets is None else _param_numbers(offsets, "offsets")
+    if len(offsets) != len(rows):
+        raise ImmersionError("affine offsets must match the number of slope rows", "offsets")
     comps = []
-    for row, off in zip(slopes, offsets):
+    for r, (row, off) in enumerate(zip(rows, offsets)):
         if len(row) != n:
-            raise ImmersionError("affine slope rows must all have the same length")
-        terms = [(float(row[i]), *(1 if a == i else 0 for a in range(2))) for i in range(min(n, 2))]
+            raise ImmersionError("affine slope rows must all have the same length", f"slopes[{r}]")
+        terms = [(row[i], *(1 if a == i else 0 for a in range(2))) for i in range(min(n, 2))]
         node = _poly_sum([t for t in terms if t[0] != 0.0])
         if n == 3 and row[2] != 0:
-            node = BinOp("+", node, BinOp("*", Const(float(row[2])), Var(2)))
+            node = BinOp("+", node, BinOp("*", Const(row[2]), Var(2)))
         if off != 0:
-            node = BinOp("+", node, Const(float(off)))
+            node = BinOp("+", node, Const(off))
         comps.append(node)
     return build_graph_immersion(comps, n, "affine")
 
@@ -249,7 +274,12 @@ def _cylinder_over(params: dict) -> Immersion:
         raise ImmersionError("cylinder-over requires a 'base' surface name")
     if base_name == "cylinder-over":
         raise ImmersionError("cylinder-over cannot be nested")
-    base = catalogue_lookup(base_name, params.get("base_params", {}))
+    try:
+        base = catalogue_lookup(base_name, params.get("base_params", {}))
+    except ImmersionError as exc:
+        if exc.param is None:
+            raise
+        raise ImmersionError(exc.message, f"base_params.{exc.param}") from exc
     if base.n != 2:
         raise ImmersionError("cylinder-over requires a 2-dimensional base")
     name = f"cylinder-over-{base.name or base_name}"

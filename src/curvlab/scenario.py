@@ -138,7 +138,9 @@ def _build_surface(d: dict) -> Immersion:
         try:
             return catalogue_lookup(name, params)
         except ImmersionError as exc:
-            raise ConfigError("surface", str(exc)) from exc
+            if exc.param is None:
+                raise ConfigError("surface", str(exc)) from exc
+            raise ConfigError(f"surface.params.{exc.param}", exc.message) from exc
     if kind == "graph":
         exprs = d.get("exprs")
         _require(isinstance(exprs, list) and exprs, "surface.exprs", "graph surfaces need expressions")

@@ -6,7 +6,13 @@ import pytest
 from curvlab import checks as C
 from curvlab.expressions import BinOp, Const, Var
 from curvlab.geometry import laplace_beltrami, point_geometry_at
-from curvlab.immersions import GridSpec, Immersion, build_graph_immersion, catalogue_lookup
+from curvlab.immersions import (
+    GridSpec,
+    Immersion,
+    build_graph_immersion,
+    catalogue_lookup,
+    evaluate_array,
+)
 from curvlab.scenario import CheckSpec, run_checks
 
 from oracles import rel_err, substitute
@@ -443,6 +449,82 @@ class TestProbe:
         rec = C.estimate_probe(imm, COORD_PLANE, C.ProbeParams(cells=16))
         assert not rec.applicable
         assert rec.reason == "graph undefined on 1 of 256 quadrature cells within radius 1.0"
+
+
+CUBIC = [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]  # generic: no symmetric values
+QUADRATURE_SURFACES = {
+    "z2": (("holo-curve", {"coeffs": [0, 0, 1]}), [2.0, 4.0, 8.0], 128),
+    "cubic": (("holo-curve", {"coeffs": CUBIC}), [0.5, 1.0, 2.0], 128),
+    "cylinder-cubic": (("cylinder-over", {"base": "holo-curve", "base_params": {"coeffs": CUBIC}}),
+                       [0.5, 1.0, 2.0], 24),
+}
+
+
+def full_box(gf, radius, cells, want_normB2=False):
+    """`fields` and the squared distance on every midpoint cell of [-radius, radius]^n, unmasked."""
+    h = 2.0 * radius / cells
+    centers = -radius + h * (np.arange(cells) + 0.5)
+    axes = [m.ravel() for m in np.meshgrid(*([centers] * gf.n), indexing="ij")]
+    f = np.stack([evaluate_array(c, axes) for c in gf.comps], axis=1)
+    dist2 = sum(ax**2 for ax in axes) + np.sum((f - gf.f0) ** 2, axis=1)
+    return gf.fields(axes, want_normB2), dist2, h**gf.n
+
+
+class TestQuadratureBox:
+    """The box integrates over the cells inside Omega_R only; a full-box masked rule is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_SURFACES))
+    def test_growth_table_equals_full_box(self, name):
+        surface, radii, cells = QUADRATURE_SURFACES[name]
+        imm = catalogue_lookup(*surface)
+        table = C.growth_table(imm, radii, cells)
+        gf = C._GraphFields(imm)
+        for R, volume, max_v, half in zip(radii, table.volumes, table.max_v, table.half_volumes):
+            for radius, want in ((R, volume), (R / 2.0, half)):
+                fields, dist2, weight = full_box(gf, radius, cells)
+                v = fields["v"][dist2 <= radius * radius]
+                assert float(np.sum(v) * weight) == want
+                if radius == R:
+                    assert float(np.max(v)) == max_v
+
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_SURFACES))
+    def test_probe_record_equals_full_box(self, name):
+        surface, _, cells = QUADRATURE_SURFACES[name]
+        imm = catalogue_lookup(*surface)
+        params = C.ProbeParams(t=3.0, q=4.0, R=1.0, R0=0.4, cells=cells)  # R0 != R/2: two sub-balls
+        rec = C.estimate_probe(imm, None, params)
+        assert rec.applicable
+        fields, dist2, weight = full_box(C._GraphFields(imm), params.R, cells, want_normB2=True)
+        v, nb2 = fields["v"], fields["normB2"]
+        in_R, in_R0, in_half = (dist2 <= r**2 for r in (params.R, params.R0, params.R / 2.0))
+        t, q = params.t, params.q
+        lp_lhs = float(np.sum((nb2[in_R0] ** t) * (v[in_R0] ** (2 * q + 1))) * weight) ** (1.0 / t)
+        lp_rhs = float(np.sum(v[in_R] ** (2 * q + 1)) * weight) ** (1.0 / t)
+        assert (rec.lp_lhs, rec.lp_rhs) == (lp_lhs, lp_rhs)
+        assert rec.implied_c3 == lp_lhs * (params.R - params.R0) ** 2 / lp_rhs
+        assert rec.max_v == float(np.max(v[in_R]))
+        assert rec.volume_R == float(np.sum(v[in_R]) * weight)
+        assert rec.volume_half_R == float(np.sum(v[in_half]) * weight)
+
+    @pytest.mark.filterwarnings("error")
+    def test_undefined_derivative_outside_the_ball_is_not_integrated(self):
+        # a cone point at the centre (0.9375, 0.9375) of a corner cell of the 16 x 16 box:
+        # F is finite on every cell, v is not at that one, which lies outside Omega_1
+        imm = build_graph_immersion(["sqrt((x-0.9375)^2+(y-0.9375)^2)", "0"], 2)
+        assert not np.all(np.isfinite(full_box(C._GraphFields(imm), 1.0, 16)[0]["v"]))
+        result, table = C.growth_check_result(imm, [1.0], 16, None)
+        assert result.verdict == "pass" and table is not None
+
+    @pytest.mark.filterwarnings("error")
+    def test_undefined_derivative_inside_the_ball_not_applicable(self):
+        imm = build_graph_immersion(["sqrt((x-0.0625)^2+(y-0.0625)^2)", "0"], 2)
+        _, dist2, _ = full_box(C._GraphFields(imm), 1.0, 16)
+        inside = int(np.sum(dist2 <= 1.0))
+        result, table = C.growth_check_result(imm, [1.0], 16, None)
+        assert result.verdict == "not-applicable" and table is None
+        assert result.reason == (
+            f"graph undefined on 1 of {inside} quadrature cells inside the extrinsic ball of radius 1.0"
+        )
 
 
 class TestAggregation:

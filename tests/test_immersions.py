@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,16 @@ class TestCatalogue:
             catalogue_lookup("holo-curve", {})
         with pytest.raises(ImmersionError):
             catalogue_lookup("cylinder-over", {})
+
+    @pytest.mark.parametrize("name, params, param", [
+        ("holo-curve", {"coeffs": [[1]]}, "coeffs[0]"),
+        ("affine", {"slopes": [[1, "a"]]}, "slopes[0][1]"),
+        ("cylinder-over", {"base": "affine", "base_params": {"offsets": 3}}, "base_params.offsets"),
+    ])
+    def test_bad_param_nesting_names_the_param(self, name, params, param):
+        with pytest.raises(ImmersionError, match=rf"^params\.{re.escape(param)}: ") as err:
+            catalogue_lookup(name, params)
+        assert err.value.param == param
 
     def test_affine_jets_have_no_curvature_terms(self):
         imm = catalogue_lookup("affine", {})

@@ -3,10 +3,11 @@
 perfbench/tracing.py wraps, for example, `curvlab.checks.point_geometry_at`
 through `owner.__dict__[attr]`; a renamed or dropped import makes
 `perfbench/run.py --trace 1` fail with a KeyError.  This keeps every traced
-name resolvable.
+name resolvable, and the cell counter's wrapped method callable as it calls it.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -27,3 +28,11 @@ def test_traced_names_resolve():
     missing = [f"{path}.{attr}" for path, attr in targets
                if attr not in tracing._resolve(path).__dict__]
     assert not missing, f"names perfbench traces are gone: {missing}"
+
+
+def test_cell_counter_signature():
+    # the counter is called as (self_, axes, *args) and counts axes[0].size cells
+    tracing = load_tracing()
+    path, attr = tracing.CELL_COUNTER
+    params = list(inspect.signature(tracing._resolve(path).__dict__[attr]).parameters)
+    assert params[:2] == ["self", "axes"], f"{path}.{attr} takes {params}"

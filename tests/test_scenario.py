@@ -180,6 +180,21 @@ class TestConfigValidation:
             load_config(cfg)
         assert err.value.path == path
 
+    # each of these raised IndexError or TypeError from the catalogue builder
+    @pytest.mark.parametrize("surface, path", [
+        ({"name": "holo-curve", "params": {"coeffs": [[1]]}}, "surface.params.coeffs[0]"),
+        ({"name": "holo-curve", "params": {"coeffs": [[[1], 0]]}}, "surface.params.coeffs[0][0]"),
+        ({"name": "affine", "params": {"slopes": [1, 2]}}, "surface.params.slopes[0]"),
+        ({"name": "affine", "params": {"offsets": 3}}, "surface.params.offsets"),
+        ({"name": "cylinder-over", "params": {"base": "holo-curve", "base_params": {"coeffs": [[1]]}}},
+         "surface.params.base_params.coeffs[0]"),
+    ], ids=["coeff-short-pair", "coeff-nested-list", "slopes-not-rows", "offsets-not-list",
+            "base-coeff-short-pair"])
+    def test_catalogue_param_nesting_is_checked(self, surface, path):
+        with pytest.raises(ConfigError) as err:
+            load_config(small_z2_config(surface={"kind": "catalogue", **surface}))
+        assert err.value.path == path
+
     def test_probe_parameters_are_finite(self):
         for probe in ('{"R": 1e999}', '{"R": %d}' % 10**400):
             with pytest.raises(ConfigError) as err:
@@ -255,7 +270,7 @@ class TestRunScenario:
          "quadrature fields require a graph immersion"),
         ({"kind": "catalogue", "name": "affine"}, {"cells": 2}, "quadrature too coarse"),
         ({"kind": "graph", "exprs": ["log(x)", "0"]}, {},
-         "graph undefined on 65536 of 65536 quadrature cells within radius 1.0"),
+         "graph undefined at the origin: F(0) is not finite"),
         ({"kind": "graph", "exprs": ["log(x+0.5)", "0"]}, {"radii": [1.0], "cells": 16},
          "graph undefined on 64 of 256 quadrature cells within radius 1.0"),
     ])
