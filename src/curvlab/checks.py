@@ -8,8 +8,9 @@ form, wrong immersion kind).
 
 Grid checks share one :class:`BlockContext` per block of up to BLOCK_SIZE
 grid points: the geometry and every derived jet are computed once per block
-in array code, and each check's evaluator computes its residuals and
-detail for the whole block at once, column by column.
+in array code.  Each check's evaluator returns the block's :class:`Columns`;
+aggregation reads the blocks' joined columns with numpy, and the per-point
+records (`CheckResult.details`) are built from them on first read.
 Growth tables and the estimate probes integrate over extrinsic balls with
 a masked tensor-product midpoint rule.
 """
@@ -17,7 +18,7 @@ a masked tensor-product midpoint rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -29,6 +30,7 @@ from .geometry import (
     MINIMALITY_TOL,
     RANK_TOL,
     PointGeometry,
+    _optional,
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
@@ -97,8 +99,13 @@ class CheckResult:
     n_points: int
     n_skipped: int
     extras: dict = field(default_factory=dict)
-    details: list = field(default_factory=list)
     reason: str | None = None
+    columns: Columns | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def details(self) -> list:
+        """One record per grid point, built from `columns` (none for growth and probe)."""
+        return [] if self.columns is None else self.columns.records()
 
 
 class BlockContext:
@@ -144,9 +151,10 @@ class BlockContext:
         mc = self.pg.mean_curvature
         return np.sqrt(_dot(mc.T, mc.T)) <= MINIMALITY_TOL
 
-    def skips(self, minimal=False) -> _Skips:
-        """Fresh skip reasons: geometry failures, then non-minimal points if `minimal`."""
-        skips = _Skips(self.points).fail(self.pg.errors)
+    def skips(self, minimal=False) -> Columns:
+        """The block's Columns: geometry failures skipped, then non-minimal points if `minimal`."""
+        skips = Columns(self.points, np.full(len(self.points), None, dtype=object))
+        skips.fail(self.pg.errors)
         if minimal:
             skips.where(~self.minimal, "mean curvature does not vanish")
         return skips
@@ -169,73 +177,83 @@ class BlockContext:
         return self._laplacians[field]
 
 
-_ABSENT = object()  # a detail column's value at a point whose record omits that key
+_ABSENT = ...  # a column value that omits its detail key; Ellipsis survives pickle and copy
 
 
-def _record(residual=None, skipped=False, reason=None, **detail):
-    return {"residual": residual, "skipped": skipped, "reason": reason, "detail": detail}
+@dataclass
+class Columns:
+    """One check's results over a run of grid points, column by column.
 
-
-class _Skips(list):
-    """One evaluator's skip reason per point of a block (None: evaluated).
-
-    A point keeps the first reason it is given, so reasons are applied in
-    the order the hypotheses are tested.
+    `skip` holds each point's skip reason (None: evaluated); a point keeps
+    the first reason it is given.  `residual`, `note` (a reason kept at an
+    evaluated point) and every `detail` column hold one value per evaluated
+    point; an object column's None is written as null, its _ABSENT omits the key.
     """
 
-    def __init__(self, points):
-        super().__init__([None] * len(points))
-        self.points = points
+    points: list
+    skip: np.ndarray
+    residual: np.ndarray = field(default_factory=lambda: np.empty(0))
+    note: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=object))
+    detail: dict = field(default_factory=dict)
 
     @property
     def live(self) -> np.ndarray:
-        return np.array([r is None for r in self], dtype=bool)
+        return np.equal(self.skip, None)
 
     @property
     def done(self) -> bool:
-        return None not in self
+        return not self.live.any()
 
-    def where(self, mask, reason):
-        """Skip the live points where `mask` holds; `reason` is a str or one per point."""
-        for i in np.flatnonzero(mask):
-            if self[i] is None:
-                self[i] = reason if isinstance(reason, str) else reason[i]
+    def where(self, mask, reason: str):
+        """Skip the live points where `mask` holds."""
+        self.skip[mask & self.live] = reason
         return self
 
     def fail(self, errors, prefix="evaluation error: "):
         """Skip the live points that have an error (a list per point, or {point: error})."""
         for i, exc in (errors.items() if isinstance(errors, dict) else enumerate(errors)):
-            if exc is not None and self[i] is None:
-                self[i] = f"{prefix}{exc}"
+            if exc is not None and self.skip[i] is None:
+                self.skip[i] = f"{prefix}{exc}"
         return self
 
-    def records(self, residual=None, reason=None, **columns) -> list:
-        """The block's records: a skip where a reason is set, else the residual and detail.
+    def evaluated(self, residual, note=None, **detail) -> Columns:
+        """These skips, with `residual`, `note` and `detail` (one per point) at the live points."""
+        live = self.live
+        note = np.full(len(live), None, dtype=object) if note is None else note
+        return replace(self, residual=residual[live], note=note[live],
+                       detail={key: column[live] for key, column in detail.items()})
 
-        `residual`, `reason` and each detail column hold one value per point
-        (an array or list) or one for all; a column value _ABSENT omits its
-        key from that point's detail.
-        """
-        names = list(columns)
-        rows = zip(self, self.points, *(_per_point(c, len(self))
-                                        for c in (residual, reason, *columns.values())))
+    @classmethod
+    def concat(cls, parts: list) -> Columns:
+        """The columns of consecutive runs of points; a run with no live point may lack detail."""
+        parts = [cls([], np.empty(0, dtype=object)), *parts]  # no parts join to no points
+        keys = next((part.detail for part in parts if part.detail), {})
+        return cls(
+            [point for part in parts for point in part.points],
+            *(np.concatenate([getattr(part, name) for part in parts])
+              for name in ("skip", "residual", "note")),
+            {key: np.concatenate([part.detail[key] for part in parts if part.detail])
+             for key in keys},
+        )
+
+    def get(self, name) -> np.ndarray:
+        """Detail column `name`, or None at every evaluated point when the check gave none."""
+        return self.detail.get(name, np.full(len(self.residual), None, dtype=object))
+
+    def records(self) -> list:
+        """One dict per point: its skip reason, or its residual, note and detail."""
+        rows = zip(self.residual.tolist(), self.note.tolist(),
+                   *(column.tolist() for column in self.detail.values()))
         out = []
-        for skip, point, res, note, *values in rows:
+        for point, skip in zip(self.points, self.skip.tolist()):
             if skip is None:
-                rec = _record(res, False, note, **{k: v for k, v in zip(names, values)
-                                                  if v is not _ABSENT})
+                residual, note, *values = next(rows)
+                detail = {k: v for k, v in zip(self.detail, values) if v is not _ABSENT}
             else:
-                rec = _record(skipped=True, reason=skip)
-            rec["point"] = point
-            out.append(rec)
+                residual, note, detail = None, skip, {}
+            out.append({"residual": residual, "skipped": skip is not None, "reason": note,
+                        "detail": detail, "point": point})
         return out
-
-
-def _per_point(values, size):
-    # Python scalars, one per point
-    if isinstance(values, np.ndarray):
-        return values.tolist()
-    return values if isinstance(values, list) else [values] * size
 
 
 def _pymax(first, *others):
@@ -245,20 +263,14 @@ def _pymax(first, *others):
     return first
 
 
-def _optional(values, present, absent=None):
-    """Per-point values, `absent` where `present` is false."""
-    return [v if ok else absent for v, ok in zip(values.tolist(), present.tolist())]
-
-
 # -- individual check evaluators -------------------------------------------------
-# Each check has an eval(block, state) -> records, one per point of the
-# BlockContext, computed column by column over the block; a check with
-# options also has a setup(imm, options) -> state, validated once and shared
-# by every block.
+# Each check has an eval(block, state) -> the block's Columns, computed column
+# by column over the block; a check with options also has a
+# setup(imm, options) -> state, validated once and shared by every block.
 
 def _eval_minimality(block, state):
     mc = block.pg.mean_curvature
-    return block.skips().records(np.sqrt(_dot(mc.T, mc.T)))
+    return block.skips().evaluated(np.sqrt(_dot(mc.T, mc.T)))
 
 
 def _eval_minimal_system(block, state):
@@ -269,18 +281,18 @@ def _eval_minimal_system(block, state):
     vec = ((1 + _dot(fy.T, fy.T))[:, None] * sp[:, 0, 0]
            - (2 * _dot(fx.T, fy.T))[:, None] * sp[:, 0, 1]
            + (1 + _dot(fx.T, fx.T))[:, None] * sp[:, 1, 1])
-    return block.skips().records(np.sqrt(_dot(vec.T, vec.T)))
+    return block.skips().evaluated(np.sqrt(_dot(vec.T, vec.T)))
 
 
 def _eval_pluecker(block, state):
     skips = block.skips()
     if skips.done:
-        return skips.records()
+        return skips
     # the alignment pack's pairings <e with slots replaced by normals, A>
     ap = block.apack
     b = 1 if block.pg.m > 1 else 0  # nu2, or nu1 again in codimension one
     one = ap.single_pairings
-    return skips.records(np.abs(
+    return skips.evaluated(np.abs(
         ap.value_from_frames * ap.double_pairing - one[:, 0, 0] * one[:, 1, b]
         + one[:, 0, b] * one[:, 1, 0]
     ))
@@ -289,7 +301,7 @@ def _eval_pluecker(block, state):
 def _eval_alignment_identities(block, state):
     skips = block.skips()
     if skips.done:
-        return skips.records()
+        return skips
     ap = block.apack
     grad_scale = 1.0 + np.abs(ap.grad_frame).max(axis=-1)
     grad_res = np.abs(ap.grad_frame - ap.grad_formula).max(axis=-1) / grad_scale
@@ -298,7 +310,7 @@ def _eval_alignment_identities(block, state):
     applicable = ap.formula_applicable
     lap_formula = np.array(ap.laplacian_formula.tolist(), dtype=float)  # NaN where None
     lap_res = np.abs(ap.laplacian_numeric - lap_formula) / (1.0 + np.abs(ap.laplacian_numeric))
-    return skips.records(
+    return skips.evaluated(
         np.where(applicable, _pymax(grad_res, lap_res), grad_res),
         ap.reason,
         grad_residual=grad_res,
@@ -319,13 +331,13 @@ def _eval_log_alignment(block, state):
         lap, failures = block.laplacian("log-alignment")
         skips.fail(failures)
     if skips.done:
-        return skips.records()
+        return skips
     normB2 = block.pg.normB2
     scale = 1.0 + normB2
     signed = (lap + normB2) / scale  # positive = inequality violated
     equality = np.abs(lap + normB2) / scale
     residual = equality if state["equality"] else signed
-    return skips.records(residual, signed_violation=signed, equality_residual=equality)
+    return skips.evaluated(residual, signed_violation=signed, equality_residual=equality)
 
 
 def _shape_operator_terms(h):
@@ -337,17 +349,13 @@ def _shape_operator_terms(h):
             -ordered_einsum("pabik,pabki->p", comm, comm))
 
 
-def _canon_failed(canon) -> np.ndarray:
-    return np.array([exc is not None for exc in canon.errors], dtype=bool)
-
-
 def _eval_simons(block, state):
     skips = block.skips(minimal=True)
     if not skips.done:
         lapB2, failures = block.laplacian("normB2")
         skips.fail(failures)
     if skips.done:
-        return skips.records()
+        return skips
     pg, canon = block.pg, block.canon
     normB2, nablaB2 = pg.normB2, pg.nablaB2
     inner_numeric = 0.5 * (lapB2 - 2.0 * nablaB2)
@@ -359,7 +367,7 @@ def _eval_simons(block, state):
     # (ii) two independent routes to <grad^2 B, B>
     identity_res = np.abs(inner_numeric + tilde + under) / scale
 
-    has_canon = ~_canon_failed(canon)
+    has_canon = np.equal(canon.errors, None)
     mu1, mu2 = canon.mu1, canon.mu2
     inner_formula = -(4 * mu1**4 + 4 * mu2**4 + 16 * mu1**2 * mu2**2)
     mu_residual = np.abs((tilde + under) + inner_formula) / scale
@@ -371,7 +379,7 @@ def _eval_simons(block, state):
     conformal = np.abs(mu1 - mu2) <= EQUALITY_THRESHOLD * (mu1 + mu2 + EQUALITY_THRESHOLD)
     # at a conformal point the ratio is pinned at the equality case
     coupling = np.where(has_conformal & conformal, np.abs(ratio - 1.5), 0.0)
-    return skips.records(
+    return skips.evaluated(
         _pymax(violation, bound_violation, coupling),
         lapB2=lapB2,
         nablaB2=nablaB2,
@@ -386,17 +394,14 @@ def _eval_simons(block, state):
     )
 
 
-def _aggregate_simons(records, tol):
-    live = [r["detail"] for r in records if not r["skipped"]]
-    worst_identity, bad_identity = _finite_max(d["identity_residual"] for d in live)
-    worst_mu, bad_mu = _finite_max(
-        d["mu_residual"] for d in live if d.get("mu_residual") is not None
-    )
+def _aggregate_simons(cols, tol):
+    worst_identity, bad_identity = _finite_max(cols.get("identity_residual"))
+    worst_mu, bad_mu = _finite_max(_given(cols.get("mu_residual")))
     extras = {
         "worst_identity_residual": 0.0 if worst_identity is None else worst_identity,
         "identity_tolerance": IDENTITY_DEEP_TOL,
         "worst_mu_residual": worst_mu,
-        "conformal_points": sum(1 for d in live if d.get("conformal")),
+        "conformal_points": int(np.sum(np.equal(cols.get("conformal"), True))),
     }
     worst = max(worst_identity or 0.0, worst_mu or 0.0)
     ok = not (bad_identity or bad_mu) and worst <= IDENTITY_DEEP_TOL
@@ -410,7 +415,7 @@ def _eval_kato(block, state):
     pg = block.pg
     skips.where(pg.normB2 <= RANK_TOL, "second fundamental form vanishes")
     if skips.done:
-        return skips.records()
+        return skips
     grad_nb_sq = block.grad_normB_sq
     gap = pg.nablaB2 - 2.0 * grad_nb_sq
     equality = np.abs(gap) <= EQUALITY_THRESHOLD * (1.0 + pg.nablaB2)
@@ -418,41 +423,28 @@ def _eval_kato(block, state):
     detail = {"gap": gap, "nablaB2": pg.nablaB2, "grad_normB_sq": grad_nb_sq, "equality": equality}
     if pg.n == 2:
         cp = block.cpack
-        zeta = cp.zeta.tolist()
-        zeta_residual = cp.zeta_residual.tolist()
-        detail.update(zeta_re=[None if z is None else z.real for z in zeta],
-                      zeta_im=[None if z is None else z.imag for z in zeta],
-                      zeta_residual=zeta_residual, xi1=cp.xi1, xi2=cp.xi2)
+        has_zeta = np.not_equal(cp.zeta, None)
+        zeta = np.where(has_zeta, cp.zeta, 0).astype(complex)
         # equality forces the cubic derivative to be proportional to B_ww
-        asserted = equality & np.array([z is not None for z in zeta_residual], dtype=bool)
-        zres = np.array(zeta_residual, dtype=float)
+        asserted = equality & has_zeta
+        zres = np.array(cp.zeta_residual.tolist(), dtype=float)  # NaN where None
         residual = np.where(asserted, _pymax(residual, zres), residual)
-        detail["zeta_asserted"] = _optional(asserted, asserted, _ABSENT)
-    return skips.records(residual, **detail)
+        detail.update(zeta_re=_optional(zeta.real, has_zeta),
+                      zeta_im=_optional(zeta.imag, has_zeta), zeta_residual=cp.zeta_residual,
+                      xi1=cp.xi1, xi2=cp.xi2, zeta_asserted=_optional(asserted, asserted, _ABSENT))
+    return skips.evaluated(residual, **detail)
 
 
-def _aggregate_kato(records, tol):
-    live = [r for r in records if not r["skipped"]]
-    eq = sum(1 for r in live if r["detail"].get("equality"))
-    # recorded, not asserted: near-proportional points without gap equality
-    converse = sum(
-        1
-        for r in live
-        if not r["detail"].get("equality")
-        and r["detail"].get("zeta_residual") is not None
-        and r["detail"]["zeta_residual"] <= tol
-    )
-    zeta_at_eq = [
-        r["detail"]["zeta_residual"]
-        for r in live
-        if r["detail"].get("zeta_asserted") and r["detail"].get("zeta_residual") is not None
-    ]
+def _aggregate_kato(cols, tol):
+    equality = cols.get("equality").astype(bool)
+    zres = cols.get("zeta_residual")
     extras = {
-        "equality_points": eq,
-        "evaluated_points": len(live),
-        "zeta_without_equality": converse,
-        "worst_zeta_residual_at_equality": _finite_max(zeta_at_eq)[0],
-        "worst_gap": _finite_max(abs(r["detail"]["gap"]) for r in live)[0],
+        "equality_points": int(np.sum(equality)),
+        "evaluated_points": len(equality),
+        # recorded, not asserted: near-proportional points without gap equality
+        "zeta_without_equality": int(np.sum(_given(zres[~equality]) <= tol)),
+        "worst_zeta_residual_at_equality": _finite_max(_given(zres[equality]))[0],
+        "worst_gap": _finite_max(np.abs(cols.get("gap").astype(float)))[0],
     }
     return extras, True
 
@@ -465,23 +457,23 @@ def _eval_refined_simons(block, state):
         lhs, failures = block.laplacian("normB2")
         skips.fail(failures)
     if skips.done:
-        return skips.records()
+        return skips
     rhs = 4.0 * block.grad_normB_sq - 3.0 * pg.normB2**2
     scale = 1.0 + pg.normB2**2
-    return skips.records((rhs - lhs) / scale, margin=lhs - rhs)
+    return skips.evaluated((rhs - lhs) / scale, margin=lhs - rhs)
 
 
 def _eval_gauss_conformal(block, state):
     skips = block.skips()
     if skips.done:
-        return skips.records()
+        return skips
     pg, canon = block.pg, block.canon
     tol = state["tol"]
-    convention = pg.normB2 <= RANK_TOL  # a record, not a skip
-    skips.where(_canon_failed(canon) & ~convention, [str(exc) for exc in canon.errors])
+    convention = pg.normB2 <= RANK_TOL  # B = 0: conformal by convention, a record, not a skip
+    skips.fail({i: exc for i, exc in enumerate(canon.errors) if not convention[i]}, prefix="")
     crit_mu = np.abs(canon.mu1 - canon.mu2) <= tol * (canon.mu1 + canon.mu2 + tol)
-    agree = np.ones(len(skips), dtype=bool)
-    isothermal, omega = np.zeros(len(skips), dtype=bool), np.zeros(len(skips))
+    agree = np.ones(len(convention), dtype=bool)
+    isothermal, omega = np.zeros(len(convention), dtype=bool), np.zeros(len(convention))
     crit_bww = crit_omega = crit_mu
     if pg.n == 2:
         cp = block.cpack
@@ -492,31 +484,28 @@ def _eval_gauss_conformal(block, state):
         omega = np.abs(cp.omega_coeff)
         crit_omega = omega <= tol
         agree = ~isothermal | ((crit_bww == crit_mu) & (crit_omega == crit_mu))
-    records = skips.records(
-        np.where(agree, 0.0, 1.0),
-        conformal=crit_mu,
-        agree=agree,
-        omega=_optional(omega, isothermal),
-        criterion_mu=crit_mu,
-        criterion_bww=_optional(crit_bww, isothermal, _ABSENT),
-        criterion_omega=_optional(crit_omega, isothermal, _ABSENT),
+    shown = ~convention  # a convention point's record holds only conformal and criteria
+    return skips.evaluated(
+        np.where(agree | convention, 0.0, 1.0),
+        conformal=crit_mu | convention,
+        criteria=_optional(np.full(len(convention), "convention"), convention, _ABSENT),
+        agree=_optional(agree, shown, _ABSENT),
+        omega=_optional(_optional(omega, isothermal), shown, _ABSENT),
+        criterion_mu=_optional(crit_mu, shown, _ABSENT),
+        criterion_bww=_optional(crit_bww, isothermal & shown, _ABSENT),
+        criterion_omega=_optional(crit_omega, isothermal & shown, _ABSENT),
     )
-    for i in np.flatnonzero(convention):
-        if not records[i]["skipped"]:
-            records[i].update(residual=0.0, detail={"conformal": True, "criteria": "convention"})
-    return records
 
 
-def _aggregate_gauss_conformal(records, tol):
-    live = [r for r in records if not r["skipped"]]
-    conformal = [bool(r["detail"].get("conformal")) for r in live]
-    omegas = [r["detail"]["omega"] for r in live if r["detail"].get("omega") is not None]
+def _aggregate_gauss_conformal(cols, tol):
+    conformal = cols.get("conformal").astype(bool)
+    omegas = _given(cols.get("omega"))
     extras = {
-        "conformal_points": sum(conformal),
-        "evaluated_points": len(live),
-        "all_conformal": bool(conformal) and all(conformal),
+        "conformal_points": int(np.sum(conformal)),
+        "evaluated_points": len(conformal),
+        "all_conformal": bool(conformal.size) and bool(np.all(conformal)),
     }
-    if omegas:
+    if omegas.size:
         omega_max, n_nonfinite = _finite_max(omegas)
         extras["omega_max"] = omega_max
         # the holomorphic coefficient vanishes on the grid iff every point is conformal
@@ -533,8 +522,8 @@ def _eval_jacobian(block, state):
     m = Df.shape[1]
     sv = np.linalg.svd(Df, compute_uv=False)
     s1 = sv[:, 0]
-    s2 = sv[:, 1] if m > 1 else 0.0
-    minors = 0.0
+    s2 = sv[:, 1] if m > 1 else np.zeros(len(s1))
+    minors = np.zeros(len(s1))
     for a in range(m):
         for b in range(a + 1, m):
             minors = minors + (Df[:, a, 0] * Df[:, b, 1] - Df[:, a, 1] * Df[:, b, 0]) ** 2
@@ -547,7 +536,7 @@ def _eval_jacobian(block, state):
         jac = np.abs(np.linalg.det(Df))
         residual = _pymax(residual, np.abs(s1 * s2 - jac) / (1.0 + jac))
         detail["abs_jacobian"] = jac
-    return block.skips().records(residual, **detail)
+    return block.skips().evaluated(residual, **detail)
 
 
 def _setup_isothermal(imm, options):
@@ -569,7 +558,7 @@ def _eval_isothermal(block, state):
     residual = _pymax(np.abs(g00 - g11), np.abs(g01)) / (1.0 + np.abs(g00))
     v = np.sqrt(np.linalg.det(g))
     # sqrt det g = lam^2 det J^-1 = lam^2 b, lam^2 the conformal factor g00
-    return block.skips().records(
+    return block.skips().evaluated(
         residual,
         conformal_factor=g00,
         volume_factor=v,
@@ -605,14 +594,14 @@ def _eval_subharmonicity(block, state):
         skips.fail({i: exc for i, exc in failures.items() if not flat[i]})
         rhs = (q - 3.0 * s) * pg.normB2 ** (s + 1.0) * block.volume_jet.value**q
         lap, rhs = np.where(flat, 0.0, lap), np.where(flat, 0.0, rhs)
-    return skips.records((rhs - lap) / (1.0 + np.abs(rhs)), margin=lap - rhs, lap=lap, rhs=rhs)
+    return skips.evaluated((rhs - lap) / (1.0 + np.abs(rhs)), margin=lap - rhs, lap=lap, rhs=rhs)
 
 
 class _Check(NamedTuple):
-    evaluate: Callable  # (BlockContext, state) -> one record per point
+    evaluate: Callable  # (BlockContext, state) -> the block's Columns
     requires: tuple = ()  # keys of _REQUIREMENTS, checked in order
     setup: Callable | None = None  # (imm, options) -> state
-    aggregate: Callable | None = None  # (records, tol) -> (extras, ok)
+    aggregate: Callable = lambda cols, tol: ({}, True)  # (Columns, tol) -> (extras, ok)
     options: tuple = ()  # the option keys a config may give besides name and tol
 
 
@@ -673,7 +662,7 @@ def evaluate_point(imm: Immersion, frame, specs, points):
     """Evaluate grid checks at a block of points that share one BlockContext.
 
     `specs` is a list of (name, state) pairs.  Returns, per spec in spec
-    order, one record per point; a point's records do not depend on its
+    order, the block's Columns; a point's values do not depend on its
     block.  A point that fails to evaluate is skipped with its error as the
     reason.
     """
@@ -683,35 +672,41 @@ def evaluate_point(imm: Immersion, frame, specs, points):
 
 
 def _finite_max(values):
-    """The largest finite value (None if there is none) and the count of the others."""
-    values = list(values)
-    finite = [v for v in values if math.isfinite(v)]
-    return max(finite, default=None), len(values) - len(finite)
+    """The largest finite value (None if there is none) and the count of the others.
+
+    Of equal maxima the first wins, as in Python's max (0.0 and -0.0 print differently).
+    """
+    values = np.asarray(values, dtype=float)
+    finite = values[np.isfinite(values)]
+    return (float(finite[np.argmax(finite)]) if finite.size else None), values.size - finite.size
 
 
-def aggregate_check(name: str, tol: float, records: list) -> CheckResult:
-    """Fold per-point records into a CheckResult.
+def _given(column):
+    """An object column's values as floats, without its None and _ABSENT ones."""
+    return column[np.not_equal(column, None) & np.not_equal(column, _ABSENT)].astype(float)
+
+
+def aggregate_check(name: str, tol: float, cols: Columns) -> CheckResult:
+    """Fold a check's columns over the grid into a CheckResult.
 
     A non-finite residual fails the check; their count goes to
     extras["n_nonfinite"].
     """
-    aggregator = _CHECK_TABLE[name].aggregate
-    live = [r for r in records if not r["skipped"]]
-    skipped = [r for r in records if r["skipped"]]
-    extras, extra_ok = (aggregator(records, tol) if aggregator else ({}, True))
-    if live:
-        worst, n_nonfinite = _finite_max(r["residual"] for r in live)
+    extras, extra_ok = _CHECK_TABLE[name].aggregate(cols, tol)
+    n_skipped = len(cols.skip) - len(cols.residual)
+    if len(cols.residual):
+        worst, n_nonfinite = _finite_max(cols.residual)
         if n_nonfinite:
             extras = {**extras, "n_nonfinite": n_nonfinite}
         ok = not n_nonfinite and worst <= tol and extra_ok
         verdict, reason = "pass" if ok else "fail", None
     else:
         worst, verdict = None, "not-applicable"
-        reason = skipped[0]["reason"] if skipped else "no points evaluated"
+        reason = cols.skip[0] if n_skipped else "no points evaluated"
     return CheckResult(
         name=name, tolerance=tol, worst_residual=worst, verdict=verdict,
-        n_points=len(records), n_skipped=len(skipped), extras=extras,
-        details=records, reason=reason,
+        n_points=len(cols.skip), n_skipped=n_skipped, extras=extras,
+        reason=reason, columns=cols,
     )
 
 
@@ -857,6 +852,11 @@ class GrowthTable:
     cells: int
 
 
+def quadrature_cells_fault(cells: int, n: int) -> str | None:
+    """Why `cells` per axis breaks cells^n <= 2^24 (128 MB per float array), or None."""
+    return None if cells**n <= 2**24 else f"cells^{n} must be at most 2^24, got {cells}^{n}"
+
+
 def growth_option_fault(key: str, value) -> str | None:
     """Why a growth option breaks its rule, or None when it holds."""
     if key == "cells":
@@ -876,7 +876,8 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
     when v is undefined on a cell inside Omega_R.
     """
     radii = [float(r) for r in radii]
-    fault = growth_option_fault("radii", radii) or growth_option_fault("cells", cells)
+    fault = (growth_option_fault("radii", radii) or growth_option_fault("cells", cells)
+             or quadrature_cells_fault(cells, imm.n))
     if fault:
         raise CheckConfigError(f"growth {fault}")
     gf = _GraphFields(imm)
@@ -1018,26 +1019,24 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
     of the box, or v or |B|^2 on a cell inside Omega_R.
     """
     params.validate()
+    fault = quadrature_cells_fault(params.cells, imm.n)
+    if fault:
+        raise CheckConfigError(f"probe {fault}")
     t, q = params.t, params.q
 
-    reason = None
     if imm.kind != "graph":
-        reason = "integral probes require a graph immersion"
-    else:
-        probe_pts = [tuple(0.1 * k for _ in range(imm.n)) for k in (0, 1, 3)]
-        block = BlockContext(imm, probe_pts, reference_frame)
-        for i, failure in enumerate(block.pg.errors):
-            if failure is not None:
-                reason = f"evaluation error near the origin: {failure}"
-            elif not block.minimal[i]:
-                reason = "mean curvature does not vanish"
-            elif block.canon.errors[i] is not None:
-                reason = "Gauss-map rank above 2"
-            elif reference_frame is not None and block.apack.value[i] <= 0.0:
-                reason = "alignment function not positive on the sampled region"
-            if reason is not None:
-                break
-
+        return ProbeRecord(params=params, applicable=False,
+                           reason="integral probes require a graph immersion")
+    # the first of the three points that fails a hypothesis gives the first it fails
+    block = BlockContext(imm, [(0.1 * k,) * imm.n for k in (0, 1, 3)], reference_frame)
+    skips = Columns(block.points, np.full(3, None, dtype=object))
+    skips.fail(block.pg.errors, "evaluation error near the origin: ")
+    skips.where(~block.minimal, "mean curvature does not vanish")
+    skips.where(np.not_equal(block.canon.errors, None), "Gauss-map rank above 2")
+    if reference_frame is not None:
+        skips.where(block.apack.value <= 0.0,
+                    "alignment function not positive on the sampled region")
+    reason = next(filter(None, skips.skip), None)
     if reason is not None:
         return ProbeRecord(params=params, applicable=False, reason=reason)
 

@@ -19,8 +19,8 @@ from .scenario import (
     Report,
     emit_report,
     emit_sweep,
-    load_config,
     load_config_file,
+    load_json,
     run_scenario,
     sweep,
 )
@@ -68,10 +68,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    path = _resolve_config_path(args.config)
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    reports, table = sweep(raw)
+    reports, table = sweep(load_json(_resolve_config_path(args.config)))
     for report, row in zip(reports, table):
         print(f"-- {row['parameter']} = {row['value']}")
         _print_report(report)
@@ -136,7 +133,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, CheckConfigError, FileNotFoundError) as exc:
+    except (ConfigError, CheckConfigError, OSError) as exc:  # OSError: a file it cannot open
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

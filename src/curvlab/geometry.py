@@ -82,9 +82,9 @@ def _objects(values: list) -> np.ndarray:
     return out
 
 
-def _optional(values: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Per-point values as Python scalars, None where `present` is false."""
-    return _objects([v if ok else None for v, ok in zip(values.tolist(), present.tolist())])
+def _optional(values: np.ndarray, present: np.ndarray, absent=None) -> np.ndarray:
+    """Per-point values as Python scalars, `absent` where `present` is false."""
+    return _objects([v if ok else absent for v, ok in zip(values.tolist(), present.tolist())])
 
 
 def _take(obj, p):

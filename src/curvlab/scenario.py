@@ -21,6 +21,7 @@ import numpy as np
 from .checks import (
     CheckConfigError,
     CheckResult,
+    Columns,
     DEFAULT_TOLERANCES,
     GLOBAL_CHECKS,
     GRID_CHECKS,
@@ -33,6 +34,7 @@ from .checks import (
     growth_option_fault,
     make_check_state,
     probe_check_result,
+    quadrature_cells_fault,
 )
 from .expressions import ParseError, parse_expression
 from .immersions import (
@@ -227,6 +229,8 @@ def _build_checks(items, surface, frame) -> list[CheckSpec]:
             else:
                 _number(value, f"{path}.{key}", integral=key == "cells")
             fault = growth_option_fault(key, value) if name == "growth" else None
+            if key == "cells" and fault is None:
+                fault = quadrature_cells_fault(value, surface.n)
             _require(fault is None, f"{path}.{key}", fault)
         if name in GRID_CHECKS:
             try:
@@ -237,7 +241,7 @@ def _build_checks(items, surface, frame) -> list[CheckSpec]:
     return specs
 
 
-def _build_probe(d: dict | None) -> ProbeParams | None:
+def _build_probe(d: dict | None, n: int) -> ProbeParams | None:
     if d is None:
         return None
     _require(isinstance(d, dict), "probe", "must be an object")
@@ -250,6 +254,8 @@ def _build_probe(d: dict | None) -> ProbeParams | None:
         params.validate()
     except CheckConfigError as exc:
         raise ConfigError("probe", str(exc)) from exc
+    fault = quadrature_cells_fault(params.cells, n)
+    _require(fault is None, "probe.cells", fault)
     return params
 
 
@@ -260,9 +266,9 @@ def load_config(data: dict) -> ScenarioConfig:
     grid = _build_grid(data.get("grid", {}), surface.n)
     frame = _build_frame(data.get("reference_frame"), surface)
     specs = _build_checks(data.get("checks", []), surface, _frame_or_default(frame, surface))
-    probe = _build_probe(data.get("probe"))
+    probe = _build_probe(data.get("probe"), surface.n)
     if any(s.name == "probe" for s in specs) and probe is None:
-        probe = _build_probe({})  # defaults, already legal
+        probe = ProbeParams()  # the defaults are legal
     output = data.get("output", {}) or {}
     _require(isinstance(output, dict), "output", "must be an object")
     fmt = output.get("format", "json")
@@ -285,13 +291,17 @@ def load_config(data: dict) -> ScenarioConfig:
     )
 
 
-def load_config_file(path) -> ScenarioConfig:
+def load_json(path):
+    """The raw config in the JSON file at `path`; ConfigError when it is not valid JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise ConfigError("config", f"not valid JSON: {exc}") from exc
-    return load_config(data)
+
+
+def load_config_file(path) -> ScenarioConfig:
+    return load_config(load_json(path))
 
 
 @dataclass
@@ -336,7 +346,7 @@ def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=Non
 
     All specs share one block context per block of grid points, so the
     geometry is computed once per block however many checks run; a point's
-    records do not depend on its block.  Raises CheckConfigError for options
+    values do not depend on its block.  Raises CheckConfigError for options
     outside a check's domain, a missing requirement (reference frame, graph,
     n = 2), or a surface that fails to evaluate at every grid point.
     `points` may pass `grid.points()` when the caller has it already.
@@ -346,17 +356,13 @@ def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=Non
     tols = [DEFAULT_TOLERANCES[s.name] if s.tol is None else s.tol for s in specs]
     states = [(s.name, make_check_state(s.name, imm, frame, s.options, tol))
               for s, tol in zip(specs, tols)]
-    records = [[] for _ in specs]  # per spec, one record per grid point
-    for chunk in blocks(grid.points() if points is None else points):
-        for mine, block_records in zip(records, evaluate_point(imm, frame, states, chunk)):
-            mine.extend(block_records)
-    if records[0] and all(rec["skipped"] and str(rec["reason"]).startswith("evaluation error")
-                          for spec_records in records for rec in spec_records):
-        raise CheckConfigError(
-            f"surface evaluation failed at every grid point: {records[0][0]['reason']}"
-        )
-    return [aggregate_check(spec.name, tol, spec_records)
-            for spec, tol, spec_records in zip(specs, tols, records)]
+    per_block = [evaluate_point(imm, frame, states, chunk)
+                 for chunk in blocks(grid.points() if points is None else points)]
+    columns = [Columns.concat([block[i] for block in per_block]) for i in range(len(specs))]
+    skips = np.concatenate([cols.skip for cols in columns])  # None where evaluated
+    if skips.size and all(str(reason).startswith("evaluation error") for reason in skips):
+        raise CheckConfigError(f"surface evaluation failed at every grid point: {skips[0]}")
+    return [aggregate_check(spec.name, tol, cols) for spec, tol, cols in zip(specs, tols, columns)]
 
 
 def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
@@ -455,18 +461,13 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
     elif fmt == "csv":
         lines = ["check,u1,u2,u3,residual,status"]
         for res in report.results:
-            if not res.details:
-                continue
             for rec in res.details:
-                pt = list(rec.get("point", ()))
-                coords = [_format_float(c) for c in pt] + [""] * (3 - len(pt))
+                coords = [_format_float(c) for c in rec["point"]] + [""] * (3 - len(rec["point"]))
                 if rec["skipped"]:
                     status = "skipped"
-                    resid = ""
                 else:
                     status = "ok" if rec["residual"] <= res.tolerance else "violation"
-                    resid = _format_float(rec["residual"])
-                lines.append(",".join([res.name, *coords, resid, status]))
+                lines.append(",".join([res.name, *coords, _format_float(rec["residual"]), status]))
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
@@ -501,6 +502,7 @@ def sweep(raw_config: dict, jobs: int | None = None):
     implied constants and growth fits that each run produced.  `jobs` is
     deprecated and ignored, as in run_scenario.
     """
+    _require(isinstance(raw_config, dict), "config", "must be a JSON object")
     sweep_cfg = raw_config.get("sweep")
     if not isinstance(sweep_cfg, dict):
         raise ConfigError("sweep", "sweep runs need a sweep section")

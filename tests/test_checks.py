@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -399,7 +400,8 @@ class TestGrowth:
         ([-1, 2], 64, "growth radii must be non-empty, positive and strictly increasing, got [-1.0, 2.0]"),
         ([0, 2], 64, "growth radii must be non-empty, positive and strictly increasing, got [0.0, 2.0]"),
         ([1, 2], 0, "growth cells must be at least 1, got 0"),
-    ], ids=["empty", "decreasing", "negative", "zero", "no-cells"])
+        ([1, 2], 4097, "growth cells^2 must be at most 2^24, got 4097^2"),
+    ], ids=["empty", "decreasing", "negative", "zero", "no-cells", "too-many-cells"])
     def test_options_outside_their_rule(self, affine, radii, cells, message):
         with pytest.raises(C.CheckConfigError) as err:
             C.growth_table(affine, radii, cells)
@@ -427,6 +429,13 @@ class TestProbe:
             C.ProbeParams(t=3.0, q=2.0).validate()
         with pytest.raises(C.CheckConfigError, match="R0 < R"):
             C.ProbeParams(R=1.0, R0=2.0).validate()
+
+    def test_cells_bounded_before_quadrature(self, affine):
+        with pytest.raises(C.CheckConfigError, match=r"^probe cells\^2 must be at most 2\^24"):
+            C.estimate_probe(affine, None, C.ProbeParams(cells=100000))
+        # the largest legal counts: 4096^2 = 256^3 = 2^24
+        assert C.quadrature_cells_fault(4096, 2) is None and C.quadrature_cells_fault(256, 3) is None
+        assert C.quadrature_cells_fault(257, 3) == "cells^3 must be at most 2^24, got 257^3"
 
     def test_nonminimal_not_applicable(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
@@ -527,35 +536,82 @@ class TestQuadratureBox:
         )
 
 
+def all_evaluated(residuals, **detail):
+    """The Columns of len(residuals) points that were all evaluated, with these detail columns."""
+    none = np.full(len(residuals), None, dtype=object)
+    points = [(float(i), 0.0) for i in range(len(residuals))]
+    return C.Columns(points, none, np.array(residuals, dtype=float), none.copy(), detail)
+
+
 class TestAggregation:
     @pytest.mark.parametrize("residuals", [[1e-12, math.nan], [math.nan, 1e-12]])
     def test_nonfinite_residual_fails_in_any_order(self, residuals):
-        records = [C._record(residual=r) for r in residuals]
-        res = C.aggregate_check("minimality", 1e-10, records)
+        res = C.aggregate_check("minimality", 1e-10, all_evaluated(residuals))
         assert res.verdict == "fail"
         assert res.worst_residual == 1e-12
         assert res.extras["n_nonfinite"] == 1
 
     def test_finite_residuals_add_no_count(self):
-        res = C.aggregate_check("minimality", 1e-10, [C._record(residual=1e-12)])
+        res = C.aggregate_check("minimality", 1e-10, all_evaluated([1e-12]))
         assert res.verdict == "pass" and "n_nonfinite" not in res.extras
 
     @pytest.mark.parametrize("field", ["identity_residual", "mu_residual"])
     @pytest.mark.parametrize("values", [[1e-12, math.nan], [math.nan, 1e-12]])
     def test_nonfinite_simons_detail_fails_in_any_order(self, field, values):
-        records = [
-            C._record(residual=0.0, **{"identity_residual": 0.0, "mu_residual": None, field: v})
-            for v in values
-        ]
-        res = C.aggregate_check("simons", 1e-5, records)
+        # as _eval_simons gives them: identity_residual a float column, mu_residual
+        # an object column (None where the canonical frame failed)
+        detail = {"identity_residual": np.zeros(2), "mu_residual": np.full(2, None, dtype=object)}
+        detail[field] = np.array(values, dtype=detail[field].dtype)
+        res = C.aggregate_check("simons", 1e-5, all_evaluated([0.0, 0.0], **detail))
         assert res.verdict == "fail"
 
     @pytest.mark.parametrize("omegas", [[1e-12, math.nan], [math.nan, 1e-12]])
     def test_nonfinite_omega_fails_in_any_order(self, omegas):
-        records = [C._record(residual=0.0, conformal=True, omega=w) for w in omegas]
-        res = C.aggregate_check("gauss-conformal", 1e-6, records)
+        cols = all_evaluated([0.0, 0.0], conformal=np.ones(2, dtype=bool),
+                             omega=np.array(omegas, dtype=object))
+        res = C.aggregate_check("gauss-conformal", 1e-6, cols)
         assert res.verdict == "fail"
         assert res.extras["omega_max"] == 1e-12
+
+    def test_records_are_built_from_the_columns(self):
+        # point 1 is skipped; an _ABSENT value omits its key, None stays
+        cols = C.Columns(
+            [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], np.array([None, "flat", None], dtype=object),
+            np.array([0.5, -0.0]), np.array([None, "why"], dtype=object),
+            {"a": np.array([1.0, 2.0]), "b": np.array([None, C._ABSENT], dtype=object)},
+        )
+        res = C.aggregate_check("minimality", 1.0, cols)
+        assert (res.n_points, res.n_skipped, res.worst_residual) == (3, 1, 0.5)
+        assert res.details == [
+            {"residual": 0.5, "skipped": False, "reason": None,
+             "detail": {"a": 1.0, "b": None}, "point": (0.0, 0.0)},
+            {"residual": None, "skipped": True, "reason": "flat", "detail": {},
+             "point": (1.0, 0.0)},
+            {"residual": -0.0, "skipped": False, "reason": "why", "detail": {"a": 2.0},
+             "point": (2.0, 0.0)},
+        ]
+        assert res.details is res.details  # built once
+        # _ABSENT stays itself when the columns are pickled
+        assert pickle.loads(pickle.dumps(res.columns)).records() == res.details
+
+    def test_all_skipped_is_not_applicable_with_the_first_reason(self):
+        cols = C.Columns.concat([
+            C.Columns([(0.0, 0.0)], np.array(["first"], dtype=object)),
+            C.Columns([(1.0, 0.0)], np.array(["second"], dtype=object)),
+        ])
+        res = C.aggregate_check("kato", 1e-5, cols)
+        assert (res.verdict, res.reason, res.n_skipped) == ("not-applicable", "first", 2)
+        assert res.extras["evaluated_points"] == 0 and res.extras["worst_gap"] is None
+
+    def test_surface_failing_at_every_grid_point_raises(self):
+        imm = build_graph_immersion(["log(x)", "x*y"], 2)  # undefined for x <= 0
+        grid = GridSpec(((-1.0, -0.5), (-1.0, 1.0)), (3, 3))
+        with pytest.raises(C.CheckConfigError, match="^surface evaluation failed at every grid point: "
+                           "evaluation error: log of non-positive jet value -1.0$"):
+            run_checks(imm, grid, [CheckSpec("minimality"), CheckSpec("kato")])
+        # one evaluated point is enough to report instead
+        [res] = run_checks(imm, GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (3, 3)), [CheckSpec("minimality")])
+        assert (res.n_points, res.n_skipped) == (9, 6)
 
 
 class TestRequirements:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from curvlab import checks
-from curvlab.scenario import load_config, load_config_file, run_checks, run_scenario
+from curvlab.scenario import Report, load_config, load_config_file, run_checks, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.json") if not p.stem.startswith("details-"))
@@ -183,10 +183,14 @@ def test_detail_records_match_golden(name):
 ], ids=["z2-full", "cubic", "cylinder-cubic", "partial-failures", "rank3-quadric",
         "isothermal-shear"])
 def test_block_composition_does_not_change_records(config, monkeypatch):
-    encode = []
+    encode, entries = [], []
     # one block, blocks of 7, point by point
     for size in (len(config.grid.points()), 7, 1):
         monkeypatch.setattr(checks, "BLOCK_SIZE", size)
         results = run_checks(config.surface, config.grid, config.checks, config.frame_or_default)
         encode.append([json.dumps(rec) for res in results for rec in res.details])
+        # verdicts, worst residuals, skip counts and extras, aggregated from the joined columns
+        report = Report({}, results, "pass", 0, 0.0)
+        entries.append(json.dumps(report.to_dict(detail=False)["checks"]))
     assert encode[0] == encode[1] == encode[2]
+    assert entries[0] == entries[1] == entries[2]

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from curvlab import cli
 from curvlab.scenario import (
     ConfigError,
     emit_report,
@@ -16,6 +19,7 @@ from curvlab.scenario import (
 )
 from test_golden import DETAIL_CONFIGS
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 BUNDLED = ["affine-growth", "catenoid-kato", "cylinder-helicoid", "z2-full", "z2-growth",
            "z2-probe"]
 
@@ -72,6 +76,12 @@ class TestConfigValidation:
         cfg = small_z2_config(probe={"t": 3, "q": 3})
         with pytest.raises(ConfigError, match=r"q > \(3t-3\)/2"):
             load_config(cfg)
+
+    def test_probe_cells_bounded_at_load(self):
+        # 100000^2 cells would be allocated per quadrature array
+        with pytest.raises(ConfigError, match=r"cells\^2 must be at most 2\^24") as err:
+            load_config(small_z2_config(probe={"cells": 100000}))
+        assert err.value.path == "probe.cells"
 
     def test_grid_shape_must_match_surface(self):
         cfg = small_z2_config(grid={"ranges": [[-1, 1]], "counts": [5]})
@@ -153,7 +163,9 @@ class TestConfigValidation:
         ({"radii": [-1, 2]}, "checks[0].radii"),
         ({"radii": [0, 2]}, "checks[0].radii"),
         ({"cells": 0}, "checks[0].cells"),
-    ], ids=["empty", "decreasing", "negative", "zero", "no-cells"])
+        # would allocate 10^10 cells per array
+        ({"cells": 100000}, "checks[0].cells"),
+    ], ids=["empty", "decreasing", "negative", "zero", "no-cells", "too-many-cells"])
     def test_growth_options_are_checked_at_load(self, options, path):
         cfg = small_z2_config(surface={"kind": "catalogue", "name": "affine"},
                               checks=[{"name": "growth", **options}])
@@ -422,12 +434,11 @@ class TestSweep:
 
 class TestCli:
     def run_cli(self, *args):
-        proc = subprocess.run(
-            [sys.executable, "-m", "curvlab.cli", *args],
-            capture_output=True,
-            text=True,
-        )
-        return proc
+        # the child finds src/ as this process does, with or without PYTHONPATH set
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "curvlab.cli", *args],
+                              capture_output=True, text=True, env=env)
 
     def test_exit_code_pass(self):
         proc = self.run_cli("check", "catenoid-kato", "--jobs", "1")
@@ -470,6 +481,17 @@ class TestCli:
         assert "not-applicable" in proc.stdout and "overall: fail" in proc.stdout
         assert "Traceback" not in proc.stderr
 
+    def test_mask_that_keeps_no_point(self):
+        # no block is evaluated, so every check's columns are joined from none
+        grid = {"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3], "mask": "1"}
+        report = run_scenario(load_config(small_z2_config(grid=grid, checks=[
+            {"name": "minimality"}, {"name": "kato"}, {"name": "gauss-conformal"}])))
+        assert report.n_grid_points == 0 and report.overall == "pass"
+        for res in report.results:
+            assert (res.verdict, res.reason, res.n_points, res.details) == (
+                "not-applicable", "no points evaluated", 0, [])
+        assert report.results[1].extras["evaluated_points"] == 0
+
     def test_constant_mask_keeps_every_point(self, tmp_path):
         grid = {"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3], "mask": "-1"}
         path = tmp_path / "all.json"
@@ -478,6 +500,24 @@ class TestCli:
         assert proc.returncode == 0
         assert "(9 grid points" in proc.stdout
         assert "Traceback" not in proc.stderr
+
+    # each of these ended in a traceback with exit 1, the code of a failed check
+    @pytest.mark.parametrize("data, message", [
+        (b'{"sweep": ', "config: not valid JSON"),
+        (b'[1, 2]', "config: must be a JSON object"),
+        (b'\xff{}', "config: not valid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100000 + b"]" * 100000, "config: not valid JSON: maximum recursion depth"),
+    ], ids=["invalid-json", "json-list", "not-utf8", "nested-too-deep"])
+    def test_sweep_bad_config_exits_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert cli.main(["sweep", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path, capsys, command):
+        assert cli.main([command, str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")  # no traceback
 
     def test_sweep_out_file(self, tmp_path):
         out = tmp_path / "sweep.json"
