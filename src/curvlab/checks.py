@@ -1,5 +1,9 @@
 """Identity, inequality and equality-characterization checks.
 
+`CHECKS` is the one place a check is declared: one row per name with its
+default tolerance, description, evaluator, requirements, option defaults
+and aggregator.
+
 Every check evaluates a residual per grid point and aggregates a verdict:
 pass iff the worst signed residual stays within tolerance (positive means
 violation for inequalities), not-applicable when a documented hypothesis
@@ -48,41 +52,6 @@ from .jets import jet_elementary, ordered_einsum
 BLOCK_SIZE = 64  # grid points evaluated together in one pass of array code
 EQUALITY_THRESHOLD = 1e-4  # looser than identity tolerances by design
 IDENTITY_DEEP_TOL = 1e-4  # fourth-order two-route identities
-
-DEFAULT_TOLERANCES = {
-    "minimality": 1e-10,
-    "minimal-system": 1e-9,
-    "pluecker": 1e-12,
-    "alignment-identities": 1e-6,
-    "log-alignment": 1e-5,
-    "simons": 1e-5,
-    "kato": 1e-5,
-    "refined-simons": 1e-8,
-    "gauss-conformal": 1e-6,
-    "jacobian": 1e-10,
-    "isothermal": 1e-10,
-    "subharmonicity": 1e-6,
-    "growth": 1e-2,
-    "probe": 1e-6,
-}
-
-CHECK_DESCRIPTIONS = {
-    "minimality": "mean curvature vanishes on the grid",
-    "minimal-system": "graph components solve the minimal-surface system (graphs, n=2)",
-    "pluecker": "replacement-determinant identity of the plane pairings",
-    "alignment-identities": "gradient and Laplacian identities of the alignment function",
-    "log-alignment": "Lap log(alignment) <= -|B|^2, equality for 2d minimal graphs",
-    "simons": "Bochner inequality for |B|^2, trace identity and curvature ratio bounds",
-    "kato": "|grad B|^2 >= 2 |grad |B||^2 under rank <= 2, equality structure",
-    "refined-simons": "combined inequality Lap|B|^2 >= 4|grad|B||^2 - 3|B|^4",
-    "gauss-conformal": "agreement of the conformal-point criteria (mu, B_ww, omega)",
-    "jacobian": "singular-value identities of the graph Jacobian (graphs, n=2)",
-    "isothermal": "sheared coordinates (a,b) are isothermal (graphs, n=2)",
-    "subharmonicity": "Lap(|B|^(2s) v^q) >= (q-3s) |B|^(2s+2) v^q pointwise",
-    "growth": "extrinsic-ball volume and slope growth table (graphs)",
-    "probe": "integral curvature-estimate probes with implied constants (graphs)",
-}
-
 
 class CheckConfigError(ValueError):
     """A check was configured outside its documented parameter domain."""
@@ -264,9 +233,9 @@ def _pymax(first, *others):
 
 
 # -- individual check evaluators -------------------------------------------------
-# Each check has an eval(block, state) -> the block's Columns, computed column
-# by column over the block; a check with options also has a
-# setup(imm, options) -> state, validated once and shared by every block.
+# Each grid check has an eval(block, state) -> the block's Columns, computed
+# column by column over the block; the state (its options and tol) is built
+# once by make_check_state and shared by every block.
 
 def _eval_minimality(block, state):
     mc = block.pg.mean_curvature
@@ -319,10 +288,6 @@ def _eval_alignment_identities(block, state):
     )
 
 
-def _setup_log_alignment(imm, options):
-    return {"equality": imm.kind == "graph" and imm.n == 2}
-
-
 def _eval_log_alignment(block, state):
     skips = block.skips(minimal=True)
     if not skips.done:
@@ -336,7 +301,7 @@ def _eval_log_alignment(block, state):
     scale = 1.0 + normB2
     signed = (lap + normB2) / scale  # positive = inequality violated
     equality = np.abs(lap + normB2) / scale
-    residual = equality if state["equality"] else signed
+    residual = equality if block.imm.kind == "graph" and block.imm.n == 2 else signed
     return skips.evaluated(residual, signed_violation=signed, equality_residual=equality)
 
 
@@ -539,12 +504,9 @@ def _eval_jacobian(block, state):
     return block.skips().evaluated(residual, **detail)
 
 
-def _setup_isothermal(imm, options):
-    a = float(options.get("a", 0.0))
-    b = float(options.get("b", 1.0))
-    if b <= 0:
+def _setup_isothermal(state):
+    if state["b"] <= 0:
         raise CheckConfigError("isothermal shear requires b > 0")
-    return {"a": a, "b": b}
 
 
 def _eval_isothermal(block, state):
@@ -566,14 +528,10 @@ def _eval_isothermal(block, state):
     )
 
 
-def _setup_subharmonicity(imm, options):
-    s = float(options.get("s", 1.0))
-    q = float(options.get("q", 1.0))
-    if s < 1.0:
-        raise CheckConfigError(f"subharmonicity requires s >= 1, got s={s}")
-    if q < 1.0:
-        raise CheckConfigError(f"subharmonicity requires q >= 1, got q={q}")
-    return {"s": s, "q": q}
+def _setup_subharmonicity(state):
+    for key in ("s", "q"):
+        if state[key] < 1.0:
+            raise CheckConfigError(f"subharmonicity requires {key} >= 1, got {key}={state[key]}")
 
 
 def _power_jet(jet, p: float):
@@ -598,11 +556,14 @@ def _eval_subharmonicity(block, state):
 
 
 class _Check(NamedTuple):
-    evaluate: Callable  # (BlockContext, state) -> the block's Columns
+    tol: float  # the default tolerance
+    description: str  # its `curvlab list-checks` line
+    evaluate: Callable | None = None  # (BlockContext, state) -> the block's Columns, or None
     requires: tuple = ()  # keys of _REQUIREMENTS, checked in order
-    setup: Callable | None = None  # (imm, options) -> state
+    setup: Callable = lambda state: None  # raises when an option is outside its domain
     aggregate: Callable = lambda cols, tol: ({}, True)  # (Columns, tol) -> (extras, ok)
-    options: tuple = ()  # the option keys a config may give besides name and tol
+    options: dict = {}  # {key: default} a config may set, each value checked by its default's type
+    sweep: tuple = ()  # the extras a sweep's aggregation table collects, in order
 
 
 _REQUIREMENTS = {
@@ -610,45 +571,63 @@ _REQUIREMENTS = {
     "graph": (lambda imm, frame: imm.kind == "graph", "a graph immersion"),
     "surface": (lambda imm, frame: imm.n == 2, "a 2-dimensional domain"),
 }
-_GRAPH_SURFACE = ("graph", "surface")
 
-_CHECK_TABLE = {
-    "minimality": _Check(_eval_minimality),
-    "minimal-system": _Check(_eval_minimal_system, _GRAPH_SURFACE),
-    "pluecker": _Check(_eval_pluecker, ("frame",)),
-    "alignment-identities": _Check(_eval_alignment_identities, ("frame",)),
-    "log-alignment": _Check(_eval_log_alignment, ("frame",), setup=_setup_log_alignment),
-    "simons": _Check(_eval_simons, aggregate=_aggregate_simons),
-    "kato": _Check(_eval_kato, aggregate=_aggregate_kato),
-    "refined-simons": _Check(_eval_refined_simons),
-    "gauss-conformal": _Check(_eval_gauss_conformal, aggregate=_aggregate_gauss_conformal),
-    "jacobian": _Check(_eval_jacobian, _GRAPH_SURFACE),
-    "isothermal": _Check(_eval_isothermal, _GRAPH_SURFACE, setup=_setup_isothermal,
-                         options=("a", "b")),
-    "subharmonicity": _Check(_eval_subharmonicity, setup=_setup_subharmonicity,
-                             options=("s", "q")),
+# every check, in `list-checks` order; growth and probe run off the grid (a
+# probe's parameters have their own config section)
+CHECKS = {
+    "minimality": _Check(1e-10, "mean curvature vanishes on the grid", _eval_minimality),
+    "minimal-system": _Check(
+        1e-9, "graph components solve the minimal-surface system (graphs, n=2)",
+        _eval_minimal_system, ("graph", "surface")),
+    "pluecker": _Check(1e-12, "replacement-determinant identity of the plane pairings",
+                       _eval_pluecker, ("frame",)),
+    "alignment-identities": _Check(
+        1e-6, "gradient and Laplacian identities of the alignment function",
+        _eval_alignment_identities, ("frame",)),
+    "log-alignment": _Check(
+        1e-5, "Lap log(alignment) <= -|B|^2, equality for 2d minimal graphs",
+        _eval_log_alignment, ("frame",)),
+    "simons": _Check(
+        1e-5, "Bochner inequality for |B|^2, trace identity and curvature ratio bounds",
+        _eval_simons, aggregate=_aggregate_simons),
+    "kato": _Check(1e-5, "|grad B|^2 >= 2 |grad |B||^2 under rank <= 2, equality structure",
+                   _eval_kato, aggregate=_aggregate_kato),
+    "refined-simons": _Check(1e-8, "combined inequality Lap|B|^2 >= 4|grad|B||^2 - 3|B|^4",
+                             _eval_refined_simons),
+    "gauss-conformal": _Check(
+        1e-6, "agreement of the conformal-point criteria (mu, B_ww, omega)",
+        _eval_gauss_conformal, aggregate=_aggregate_gauss_conformal),
+    "jacobian": _Check(1e-10, "singular-value identities of the graph Jacobian (graphs, n=2)",
+                       _eval_jacobian, ("graph", "surface")),
+    "isothermal": _Check(1e-10, "sheared coordinates (a,b) are isothermal (graphs, n=2)",
+                         _eval_isothermal, ("graph", "surface"), _setup_isothermal,
+                         options={"a": 0.0, "b": 1.0}),
+    "subharmonicity": _Check(
+        1e-6, "Lap(|B|^(2s) v^q) >= (q-3s) |B|^(2s+2) v^q pointwise",
+        _eval_subharmonicity, setup=_setup_subharmonicity, options={"s": 1.0, "q": 1.0}),
+    "growth": _Check(1e-2, "extrinsic-ball volume and slope growth table (graphs)",
+                     options={"radii": [1.0, 2.0, 4.0], "cells": 256},
+                     sweep=("volumes", "volume_exponent", "max_v")),
+    "probe": _Check(1e-6, "integral curvature-estimate probes with implied constants (graphs)",
+                    sweep=("implied_c3", "implied_c4")),
 }
-GRID_CHECKS = tuple(_CHECK_TABLE)
-# a probe's parameters have their own config section
-_GLOBAL_OPTIONS = {"growth": ("radii", "cells"), "probe": ()}
-GLOBAL_CHECKS = tuple(_GLOBAL_OPTIONS)
-
-
-def check_options(name: str) -> tuple:
-    """The option keys a configured check accepts besides `name` and `tol`."""
-    return _CHECK_TABLE[name].options if name in _CHECK_TABLE else _GLOBAL_OPTIONS[name]
+GRID_CHECKS = tuple(name for name, check in CHECKS.items() if check.evaluate)
 
 
 def make_check_state(name: str, imm: Immersion, frame, options: dict, tol: float):
-    """Validate a grid check's options once; the state is shared by every point."""
-    if name not in _CHECK_TABLE:
+    """Validate a grid check's options once; the state is shared by every point.
+
+    The state maps each of the check's options, given or default, to a float, and "tol" to `tol`.
+    """
+    if name not in GRID_CHECKS:
         raise CheckConfigError(f"unknown check {name!r}")
-    check = _CHECK_TABLE[name]
+    check = CHECKS[name]
     for need in check.requires:
         holds, what = _REQUIREMENTS[need]
         if not holds(imm, frame):
             raise CheckConfigError(f"check {name!r} requires {what}")
-    state = check.setup(imm, options or {}) if check.setup else {}
+    state = {key: float(options.get(key, default)) for key, default in check.options.items()}
+    check.setup(state)
     state["tol"] = tol
     return state
 
@@ -668,7 +647,7 @@ def evaluate_point(imm: Immersion, frame, specs, points):
     """
     block = BlockContext(imm, points, frame)
     with np.errstate(all="ignore"):
-        return [_CHECK_TABLE[name].evaluate(block, state) for name, state in specs]
+        return [CHECKS[name].evaluate(block, state) for name, state in specs]
 
 
 def _finite_max(values):
@@ -692,7 +671,7 @@ def aggregate_check(name: str, tol: float, cols: Columns) -> CheckResult:
     A non-finite residual fails the check; their count goes to
     extras["n_nonfinite"].
     """
-    extras, extra_ok = _CHECK_TABLE[name].aggregate(cols, tol)
+    extras, extra_ok = CHECKS[name].aggregate(cols, tol)
     n_skipped = len(cols.skip) - len(cols.residual)
     if len(cols.residual):
         worst, n_nonfinite = _finite_max(cols.residual)
@@ -857,16 +836,19 @@ def quadrature_cells_fault(cells: int, n: int) -> str | None:
     return None if cells**n <= 2**24 else f"cells^{n} must be at most 2^24, got {cells}^{n}"
 
 
-def growth_option_fault(key: str, value) -> str | None:
-    """Why a growth option breaks its rule, or None when it holds."""
+def growth_option_fault(key: str, value, n: int) -> str | None:
+    """Why a growth option breaks its rule on an n-dimensional domain, or None when it holds."""
+    if key == "cells" and value < 1:
+        return f"cells must be at least 1, got {value}"
     if key == "cells":
-        return None if value >= 1 else f"cells must be at least 1, got {value}"
+        return quadrature_cells_fault(value, n)
     if value and value[0] > 0 and all(r2 > r1 for r1, r2 in zip(value, value[1:])):
         return None
     return f"radii must be non-empty, positive and strictly increasing, got {value}"
 
 
-def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
+def growth_table(imm: Immersion, radii,
+                 cells: int = CHECKS["growth"].options["cells"]) -> GrowthTable:
     """Quadrature of the volume element over extrinsic balls Omega_R.
 
     Omega_R = {x : |x|^2 + |f(x) - f(0)|^2 <= R^2} is covered by the box
@@ -876,8 +858,7 @@ def growth_table(imm: Immersion, radii, cells: int = 256) -> GrowthTable:
     when v is undefined on a cell inside Omega_R.
     """
     radii = [float(r) for r in radii]
-    fault = (growth_option_fault("radii", radii) or growth_option_fault("cells", cells)
-             or quadrature_cells_fault(cells, imm.n))
+    fault = growth_option_fault("radii", radii, imm.n) or growth_option_fault("cells", cells, imm.n)
     if fault:
         raise CheckConfigError(f"growth {fault}")
     gf = _GraphFields(imm)
@@ -937,7 +918,7 @@ def _table_result(name, tol, verdict, worst=None, n_points=0, table=None, fields
                   reason=None, **extras) -> CheckResult:
     """A growth or probe result: extras are `table`'s `fields` by name, then `extras`."""
     return CheckResult(
-        name=name, tolerance=DEFAULT_TOLERANCES[name] if tol is None else tol,
+        name=name, tolerance=CHECKS[name].tol if tol is None else tol,
         worst_residual=worst, verdict=verdict, n_points=n_points, n_skipped=0,
         extras={**{key: getattr(table, key) for key in fields}, **extras}, reason=reason,
     )
@@ -1082,17 +1063,17 @@ def probe_check_result(imm, reference_frame, params, sub, tol):
     """Wrap a probe as a check: only the subharmonicity part is asserted.
 
     `sub` is the grid result of the probe's own ("subharmonicity", params.s,
-    params.q) check, or None when the grid was not evaluated for it.
+    params.q) check, or None when the grid was not evaluated for it.  Not
+    applicable, with `sub`'s reason, when that part evaluated no grid point.
     """
     record = estimate_probe(imm, reference_frame, params)
     evaluated = 0 if sub is None else sub.n_points - sub.n_skipped
     fields = ("applicable", "implied_c3", "implied_c4", "lp_lhs", "lp_rhs", "pointwise_lhs",
               "max_v", "volume_R", "volume_half_R")
-    if not record.applicable:
+    if record.applicable and evaluated:
+        verdict, worst, reason = sub.verdict, sub.worst_residual, None
+    else:
         verdict, worst = "not-applicable", None
-    elif evaluated:
-        verdict, worst = sub.verdict, sub.worst_residual
-    else:  # no evaluated point passes with worst residual 0
-        verdict, worst = "pass", 0.0
+        reason = record.reason or (sub.reason if sub else "no points evaluated")
     return _table_result("probe", tol, verdict, worst, evaluated if record.applicable else 0,
-                         record, fields, record.reason, subharmonicity_points=evaluated), record
+                         record, fields, reason, subharmonicity_points=evaluated), record

@@ -12,7 +12,7 @@ import os
 import sys
 from importlib import resources
 
-from .checks import CHECK_DESCRIPTIONS, CheckConfigError, DEFAULT_TOLERANCES
+from .checks import CHECKS, CheckConfigError
 from .immersions import catalogue_names
 from .scenario import (
     ConfigError,
@@ -89,8 +89,8 @@ def _cmd_list_surfaces(_args) -> int:
 
 
 def _cmd_list_checks(_args) -> int:
-    for name, desc in CHECK_DESCRIPTIONS.items():
-        print(f"{name:<21} tol={DEFAULT_TOLERANCES[name]:<8.0e} {desc}")
+    for name, check in CHECKS.items():
+        print(f"{name:<21} tol={check.tol:<8.0e} {check.description}")
     return 0
 
 

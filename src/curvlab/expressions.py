@@ -21,6 +21,7 @@ test-suite an oracle independent of jet arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -30,7 +31,7 @@ import numpy as np
 from .jets import Jet, jet_elementary
 
 VARIABLE_ALIASES = {"x": 0, "y": 1, "z": 2, "u1": 0, "u2": 1, "u3": 2, "u": 0, "v": 1}
-FUNCTION_NAMES = ("sin", "cos", "sinh", "cosh", "exp", "log", "sqrt", "atan")
+MAX_NESTING = 100  # parentheses, calls and unary minus nest at most this deep
 
 _VAR_NAMES = ("x", "y", "z")  # canonical names used when printing
 
@@ -78,6 +79,19 @@ class Pow:
 
 ExprNode = Union[Const, Var, Call, BinOp, Pow]
 
+# each function: its float function, its array function, and its derivative f'(u) as a node
+_FUNCTIONS = {
+    "sin": (math.sin, np.sin, lambda u: Call("cos", u)),
+    "cos": (math.cos, np.cos, lambda u: Call("neg", Call("sin", u))),
+    "sinh": (math.sinh, np.sinh, lambda u: Call("cosh", u)),
+    "cosh": (math.cosh, np.cosh, lambda u: Call("sinh", u)),
+    "exp": (math.exp, np.exp, lambda u: Call("exp", u)),
+    "log": (math.log, np.log, lambda u: BinOp("/", Const(1.0), u)),
+    "sqrt": (math.sqrt, np.sqrt, lambda u: BinOp("/", Const(0.5), Call("sqrt", u))),
+    "atan": (math.atan, np.arctan, lambda u: BinOp("/", Const(1.0), _add(Const(1.0), Pow(u, 2)))),
+}
+FUNCTION_NAMES = tuple(_FUNCTIONS)
+
 
 # -- parsing ------------------------------------------------------------------
 
@@ -93,14 +107,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip leading whitespace manually to locate the bad byte
-            stripped = pos
-            while stripped < len(text) and text[stripped].isspace():
-                stripped += 1
-            if stripped >= len(text):
+        if m is None:  # no token after the whitespace at pos: the end, or a bad byte
+            bad = len(text) - len(text[pos:].lstrip())
+            if bad == len(text):
                 break
-            raise ParseError(f"unexpected character {text[stripped]!r}", stripped + 1)
+            raise ParseError(f"unexpected character {text[bad]!r}", bad + 1)
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
@@ -113,6 +124,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
+        self.depth = 0  # base() calls in progress: every nesting recurses through base
 
     def peek(self):
         return self.tokens[self.pos]
@@ -170,12 +182,20 @@ class _Parser:
                 raise ParseError("expected an integer exponent after '^'", off)
             self.advance()
             value = float(text)
-            if value != int(value):
+            if not value.is_integer():  # 1e400 is inf, no integer either
                 raise ParseError(f"exponent must be an integer, got {text}", off)
             node = Pow(node, sign * int(value))
         return node
 
     def base(self) -> ExprNode:
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} deep", self.peek()[2])
+        self.depth += 1
+        node = self.atom()
+        self.depth -= 1
+        return node
+
+    def atom(self) -> ExprNode:
         kind, text, off = self.advance()
         if kind == "num":
             return Const(float(text))
@@ -263,25 +283,19 @@ def format_expression(node: ExprNode) -> str:
 
 # -- evaluation ---------------------------------------------------------------
 
-_MATH_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
-    "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "atan": math.atan,
-}
-_NUMPY_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
-    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "atan": np.arctan,
-}
-
-
 def _apply_func(name: str, value):
     if isinstance(value, Jet):
         return jet_elementary(name, value)
+    real, array, _ = _FUNCTIONS[name]
     if isinstance(value, np.ndarray):
-        return _NUMPY_FUNCS[name](value)
+        return array(value)
     try:
-        return _MATH_FUNCS[name](value)
+        return real(value)
     except ValueError as exc:
         raise ExpressionDomainError(f"{name}({value}) is undefined") from exc
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def evaluate_expression(node: ExprNode, values):
@@ -306,15 +320,9 @@ def evaluate_expression(node: ExprNode, values):
     if isinstance(node, BinOp):
         left = evaluate_expression(node.left, values)
         right = evaluate_expression(node.right, values)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if isinstance(right, (int, float)) and right == 0:
+        if node.op == "/" and isinstance(right, (int, float)) and right == 0:
             raise ExpressionDomainError("division by zero")
-        return left / right
+        return _ARITHMETIC[node.op](left, right)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -354,18 +362,6 @@ def _mul(a: ExprNode, b: ExprNode) -> ExprNode:
     return BinOp("*", a, b)
 
 
-_CHAIN = {
-    "sin": lambda u: Call("cos", u),
-    "cos": lambda u: Call("neg", Call("sin", u)),
-    "sinh": lambda u: Call("cosh", u),
-    "cosh": lambda u: Call("sinh", u),
-    "exp": lambda u: Call("exp", u),
-    "log": lambda u: BinOp("/", Const(1.0), u),
-    "sqrt": lambda u: BinOp("/", Const(0.5), Call("sqrt", u)),
-    "atan": lambda u: BinOp("/", Const(1.0), _add(Const(1.0), Pow(u, 2))),
-}
-
-
 def differentiate(node: ExprNode, axis: int) -> ExprNode:
     """Exact symbolic partial derivative with light constant-folding."""
     if isinstance(node, Const):
@@ -376,7 +372,7 @@ def differentiate(node: ExprNode, axis: int) -> ExprNode:
         d_arg = differentiate(node.arg, axis)
         if node.func == "neg":
             return Const(0.0) if _is_zero(d_arg) else Call("neg", d_arg)
-        return _mul(_CHAIN[node.func](node.arg), d_arg)
+        return _mul(_FUNCTIONS[node.func][2](node.arg), d_arg)
     if isinstance(node, Pow):
         d_base = differentiate(node.base, axis)
         if node.exponent == 0 or _is_zero(d_base):

@@ -19,16 +19,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .checks import (
+    CHECKS,
+    GRID_CHECKS,
     CheckConfigError,
     CheckResult,
     Columns,
-    DEFAULT_TOLERANCES,
-    GLOBAL_CHECKS,
-    GRID_CHECKS,
     ProbeParams,
     aggregate_check,
     blocks,
-    check_options,
     evaluate_point,
     growth_check_result,
     growth_option_fault,
@@ -56,7 +54,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class CheckSpec:
-    """One configured check; `tol=None` means its DEFAULT_TOLERANCES entry."""
+    """One configured check; `tol=None` means the default tolerance of its `CHECKS` row."""
 
     name: str
     tol: float | None = None
@@ -146,8 +144,10 @@ def _build_surface(d: dict) -> Immersion:
     if kind == "graph":
         exprs = d.get("exprs")
         _require(isinstance(exprs, list) and exprs, "surface.exprs", "graph surfaces need expressions")
+        for i, e in enumerate(exprs):
+            _require(isinstance(e, str), f"surface.exprs[{i}]", f"must be a string, got {e!r}")
         n = d.get("n", 2)
-        _require(n in (2, 3), "surface.n", "domain dimension must be 2 or 3")
+        _require(isinstance(n, int) and n in (2, 3), "surface.n", "domain dimension must be 2 or 3")
         try:
             return build_graph_immersion(exprs, n, name=d.get("name", "graph"))
         except (ParseError, ImmersionError) as exc:
@@ -168,10 +168,13 @@ def _build_grid(d: dict, n: int) -> GridSpec:
         for j, value in enumerate(pair):
             _number(value, f"grid.ranges[{i}][{j}]")
         _number(count, f"grid.counts[{i}]", integral=True)
-    mask = None
-    if d.get("mask"):
+    _require(math.prod(int(c) for c in counts) <= 2**20, "grid.counts",
+             f"at most 2^20 grid points, got {' x '.join(str(c) for c in counts)}")
+    mask = d.get("mask") or None
+    _require(mask is None or isinstance(mask, str), "grid.mask", f"must be a string, got {mask!r}")
+    if mask:
         try:
-            mask = parse_expression(d["mask"], n)
+            mask = parse_expression(mask, n)
         except ParseError as exc:
             raise ConfigError("grid.mask", str(exc)) from exc
     try:
@@ -207,30 +210,27 @@ def _build_frame(rows, surface: Immersion) -> np.ndarray | None:
 def _build_checks(items, surface, frame) -> list[CheckSpec]:
     _require(isinstance(items, list), "checks", "must be a list")
     specs = []
-    known = set(GRID_CHECKS) | set(GLOBAL_CHECKS)
     for idx, item in enumerate(items):
         path = f"checks[{idx}]"
         _require(isinstance(item, dict), path, "must be an object")
         name = item.get("name")
         _require(isinstance(name, str), f"{path}.name", "missing check name")
-        _require(name in known, f"{path}.name",
-                 f"unknown check {name!r} (known: {', '.join(sorted(known))})")
-        tol = _number(item.get("tol", DEFAULT_TOLERANCES[name]), f"{path}.tol")
+        _require(name in CHECKS, f"{path}.name",
+                 f"unknown check {name!r} (known: {', '.join(sorted(CHECKS))})")
+        tol = _number(item.get("tol", CHECKS[name].tol), f"{path}.tol")
         _require(tol > 0, f"{path}.tol", "tolerance must be positive")
         options = {k: v for k, v in item.items() if k not in ("name", "tol")}
-        accepted = check_options(name)
+        accepted = CHECKS[name].options
         for key, value in options.items():
             _require(key in accepted, f"{path}.{key}", f"unknown option for check {name!r} "
                      f"(accepted: {', '.join(accepted) or 'none'})")
-            if key == "radii":
-                _require(isinstance(value, list), f"{path}.radii", "must be a list of numbers")
-                for j, radius in enumerate(value):
-                    _number(radius, f"{path}.radii[{j}]")
+            if isinstance(accepted[key], list):
+                _require(isinstance(value, list), f"{path}.{key}", "must be a list of numbers")
+                for j, number in enumerate(value):
+                    _number(number, f"{path}.{key}[{j}]")
             else:
-                _number(value, f"{path}.{key}", integral=key == "cells")
-            fault = growth_option_fault(key, value) if name == "growth" else None
-            if key == "cells" and fault is None:
-                fault = quadrature_cells_fault(value, surface.n)
+                _number(value, f"{path}.{key}", integral=isinstance(accepted[key], int))
+            fault = growth_option_fault(key, value, surface.n) if name == "growth" else None
             _require(fault is None, f"{path}.{key}", fault)
         if name in GRID_CHECKS:
             try:
@@ -353,7 +353,7 @@ def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=Non
     """
     if not specs:
         return []
-    tols = [DEFAULT_TOLERANCES[s.name] if s.tol is None else s.tol for s in specs]
+    tols = [CHECKS[s.name].tol if s.tol is None else s.tol for s in specs]
     states = [(s.name, make_check_state(s.name, imm, frame, s.options, tol))
               for s, tol in zip(specs, tols)]
     per_block = [evaluate_point(imm, frame, states, chunk)
@@ -392,9 +392,9 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
         if spec.name in GRID_CHECKS:
             results.append(on_grid[i])
         elif spec.name == "growth":
-            radii = spec.options.get("radii", [1.0, 2.0, 4.0])
-            cells = int(spec.options.get("cells", 256))
-            results.append(growth_check_result(imm, radii, cells, spec.tol)[0])
+            options = {**CHECKS["growth"].options, **spec.options}
+            results.append(growth_check_result(imm, options["radii"], int(options["cells"]),
+                                               spec.tol)[0])
         elif spec.name == "probe":
             results.append(probe_check_result(imm, frame, params, on_grid.get(i), spec.tol)[0])
 
@@ -485,12 +485,15 @@ def emit_sweep(reports: list[Report], table: list, path, detail: bool = False) -
 # -- sweeps ----------------------------------------------------------------------
 
 def _set_by_path(data: dict, dotted: str, value):
+    """Set `data` at a dotted path; a missing (or null) component becomes a new object."""
     keys = dotted.split(".")
     cur = data
-    for key in keys[:-1]:
-        if key not in cur or not isinstance(cur[key], dict):
+    for depth, key in enumerate(keys[:-1], 1):
+        if cur.get(key) is None:
             cur[key] = {}
         cur = cur[key]
+        _require(isinstance(cur, dict), "sweep.parameter",
+                 f"{'.'.join(keys[:depth])} is not an object, cannot set {dotted}")
     cur[keys[-1]] = value
 
 
@@ -504,14 +507,12 @@ def sweep(raw_config: dict, jobs: int | None = None):
     """
     _require(isinstance(raw_config, dict), "config", "must be a JSON object")
     sweep_cfg = raw_config.get("sweep")
-    if not isinstance(sweep_cfg, dict):
-        raise ConfigError("sweep", "sweep runs need a sweep section")
+    _require(isinstance(sweep_cfg, dict), "sweep", "sweep runs need a sweep section")
     parameter = sweep_cfg.get("parameter")
     values = sweep_cfg.get("values")
-    if not isinstance(parameter, str) or not parameter:
-        raise ConfigError("sweep.parameter", "must be a dotted config path")
-    if not isinstance(values, list):
-        raise ConfigError("sweep.values", "must be a list (may be empty)")
+    _require(isinstance(parameter, str) and parameter, "sweep.parameter",
+             "must be a dotted config path")
+    _require(isinstance(values, list), "sweep.values", "must be a list (may be empty)")
 
     reports = []
     table = []
@@ -524,12 +525,6 @@ def sweep(raw_config: dict, jobs: int | None = None):
         reports.append(report)
         row = {"parameter": parameter, "value": value, "overall": report.overall}
         for res in report.results:
-            if res.name == "probe":
-                row["implied_c3"] = res.extras.get("implied_c3")
-                row["implied_c4"] = res.extras.get("implied_c4")
-            if res.name == "growth":
-                row["volumes"] = res.extras.get("volumes")
-                row["volume_exponent"] = res.extras.get("volume_exponent")
-                row["max_v"] = res.extras.get("max_v")
+            row.update({key: res.extras.get(key) for key in CHECKS[res.name].sweep})
         table.append(row)
     return reports, table

@@ -92,6 +92,21 @@ def z2_lap_log_alignment(x, y):
     return -z2_normB2(x, y)
 
 
+def holomorphic_ball_volume(k: int, c: complex, R: float) -> float:
+    """Area of the extrinsic ball of radius R about 0 on the graph of w = c z^k.
+
+    The ball is the disc s + |c|^2 s^k <= R^2 in s = |z|^2, and the area
+    element of a holomorphic graph is 1 + |w'|^2 = 1 + k^2 |c|^2 |z|^(2k-2),
+    so V(R) = pi (s + k |c|^2 s^k) at the disc's edge.  The edge is found by
+    bisection, s + |c|^2 s^k being increasing in s.
+    """
+    lo, hi = 0.0, R * R
+    for _ in range(200):
+        s = 0.5 * (lo + hi)
+        lo, hi = (s, hi) if s + abs(c) ** 2 * s**k < R * R else (lo, s)
+    return math.pi * (s + k * abs(c) ** 2 * s**k)
+
+
 # -- closed forms for the catenoid (cosh u cos v, cosh u sin v, u, 0) ----------
 
 def catenoid_normB2(u):

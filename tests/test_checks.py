@@ -16,7 +16,7 @@ from curvlab.immersions import (
 )
 from curvlab.scenario import CheckSpec, run_checks
 
-from oracles import rel_err, substitute
+from oracles import holomorphic_ball_volume, rel_err, substitute
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +384,24 @@ class TestGrowth:
             assert abs(V - 4.0 * math.pi * R**3 / 3.0) <= 0.01 * 4.0 * math.pi * R**3 / 3.0
         assert table.flags["volume_monotone"]
         assert table.flags["volume_bound_ok"]
+
+    @pytest.mark.parametrize("k, exprs", [
+        (2, ["x^2 - y^2", "2*x*y"]),
+        (3, ["x^3 - 3*x*y^2", "3*x^2*y - y^3"]),
+    ], ids=["z2", "z3"])
+    def test_curved_graph_volumes_match_closed_form(self, k, exprs):
+        # the closed form integrates v = 1 + k^2 |z|^(2k-2): a table that drops v is off
+        # by far more than 5%; the error grows with R as Omega_R covers fewer cells
+        table = C.growth_table(build_graph_immersion(exprs, 2), [1.0, 10.0, 100.0], cells=256)
+        for R, V in zip(table.radii, table.volumes):
+            exact = holomorphic_ball_volume(k, 1.0, R)
+            assert abs(V - exact) <= 0.05 * exact, (R, V, exact)
+
+    def test_z3_too_coarse_at_radius_1000(self):
+        imm = build_graph_immersion(["x^3 - 3*x*y^2", "3*x^2*y - y^3"], 2)
+        result, table = C.growth_check_result(imm, [1000.0], 256, None)
+        assert table is None and result.verdict == "not-applicable"
+        assert result.reason.startswith("quadrature too coarse")
 
     def test_too_coarse_quadrature(self, affine):
         with pytest.raises(C.CheckConfigError, match="quadrature too coarse"):

@@ -63,6 +63,20 @@ class TestParse:
         assert evaluate_expression(node, [2.0]) == 0.25
         assert evaluate_expression(parse_expression("-(x^-2)", 1), [2.0]) == -0.25
 
+    def test_nesting_is_bounded(self):
+        # parentheses, calls and unary minus each recurse in the parser; 250 parentheses
+        # overflowed the stack, and a deep tree overflows evaluation and differentiation
+        deepest = ["(" * 100 + "x" + ")" * 100, "sin(" * 100 + "x" + ")" * 100, "-" * 100 + "x"]
+        for text in deepest:
+            parse_expression(text, 1)
+        for text in ["(" + deepest[0] + ")", "sin(" + deepest[1] + ")", "-" + deepest[2]]:
+            with pytest.raises(ParseError, match="nested more than 100 deep"):
+                parse_expression(text, 1)
+
+    def test_infinite_exponent(self):
+        with pytest.raises(ParseError, match="integer"):
+            parse_expression("x^1e400", 1)
+
     def test_aliases(self):
         assert parse_expression("u1 + u2", 2) == parse_expression("x + y", 2)
         assert parse_expression("u + v", 2) == parse_expression("x + y", 2)

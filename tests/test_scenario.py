@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from curvlab import cli
+from curvlab.checks import CHECKS
 from curvlab.scenario import (
     ConfigError,
     emit_report,
@@ -92,6 +93,28 @@ class TestConfigValidation:
         cfg = small_z2_config(reference_frame=[[1, 1, 0, 0], [0, 1, 0, 0]])
         with pytest.raises(ConfigError, match="orthonormal"):
             load_config(cfg)
+
+    # each of these ended in a traceback at run time, or for counts in a meshgrid of
+    # 2 x 10^10 floats (only loaded here: nothing is allocated before the run)
+    @pytest.mark.parametrize("overrides, path", [
+        ({"surface": {"kind": "graph", "exprs": [5, "y"]}}, "surface.exprs[0]"),
+        ({"grid": {"ranges": [[-1, 1], [-1, 1]], "counts": [5, 5], "mask": 5}}, "grid.mask"),
+        ({"surface": {"kind": "graph", "exprs": ["x", "y"], "n": 2.0}}, "surface.n"),
+        ({"surface": {"kind": "graph", "exprs": ["x^1e400", "y"]}}, "surface.exprs"),
+        ({"surface": {"kind": "graph", "exprs": ["(" * 250 + "x" + ")" * 250, "y"]}},
+         "surface.exprs"),
+        ({"grid": {"ranges": [[-1, 1], [-1, 1]], "counts": [100000, 100000]}}, "grid.counts"),
+    ], ids=["expr-not-a-string", "mask-not-a-string", "n-not-an-int", "infinite-exponent",
+            "nested-too-deep", "too-many-grid-points"])
+    def test_bad_inputs_are_config_errors(self, overrides, path):
+        with pytest.raises(ConfigError) as err:
+            load_config(small_z2_config(**overrides))
+        assert err.value.path == path
+
+    def test_grid_points_bounded_at_2_to_the_20(self):
+        load_config(small_z2_config(grid={"ranges": [[-1, 1], [-1, 1]], "counts": [1024, 1024]}))
+        with pytest.raises(ConfigError, match="at most 2\\^20 grid points, got 1024 x 1025"):
+            load_config(small_z2_config(grid={"ranges": [[-1, 1], [-1, 1]], "counts": [1024, 1025]}))
 
     def test_graph_surface_expressions(self):
         cfg = small_z2_config(
@@ -299,6 +322,20 @@ class TestRunScenario:
         assert "extras" not in entry
         assert report.overall == "pass"
 
+    def test_probe_that_evaluates_no_point_is_not_applicable(self):
+        # the probe's hypothesis points near the origin are minimal, but no grid point is
+        cfg = {
+            "surface": {"kind": "graph", "exprs": ["x^2 - y^2 + 1e-6*x^15", "2*x*y"]},
+            "grid": {"ranges": [[1, 1.5], [1, 1.5]], "counts": [3, 3]},
+            "checks": [{"name": "probe"}, {"name": "subharmonicity"}, {"name": "minimality"}],
+        }
+        probe, sub, minimality = run_scenario(load_config(cfg)).results
+        assert (sub.verdict, sub.reason) == ("not-applicable", "mean curvature does not vanish")
+        assert minimality.verdict == "fail"
+        assert (probe.verdict, probe.worst_residual, probe.n_points, probe.reason) == (
+            "not-applicable", None, 0, "mean curvature does not vanish")
+        assert probe.extras["applicable"] and probe.extras["subharmonicity_points"] == 0
+
     def test_partial_evaluation_errors_are_collected(self):
         # log(x) is undefined for x <= 0: half the grid errors, half evaluates
         cfg = {
@@ -426,6 +463,30 @@ class TestSweep:
         for row in table:
             assert row["implied_c4"] is not None and math.isfinite(row["implied_c4"])
 
+    # both replaced the list they went through and failed on a field never set
+    @pytest.mark.parametrize("parameter, value, component", [
+        ("checks.0.radii", [1.0], "checks"),
+        ("grid.counts.0", 3, "grid.counts"),
+    ])
+    def test_path_through_a_non_object_is_a_config_error(self, parameter, value, component):
+        cfg = small_z2_config(checks=[{"name": "growth"}],
+                              sweep={"parameter": parameter, "values": [value]})
+        with pytest.raises(ConfigError) as err:
+            sweep(cfg)
+        assert err.value.path == "sweep.parameter"
+        assert str(err.value) == (f"sweep.parameter: {component} is not an object, "
+                                  f"cannot set {parameter}")
+
+    @pytest.mark.parametrize("probe", ["missing", None])
+    def test_missing_component_becomes_an_object(self, probe):
+        cfg = small_z2_config(checks=[{"name": "minimality"}],
+                              sweep={"parameter": "probe.t", "values": [3, 3.5]})
+        if probe is None:
+            cfg["probe"] = None
+        reports, table = sweep(cfg)
+        assert [report.scenario["probe"] for report in reports] == [{"t": 3}, {"t": 3.5}]
+        assert [row["value"] for row in table] == [3, 3.5]
+
     def test_empty_sweep(self):
         cfg = small_z2_config(sweep={"parameter": "probe.t", "values": []})
         reports, table = sweep(cfg)
@@ -548,6 +609,21 @@ class TestCli:
     def test_list_commands(self):
         assert "catenoid" in self.run_cli("list-surfaces").stdout
         assert "kato" in self.run_cli("list-checks").stdout
+
+    def test_list_checks_prints_every_row(self, capsys):
+        assert cli.main(["list-checks"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(CHECKS)
+        for line, (name, check) in zip(lines, CHECKS.items()):
+            assert line.split()[:2] == [name, f"tol={check.tol:.0e}"]
+            assert line.endswith(f" {check.description}")
+
+    def test_config_error_in_surface_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "float-n.json"
+        path.write_text(json.dumps(small_z2_config(
+            surface={"kind": "graph", "exprs": ["x^2 - y^2", "2*x*y"], "n": 2.0})))
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: surface.n: ")
 
     def test_missing_config(self):
         proc = self.run_cli("check", "does-not-exist")
