@@ -13,14 +13,16 @@ form, wrong immersion kind).
 Grid checks share one :class:`BlockContext` per block of up to BLOCK_SIZE
 grid points: the geometry and every derived jet are computed once per block
 in array code.  Each check's evaluator returns the block's :class:`Columns`;
-aggregation reads the blocks' joined columns with numpy, and the per-point
-records (`CheckResult.details`) are built from them on first read.
+aggregation reads the blocks' joined columns with numpy.  The per-point
+records (`CheckResult.details`) are the library view, built from the
+columns on first read; the JSON and CSV writers read the columns directly.
 Growth tables and the estimate probes integrate over extrinsic balls with
 a masked tensor-product midpoint rule.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -223,6 +225,62 @@ class Columns:
             out.append({"residual": residual, "skipped": skip is not None, "reason": note,
                         "detail": detail, "point": point})
         return out
+
+    def json_lines(self, point_text: dict) -> list:
+        """`json.dumps` of each record of `records()`, built from the columns.
+
+        `point_text` maps a point to its JSON text; missing points are added,
+        so a dict shared by a report's checks encodes each point once.
+        """
+        for point in self.points:
+            if point not in point_text:
+                point_text[point] = json.dumps(point)
+        strings = {}
+        keys = [json.dumps(key) + ": " for key in self.detail]
+        fields = [[key + text if text else "" for text in _json_texts(column, strings)]
+                  for key, column in zip(keys, self.detail.values())]
+        bodies = [", ".join(filter(None, row)) for row in zip(*fields)] or [""] * len(self.residual)
+        live = zip(_json_texts(self.residual, strings), _json_texts(self.note, strings), bodies)
+        return [_LIVE_RECORD % (*next(live), point_text[point]) if skip is None else
+                _SKIPPED_RECORD % (_json_item(skip, strings), point_text[point])
+                for point, skip in zip(self.points, self.skip.tolist())]
+
+
+# `json.dumps` of a record of Columns.records(), in its key order
+_LIVE_RECORD = '{"residual": %s, "skipped": false, "reason": %s, "detail": {%s}, "point": %s}'
+_SKIPPED_RECORD = '{"residual": null, "skipped": true, "reason": %s, "detail": {}, "point": %s}'
+
+
+def _json_item(value, strings: dict) -> str:
+    """`json.dumps(value)`, memoized in `strings` for a string."""
+    if not isinstance(value, str):
+        return json.dumps(value)
+    if value not in strings:
+        strings[value] = json.dumps(value)
+    return strings[value]
+
+
+_SCALARS = {float, int, bool, type(None)}  # their JSON texts never contain ", "
+
+
+def _json_texts(column: np.ndarray, strings: dict) -> list:
+    """`json.dumps` of each value of `column`, and "" for _ABSENT.
+
+    Numbers, bools and None go through one encoder call, split on ", ",
+    which none of their texts contains; strings and tuples may, so they
+    are encoded one by one.
+    """
+    values = column.tolist()
+    if column.dtype.kind in "biuf" or _SCALARS.issuperset(map(type, values)):
+        return json.dumps(values)[1:-1].split(", ") if values else []
+    texts = json.dumps([None if isinstance(v, (str, tuple)) or v is _ABSENT else v
+                        for v in values])[1:-1].split(", ")
+    for i, v in enumerate(values):
+        if isinstance(v, (str, tuple)):
+            texts[i] = _json_item(v, strings)
+        elif v is _ABSENT:
+            texts[i] = ""
+    return texts
 
 
 def _pymax(first, *others):

@@ -32,6 +32,7 @@ from .jets import Jet, jet_elementary
 
 VARIABLE_ALIASES = {"x": 0, "y": 1, "z": 2, "u1": 0, "u2": 1, "u3": 2, "u": 0, "v": 1}
 MAX_NESTING = 100  # parentheses, calls and unary minus nest at most this deep
+MAX_DEPTH = 500  # levels of a parsed tree: evaluation and differentiation recurse through each
 
 _VAR_NAMES = ("x", "y", "z")  # canonical names used when printing
 
@@ -232,7 +233,20 @@ def parse_expression(text: str, dim: int) -> ExprNode:
     """Parse `text` into an AST with variables restricted to indices < dim."""
     if not (1 <= dim <= 3):
         raise ValueError(f"dimension must be 1..3, got {dim}")
-    return _Parser(_tokenize(text), dim).parse()
+    node = _Parser(_tokenize(text), dim).parse()
+    if _depth(node) > MAX_DEPTH:  # a flat chain such as x+x+...+x is one level per operator
+        raise ParseError(f"expression tree more than {MAX_DEPTH} levels deep", 1)
+    return node
+
+
+def _depth(node: ExprNode) -> int:
+    """Levels of the tree under `node`, counted level by level instead of by recursion."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [child for parent in level for child in vars(parent).values()
+                 if isinstance(child, ExprNode)]
+    return depth
 
 
 # -- printing -----------------------------------------------------------------

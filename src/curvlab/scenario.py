@@ -417,8 +417,8 @@ def _format_float(x) -> str:
 
 
 # Where a JSON file holds per-point records: each record of a check's
-# `details` list is one compact line, written by json's C encoder (`indent`
-# selects its pure-Python one); everything else is indented as by
+# `details` is one compact line, `json.dumps(record)` as `Columns.json_lines`
+# writes it from the check's columns; everything else is indented as by
 # `json.dumps(..., indent=2)`.
 _RECORDS = object()
 _REPORT_LAYOUT = {"checks": [{"details": _RECORDS}]}
@@ -430,14 +430,14 @@ def _json_text(obj, layout, pad: str = "") -> str:
 
     `layout` mirrors the containers on the way to those lists: a dict maps
     keys to the layout of their values, a one-item list gives the layout of
-    every item, `_RECORDS` marks a list of records, and None (a key that
-    `layout` does not name) is plain `json.dumps(obj, indent=2)`.
+    every item, `_RECORDS` marks a list of record lines, already JSON, and
+    None (a key that `layout` does not name) is plain `json.dumps(obj, indent=2)`.
     """
     if layout is None:  # json escapes newlines in strings, so every "\n" here is layout
         return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
     inner = pad + "  "
     if layout is _RECORDS:
-        items = [json.dumps(record) for record in obj]
+        items = obj
     elif isinstance(layout, dict):
         items = [f"{json.dumps(key)}: {_json_text(value, layout.get(key), inner)}"
                  for key, value in obj.items()]
@@ -449,6 +449,15 @@ def _json_text(obj, layout, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
+def _emitted(report: Report, detail: bool, point_text: dict) -> dict:
+    """`report.to_dict(detail)`, each check's `details` as the JSON lines of its columns."""
+    out = report.to_dict()
+    if detail:
+        for entry, res in zip(out["checks"], report.results):
+            entry["details"] = [] if res.columns is None else res.columns.json_lines(point_text)
+    return out
+
+
 def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
     """Write a report to disk; floats round-trip at full double precision.
 
@@ -457,17 +466,19 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
     byte-identical files.
     """
     if fmt == "json":
-        text = _json_text(report.to_dict(detail=detail), _REPORT_LAYOUT) + "\n"
+        text = _json_text(_emitted(report, detail, {}), _REPORT_LAYOUT) + "\n"
     elif fmt == "csv":
         lines = ["check,u1,u2,u3,residual,status"]
         for res in report.results:
-            for rec in res.details:
-                coords = [_format_float(c) for c in rec["point"]] + [""] * (3 - len(rec["point"]))
-                if rec["skipped"]:
-                    status = "skipped"
-                else:
-                    status = "ok" if rec["residual"] <= res.tolerance else "violation"
-                lines.append(",".join([res.name, *coords, _format_float(rec["residual"]), status]))
+            if res.columns is None:
+                continue
+            residuals = iter(res.columns.residual.tolist())
+            for point, skip in zip(res.columns.points, res.columns.skip.tolist()):
+                coords = [_format_float(c) for c in point] + [""] * (3 - len(point))
+                residual = None if skip is not None else next(residuals)
+                status = ("skipped" if skip is not None else
+                          "ok" if residual <= res.tolerance else "violation")
+                lines.append(",".join([res.name, *coords, _format_float(residual), status]))
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
@@ -477,7 +488,8 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
 
 def emit_sweep(reports: list[Report], table: list, path, detail: bool = False) -> None:
     """Write a sweep's reports and aggregation table as one JSON file, laid out as emit_report's."""
-    payload = {"reports": [r.to_dict(detail=detail) for r in reports], "aggregation": table}
+    point_text = {}  # shared: a sweep's reports share their grid points
+    payload = {"reports": [_emitted(r, detail, point_text) for r in reports], "aggregation": table}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_json_text(payload, _SWEEP_LAYOUT) + "\n")
 

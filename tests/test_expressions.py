@@ -73,6 +73,19 @@ class TestParse:
             with pytest.raises(ParseError, match="nested more than 100 deep"):
                 parse_expression(text, 1)
 
+    def test_tree_depth_is_bounded(self):
+        # a flat chain is one tree level per operator, and evaluation, differentiation
+        # and expression_variables recurse through every level: 2000 overflowed them
+        chain = "+".join(["x"] * 500)
+        node = parse_expression(chain, 1)
+        assert evaluate_expression(node, [2.0]) == 1000.0
+        assert evaluate_expression(differentiate(node, 0), [2.0]) == 500.0
+        assert expression_variables(node) == {0}
+        for text in [chain + "+x", "+".join(["x"] * 2000), "*".join(["x"] * 2000),
+                     "-".join(["x"] * 2000), "sin(" * 100 + chain + ")" * 100]:
+            with pytest.raises(ParseError, match="more than 500 levels deep"):
+                parse_expression(text, 1)
+
     def test_infinite_exponent(self):
         with pytest.raises(ParseError, match="integer"):
             parse_expression("x^1e400", 1)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from curvlab import cli
-from curvlab.checks import CHECKS
+from curvlab.checks import _ABSENT, CHECKS, Columns
 from curvlab.scenario import (
     ConfigError,
     emit_report,
+    emit_sweep,
     load_config,
     run_scenario,
     sweep,
@@ -46,6 +47,48 @@ def assert_one_record_a_line(text, entries, pad):
         assert len(block) == len(recs)
         for line, record in zip(block, recs):
             assert json.dumps(json.loads(line.strip().removesuffix(","))) == json.dumps(record)
+
+
+RECORDS = "records"
+REPORT_LAYOUT = {"checks": [{"details": RECORDS}]}
+
+
+def records_writer_text(obj, layout, pad=""):
+    """`obj` as the JSON writer laid it out when it ran `json.dumps(record)` for each record.
+
+    `layout` mirrors the containers on the way to the `details` lists: a
+    dict maps keys to the layout of their values, a one-item list gives the
+    layout of every item, RECORDS marks a list of records written one a
+    line, and None is `json.dumps(obj, indent=2)`.
+    """
+    if layout is None:
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    inner = pad + "  "
+    if layout == RECORDS:
+        items = [json.dumps(record) for record in obj]
+    elif isinstance(layout, dict):
+        items = [f"{json.dumps(key)}: {records_writer_text(value, layout.get(key), inner)}"
+                 for key, value in obj.items()]
+    else:
+        items = [records_writer_text(item, layout[0], inner) for item in obj]
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def records_csv_text(report):
+    """The CSV report as written from each check's `details` records."""
+    lines = ["check,u1,u2,u3,residual,status"]
+    for res in report.results:
+        for rec in res.details:
+            coords = [repr(c) for c in rec["point"]] + [""] * (3 - len(rec["point"]))
+            residual = rec["residual"]
+            status = ("skipped" if rec["skipped"] else
+                      "ok" if residual <= res.tolerance else "violation")
+            lines.append(",".join([res.name, *coords, "" if residual is None else repr(residual),
+                                   status]))
+    return "\n".join(lines) + "\n"
 
 
 def small_z2_config(**overrides):
@@ -115,6 +158,23 @@ class TestConfigValidation:
         load_config(small_z2_config(grid={"ranges": [[-1, 1], [-1, 1]], "counts": [1024, 1024]}))
         with pytest.raises(ConfigError, match="at most 2\\^20 grid points, got 1024 x 1025"):
             load_config(small_z2_config(grid={"ranges": [[-1, 1], [-1, 1]], "counts": [1024, 1025]}))
+
+    def test_flat_chain_deeper_than_the_bound_is_a_config_error(self):
+        # x+x+...+x is one tree level per '+'; 2000 terms loaded, then overflowed recursion
+        surface = {"kind": "graph", "exprs": ["+".join(["x"] * 2000), "y"]}
+        with pytest.raises(ConfigError) as err:
+            load_config(small_z2_config(surface=surface))
+        assert err.value.path == "surface.exprs"
+        assert "expression tree more than 500 levels deep" in str(err.value)
+
+    def test_flat_chain_of_500_terms_runs(self):
+        surface = {"kind": "graph", "exprs": ["x" + "+x-x" * 249 + "+x", "y"]}  # 2x: a plane
+        checks = [{"name": "minimality"}, {"name": "simons"}, {"name": "growth"}]
+        report = run_scenario(load_config(small_z2_config(surface=surface, checks=checks)))
+        minimality, _, growth = report.results
+        assert report.overall == "pass"
+        assert (minimality.verdict, minimality.n_points, minimality.n_skipped) == ("pass", 25, 0)
+        assert growth.verdict == "pass"
 
     def test_graph_surface_expressions(self):
         cfg = small_z2_config(
@@ -430,6 +490,56 @@ class TestEmission:
         assert lines[1].startswith("minimality,-1.0,-1.0,,")
 
 
+WRITER_CONFIGS = ([bundled(name) for name in BUNDLED]
+                  + [DETAIL_CONFIGS[name] for name in sorted(DETAIL_CONFIGS)]
+                  + [TestEmission.USER_KEYS])
+WRITER_IDS = BUNDLED + [f"details-{name}" for name in sorted(DETAIL_CONFIGS)] + ["user-keys"]
+
+
+class TestDetailWriter:
+    """Detail records are written from the columns, byte for byte as `json.dumps(record)`."""
+
+    @pytest.mark.parametrize("raw", WRITER_CONFIGS, ids=WRITER_IDS)
+    def test_report_bytes_match_json_dumps_of_each_record(self, raw, tmp_path):
+        report = run_scenario(load_config(raw))
+        out, csv = tmp_path / "report.json", tmp_path / "report.csv"
+        emit_report(report, "json", out, detail=True)
+        emit_report(report, "csv", csv)
+        assert all("details" not in res.__dict__ for res in report.results)  # never built
+        want = records_writer_text(report.to_dict(detail=True), REPORT_LAYOUT) + "\n"
+        assert out.read_text() == want
+        assert csv.read_text() == records_csv_text(report)
+
+    def test_hand_built_columns(self):
+        reason = 'not evaluated: a, "quoted" \\ path, \u00fc\u2202'
+        cols = Columns(
+            [(0.0, 1.0), (0.5, -0.25), (1e-300, 2.0), (3.0, 4.0), (-0.0, 6.0)],
+            np.array([None, reason, None, None, reason], dtype=object),
+            np.array([math.nan, math.inf, -math.inf]),
+            np.array([None, "kept, with a comma", None], dtype=object),
+            {"flag": np.array([True, False, True]),
+             "value": np.array([1.5, None, math.nan], dtype=object),
+             "shown": np.array([_ABSENT, 2.0, _ABSENT], dtype=object),
+             "label": np.array(["x, y", ("a, b", 1.0), _ABSENT], dtype=object)},
+        )
+        no_live_point = Columns([(1.0, 2.0), (3.0, 4.0)], np.array([reason, "other"], dtype=object))
+        for columns in (cols, no_live_point, Columns([], np.empty(0, dtype=object))):
+            point_text = {}
+            assert columns.json_lines(point_text) == [json.dumps(r) for r in columns.records()]
+            assert point_text == {point: json.dumps(point) for point in columns.points}
+        assert 'NaN, "skipped": false' in cols.json_lines({})[0]
+
+    def test_sweep_bytes_match_json_dumps_of_each_record(self, tmp_path, capsys):
+        out, again = tmp_path / "sweep.json", tmp_path / "again.json"
+        assert cli.main(["sweep", "z2-probe", "--out", str(out), "--detail"]) == 0
+        reports, table = sweep(bundled("z2-probe"))
+        emit_sweep(reports, table, again, detail=True)
+        assert all("details" not in res.__dict__ for r in reports for res in r.results)
+        want = {"reports": [r.to_dict(detail=True) for r in reports], "aggregation": table}
+        text = records_writer_text(want, {"reports": [REPORT_LAYOUT]}) + "\n"
+        assert out.read_text() == text and again.read_text() == text
+
+
 class TestSweep:
     def test_radii_sweep_on_affine(self):
         cfg = {
@@ -624,6 +734,14 @@ class TestCli:
             surface={"kind": "graph", "exprs": ["x^2 - y^2", "2*x*y"], "n": 2.0})))
         assert cli.main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: surface.n: ")
+
+    def test_flat_chain_too_deep_exits_2(self, tmp_path):
+        path = tmp_path / "chain.json"
+        surface = {"kind": "graph", "exprs": ["+".join(["x"] * 2000), "y"]}
+        path.write_text(json.dumps(small_z2_config(surface=surface)))
+        proc = self.run_cli("check", str(path))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert "surface.exprs: expression tree more than 500 levels deep" in proc.stderr
 
     def test_missing_config(self):
         proc = self.run_cli("check", "does-not-exist")
