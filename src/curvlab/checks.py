@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -785,11 +786,12 @@ class _GraphFields:
             raise CheckConfigError("quadrature fields require a graph immersion")
         self.n, self.m = imm.n, imm.m
         comps = imm.graph_components()
-        self.d1 = [[differentiate(c, i) for i in range(imm.n)] for c in comps]
-        self.d2 = [  # f_ij is symmetric: i <= j only
-            {(i, j): differentiate(d1[i], j) for i in range(imm.n) for j in range(i, imm.n)}
-            for d1 in self.d1
-        ]
+        with _too_deep_guard():
+            self.d1 = [[differentiate(c, i) for i in range(imm.n)] for c in comps]
+            self.d2 = [  # f_ij is symmetric: i <= j only
+                {(i, j): differentiate(d1[i], j) for i in range(imm.n) for j in range(i, imm.n)}
+                for d1 in self.d1
+            ]
         self.comps = comps
         with np.errstate(all="ignore"):  # F(0) is NaN where the graph is undefined there
             self.f0 = np.array([evaluate_array(c, [np.zeros(1)] * imm.n)[0] for c in comps])
@@ -834,43 +836,52 @@ class _GraphFields:
                 out["normB2"] += _dot(sum(A, []), [a for row in zip(*A) for a in row])
         return out
 
-    def at_origin(self):
-        zero = [np.zeros(1) for _ in range(self.n)]
-        f = self.fields(zero, want_normB2=True)
-        return float(f["v"][0]), float(f["normB2"][0])
-
     def box(self, radius: float, cells: int, want_normB2=False):
         """The midpoint cells of [-radius, radius]^n inside Omega_radius, and the cell volume.
 
         Membership comes from F alone: `dist2` on every cell of the box, which
         holds Omega_radius.  `fields` then runs only on the cells with
         dist2 <= radius^2, in raster order, and the returned arrays (their
-        `dist2` included) hold those cells only.  CheckConfigError, naming the
-        radius and the count, when F(0) is not finite, when F or the distance
-        is not finite on a cell of the box (it can be placed neither inside nor
-        outside), or when v or |B|^2 is not finite on a cell inside.
+        `dist2` included) hold those cells only.  Growth and the probe share
+        this rule: CheckConfigError when F(0) is not finite, when F or the
+        distance is not finite on a cell of the box (it can be placed neither
+        inside nor outside), when v or |B|^2 is not finite on a cell inside,
+        when fewer than 8 cells land inside (each naming the radius and the
+        count), or when a derivative tree is too deep to evaluate.
         """
         if not np.all(np.isfinite(self.f0)):
             raise CheckConfigError("graph undefined at the origin: F(0) is not finite")
         h = 2.0 * radius / cells
         centers = -radius + h * (np.arange(cells) + 0.5)
         dist2 = self.dist2(np.meshgrid(*([centers] * self.n), indexing="ij", sparse=True))
-        undefined = int(np.sum(~np.isfinite(dist2)))
-        if undefined:
-            raise CheckConfigError(
-                f"graph undefined on {undefined} of {dist2.size} quadrature cells "
-                f"within radius {radius}"
-            )
+        _require_defined([dist2], f"within radius {radius}")
         inside = dist2 <= radius * radius
-        fields = self.fields([centers[i] for i in np.nonzero(inside)], want_normB2)
-        undefined = int(np.sum(~np.logical_and.reduce([np.isfinite(f) for f in fields.values()])))
-        if undefined:
-            raise CheckConfigError(
-                f"graph undefined on {undefined} of {fields['v'].size} quadrature cells "
-                f"inside the extrinsic ball of radius {radius}"
-            )
+        with _too_deep_guard():
+            fields = self.fields([centers[i] for i in np.nonzero(inside)], want_normB2)
+        n_inside = _require_defined(list(fields.values()),
+                                    f"inside the extrinsic ball of radius {radius}")
+        if n_inside < 8:
+            raise CheckConfigError(f"quadrature too coarse: {n_inside} cells inside radius {radius}")
         fields["dist2"] = dist2[inside]
         return fields, h**self.n
+
+
+@contextmanager
+def _too_deep_guard():
+    """A RecursionError in differentiating or evaluating a derivative tree, as a CheckConfigError."""
+    try:
+        yield
+    except RecursionError:
+        raise CheckConfigError("graph expression too deep for quadrature") from None
+
+
+def _require_defined(arrays, where: str) -> int:
+    """The cells of `arrays`; CheckConfigError when an array is not finite on one of them."""
+    undefined = int(np.sum(~np.logical_and.reduce([np.isfinite(a) for a in arrays])))
+    if undefined:
+        raise CheckConfigError(f"graph undefined on {undefined} of {arrays[0].size} "
+                               f"quadrature cells {where}")
+    return arrays[0].size
 
 
 @dataclass
@@ -911,29 +922,20 @@ def growth_table(imm: Immersion, radii,
 
     Omega_R = {x : |x|^2 + |f(x) - f(0)|^2 <= R^2} is covered by the box
     [-R, R]^n; a masked midpoint rule integrates v over the cells inside it,
-    placed by f alone (`_GraphFields.box`).  Fails when fewer than 8 cells
-    land inside Omega_R, when f(0) or f on a cell of the box is undefined, or
-    when v is undefined on a cell inside Omega_R.
+    placed by f alone.  Fails where `_GraphFields.box`, the probe's rule too,
+    fails: fewer than 8 cells inside Omega_R, or f undefined or too deep.
     """
     radii = [float(r) for r in radii]
     fault = growth_option_fault("radii", radii, imm.n) or growth_option_fault("cells", cells, imm.n)
     if fault:
         raise CheckConfigError(f"growth {fault}")
     gf = _GraphFields(imm)
-
-    def ball_volume(R):
-        fields, weight = gf.box(R, cells)
-        v = fields["v"]
-        if v.size < 8:
-            raise CheckConfigError(f"quadrature too coarse: {v.size} cells inside radius {R}")
-        return float(np.sum(v) * weight), float(np.max(v))
-
     volumes, max_v, half_volumes = [], [], []
     for R in radii:
-        vol, vmax = ball_volume(R)
-        volumes.append(vol)
-        max_v.append(vmax)
-        half_volumes.append(ball_volume(R / 2.0)[0])
+        (ball, weight), (half, half_weight) = gf.box(R, cells), gf.box(R / 2.0, cells)
+        volumes.append(float(np.sum(ball["v"]) * weight))
+        max_v.append(float(np.max(ball["v"])))
+        half_volumes.append(float(np.sum(half["v"]) * half_weight))
 
     ratios = [v / h for v, h in zip(volumes, half_volumes)]
     v_over = [mv / R ** (2.0 / 3.0) for mv, R in zip(max_v, radii)]
@@ -985,8 +987,7 @@ def _table_result(name, tol, verdict, worst=None, n_points=0, table=None, fields
 def growth_check_result(imm, radii, cells, tol) -> tuple[CheckResult, GrowthTable | None]:
     """Wrap the growth table as a check: volume monotonicity and the box bound.
 
-    Not applicable, with no table, when the table cannot be built (not a
-    graph, or too few cells inside a ball).
+    Not applicable, with no table and its reason, when `growth_table` raises.
     """
     try:
         table = growth_table(imm, radii, cells)
@@ -1051,11 +1052,11 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
 
     The probes are reported, never asserted: the constants in the estimates
     are non-constructive, so only the measured quotients are meaningful.
-    The hypotheses are sampled at three points near the origin.  The
-    integrals take v and |B|^2 on the cells of Omega_R only (`_GraphFields.box`);
-    the Omega_R0 and Omega_(R/2) cells are among them, picked by their
-    distance.  Not applicable when f is undefined at the origin or on a cell
-    of the box, or v or |B|^2 on a cell inside Omega_R.
+    The hypotheses are sampled at three points near the origin, and the
+    pointwise term (|B|^2 v^3)(0) reads the first of them.  The integrals
+    take v and |B|^2 on the cells of Omega_R only; the Omega_R0 and
+    Omega_(R/2) cells are among them, picked by their distance.  Not
+    applicable where `_GraphFields.box`, growth's rule too, fails.
     """
     params.validate()
     fault = quadrature_cells_fault(params.cells, imm.n)
@@ -1079,9 +1080,8 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
     if reason is not None:
         return ProbeRecord(params=params, applicable=False, reason=reason)
 
-    gf = _GraphFields(imm)
     try:
-        fields, weight = gf.box(params.R, params.cells, want_normB2=True)
+        fields, weight = _GraphFields(imm).box(params.R, params.cells, want_normB2=True)
     except CheckConfigError as exc:
         return ProbeRecord(params=params, applicable=False, reason=str(exc))
     v, nb2, dist2 = fields["v"], fields["normB2"], fields["dist2"]  # cells inside Omega_R
@@ -1095,8 +1095,7 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
     lp_rhs = rhs_t ** (1.0 / t)
     implied_c3 = lp_lhs * (params.R - params.R0) ** 2 / lp_rhs if lp_rhs > 0 else None
 
-    v0, nb0 = gf.at_origin()
-    pointwise_lhs = nb0 * v0**3
+    pointwise_lhs = float(block.pg.normB2[0]) * float(block.volume_jet.value[0]) ** 3
     max_v = float(np.max(v))
     volume_R = float(np.sum(v) * weight)
     volume_half = float(np.sum(v[inside_half]) * weight)

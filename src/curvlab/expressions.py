@@ -239,14 +239,33 @@ def parse_expression(text: str, dim: int) -> ExprNode:
     return node
 
 
-def _depth(node: ExprNode) -> int:
-    """Levels of the tree under `node`, counted level by level instead of by recursion."""
-    depth, level = 0, [node]
+def expression_fault(node: ExprNode, dim: int) -> str | None:
+    """Why `node` cannot be evaluated at any point, or None.
+
+    A tree deeper than MAX_DEPTH (a catalogue tree skips the parser's bound),
+    or a part without variables that is undefined, such as log(0) or 2^2000:
+    one evaluation with NaN for every variable, so that only such a part can raise.
+    """
+    if _depth(node) > MAX_DEPTH:
+        return f"expression tree more than {MAX_DEPTH} levels deep"
+    try:
+        evaluate_expression(node, [math.nan] * dim)
+    except (ExpressionDomainError, OverflowError) as exc:
+        return f"constant part undefined: {exc}"
+    return None
+
+
+def _levels(node: ExprNode):
+    """The nodes of the tree under `node`, one list per level, root first; no recursion."""
+    level = [node]
     while level:
-        depth += 1
+        yield level
         level = [child for parent in level for child in vars(parent).values()
                  if isinstance(child, ExprNode)]
-    return depth
+
+
+def _depth(node: ExprNode) -> int:
+    return sum(1 for _ in _levels(node))
 
 
 # -- printing -----------------------------------------------------------------
@@ -410,14 +429,4 @@ def differentiate(node: ExprNode, axis: int) -> ExprNode:
 
 def expression_variables(node: ExprNode) -> set[int]:
     """Set of variable indices referenced by the expression."""
-    if isinstance(node, Const):
-        return set()
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, Call):
-        return expression_variables(node.arg)
-    if isinstance(node, Pow):
-        return expression_variables(node.base)
-    if isinstance(node, BinOp):
-        return expression_variables(node.left) | expression_variables(node.right)
-    raise TypeError(f"not an expression node: {node!r}")
+    return {var.index for level in _levels(node) for var in level if isinstance(var, Var)}

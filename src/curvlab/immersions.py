@@ -26,6 +26,7 @@ from .expressions import (
     Pow,
     Var,
     evaluate_expression,
+    expression_fault,
     expression_variables,
     parse_expression,
 )
@@ -70,6 +71,9 @@ class Immersion:
                 raise ImmersionError(
                     f"component references variable index {max(bad)} >= n={self.n}"
                 )
+            fault = expression_fault(comp, self.n)  # after: it evaluates the n variables
+            if fault:
+                raise ImmersionError(fault)
 
     def graph_components(self) -> tuple[ExprNode, ...]:
         """The m graph components f^1..f^m (graph kind only)."""

@@ -34,7 +34,7 @@ from .checks import (
     probe_check_result,
     quadrature_cells_fault,
 )
-from .expressions import ParseError, parse_expression
+from .expressions import ParseError, expression_fault, parse_expression
 from .immersions import (
     GridSpec,
     Immersion,
@@ -177,6 +177,8 @@ def _build_grid(d: dict, n: int) -> GridSpec:
             mask = parse_expression(mask, n)
         except ParseError as exc:
             raise ConfigError("grid.mask", str(exc)) from exc
+        fault = expression_fault(mask, n)
+        _require(fault is None, "grid.mask", fault)
     try:
         return GridSpec(
             tuple((float(lo), float(hi)) for lo, hi in ranges),

@@ -467,6 +467,18 @@ class TestProbe:
         assert not rec.applicable
         assert "evaluation error" in rec.reason
 
+    # affine graphs are minimal: the probe reaches the box, whose 9 x 9 cells put 1 to 7
+    # inside Omega_1; growth on the same ball gives the same reason
+    @pytest.mark.parametrize("exprs, inside", [
+        (["20*x", "20*y"], 1), (["20*x", "3*y"], 3), (["20*x", "y"], 7),
+    ])
+    def test_ball_with_fewer_than_8_cells_not_applicable(self, exprs, inside):
+        imm = build_graph_immersion(exprs, 2)
+        rec = C.estimate_probe(imm, None, C.ProbeParams(cells=9))
+        growth, table = C.growth_check_result(imm, [1.0], 9, None)
+        assert not rec.applicable and table is None
+        assert rec.reason == growth.reason == f"quadrature too coarse: {inside} cells inside radius 1.0"
+
     @pytest.mark.filterwarnings("error")
     def test_undefined_cell_not_applicable(self):
         # w = 1/(z - c) is minimal, with its pole at the centre c of one of the 16 x 16 cells
@@ -678,7 +690,7 @@ class TestCrossValidation:
             pg = point_geometry_at(imm, tuple(point))
             assert rel_err(fields["normB2"][i], pg.normB2) <= 1e-10
             assert rel_err(fields["v"][i], math.sqrt(np.linalg.det(pg.g0))) <= 1e-12
-        v0, normB2_0 = gf.at_origin()
+        origin = gf.fields([np.zeros(1)] * n, want_normB2=True)
         pg = point_geometry_at(imm, (0.0,) * n)
-        assert rel_err(normB2_0, pg.normB2) <= 1e-10
-        assert rel_err(v0, math.sqrt(np.linalg.det(pg.g0))) <= 1e-12
+        assert rel_err(origin["normB2"][0], pg.normB2) <= 1e-10
+        assert rel_err(origin["v"][0], math.sqrt(np.linalg.det(pg.g0))) <= 1e-12

@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from curvlab.expressions import format_expression, parse_expression
+from curvlab.expressions import BinOp, Const, Var, format_expression, parse_expression
 from curvlab.immersions import (
     GridSpec,
+    Immersion,
     ImmersionError,
     build_graph_immersion,
     catalogue_lookup,
@@ -37,6 +38,11 @@ class TestGraph:
     def test_out_of_range_variable(self):
         with pytest.raises(Exception, match="out of range"):
             build_graph_immersion(["z"], 2)
+
+    def test_component_variable_checked_before_evaluation(self):
+        # a tree built without the parser: its out-of-range variable is named, not indexed
+        with pytest.raises(ImmersionError, match="variable index 2 >= n=2"):
+            Immersion(2, 1, (Var(0), Var(1), BinOp("+", Var(2), Const(1.0))), "graph")
 
     def test_identity_prefix_is_coordinate_jets(self):
         imm = build_graph_immersion(["x*y"], 2)

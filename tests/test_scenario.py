@@ -101,6 +101,33 @@ def small_z2_config(**overrides):
     return cfg
 
 
+# a probe ball with no cell inside, and derivative trees too deep to differentiate or
+# evaluate: each is not-applicable with a reason, never a traceback
+CHAIN_360, CHAIN_500 = ("*".join(["x"] * k) for k in (360, 500))
+QUADRATURE_REPROS = {
+    "steep-probe": ({"kind": "graph", "exprs": ["400*x", "0"]}, {}, [{"name": "probe"}],
+                    "quadrature too coarse: 0 cells inside radius 1.0"),
+    "deep-probe": ({"kind": "graph", "exprs": [CHAIN_360, "y"]}, {"probe": {"cells": 16}},
+                   [{"name": "probe"}], "graph expression too deep for quadrature"),
+    "deep-growth": ({"kind": "graph", "exprs": [CHAIN_500, "y"]}, {},
+                    [{"name": "growth", "radii": [0.5], "cells": 16}],
+                    "graph expression too deep for quadrature"),
+}
+
+
+def quadrature_repro(name):
+    surface, extra, checks, reason = QUADRATURE_REPROS[name]
+    grid = {"ranges": [[-0.5, 0.5], [-0.5, 0.5]], "counts": [3, 3]}
+    return {"surface": surface, "grid": grid, "checks": checks, **extra}, reason
+
+
+def holo_curve(k):
+    """small_z2_config on a complex polynomial of degree k - 1 with k equal coefficients."""
+    return small_z2_config(
+        surface={"kind": "catalogue", "name": "holo-curve", "params": {"coeffs": [[1e-3, 1e-3]] * k}},
+        checks=[{"name": "minimality"}])
+
+
 class TestConfigValidation:
     def test_unknown_check_names_field(self):
         cfg = small_z2_config(checks=[{"name": "bogus"}])
@@ -153,6 +180,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             load_config(small_z2_config(**overrides))
         assert err.value.path == path
+
+    # a part without variables that is undefined is undefined at every point: a config
+    # error at load; an expression undefined only at some points (log(x), 1/x) still loads
+    @pytest.mark.parametrize("expr, path, message", [
+        ("x*log(0)", "surface.exprs", "log(0.0) is undefined"),
+        ("x+1/(1-1)", "surface.exprs", "division by zero"),
+        ("x+0^-1", "surface.exprs", "zero raised to a negative power"),
+        ("x*exp(1000)", "surface.exprs", "math range error"),
+        ("x+2^2000", "surface.exprs", "Numerical result out of range"),
+        ("x - log(0)", "grid.mask", "log(0.0) is undefined"),
+    ])
+    def test_undefined_constant_part_is_a_config_error(self, expr, path, message):
+        if path == "grid.mask":
+            cfg = small_z2_config(grid={"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3], "mask": expr})
+        else:
+            cfg = small_z2_config(surface={"kind": "graph", "exprs": [expr, "0"]})
+        with pytest.raises(ConfigError, match="constant part undefined: ") as err:
+            load_config(cfg)
+        assert err.value.path == path and message in str(err.value)
+
+    @pytest.mark.parametrize("expr", ["log(x)", "1/x", "x^-2", "1/(x-x)", "exp(1000*x)"])
+    def test_expression_undefined_at_some_points_loads(self, expr):
+        load_config(small_z2_config(surface={"kind": "graph", "exprs": [expr, "0"]}))
+
+    def test_catalogue_tree_depth_is_bounded(self):
+        # 31 coefficients make trees 497 levels deep, 44 make 991
+        report = run_scenario(load_config(holo_curve(31)))
+        assert report.results[0].verdict == "pass"
+        for k in (32, 44, 80):
+            with pytest.raises(ConfigError, match="more than 500 levels deep") as err:
+                load_config(holo_curve(k))
+            assert err.value.path == "surface"
 
     def test_grid_points_bounded_at_2_to_the_20(self):
         load_config(small_z2_config(grid={"ranges": [[-1, 1], [-1, 1]], "counts": [1024, 1024]}))
@@ -381,6 +440,45 @@ class TestRunScenario:
         assert entry["reason"].startswith(reason)
         assert "extras" not in entry
         assert report.overall == "pass"
+
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_REPROS))
+    def test_quadrature_repros_are_not_applicable(self, name):
+        cfg, reason = quadrature_repro(name)
+        report = run_scenario(load_config(cfg))
+        [result] = report.results
+        assert (result.verdict, result.reason, report.overall) == ("not-applicable", reason, "pass")
+
+    def test_short_chain_reports_are_unchanged(self):
+        # 30 factors differentiate and evaluate well within the recursion limit; the
+        # pinned values are those of separate growth and probe quadrature rules
+        cfg = {
+            "surface": {"kind": "graph", "exprs": ["*".join(["x"] * 30), "y"]},
+            "grid": {"ranges": [[-0.5, 0.5], [-0.5, 0.5]], "counts": [3, 3]},
+            "probe": {"cells": 16},
+            "checks": [{"name": "growth", "radii": [0.5, 1.0], "cells": 16}, {"name": "probe"}],
+        }
+        growth, probe = run_scenario(load_config(cfg)).results
+        assert (growth.verdict, probe.verdict) == ("pass", "pass")
+        assert growth.extras["volumes"] == pytest.approx(
+            [0.7954951288348662, 3.8408763890743503], rel=1e-12)
+        assert growth.extras["max_v"] == pytest.approx(
+            [1.4142135623730951, 6.679769604845243], rel=1e-12)
+        want = {"implied_c3": 1.1185742823648292e-17, "implied_c4": 0.0,
+                "lp_lhs": 6.667781860498462e-15, "lp_rhs": 149.02411859500737,
+                "pointwise_lhs": 0.0, "max_v": 6.679769604845243,
+                "volume_R": 3.8408763890743503, "volume_half_R": 0.7954951288348658}
+        assert {key: probe.extras[key] for key in want} == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="the box bound V(R) <= max v omega_n R^n fails on the "
+                       "flat plane at coarse cells: V(0.5) = 0.8125 > pi/4 at 16 cells")
+    def test_flat_plane_growth_passes_at_coarse_cells(self):
+        cfg = {
+            "surface": {"kind": "catalogue", "name": "affine",
+                        "params": {"slopes": [[0, 0], [0, 0]]}},
+            "grid": {"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3]},
+            "checks": [{"name": "growth", "radii": [0.5, 1.0], "cells": 16}],
+        }
+        assert run_scenario(load_config(cfg)).results[0].verdict == "pass"
 
     def test_probe_that_evaluates_no_point_is_not_applicable(self):
         # the probe's hypothesis points near the origin are minimal, but no grid point is
@@ -734,6 +832,26 @@ class TestCli:
             surface={"kind": "graph", "exprs": ["x^2 - y^2", "2*x*y"], "n": 2.0})))
         assert cli.main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: surface.n: ")
+
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_REPROS))
+    def test_quadrature_repros_exit_0(self, tmp_path, capsys, name):
+        cfg, reason = quadrature_repro(name)
+        path = tmp_path / "repro.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "not-applicable" in out and f"reason: {reason}" in out
+
+    @pytest.mark.parametrize("surface", [
+        {"kind": "graph", "exprs": ["x*log(0)", "0"]},
+        {"kind": "catalogue", "name": "holo-curve", "params": {"coeffs": [[1e-3, 1e-3]] * 44}},
+        {"kind": "catalogue", "name": "holo-curve", "params": {"coeffs": [1e-3] * 80}},
+    ], ids=["undefined-constant", "holo-curve-44", "holo-curve-80"])
+    def test_surface_that_cannot_be_evaluated_exits_2(self, tmp_path, capsys, surface):
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(small_z2_config(surface=surface)))
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: surface")
 
     def test_flat_chain_too_deep_exits_2(self, tmp_path):
         path = tmp_path / "chain.json"
