@@ -1047,7 +1047,13 @@ class ProbeRecord:
     implied_c4: float | None = None  # lhs R^2 (max v)^-3 (V(R)/V(R/2))^(-1/t)
 
 
-def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> ProbeRecord:
+def _now(compute, slot, *inputs):
+    """The `_once` hook of a stand-alone run: compute every piece of work."""
+    return compute()
+
+
+def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
+                   _once=_now) -> ProbeRecord:
     """Evaluate both sides of the integral estimates and report implied constants.
 
     The probes are reported, never asserted: the constants in the estimates
@@ -1057,6 +1063,8 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
     take v and |B|^2 on the cells of Omega_R only; the Omega_R0 and
     Omega_(R/2) cells are among them, picked by their distance.  Not
     applicable where `_GraphFields.box`, growth's rule too, fails.
+    `_once(compute, slot, *inputs)` gives the hypothesis block and the box
+    outcome, which a sweep shares between values of t, q and s.
     """
     params.validate()
     fault = quadrature_cells_fault(params.cells, imm.n)
@@ -1067,23 +1075,32 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
     if imm.kind != "graph":
         return ProbeRecord(params=params, applicable=False,
                            reason="integral probes require a graph immersion")
-    # the first of the three points that fails a hypothesis gives the first it fails
-    block = BlockContext(imm, [(0.1 * k,) * imm.n for k in (0, 1, 3)], reference_frame)
-    skips = Columns(block.points, np.full(3, None, dtype=object))
-    skips.fail(block.pg.errors, "evaluation error near the origin: ")
-    skips.where(~block.minimal, "mean curvature does not vanish")
-    skips.where(np.not_equal(block.canon.errors, None), "Gauss-map rank above 2")
-    if reference_frame is not None:
-        skips.where(block.apack.value <= 0.0,
-                    "alignment function not positive on the sampled region")
-    reason = next(filter(None, skips.skip), None)
+
+    def hypotheses():
+        # the first of the three points that fails a hypothesis gives the first it fails
+        block = BlockContext(imm, [(0.1 * k,) * imm.n for k in (0, 1, 3)], reference_frame)
+        skips = Columns(block.points, np.full(3, None, dtype=object))
+        skips.fail(block.pg.errors, "evaluation error near the origin: ")
+        skips.where(~block.minimal, "mean curvature does not vanish")
+        skips.where(np.not_equal(block.canon.errors, None), "Gauss-map rank above 2")
+        if reference_frame is not None:
+            skips.where(block.apack.value <= 0.0,
+                        "alignment function not positive on the sampled region")
+        return block, next(filter(None, skips.skip), None)
+
+    def box():  # the fields and cell volume, or why the ball cannot be integrated
+        try:
+            return _GraphFields(imm).box(params.R, params.cells, want_normB2=True)
+        except CheckConfigError as exc:
+            return str(exc)
+
+    block, reason = _once(hypotheses, "probe origin", reference_frame)
     if reason is not None:
         return ProbeRecord(params=params, applicable=False, reason=reason)
-
-    try:
-        fields, weight = _GraphFields(imm).box(params.R, params.cells, want_normB2=True)
-    except CheckConfigError as exc:
-        return ProbeRecord(params=params, applicable=False, reason=str(exc))
+    ball = _once(box, "probe box", params.R, params.cells)
+    if isinstance(ball, str):
+        return ProbeRecord(params=params, applicable=False, reason=ball)
+    fields, weight = ball
     v, nb2, dist2 = fields["v"], fields["normB2"], fields["dist2"]  # cells inside Omega_R
     inside_R0 = dist2 <= params.R0**2
     inside_half = dist2 <= (params.R / 2.0) ** 2
@@ -1116,14 +1133,14 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams) -> Prob
     )
 
 
-def probe_check_result(imm, reference_frame, params, sub, tol):
+def probe_check_result(imm, reference_frame, params, sub, tol, *, _once=_now):
     """Wrap a probe as a check: only the subharmonicity part is asserted.
 
     `sub` is the grid result of the probe's own ("subharmonicity", params.s,
     params.q) check, or None when the grid was not evaluated for it.  Not
     applicable, with `sub`'s reason, when that part evaluated no grid point.
     """
-    record = estimate_probe(imm, reference_frame, params)
+    record = estimate_probe(imm, reference_frame, params, _once=_once)
     evaluated = 0 if sub is None else sub.n_points - sub.n_skipped
     fields = ("applicable", "implied_c3", "implied_c4", "lp_lhs", "lp_rhs", "pointwise_lhs",
               "max_v", "volume_R", "volume_half_R")

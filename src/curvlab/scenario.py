@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .checks import (
     CheckResult,
     Columns,
     ProbeParams,
+    _now,
     aggregate_check,
     blocks,
     evaluate_point,
@@ -367,12 +369,15 @@ def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=Non
     return [aggregate_check(spec.name, tol, cols) for spec, tol, cols in zip(specs, tols, columns)]
 
 
-def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
+def run_scenario(config: ScenarioConfig, jobs: int | None = None, *, _once=_now) -> Report:
     """Execute every configured check; deterministic for a fixed config.
 
     The grid checks, and a probe's subharmonicity part, run in one
     `run_checks` pass.  `jobs` is deprecated and ignored: one process
-    evaluates a block faster than a pool did.
+    evaluates a block faster than a pool did.  In a `sweep`, `_once(compute,
+    slot, *inputs)` may return a piece of work an earlier report computed
+    from the same inputs: the report equals a stand-alone run, and its
+    console-only `elapsed_seconds` covers only its own new work.
     """
     start = time.perf_counter()
     imm = config.surface
@@ -385,9 +390,10 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
             in_pass[i] = spec
         elif spec.name == "probe" and imm.kind == "graph":
             in_pass[i] = CheckSpec("subharmonicity", spec.tol, {"s": params.s, "q": params.q})
-    points = config.grid.points()
-    on_grid = dict(zip(in_pass, run_checks(imm, config.grid, list(in_pass.values()), frame,
-                                           points)))
+    points, specs = config.grid.points(), list(in_pass.values())
+    on_grid = dict(zip(in_pass, _once(lambda: run_checks(imm, config.grid, specs, frame, points),
+                                      "grid", config.raw.get("grid"), frame,
+                                      [[s.name, s.tol, s.options] for s in specs])))
 
     results = []
     for i, spec in enumerate(config.checks):
@@ -395,10 +401,12 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None) -> Report:
             results.append(on_grid[i])
         elif spec.name == "growth":
             options = {**CHECKS["growth"].options, **spec.options}
-            results.append(growth_check_result(imm, options["radii"], int(options["cells"]),
-                                               spec.tol)[0])
+            radii, cells = options["radii"], int(options["cells"])
+            results.append(_once(lambda: growth_check_result(imm, radii, cells, spec.tol)[0],
+                                 f"checks[{i}]", radii, cells, spec.tol))
         elif spec.name == "probe":
-            results.append(probe_check_result(imm, frame, params, on_grid.get(i), spec.tol)[0])
+            results.append(probe_check_result(imm, frame, params, on_grid.get(i), spec.tol,
+                                              _once=_once)[0])
 
     overall = "pass" if all(r.verdict != "fail" for r in results) else "fail"
     return Report(
@@ -511,13 +519,30 @@ def _set_by_path(data: dict, dotted: str, value):
     cur[keys[-1]] = value
 
 
+def _shared(memo: dict, surface, compute, slot, *inputs):
+    """A sweep's `_once` hook: the piece `memo[slot]` holds while the canonical JSON of the raw
+    `surface` section and `inputs` is its key, else `compute()`, which replaces it."""
+    try:
+        key = json.dumps([surface, *inputs], sort_keys=True, default=np.ndarray.tolist)
+    except (TypeError, ValueError):  # not JSON: compute it every time
+        key = None
+    if key is None or memo.get(slot, (None,))[0] != key:
+        memo.pop(slot, None)  # free the old piece before the new one is computed
+        memo[slot] = key, compute()
+    return memo[slot][1]
+
+
 def sweep(raw_config: dict, jobs: int | None = None):
     """Run the scenario once per swept parameter value.
 
     The config's `sweep` section is {"parameter": <dotted.path>, "values":
     [...]}.  Returns (reports, aggregation table); the table collects the
     implied constants and growth fits that each run produced.  `jobs` is
-    deprecated and ignored, as in run_scenario.
+    deprecated and ignored, as in run_scenario.  Every value is loaded
+    before any runs.  Each grid pass, growth table and probe box is computed
+    once per distinct set of the config sections it reads, and each report
+    equals a stand-alone run; a later report's console-only
+    `elapsed_seconds` covers only its own new work.
     """
     _require(isinstance(raw_config, dict), "config", "must be a JSON object")
     sweep_cfg = raw_config.get("sweep")
@@ -528,14 +553,17 @@ def sweep(raw_config: dict, jobs: int | None = None):
              "must be a dotted config path")
     _require(isinstance(values, list), "sweep.values", "must be a list (may be empty)")
 
-    reports = []
-    table = []
+    configs = []
     for value in values:
         variant = copy.deepcopy(raw_config)
         variant.pop("sweep", None)
         _set_by_path(variant, parameter, value)
-        config = load_config(variant)
-        report = run_scenario(config)
+        configs.append(load_config(variant))
+
+    memo = {}  # slot -> (key, piece of work), dropped when the sweep returns
+    reports, table = [], []
+    for value, config in zip(values, configs):
+        report = run_scenario(config, _once=partial(_shared, memo, config.raw.get("surface")))
         reports.append(report)
         row = {"parameter": parameter, "value": value, "overall": report.overall}
         for res in report.results:

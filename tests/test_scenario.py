@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlab import cli
+from curvlab import checks, cli, scenario
 from curvlab.checks import _ABSENT, CHECKS, Columns
 from curvlab.scenario import (
     ConfigError,
@@ -699,6 +700,142 @@ class TestSweep:
         cfg = small_z2_config(sweep={"parameter": "probe.t", "values": []})
         reports, table = sweep(cfg)
         assert reports == [] and table == []
+
+
+def shared_sweeps():
+    """Sweeps whose reports share every piece of work, some of it or none of it."""
+    probe = bundled("z2-probe")
+    probe["probe"]["cells"] = 64
+    probe_q = copy.deepcopy(probe)  # the probe's grid part changes, its box does not
+    probe_q["sweep"] = {"parameter": "probe.q", "values": [7, 8]}
+    probe_cells = bundled("z2-probe")
+    probe_cells["sweep"] = {"parameter": "probe.cells", "values": [32, 64]}
+    probe_r = copy.deepcopy(probe)
+    probe_r["sweep"] = {"parameter": "probe.R", "values": [1.0, 0.8]}
+    frame = copy.deepcopy(probe)  # swapped rows: the alignment function changes sign
+    frame["checks"].append({"name": "log-alignment"})
+    frame["sweep"] = {"parameter": "reference_frame",
+                      "values": [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 1, 0, 0], [1, 0, 0, 0]]]}
+    mask = copy.deepcopy(probe)
+    mask["sweep"] = {"parameter": "grid.mask", "values": ["-1", "x"]}
+    grid_checks = copy.deepcopy(probe)  # the grid pass changes, the probe's box does not
+    grid_checks["sweep"] = {"parameter": "checks", "values": [
+        [{"name": "probe"}, {"name": "subharmonicity", "s": 1, "q": q, **tol}]
+        for q, tol in ((3, {}), (4, {}), (3, {"tol": 1e-3}))]}
+    coeffs = small_z2_config(
+        probe={"cells": 32},
+        checks=[{"name": "minimality"}, {"name": "probe"},
+                {"name": "growth", "radii": [1.0, 2.0], "cells": 32}],
+        sweep={"parameter": "surface.params.coeffs", "values": [[0, 0, 1], [0, 0, 2]]})
+    radii = {
+        "surface": {"kind": "catalogue", "name": "affine"},
+        "grid": {"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3]},
+        "checks": [],
+        "sweep": {"parameter": "checks", "values": [
+            [{"name": "growth", "cells": 256, "radii": [float(r)]}] for r in (1, 2, 4, 8)]},
+    }
+    return {"probe.t": probe, "probe.q": probe_q, "probe.R": probe_r, "probe.cells": probe_cells,
+            "reference_frame": frame, "grid.mask": mask, "coeffs": coeffs, "checks": radii,
+            "grid checks": grid_checks}
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """The cells of each `_GraphFields.fields` call and the radius of each `box` call."""
+    calls = {"fields": [], "box": []}
+    fields, box = checks._GraphFields.fields, checks._GraphFields.box
+
+    def counted_fields(self, axes, *args, **kwargs):
+        calls["fields"].append(int(axes[0].size))
+        return fields(self, axes, *args, **kwargs)
+
+    def counted_box(self, radius, *args, **kwargs):
+        calls["box"].append(radius)
+        return box(self, radius, *args, **kwargs)
+
+    monkeypatch.setattr(checks._GraphFields, "fields", counted_fields)
+    monkeypatch.setattr(checks._GraphFields, "box", counted_box)
+    return calls
+
+
+def quadrature_work(calls, run) -> tuple:
+    """The cells `fields` evaluates and the radii `box` takes while `run()` runs."""
+    calls["fields"].clear()
+    calls["box"].clear()
+    run()
+    return sum(calls["fields"]), list(calls["box"])
+
+
+def stand_alone_work(calls, reports) -> tuple:
+    """The quadrature work of running each report's config on its own, summed."""
+    alone = [quadrature_work(calls, lambda: run_scenario(load_config(r.scenario))) for r in reports]
+    return sum(cells for cells, _ in alone), [radius for _, radii in alone for radius in radii]
+
+
+class TestSweepSharedWork:
+    """A sweep computes each piece of work once, and each report equals a stand-alone run."""
+
+    @pytest.mark.parametrize("name", sorted(shared_sweeps()))
+    def test_each_report_equals_a_stand_alone_run(self, name, tmp_path):
+        reports, _ = sweep(shared_sweeps()[name])
+        assert len(reports) >= 2
+        for i, report in enumerate(reports):
+            alone = run_scenario(load_config(report.scenario))
+            swept, single = tmp_path / f"swept-{i}.json", tmp_path / f"alone-{i}.json"
+            emit_report(report, "json", swept, detail=True)
+            emit_report(alone, "json", single, detail=True)
+            assert swept.read_bytes() == single.read_bytes()
+
+    def test_probe_cells_are_evaluated_once(self, quadrature_calls):
+        cfg = bundled("z2-probe")
+        first = copy.deepcopy(cfg)
+        first.pop("sweep")
+        cells, radii = quadrature_work(quadrature_calls, lambda: sweep(cfg))
+        assert cells > 0 and radii == [1.0]  # one box for three values of t
+        assert (cells, radii) == quadrature_work(
+            quadrature_calls, lambda: run_scenario(load_config(first)))
+        # no piece outlives the call: a second sweep does the same work again
+        assert (cells, radii) == quadrature_work(quadrature_calls, lambda: sweep(cfg))
+
+    def test_nothing_shared_costs_the_stand_alone_runs(self, quadrature_calls):
+        cfg = shared_sweeps()["coeffs"]
+        reports, _ = sweep(cfg)
+        work = quadrature_work(quadrature_calls, lambda: sweep(cfg))
+        assert work == stand_alone_work(quadrature_calls, reports) and work[0] > 0
+
+    def test_surface_json_cannot_write_is_computed_for_each_value(self, quadrature_calls):
+        cfg = shared_sweeps()["probe.t"]
+        cfg["surface"]["note"] = {"a set"}  # a key the loader does not read
+        reports, _ = sweep(cfg)
+        work = quadrature_work(quadrature_calls, lambda: sweep(cfg))
+        assert work == stand_alone_work(quadrature_calls, reports) and work[0] > 0
+
+    def test_not_applicable_outcomes_are_shared(self, quadrature_calls):
+        cfg, reason = quadrature_repro("steep-probe")
+        cfg["checks"].append({"name": "growth", "radii": [1.0, 2.0], "cells": 16})
+        cfg["probe"] = {"q": 7}
+        cfg["sweep"] = {"parameter": "probe.t", "values": [3, 4, 5]}
+        reports, _ = sweep(cfg)
+        for report in reports:
+            alone = run_scenario(load_config(report.scenario))
+            assert report.to_dict() == alone.to_dict()
+            assert [(r.verdict, r.reason) for r in report.results] == [("not-applicable", reason)] * 2
+        # the probe's box and growth's first box fail once for the sweep, as in one run
+        assert quadrature_work(quadrature_calls, lambda: sweep(cfg)) == (0, [1.0, 1.0])
+
+    def test_bad_last_value_fails_before_any_run(self, monkeypatch, tmp_path, capsys):
+        runs = []
+        monkeypatch.setattr(scenario, "run_scenario", lambda *args, **kwargs: runs.append(args))
+        cfg = bundled("z2-probe")
+        cfg["sweep"]["values"] = [3, 4, 2]
+        with pytest.raises(ConfigError) as err:
+            sweep(cfg)
+        assert str(err.value) == "probe: probe requires t >= 3, got t=2.0"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: probe: probe requires t >= 3, got t=2.0\n"
+        assert runs == []
 
 
 class TestCli:
