@@ -10,9 +10,9 @@ violation for inequalities), not-applicable when a documented hypothesis
 fails everywhere (Gauss-map rank above 2, vanishing second fundamental
 form, wrong immersion kind).
 
-Grid checks share one :class:`BlockContext` per block of up to BLOCK_SIZE
-grid points: the geometry and every derived jet are computed once per block
-in array code.  Each check's evaluator returns the block's :class:`Columns`;
+Grid checks share one :class:`BlockContext` per block of grid points, sized
+by `block_size`: the geometry and every derived jet are computed once per
+block in array code.  Each check's evaluator returns the block's :class:`Columns`;
 aggregation reads the blocks' joined columns with numpy.  The per-point
 records (`CheckResult.details`) are the library view, built from the
 columns on first read; the JSON and CSV writers read the columns directly.
@@ -50,9 +50,9 @@ from .geometry import (
     scalar_field_jet,
 )
 from .immersions import Immersion, evaluate_array
-from .jets import jet_elementary, ordered_einsum
+from .jets import _table, jet_elementary, ordered_einsum
 
-BLOCK_SIZE = 64  # grid points evaluated together in one pass of array code
+BLOCK_BUDGET = 64 * 5 * 3**2 * 16  # 64 points of n = 3, m = 2 at block_size's footprint
 EQUALITY_THRESHOLD = 1e-4  # looser than identity tolerances by design
 IDENTITY_DEEP_TOL = 1e-4  # fourth-order two-route identities
 
@@ -691,9 +691,18 @@ def make_check_state(name: str, imm: Immersion, frame, options: dict, tol: float
     return state
 
 
-def blocks(points: list):
-    """Consecutive runs of at most BLOCK_SIZE points, in order."""
-    return [points[i:i + BLOCK_SIZE] for i in range(0, len(points), BLOCK_SIZE)]
+def block_size(imm: Immersion) -> int:
+    """Grid points per block: BLOCK_BUDGET over a point's share of the widest tensor jet.
+
+    That is B's pair-table columns: (n + m) n^2 entries of an order-2 jet's pair count.
+    """
+    return max(1, BLOCK_BUDGET // ((imm.n + imm.m) * imm.n**2 * len(_table(imm.n, 2).pair_i)))
+
+
+def blocks(imm: Immersion, points: list):
+    """Consecutive runs of at most block_size(imm) points, in order."""
+    size = block_size(imm)
+    return [points[i:i + size] for i in range(0, len(points), size)]
 
 
 def evaluate_point(imm: Immersion, frame, specs, points):

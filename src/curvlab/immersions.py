@@ -105,10 +105,6 @@ class GridSpec:
             if c < 2:
                 raise ValueError(f"sample counts must be >= 2, got {c}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.ranges)
-
     def axes(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.ranges, self.counts)]
 

@@ -325,14 +325,23 @@ def ordered_einsum(spec: str, *operands) -> np.ndarray:
     """np.einsum with explicit subscripts, its sums accumulated in a fixed order.
 
     np.einsum may reorder a reduction by the operands' shapes, so a point's
-    result could depend on how many points share its block.  Here one
-    np.einsum call only multiplies, laying out every product term with the
-    summed indices first; the terms are then added one after another, in
-    lexicographic order of the summed indices.
+    result could depend on how many points share its block.  Here every
+    product term is formed in one array laid out with the summed indices
+    first, by multiplying broadcast views of the operands into it left to
+    right; the terms are then added one after another, in lexicographic
+    order of the summed indices.
     """
     inputs, out = spec.split("->")
+    subs = inputs.split(",")
     summed = "".join(dict.fromkeys(c for c in inputs if c not in out + ","))
-    terms = np.einsum(f"{inputs}->{summed}{out}", *operands)
+    layout = summed + out
+    views = [op.transpose([sub.index(c) for c in layout if c in sub])
+             [tuple(slice(None) if c in sub else None for c in layout)]
+             for sub, op in zip(subs, operands)]
+    terms = np.empty(np.broadcast(*views).shape, np.result_type(*operands))
+    np.multiply(views[0], views[1], out=terms)
+    for view in views[2:]:
+        np.multiply(terms, view, out=terms)
     k = len(summed)
     terms = terms.reshape((math.prod(terms.shape[:k]),) + terms.shape[k:])
     total = terms[0].copy()

@@ -361,7 +361,7 @@ def run_checks(imm: Immersion, grid: GridSpec, specs: list[CheckSpec], frame=Non
     states = [(s.name, make_check_state(s.name, imm, frame, s.options, tol))
               for s, tol in zip(specs, tols)]
     per_block = [evaluate_point(imm, frame, states, chunk)
-                 for chunk in blocks(grid.points() if points is None else points)]
+                 for chunk in blocks(imm, grid.points() if points is None else points)]
     columns = [Columns.concat([block[i] for block in per_block]) for i in range(len(specs))]
     skips = np.concatenate([cols.skip for cols in columns])  # None where evaluated
     if skips.size and all(str(reason).startswith("evaluation error") for reason in skips):

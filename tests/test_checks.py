@@ -1,5 +1,6 @@
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -571,6 +572,25 @@ def all_evaluated(residuals, **detail):
     none = np.full(len(residuals), None, dtype=object)
     points = [(float(i), 0.0) for i in range(len(residuals))]
     return C.Columns(points, none, np.array(residuals, dtype=float), none.copy(), detail)
+
+
+class TestBlocks:
+    def test_a_solid_in_codimension_two_keeps_64_points(self):
+        assert C.block_size(build_graph_immersion(["x^2-y^2+0.3*z", "2*x*y-z^2"], 3)) == 64
+
+    def test_a_disk_masked_21x21_surface_is_one_block(self, z2):
+        # 293 points: the grid of the grid-surface benchmark
+        assert (z2.n, z2.m) == (2, 2) and C.block_size(z2) >= 293
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (3, 2), (3, 400), (3, 10**6)])
+    def test_block_size_is_never_below_one(self, n, m):
+        assert C.block_size(SimpleNamespace(n=n, m=m)) >= 1
+
+    def test_blocks_cover_the_points_in_order(self, z2):
+        points = list(range(2 * C.block_size(z2) + 5))
+        parts = C.blocks(z2, points)
+        assert [len(part) for part in parts] == [C.block_size(z2)] * 2 + [5]
+        assert sum(parts, []) == points
 
 
 class TestAggregation:

@@ -18,7 +18,7 @@ from curvlab.expressions import (
     format_expression,
     parse_expression,
 )
-from curvlab.jets import jet_extract, jet_variable
+from curvlab.jets import Jet, jet_extract, jet_variable, multi_indices
 
 from oracles import rel_err, richardson_derivative, substitute
 
@@ -204,6 +204,29 @@ class TestDifferentiate:
         f = lambda p: math.exp(p[0] / 4) * math.atan(p[1])
         fd = richardson_derivative(f, (0.3, 0.5), (1, 1))
         assert rel_err(evaluate_expression(d, [0.3, 0.5]), fd) <= 1e-8
+
+
+class TestReflectedJetOperators:
+    """A constant on the left of - or / reaches Jet.__rsub__ or Jet.__rtruediv__."""
+
+    @pytest.mark.parametrize("text, method", [("1 - x^2*y", "__rsub__"),
+                                              ("1/(2+x^2+y)", "__rtruediv__")])
+    def test_taylor_coefficients_match_sympy(self, text, method, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        calls = []
+        original = getattr(Jet, method)
+        monkeypatch.setattr(Jet, method,
+                            lambda self, other: calls.append(other) or original(self, other))
+        point = (0.43, -0.29)
+        jets = [jet_variable(i, point[i], 2, 4) for i in range(2)]
+        jet = evaluate_expression(parse_expression(text, 2), jets)
+        assert calls == [1.0]
+        x, y = sympy.symbols("x y")
+        f = sympy.sympify(text.replace("^", "**"))
+        for alpha in multi_indices(2, 4):
+            derivative = sympy.diff(f, x, alpha[0], y, alpha[1]).subs({x: point[0], y: point[1]})
+            want = float(derivative) / (math.factorial(alpha[0]) * math.factorial(alpha[1]))
+            assert abs(jet.coefficient(alpha) - want) <= 1e-14 * (1.0 + abs(want))
 
 
 class TestSubstitute:

@@ -184,13 +184,15 @@ def test_detail_records_match_golden(name):
         "isothermal-shear"])
 def test_block_composition_does_not_change_records(config, monkeypatch):
     encode, entries = [], []
-    # one block, blocks of 7, point by point
-    for size in (len(config.grid.points()), 7, 1):
-        monkeypatch.setattr(checks, "BLOCK_SIZE", size)
+    # the default rule (z2-full: blocks of 320 and 121 points), one block, blocks of 7,
+    # point by point
+    for size in (None, len(config.grid.points()), 7, 1):
+        if size is not None:
+            monkeypatch.setattr(checks, "block_size", lambda imm, size=size: size)
         results = run_checks(config.surface, config.grid, config.checks, config.frame_or_default)
         encode.append([json.dumps(rec) for res in results for rec in res.details])
         # verdicts, worst residuals, skip counts and extras, aggregated from the joined columns
         report = Report({}, results, "pass", 0, 0.0)
         entries.append(json.dumps(report.to_dict(detail=False)["checks"]))
-    assert encode[0] == encode[1] == encode[2]
-    assert entries[0] == entries[1] == entries[2]
+    assert encode[0] == encode[1] == encode[2] == encode[3]
+    assert entries[0] == entries[1] == entries[2] == entries[3]

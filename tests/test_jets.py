@@ -296,6 +296,23 @@ JET_SPECS = ["piA,pjA->pij", "piA,piB->pAB", "pij,pjB->piB", "pAB,pijB->pijA",
              "pjl,pkjA->pklA", "pik,pijA->pkjA", "pklA,pklA->p"]
 
 
+LAYOUT_SPECS = [("{}t,{}t->{}t".format(*spec.replace("->", ",").split(",")), dict(t=9))
+                for spec in JET_SPECS] + [("pi,pj,pkA->pijkA", {})]
+
+
+def einsum_layout(spec, *operands):
+    """ordered_einsum's reference: np.einsum lays out the terms, summed indices first."""
+    inputs, out = spec.split("->")
+    summed = "".join(dict.fromkeys(c for c in inputs if c not in out + ","))
+    terms = np.einsum(f"{inputs}->{summed}{out}", *operands)
+    k = len(summed)
+    terms = terms.reshape((math.prod(terms.shape[:k]),) + terms.shape[k:])
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def spec_operands(spec, extra, seed=0, trailing=(), order="C"):
     """Random operands for `spec` with the index sizes of SIZES and `extra`, laid out in `order`."""
     sizes = {**SIZES, **extra}
@@ -319,6 +336,18 @@ class TestContraction:
         got, want = ordered_einsum(spec, *ops), np.einsum(spec, *ops)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    # every spec jet_einsum hands on (pair-table columns on a trailing axis t),
+    # and one with no summed index
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", ORDERED_SPECS + LAYOUT_SPECS,
+                             ids=map(spec_id, ORDERED_SPECS + LAYOUT_SPECS))
+    def test_ordered_einsum_is_bitwise_the_einsum_layout(self, case, order):
+        spec, extra = case
+        ops = spec_operands(spec, extra, seed=3, order=order)
+        got, want = ordered_einsum(spec, *ops), einsum_layout(spec, *ops)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     # the layout of a block's operands (slices, transposes) sets np.einsum's output layout
     @pytest.mark.parametrize("order", ["C", "F"])
