@@ -1,18 +1,21 @@
 """Identity, inequality and equality-characterization checks.
 
 `CHECKS` is the one place a check is declared: one row per name with its
-default tolerance, description, evaluator, requirements, option defaults
-and aggregator.
+default tolerance, description, evaluator, requirements, hypotheses, option
+defaults and aggregator.
 
 Every check evaluates a residual per grid point and aggregates a verdict:
 pass iff the worst signed residual stays within tolerance (positive means
 violation for inequalities), not-applicable when a documented hypothesis
 fails everywhere (Gauss-map rank above 2, vanishing second fundamental
-form, wrong immersion kind).
+form, wrong immersion kind).  A row's `hypotheses` name its skip rules in
+order; `BlockContext.skips` applies them after each point's evaluation
+error, and a point is skipped for the first it fails.
 
 Grid checks share one :class:`BlockContext` per block of grid points, sized
 by `block_size`: the geometry and every derived jet are computed once per
-block in array code.  Each check's evaluator returns the block's :class:`Columns`;
+block in array code.  Each check's evaluator computes the residuals of the
+points its hypotheses leave live and returns the block's :class:`Columns`;
 aggregation reads the blocks' joined columns with numpy.  The per-point
 records (`CheckResult.details`) are the library view, built from the
 columns on first read; the JSON and CSV writers read the columns directly.
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -32,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 # evaluate_expression is unused here; perfbench's tracer rebinds it (test_perfbench_names.py)
-from .expressions import differentiate, evaluate_expression  # noqa: F401
+from .expressions import MAX_DEPTH, _depth, differentiate, evaluate_expression  # noqa: F401
 from .geometry import (
     MINIMALITY_TOL,
     RANK_TOL,
@@ -123,12 +125,22 @@ class BlockContext:
         mc = self.pg.mean_curvature
         return np.sqrt(_dot(mc.T, mc.T)) <= MINIMALITY_TOL
 
-    def skips(self, minimal=False) -> Columns:
-        """The block's Columns: geometry failures skipped, then non-minimal points if `minimal`."""
+    def skips(self, hypotheses) -> Columns:
+        """The block's Columns, each point skipped for the first hypothesis it fails.
+
+        Evaluation errors come first, then each name of `hypotheses` in turn: a
+        key of _HYPOTHESES, or a `laplacian` field whose jet must not fail.  No
+        later name is computed once every point is skipped.
+        """
         skips = Columns(self.points, np.full(len(self.points), None, dtype=object))
         skips.fail(self.pg.errors)
-        if minimal:
-            skips.where(~self.minimal, "mean curvature does not vanish")
+        for name in hypotheses:
+            if skips.done:
+                break
+            if name in _HYPOTHESES:
+                skips.fail(_HYPOTHESES[name](self), prefix="")
+            else:
+                skips.fail(self.laplacian(name)[1])
         return skips
 
     def laplacian(self, field):
@@ -147,6 +159,15 @@ class BlockContext:
                 jet = _power_jet(self.pg.normB2_jet, s) * _power_jet(self.volume_jet, q)
             self._laplacians[field] = (laplace_beltrami_of_jet(self.pg, jet), jet.failures)
         return self._laplacians[field]
+
+
+# skip rules by name: block -> each point's reason, None where the rule holds
+_HYPOTHESES = {
+    "minimal": lambda b: np.where(b.minimal, None, "mean curvature does not vanish"),
+    "rank": lambda b: b.canon.errors,  # the canonical frame's Gauss-map rank error
+    "curved": lambda b: np.where(b.pg.normB2 <= RANK_TOL, "second fundamental form vanishes", None),
+    "aligned": lambda b: np.where(b.apack.value <= 0.0, "alignment function not positive", None),
+}
 
 
 _ABSENT = ...  # a column value that omits its detail key; Ellipsis survives pickle and copy
@@ -292,16 +313,17 @@ def _pymax(first, *others):
 
 
 # -- individual check evaluators -------------------------------------------------
-# Each grid check has an eval(block, state) -> the block's Columns, computed
-# column by column over the block; the state (its options and tol) is built
-# once by make_check_state and shared by every block.
+# Each grid check has an eval(block, state, skips) -> the block's Columns, computed
+# column by column over the block; `skips` (BlockContext.skips of the row's
+# hypotheses) leaves some point live, and the state (its options and tol) is
+# built once by make_check_state and shared by every block.
 
-def _eval_minimality(block, state):
+def _eval_minimality(block, state, skips):
     mc = block.pg.mean_curvature
-    return block.skips().evaluated(np.sqrt(_dot(mc.T, mc.T)))
+    return skips.evaluated(np.sqrt(_dot(mc.T, mc.T)))
 
 
-def _eval_minimal_system(block, state):
+def _eval_minimal_system(block, state, skips):
     pg = block.pg
     n = pg.n
     fx, fy = pg.dF[:, 0, n:], pg.dF[:, 1, n:]
@@ -309,13 +331,10 @@ def _eval_minimal_system(block, state):
     vec = ((1 + _dot(fy.T, fy.T))[:, None] * sp[:, 0, 0]
            - (2 * _dot(fx.T, fy.T))[:, None] * sp[:, 0, 1]
            + (1 + _dot(fx.T, fx.T))[:, None] * sp[:, 1, 1])
-    return block.skips().evaluated(np.sqrt(_dot(vec.T, vec.T)))
+    return skips.evaluated(np.sqrt(_dot(vec.T, vec.T)))
 
 
-def _eval_pluecker(block, state):
-    skips = block.skips()
-    if skips.done:
-        return skips
+def _eval_pluecker(block, state, skips):
     # the alignment pack's pairings <e with slots replaced by normals, A>
     ap = block.apack
     b = 1 if block.pg.m > 1 else 0  # nu2, or nu1 again in codimension one
@@ -326,10 +345,7 @@ def _eval_pluecker(block, state):
     ))
 
 
-def _eval_alignment_identities(block, state):
-    skips = block.skips()
-    if skips.done:
-        return skips
+def _eval_alignment_identities(block, state, skips):
     ap = block.apack
     grad_scale = 1.0 + np.abs(ap.grad_frame).max(axis=-1)
     grad_res = np.abs(ap.grad_frame - ap.grad_formula).max(axis=-1) / grad_scale
@@ -347,15 +363,8 @@ def _eval_alignment_identities(block, state):
     )
 
 
-def _eval_log_alignment(block, state):
-    skips = block.skips(minimal=True)
-    if not skips.done:
-        skips.where(block.apack.value <= 0.0, "alignment function not positive")
-    if not skips.done:
-        lap, failures = block.laplacian("log-alignment")
-        skips.fail(failures)
-    if skips.done:
-        return skips
+def _eval_log_alignment(block, state, skips):
+    lap = block.laplacian("log-alignment")[0]
     normB2 = block.pg.normB2
     scale = 1.0 + normB2
     signed = (lap + normB2) / scale  # positive = inequality violated
@@ -373,13 +382,8 @@ def _shape_operator_terms(h):
             -ordered_einsum("pabik,pabki->p", comm, comm))
 
 
-def _eval_simons(block, state):
-    skips = block.skips(minimal=True)
-    if not skips.done:
-        lapB2, failures = block.laplacian("normB2")
-        skips.fail(failures)
-    if skips.done:
-        return skips
+def _eval_simons(block, state, skips):
+    lapB2 = block.laplacian("normB2")[0]
     pg, canon = block.pg, block.canon
     normB2, nablaB2 = pg.normB2, pg.nablaB2
     inner_numeric = 0.5 * (lapB2 - 2.0 * nablaB2)
@@ -432,14 +436,8 @@ def _aggregate_simons(cols, tol):
     return extras, ok
 
 
-def _eval_kato(block, state):
-    skips = block.skips(minimal=True)
-    if not skips.done:
-        skips.fail(block.canon.errors, prefix="")
+def _eval_kato(block, state, skips):
     pg = block.pg
-    skips.where(pg.normB2 <= RANK_TOL, "second fundamental form vanishes")
-    if skips.done:
-        return skips
     grad_nb_sq = block.grad_normB_sq
     gap = pg.nablaB2 - 2.0 * grad_nb_sq
     equality = np.abs(gap) <= EQUALITY_THRESHOLD * (1.0 + pg.nablaB2)
@@ -473,24 +471,14 @@ def _aggregate_kato(cols, tol):
     return extras, True
 
 
-def _eval_refined_simons(block, state):
-    pg = block.pg
-    skips = block.skips(minimal=True)
-    skips.where(pg.normB2 <= RANK_TOL, "second fundamental form vanishes")
-    if not skips.done:
-        lhs, failures = block.laplacian("normB2")
-        skips.fail(failures)
-    if skips.done:
-        return skips
+def _eval_refined_simons(block, state, skips):
+    pg, lhs = block.pg, block.laplacian("normB2")[0]
     rhs = 4.0 * block.grad_normB_sq - 3.0 * pg.normB2**2
     scale = 1.0 + pg.normB2**2
     return skips.evaluated((rhs - lhs) / scale, margin=lhs - rhs)
 
 
-def _eval_gauss_conformal(block, state):
-    skips = block.skips()
-    if skips.done:
-        return skips
+def _eval_gauss_conformal(block, state, skips):
     pg, canon = block.pg, block.canon
     tol = state["tol"]
     convention = pg.normB2 <= RANK_TOL  # B = 0: conformal by convention, a record, not a skip
@@ -539,7 +527,7 @@ def _aggregate_gauss_conformal(cols, tol):
     return extras, extras.get("omega_coupling_ok", True)
 
 
-def _eval_jacobian(block, state):
+def _eval_jacobian(block, state, skips):
     pg = block.pg
     n = pg.n
     Df = np.swapaxes(pg.dF[:, :, n:], 1, 2)  # (P, m, n)
@@ -560,7 +548,7 @@ def _eval_jacobian(block, state):
         jac = np.abs(np.linalg.det(Df))
         residual = _pymax(residual, np.abs(s1 * s2 - jac) / (1.0 + jac))
         detail["abs_jacobian"] = jac
-    return block.skips().evaluated(residual, **detail)
+    return skips.evaluated(residual, **detail)
 
 
 def _setup_isothermal(state):
@@ -568,7 +556,7 @@ def _setup_isothermal(state):
         raise CheckConfigError("isothermal shear requires b > 0")
 
 
-def _eval_isothermal(block, state):
+def _eval_isothermal(block, state, skips):
     # the sheared chart u1 = x1, u2 = a x1 + b x2 has dx/du = J = [[1, 0], [c, d]],
     # c = -a/b, d = 1/b, so by the chain rule its metric is J^T g J of the block's g
     g = block.pg.g0
@@ -579,7 +567,7 @@ def _eval_isothermal(block, state):
     residual = _pymax(np.abs(g00 - g11), np.abs(g01)) / (1.0 + np.abs(g00))
     v = np.sqrt(np.linalg.det(g))
     # sqrt det g = lam^2 det J^-1 = lam^2 b, lam^2 the conformal factor g00
-    return block.skips().evaluated(
+    return skips.evaluated(
         residual,
         conformal_factor=g00,
         volume_factor=v,
@@ -599,12 +587,11 @@ def _power_jet(jet, p: float):
     return jet_elementary("pow-const", jet, param=p)
 
 
-def _eval_subharmonicity(block, state):
+def _eval_subharmonicity(block, state, skips):
     s, q = state["s"], state["q"]
     pg = block.pg
     # where |B| vanishes the function touches its minimum 0: both sides vanish
     flat = pg.normB2 <= RANK_TOL
-    skips = block.skips(minimal=True)
     lap = rhs = np.zeros(len(flat))
     if (skips.live & ~flat).any():
         lap, failures = block.laplacian(("subharmonic", s, q))
@@ -617,8 +604,9 @@ def _eval_subharmonicity(block, state):
 class _Check(NamedTuple):
     tol: float  # the default tolerance
     description: str  # its `curvlab list-checks` line
-    evaluate: Callable | None = None  # (BlockContext, state) -> the block's Columns, or None
+    evaluate: Callable | None = None  # (BlockContext, state, skips) -> the block's Columns, or None
     requires: tuple = ()  # keys of _REQUIREMENTS, checked in order
+    hypotheses: tuple = ()  # the skip rules of BlockContext.skips, in order
     setup: Callable = lambda state: None  # raises when an option is outside its domain
     aggregate: Callable = lambda cols, tol: ({}, True)  # (Columns, tol) -> (extras, ok)
     options: dict = {}  # {key: default} a config may set, each value checked by its default's type
@@ -645,25 +633,27 @@ CHECKS = {
         _eval_alignment_identities, ("frame",)),
     "log-alignment": _Check(
         1e-5, "Lap log(alignment) <= -|B|^2, equality for 2d minimal graphs",
-        _eval_log_alignment, ("frame",)),
+        _eval_log_alignment, ("frame",), ("minimal", "aligned", "log-alignment")),
     "simons": _Check(
         1e-5, "Bochner inequality for |B|^2, trace identity and curvature ratio bounds",
-        _eval_simons, aggregate=_aggregate_simons),
+        _eval_simons, hypotheses=("minimal", "normB2"), aggregate=_aggregate_simons),
     "kato": _Check(1e-5, "|grad B|^2 >= 2 |grad |B||^2 under rank <= 2, equality structure",
-                   _eval_kato, aggregate=_aggregate_kato),
+                   _eval_kato, hypotheses=("minimal", "rank", "curved"),
+                   aggregate=_aggregate_kato),
     "refined-simons": _Check(1e-8, "combined inequality Lap|B|^2 >= 4|grad|B||^2 - 3|B|^4",
-                             _eval_refined_simons),
+                             _eval_refined_simons, hypotheses=("minimal", "curved", "normB2")),
     "gauss-conformal": _Check(
         1e-6, "agreement of the conformal-point criteria (mu, B_ww, omega)",
         _eval_gauss_conformal, aggregate=_aggregate_gauss_conformal),
     "jacobian": _Check(1e-10, "singular-value identities of the graph Jacobian (graphs, n=2)",
                        _eval_jacobian, ("graph", "surface")),
     "isothermal": _Check(1e-10, "sheared coordinates (a,b) are isothermal (graphs, n=2)",
-                         _eval_isothermal, ("graph", "surface"), _setup_isothermal,
+                         _eval_isothermal, ("graph", "surface"), setup=_setup_isothermal,
                          options={"a": 0.0, "b": 1.0}),
     "subharmonicity": _Check(
         1e-6, "Lap(|B|^(2s) v^q) >= (q-3s) |B|^(2s+2) v^q pointwise",
-        _eval_subharmonicity, setup=_setup_subharmonicity, options={"s": 1.0, "q": 1.0}),
+        _eval_subharmonicity, hypotheses=("minimal",), setup=_setup_subharmonicity,
+        options={"s": 1.0, "q": 1.0}),
     "growth": _Check(1e-2, "extrinsic-ball volume and slope growth table (graphs)",
                      options={"radii": [1.0, 2.0, 4.0], "cells": 256},
                      sweep=("volumes", "volume_exponent", "max_v")),
@@ -710,12 +700,18 @@ def evaluate_point(imm: Immersion, frame, specs, points):
 
     `specs` is a list of (name, state) pairs.  Returns, per spec in spec
     order, the block's Columns; a point's values do not depend on its
-    block.  A point that fails to evaluate is skipped with its error as the
-    reason.
+    block.  A point that fails to evaluate, or fails a hypothesis of the
+    check's row, is skipped with the first such reason; a check whose points
+    are all skipped is not evaluated.
     """
     block = BlockContext(imm, points, frame)
+    out = []
     with np.errstate(all="ignore"):
-        return [CHECKS[name].evaluate(block, state) for name, state in specs]
+        for name, state in specs:
+            check = CHECKS[name]
+            skips = block.skips(check.hypotheses)
+            out.append(skips if skips.done else check.evaluate(block, state, skips))
+    return out
 
 
 def _finite_max(values):
@@ -788,6 +784,7 @@ class _GraphFields:
     Uses symbolic derivatives of the graph components, so the quadrature
     path is independent of the jet pipeline (and cross-checked against it).
     Fields are flat per-point arrays; the n <= 3 algebra is written out.
+    The second derivatives, which only |B|^2 reads, are built on first use.
     """
 
     def __init__(self, imm: Immersion):
@@ -795,12 +792,7 @@ class _GraphFields:
             raise CheckConfigError("quadrature fields require a graph immersion")
         self.n, self.m = imm.n, imm.m
         comps = imm.graph_components()
-        with _too_deep_guard():
-            self.d1 = [[differentiate(c, i) for i in range(imm.n)] for c in comps]
-            self.d2 = [  # f_ij is symmetric: i <= j only
-                {(i, j): differentiate(d1[i], j) for i in range(imm.n) for j in range(i, imm.n)}
-                for d1 in self.d1
-            ]
+        self.d1 = [[_shallow(differentiate(c, i)) for i in range(imm.n)] for c in comps]
         self.comps = comps
         with np.errstate(all="ignore"):  # F(0) is NaN where the graph is undefined there
             self.f0 = np.array([evaluate_array(c, [np.zeros(1)] * imm.n)[0] for c in comps])
@@ -816,6 +808,11 @@ class _GraphFields:
         sq = [(evaluate_array(c, axes) - c0) ** 2 for c, c0 in zip(self.comps, self.f0)]
         # the sum over a first, then |x|^2: a change of order moves cells on the boundary
         return sum(ax**2 for ax in axes) + sum(sq[1:], sq[0])
+
+    @cached_property
+    def d2(self):  # f_ij is symmetric: i <= j only
+        return [{(i, j): _shallow(differentiate(d1[i], j))
+                 for i in range(self.n) for j in range(i, self.n)} for d1 in self.d1]
 
     @np.errstate(all="ignore")
     def fields(self, axes, want_normB2=False):
@@ -856,7 +853,7 @@ class _GraphFields:
         distance is not finite on a cell of the box (it can be placed neither
         inside nor outside), when v or |B|^2 is not finite on a cell inside,
         when fewer than 8 cells land inside (each naming the radius and the
-        count), or when a derivative tree is too deep to evaluate.
+        count), or when a derivative tree is too deep (`_shallow`).
         """
         if not np.all(np.isfinite(self.f0)):
             raise CheckConfigError("graph undefined at the origin: F(0) is not finite")
@@ -865,8 +862,7 @@ class _GraphFields:
         dist2 = self.dist2(np.meshgrid(*([centers] * self.n), indexing="ij", sparse=True))
         _require_defined([dist2], f"within radius {radius}")
         inside = dist2 <= radius * radius
-        with _too_deep_guard():
-            fields = self.fields([centers[i] for i in np.nonzero(inside)], want_normB2)
+        fields = self.fields([centers[i] for i in np.nonzero(inside)], want_normB2)
         n_inside = _require_defined(list(fields.values()),
                                     f"inside the extrinsic ball of radius {radius}")
         if n_inside < 8:
@@ -875,13 +871,11 @@ class _GraphFields:
         return fields, h**self.n
 
 
-@contextmanager
-def _too_deep_guard():
-    """A RecursionError in differentiating or evaluating a derivative tree, as a CheckConfigError."""
-    try:
-        yield
-    except RecursionError:
-        raise CheckConfigError("graph expression too deep for quadrature") from None
+def _shallow(tree):
+    """`tree`, or CheckConfigError when deeper than MAX_DEPTH: the bound, not the stack, decides."""
+    if _depth(tree) > MAX_DEPTH:
+        raise CheckConfigError("graph expression too deep for quadrature")
+    return tree
 
 
 def _require_defined(arrays, where: str) -> int:
@@ -1090,7 +1084,7 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
         block = BlockContext(imm, [(0.1 * k,) * imm.n for k in (0, 1, 3)], reference_frame)
         skips = Columns(block.points, np.full(3, None, dtype=object))
         skips.fail(block.pg.errors, "evaluation error near the origin: ")
-        skips.where(~block.minimal, "mean curvature does not vanish")
+        skips.fail(_HYPOTHESES["minimal"](block), prefix="")
         skips.where(np.not_equal(block.canon.errors, None), "Gauss-map rank above 2")
         if reference_frame is not None:
             skips.where(block.apack.value <= 0.0,

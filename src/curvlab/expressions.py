@@ -256,12 +256,13 @@ def expression_fault(node: ExprNode, dim: int) -> str | None:
 
 
 def _levels(node: ExprNode):
-    """The nodes of the tree under `node`, one list per level, root first; no recursion."""
+    """The distinct nodes under `node`, one list per level, root first; no recursion."""
     level = [node]
     while level:
         yield level
-        level = [child for parent in level for child in vars(parent).values()
-                 if isinstance(child, ExprNode)]
+        # by id: a subtree that derivatives share is listed once per level, not once per path
+        level = list({id(child): child for parent in level for child in vars(parent).values()
+                      if isinstance(child, ExprNode)}.values())
 
 
 def _depth(node: ExprNode) -> int:

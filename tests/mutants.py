@@ -1,0 +1,68 @@
+"""Mutants the tests must kill, one row each; `scripts/mutants.py` applies them one at a time.
+
+A row is (name, file under the repository root, the exact text it replaces,
+which must occur once, the replacement, the test ids of which at least one
+must fail).  A row leaves the table only together with the code it mutates.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+CHECKS_PY = "src/curvlab/checks.py"
+SWEEP_SHARED = "tests/test_scenario.py::TestSweepSharedWork::"
+SWEEP_EQUALS = f"{SWEEP_SHARED}test_each_report_equals_a_stand_alone_run"
+
+MUTANTS = [
+    Mutant("kato skips no non-minimal point", CHECKS_PY,
+           '_eval_kato, hypotheses=("minimal", "rank", "curved")',
+           '_eval_kato, hypotheses=("rank", "curved")',
+           ("tests/test_checks.py::TestSkipOrder::test_mean_curvature_before_gauss_rank[kato]",)),
+    Mutant("log-alignment takes the log of a non-positive alignment", CHECKS_PY,
+           '("minimal", "aligned", "log-alignment")', '("minimal", "log-alignment")',
+           ("tests/test_checks.py::TestSkipOrder::test_alignment_before_its_logarithm",)),
+    Mutant("log-alignment tests the alignment before minimality", CHECKS_PY,
+           '("minimal", "aligned", "log-alignment")', '("aligned", "minimal", "log-alignment")',
+           ("tests/test_checks.py::TestSkipOrder::test_mean_curvature_before_alignment",)),
+    Mutant("quadrature depth bound doubled", CHECKS_PY,
+           "if _depth(tree) > MAX_DEPTH:", "if _depth(tree) > 2 * MAX_DEPTH:",
+           ("tests/test_checks.py::TestGrowth::"
+            "test_derivative_trees_deeper_than_the_bound_are_refused",)),
+    Mutant("growth volume drops v", CHECKS_PY,
+           'volumes.append(float(np.sum(ball["v"]) * weight))',
+           'volumes.append(float(ball["v"].size * weight))',
+           ("tests/test_checks.py::TestGrowth::test_curved_graph_volumes_match_closed_form",)),
+    Mutant("probe box memo key drops R", CHECKS_PY,
+           '_once(box, "probe box", params.R, params.cells)',
+           '_once(box, "probe box", params.cells)',
+           (f"{SWEEP_EQUALS}[probe.R]",)),
+    Mutant("probe origin memo key drops the frame", CHECKS_PY,
+           '_once(hypotheses, "probe origin", reference_frame)',
+           '_once(hypotheses, "probe origin")',
+           (f"{SWEEP_EQUALS}[reference_frame]",)),
+    Mutant("grid memo key drops the frame", "src/curvlab/scenario.py",
+           '"grid", config.raw.get("grid"), frame,', '"grid", config.raw.get("grid"),',
+           (f"{SWEEP_EQUALS}[reference_frame]",)),
+    Mutant("sweep memo outlives the sweep", "src/curvlab/scenario.py",
+           "memo = {}  # slot", 'memo = sweep.__dict__.setdefault("memo", {})  # slot',
+           (f"{SWEEP_SHARED}test_probe_cells_are_evaluated_once",)),
+    Mutant("detail writer formats numbers with repr", CHECKS_PY,
+           'return json.dumps(values)[1:-1].split(", ") if values else []',
+           "return [repr(v) for v in values]",
+           ("tests/test_scenario.py::TestDetailWriter::test_hand_built_columns",)),
+    Mutant("detail writer splits string columns on ', '", CHECKS_PY,
+           "_SCALARS = {float, int, bool, type(None)}",
+           "_SCALARS = {float, int, bool, type(None), str}",
+           ("tests/test_scenario.py::TestDetailWriter::test_hand_built_columns",)),
+    Mutant("canonical frame keeps det U = -1", "src/curvlab/geometry.py",
+           "U[np.linalg.det(U) < 0, :, 2] *= -1.0", "pass",
+           ("tests/test_geometry.py::TestAlignmentPack::"
+            "test_cylinder_canonical_frame_keeps_orientation",)),
+]

@@ -1,12 +1,13 @@
 import math
 import pickle
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from curvlab import checks as C
-from curvlab.expressions import BinOp, Const, Var
+from curvlab.expressions import BinOp, Const, Var, differentiate
 from curvlab.geometry import laplace_beltrami, point_geometry_at
 from curvlab.immersions import (
     GridSpec,
@@ -426,6 +427,26 @@ class TestGrowth:
             C.growth_table(affine, radii, cells)
         assert str(err.value) == message
 
+    def test_growth_builds_no_second_derivatives(self, z2, monkeypatch):
+        # only the probe's |B|^2 reads second derivatives
+        calls = []
+        monkeypatch.setattr(C, "differentiate", lambda tree, axis: calls.append(axis) or
+                            differentiate(tree, axis))
+        C.growth_table(z2, [1.0, 2.0], cells=16)
+        assert len(calls) == z2.n * z2.m
+        C._GraphFields(z2).box(1.0, 16, want_normB2=True)
+        assert len(calls) == 2 * z2.n * z2.m + z2.m * z2.n * (z2.n + 1) // 2
+
+    def test_derivative_trees_deeper_than_the_bound_are_refused(self):
+        # x*...*x with k factors: the second derivative has 3k - 4 levels, at most
+        # MAX_DEPTH = 500 (test_scenario pins growth's first derivatives)
+        def fields(k):
+            return C._GraphFields(build_graph_immersion(["*".join(["x"] * k), "y"], 2))
+
+        assert fields(168).d2[0][0, 0] is not None
+        with pytest.raises(C.CheckConfigError, match="^graph expression too deep for quadrature$"):
+            fields(169).d2
+
 
 class TestProbe:
     def test_affine_lhs_zero(self, affine):
@@ -662,6 +683,56 @@ class TestAggregation:
         # one evaluated point is enough to report instead
         [res] = run_checks(imm, GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (3, 3)), [CheckSpec("minimality")])
         assert (res.n_points, res.n_skipped) == (9, 6)
+
+
+TILTED_PLANE = np.array([[0.5**0.5, 0, 0.5**0.5, 0], [0, 0.5**0.5, 0, -(0.5**0.5)]])
+
+
+def skip_reasons(res):
+    return Counter(r["reason"] for r in res.details if r["skipped"])
+
+
+class TestSkipOrder:
+    """A row's `hypotheses` are its skip rules in order; a point is skipped for the first."""
+
+    def test_rows_name_known_rules(self, z2):
+        # a _HYPOTHESES key, or a field BlockContext.laplacian builds
+        block = C.BlockContext(z2, [(0.3, 0.2), (-0.1, 0.4)], COORD_PLANE)
+        for name, check in C.CHECKS.items():
+            assert check.evaluate or not check.hypotheses, name
+            for rule in check.hypotheses:
+                if rule not in C._HYPOTHESES:
+                    values, failures = block.laplacian(rule)
+                    assert np.all(np.isfinite(values)) and not failures, (name, rule)
+
+    @pytest.mark.parametrize("name", ["kato", "simons", "refined-simons", "subharmonicity"])
+    def test_mean_curvature_before_gauss_rank(self, name):
+        # off the origin the quadric is neither minimal nor of Gauss rank <= 2
+        imm = build_graph_immersion(["x^2+y^2-2*z^2"], 3)
+        block = C.BlockContext(imm, GRID3D.points(), None)
+        assert not any(np.equal(block.canon.errors, None)) and block.minimal.sum() == 1
+        reasons = skip_reasons(run(name, imm, GRID3D))
+        assert reasons["mean curvature does not vanish"] == 26
+        # kato alone asks for rank <= 2, which the minimal origin fails
+        rank = [reason for reason in reasons if reason.startswith("Gauss-map rank 3 > 2")]
+        assert len(rank) == (name == "kato")
+
+    def test_mean_curvature_before_alignment(self):
+        imm = build_graph_immersion(["x^2", "y^2"], 2)
+        block = C.BlockContext(imm, GRID5.points(), TILTED_PLANE)
+        assert np.sum(block.apack.value <= 0.0) == 15 and not block.minimal.any()
+        res = run("log-alignment", imm, GRID5, TILTED_PLANE)
+        assert skip_reasons(res) == {"mean curvature does not vanish": 25}
+
+    def test_alignment_before_its_logarithm(self):
+        # z^3 is minimal; where the tilted frame's alignment is not positive its log
+        # has no jet, and the alignment rule names the reason first
+        imm = catalogue_lookup("holo-curve", {"coeffs": [0, 0, 0, 1]})
+        block = C.BlockContext(imm, GRID5.points(), TILTED_PLANE)
+        assert len(block.laplacian("log-alignment")[1]) == 20
+        res = run("log-alignment", imm, GRID5, TILTED_PLANE)
+        assert skip_reasons(res) == {"alignment function not positive": 20}
+        assert res.n_points - res.n_skipped == 5
 
 
 class TestRequirements:

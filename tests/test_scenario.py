@@ -449,6 +449,34 @@ class TestRunScenario:
         [result] = report.results
         assert (result.verdict, result.reason, report.overall) == ("not-applicable", reason, "pass")
 
+    def test_deep_probe_does_not_depend_on_the_stack_depth(self):
+        # 330 factors once passed at the top level of an interpreter and were too deep
+        # a few frames lower; the depth of their derivative trees now decides
+        cfg = {**quadrature_repro("deep-probe")[0], "surface": {
+            "kind": "graph", "exprs": ["*".join(["x"] * 330), "y"]}}
+        code = ("import json, sys\nfrom curvlab.scenario import load_config, run_scenario\n"
+                "print(json.dumps(run_scenario(load_config(json.load(sys.stdin))).to_dict()))")
+        paths = filter(None, [SRC, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        top = subprocess.run([sys.executable, "-c", code], input=json.dumps(cfg), env=env,
+                             capture_output=True, text=True, check=True).stdout
+
+        def deeper(frames):
+            return deeper(frames - 1) if frames else run_scenario(load_config(cfg)).to_dict()
+
+        assert json.loads(top) == json.loads(json.dumps(deeper(100)))
+        assert json.loads(top)["checks"][0]["reason"] == "graph expression too deep for quadrature"
+
+    def test_growth_takes_at_most_251_factors(self):
+        # a first derivative of k factors has 2k - 2 levels, at most MAX_DEPTH = 500;
+        # growth never builds the second (test_checks pins the probe's 168)
+        cfg, reason = quadrature_repro("deep-growth")
+        for k, verdict in ((251, "pass"), (252, "not-applicable")):
+            surface = {"kind": "graph", "exprs": ["*".join(["x"] * k), "y"]}
+            [result] = run_scenario(load_config({**cfg, "surface": surface})).results
+            assert result.verdict == verdict, k
+        assert result.reason == reason
+
     def test_short_chain_reports_are_unchanged(self):
         # 30 factors differentiate and evaluate well within the recursion limit; the
         # pinned values are those of separate growth and probe quadrature rules

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("equality_landscape.py", ["--samples", "3"]),
     ("growth_experiment.py", ["--radii", "1", "2", "--cells", "32"]),
     ("probe_constants.py", ["--t", "3", "--cells", "32"]),
+    ("mutants.py", ["growth volume drops v"]),
 ])
 def test_script_prints_a_table(script, args):
     env = dict(os.environ)
@@ -27,3 +29,11 @@ def test_script_prints_a_table(script, args):
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if line.strip()]
     assert len(rows) >= 2, proc.stdout  # a header and at least one row
+
+
+def test_every_mutant_applies_exactly_once():
+    # the mutation gate's rows, as scripts/mutants.py applies them
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert (ROOT / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
+        assert m.tests and all(test.startswith("tests/test_") for test in m.tests), m.name
