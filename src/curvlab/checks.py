@@ -10,7 +10,9 @@ violation for inequalities), not-applicable when a documented hypothesis
 fails everywhere (Gauss-map rank above 2, vanishing second fundamental
 form, wrong immersion kind).  A row's `hypotheses` name its skip rules in
 order; `BlockContext.skips` applies them after each point's evaluation
-error, and a point is skipped for the first it fails.
+error, and a point is skipped for the first it fails.  `_HYPOTHESES` is the
+only place a hypothesis is decided: alignment-identities' note and the
+probe's sampled points use it too, and geometry tests none.
 
 Grid checks share one :class:`BlockContext` per block of grid points, sized
 by `block_size`: the geometry and every derived jet are computed once per
@@ -36,9 +38,9 @@ import numpy as np
 # evaluate_expression is unused here; perfbench's tracer rebinds it (test_perfbench_names.py)
 from .expressions import MAX_DEPTH, _depth, differentiate, evaluate_expression  # noqa: F401
 from .geometry import (
-    MINIMALITY_TOL,
     RANK_TOL,
     PointGeometry,
+    _det_cofactors,
     _optional,
     alignment_pack_at,
     canonical_frame_at,
@@ -55,6 +57,7 @@ from .immersions import Immersion, evaluate_array
 from .jets import _table, jet_elementary, ordered_einsum
 
 BLOCK_BUDGET = 64 * 5 * 3**2 * 16  # 64 points of n = 3, m = 2 at block_size's footprint
+MINIMALITY_TOL = 1e-8  # the minimality hypothesis, not the minimality check itself
 EQUALITY_THRESHOLD = 1e-4  # looser than identity tolerances by design
 IDENTITY_DEEP_TOL = 1e-4  # fourth-order two-route identities
 
@@ -121,9 +124,17 @@ class BlockContext:
         return gradient_norm2_of_jet(self.pg, self.pg.normB2_jet) / (4.0 * self.pg.normB2)
 
     @cached_property
-    def minimal(self) -> np.ndarray:
+    def normH(self) -> np.ndarray:
         mc = self.pg.mean_curvature
-        return np.sqrt(_dot(mc.T, mc.T)) <= MINIMALITY_TOL
+        return np.sqrt(_dot(mc.T, mc.T))
+
+    @cached_property
+    def minimal(self) -> np.ndarray:
+        return self.normH <= MINIMALITY_TOL
+
+    @cached_property
+    def flat(self) -> np.ndarray:  # where the second fundamental form vanishes
+        return self.pg.normB2 <= RANK_TOL
 
     def skips(self, hypotheses) -> Columns:
         """The block's Columns, each point skipped for the first hypothesis it fails.
@@ -165,7 +176,7 @@ class BlockContext:
 _HYPOTHESES = {
     "minimal": lambda b: np.where(b.minimal, None, "mean curvature does not vanish"),
     "rank": lambda b: b.canon.errors,  # the canonical frame's Gauss-map rank error
-    "curved": lambda b: np.where(b.pg.normB2 <= RANK_TOL, "second fundamental form vanishes", None),
+    "curved": lambda b: np.where(b.flat, "second fundamental form vanishes", None),
     "aligned": lambda b: np.where(b.apack.value <= 0.0, "alignment function not positive", None),
 }
 
@@ -196,11 +207,6 @@ class Columns:
     @property
     def done(self) -> bool:
         return not self.live.any()
-
-    def where(self, mask, reason: str):
-        """Skip the live points where `mask` holds."""
-        self.skip[mask & self.live] = reason
-        return self
 
     def fail(self, errors, prefix="evaluation error: "):
         """Skip the live points that have an error (a list per point, or {point: error})."""
@@ -319,8 +325,7 @@ def _pymax(first, *others):
 # built once by make_check_state and shared by every block.
 
 def _eval_minimality(block, state, skips):
-    mc = block.pg.mean_curvature
-    return skips.evaluated(np.sqrt(_dot(mc.T, mc.T)))
+    return skips.evaluated(block.normH)
 
 
 def _eval_minimal_system(block, state, skips):
@@ -350,13 +355,13 @@ def _eval_alignment_identities(block, state, skips):
     grad_scale = 1.0 + np.abs(ap.grad_frame).max(axis=-1)
     grad_res = np.abs(ap.grad_frame - ap.grad_formula).max(axis=-1) / grad_scale
     # the gradient identity holds for any immersion; only the rank-2
-    # Laplacian identity needs the hypotheses (the pack's reason says which failed)
-    applicable = ap.formula_applicable
-    lap_formula = np.array(ap.laplacian_formula.tolist(), dtype=float)  # NaN where None
-    lap_res = np.abs(ap.laplacian_numeric - lap_formula) / (1.0 + np.abs(ap.laplacian_numeric))
+    # Laplacian identity needs the hypotheses (the note says which failed)
+    note = block.skips(("minimal", "rank")).skip
+    applicable = np.equal(note, None)
+    lap_res = np.abs(ap.laplacian_numeric - ap.laplacian_formula) / (1.0 + np.abs(ap.laplacian_numeric))
     return skips.evaluated(
         np.where(applicable, _pymax(grad_res, lap_res), grad_res),
-        ap.reason,
+        note,
         grad_residual=grad_res,
         alignment=ap.value,
         laplacian_residual=_optional(lap_res, applicable),
@@ -400,7 +405,7 @@ def _eval_simons(block, state, skips):
     inner_formula = -(4 * mu1**4 + 4 * mu2**4 + 16 * mu1**2 * mu2**2)
     mu_residual = np.abs((tilde + under) + inner_formula) / scale
 
-    curved = normB2 > RANK_TOL
+    curved = ~block.flat  # differs from normB2 > RANK_TOL only at NaN, which "minimal" skipped
     ratio = -inner_numeric / normB2**2
     bound_violation = np.where(curved, _pymax(1.0 - ratio, ratio - 1.5), 0.0)
     has_conformal = curved & has_canon
@@ -481,7 +486,7 @@ def _eval_refined_simons(block, state, skips):
 def _eval_gauss_conformal(block, state, skips):
     pg, canon = block.pg, block.canon
     tol = state["tol"]
-    convention = pg.normB2 <= RANK_TOL  # B = 0: conformal by convention, a record, not a skip
+    convention = block.flat  # B = 0: conformal by convention, a record, not a skip
     skips.fail({i: exc for i, exc in enumerate(canon.errors) if not convention[i]}, prefix="")
     crit_mu = np.abs(canon.mu1 - canon.mu2) <= tol * (canon.mu1 + canon.mu2 + tol)
     agree = np.ones(len(convention), dtype=bool)
@@ -589,9 +594,8 @@ def _power_jet(jet, p: float):
 
 def _eval_subharmonicity(block, state, skips):
     s, q = state["s"], state["q"]
-    pg = block.pg
+    pg, flat = block.pg, block.flat
     # where |B| vanishes the function touches its minimum 0: both sides vanish
-    flat = pg.normB2 <= RANK_TOL
     lap = rhs = np.zeros(len(flat))
     if (skips.live & ~flat).any():
         lap, failures = block.laplacian(("subharmonic", s, q))
@@ -766,18 +770,6 @@ def _dot(xs, ys):
     return total
 
 
-def _det_cofactors(a):
-    """det and cofactors (= adjugate, a is symmetric) of a 2x2 or 3x3 matrix of arrays."""
-    if len(a) == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0], [[a[1][1], -a[1][0]], [-a[0][1], a[0][0]]]
-    cof = [
-        [a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-         - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
-        for i in range(3)
-    ]
-    return _dot(a[0], cof[0]), cof
-
-
 class _GraphFields:
     """Vectorized v, |B|^2 and extrinsic distance for a graph immersion.
 
@@ -826,7 +818,7 @@ class _GraphFields:
         det, cof = _det_cofactors(g)
         out = {"v": np.sqrt(det)}
         if want_normB2:
-            ginv = [[c / det for c in row] for row in cof]
+            ginv = [[c / det for c in row] for row in cof]  # the cofactors are the adjugate: g is symmetric
             # B_ij = F_ij - e_ij^r F_r is the normal part of F_ij = (0, f_ij), F_r = (e_r, f_r),
             # e_ij = g^-1 c_ij, c_ijs = f_ij . f_s; its first n components, -e_ij, enter squared
             B = {}
@@ -1082,14 +1074,8 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
     def hypotheses():
         # the first of the three points that fails a hypothesis gives the first it fails
         block = BlockContext(imm, [(0.1 * k,) * imm.n for k in (0, 1, 3)], reference_frame)
-        skips = Columns(block.points, np.full(3, None, dtype=object))
-        skips.fail(block.pg.errors, "evaluation error near the origin: ")
-        skips.fail(_HYPOTHESES["minimal"](block), prefix="")
-        skips.where(np.not_equal(block.canon.errors, None), "Gauss-map rank above 2")
-        if reference_frame is not None:
-            skips.where(block.apack.value <= 0.0,
-                        "alignment function not positive on the sampled region")
-        return block, next(filter(None, skips.skip), None)
+        names = ("minimal", "rank") + (("aligned",) if reference_frame is not None else ())
+        return block, next(filter(None, block.skips(names).skip), None)
 
     def box():  # the fields and cell volume, or why the ball cannot be integrated
         try:

@@ -21,6 +21,7 @@ from .scenario import (
     emit_sweep,
     load_config_file,
     load_json,
+    load_output,
     run_scenario,
     sweep,
 )
@@ -68,16 +69,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    reports, table = sweep(load_json(_resolve_config_path(args.config)))
+    raw = load_json(_resolve_config_path(args.config))
+    reports, table = sweep(raw)  # validates the output section before any run
+    path, _, detail = load_output(raw)
     for report, row in zip(reports, table):
         print(f"-- {row['parameter']} = {row['value']}")
         _print_report(report)
     if table:
         print("sweep aggregation:")
         print(json.dumps(table, indent=2))
-    if args.out:
-        emit_sweep(reports, table, args.out, detail=args.detail)
-        print(f"wrote sweep report to {args.out}")
+    out = args.out or path
+    if out:
+        emit_sweep(reports, table, out, detail=args.detail or detail)
+        print(f"wrote sweep report to {out}")
     ok = all(r.overall == "pass" for r in reports)
     return 0 if ok else 1
 

@@ -19,7 +19,12 @@ Conventions
   assumed).
 * Anything that is later differentiated is computed by smooth frame-free
   formulas (projectors, determinants); Gram-Schmidt frames are used only
-  for point values, where smoothness is not needed.
+  for point values, where smoothness is not needed.  `_det_cofactors` is
+  the one determinant-and-cofactor routine, for jets here and for the
+  quadrature's arrays in `checks`.
+* This module computes and never decides: every quantity is computed at
+  every point, and whether a hypothesis of the paper (minimality, Gauss-map
+  rank <= 2, positive alignment) holds is decided in `checks`.
 
 Blocks
 ------
@@ -55,7 +60,6 @@ from .jets import (
 )
 
 RANK_TOL = 1e-8  # Gauss-map rank, and a vanishing second fundamental form
-MINIMALITY_TOL = 1e-8  # the minimality hypothesis, not the minimality check itself
 
 SCALAR_FIELDS = ("volume", "alignment", "log-alignment", "normB2", "normB")
 
@@ -194,30 +198,28 @@ def _tensor(rows: list) -> Jet:
     return Jet(first.dim, first.order, np.moveaxis(np.array([[j.coeffs for j in row] for row in rows]), 2, 0))
 
 
-def _cofactor(mat: Jet, r: int, c: int) -> Jet:
-    # signed minor of an (n, n) tensor jet, n = 2 or 3
-    e = lambda i, j: mat[..., i, j, :]  # noqa: E731
+def _entries(mat: Jet) -> list:
+    """The (n, n) tensor jet `mat` as an n x n nested list of batched jets."""
     n = mat.coeffs.shape[-2]
-    rows, cols = [i for i in range(n) if i != r], [j for j in range(n) if j != c]
-    if len(rows) == 1:
-        minor = e(rows[0], cols[0])
+    return [[mat[..., i, j, :] for j in range(n)] for i in range(n)]
+
+
+def _det_cofactors(a: list):
+    """det and cofactors C_ij of a 2x2 or 3x3 nested list of arrays or batched jets.
+
+    The 3x3 cofactors are cyclic, C_ij = a_{i+1,j+1} a_{i+2,j+2} - a_{i+1,j+2} a_{i+2,j+1}
+    (indices mod 3), and det = sum_j a_0j C_0j is added up in order of j.
+    """
+    if len(a) == 2:
+        cof = [[a[1][1], -a[1][0]], [-a[0][1], a[0][0]]]
     else:
-        minor = e(rows[0], cols[0]) * e(rows[1], cols[1]) - e(rows[0], cols[1]) * e(rows[1], cols[0])
-    return minor if (r + c) % 2 == 0 else -minor
-
-
-def _jet_det(mat: Jet) -> Jet:
-    n = mat.coeffs.shape[-2]
-    det = mat[..., 0, 0, :] * _cofactor(mat, 0, 0)
-    for c in range(1, n):
-        det = det + mat[..., 0, c, :] * _cofactor(mat, 0, c)
-    return det
-
-
-def _jet_inverse(mat: Jet, det: Jet) -> Jet:
-    n = mat.coeffs.shape[-2]
-    inv_det = jet_elementary("recip", det)
-    return _tensor([[_cofactor(mat, c, r) * inv_det for c in range(n)] for r in range(n)])
+        cof = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+                - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
+               for i in range(3)]
+    det = a[0][0] * cof[0][0]
+    for j in range(1, len(a)):
+        det = det + a[0][j] * cof[0][j]
+    return det, cof
 
 
 def _gradient(jet: Jet, n: int) -> np.ndarray:
@@ -276,7 +278,7 @@ def _metric(F: Jet, n: int):
     # first partials as order-2 jets (order-3 tails are never consumed)
     dF = _tensor([[F.derivative(i).truncate(2)] for i in range(n)])[:, :, 0]
     g = jet_einsum("piA,pjA->pij", dF, dF)
-    return dF, g, _jet_det(g)
+    return (dF, g, *_det_cofactors(_entries(g)))
 
 
 def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry:
@@ -289,7 +291,7 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
             errors[p] = errors[p] or exc
     F = _tensor([comps])[:, 0]  # (P, N, ncoef)
 
-    dF_jets, g_jets, detg_jet = _metric(F, n)
+    dF_jets, g_jets, detg_jet, g_cof = _metric(F, n)
     g0, detg = g_jets.value, detg_jet.value
     scale = np.prod(np.diagonal(g0, axis1=1, axis2=2), axis=1)
     scale = np.where(scale == 0.0, 1.0, scale)
@@ -304,7 +306,7 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
         flat = _tensor([[jet_variable(A, coords[:, A], n, 4) if A < n
                          else jet_constant(np.zeros(P), n, 4) for A in range(N)]])[:, 0]
         F = Jet(n, 4, np.where(failed[:, None, None], flat.coeffs, F.coeffs))
-        dF_jets, g_jets, detg_jet = _metric(F, n)
+        dF_jets, g_jets, detg_jet, g_cof = _metric(F, n)
         g0 = g_jets.value
     dF = dF_jets.value
     try:
@@ -320,7 +322,8 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
     # oriented Gram-Schmidt: T = L^-1 is lower triangular with positive diagonal
     T = np.linalg.solve(L, np.broadcast_to(np.eye(n), L.shape))
     e = T @ dF
-    ginv_jets = _jet_inverse(g_jets, detg_jet)
+    inv_det = jet_elementary("recip", detg_jet)
+    ginv_jets = _tensor([[c * inv_det for c in column] for column in zip(*g_cof)])  # adjugate / det
     g_inv = ginv_jets.value
 
     # normal frame: ambient basis projected to the normal space, pivoted
@@ -524,7 +527,7 @@ def _alignment_jet(pg: PointGeometry, reference_frame: np.ndarray) -> Jet:
     a = np.asarray(reference_frame, dtype=float)
     d = pg.dF_jets.coeffs  # <d_j F, a_k> as an (n, n) tensor jet
     M = Jet(pg.n, 2, sum(d[..., :, A, None, :] * a[:, A, None] for A in range(pg.n + pg.m)))
-    return _jet_det(M) * jet_elementary("pow-const", pg.detg_jet, param=-0.5)
+    return _det_cofactors(_entries(M))[0] * jet_elementary("pow-const", pg.detg_jet, param=-0.5)
 
 
 @_pointwise
@@ -610,7 +613,8 @@ class AlignmentPack:
 
     The gradient identity grad_{e_i} a = h_{a,ij} <e_{j a}, A> and the rank-2
     Laplacian identity Lap a = -|B|^2 a + 4 mu1 mu2 <e_{11,22}, A> are each
-    evaluated against exact jet differentiation of the alignment scalar.
+    evaluated against exact jet differentiation of the alignment scalar, at
+    every point; `checks` decides where the Laplacian one's hypotheses hold.
     """
 
     value: float
@@ -618,18 +622,16 @@ class AlignmentPack:
     grad_frame: np.ndarray  # grad_{e_i} a by jet differentiation
     grad_formula: np.ndarray
     laplacian_numeric: float
-    laplacian_formula: float | None
+    laplacian_formula: float
     single_pairings: np.ndarray  # (n, m): <e_{j a}, A>
     double_pairing: float  # <e_{1 1, 2 2}, A>, with nu_1 again for nu_2 when m == 1
-    formula_applicable: bool
-    reason: str | None
     jet: Jet  # the alignment scalar as an order-2 jet
 
 
 @_pointwise
 def alignment_pack_at(pg: PointGeometry, reference_frame,
                       canon: CanonicalFrame | None = None) -> AlignmentPack:
-    """Evaluate the alignment function and its structural identities."""
+    """Evaluate the alignment function and its structural identities (`canon`: computed if None)."""
     a = np.asarray(reference_frame, dtype=float)
     n, m, P = pg.n, pg.m, len(pg.h)
     e, nu = pg.tangent_frame, pg.normal_frame
@@ -646,22 +648,12 @@ def alignment_pack_at(pg: PointGeometry, reference_frame,
 
     grad_formula = ordered_einsum("paij,pja->pi", pg.h, single)
 
-    minimal = np.sqrt(_dot(pg.mean_curvature, pg.mean_curvature)) <= MINIMALITY_TOL
-    reasons = [None if ok else "mean curvature does not vanish" for ok in minimal.tolist()]
-    if canon is None and minimal.any():
-        canon = canonical_frame_at(pg)
-    for p in np.flatnonzero(minimal):
-        if canon.errors[p] is not None:
-            reasons[p] = str(canon.errors[p])
-    applicable = np.array([r is None for r in reasons])
-    lap_formula = np.zeros(P)
-    if applicable.any():
-        if m == 1:
-            pair_canon = 0.0  # mu2 = 0 in codimension one; the term drops
-        else:
-            rows = np.concatenate([canon.normal_frame[:, :2], canon.tangent_frame[:, 2:]], axis=1)
-            pair_canon = frame_pairing(rows, a)
-        lap_formula = -pg.normB2 * jet.value + 4.0 * canon.mu1 * canon.mu2 * pair_canon
+    canon = canonical_frame_at(pg) if canon is None else canon
+    if m == 1:
+        pair_canon = 0.0  # mu2 = 0 in codimension one; the term drops
+    else:
+        rows = np.concatenate([canon.normal_frame[:, :2], canon.tangent_frame[:, 2:]], axis=1)
+        pair_canon = frame_pairing(rows, a)
 
     return AlignmentPack(
         value=jet.value,
@@ -669,11 +661,9 @@ def alignment_pack_at(pg: PointGeometry, reference_frame,
         grad_frame=grad_frame,
         grad_formula=grad_formula,
         laplacian_numeric=laplace_beltrami_of_jet(pg, jet),
-        laplacian_formula=_optional(lap_formula, applicable),
+        laplacian_formula=-pg.normB2 * jet.value + 4.0 * canon.mu1 * canon.mu2 * pair_canon,
         single_pairings=single,
         double_pairing=double,
-        formula_applicable=applicable,
-        reason=_objects(reasons),
         jet=jet,
     )
 

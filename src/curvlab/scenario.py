@@ -263,6 +263,20 @@ def _build_probe(d: dict | None, n: int) -> ProbeParams | None:
     return params
 
 
+def load_output(data: dict, formats=("json", "csv")) -> tuple:
+    """(path, format, detail) of a raw config's `output` section, validated."""
+    output = data.get("output", {}) or {}
+    _require(isinstance(output, dict), "output", "must be an object")
+    fmt = output.get("format", "json")
+    _require(fmt in formats, "output.format", f"format must be {' or '.join(formats)}")
+    path = output.get("path")
+    _require(path is None or isinstance(path, str) and path, "output.path",
+             f"must be a non-empty string, got {path!r}")
+    detail = output.get("detail", False)
+    _require(isinstance(detail, bool), "output.detail", f"must be true or false, got {detail!r}")
+    return path, fmt, detail
+
+
 def load_config(data: dict) -> ScenarioConfig:
     """Validate a raw config dict into a ScenarioConfig."""
     _require(isinstance(data, dict), "config", "must be a JSON object")
@@ -273,15 +287,7 @@ def load_config(data: dict) -> ScenarioConfig:
     probe = _build_probe(data.get("probe"), surface.n)
     if any(s.name == "probe" for s in specs) and probe is None:
         probe = ProbeParams()  # the defaults are legal
-    output = data.get("output", {}) or {}
-    _require(isinstance(output, dict), "output", "must be an object")
-    fmt = output.get("format", "json")
-    _require(fmt in ("json", "csv"), "output.format", "format must be json or csv")
-    path = output.get("path")
-    _require(path is None or isinstance(path, str) and path, "output.path",
-             f"must be a non-empty string, got {path!r}")
-    detail = output.get("detail", False)
-    _require(isinstance(detail, bool), "output.detail", f"must be true or false, got {detail!r}")
+    path, fmt, detail = load_output(data)
     return ScenarioConfig(
         surface=surface,
         grid=grid,
@@ -538,8 +544,9 @@ def sweep(raw_config: dict, jobs: int | None = None):
     The config's `sweep` section is {"parameter": <dotted.path>, "values":
     [...]}.  Returns (reports, aggregation table); the table collects the
     implied constants and growth fits that each run produced.  `jobs` is
-    deprecated and ignored, as in run_scenario.  Every value is loaded
-    before any runs.  Each grid pass, growth table and probe box is computed
+    deprecated and ignored, as in run_scenario.  The `output` section,
+    whose format must be json, and every value are loaded before any
+    runs.  Each grid pass, growth table and probe box is computed
     once per distinct set of the config sections it reads, and each report
     equals a stand-alone run; a later report's console-only
     `elapsed_seconds` covers only its own new work.
@@ -552,6 +559,7 @@ def sweep(raw_config: dict, jobs: int | None = None):
     _require(isinstance(parameter, str) and parameter, "sweep.parameter",
              "must be a dotted config path")
     _require(isinstance(values, list), "sweep.values", "must be a list (may be empty)")
+    load_output(raw_config, ("json",))  # a sweep file is JSON only
 
     configs = []
     for value in values:

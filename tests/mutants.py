@@ -17,6 +17,7 @@ class Mutant(NamedTuple):
 
 
 CHECKS_PY = "src/curvlab/checks.py"
+GEOMETRY_PY = "src/curvlab/geometry.py"
 SWEEP_SHARED = "tests/test_scenario.py::TestSweepSharedWork::"
 SWEEP_EQUALS = f"{SWEEP_SHARED}test_each_report_equals_a_stand_alone_run"
 
@@ -61,7 +62,24 @@ MUTANTS = [
            "_SCALARS = {float, int, bool, type(None)}",
            "_SCALARS = {float, int, bool, type(None), str}",
            ("tests/test_scenario.py::TestDetailWriter::test_hand_built_columns",)),
-    Mutant("canonical frame keeps det U = -1", "src/curvlab/geometry.py",
+    Mutant("alignment-identities asserts the Laplacian at rank 3", CHECKS_PY,
+           'note = block.skips(("minimal", "rank")).skip', 'note = block.skips(("minimal",)).skip',
+           ("tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]",)),
+    Mutant("probe samples no alignment", CHECKS_PY,
+           'names = ("minimal", "rank") + (("aligned",) if reference_frame is not None else ())',
+           'names = ("minimal", "rank")',
+           ("tests/test_scenario.py::TestRunScenario::test_probe_hypothesis_reasons[aligned]",)),
+    Mutant("3x3 cofactor adds its second product", GEOMETRY_PY,
+           "- a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]",
+           "+ a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]",
+           ("tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]",
+            "tests/test_checks.py::TestGrowth::test_affine_3d_ball_volume",
+            "tests/test_checks.py::TestCrossValidation::"
+            "test_closed_form_algebra_matches_jet_pipeline[components1-3]")),
+    Mutant("expression evaluation forgets shared subtrees", "src/curvlab/expressions.py",
+           "memo[key] = value", "pass",
+           ("tests/test_expressions.py::TestEvaluation::test_shared_subtrees_are_evaluated_once",)),
+    Mutant("canonical frame keeps det U = -1", GEOMETRY_PY,
            "U[np.linalg.det(U) < 0, :, 2] *= -1.0", "pass",
            ("tests/test_geometry.py::TestAlignmentPack::"
             "test_cylinder_canonical_frame_keeps_orientation",)),

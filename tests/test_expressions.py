@@ -183,6 +183,24 @@ class TestEvaluation:
         for i in range(7):
             assert rel_err(arr[i], evaluate_expression(node, [xs[i], ys[i]])) <= 1e-14
 
+    def test_shared_subtrees_are_evaluated_once(self):
+        # x + x doubled d times has 2^d - 1 additions on its paths, d distinct ones
+        class Counted:
+            additions = 0
+
+            def __init__(self, value):
+                self.value = value
+
+            def __add__(self, other):
+                Counted.additions += 1
+                return Counted(self.value + other.value)
+
+        node, d = Var(0), 12
+        for _ in range(d):
+            node = BinOp("+", node, node)
+        assert evaluate_expression(node, [Counted(1)]).value == 2**d
+        assert Counted.additions == d
+
 
 class TestDifferentiate:
     @pytest.mark.parametrize("text", EXPRESSIONS)

@@ -19,8 +19,9 @@ from curvlab.geometry import (
     replaced_pairing,
     scalar_field_jet,
 )
-from curvlab.immersions import build_graph_immersion, catalogue_lookup
+from curvlab.immersions import GridSpec, build_graph_immersion, catalogue_lookup
 from curvlab.jets import Jet, JetDomainError
+from curvlab.scenario import CheckSpec, run_checks
 
 import oracles
 from oracles import rel_err
@@ -291,11 +292,15 @@ class TestAlignmentPack:
         assert np.linalg.det(canonical_frame_at(pg).tangent_frame @ pg.tangent_frame.T) > 0
 
     def test_nonminimal_formula_not_applicable(self):
+        # the pack computes both formulas everywhere; the check decides where the
+        # rank-2 Laplacian identity applies, and names the hypothesis that failed
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
-        ap = alignment_pack_at(point_geometry_at(imm, (0.3, 0.3)), COORD_PLANE_2)
-        assert not ap.formula_applicable
-        assert ap.laplacian_formula is None
-        assert "mean curvature" in ap.reason
+        grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (3, 3))
+        [res] = run_checks(imm, grid, [CheckSpec("alignment-identities")], COORD_PLANE_2)
+        assert res.n_points == 9 and res.n_skipped == 0
+        for rec in res.details:
+            assert rec["reason"] == "mean curvature does not vanish"
+            assert rec["detail"]["laplacian_residual"] is None
 
 
 class TestPluecker:

@@ -116,6 +116,26 @@ QUADRATURE_REPROS = {
 }
 
 
+def has_details(path) -> bool:
+    """Whether every check entry of the sweep file at `path` has per-point records."""
+    entries = [entry for report in json.loads(path.read_text())["reports"]
+               for entry in report["checks"]]
+    return all("details" in entry for entry in entries)
+
+
+# the probe samples its hypotheses at three points near the origin and reports the
+# first reason in point order, in the words of the grid checks' skip rules
+PROBE_HYPOTHESIS_REPROS = {
+    # minimal at the origin, where the Gauss map has rank 3
+    "rank": ({"kind": "graph", "exprs": ["x^2+y^2-2*z^2"], "n": 3}, None,
+             "Gauss-map rank 3 > 2 at (0.0, 0.0, 0.0) (singular values [4. 2. 2.])"),
+    "aligned": ({"kind": "catalogue", "name": "holo-curve", "params": {"coeffs": [0, 0, 1]}},
+                [[-1, 0, 0, 0], [0, 1, 0, 0]], "alignment function not positive"),
+    "evaluation": ({"kind": "graph", "exprs": ["log(x)", "0"]}, None,
+                   "evaluation error: log of non-positive jet value 0.0"),
+}
+
+
 def quadrature_repro(name):
     surface, extra, checks, reason = QUADRATURE_REPROS[name]
     grid = {"ranges": [[-0.5, 0.5], [-0.5, 0.5]], "counts": [3, 3]}
@@ -448,6 +468,17 @@ class TestRunScenario:
         report = run_scenario(load_config(cfg))
         [result] = report.results
         assert (result.verdict, result.reason, report.overall) == ("not-applicable", reason, "pass")
+
+    @pytest.mark.parametrize("name", sorted(PROBE_HYPOTHESIS_REPROS))
+    def test_probe_hypothesis_reasons(self, name):
+        surface, frame, reason = PROBE_HYPOTHESIS_REPROS[name]
+        n = surface.get("n", 2)
+        cfg = {"surface": surface, "grid": {"ranges": [[-0.5, 0.5]] * n, "counts": [3] * n},
+               "probe": {"cells": 16}, "checks": [{"name": "probe"}]}
+        if frame is not None:
+            cfg["reference_frame"] = frame
+        [result] = run_scenario(load_config(cfg)).results
+        assert (result.verdict, result.reason) == ("not-applicable", reason)
 
     def test_deep_probe_does_not_depend_on_the_stack_depth(self):
         # 330 factors once passed at the top level of an interpreter and were too deep
@@ -963,6 +994,39 @@ class TestCli:
         assert json.dumps(json.loads(text)) == json.dumps(want)
         entries = [entry for report in want["reports"] for entry in report["checks"]]
         assert_one_record_a_line(text, entries, " " * 10)
+
+    def test_sweep_writes_the_configured_output(self, tmp_path, capsys):
+        # as check does: the config's output path and detail, unless --out and --detail win
+        cfg = bundled("z2-probe")
+        cfg["output"] = {"path": str(tmp_path / "configured.json"), "detail": True}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", str(path)]) == 0
+        configured = (tmp_path / "configured.json").read_text()
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "given.json")]) == 0
+        assert (tmp_path / "given.json").read_text() == configured
+        cfg["output"]["detail"] = False
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", str(path)]) == 0
+        assert not has_details(tmp_path / "configured.json")
+        assert cli.main(["sweep", str(path), "--detail"]) == 0
+        assert has_details(tmp_path / "configured.json")
+        assert "wrote sweep report to" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("output, message", [
+        ({"format": "csv"}, "output.format: format must be json"),
+        ({"detail": "yes"}, "output.detail: must be true or false, got 'yes'"),
+        ({"path": ""}, "output.path: must be a non-empty string, got ''"),
+    ])
+    def test_sweep_output_is_checked_before_any_run(self, monkeypatch, tmp_path, capsys,
+                                                    output, message):
+        runs = []
+        monkeypatch.setattr(scenario, "run_scenario", lambda *args, **kwargs: runs.append(args))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**bundled("z2-probe"), "output": output}))
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert runs == [] and not (tmp_path / "out.json").exists()
 
     def test_catalogue_number_too_large_exits_2(self, tmp_path):
         path = tmp_path / "huge.json"

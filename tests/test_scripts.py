@@ -37,3 +37,16 @@ def test_every_mutant_applies_exactly_once():
     for m in MUTANTS:
         assert (ROOT / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
         assert m.tests and all(test.startswith("tests/test_") for test in m.tests), m.name
+
+
+def test_emit_reports_writes_the_comparison_set(tmp_path):
+    # 6 bundled scenarios x 3 forms, one sweep, 15 benchmark workload reports
+    out = tmp_path / "reports"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "emit_reports.py"), str(out),
+                           "--checkout", str(ROOT)], capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(path.name for path in out.iterdir())
+    assert len(names) == 34 and proc.stdout == f"wrote 34 files to {out}\n"
+    assert {"z2-full.json", "z2-full-detail.json", "z2-full.csv", "sweep-z2-probe.json",
+            "grid-solid-11-0.json", "quadrature-3-2.json"} <= set(names)
+    assert all((out / name).stat().st_size for name in names)
