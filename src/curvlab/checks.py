@@ -15,18 +15,21 @@ only place a hypothesis is decided: alignment-identities' note and the
 probe's sampled points use it too, and geometry tests none.
 
 Grid checks share one :class:`BlockContext` per block of grid points, sized
-by `block_size`: the geometry and every derived jet are computed once per
+by `block_size` so that the block's geometry holds at most BLOCK_BUDGET
+bytes at once: the geometry and every derived jet are computed once per
 block in array code.  Each check's evaluator computes the residuals of the
 points its hypotheses leave live and returns the block's :class:`Columns`;
 aggregation reads the blocks' joined columns with numpy.  The per-point
 records (`CheckResult.details`) are the library view, built from the
-columns on first read; the JSON and CSV writers read the columns directly.
+columns on first read; the JSON and CSV writers read the columns directly,
+and the JSON writer encodes each distinct float of a report once.
 Growth tables and the estimate probes integrate over extrinsic balls with
 a masked tensor-product midpoint rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -56,7 +59,7 @@ from .geometry import (
 from .immersions import Immersion, evaluate_array
 from .jets import _table, jet_elementary, ordered_einsum
 
-BLOCK_BUDGET = 64 * 5 * 3**2 * 16  # 64 points of n = 3, m = 2 at block_size's footprint
+BLOCK_BUDGET = 6 * 2**20  # bytes: the most point_geometry_at may hold at once for one block
 MINIMALITY_TOL = 1e-8  # the minimality hypothesis, not the minimality check itself
 EQUALITY_THRESHOLD = 1e-4  # looser than identity tolerances by design
 IDENTITY_DEEP_TOL = 1e-4  # fourth-order two-route identities
@@ -254,21 +257,27 @@ class Columns:
                         "detail": detail, "point": point})
         return out
 
-    def json_lines(self, point_text: dict) -> list:
+    def json_lines(self, point_text: dict, floats: dict | None = None) -> list:
         """`json.dumps` of each record of `records()`, built from the columns.
 
-        `point_text` maps a point to its JSON text; missing points are added,
-        so a dict shared by a report's checks encodes each point once.
+        `point_text` maps a point (a tuple of floats) to its JSON text, and
+        `floats` a float64 bit pattern to its text (a new table when None).
+        Missing entries are added, so tables shared by a report's checks
+        encode each point and each distinct float once.
         """
-        for point in self.points:
-            if point not in point_text:
-                point_text[point] = json.dumps(point)
+        floats = {} if floats is None else floats
+        new = [point for point in dict.fromkeys(self.points) if point not in point_text]
+        if new:
+            coords = iter(_float_texts(np.array(new, dtype=np.float64).ravel(), floats))
+            for point in new:
+                point_text[point] = "[" + ", ".join(itertools.islice(coords, len(point))) + "]"
         strings = {}
         keys = [json.dumps(key) + ": " for key in self.detail]
-        fields = [[key + text if text else "" for text in _json_texts(column, strings)]
+        fields = [[key + text if text else "" for text in _json_texts(column, strings, floats)]
                   for key, column in zip(keys, self.detail.values())]
         bodies = [", ".join(filter(None, row)) for row in zip(*fields)] or [""] * len(self.residual)
-        live = zip(_json_texts(self.residual, strings), _json_texts(self.note, strings), bodies)
+        live = zip(_json_texts(self.residual, strings, floats),
+                   _json_texts(self.note, strings, floats), bodies)
         return [_LIVE_RECORD % (*next(live), point_text[point]) if skip is None else
                 _SKIPPED_RECORD % (_json_item(skip, strings), point_text[point])
                 for point, skip in zip(self.points, self.skip.tolist())]
@@ -288,26 +297,49 @@ def _json_item(value, strings: dict) -> str:
     return strings[value]
 
 
-_SCALARS = {float, int, bool, type(None)}  # their JSON texts never contain ", "
+def _float_texts(values: np.ndarray, floats: dict) -> list:
+    """`json.dumps` of each value of the float64 array `values`, read from the table `floats`.
+
+    The table is keyed by bit pattern, not by value, so -0.0 keeps its own
+    text.  The patterns it lacks are encoded in one encoder call, in the
+    order they first occur, which keeps a column's texts near one another.
+    """
+    keys = values.view(np.uint64).tolist()
+    new = list(dict.fromkeys(itertools.filterfalse(floats.__contains__, keys)))
+    if new:
+        texts = json.dumps(np.array(new, dtype=np.uint64).view(np.float64).tolist())
+        floats.update(zip(new, texts[1:-1].split(", ")))
+    return list(map(floats.__getitem__, keys))
 
 
-def _json_texts(column: np.ndarray, strings: dict) -> list:
+_SCALARS = {int, bool, type(None)}  # their JSON texts never contain ", "
+
+
+def _json_texts(column: np.ndarray, strings: dict, floats: dict) -> list:
     """`json.dumps` of each value of `column`, and "" for _ABSENT.
 
-    Numbers, bools and None go through one encoder call, split on ", ",
-    which none of their texts contains; strings and tuples may, so they
-    are encoded one by one.
+    Floats are read from the table `floats` (_float_texts).  A column of
+    ints, bools and None is one encoder call, split on ", ", which none of
+    their texts contains; strings and tuples may contain it, so a mixed
+    column encodes them one by one and the rest of its scalars in one call.
     """
+    if column.dtype == np.float64:
+        return _float_texts(column, floats)
     values = column.tolist()
-    if column.dtype.kind in "biuf" or _SCALARS.issuperset(map(type, values)):
-        return json.dumps(values)[1:-1].split(", ") if values else []
-    texts = json.dumps([None if isinstance(v, (str, tuple)) or v is _ABSENT else v
-                        for v in values])[1:-1].split(", ")
-    for i, v in enumerate(values):
-        if isinstance(v, (str, tuple)):
-            texts[i] = _json_item(v, strings)
-        elif v is _ABSENT:
-            texts[i] = ""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return _float_texts(np.array(values, dtype=np.float64), floats)
+    if kinds <= _SCALARS:
+        return json.dumps(values)[1:-1].split(", ")
+    texts = [_json_item(v, strings) if isinstance(v, (str, tuple)) else "" if v is _ABSENT else None
+             for v in values]
+    numbers = [i for i, v in enumerate(values) if type(v) is float]
+    for i, text in zip(numbers, _float_texts(np.array([values[i] for i in numbers], dtype=np.float64),
+                                             floats)):
+        texts[i] = text
+    scalars = [i for i, text in enumerate(texts) if text is None]
+    for i, text in zip(scalars, json.dumps([values[i] for i in scalars])[1:-1].split(", ")):
+        texts[i] = text
     return texts
 
 
@@ -686,11 +718,17 @@ def make_check_state(name: str, imm: Immersion, frame, options: dict, tol: float
 
 
 def block_size(imm: Immersion) -> int:
-    """Grid points per block: BLOCK_BUDGET over a point's share of the widest tensor jet.
+    """Grid points per block: BLOCK_BUDGET over a point's share of point_geometry_at's peak.
 
-    That is B's pair-table columns: (n + m) n^2 entries of an order-2 jet's pair count.
+    A point's share is at most eight float64 arrays the size of the widest
+    tensor jet's pair-table columns, B's: (n + m) n^2 entries of an order-2
+    jet's pair count.  The contraction of B that peaks holds three of them
+    (its two pair sums and their term); the jets and values the block holds
+    then make up the rest.  tracemalloc measures 6.3 to 7.7 such arrays per
+    point for n = 2, 3 and m = 1 to 3.
     """
-    return max(1, BLOCK_BUDGET // ((imm.n + imm.m) * imm.n**2 * len(_table(imm.n, 2).pair_i)))
+    point_bytes = 8 * 8 * (imm.n + imm.m) * imm.n**2 * len(_table(imm.n, 2).pair_i)
+    return max(1, BLOCK_BUDGET // point_bytes)
 
 
 def blocks(imm: Immersion, points: list):

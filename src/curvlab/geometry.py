@@ -50,6 +50,7 @@ from .immersions import Immersion, evaluate_immersion
 from .jets import (
     Jet,
     JetDomainError,
+    _table,
     jet_constant,
     jet_einsum,
     jet_elementary,
@@ -281,6 +282,29 @@ def _metric(F: Jet, n: int):
     return (dF, g, *_det_cofactors(_entries(g)))
 
 
+def _hessian(F: Jet, dF_jets: Jet, ginv_jets: Jet, n: int):
+    """Values of d_i d_j F and of B_ij, B's first partials dB[:, k, i, j] and |B|^2 as a jet.
+
+    B is formed as order-2 jets, which are dropped on return: the block's
+    point geometry keeps their values only.
+    """
+    # normal-projected Hessian: B_ij = P^N d_i d_j F, P^N = I - dF^T g^{-1} dF
+    PT_jets = jet_einsum("piA,piB->pAB", dF_jets, jet_einsum("pij,pjB->piB", ginv_jets, dF_jets))
+    F2_jets = _tensor([[F.derivative(i).derivative(j) for j in range(n)] for i in range(n)])
+    # The three contractions shaped as B share the buffer of their pair sums, the
+    # block's largest arrays: were each to allocate its own, glibc's heap would hand
+    # that memory back to the system on every free and fault it in again.
+    work = np.empty(3 * F2_jets.coeffs[..., 0].size * len(_table(n, 2).pair_i))
+    B_jets = F2_jets - jet_einsum("pAB,pijB->pijA", PT_jets, F2_jets, work)
+    second_partials = F2_jets.value.copy()
+    del PT_jets, F2_jets
+    # |B|^2 as an order-2 jet: <g^{ik} g^{jl} B_ij, B_kl>
+    raised = jet_einsum("pjl,pkjA->pklA", ginv_jets,
+                        jet_einsum("pik,pijA->pkjA", ginv_jets, B_jets, work), work)
+    return (second_partials, B_jets.value.copy(), np.moveaxis(_gradient(B_jets, n), -1, 1),
+            jet_einsum("pklA,pklA->p", raised, B_jets))
+
+
 def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry:
     n, m, N = imm.n, imm.m, imm.n + imm.m
     P = len(coords)
@@ -290,6 +314,7 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
         for p, exc in jet.failures.items():
             errors[p] = errors[p] or exc
     F = _tensor([comps])[:, 0]  # (P, N, ncoef)
+    del comps  # F holds their coefficients; a jet dropped once read lowers the block's peak
 
     dF_jets, g_jets, detg_jet, g_cof = _metric(F, n)
     g0, detg = g_jets.value, detg_jet.value
@@ -324,6 +349,7 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
     e = T @ dF
     inv_det = jet_elementary("recip", detg_jet)
     ginv_jets = _tensor([[c * inv_det for c in column] for column in zip(*g_cof)])  # adjugate / det
+    del inv_det, g_cof
     g_inv = ginv_jets.value
 
     # normal frame: ambient basis projected to the normal space, pivoted
@@ -340,19 +366,10 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
     term = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 3, 2, 1)
     christoffel = 0.5 * ordered_einsum("plr,pkir->plki", g_inv, term)
 
-    # normal-projected Hessian as jets: B_ij = P^N d_i d_j F, P^N = I - dF^T g^{-1} dF
-    PT_jets = jet_einsum("piA,piB->pAB", dF_jets, jet_einsum("pij,pjB->piB", ginv_jets, dF_jets))
-    F2_jets = _tensor([[F.derivative(i).derivative(j) for j in range(n)] for i in range(n)])
-    B_jets = F2_jets - jet_einsum("pAB,pijB->pijA", PT_jets, F2_jets)
-    second_partials, B_coord = F2_jets.value, B_jets.value
-
-    # |B|^2 as an order-2 jet: <g^{ik} g^{jl} B_ij, B_kl>
-    raised = jet_einsum("pjl,pkjA->pklA", ginv_jets, jet_einsum("pik,pijA->pkjA", ginv_jets, B_jets))
-    normB2_jet = jet_einsum("pklA,pklA->p", raised, B_jets)
+    second_partials, B_coord, dB, normB2_jet = _hessian(F, dF_jets, ginv_jets, n)
 
     # covariant derivative of B in coordinates:
     # (grad_k B)_ij = P^N(d_k of the B_ij field) - Gamma^l_{ki} B_lj - Gamma^l_{kj} B_il
-    dB = np.moveaxis(_gradient(B_jets, n), -1, 1)  # dB[:, k, i, j, A]
     nablaB_coord = ordered_einsum("pAB,pkijB->pkijA", PN0, dB)
     nablaB_coord -= ordered_einsum("plki,pljA->pkijA", christoffel, B_coord)
     nablaB_coord -= ordered_einsum("plkj,pilA->pkijA", christoffel, B_coord)

@@ -25,6 +25,7 @@ Jets are immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -321,49 +322,111 @@ def _fold(ab: np.ndarray, ba: np.ndarray, tab: _JetTable) -> np.ndarray:
     return np.add.reduceat(ab, tab.starts, axis=-1)
 
 
-def ordered_einsum(spec: str, *operands) -> np.ndarray:
-    """np.einsum with explicit subscripts, its sums accumulated in a fixed order.
+TERMS_BYTES = 2**19  # up to this, ordered_einsum forms its terms at once: fewest numpy calls
 
-    np.einsum may reorder a reduction by the operands' shapes, so a point's
-    result could depend on how many points share its block.  Here every
-    product term is formed in one array laid out with the summed indices
-    first, by multiplying broadcast views of the operands into it left to
-    right; the terms are then added one after another, in lexicographic
-    order of the summed indices.
+
+def _layout(spec: str, operands):
+    """The operands as views laid out with the summed indices first, then the output's.
+
+    `spec` gives np.einsum's explicit subscripts for the operands' leading
+    axes; trailing axes ride along.  A view has a length-1 axis for each
+    index its operand lacks, so the views broadcast to the terms' shape.
+    Returns the views and the number of summed indices.
     """
     inputs, out = spec.split("->")
     subs = inputs.split(",")
     summed = "".join(dict.fromkeys(c for c in inputs if c not in out + ","))
     layout = summed + out
-    views = [op.transpose([sub.index(c) for c in layout if c in sub])
+    views = [op.transpose([sub.index(c) for c in layout if c in sub] + list(range(len(sub), op.ndim)))
              [tuple(slice(None) if c in sub else None for c in layout)]
              for sub, op in zip(subs, operands)]
-    terms = np.empty(np.broadcast(*views).shape, np.result_type(*operands))
-    np.multiply(views[0], views[1], out=terms)
-    for view in views[2:]:
-        np.multiply(terms, view, out=terms)
-    k = len(summed)
-    terms = terms.reshape((math.prod(terms.shape[:k]),) + terms.shape[k:])
-    total = terms[0].copy()
-    for term in terms[1:]:
+    return views, len(summed)
+
+
+def _terms(views, k: int):
+    """Each view's slice at every summed index, in lexicographic order of the summed indices."""
+    extents = np.broadcast_shapes(*(view.shape[:k] for view in views))
+    views = [np.broadcast_to(view, extents + view.shape[k:]) for view in views]
+    for index in itertools.product(*map(range, extents)):
+        yield [view[index] for view in views]
+
+
+def _product(factors, out=None) -> np.ndarray:
+    """The product of the broadcast `factors`, multiplied left to right into `out` (new when None)."""
+    if out is None:
+        out = np.empty(np.broadcast(*factors).shape, np.result_type(*factors))
+    np.multiply(factors[0], factors[1], out=out)
+    for factor in factors[2:]:
+        np.multiply(out, factor, out=out)
+    return out
+
+
+def ordered_einsum(spec: str, *operands) -> np.ndarray:
+    """np.einsum with explicit subscripts, its sums accumulated in a fixed order.
+
+    np.einsum may reorder a reduction by the operands' shapes, so a point's
+    result could depend on how many points share its block.  Here the terms
+    are added one after another, in lexicographic order of the summed
+    indices, the first term being the output's start, not a zero (which
+    would turn a sum of -0.0 terms into 0.0).  Each term is the product of
+    the operands' slices, multiplied left to right.  Up to TERMS_BYTES the
+    terms are formed at once, in one array laid out with the summed indices
+    first, which spends the fewest numpy calls; beyond, one at a time into a
+    buffer of the output's shape, so that no array larger than the output
+    is formed.
+    """
+    views, k = _layout(spec, operands)
+    shape = np.broadcast(*views).shape
+    dtype = np.result_type(*operands)
+    if math.prod(shape) * dtype.itemsize <= TERMS_BYTES:
+        terms = _product(views, np.empty(shape, dtype)).reshape((math.prod(shape[:k]),) + shape[k:])
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        return total
+    terms = _terms(views, k)
+    total = _product(next(terms))
+    term = None
+    for factors in terms:
+        term = _product(factors, term)
         total += term
     return total
 
 
-def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
+def jet_einsum(spec: str, a: Jet, b: Jet, work: np.ndarray | None = None) -> Jet:
     """Truncated products of tensor jets, summed over their leading axes as in np.einsum.
 
     `spec` names the leading axes only, e.g. "pij,pjk->pik" for a batch of
     jet-valued matrix products.  The pair-table columns a_i b_j and a_j b_i
-    are contracted by ordered_einsum and folded once, as _fold is linear.
+    are summed in ordered_einsum's order and folded once, as _fold is
+    linear.  Up to TERMS_BYTES of terms, ordered_einsum sums the columns,
+    gathered whole; beyond, the terms are taken one at a time, each gathered
+    from the operands' slices, and the two sums and their term buffer are
+    formed in `work` when it is given, a flat float64 array of at least
+    three times their size, so that a sequence of contractions can share
+    one buffer.
     """
     a._is_compatible(b)
     tab = _table(a.dim, a.order)
     i, j = tab.pair_i, tab.pair_j
     inputs, out = spec.split("->")
-    spec_t = "{}t,{}t->{}t".format(*inputs.split(","), out)
-    ab = ordered_einsum(spec_t, a.coeffs[..., i], b.coeffs[..., j])
-    ba = ordered_einsum(spec_t, a.coeffs[..., j], b.coeffs[..., i])
+    sub_a, sub_b = inputs.split(",")
+    sizes = {**dict(zip(sub_b, b.coeffs.shape)), **dict(zip(sub_a, a.coeffs.shape))}
+    if math.prod(sizes.values()) * len(i) * 8 <= TERMS_BYTES:  # gathered whole
+        spec_t = f"{sub_a}t,{sub_b}t->{out}t"
+        ab = ordered_einsum(spec_t, a.coeffs[..., i], b.coeffs[..., j])
+        ba = ordered_einsum(spec_t, a.coeffs[..., j], b.coeffs[..., i])
+    else:
+        terms = _terms(*_layout(spec, (a.coeffs, b.coeffs)))
+        sa, sb = next(terms)
+        shape = np.broadcast_shapes(sa.shape[:-1], sb.shape[:-1]) + (len(i),)
+        size = math.prod(shape)
+        ab, ba, term = (np.empty(3 * size) if work is None else work[:3 * size]).reshape((3,) + shape)
+        np.multiply(sa[..., i], sb[..., j], out=ab)
+        np.multiply(sa[..., j], sb[..., i], out=ba)
+        for sa, sb in terms:
+            ab += np.multiply(sa[..., i], sb[..., j], out=term)
+            ba += np.multiply(sa[..., j], sb[..., i], out=term)
     return _make(a.dim, a.order, _fold(ab, ba, tab), _merged(a, b))
 
 

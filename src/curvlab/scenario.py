@@ -465,12 +465,16 @@ def _json_text(obj, layout, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _emitted(report: Report, detail: bool, point_text: dict) -> dict:
-    """`report.to_dict(detail)`, each check's `details` as the JSON lines of its columns."""
+def _emitted(report: Report, detail: bool, point_text: dict, floats: dict) -> dict:
+    """`report.to_dict(detail)`, each check's `details` as the JSON lines of its columns.
+
+    `point_text` and `floats` are the tables of Columns.json_lines, shared by the report's checks.
+    """
     out = report.to_dict()
     if detail:
         for entry, res in zip(out["checks"], report.results):
-            entry["details"] = [] if res.columns is None else res.columns.json_lines(point_text)
+            entry["details"] = ([] if res.columns is None else
+                                res.columns.json_lines(point_text, floats))
     return out
 
 
@@ -482,7 +486,7 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
     byte-identical files.
     """
     if fmt == "json":
-        text = _json_text(_emitted(report, detail, {}), _REPORT_LAYOUT) + "\n"
+        text = _json_text(_emitted(report, detail, {}, {}), _REPORT_LAYOUT) + "\n"
     elif fmt == "csv":
         lines = ["check,u1,u2,u3,residual,status"]
         for res in report.results:
@@ -504,8 +508,9 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
 
 def emit_sweep(reports: list[Report], table: list, path, detail: bool = False) -> None:
     """Write a sweep's reports and aggregation table as one JSON file, laid out as emit_report's."""
-    point_text = {}  # shared: a sweep's reports share their grid points
-    payload = {"reports": [_emitted(r, detail, point_text) for r in reports], "aggregation": table}
+    point_text, floats = {}, {}  # shared: a sweep's reports share their grid points and many floats
+    payload = {"reports": [_emitted(r, detail, point_text, floats) for r in reports],
+               "aggregation": table}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_json_text(payload, _SWEEP_LAYOUT) + "\n")
 

@@ -20,6 +20,7 @@ CHECKS_PY = "src/curvlab/checks.py"
 GEOMETRY_PY = "src/curvlab/geometry.py"
 SWEEP_SHARED = "tests/test_scenario.py::TestSweepSharedWork::"
 SWEEP_EQUALS = f"{SWEEP_SHARED}test_each_report_equals_a_stand_alone_run"
+WRITER = "tests/test_scenario.py::TestDetailWriter::"
 
 MUTANTS = [
     Mutant("kato skips no non-minimal point", CHECKS_PY,
@@ -55,13 +56,24 @@ MUTANTS = [
            "memo = {}  # slot", 'memo = sweep.__dict__.setdefault("memo", {})  # slot',
            (f"{SWEEP_SHARED}test_probe_cells_are_evaluated_once",)),
     Mutant("detail writer formats numbers with repr", CHECKS_PY,
-           'return json.dumps(values)[1:-1].split(", ") if values else []',
+           'return json.dumps(values)[1:-1].split(", ")',
            "return [repr(v) for v in values]",
            ("tests/test_scenario.py::TestDetailWriter::test_hand_built_columns",)),
     Mutant("detail writer splits string columns on ', '", CHECKS_PY,
-           "_SCALARS = {float, int, bool, type(None)}",
-           "_SCALARS = {float, int, bool, type(None), str}",
+           "_SCALARS = {int, bool, type(None)}",
+           "_SCALARS = {int, bool, type(None), str}",
            ("tests/test_scenario.py::TestDetailWriter::test_hand_built_columns",)),
+    Mutant("detail writer keys its float table by value", CHECKS_PY,
+           "keys = values.view(np.uint64).tolist()", "keys = values.tolist()",
+           (f"{WRITER}test_lines_are_json_dumps_of_each_record",)),
+    Mutant("contraction sums start from zero", "src/curvlab/jets.py",
+           "total = _product(next(terms))", "total = 0.0 + _product(next(terms))",
+           ("tests/test_jets.py::TestContraction::"
+            "test_sums_of_special_values_are_bitwise_the_einsum_layout[pij,pijA->pA-7-C-one-by-one]",)),
+    Mutant("block_size divides by the widest tensor jet again", CHECKS_PY,
+           "point_bytes = 8 * 8 * (imm.n + imm.m)", "point_bytes = (imm.n + imm.m)",
+           ("tests/test_checks.py::TestBlocks::"
+            "test_a_default_block_of_geometry_peaks_within_the_budget[n3-m2]",)),
     Mutant("alignment-identities asserts the Laplacian at rank 3", CHECKS_PY,
            'note = block.skips(("minimal", "rank")).skip', 'note = block.skips(("minimal",)).skip',
            ("tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]",)),

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -595,9 +596,39 @@ def all_evaluated(residuals, **detail):
     return C.Columns(points, none, np.array(residuals, dtype=float), none.copy(), detail)
 
 
+def traced_peak(imm, points) -> int:
+    """The most point_geometry_at holds at once on a block of `points`, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        point_geometry_at(imm, points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlocks:
-    def test_a_solid_in_codimension_two_keeps_64_points(self):
-        assert C.block_size(build_graph_immersion(["x^2-y^2+0.3*z", "2*x*y-z^2"], 3)) == 64
+    def test_a_5x5x5_solid_in_codimension_two_is_one_block(self, cylinder):
+        # the grid of the bundled cylinder-helicoid scenario and the grid-solid benchmark
+        points = GridSpec(((-1.0, 1.0),) * 3, (5, 5, 5)).points()
+        assert (cylinder.n, cylinder.m) == (3, 2)
+        assert [len(part) for part in C.blocks(cylinder, points)] == [125]
+
+    @pytest.mark.parametrize("exprs, n", [(["x^2-y^2+0.3*z", "2*x*y-z^2"], 3),
+                                          (["x^2-y^2", "2*x*y"], 2)], ids=["n3-m2", "n2-m2"])
+    def test_a_default_block_of_geometry_peaks_within_the_budget(self, exprs, n):
+        imm = build_graph_immersion(exprs, n)
+        rng = np.random.default_rng(0)
+
+        def points(count):
+            return rng.uniform(-0.9, 0.9, (count, n))
+
+        traced_peak(imm, points(2))  # tables and caches, built once
+        size = C.block_size(imm)
+        # a block's peak grows with its points: the default block is run only once
+        # the growth between two smaller blocks puts it near the budget
+        growth = (traced_peak(imm, points(128)) - traced_peak(imm, points(64))) / 64
+        assert size * growth <= 2 * C.BLOCK_BUDGET
+        assert traced_peak(imm, points(size)) <= C.BLOCK_BUDGET
 
     def test_a_disk_masked_21x21_surface_is_one_block(self, z2):
         # 293 points: the grid of the grid-surface benchmark

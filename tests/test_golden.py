@@ -180,13 +180,14 @@ def test_detail_records_match_golden(name):
     }),
     load_config(DETAIL_CONFIGS["rank3-quadric"]),
     load_config(DETAIL_CONFIGS["isothermal-shear"]),
+    load_config_file(bundled_path("cylinder-helicoid")),
 ], ids=["z2-full", "cubic", "cylinder-cubic", "partial-failures", "rank3-quadric",
-        "isothermal-shear"])
+        "isothermal-shear", "cylinder-helicoid"])
 def test_block_composition_does_not_change_records(config, monkeypatch):
     encode, entries = [], []
-    # the default rule (z2-full: blocks of 320 and 121 points), one block, blocks of 7,
-    # point by point
-    for size in (None, len(config.grid.points()), 7, 1):
+    # the default rule (one block for z2-full's 441 points and cylinder-helicoid's 125),
+    # one block, blocks of 64 and of 7, point by point
+    for size in (None, len(config.grid.points()), 64, 7, 1):
         if size is not None:
             monkeypatch.setattr(checks, "block_size", lambda imm, size=size: size)
         results = run_checks(config.surface, config.grid, config.checks, config.frame_or_default)
@@ -194,5 +195,5 @@ def test_block_composition_does_not_change_records(config, monkeypatch):
         # verdicts, worst residuals, skip counts and extras, aggregated from the joined columns
         report = Report({}, results, "pass", 0, 0.0)
         entries.append(json.dumps(report.to_dict(detail=False)["checks"]))
-    assert encode[0] == encode[1] == encode[2] == encode[3]
-    assert entries[0] == entries[1] == entries[2] == entries[3]
+    assert encode[0] == encode[1] == encode[2] == encode[3] == encode[4]
+    assert entries[0] == entries[1] == entries[2] == entries[3] == entries[4]

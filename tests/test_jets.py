@@ -1,11 +1,14 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvlab import jets
+from curvlab.checks import block_size
 from curvlab.jets import (
     Jet,
     JetDomainError,
@@ -20,6 +23,7 @@ from curvlab.jets import (
     jet_variable,
     ordered_einsum,
 )
+from curvlab.jets import _fold, _table
 
 from oracles import rel_err, richardson_derivative
 
@@ -301,10 +305,17 @@ LAYOUT_SPECS = [("{}t,{}t->{}t".format(*spec.replace("->", ",").split(",")), dic
 
 
 def einsum_layout(spec, *operands):
-    """ordered_einsum's reference: np.einsum lays out the terms, summed indices first."""
+    """ordered_einsum's reference: np.einsum lays out the terms, summed indices first.
+
+    np.einsum adds each product to a zeroed output, which turns a -0.0
+    product into 0.0; a zero term takes back the sign of its factors' product.
+    """
     inputs, out = spec.split("->")
     summed = "".join(dict.fromkeys(c for c in inputs if c not in out + ","))
-    terms = np.einsum(f"{inputs}->{summed}{out}", *operands)
+    layout = f"{inputs}->{summed}{out}"
+    terms = np.einsum(layout, *operands)
+    signs = np.einsum(layout, *(np.copysign(1.0, op) for op in operands))
+    terms = np.where(terms == 0.0, np.copysign(0.0, signs), terms)
     k = len(summed)
     terms = terms.reshape((math.prod(terms.shape[:k]),) + terms.shape[k:])
     total = terms[0].copy()
@@ -319,6 +330,42 @@ def spec_operands(spec, extra, seed=0, trailing=(), order="C"):
     rng = np.random.default_rng(seed)
     return [np.asarray(rng.standard_normal(tuple(sizes[c] for c in sub) + trailing), order=order)
             for sub in spec.split("->")[0].split(",")]
+
+
+def special_operands(spec, extra, points, seed, order):
+    """spec_operands at `points` points, holding -0.0, NaN and +-inf.
+
+    At point 0 the first operand is -0.0 and the others are positive, so
+    every term there is -0.0, and so is each sum.
+    """
+    ops = spec_operands(spec, {**extra, "p": points}, seed=seed, order=order)
+    rng = np.random.default_rng(seed)
+    for op in ops:
+        draw = rng.random(op.shape)
+        op[draw < 0.1] = -0.0
+        op[draw > 0.97] = np.nan
+        op[(draw > 0.5) & (draw < 0.52)] = np.inf
+        op[(draw > 0.6) & (draw < 0.62)] = -np.inf
+    ops[0][0] = -0.0
+    for op in ops[1:]:
+        op[0] = np.abs(rng.standard_normal(op[0].shape)) + 0.5
+    return ops
+
+
+# blocks of one point, an odd count, the old n = 3 block and today's
+BLOCK_POINTS = [1, 7, 64, block_size(SimpleNamespace(n=3, m=2))]
+
+
+def assert_bitwise(got, want):
+    """Bit for bit, signed zeros included, except that a NaN matches any NaN.
+
+    Which NaN a product of two NaNs keeps depends on the operand order a
+    numpy kernel's instruction happens to use, not on the order of the sums.
+    """
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def spec_id(case):
@@ -348,6 +395,45 @@ class TestContraction:
         got, want = ordered_einsum(spec, *ops), einsum_layout(spec, *ops)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    # TERMS_BYTES 0: every term formed on its own; 2**62: all terms in one array
+    @pytest.mark.parametrize("terms_bytes", [0, 2**62], ids=["one-by-one", "at-once"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("points", BLOCK_POINTS)
+    @pytest.mark.parametrize("case", ORDERED_SPECS + LAYOUT_SPECS,
+                             ids=map(spec_id, ORDERED_SPECS + LAYOUT_SPECS))
+    def test_sums_of_special_values_are_bitwise_the_einsum_layout(self, case, points, order,
+                                                                  terms_bytes, monkeypatch):
+        monkeypatch.setattr(jets, "TERMS_BYTES", terms_bytes)
+        spec, extra = case
+        ops = special_operands(spec, extra, points, seed=points, order=order)
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+            got, want = ordered_einsum(spec, *ops), einsum_layout(spec, *ops)
+        assert_bitwise(got, want)
+        assert (got[0] == 0.0).all() and np.signbit(got[0]).all()
+
+    @pytest.mark.parametrize("terms_bytes", [0, 2**62], ids=["one-by-one", "at-once"])
+    @pytest.mark.parametrize("points", BLOCK_POINTS)
+    @pytest.mark.parametrize("spec", JET_SPECS)
+    def test_jet_einsum_is_bitwise_its_pair_column_sums_folded(self, spec, points, terms_bytes,
+                                                              monkeypatch):
+        # jets of dim 3, order 2; the reference folds the einsum layout of the
+        # pair columns a_i b_j and a_j b_i
+        monkeypatch.setattr(jets, "TERMS_BYTES", terms_bytes)
+        tab = _table(3, 2)
+        spec_t = "{}t,{}t->{}t".format(*spec.replace("->", ",").split(","))
+        a, b = (Jet(3, 2, op) for op in special_operands(spec_t, dict(t=tab.ncoef), points,
+                                                          seed=points, order="C"))
+        with np.errstate(invalid="ignore"):
+            want = _fold(einsum_layout(spec_t, a.coeffs[..., tab.pair_i], b.coeffs[..., tab.pair_j]),
+                         einsum_layout(spec_t, a.coeffs[..., tab.pair_j], b.coeffs[..., tab.pair_i]),
+                         tab)
+            got = jet_einsum(spec, a, b).coeffs
+            # a shared buffer, longer than needed and holding NaN from before
+            work = np.full(3 * got[..., 0].size * len(tab.pair_i) + 5, np.nan)
+            shared = [jet_einsum(spec, a, b, work).coeffs for _ in range(2)]
+        assert_bitwise(got, want)
+        assert shared[0].tobytes() == shared[1].tobytes() == got.tobytes()
 
     # the layout of a block's operands (slices, transposes) sets np.einsum's output layout
     @pytest.mark.parametrize("order", ["C", "F"])

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvlab import checks, cli, scenario
 from curvlab.checks import _ABSENT, CHECKS, Columns
@@ -654,6 +656,43 @@ WRITER_CONFIGS = ([bundled(name) for name in BUNDLED]
 WRITER_IDS = BUNDLED + [f"details-{name}" for name in sorted(DETAIL_CONFIGS)] + ["user-keys"]
 
 
+# floats whose JSON texts stand out: signed zeros, NaN, infinities, the least
+# subnormal, and the switches to exponent notation
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]),
+                   st.floats())
+TEXTS = st.one_of(st.sampled_from(["%", "%s %d", ", ", 'say "a, b"', "%(x)s, \\"]),
+                  st.text(max_size=8))
+OBJECTS = st.one_of(FLOATS, TEXTS, st.none(), st.booleans(), st.integers(-2**63, 2**63),
+                    st.tuples(TEXTS, FLOATS), st.just(_ABSENT))
+KINDS = {"float": (FLOATS, float), "bool": (st.booleans(), bool),
+         "float objects": (st.one_of(FLOATS, st.none()), object),
+         "scalar objects": (st.one_of(st.none(), st.booleans(), st.integers()), object),
+         "objects": (OBJECTS, object)}
+
+
+def object_array(values) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        out[i] = value
+    return out
+
+
+@st.composite
+def writer_columns(draw):
+    """Columns of a few distinct points; the evaluated ones have a residual, a note and details."""
+    points = draw(st.lists(st.tuples(FLOATS, FLOATS), max_size=4, unique=True))
+    skip = object_array([draw(st.one_of(st.none(), TEXTS)) for _ in points])
+    live = int(np.equal(skip, None).sum())
+    detail = {}
+    for key in draw(st.lists(st.sampled_from(["a", "%s", 'say "b", c']), unique=True, max_size=3)):
+        values, dtype = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+        drawn = draw(st.lists(values, min_size=live, max_size=live))
+        detail[key] = object_array(drawn) if dtype is object else np.array(drawn, dtype)
+    return Columns(points, skip, np.array(draw(st.lists(FLOATS, min_size=live, max_size=live))),
+                   object_array(draw(st.lists(st.one_of(st.none(), TEXTS), min_size=live,
+                                              max_size=live))), detail)
+
+
 class TestDetailWriter:
     """Detail records are written from the columns, byte for byte as `json.dumps(record)`."""
 
@@ -686,6 +725,18 @@ class TestDetailWriter:
             assert columns.json_lines(point_text) == [json.dumps(r) for r in columns.records()]
             assert point_text == {point: json.dumps(point) for point in columns.points}
         assert 'NaN, "skipped": false' in cols.json_lines({})[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(writer_columns(), min_size=1, max_size=3))
+    @example([Columns([(0.0, 1.0), (-0.0, 2.0)], object_array([None, None]), np.array([0.0, -0.0]),
+                      object_array([None, None]), {"x": object_array([-0.0, 0.0])})])
+    def test_lines_are_json_dumps_of_each_record(self, parts):
+        # alone, and with one float table shared by every part, as a report's checks share it
+        floats = {}
+        for columns in parts:
+            want = [json.dumps(record) for record in columns.records()]
+            assert columns.json_lines({}) == want
+            assert columns.json_lines({}, floats) == want
 
     def test_sweep_bytes_match_json_dumps_of_each_record(self, tmp_path, capsys):
         out, again = tmp_path / "sweep.json", tmp_path / "again.json"
