@@ -818,14 +818,20 @@ class _GraphFields:
     """
 
     def __init__(self, imm: Immersion):
-        if imm.kind != "graph":
-            raise CheckConfigError("quadrature fields require a graph immersion")
+        reason = self.not_a_graph(imm)
+        if reason:
+            raise CheckConfigError(reason)
         self.n, self.m = imm.n, imm.m
         comps = imm.graph_components()
         self.d1 = [[_shallow(differentiate(c, i)) for i in range(imm.n)] for c in comps]
         self.comps = comps
         with np.errstate(all="ignore"):  # F(0) is NaN where the graph is undefined there
             self.f0 = np.array([evaluate_array(c, [np.zeros(1)] * imm.n)[0] for c in comps])
+
+    @staticmethod
+    def not_a_graph(imm: Immersion) -> str | None:
+        """Why growth and the probe cannot integrate over `imm`, or None for a graph."""
+        return None if imm.kind == "graph" else "quadrature fields require a graph immersion"
 
     @np.errstate(all="ignore")
     def dist2(self, axes):
@@ -1105,9 +1111,9 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
         raise CheckConfigError(f"probe {fault}")
     t, q = params.t, params.q
 
-    if imm.kind != "graph":
-        return ProbeRecord(params=params, applicable=False,
-                           reason="integral probes require a graph immersion")
+    reason = _GraphFields.not_a_graph(imm)
+    if reason:
+        return ProbeRecord(params=params, applicable=False, reason=reason)
 
     def hypotheses():
         # the first of the three points that fails a hypothesis gives the first it fails

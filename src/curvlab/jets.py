@@ -262,15 +262,15 @@ class Jet:
             return NotImplemented
         if exponent < 0:
             return jet_elementary("recip", self) ** (-exponent)
-        result = jet_constant(1.0, self.dim, self.order)
-        base = self
-        n = exponent
+        result, base, n = None, self, exponent
         while n:
             if n & 1:
-                result = jet_product(result, base)
+                result = base if result is None else jet_product(result, base)
             n >>= 1
             if n:
                 base = jet_product(base, base)
+        if result is None:  # x^0: the constant one, with x's leading axes
+            return jet_constant(np.ones(self.coeffs.shape[:-1]), self.dim, self.order)
         return result
 
     def __repr__(self):
@@ -398,35 +398,25 @@ def jet_einsum(spec: str, a: Jet, b: Jet, work: np.ndarray | None = None) -> Jet
 
     `spec` names the leading axes only, e.g. "pij,pjk->pik" for a batch of
     jet-valued matrix products.  The pair-table columns a_i b_j and a_j b_i
-    are summed in ordered_einsum's order and folded once, as _fold is
-    linear.  Up to TERMS_BYTES of terms, ordered_einsum sums the columns,
-    gathered whole; beyond, the terms are taken one at a time, each gathered
-    from the operands' slices, and the two sums and their term buffer are
-    formed in `work` when it is given, a flat float64 array of at least
-    three times their size, so that a sequence of contractions can share
-    one buffer.
+    are summed term by term, in ordered_einsum's order, each term gathered
+    from the operands' slices, and folded once, as _fold is linear.  The two
+    sums and their term buffer are formed in `work` when it is given, a flat
+    float64 array of at least three times their size, so that a sequence of
+    contractions can share one buffer.
     """
     a._is_compatible(b)
     tab = _table(a.dim, a.order)
     i, j = tab.pair_i, tab.pair_j
-    inputs, out = spec.split("->")
-    sub_a, sub_b = inputs.split(",")
-    sizes = {**dict(zip(sub_b, b.coeffs.shape)), **dict(zip(sub_a, a.coeffs.shape))}
-    if math.prod(sizes.values()) * len(i) * 8 <= TERMS_BYTES:  # gathered whole
-        spec_t = f"{sub_a}t,{sub_b}t->{out}t"
-        ab = ordered_einsum(spec_t, a.coeffs[..., i], b.coeffs[..., j])
-        ba = ordered_einsum(spec_t, a.coeffs[..., j], b.coeffs[..., i])
-    else:
-        terms = _terms(*_layout(spec, (a.coeffs, b.coeffs)))
-        sa, sb = next(terms)
-        shape = np.broadcast_shapes(sa.shape[:-1], sb.shape[:-1]) + (len(i),)
-        size = math.prod(shape)
-        ab, ba, term = (np.empty(3 * size) if work is None else work[:3 * size]).reshape((3,) + shape)
-        np.multiply(sa[..., i], sb[..., j], out=ab)
-        np.multiply(sa[..., j], sb[..., i], out=ba)
-        for sa, sb in terms:
-            ab += np.multiply(sa[..., i], sb[..., j], out=term)
-            ba += np.multiply(sa[..., j], sb[..., i], out=term)
+    terms = _terms(*_layout(spec, (a.coeffs, b.coeffs)))
+    sa, sb = next(terms)
+    shape = np.broadcast_shapes(sa.shape[:-1], sb.shape[:-1]) + (len(i),)
+    size = math.prod(shape)
+    ab, ba, term = (np.empty(3 * size) if work is None else work[:3 * size]).reshape((3,) + shape)
+    np.multiply(sa[..., i], sb[..., j], out=ab)
+    np.multiply(sa[..., j], sb[..., i], out=ba)
+    for sa, sb in terms:
+        ab += np.multiply(sa[..., i], sb[..., j], out=term)
+        ba += np.multiply(sa[..., j], sb[..., i], out=term)
     return _make(a.dim, a.order, _fold(ab, ba, tab), _merged(a, b))
 
 
@@ -532,10 +522,13 @@ def jet_elementary(name: str, a: Jet, param: float | None = None) -> Jet:
     columns.reshape(len(columns), -1)[:, list(failed)] = np.nan
     tilde = a.coeffs.copy()
     tilde[..., 0] -= x0
+    if a.order == 0:
+        c = columns[0, ..., None]
+    else:  # Horner's first step, from the constant jet of the top coefficient, is a scalar multiply
+        c = columns[-1, ..., None] * tilde
+        c[..., 0] += columns[-2]
     tilde = _make(a.dim, a.order, tilde)
-    c = np.zeros(a.coeffs.shape)
-    c[..., 0] = columns[-1]
-    for d in columns[-2::-1]:
+    for d in columns[-3::-1]:
         c = jet_product(_make(a.dim, a.order, c), tilde).coeffs.copy()
         c[..., 0] += d
     failures = {**failed, **a.failures} if (failed or a.failures) else _NO_FAILURES

@@ -55,6 +55,10 @@ MUTANTS = [
     Mutant("sweep memo outlives the sweep", "src/curvlab/scenario.py",
            "memo = {}  # slot", 'memo = sweep.__dict__.setdefault("memo", {})  # slot',
            (f"{SWEEP_SHARED}test_probe_cells_are_evaluated_once",)),
+    Mutant("sweep shares its point table across reports", "src/curvlab/scenario.py",
+           "point_text, floats = {}, {}",
+           'point_text, floats = _emitted.__dict__.setdefault("points", {}), {}',
+           (f"{WRITER}test_each_sweep_report_is_its_stand_alone_text",)),
     Mutant("detail writer formats numbers with repr", CHECKS_PY,
            'return json.dumps(values)[1:-1].split(", ")',
            "return [repr(v) for v in values]",
@@ -70,6 +74,11 @@ MUTANTS = [
            "total = _product(next(terms))", "total = 0.0 + _product(next(terms))",
            ("tests/test_jets.py::TestContraction::"
             "test_sums_of_special_values_are_bitwise_the_einsum_layout[pij,pijA->pA-7-C-one-by-one]",)),
+    Mutant("integer power starts from the constant one", "src/curvlab/jets.py",
+           "result = base if result is None else jet_product(result, base)",
+           "result = jet_product(jet_constant(1.0, self.dim, self.order) if result is None"
+           " else result, base)",
+           ("tests/test_jets.py::TestJetMethods::test_integer_power_is_repeated_products[1]",)),
     Mutant("block_size divides by the widest tensor jet again", CHECKS_PY,
            "point_bytes = 8 * 8 * (imm.n + imm.m)", "point_bytes = (imm.n + imm.m)",
            ("tests/test_checks.py::TestBlocks::"

@@ -210,6 +210,23 @@ class TestJetMethods:
         fd = richardson_derivative(lambda p: p[0] / (1 + p[0]), (0.5,), (3,))
         assert rel_err(jet_extract(q, (3,)), fd) <= 1e-6
 
+    @pytest.mark.parametrize("k", range(7))
+    def test_integer_power_is_repeated_products(self, k, monkeypatch):
+        # small integer coefficients make every product exact, so any order of the
+        # products gives the same values; only the signs of zeros may differ
+        rng = np.random.default_rng(k)
+        coeffs = rng.integers(-2, 3, (6, coefficient_count(2, 4))).astype(float)
+        coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
+        x = Jet(2, 4, coeffs)
+        want = jet_constant(np.ones(6), 2, 4)  # x^0 keeps the batch axis
+        for _ in range(k):
+            want = jet_product(want, x)
+        calls = []
+        monkeypatch.setattr(jets, "jet_product", lambda a, b: calls.append(1) or jet_product(a, b))
+        got = x ** k
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert len(calls) == max(k.bit_length() - 1 + k.bit_count() - 1, 0)
+
     def test_integer_power_negative(self):
         x = jet_variable(0, 2.0, 1, 3)
         p = x ** -2
@@ -245,6 +262,22 @@ class TestBatch:
         assert not batched.failures
         for p in range(4):
             assert np.array_equal(batched.coeffs[p], jet_elementary(name, a[p], param=-0.5).coeffs)
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("name", ["sin", "cos", "sinh", "cosh", "exp", "log", "sqrt",
+                                      "atan", "recip", "pow-const"])
+    def test_elementary_is_horner_from_a_constant_jet(self, name, order):
+        # Horner's first step scales the nilpotent part; against a product with the
+        # constant jet of the top coefficient only the signs of zeros may differ
+        a = self.rows(2, order, [0.3, 1.7, 0.05, 2.5], seed=order)
+        a.coeffs[:, 1::2] = -0.0
+        series = jets._univariate_series(name, a.coeffs[:, 0], order, -0.5)
+        tilde = Jet(2, order, a.coeffs - jet_constant(a.coeffs[:, 0], 2, order).coeffs)
+        want = jet_constant(series[-1], 2, order).coeffs
+        for d in series[-2::-1]:
+            want = jet_product(Jet(2, order, want), tilde).coeffs.copy()
+            want[:, 0] += d
+        assert np.array_equal(jet_elementary(name, a, param=-0.5).coeffs, want)
 
     def test_domain_failure_marks_its_row_only(self):
         a = self.rows(2, 3, [0.5, -2.0, 3.0])
@@ -412,14 +445,11 @@ class TestContraction:
         assert_bitwise(got, want)
         assert (got[0] == 0.0).all() and np.signbit(got[0]).all()
 
-    @pytest.mark.parametrize("terms_bytes", [0, 2**62], ids=["one-by-one", "at-once"])
     @pytest.mark.parametrize("points", BLOCK_POINTS)
     @pytest.mark.parametrize("spec", JET_SPECS)
-    def test_jet_einsum_is_bitwise_its_pair_column_sums_folded(self, spec, points, terms_bytes,
-                                                              monkeypatch):
+    def test_jet_einsum_is_bitwise_its_pair_column_sums_folded(self, spec, points):
         # jets of dim 3, order 2; the reference folds the einsum layout of the
         # pair columns a_i b_j and a_j b_i
-        monkeypatch.setattr(jets, "TERMS_BYTES", terms_bytes)
         tab = _table(3, 2)
         spec_t = "{}t,{}t->{}t".format(*spec.replace("->", ",").split(","))
         a, b = (Jet(3, 2, op) for op in special_operands(spec_t, dict(t=tab.ncoef), points,

@@ -464,6 +464,23 @@ class TestRunScenario:
         assert "extras" not in entry
         assert report.overall == "pass"
 
+    def test_growth_and_probe_refuse_a_non_graph_with_one_reason(self):
+        cfg = {"surface": {"kind": "catalogue", "name": "catenoid"},
+               "grid": {"ranges": [[-0.5, 0.5]] * 2, "counts": [3, 3]},
+               "probe": {"cells": 16}, "checks": [{"name": "growth"}, {"name": "probe"}]}
+        results = run_scenario(load_config(cfg)).results
+        assert [(r.name, r.verdict, r.reason) for r in results] == [
+            (name, "not-applicable", "quadrature fields require a graph immersion")
+            for name in ("growth", "probe")]
+
+    def test_a_zeroth_power_component_runs_as_a_constant(self):
+        # x^0 on a block is the constant one at every point, not one unbatched jet
+        cfg = {"surface": {"kind": "graph", "exprs": ["x^0", "y"]},
+               "grid": {"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3]},
+               "checks": [{"name": "minimality"}]}
+        [result] = run_scenario(load_config(cfg)).results
+        assert (result.verdict, result.n_points, result.n_skipped) == ("pass", 9, 0)
+
     @pytest.mark.parametrize("name", sorted(QUADRATURE_REPROS))
     def test_quadrature_repros_are_not_applicable(self, name):
         cfg, reason = quadrature_repro(name)
@@ -747,6 +764,23 @@ class TestDetailWriter:
         want = {"reports": [r.to_dict(detail=True) for r in reports], "aggregation": table}
         text = records_writer_text(want, {"reports": [REPORT_LAYOUT]}) + "\n"
         assert out.read_text() == text and again.read_text() == text
+
+    def test_each_sweep_report_is_its_stand_alone_text(self, tmp_path):
+        # the grids differ only in the sign of a zero, which == on point tuples does not see
+        raw = {"surface": {"kind": "graph", "exprs": ["x^2 - y^2", "2*x*y"]},
+               "grid": {"ranges": [[-1, 1], [-1, 1]], "counts": [3, 3]},
+               "checks": [{"name": "minimality"}, {"name": "kato"}],
+               "sweep": {"parameter": "grid.ranges",
+                         "values": [[[-1, 0], [-1, 1]], [[-1, -0.0], [-1, 1]]]}}
+        reports, table = sweep(raw)
+        emit_sweep(reports, table, tmp_path / "sweep.json", detail=True)
+        texts = []
+        for k, report in enumerate(reports):
+            emit_report(report, "json", tmp_path / f"{k}.json", detail=True)
+            texts.append((tmp_path / f"{k}.json").read_text().rstrip("\n").replace("\n", "\n    "))
+        assert (tmp_path / "sweep.json").read_text().startswith(
+            '{\n  "reports": [\n    ' + ",\n    ".join(texts) + "\n  ],\n")
+        assert '"point": [0.0, 1.0]}' in texts[0] and '"point": [-0.0, 1.0]}' in texts[1]
 
 
 class TestSweep:
