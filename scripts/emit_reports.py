@@ -13,6 +13,11 @@ to OUTDIR:
   workloads at seeds 3, 5 and 11, as JSON with per-point detail, the way
   perfbench emits them (15 files).
 
+The 22 files with detail are format 2: a report's grid points once, as
+`points`, and each check's `details` as columns over them.  Writers older
+than format 2 wrote one record per point instead; to compare with one, zip
+each check's columns back into records (null where a record omits a key).
+
 The workload configs come from this checkout's perfbench/inputs.py, so two
 checkouts get the same inputs, and `diff -r` of two OUTDIRs shows any byte
 that moved.  A report holds no timing, so two runs of one checkout write

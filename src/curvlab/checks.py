@@ -22,15 +22,14 @@ points its hypotheses leave live and returns the block's :class:`Columns`;
 aggregation reads the blocks' joined columns with numpy.  The per-point
 records (`CheckResult.details`) are the library view, built from the
 columns on first read; the JSON and CSV writers read the columns directly,
-and the JSON writer encodes each distinct float of a report once.
+and a JSON report with detail writes each column as one list over the
+report's points (`Columns.lists`).
 Growth tables and the estimate probes integrate over extrinsic balls with
 a masked tensor-product midpoint rule.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -184,7 +183,7 @@ _HYPOTHESES = {
 }
 
 
-_ABSENT = ...  # a column value that omits its detail key; Ellipsis survives pickle and copy
+_ABSENT = ...  # a column value that a record omits; Ellipsis survives pickle and copy
 
 
 @dataclass
@@ -194,7 +193,8 @@ class Columns:
     `skip` holds each point's skip reason (None: evaluated); a point keeps
     the first reason it is given.  `residual`, `note` (a reason kept at an
     evaluated point) and every `detail` column hold one value per evaluated
-    point; an object column's None is written as null, its _ABSENT omits the key.
+    point.  An object column may hold _ABSENT, which a record omits and a
+    detail report writes as null.
     """
 
     points: list
@@ -243,104 +243,36 @@ class Columns:
         return self.detail.get(name, np.full(len(self.residual), None, dtype=object))
 
     def records(self) -> list:
-        """One dict per point: its skip reason, or its residual, note and detail."""
-        rows = zip(self.residual.tolist(), self.note.tolist(),
-                   *(column.tolist() for column in self.detail.values()))
-        out = []
-        for point, skip in zip(self.points, self.skip.tolist()):
-            if skip is None:
-                residual, note, *values = next(rows)
-                detail = {k: v for k, v in zip(self.detail, values) if v is not _ABSENT}
-            else:
-                residual, note, detail = None, skip, {}
-            out.append({"residual": residual, "skipped": skip is not None, "reason": note,
-                        "detail": detail, "point": point})
-        return out
+        """One dict per point: its skip reason, or its residual, note and detail (the lists zipped)."""
+        cols = self.lists(absent=_ABSENT)
+        rows = zip(self.points, cols["residual"], cols["skipped"], cols["reason"],
+                   *cols["detail"].values())
+        return [{"residual": residual, "skipped": skipped, "reason": reason,
+                 "detail": {} if skipped else {key: value for key, value in zip(self.detail, values)
+                                               if value is not _ABSENT},
+                 "point": point} for point, residual, skipped, reason, *values in rows]
 
-    def json_lines(self, point_text: dict, floats: dict | None = None) -> list:
-        """`json.dumps` of each record of `records()`, built from the columns.
+    def lists(self, absent=None) -> dict:
+        """The columns as lists over every point, as a report with detail writes them.
 
-        `point_text` maps a point (a tuple of floats) to its JSON text, and
-        `floats` a float64 bit pattern to its text (a new table when None).
-        Missing entries are added, so tables shared by a report's checks
-        encode each point and each distinct float once.
+        `skipped` flags each point, and `reason` holds a skipped point's skip
+        reason and an evaluated point's note.  `residual` and each `detail`
+        column hold None at a skipped point, and `absent` for an _ABSENT value.
         """
-        floats = {} if floats is None else floats
-        new = [point for point in dict.fromkeys(self.points) if point not in point_text]
-        if new:
-            coords = iter(_float_texts(np.array(new, dtype=np.float64).ravel(), floats))
-            for point in new:
-                point_text[point] = "[" + ", ".join(itertools.islice(coords, len(point))) + "]"
-        strings = {}
-        keys = [json.dumps(key) + ": " for key in self.detail]
-        fields = [[key + text if text else "" for text in _json_texts(column, strings, floats)]
-                  for key, column in zip(keys, self.detail.values())]
-        bodies = [", ".join(filter(None, row)) for row in zip(*fields)] or [""] * len(self.residual)
-        live = zip(_json_texts(self.residual, strings, floats),
-                   _json_texts(self.note, strings, floats), bodies)
-        return [_LIVE_RECORD % (*next(live), point_text[point]) if skip is None else
-                _SKIPPED_RECORD % (_json_item(skip, strings), point_text[point])
-                for point, skip in zip(self.points, self.skip.tolist())]
+        live = self.live
 
+        def spread(column):
+            out = np.full(len(live), None, dtype=object)
+            out[live] = column
+            if column.dtype == object:
+                out[np.equal(out, _ABSENT)] = absent
+            return out.tolist()
 
-# `json.dumps` of a record of Columns.records(), in its key order
-_LIVE_RECORD = '{"residual": %s, "skipped": false, "reason": %s, "detail": {%s}, "point": %s}'
-_SKIPPED_RECORD = '{"residual": null, "skipped": true, "reason": %s, "detail": {}, "point": %s}'
-
-
-def _json_item(value, strings: dict) -> str:
-    """`json.dumps(value)`, memoized in `strings` for a string."""
-    if not isinstance(value, str):
-        return json.dumps(value)
-    if value not in strings:
-        strings[value] = json.dumps(value)
-    return strings[value]
-
-
-def _float_texts(values: np.ndarray, floats: dict) -> list:
-    """`json.dumps` of each value of the float64 array `values`, read from the table `floats`.
-
-    The table is keyed by bit pattern, not by value, so -0.0 keeps its own
-    text.  The patterns it lacks are encoded in one encoder call, in the
-    order they first occur, which keeps a column's texts near one another.
-    """
-    keys = values.view(np.uint64).tolist()
-    new = list(dict.fromkeys(itertools.filterfalse(floats.__contains__, keys)))
-    if new:
-        texts = json.dumps(np.array(new, dtype=np.uint64).view(np.float64).tolist())
-        floats.update(zip(new, texts[1:-1].split(", ")))
-    return list(map(floats.__getitem__, keys))
-
-
-_SCALARS = {int, bool, type(None)}  # their JSON texts never contain ", "
-
-
-def _json_texts(column: np.ndarray, strings: dict, floats: dict) -> list:
-    """`json.dumps` of each value of `column`, and "" for _ABSENT.
-
-    Floats are read from the table `floats` (_float_texts).  A column of
-    ints, bools and None is one encoder call, split on ", ", which none of
-    their texts contains; strings and tuples may contain it, so a mixed
-    column encodes them one by one and the rest of its scalars in one call.
-    """
-    if column.dtype == np.float64:
-        return _float_texts(column, floats)
-    values = column.tolist()
-    kinds = set(map(type, values))
-    if kinds <= {float}:
-        return _float_texts(np.array(values, dtype=np.float64), floats)
-    if kinds <= _SCALARS:
-        return json.dumps(values)[1:-1].split(", ")
-    texts = [_json_item(v, strings) if isinstance(v, (str, tuple)) else "" if v is _ABSENT else None
-             for v in values]
-    numbers = [i for i, v in enumerate(values) if type(v) is float]
-    for i, text in zip(numbers, _float_texts(np.array([values[i] for i in numbers], dtype=np.float64),
-                                             floats)):
-        texts[i] = text
-    scalars = [i for i, text in enumerate(texts) if text is None]
-    for i, text in zip(scalars, json.dumps([values[i] for i in scalars])[1:-1].split(", ")):
-        texts[i] = text
-    return texts
+        reason = self.skip.copy()
+        reason[live] = self.note
+        return {"residual": spread(self.residual), "skipped": (~live).tolist(),
+                "reason": reason.tolist(),
+                "detail": {key: spread(column) for key, column in self.detail.items()}}
 
 
 def _pymax(first, *others):
@@ -484,25 +416,30 @@ def _eval_kato(block, state, skips):
         cp = block.cpack
         has_zeta = np.not_equal(cp.zeta, None)
         zeta = np.where(has_zeta, cp.zeta, 0).astype(complex)
-        # equality forces the cubic derivative to be proportional to B_ww
-        asserted = equality & has_zeta
+        # in an isothermal chart, equality forces the cubic derivative to be proportional
+        # to B_ww; zeta_asserted is false at an equality point of a chart that is not
+        asserted = equality & has_zeta & cp.isothermal
         zres = np.array(cp.zeta_residual.tolist(), dtype=float)  # NaN where None
         residual = np.where(asserted, _pymax(residual, zres), residual)
         detail.update(zeta_re=_optional(zeta.real, has_zeta),
                       zeta_im=_optional(zeta.imag, has_zeta), zeta_residual=cp.zeta_residual,
-                      xi1=cp.xi1, xi2=cp.xi2, zeta_asserted=_optional(asserted, asserted, _ABSENT))
+                      xi1=cp.xi1, xi2=cp.xi2,
+                      zeta_asserted=_optional(asserted, asserted | equality & ~cp.isothermal,
+                                              _ABSENT))
     return skips.evaluated(residual, **detail)
 
 
 def _aggregate_kato(cols, tol):
     equality = cols.get("equality").astype(bool)
+    not_isothermal = np.equal(cols.get("zeta_asserted"), False)  # zeta is not asserted there
     zres = cols.get("zeta_residual")
     extras = {
         "equality_points": int(np.sum(equality)),
         "evaluated_points": len(equality),
+        "equality_not_isothermal": int(np.sum(not_isothermal)),
         # recorded, not asserted: near-proportional points without gap equality
         "zeta_without_equality": int(np.sum(_given(zres[~equality]) <= tol)),
-        "worst_zeta_residual_at_equality": _finite_max(_given(zres[equality]))[0],
+        "worst_zeta_residual_at_equality": _finite_max(_given(zres[equality & ~not_isothermal]))[0],
         "worst_gap": _finite_max(np.abs(cols.get("gap").astype(float)))[0],
     }
     return extras, True

@@ -325,12 +325,16 @@ class Report:
     elapsed_seconds: float  # console-only; excluded from emitted files
 
     def to_dict(self, detail: bool = False) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "n_grid_points": self.n_grid_points,
-            "overall": self.overall,
-            "checks": [],
-        }
+        """The report as JSON data.  With `detail` it is format 2: the points every
+        grid check ran over, once (none without a grid check), and each check's
+        `details` as columns over them (`Columns.lists`); `{}` for a check without
+        columns (growth, probe)."""
+        out = {"format": 2} if detail else {}
+        out.update(scenario=self.scenario, n_grid_points=self.n_grid_points, overall=self.overall)
+        if detail:
+            out["points"] = next((res.columns.points for res in self.results
+                                  if res.columns is not None), [])
+        out["checks"] = []
         for res in self.results:
             entry = {
                 "name": res.name,
@@ -344,8 +348,8 @@ class Report:
                 entry["reason"] = res.reason
             if res.extras:
                 entry["extras"] = res.extras
-            if detail:  # records hold only Python scalars, tuples and None
-                entry["details"] = res.details
+            if detail:
+                entry["details"] = {} if res.columns is None else res.columns.lists()
             out["checks"].append(entry)
         return out
 
@@ -426,36 +430,28 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None, *, _once=_now)
 
 # -- emission --------------------------------------------------------------------
 
-def _format_float(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
-# Where a JSON file holds per-point records: each record of a check's
-# `details` is one compact line, `json.dumps(record)` as `Columns.json_lines`
-# writes it from the check's columns; everything else is indented as by
-# `json.dumps(..., indent=2)`.
-_RECORDS = object()
-_REPORT_LAYOUT = {"checks": [{"details": _RECORDS}]}
-_SWEEP_LAYOUT = {"reports": [_REPORT_LAYOUT]}
+# Where a JSON file holds detail columns: each is one compact line, `json.dumps(column)`;
+# everything else is indented as by `json.dumps(..., indent=2)`.
+_LINE = object()
+_REPORT_LAYOUT = {"points": _LINE, "checks": [{"details": {
+    "residual": _LINE, "skipped": _LINE, "reason": _LINE, "detail": {"*": _LINE}}}]}
 
 
 def _json_text(obj, layout, pad: str = "") -> str:
-    """`obj` as JSON starting at indentation `pad`, with the lists `layout` marks one record a line.
+    """`obj` as JSON starting at indentation `pad`, with the lists `layout` marks on one line.
 
     `layout` mirrors the containers on the way to those lists: a dict maps
-    keys to the layout of their values, a one-item list gives the layout of
-    every item, `_RECORDS` marks a list of record lines, already JSON, and
-    None (a key that `layout` does not name) is plain `json.dumps(obj, indent=2)`.
+    keys to the layout of their values (a key it lacks takes its "*" entry),
+    a one-item list gives the layout of every item, `_LINE` marks a list
+    written by `json.dumps(obj)`, and None is `json.dumps(obj, indent=2)`.
     """
     if layout is None:  # json escapes newlines in strings, so every "\n" here is layout
         return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    if layout is _LINE:
+        return json.dumps(obj)
     inner = pad + "  "
-    if layout is _RECORDS:
-        items = obj
-    elif isinstance(layout, dict):
-        items = [f"{json.dumps(key)}: {_json_text(value, layout.get(key), inner)}"
+    if isinstance(layout, dict):
+        items = [f"{json.dumps(key)}: {_json_text(value, layout.get(key, layout.get('*')), inner)}"
                  for key, value in obj.items()]
     else:
         items = [_json_text(item, layout[0], inner) for item in obj]
@@ -465,42 +461,25 @@ def _json_text(obj, layout, pad: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _emitted(report: Report, detail: bool) -> dict:
-    """`report.to_dict(detail)`, each check's `details` as the JSON lines of its columns.
-
-    The report's checks share the point and float tables of Columns.json_lines;
-    no other report reads them.
-    """
-    out = report.to_dict()
-    if detail:
-        point_text, floats = {}, {}
-        for entry, res in zip(out["checks"], report.results):
-            entry["details"] = ([] if res.columns is None else
-                                res.columns.json_lines(point_text, floats))
-    return out
-
-
 def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
     """Write a report to disk; floats round-trip at full double precision.
 
-    JSON is indented, with one compact line per detail record.  The
-    wall-clock timing is deliberately omitted so identical configs produce
-    byte-identical files.
+    JSON is `report.to_dict(detail)`, indented, with each detail column on
+    one compact line.  The wall-clock timing is deliberately omitted so
+    identical configs produce byte-identical files.
     """
     if fmt == "json":
-        text = _json_text(_emitted(report, detail), _REPORT_LAYOUT) + "\n"
+        text = _json_text(report.to_dict(detail), _REPORT_LAYOUT) + "\n"
     elif fmt == "csv":
         lines = ["check,u1,u2,u3,residual,status"]
         for res in report.results:
             if res.columns is None:
                 continue
-            residuals = iter(res.columns.residual.tolist())
-            for point, skip in zip(res.columns.points, res.columns.skip.tolist()):
-                coords = [_format_float(c) for c in point] + [""] * (3 - len(point))
-                residual = None if skip is not None else next(residuals)
-                status = ("skipped" if skip is not None else
-                          "ok" if residual <= res.tolerance else "violation")
-                lines.append(",".join([res.name, *coords, _format_float(residual), status]))
+            cols = res.columns.lists()
+            for point, residual, skipped in zip(res.columns.points, cols["residual"], cols["skipped"]):
+                coords = [repr(c) for c in point] + [""] * (3 - len(point))
+                status = "skipped" if skipped else "ok" if residual <= res.tolerance else "violation"
+                lines.append(",".join([res.name, *coords, "" if skipped else repr(residual), status]))
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
@@ -510,9 +489,9 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
 
 def emit_sweep(reports: list[Report], table: list, path, detail: bool = False) -> None:
     """Write a sweep's reports and aggregation table as one JSON file, laid out as emit_report's."""
-    payload = {"reports": [_emitted(r, detail) for r in reports], "aggregation": table}
+    payload = {"reports": [r.to_dict(detail) for r in reports], "aggregation": table}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(payload, _SWEEP_LAYOUT) + "\n")
+        fh.write(_json_text(payload, {"reports": [_REPORT_LAYOUT]}) + "\n")
 
 
 # -- sweeps ----------------------------------------------------------------------

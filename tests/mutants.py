@@ -55,21 +55,17 @@ MUTANTS = [
     Mutant("sweep memo outlives the sweep", "src/curvlab/scenario.py",
            "memo = {}  # slot", 'memo = sweep.__dict__.setdefault("memo", {})  # slot',
            (f"{SWEEP_SHARED}test_probe_cells_are_evaluated_once",)),
-    Mutant("sweep shares its point table across reports", "src/curvlab/scenario.py",
-           "point_text, floats = {}, {}",
-           'point_text, floats = _emitted.__dict__.setdefault("points", {}), {}',
-           (f"{WRITER}test_each_sweep_report_is_its_stand_alone_text",)),
-    Mutant("detail writer formats numbers with repr", CHECKS_PY,
-           'return json.dumps(values)[1:-1].split(", ")',
-           "return [repr(v) for v in values]",
-           ("tests/test_scenario.py::TestDetailWriter::test_hand_built_columns",)),
-    Mutant("detail writer splits string columns on ', '", CHECKS_PY,
-           "_SCALARS = {int, bool, type(None)}",
-           "_SCALARS = {int, bool, type(None), str}",
-           ("tests/test_scenario.py::TestDetailWriter::test_hand_built_columns",)),
-    Mutant("detail writer keys its float table by value", CHECKS_PY,
-           "keys = values.view(np.uint64).tolist()", "keys = values.tolist()",
-           (f"{WRITER}test_lines_are_json_dumps_of_each_record",)),
+    Mutant("absent written as an omitted key instead of null", CHECKS_PY,
+           "out[np.equal(out, _ABSENT)] = absent", "out = out[np.not_equal(out, _ABSENT)]",
+           (f"{WRITER}test_hand_built_columns",)),
+    Mutant("residual written over the evaluated points only", CHECKS_PY,
+           '"residual": spread(self.residual)', '"residual": self.residual.tolist()',
+           (f"{WRITER}test_hand_built_columns",)),
+    Mutant("points written per check instead of once per report", "src/curvlab/scenario.py",
+           'entry["details"] = {} if res.columns is None else res.columns.lists()',
+           'entry["details"] = {} if res.columns is None else {"points": res.columns.points, '
+           "**res.columns.lists()}",
+           (f"{WRITER}test_report_file_holds_the_columns[z2-full]",)),
     Mutant("contraction sums start from zero", "src/curvlab/jets.py",
            "total = _product(next(terms))", "total = 0.0 + _product(next(terms))",
            ("tests/test_jets.py::TestContraction::"
@@ -100,6 +96,19 @@ MUTANTS = [
     Mutant("expression evaluation forgets shared subtrees", "src/curvlab/expressions.py",
            "memo[key] = value", "pass",
            ("tests/test_expressions.py::TestEvaluation::test_shared_subtrees_are_evaluated_once",)),
+    Mutant("kato asserts zeta in a chart that is not isothermal", CHECKS_PY,
+           "asserted = equality & has_zeta & cp.isothermal", "asserted = equality & has_zeta",
+           ("tests/test_checks.py::TestKato::"
+            "test_zeta_is_not_asserted_in_a_chart_that_is_not_isothermal",)),
+    Mutant("growth accepts equal radii", CHECKS_PY,
+           "all(r2 > r1 for r1, r2 in zip(value, value[1:]))",
+           "all(r2 >= r1 for r1, r2 in zip(value, value[1:]))",
+           ("tests/test_checks.py::TestGrowth::test_options_outside_their_rule[equal]",)),
+    Mutant("a worst residual equal to the tolerance fails", CHECKS_PY,
+           "ok = not n_nonfinite and worst <= tol and extra_ok",
+           "ok = not n_nonfinite and worst < tol and extra_ok",
+           ("tests/test_checks.py::TestAggregation::"
+            "test_a_worst_residual_equal_to_the_tolerance_passes",)),
     Mutant("canonical frame keeps det U = -1", GEOMETRY_PY,
            "U[np.linalg.det(U) < 0, :, 2] *= -1.0", "pass",
            ("tests/test_geometry.py::TestAlignmentPack::"

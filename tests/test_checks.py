@@ -13,6 +13,7 @@ from curvlab.geometry import laplace_beltrami, point_geometry_at
 from curvlab.immersions import (
     GridSpec,
     Immersion,
+    _parametric,
     build_graph_immersion,
     catalogue_lookup,
     evaluate_array,
@@ -188,9 +189,9 @@ class TestKato:
     def test_z2_equality_with_zeta(self, z2):
         res = run("kato", z2, GRID7)
         reports = evaluated(res)
-        assert res.verdict == "pass"
+        assert res.verdict == "pass" and res.extras["equality_not_isothermal"] == 0
         for rep in reports:
-            assert abs(rep["gap"]) <= 1e-5
+            assert abs(rep["gap"]) <= 1e-5 and rep["zeta_asserted"] is True
             assert rep["zeta_re"] is not None and rep["zeta_im"] is not None
             assert rep["zeta_residual"] <= 1e-6
             assert rep["xi1"] == rep["zeta_re"] and rep["xi2"] == -rep["zeta_im"]
@@ -198,6 +199,22 @@ class TestKato:
     def test_affine_not_applicable(self, affine):
         res = run("kato", affine, GRID5)
         assert res.verdict == "not-applicable"
+
+    def test_zeta_is_not_asserted_in_a_chart_that_is_not_isothermal(self):
+        # z^3 composed with u -> Au + b: minimal, and an equality point everywhere, but
+        # the sheared chart is not isothermal, where the zeta identity does not hold
+        x, y = "(1.3*u1 + 0.4*u2 + 0.1)", "(-0.2*u1 + 0.9*u2 - 0.05)"
+        imm = _parametric([x, y, f"{x}^3 - 3*{x}*{y}^2", f"3*{x}^2*{y} - {y}^3"], 2, "sheared-z3")
+        grid = GridSpec(((-0.5, 0.5), (-0.5, 0.5)), (9, 9))
+        minimality, kato = run_checks(imm, grid, [CheckSpec("minimality"), CheckSpec("kato")],
+                                      COORD_PLANE)
+        assert minimality.verdict == "pass" and minimality.worst_residual <= 1e-14
+        assert (kato.verdict, kato.n_skipped) == ("pass", 0)
+        assert kato.worst_residual <= kato.extras["worst_gap"] <= 1e-11  # -gap, not zeta
+        assert kato.extras["equality_points"] == kato.extras["equality_not_isothermal"] == 81
+        assert kato.extras["worst_zeta_residual_at_equality"] is None
+        assert {rec["detail"]["zeta_asserted"] for rec in kato.details} == {False}
+        assert max(rec["detail"]["zeta_residual"] for rec in kato.details) > 1.0
 
     def test_state_is_only_the_tolerance(self, z2):
         # kato has no options: an unread zeta_tol must not reach the state
@@ -420,9 +437,10 @@ class TestGrowth:
         ([2, 1], 64, "growth radii must be non-empty, positive and strictly increasing, got [2.0, 1.0]"),
         ([-1, 2], 64, "growth radii must be non-empty, positive and strictly increasing, got [-1.0, 2.0]"),
         ([0, 2], 64, "growth radii must be non-empty, positive and strictly increasing, got [0.0, 2.0]"),
+        ([1, 1], 64, "growth radii must be non-empty, positive and strictly increasing, got [1.0, 1.0]"),
         ([1, 2], 0, "growth cells must be at least 1, got 0"),
         ([1, 2], 4097, "growth cells^2 must be at most 2^24, got 4097^2"),
-    ], ids=["empty", "decreasing", "negative", "zero", "no-cells", "too-many-cells"])
+    ], ids=["empty", "decreasing", "negative", "zero", "equal", "no-cells", "too-many-cells"])
     def test_options_outside_their_rule(self, affine, radii, cells, message):
         with pytest.raises(C.CheckConfigError) as err:
             C.growth_table(affine, radii, cells)
@@ -656,6 +674,10 @@ class TestAggregation:
     def test_finite_residuals_add_no_count(self):
         res = C.aggregate_check("minimality", 1e-10, all_evaluated([1e-12]))
         assert res.verdict == "pass" and "n_nonfinite" not in res.extras
+
+    def test_a_worst_residual_equal_to_the_tolerance_passes(self):
+        res = C.aggregate_check("minimality", 1e-10, all_evaluated([0.0, 1e-10]))
+        assert (res.verdict, res.worst_residual) == ("pass", 1e-10)
 
     @pytest.mark.parametrize("field", ["identity_residual", "mu_residual"])
     @pytest.mark.parametrize("values", [[1e-12, math.nan], [math.nan, 1e-12]])

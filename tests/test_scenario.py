@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -13,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvlab import checks, cli, scenario
-from curvlab.checks import _ABSENT, CHECKS, Columns
+from curvlab.checks import _ABSENT, CHECKS, CheckResult, Columns
 from curvlab.scenario import (
     ConfigError,
+    Report,
     emit_report,
     emit_sweep,
     load_config,
@@ -34,50 +36,50 @@ def bundled(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def detail_blocks(text, pad):
-    """The lines of each non-empty `details` list whose key is indented by `pad`."""
-    lines = text.splitlines()
-    starts = [i for i, line in enumerate(lines) if line == pad + '"details": [']
-    return [lines[i + 1:lines.index(pad + "]", i)] for i in starts]
+REPORT_KEYS = ["format", "scenario", "n_grid_points", "overall", "points", "checks"]
+COLUMN_KEYS = ["residual", "skipped", "reason", "detail"]
 
 
-def assert_one_record_a_line(text, entries, pad):
-    """Each detail record of the check `entries` is one line of `text`, which parses to it."""
-    records = [entry["details"] for entry in entries if entry.get("details")]
-    blocks = detail_blocks(text, pad)
-    assert len(blocks) == len(records)
-    for block, recs in zip(blocks, records):
-        assert len(block) == len(recs)
-        for line, record in zip(block, recs):
-            assert json.dumps(json.loads(line.strip().removesuffix(","))) == json.dumps(record)
+def zipped_records(points, details) -> list:
+    """A format-2 check's columns zipped back into one record per point, as Columns.records()
+    builds them, except that a value a record omits is None; a skipped point's detail is {}."""
+    return [{"residual": details["residual"][i], "skipped": skipped, "reason": details["reason"][i],
+             "detail": {} if skipped else {key: column[i] for key, column in details["detail"].items()},
+             "point": point}
+            for i, (point, skipped) in enumerate(zip(points, details["skipped"]))]
 
 
-RECORDS = "records"
-REPORT_LAYOUT = {"checks": [{"details": RECORDS}]}
+def absent_as_none(columns) -> list:
+    """columns.records(), with each detail key an evaluated point's record omits as None."""
+    return [rec if rec["skipped"] else {**rec, "detail": {key: rec["detail"].get(key)
+                                                          for key in columns.detail}}
+            for rec in columns.records()]
 
 
-def records_writer_text(obj, layout, pad=""):
-    """`obj` as the JSON writer laid it out when it ran `json.dumps(record)` for each record.
-
-    `layout` mirrors the containers on the way to the `details` lists: a
-    dict maps keys to the layout of their values, a one-item list gives the
-    layout of every item, RECORDS marks a list of records written one a
-    line, and None is `json.dumps(obj, indent=2)`.
-    """
-    if layout is None:
-        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    inner = pad + "  "
-    if layout == RECORDS:
-        items = [json.dumps(record) for record in obj]
-    elif isinstance(layout, dict):
-        items = [f"{json.dumps(key)}: {records_writer_text(value, layout.get(key), inner)}"
-                 for key, value in obj.items()]
-    else:
-        items = [records_writer_text(item, layout[0], inner) for item in obj]
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+def assert_detail_file(text, reports):
+    """`text`, a JSON file written with detail of one report or a sweep's, is each report's
+    `to_dict(detail=True)`; each column is one line with one entry per point, and a
+    check's columns zip back into its records."""
+    data = json.loads(text)
+    written = data["reports"] if "reports" in data else [data]
+    assert len(written) == len(reports)
+    lines = {line.strip().removesuffix(",") for line in text.splitlines()}
+    for got, report in zip(written, reports):
+        assert json.dumps(got) == json.dumps(report.to_dict(detail=True))  # key order included
+        assert list(got) == REPORT_KEYS and got["format"] == 2
+        points = got["points"]
+        columns = [("points", points)]
+        for entry, res in zip(got["checks"], report.results):
+            details = entry["details"]
+            if res.columns is None:  # growth, probe
+                assert details == {}
+                continue
+            assert list(details) == COLUMN_KEYS
+            assert json.dumps(zipped_records(points, details)) == json.dumps(absent_as_none(res.columns))
+            columns += [(key, details[key]) for key in COLUMN_KEYS[:-1]] + list(details["detail"].items())
+        for key, column in columns:
+            assert len(column) == len(points)
+            assert f"{json.dumps(key)}: {json.dumps(column)}" in lines
 
 
 def records_csv_text(report):
@@ -612,10 +614,10 @@ class TestEmission:
         out = tmp_path / "z2.json"
         emit_report(report, "json", out, detail=True)
         text = out.read_text()
-        assert '"all_conformal": true' in text and '"skipped": false' in text
+        assert '"all_conformal": true' in text and '"skipped": [false, false, ' in text
         entry = {e["name"]: e for e in json.loads(text)["checks"]}["gauss-conformal"]
         assert entry["extras"]["omega_coupling_ok"] is True
-        assert entry["details"][0]["skipped"] is False
+        assert entry["details"]["skipped"][0] is False
 
     def test_same_config_twice_is_byte_identical(self, tmp_path):
         config = load_config(bundled("catenoid-kato"))
@@ -649,13 +651,8 @@ class TestEmission:
     def test_json_layout(self, raw, tmp_path):
         report = run_scenario(load_config(raw))
         out = tmp_path / "report.json"
-        emit_report(report, "json", out)
+        emit_report(report, "json", out)  # with detail: TestDetailWriter
         assert out.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
-        emit_report(report, "json", out, detail=True)
-        text = out.read_text()
-        want = report.to_dict(detail=True)
-        assert json.dumps(json.loads(text)) == json.dumps(want)  # key order included
-        assert_one_record_a_line(text, want["checks"], " " * 6)
 
     def test_csv_rows_per_point(self, tmp_path):
         cfg = small_z2_config(checks=[{"name": "minimality"}])
@@ -694,6 +691,14 @@ def object_array(values) -> np.ndarray:
     return out
 
 
+def one_check_report(columns) -> Report:
+    """A report of one minimality check with these columns."""
+    n = len(columns.points)
+    result = CheckResult("minimality", 1.0, None, "pass", n, n - len(columns.residual),
+                         columns=columns)
+    return Report({}, [result], "pass", n, 0.0)
+
+
 @st.composite
 def writer_columns(draw):
     """Columns of a few distinct points; the evaluated ones have a residual, a note and details."""
@@ -711,20 +716,19 @@ def writer_columns(draw):
 
 
 class TestDetailWriter:
-    """Detail records are written from the columns, byte for byte as `json.dumps(record)`."""
+    """A report written with detail is format 2: its points once, and each check's columns."""
 
     @pytest.mark.parametrize("raw", WRITER_CONFIGS, ids=WRITER_IDS)
-    def test_report_bytes_match_json_dumps_of_each_record(self, raw, tmp_path):
+    def test_report_file_holds_the_columns(self, raw, tmp_path):
         report = run_scenario(load_config(raw))
         out, csv = tmp_path / "report.json", tmp_path / "report.csv"
         emit_report(report, "json", out, detail=True)
         emit_report(report, "csv", csv)
         assert all("details" not in res.__dict__ for res in report.results)  # never built
-        want = records_writer_text(report.to_dict(detail=True), REPORT_LAYOUT) + "\n"
-        assert out.read_text() == want
+        assert_detail_file(out.read_text(), [report])
         assert csv.read_text() == records_csv_text(report)
 
-    def test_hand_built_columns(self):
+    def test_hand_built_columns(self, tmp_path):
         reason = 'not evaluated: a, "quoted" \\ path, \u00fc\u2202'
         cols = Columns(
             [(0.0, 1.0), (0.5, -0.25), (1e-300, 2.0), (3.0, 4.0), (-0.0, 6.0)],
@@ -736,34 +740,47 @@ class TestDetailWriter:
              "shown": np.array([_ABSENT, 2.0, _ABSENT], dtype=object),
              "label": np.array(["x, y", ("a, b", 1.0), _ABSENT], dtype=object)},
         )
+        # a skipped point is null in every column but skipped and reason; _ABSENT is null
+        assert json.dumps(cols.lists()) == json.dumps({
+            "residual": [math.nan, None, math.inf, -math.inf, None],
+            "skipped": [False, True, False, False, True],
+            "reason": [None, reason, "kept, with a comma", None, reason],
+            "detail": {"flag": [True, None, False, True, None],
+                       "value": [1.5, None, None, math.nan, None],
+                       "shown": [None, None, 2.0, None, None],
+                       "label": ["x, y", None, ["a, b", 1.0], None, None]}})
         no_live_point = Columns([(1.0, 2.0), (3.0, 4.0)], np.array([reason, "other"], dtype=object))
-        for columns in (cols, no_live_point, Columns([], np.empty(0, dtype=object))):
-            point_text = {}
-            assert columns.json_lines(point_text) == [json.dumps(r) for r in columns.records()]
-            assert point_text == {point: json.dumps(point) for point in columns.points}
-        assert 'NaN, "skipped": false' in cols.json_lines({})[0]
+        reports = [one_check_report(columns)
+                   for columns in (cols, no_live_point, Columns([], np.empty(0, dtype=object)))]
+        emit_sweep(reports, [], tmp_path / "sweep.json", detail=True)
+        text = (tmp_path / "sweep.json").read_text()
+        assert_detail_file(text, reports)
+        assert '"residual": [NaN, null, Infinity, -Infinity, null]' in text
+        assert '"points": [[0.0, 1.0], [0.5, -0.25], [1e-300, 2.0], [3.0, 4.0], [-0.0, 6.0]]' in text
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(writer_columns(), min_size=1, max_size=3))
     @example([Columns([(0.0, 1.0), (-0.0, 2.0)], object_array([None, None]), np.array([0.0, -0.0]),
                       object_array([None, None]), {"x": object_array([-0.0, 0.0])})])
-    def test_lines_are_json_dumps_of_each_record(self, parts):
-        # alone, and with one float table shared by every part, as a report's checks share it
-        floats = {}
-        for columns in parts:
-            want = [json.dumps(record) for record in columns.records()]
-            assert columns.json_lines({}) == want
-            assert columns.json_lines({}, floats) == want
+    def test_columns_zip_back_into_the_records(self, parts):
+        # one report per part, alone and in one sweep file
+        reports = [one_check_report(columns) for columns in parts]
+        with tempfile.TemporaryDirectory() as tmp:
+            for report in reports:
+                emit_report(report, "json", Path(tmp) / "report.json", detail=True)
+                assert_detail_file((Path(tmp) / "report.json").read_text(), [report])
+            emit_sweep(reports, [], Path(tmp) / "sweep.json", detail=True)
+            assert_detail_file((Path(tmp) / "sweep.json").read_text(), reports)
 
-    def test_sweep_bytes_match_json_dumps_of_each_record(self, tmp_path, capsys):
+    def test_sweep_file_holds_each_report(self, tmp_path, capsys):
         out, again = tmp_path / "sweep.json", tmp_path / "again.json"
         assert cli.main(["sweep", "z2-probe", "--out", str(out), "--detail"]) == 0
         reports, table = sweep(bundled("z2-probe"))
         emit_sweep(reports, table, again, detail=True)
         assert all("details" not in res.__dict__ for r in reports for res in r.results)
-        want = {"reports": [r.to_dict(detail=True) for r in reports], "aggregation": table}
-        text = records_writer_text(want, {"reports": [REPORT_LAYOUT]}) + "\n"
-        assert out.read_text() == text and again.read_text() == text
+        text = out.read_text()
+        assert again.read_text() == text and json.loads(text)["aggregation"] == table
+        assert_detail_file(text, reports)
 
     def test_each_sweep_report_is_its_stand_alone_text(self, tmp_path):
         # the grids differ only in the sign of a zero, which == on point tuples does not see
@@ -780,7 +797,7 @@ class TestDetailWriter:
             texts.append((tmp_path / f"{k}.json").read_text().rstrip("\n").replace("\n", "\n    "))
         assert (tmp_path / "sweep.json").read_text().startswith(
             '{\n  "reports": [\n    ' + ",\n    ".join(texts) + "\n  ],\n")
-        assert '"point": [0.0, 1.0]}' in texts[0] and '"point": [-0.0, 1.0]}' in texts[1]
+        assert "[0.0, 1.0]]," in texts[0] and "[-0.0, 1.0]]," in texts[1]
 
 
 class TestSweep:
@@ -1074,11 +1091,9 @@ class TestCli:
         proc = self.run_cli("sweep", "z2-probe", "--out", str(out), "--detail")
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         reports, table = sweep(bundled("z2-probe"))
-        want = {"reports": [r.to_dict(detail=True) for r in reports], "aggregation": table}
         text = out.read_text()
-        assert json.dumps(json.loads(text)) == json.dumps(want)
-        entries = [entry for report in want["reports"] for entry in report["checks"]]
-        assert_one_record_a_line(text, entries, " " * 10)
+        assert json.loads(text)["aggregation"] == table
+        assert_detail_file(text, reports)
 
     def test_sweep_writes_the_configured_output(self, tmp_path, capsys):
         # as check does: the config's output path and detail, unless --out and --detail win
