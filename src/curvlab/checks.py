@@ -658,11 +658,11 @@ def block_size(imm: Immersion) -> int:
     """Grid points per block: BLOCK_BUDGET over a point's share of point_geometry_at's peak.
 
     A point's share is at most eight float64 arrays the size of the widest
-    tensor jet's pair-table columns, B's: (n + m) n^2 entries of an order-2
-    jet's pair count.  The contraction of B that peaks holds three of them
-    (its two pair sums and their term); the jets and values the block holds
-    then make up the rest.  tracemalloc measures 6.3 to 7.7 such arrays per
-    point for n = 2, 3 and m = 1 to 3.
+    tensor jet's pair-table columns, those of the raised B, g^-1 B: (n + m)
+    n^2 entries of an order-2 jet's pair count.  The raising holds three of
+    them (its two pair sums and their term); the jets and values the block
+    holds then make up the rest.  tracemalloc measures 5.7 to 7.3 such arrays
+    per point for n = 2, 3 and m = 1 to 3.
     """
     point_bytes = 8 * 8 * (imm.n + imm.m) * imm.n**2 * len(_table(imm.n, 2).pair_i)
     return max(1, BLOCK_BUDGET // point_bytes)

@@ -18,10 +18,11 @@ Conventions
   equations it is symmetric in all three tangent slots (tested, not
   assumed).
 * Anything that is later differentiated is computed by smooth frame-free
-  formulas (projectors, determinants); Gram-Schmidt frames are used only
-  for point values, where smoothness is not needed.  `_det_cofactors` is
-  the one determinant-and-cofactor routine, for jets here and for the
-  quadrature's arrays in `checks`.
+  formulas: g^-1 from determinant and cofactors, and B from d_i d_j F less
+  its tangential part, raised through g^-1, with no ambient projector.
+  Gram-Schmidt frames are used only for point values, where smoothness is
+  not needed.  `_det_cofactors` is the one determinant-and-cofactor
+  routine, for jets here and for the quadrature's arrays in `checks`.
 * This module computes and never decides: every quantity is computed at
   every point, and whether a hypothesis of the paper (minimality, Gauss-map
   rank <= 2, positive alignment) holds is decided in `checks`.
@@ -61,6 +62,7 @@ from .jets import (
 )
 
 RANK_TOL = 1e-8  # Gauss-map rank, and a vanishing second fundamental form
+TIE_ULPS = 8  # |b12|^2 - |b11|^2 within this many ulps of their sum is a tie: no mu swap
 
 SCALAR_FIELDS = ("volume", "alignment", "log-alignment", "normB2", "normB")
 
@@ -285,24 +287,30 @@ def _metric(F: Jet, n: int):
 def _hessian(F: Jet, dF_jets: Jet, ginv_jets: Jet, n: int):
     """Values of d_i d_j F and of B_ij, B's first partials dB[:, k, i, j] and |B|^2 as a jet.
 
-    B is formed as order-2 jets, which are dropped on return: the block's
-    point geometry keeps their values only.
+    B is formed as order-2 jets once per pair q = (i <= j), without an ambient
+    projector: with F_q = d_i d_j F, c_kq = <d_k F, F_q> and d_lq = g^{lk} c_kq,
+    the normal part is B_q = F_q - d_l F d_lq.  Only what is read in full over
+    (i, j) is mirrored: the values, and the jet that |B|^2 = tr(g^-1 B g^-1 B)
+    raises once.  The jets are dropped on return: the block's point geometry
+    keeps their values only.
     """
-    # normal-projected Hessian: B_ij = P^N d_i d_j F, P^N = I - dF^T g^{-1} dF
-    PT_jets = jet_einsum("piA,piB->pAB", dF_jets, jet_einsum("pij,pjB->piB", ginv_jets, dF_jets))
-    F2_jets = _tensor([[F.derivative(i).derivative(j) for j in range(n)] for i in range(n)])
-    # The three contractions shaped as B share the buffer of their pair sums, the
-    # block's largest arrays: were each to allocate its own, glibc's heap would hand
-    # that memory back to the system on every free and fault it in again.
-    work = np.empty(3 * F2_jets.coeffs[..., 0].size * len(_table(n, 2).pair_i))
-    B_jets = F2_jets - jet_einsum("pAB,pijB->pijA", PT_jets, F2_jets, work)
-    second_partials = F2_jets.value.copy()
-    del PT_jets, F2_jets
-    # |B|^2 as an order-2 jet: <g^{ik} g^{jl} B_ij, B_kl>
-    raised = jet_einsum("pjl,pkjA->pklA", ginv_jets,
-                        jet_einsum("pik,pijA->pkjA", ginv_jets, B_jets, work), work)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    mirror = np.array([[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)])
+    F2_jets = _tensor([[F.derivative(i).derivative(j) for i, j in pairs]])[:, 0]  # (P, K, N)
+    # Every contraction sums its pair columns in one buffer, sized for the largest,
+    # the raising: were each to allocate its own, glibc's heap would hand that
+    # memory back to the system on every free and fault it in again.
+    work = np.empty(3 * dF_jets.coeffs[..., 0].size * n * len(_table(n, 2).pair_i))
+    c = jet_einsum("pkA,pqA->pkq", dF_jets, F2_jets, work)
+    d = jet_einsum("plk,pkq->plq", ginv_jets, c, work)
+    B_jets = F2_jets - jet_einsum("plA,plq->pqA", dF_jets, d, work)
+    second_partials = F2_jets.value[:, mirror]
+    del F2_jets, c, d
+    B_jets = B_jets[:, mirror]
+    # |B|^2 as an order-2 jet: <(g^-1 B)_kj, (g^-1 B)_jk>
+    raised = jet_einsum("pki,pijA->pkjA", ginv_jets, B_jets, work)
     return (second_partials, B_jets.value.copy(), np.moveaxis(_gradient(B_jets, n), -1, 1),
-            jet_einsum("pklA,pklA->p", raised, B_jets))
+            jet_einsum("pkjA,pjkA->p", raised, raised, work))
 
 
 def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry:
@@ -492,7 +500,10 @@ def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
 
     alpha = -theta / 2.0
     *_, b11, b12 = rotated(alpha)
-    alpha = np.where(_dot(b11, b11) < _dot(b12, b12), alpha + math.pi / 4.0, alpha)  # mu1 >= mu2
+    # mu1 >= mu2, swapping only beyond rounding: a conformal point's tie is exact
+    s11, s12 = _dot(b11, b11), _dot(b12, b12)
+    alpha = np.where(s12 - s11 > TIE_ULPS * np.finfo(float).eps * (s11 + s12),
+                     alpha + math.pi / 4.0, alpha)
     f1c, f2c, b11, b12 = rotated(alpha)
     mu1 = np.sqrt(np.maximum(_dot(b11, b11), 0.0))
     mu2 = np.sqrt(np.maximum(_dot(b12, b12), 0.0))

@@ -21,6 +21,8 @@ GEOMETRY_PY = "src/curvlab/geometry.py"
 SWEEP_SHARED = "tests/test_scenario.py::TestSweepSharedWork::"
 SWEEP_EQUALS = f"{SWEEP_SHARED}test_each_report_equals_a_stand_alone_run"
 WRITER = "tests/test_scenario.py::TestDetailWriter::"
+CHART = ("tests/test_geometry.py::TestChartInvariance::"
+         "test_normB2_and_its_laplacian_do_not_depend_on_the_chart")
 
 MUTANTS = [
     Mutant("kato skips no non-minimal point", CHECKS_PY,
@@ -113,4 +115,14 @@ MUTANTS = [
            "U[np.linalg.det(U) < 0, :, 2] *= -1.0", "pass",
            ("tests/test_geometry.py::TestAlignmentPack::"
             "test_cylinder_canonical_frame_keeps_orientation",)),
+    Mutant("tangential part of B not raised by g^-1", GEOMETRY_PY,
+           'd = jet_einsum("plk,pkq->plq", ginv_jets, c, work)', "d = c",
+           ("tests/test_geometry.py::TestPointGeometry::test_z2_closed_forms_on_grid",)),
+    Mutant("|B|^2 contracts g^-1 B untransposed", GEOMETRY_PY,
+           '"pkjA,pjkA->p"', '"pkjA,pkjA->p"',
+           (f"{CHART}[z3]", f"{CHART}[cylinder-cubic]", f"{CHART}[z2-z3]")),
+    Mutant("a conformal tie is decided by rounding", GEOMETRY_PY,
+           "TIE_ULPS = 8", "TIE_ULPS = 0",
+           ("tests/test_geometry.py::TestCanonicalFrame::"
+            "test_a_conformal_tie_is_not_decided_by_rounding",)),
 ]

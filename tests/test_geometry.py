@@ -1,5 +1,6 @@
+import functools
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from curvlab.geometry import (
     replaced_pairing,
     scalar_field_jet,
 )
-from curvlab.immersions import GridSpec, build_graph_immersion, catalogue_lookup
+from curvlab.expressions import BinOp, Const, Var
+from curvlab.immersions import GridSpec, Immersion, build_graph_immersion, catalogue_lookup
 from curvlab.jets import Jet, JetDomainError
 from curvlab.scenario import CheckSpec, run_checks
 
 import oracles
-from oracles import rel_err
+from oracles import rel_err, substitute
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +106,21 @@ class TestPointGeometry:
             assert codazzi <= 1e-8 * scale
             trace = np.abs(np.einsum("aiik->ak", pg.h3)).max()
             assert trace <= 1e-8
+
+    def test_B_is_the_normal_part_of_the_second_partials(self, z2, catenoid, cylinder):
+        # reference: the ambient projector P^N = I - dF^T g^-1 dF on point values; the
+        # last surface is neither minimal nor conformal, in codimension three
+        for imm, pt in [
+            (z2, (0.4, -0.6)),
+            (catenoid, (0.8, 0.2)),
+            (cylinder, (0.1, 0.7, -0.4)),
+            (build_graph_immersion(["x^2 - y^3", "x*y + y", "x^3*y"], 2), (0.3, -0.7)),
+        ]:
+            pg = point_geometry_at(imm, pt)
+            PN = np.eye(pg.n + pg.m) - pg.dF.T @ np.linalg.inv(pg.g0) @ pg.dF
+            want = np.einsum("AB,ijB->ijA", PN, pg.second_partials)
+            assert np.abs(pg.B_coord - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+            assert rel_err(pg.normB2_jet.value, pg.normB2) <= 1e-12
 
     def test_rank_failure_reported(self):
         # the z^3/3 graph has a degenerate Jacobian nowhere; fold a curve instead:
@@ -188,6 +205,65 @@ class TestCanonicalFrame:
                 coeffs = cf.kernel_basis @ pg.dF.T @ pg.g_inv
                 bk = np.einsum("ik,klA->ilA", coeffs, pg.B_coord)
                 assert np.abs(bk).max() <= 1e-9
+
+
+    def test_a_conformal_tie_is_not_decided_by_rounding(self):
+        # On y = 0 the graph (log x, xy) has |B(e1, e1)|^2 = |B(e1, e2)|^2 = x^2 / (1 + x^2)^3
+        # and <B(e1, e1), B(e1, e2)> = 0: a conformal point, where the frame needs no
+        # rotation and the mu1 >= mu2 swap meets a tie that rounding alone breaks.
+        pg = point_geometry_at(build_graph_immersion(["log(x)", "x*y"], 2), (0.6, 0.0))
+        T, frames, gaps = pg.frame_coeffs, [], []
+        for ulps in range(-3, 4):
+            B = pg.B_coord.copy()
+            B[0, 0, 0] += ulps * np.spacing(B[0, 0, 0])
+            b11, b12 = T[0, 0] ** 2 * B[0, 0], T[0, 0] * T[1, 1] * B[0, 1]
+            gaps.append(b11 @ b11 - b12 @ b12)
+            frames.append(canonical_frame_at(replace(pg, B_coord=B)))
+        assert min(gaps) < 0.0 < max(gaps)  # both signs of the rounded tie are fed
+        mu = 0.6 / 1.36**1.5
+        for cf in frames:
+            assert rel_err(cf.mu1, mu) <= 1e-14 and rel_err(cf.mu2, mu) <= 1e-14
+            assert np.array_equal(cf.tangent_frame, frames[0].tangent_frame)
+
+
+# item 2's A, and for n = 3 that block with the third coordinate mixed in
+SHEAR_A = {2: [[1.3, 0.4], [-0.2, 0.9]], 3: [[1.3, 0.4, 0.2], [-0.2, 0.9, 0.0], [0.1, -0.3, 1.1]]}
+SHEAR_B = {2: [0.1, -0.05], 3: [0.1, -0.05, 0.2]}
+CUBIC = {"coeffs": [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]}
+CHART_BOUND = 1e-10  # relative: the two charts round differently; the measured worst is 8e-14
+
+
+def in_chart(imm, A, b):
+    """`imm` composed with u -> A u + b, as a parametric immersion."""
+    x = [functools.reduce(lambda s, t: BinOp("+", s, t),
+                          [BinOp("*", Const(A[i][k]), Var(k)) for k in range(imm.n)], Const(b[i]))
+         for i in range(imm.n)]
+    return Immersion(imm.n, imm.m, tuple(substitute(c, dict(enumerate(x))) for c in imm.components),
+                     "parametric")
+
+
+class TestChartInvariance:
+    """|B|^2 and its Laplace-Beltrami are scalars, so u -> A u + b must not move them.
+
+    The sheared charts are not isothermal, so a contraction of B that holds
+    only for a conformal metric (tracing g^-1 B g^-1 B untransposed, say)
+    shows here, as it does not in a holomorphic graph's own chart.
+    """
+
+    @pytest.mark.parametrize("surface", [
+        lambda: catalogue_lookup("holo-curve", {"coeffs": [0, 0, 0, 1]}),
+        lambda: catalogue_lookup("cylinder-over", {"base": "holo-curve", "base_params": CUBIC}),
+        lambda: build_graph_immersion(["x^2-y^2", "2*x*y", "x^3-3*x*y^2", "3*x^2*y-y^3"], 2),
+    ], ids=["z3", "cylinder-cubic", "z2-z3"])
+    def test_normB2_and_its_laplacian_do_not_depend_on_the_chart(self, surface):
+        imm = surface()
+        A, b = np.array(SHEAR_A[imm.n]), np.array(SHEAR_B[imm.n])
+        u = np.random.default_rng(0).uniform(-0.5, 0.5, (16, imm.n))
+        own, sheared = point_geometry_at(imm, u @ A.T + b), point_geometry_at(in_chart(imm, A, b), u)
+        assert np.abs(sheared.g0[:, 0, 0] - sheared.g0[:, 1, 1]).min() > 0.1  # not isothermal
+        for got, want in [(sheared.normB2_jet.value, own.normB2_jet.value),
+                          (laplace_beltrami(sheared, "normB2"), laplace_beltrami(own, "normB2"))]:
+            assert np.all(np.abs(got - want) <= CHART_BOUND * (1.0 + np.abs(want)))
 
 
 class TestScalarFields:
