@@ -25,14 +25,15 @@ columns on first read; the JSON and CSV writers read the columns directly,
 and a JSON report with detail writes each column as one list over the
 report's points (`Columns.lists`).
 Growth tables and the estimate probes integrate over extrinsic balls with
-a masked tensor-product midpoint rule.
+one boundary-fitted Gauss rule (`_BallRule`), whose levels double until
+each integral's error estimate |Q_N - Q_(N/2)| reaches QUAD_REL_FLOOR.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,6 +63,7 @@ BLOCK_BUDGET = 6 * 2**20  # bytes: the most point_geometry_at may hold at once f
 MINIMALITY_TOL = 1e-8  # the minimality hypothesis, not the minimality check itself
 EQUALITY_THRESHOLD = 1e-4  # looser than identity tolerances by design
 IDENTITY_DEEP_TOL = 1e-4  # fourth-order two-route identities
+QUAD_REL_FLOOR = 1e-10  # the relative error estimate every growth and probe integral must reach
 
 class CheckConfigError(ValueError):
     """A check was configured outside its documented parameter domain."""
@@ -617,7 +619,7 @@ CHECKS = {
                              _eval_refined_simons, hypotheses=("minimal", "curved", "normB2")),
     "gauss-conformal": _Check(
         1e-6, "agreement of the conformal-point criteria (mu, B_ww, omega)",
-        _eval_gauss_conformal, aggregate=_aggregate_gauss_conformal),
+        _eval_gauss_conformal, hypotheses=("minimal",), aggregate=_aggregate_gauss_conformal),
     "jacobian": _Check(1e-10, "singular-value identities of the graph Jacobian (graphs, n=2)",
                        _eval_jacobian, ("graph", "surface")),
     "isothermal": _Check(1e-10, "sheared coordinates (a,b) are isothermal (graphs, n=2)",
@@ -735,6 +737,11 @@ def aggregate_check(name: str, tol: float, cols: Columns) -> CheckResult:
 # -- quadrature over graphs ---------------------------------------------------------
 
 _UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
+SEARCH_SAMPLES = 128  # samples per ray in one step of the boundary search
+SEARCH_STEPS = 40  # a boundary takes 7-9 steps at rho ~ R, and 40 reach rho / R ~ 1e-60
+SEARCH_ULPS = 4  # a ray's search ends when its bracket is this many ulps wide
+STAR_ULPS = 16  # the star-shape test's rounding slack, in ulps of R (R + |F(0)|)
+NODE_BUDGET = 2**24  # the most nodes or search samples one `fields` or `dist2` call takes
 
 
 def _dot(xs, ys):
@@ -746,7 +753,7 @@ def _dot(xs, ys):
 
 
 class _GraphFields:
-    """Vectorized v, |B|^2 and extrinsic distance for a graph immersion.
+    """Vectorized v, |B|^2, extrinsic distance and ball boundaries for a graph immersion.
 
     Uses symbolic derivatives of the graph components, so the quadrature
     path is independent of the jet pipeline (and cross-checked against it).
@@ -775,11 +782,10 @@ class _GraphFields:
         """Squared extrinsic distance |x|^2 + sum_a (f^a - f^a(0))^2 to F(0).
 
         One evaluation of each graph component over `axes`, which broadcast
-        together (sparse grid axes give the whole grid); not finite wherever
-        F is undefined.
+        together; not finite wherever F is undefined.
         """
         sq = [(evaluate_array(c, axes) - c0) ** 2 for c, c0 in zip(self.comps, self.f0)]
-        # the sum over a first, then |x|^2: a change of order moves cells on the boundary
+        # the sum over a first, then |x|^2: a change of order moves boundaries by an ulp
         return sum(ax**2 for ax in axes) + sum(sq[1:], sq[0])
 
     @cached_property
@@ -815,33 +821,171 @@ class _GraphFields:
                 out["normB2"] += _dot(sum(A, []), [a for row in zip(*A) for a in row])
         return out
 
-    def box(self, radius: float, cells: int, want_normB2=False):
-        """The midpoint cells of [-radius, radius]^n inside Omega_radius, and the cell volume.
+    @np.errstate(all="ignore")
+    def boundary(self, radii, dirs):
+        """rho[b, j]: where the ray along the unit vector dirs[j] leaves Omega_radii[b].
 
-        Membership comes from F alone: `dist2` on every cell of the box, which
-        holds Omega_radius.  `fields` then runs only on the cells with
-        dist2 <= radius^2, in raster order, and the returned arrays (their
-        `dist2` included) hold those cells only.  Growth and the probe share
-        this rule: CheckConfigError when F(0) is not finite, when F or the
-        distance is not finite on a cell of the box (it can be placed neither
-        inside nor outside), when v or |B|^2 is not finite on a cell inside,
-        when fewer than 8 cells land inside (each naming the radius and the
-        count), or when a derivative tree is too deep (`_shallow`).
+        One batched search for every ray of every ball: dist2 >= |x|^2, so the
+        ray's boundary lies in [0, R].  Each step samples every open bracket
+        at SEARCH_SAMPLES points, ends points included, and keeps the last
+        sample inside and the first outside; a ray is done once its bracket is
+        SEARCH_ULPS ulps wide, and rho is its inner end.  CheckConfigError when
+        F(0) or F at a sample is not finite, when dist2 decreases along a
+        sampled ray by more than rounding (Omega_R is not star-shaped there),
+        or when a bracket is still open after SEARCH_STEPS steps; each names
+        the first ball, in the order of `radii`, that it happens on.
         """
         if not np.all(np.isfinite(self.f0)):
             raise CheckConfigError("graph undefined at the origin: F(0) is not finite")
-        h = 2.0 * radius / cells
-        centers = -radius + h * (np.arange(cells) + 0.5)
-        dist2 = self.dist2(np.meshgrid(*([centers] * self.n), indexing="ij", sparse=True))
-        _require_defined([dist2], f"within radius {radius}")
-        inside = dist2 <= radius * radius
-        fields = self.fields([centers[i] for i in np.nonzero(inside)], want_normB2)
-        n_inside = _require_defined(list(fields.values()),
-                                    f"inside the extrinsic ball of radius {radius}")
-        if n_inside < 8:
-            raise CheckConfigError(f"quadrature too coarse: {n_inside} cells inside radius {radius}")
-        fields["dist2"] = dist2[inside]
-        return fields, h**self.n
+        n_dirs, eps = len(dirs), np.finfo(float).eps
+        R = np.repeat(np.asarray(radii, dtype=float), n_dirs)
+        u = np.tile(dirs, (len(radii), 1))
+        lo, hi = np.zeros(R.size), R.copy()
+        # rounding of dist2 near R^2: the graph part is a difference of values near F(0)
+        slack = STAR_ULPS * eps * R * (R + math.sqrt(float(np.sum(self.f0**2))))
+        frac = np.linspace(0.0, 1.0, SEARCH_SAMPLES)
+        rays = np.arange(R.size)
+        for _ in range(SEARCH_STEPS):
+            live = rays[hi - lo > SEARCH_ULPS * eps * hi]
+            if not live.size:
+                return lo.reshape(len(radii), n_dirs)
+            s = lo[live, None] + (hi - lo)[live, None] * frac
+            s[:, -1] = hi[live]
+            d = self.dist2([u[live, a, None] * s for a in range(self.n)])
+            ball = live // n_dirs
+            undefined = np.sum(~np.isfinite(d), axis=1)
+            if undefined.any():
+                mine = ball == ball[np.argmax(undefined > 0)]
+                raise CheckConfigError(
+                    f"graph undefined on {int(np.sum(undefined[mine]))} of {mine.sum() * s.shape[1]} "
+                    f"boundary-search samples within radius {radii[ball[mine][0]]}")
+            falls = np.any(np.diff(d, axis=1) < -slack[live, None], axis=1)
+            if falls.any():
+                raise CheckConfigError(f"Omega_R is not star-shaped along a sampled ray "
+                                       f"within radius {radii[ball[np.argmax(falls)]]}")
+            outside = d > (R[live] ** 2)[:, None]
+            # s[0] = lo is inside, so the first sample outside, if any, is s[1] or later
+            first = np.where(outside.any(axis=1), np.argmax(outside, axis=1), SEARCH_SAMPLES)
+            at = np.arange(live.size)
+            lo[live], hi[live] = s[at, first - 1], s[at, np.minimum(first, SEARCH_SAMPLES - 1)]
+        raise CheckConfigError(f"quadrature did not converge: the boundary of Omega_R is not "
+                               f"located within {SEARCH_STEPS} search steps")
+
+
+@lru_cache(maxsize=None)
+def _gauss(nodes: int):
+    """Gauss-Legendre nodes and weights of [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+@lru_cache(maxsize=None)
+def _directions(n: int, N: int):
+    """The rays of level N as unit vectors (D, n) and their weights on the unit sphere.
+
+    n = 2: N equally spaced angles, weight 2 pi / N each, so the rays of
+    level N are the even rays of level 2N.  n = 3: those angles times N
+    Gauss nodes in cos(phi), D = N^2.
+    """
+    theta = 2.0 * math.pi * np.arange(N) / N
+    if n == 2:
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(N, 2.0 * math.pi / N)
+    c, w = np.polynomial.legendre.leggauss(N)
+    sin = np.sqrt(1.0 - c * c)
+    dirs = np.stack([np.outer(sin, np.cos(theta)).ravel(), np.outer(sin, np.sin(theta)).ravel(),
+                     np.repeat(c, N)], axis=1)
+    return dirs, np.repeat(w * (2.0 * math.pi / N), N)
+
+
+class _BallRule:
+    """A boundary-fitted Gauss rule over the extrinsic balls Omega_R of one check.
+
+    Level N integrates over each ball on the rays of `_directions(n, N)`,
+    with N Gauss-Legendre nodes r = rho t_k on each, rho the ray's boundary
+    radius: N^n nodes per ball, weight rho^n w_k t_k^(n-1) times the ray's.
+    `sizes` are the levels, powers of two: N0 / 2, then N0 = min(16, cells)
+    doubled while it stays within `cells` (each rounded down to a power of
+    two), so a ball takes at most cells^n <= 2^24 nodes per level.  N / 2
+    is even: were it odd, the new rays of level N would be the antipodes of
+    level N / 2's, and on a centrally symmetric ball (an affine graph's)
+    Q_N = Q_(N/2) whatever the error.  A level finds the boundaries of every
+    ball's new rays in one `_GraphFields.boundary` search (level 2N of n = 2
+    reuses level N's rays) and evaluates its nodes in one
+    `_GraphFields.fields` call, each split by balls to stay within
+    NODE_BUDGET.  Levels are computed on first use and kept, a failure too,
+    so a sweep shares them between integrands.
+    """
+
+    def __init__(self, gf: _GraphFields, radii, cells: int, want_normB2=False):
+        self.gf, self.want_normB2 = gf, want_normB2
+        self.radii = list(dict.fromkeys(radii))  # each distinct ball once, in order
+        top = 1 << (cells.bit_length() - 1)  # the largest power of two within cells
+        self.sizes = [min(8, top // 2)]
+        while self.sizes[-1] < top:
+            self.sizes.append(2 * self.sizes[-1])
+        self._rho, self._levels = {}, {}
+
+    def level(self, N: int) -> list:
+        """Per ball, its nodes' weights "w", "v" and maybe "normB2"; CheckConfigError if it fails."""
+        if N not in self._levels:
+            try:
+                self._levels[N] = self._level(N)
+            except CheckConfigError as exc:
+                self._levels[N] = str(exc)
+        if isinstance(self._levels[N], str):
+            raise CheckConfigError(self._levels[N])
+        return self._levels[N]
+
+    def _level(self, N: int) -> list:
+        gf, n, balls = self.gf, self.gf.n, len(self.radii)
+        dirs, dir_w = _directions(n, N)
+        rho = np.empty((balls, len(dirs)))
+        previous = self._rho.get(N // 2) if n == 2 and N % 2 == 0 else None
+        new = slice(None) if previous is None else slice(1, None, 2)
+        if previous is not None:
+            rho[:, ::2] = previous
+        step = max(1, NODE_BUDGET // (len(dirs[new]) * SEARCH_SAMPLES))  # balls per search
+        for b in range(0, balls, step):
+            rho[b:b + step, new] = gf.boundary(self.radii[b:b + step], dirs[new])
+        self._rho[N] = rho
+        t, w = _gauss(N)
+        nodes = rho[:, :, None] * t  # (ball, ray, radial node)
+        weights = (rho**n)[:, :, None] * dir_w[:, None] * (w * t ** (n - 1))
+        step = max(1, NODE_BUDGET // nodes[0].size)  # balls per `fields` call
+        out = []
+        for b in range(0, balls, step):
+            axes = [(nodes[b:b + step] * dirs[:, a, None]).ravel() for a in range(n)]
+            fields = gf.fields(axes, self.want_normB2)
+            for k, R in enumerate(self.radii[b:b + step]):
+                ball = {key: value.reshape(-1, nodes[0].size)[k] for key, value in fields.items()}
+                _require_defined(list(ball.values()),
+                                 f"quadrature nodes inside the extrinsic ball of radius {R}")
+                out.append({"w": weights[b + k].ravel(), **ball})
+        return out
+
+    def integrate(self, integrals: Callable, radii: list):
+        """(Q_N, |Q_N - Q_(N/2)|, N, level N) of `integrals(level) -> [Q]` at the first level
+        whose every estimate is at most QUAD_REL_FLOOR |Q_N|.
+
+        `radii[i]` is the ball of integral i: a not-converged reason names the
+        first integral whose estimate misses the floor.
+        """
+        previous = None
+        for N in self.sizes:
+            level = self.level(N)
+            values = integrals(level)
+            if previous is not None:
+                errors = [abs(q - p) for q, p in zip(values, previous)]
+                missed = [i for i, (e, q) in enumerate(zip(errors, values))
+                          if not e <= QUAD_REL_FLOOR * abs(q)]
+                if not missed:
+                    return values, errors, N, level
+            previous = values
+        i = missed[0]
+        raise CheckConfigError(
+            f"quadrature did not converge: relative error estimate "
+            f"{errors[i] / abs(values[i]) if values[i] else math.inf:.2g} > "
+            f"{QUAD_REL_FLOOR:g} at {N} nodes per axis within radius {radii[i]}")
 
 
 def _shallow(tree):
@@ -851,13 +995,11 @@ def _shallow(tree):
     return tree
 
 
-def _require_defined(arrays, where: str) -> int:
-    """The cells of `arrays`; CheckConfigError when an array is not finite on one of them."""
+def _require_defined(arrays, what: str) -> None:
+    """CheckConfigError when one of `arrays` is not finite at one of its entries."""
     undefined = int(np.sum(~np.logical_and.reduce([np.isfinite(a) for a in arrays])))
     if undefined:
-        raise CheckConfigError(f"graph undefined on {undefined} of {arrays[0].size} "
-                               f"quadrature cells {where}")
-    return arrays[0].size
+        raise CheckConfigError(f"graph undefined on {undefined} of {arrays[0].size} {what}")
 
 
 @dataclass
@@ -873,18 +1015,21 @@ class GrowthTable:
     slope_exponent: float | None
     v_over_R23: list  # max_v(R) / R^(2/3)
     flags: dict
-    cells: int
+    cells: int  # the cap on nodes_per_axis
+    nodes_per_axis: int  # N of the level every volume converged at
+    volume_errors: list  # |Q_N - Q_(N/2)| of each volume
+    half_volume_errors: list
 
 
 def quadrature_cells_fault(cells: int, n: int) -> str | None:
-    """Why `cells` per axis breaks cells^n <= 2^24 (128 MB per float array), or None."""
+    """Why the node cap `cells` breaks 4 <= cells, cells^n <= 2^24 (128 MB per float array), or None."""
+    if cells < 4:
+        return f"cells must be at least 4, got {cells}"
     return None if cells**n <= 2**24 else f"cells^{n} must be at most 2^24, got {cells}^{n}"
 
 
 def growth_option_fault(key: str, value, n: int) -> str | None:
     """Why a growth option breaks its rule on an n-dimensional domain, or None when it holds."""
-    if key == "cells" and value < 1:
-        return f"cells must be at least 1, got {value}"
     if key == "cells":
         return quadrature_cells_fault(value, n)
     if value and value[0] > 0 and all(r2 > r1 for r1, r2 in zip(value, value[1:])):
@@ -894,24 +1039,30 @@ def growth_option_fault(key: str, value, n: int) -> str | None:
 
 def growth_table(imm: Immersion, radii,
                  cells: int = CHECKS["growth"].options["cells"]) -> GrowthTable:
-    """Quadrature of the volume element over extrinsic balls Omega_R.
+    """Volumes of the extrinsic balls Omega_R and Omega_(R/2), from one `_BallRule`.
 
-    Omega_R = {x : |x|^2 + |f(x) - f(0)|^2 <= R^2} is covered by the box
-    [-R, R]^n; a masked midpoint rule integrates v over the cells inside it,
-    placed by f alone.  Fails where `_GraphFields.box`, the probe's rule too,
-    fails: fewer than 8 cells inside Omega_R, or f undefined or too deep.
+    Omega_R = {x : |x|^2 + |f(x) - f(0)|^2 <= R^2} is integrated in polar
+    (n = 3: spherical) coordinates up to its boundary on each ray, found
+    from f alone.  The levels double up to `cells` nodes per axis until
+    every volume's estimate |Q_N - Q_(N/2)| is at most QUAD_REL_FLOOR of
+    it; max_v is the largest v at that level's nodes of Omega_R.  Fails
+    where the rule, the probe's too, fails: f undefined or too deep, Omega_R
+    not star-shaped along a sampled ray, or no convergence within `cells`.
     """
     radii = [float(r) for r in radii]
     fault = growth_option_fault("radii", radii, imm.n) or growth_option_fault("cells", cells, imm.n)
     if fault:
         raise CheckConfigError(f"growth {fault}")
-    gf = _GraphFields(imm)
-    volumes, max_v, half_volumes = [], [], []
-    for R in radii:
-        (ball, weight), (half, half_weight) = gf.box(R, cells), gf.box(R / 2.0, cells)
-        volumes.append(float(np.sum(ball["v"]) * weight))
-        max_v.append(float(np.max(ball["v"])))
-        half_volumes.append(float(np.sum(half["v"]) * half_weight))
+    pairs = [r for R in radii for r in (R, R / 2.0)]  # each radius, then its half
+    rule = _BallRule(_GraphFields(imm), pairs, cells)
+    balls = [rule.radii.index(r) for r in pairs]
+
+    def volumes(level):
+        return [float(np.sum(level[b]["w"] * level[b]["v"])) for b in balls]
+
+    values, errors, N, level = rule.integrate(volumes, pairs)
+    volumes, half_volumes = values[0::2], values[1::2]
+    max_v = [float(np.max(level[b]["v"])) for b in balls[0::2]]
 
     ratios = [v / h for v, h in zip(volumes, half_volumes)]
     v_over = [mv / R ** (2.0 / 3.0) for mv, R in zip(max_v, radii)]
@@ -921,9 +1072,9 @@ def growth_table(imm: Immersion, radii,
             return None
         return float(np.polyfit(np.log(radii), np.log(values), 1)[0])
 
-    omega_n = _UNIT_BALL_VOLUME[gf.n]
+    omega_n = _UNIT_BALL_VOLUME[imm.n]
     bound_ok = all(
-        vol <= mv * omega_n * R**gf.n * (1.0 + 1e-9) + 1e-12
+        vol <= mv * omega_n * R**imm.n * (1.0 + 1e-9) + 1e-12
         for vol, mv, R in zip(volumes, max_v, radii)
     )
     slope_exponent = fit_exponent(max_v)
@@ -947,6 +1098,9 @@ def growth_table(imm: Immersion, radii,
         v_over_R23=v_over,
         flags=flags,
         cells=cells,
+        nodes_per_axis=N,
+        volume_errors=errors[0::2],
+        half_volume_errors=errors[1::2],
     )
 
 
@@ -961,7 +1115,7 @@ def _table_result(name, tol, verdict, worst=None, n_points=0, table=None, fields
 
 
 def growth_check_result(imm, radii, cells, tol) -> tuple[CheckResult, GrowthTable | None]:
-    """Wrap the growth table as a check: volume monotonicity and the box bound.
+    """Wrap the growth table as a check: volume monotonicity and V(R) <= max v omega_n R^n.
 
     Not applicable, with no table and its reason, when `growth_table` raises.
     """
@@ -971,7 +1125,8 @@ def growth_check_result(imm, radii, cells, tol) -> tuple[CheckResult, GrowthTabl
         return _table_result("growth", tol, "not-applicable", reason=str(exc)), None
     ok = table.flags["volume_monotone"] and table.flags["volume_bound_ok"]
     fields = ("radii", "volumes", "max_v", "volume_ratios", "volume_exponent",
-              "slope_exponent", "v_over_R23", "flags")
+              "slope_exponent", "v_over_R23", "flags", "nodes_per_axis", "volume_errors",
+              "half_volume_errors")
     return _table_result("growth", tol, "pass" if ok else "fail", 0.0 if ok else 1.0,
                          len(table.radii), table, fields), table
 
@@ -1004,8 +1159,6 @@ class ProbeParams:
             raise CheckConfigError(f"probe requires s >= 1, got s={self.s}")
         if not (0.0 < self.R0 < self.R):
             raise CheckConfigError(f"probe requires 0 < R0 < R, got R0={self.R0}, R={self.R}")
-        if self.cells < 8:
-            raise CheckConfigError("probe quadrature needs at least 8 cells per axis")
 
 
 @dataclass
@@ -1021,6 +1174,8 @@ class ProbeRecord:
     volume_R: float | None = None
     volume_half_R: float | None = None
     implied_c4: float | None = None  # lhs R^2 (max v)^-3 (V(R)/V(R/2))^(-1/t)
+    nodes_per_axis: int | None = None  # N of the level every integral converged at
+    errors: dict | None = None  # |Q_N - Q_(N/2)| of each integral, lp_lhs^t and lp_rhs^t as lhs_t, rhs_t
 
 
 def _now(compute, slot, *inputs):
@@ -1036,11 +1191,10 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
     are non-constructive, so only the measured quotients are meaningful.
     The hypotheses are sampled at three points near the origin, and the
     pointwise term (|B|^2 v^3)(0) reads the first of them.  The integrals
-    take v and |B|^2 on the cells of Omega_R only; the Omega_R0 and
-    Omega_(R/2) cells are among them, picked by their distance.  Not
-    applicable where `_GraphFields.box`, growth's rule too, fails.
-    `_once(compute, slot, *inputs)` gives the hypothesis block and the box
-    outcome, which a sweep shares between values of t, q and s.
+    over Omega_R, Omega_R0 and Omega_(R/2), each distinct ball once, come
+    from one `_BallRule`, growth's rule too, and are not applicable where
+    it fails.  `_once(compute, slot, *inputs)` gives the hypothesis block
+    and the rule, whose levels a sweep shares between values of t, q and s.
     """
     params.validate()
     fault = quadrature_cells_fault(params.cells, imm.n)
@@ -1058,34 +1212,39 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
         names = ("minimal", "rank") + (("aligned",) if reference_frame is not None else ())
         return block, next(filter(None, block.skips(names).skip), None)
 
-    def box():  # the fields and cell volume, or why the ball cannot be integrated
+    radii = [params.R0, params.R, params.R, params.R / 2.0]  # the ball of each integral
+
+    def balls():  # the rule, or why it cannot be built
         try:
-            return _GraphFields(imm).box(params.R, params.cells, want_normB2=True)
+            return _BallRule(_GraphFields(imm), radii, params.cells, want_normB2=True)
         except CheckConfigError as exc:
             return str(exc)
 
     block, reason = _once(hypotheses, "probe origin", reference_frame)
     if reason is not None:
         return ProbeRecord(params=params, applicable=False, reason=reason)
-    ball = _once(box, "probe box", params.R, params.cells)
-    if isinstance(ball, str):
-        return ProbeRecord(params=params, applicable=False, reason=ball)
-    fields, weight = ball
-    v, nb2, dist2 = fields["v"], fields["normB2"], fields["dist2"]  # cells inside Omega_R
-    inside_R0 = dist2 <= params.R0**2
-    inside_half = dist2 <= (params.R / 2.0) ** 2
+    rule = _once(balls, "probe balls", params.R, params.R0, params.cells)
+    if isinstance(rule, str):
+        return ProbeRecord(params=params, applicable=False, reason=rule)
+    in_R0, in_R, _, in_half = (rule.radii.index(r) for r in radii)
 
-    # the volume element is v dx: L^t norms carry one extra factor of v
-    lhs_t = float(np.sum((nb2[inside_R0] ** t) * (v[inside_R0] ** (2 * q + 1))) * weight)
-    rhs_t = float(np.sum(v ** (2 * q + 1)) * weight)
+    def integrals(level):
+        # the volume element is v dx: L^t norms carry one extra factor of v
+        b0, b, half = level[in_R0], level[in_R], level[in_half]
+        return [float(np.sum(b0["w"] * b0["normB2"] ** t * b0["v"] ** (2 * q + 1))),
+                float(np.sum(b["w"] * b["v"] ** (2 * q + 1))),
+                float(np.sum(b["w"] * b["v"])), float(np.sum(half["w"] * half["v"]))]
+
+    try:
+        (lhs_t, rhs_t, volume_R, volume_half), errors, N, level = rule.integrate(integrals, radii)
+    except CheckConfigError as exc:
+        return ProbeRecord(params=params, applicable=False, reason=str(exc))
     lp_lhs = lhs_t ** (1.0 / t)
     lp_rhs = rhs_t ** (1.0 / t)
     implied_c3 = lp_lhs * (params.R - params.R0) ** 2 / lp_rhs if lp_rhs > 0 else None
 
     pointwise_lhs = float(block.pg.normB2[0]) * float(block.volume_jet.value[0]) ** 3
-    max_v = float(np.max(v))
-    volume_R = float(np.sum(v) * weight)
-    volume_half = float(np.sum(v[inside_half]) * weight)
+    max_v = float(np.max(level[in_R]["v"]))
     implied_c4 = None
     if volume_half > 0 and max_v > 0:
         implied_c4 = (
@@ -1099,7 +1258,8 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
         params=params, applicable=True,
         lp_lhs=lp_lhs, lp_rhs=lp_rhs, implied_c3=implied_c3,
         pointwise_lhs=pointwise_lhs, max_v=max_v, volume_R=volume_R,
-        volume_half_R=volume_half, implied_c4=implied_c4,
+        volume_half_R=volume_half, implied_c4=implied_c4, nodes_per_axis=N,
+        errors=dict(zip(("lhs_t", "rhs_t", "volume_R", "volume_half_R"), errors)),
     )
 
 
@@ -1113,7 +1273,7 @@ def probe_check_result(imm, reference_frame, params, sub, tol, *, _once=_now):
     record = estimate_probe(imm, reference_frame, params, _once=_once)
     evaluated = 0 if sub is None else sub.n_points - sub.n_skipped
     fields = ("applicable", "implied_c3", "implied_c4", "lp_lhs", "lp_rhs", "pointwise_lhs",
-              "max_v", "volume_R", "volume_half_R")
+              "max_v", "volume_R", "volume_half_R", "nodes_per_axis", "errors")
     if record.applicable and evaluated:
         verdict, worst, reason = sub.verdict, sub.worst_residual, None
     else:

@@ -41,6 +41,7 @@ from .immersions import (
     GridSpec,
     Immersion,
     ImmersionError,
+    _parametric,
     build_graph_immersion,
     catalogue_lookup,
 )
@@ -143,18 +144,20 @@ def _build_surface(d: dict) -> Immersion:
             if exc.param is None:
                 raise ConfigError("surface", str(exc)) from exc
             raise ConfigError(f"surface.params.{exc.param}", exc.message) from exc
-    if kind == "graph":
+    if kind in ("graph", "parametric"):  # the m graph components, or all n + m components
         exprs = d.get("exprs")
-        _require(isinstance(exprs, list) and exprs, "surface.exprs", "graph surfaces need expressions")
+        _require(isinstance(exprs, list) and exprs, "surface.exprs", f"{kind} surfaces need expressions")
         for i, e in enumerate(exprs):
             _require(isinstance(e, str), f"surface.exprs[{i}]", f"must be a string, got {e!r}")
         n = d.get("n", 2)
         _require(isinstance(n, int) and n in (2, 3), "surface.n", "domain dimension must be 2 or 3")
         try:
-            return build_graph_immersion(exprs, n, name=d.get("name", "graph"))
+            if kind == "graph":
+                return build_graph_immersion(exprs, n, name=d.get("name", "graph"))
+            return _parametric(exprs, n, d.get("name", "parametric"))
         except (ParseError, ImmersionError) as exc:
             raise ConfigError("surface.exprs", str(exc)) from exc
-    raise ConfigError("surface.kind", f"unknown kind {kind!r} (catalogue | graph)")
+    raise ConfigError("surface.kind", f"unknown kind {kind!r} (catalogue | graph | parametric)")
 
 
 def _build_grid(d: dict, n: int) -> GridSpec:
@@ -530,7 +533,7 @@ def sweep(raw_config: dict, jobs: int | None = None):
     implied constants and growth fits that each run produced.  `jobs` is
     deprecated and ignored, as in run_scenario.  The `output` section,
     whose format must be json, and every value are loaded before any
-    runs.  Each grid pass, growth table and probe box is computed
+    runs.  Each grid pass, growth table and probe rule is computed
     once per distinct set of the config sections it reads, and each report
     equals a stand-alone run; a later report's console-only
     `elapsed_seconds` covers only its own new work.

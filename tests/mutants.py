@@ -21,6 +21,8 @@ GEOMETRY_PY = "src/curvlab/geometry.py"
 SWEEP_SHARED = "tests/test_scenario.py::TestSweepSharedWork::"
 SWEEP_EQUALS = f"{SWEEP_SHARED}test_each_report_equals_a_stand_alone_run"
 WRITER = "tests/test_scenario.py::TestDetailWriter::"
+GROWTH = "tests/test_checks.py::TestGrowth::"
+BALL_RULE = "tests/test_checks.py::TestBallRule::"
 CHART = ("tests/test_geometry.py::TestChartInvariance::"
          "test_normB2_and_its_laplacian_do_not_depend_on_the_chart")
 
@@ -37,16 +39,29 @@ MUTANTS = [
            ("tests/test_checks.py::TestSkipOrder::test_mean_curvature_before_alignment",)),
     Mutant("quadrature depth bound doubled", CHECKS_PY,
            "if _depth(tree) > MAX_DEPTH:", "if _depth(tree) > 2 * MAX_DEPTH:",
-           ("tests/test_checks.py::TestGrowth::"
-            "test_derivative_trees_deeper_than_the_bound_are_refused",)),
+           (f"{GROWTH}test_derivative_trees_deeper_than_the_bound_are_refused",)),
     Mutant("growth volume drops v", CHECKS_PY,
-           'volumes.append(float(np.sum(ball["v"]) * weight))',
-           'volumes.append(float(ball["v"].size * weight))',
-           ("tests/test_checks.py::TestGrowth::test_curved_graph_volumes_match_closed_form",)),
-    Mutant("probe box memo key drops R", CHECKS_PY,
-           '_once(box, "probe box", params.R, params.cells)',
-           '_once(box, "probe box", params.cells)',
+           'return [float(np.sum(level[b]["w"] * level[b]["v"])) for b in balls]',
+           'return [float(np.sum(level[b]["w"])) for b in balls]',
+           (f"{GROWTH}test_curved_graph_volumes_match_closed_form",)),
+    Mutant("the polar Jacobian t dropped", CHECKS_PY,
+           "* dir_w[:, None] * (w * t ** (n - 1))", "* dir_w[:, None] * w",
+           (f"{GROWTH}test_curved_graph_volumes_match_closed_form",)),
+    Mutant("rho from the last outside sample", CHECKS_PY,
+           "return lo.reshape(len(radii), n_dirs)", "return hi.reshape(len(radii), n_dirs)",
+           (f"{BALL_RULE}test_boundary_is_found_to_a_few_ulps",)),
+    Mutant("the error estimate taken as Q_N - Q_N", CHECKS_PY,
+           "errors = [abs(q - p) for q, p in zip(values, previous)]",
+           "errors = [abs(q - q) for q, p in zip(values, previous)]",
+           (f"{GROWTH}test_steep_graph_does_not_converge",)),
+    Mutant("probe balls memo key drops R", CHECKS_PY,
+           '_once(balls, "probe balls", params.R, params.R0, params.cells)',
+           '_once(balls, "probe balls", params.R0, params.cells)',
            (f"{SWEEP_EQUALS}[probe.R]",)),
+    Mutant("probe balls memo key drops R0", CHECKS_PY,
+           '_once(balls, "probe balls", params.R, params.R0, params.cells)',
+           '_once(balls, "probe balls", params.R, params.cells)',
+           (f"{SWEEP_EQUALS}[probe.R0]",)),
     Mutant("probe origin memo key drops the frame", CHECKS_PY,
            '_once(hypotheses, "probe origin", reference_frame)',
            '_once(hypotheses, "probe origin")',
@@ -92,7 +107,7 @@ MUTANTS = [
            "- a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]",
            "+ a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]",
            ("tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]",
-            "tests/test_checks.py::TestGrowth::test_affine_3d_ball_volume",
+            f"{GROWTH}test_affine_3d_ball_volume",
             "tests/test_checks.py::TestCrossValidation::"
             "test_closed_form_algebra_matches_jet_pipeline[components1-3]")),
     Mutant("expression evaluation forgets shared subtrees", "src/curvlab/expressions.py",
@@ -105,7 +120,7 @@ MUTANTS = [
     Mutant("growth accepts equal radii", CHECKS_PY,
            "all(r2 > r1 for r1, r2 in zip(value, value[1:]))",
            "all(r2 >= r1 for r1, r2 in zip(value, value[1:]))",
-           ("tests/test_checks.py::TestGrowth::test_options_outside_their_rule[equal]",)),
+           (f"{GROWTH}test_options_outside_their_rule[equal]",)),
     Mutant("a worst residual equal to the tolerance fails", CHECKS_PY,
            "ok = not n_nonfinite and worst <= tol and extra_ok",
            "ok = not n_nonfinite and worst < tol and extra_ok",
@@ -125,4 +140,9 @@ MUTANTS = [
            "TIE_ULPS = 8", "TIE_ULPS = 0",
            ("tests/test_geometry.py::TestCanonicalFrame::"
             "test_a_conformal_tie_is_not_decided_by_rounding",)),
+    Mutant("gauss-conformal drops its minimal hypothesis", CHECKS_PY,
+           '_eval_gauss_conformal, hypotheses=("minimal",), aggregate=',
+           "_eval_gauss_conformal, aggregate=",
+           ("tests/test_checks.py::TestSkipOrder::test_gauss_conformal_skips_non_minimal_points",
+            "tests/test_golden.py::test_detail_records_match_golden[partial-failures]")),
 ]

@@ -16,7 +16,6 @@ from curvlab.immersions import (
     _parametric,
     build_graph_immersion,
     catalogue_lookup,
-    evaluate_array,
 )
 from curvlab.scenario import CheckSpec, run_checks
 
@@ -378,12 +377,27 @@ class TestSubharmonicity:
 
 
 class TestGrowth:
-    def test_affine_disc_area(self, affine):
-        table = C.growth_table(affine, [1.0, 2.0, 4.0], cells=256)
-        for R, V in zip(table.radii, table.volumes):
-            assert abs(V - math.pi * R * R) <= 0.01 * math.pi * R * R
-        assert table.flags["volume_monotone"]
-        assert table.flags["volume_bound_ok"]
+    # the closed form integrates v = 1 + k^2 |z|^(2k-2) over the disc s + s^k <= R^2, s = |z|^2:
+    # a table that drops v, the polar Jacobian or a ray's true boundary is off by far more
+    @pytest.mark.parametrize("k, exprs", [
+        (2, ["x^2 - y^2", "2*x*y"]),
+        (3, ["x^3 - 3*x*y^2", "3*x^2*y - y^3"]),
+    ], ids=["z2", "z3"])
+    def test_curved_graph_volumes_match_closed_form(self, k, exprs):
+        radii = [1.0, 10.0, 100.0, 1000.0]
+        table = C.growth_table(build_graph_immersion(exprs, 2), radii, cells=256)
+        for R, V, half in zip(radii, table.volumes, table.half_volumes):
+            assert rel_err(V, holomorphic_ball_volume(k, 1.0, R)) <= 1e-10, (R, V)
+            assert rel_err(half, holomorphic_ball_volume(k, 1.0, R / 2.0)) <= 1e-10, (R, half)
+        # a round ball in a polynomial v: exact from the first level on
+        assert table.nodes_per_axis == 16
+        assert all(e <= 1e-10 * V for e, V in zip(table.volume_errors, table.volumes))
+
+    def test_z3_converges_at_radius_1000(self):
+        imm = build_graph_immersion(["x^3 - 3*x*y^2", "3*x^2*y - y^3"], 2)
+        result, table = C.growth_check_result(imm, [1000.0], 256, None)
+        assert result.verdict == "pass" and table.nodes_per_axis == 16
+        assert rel_err(table.volumes[0], holomorphic_ball_volume(3, 1.0, 1000.0)) <= 1e-10
 
     def test_z2_slope_ratio_increasing(self, z2):
         table = C.growth_table(z2, [10.0, 100.0, 1000.0], cells=256)
@@ -396,36 +410,47 @@ class TestGrowth:
         for vol, mv, R in zip(table.volumes, table.max_v, table.radii):
             assert vol <= mv * math.pi * R * R * (1 + 1e-9)
 
+    # tilted planes in codimension 1-3: Omega_R is an ellipse in the chart, v is constant,
+    # so theta(R) = V(R) / (pi R^2) is 1 at every cap the rule converges within
+    @pytest.mark.parametrize("slopes", [
+        [[0.3, -0.2]], [[0.5, -0.25], [0.1, 0.75]], [[0.3, 0.1], [-0.2, 0.25], [0.1, -0.3]],
+    ], ids=["m1", "m2", "m3"])
+    def test_affine_theta_is_one(self, slopes):
+        imm = catalogue_lookup("affine", {"slopes": slopes})
+        for cells in (64, 128, 256, 4096):
+            table = C.growth_table(imm, [0.5, 1.0, 4.0], cells)
+            for R, V, half in zip(table.radii, table.volumes, table.half_volumes):
+                assert abs(V / (math.pi * R * R) - 1.0) <= 1e-12
+                assert abs(half / (math.pi * R * R / 4.0) - 1.0) <= 1e-12
+            assert table.flags["volume_monotone"] and table.flags["volume_bound_ok"]
+
+    # a conformal plane, in codimension 2 and 3, is a round ball of constant v: exact at every level
+    @pytest.mark.parametrize("slopes", [
+        [[0.6, -0.8], [0.8, 0.6]], [[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]], [[0.0, 0.0]],
+    ], ids=["m2", "m3", "flat"])
+    def test_round_affine_ball_is_exact_at_every_level(self, slopes):
+        imm = catalogue_lookup("affine", {"slopes": slopes})
+        rule = C._BallRule(C._GraphFields(imm), [0.5, 1.0, 4.0], 256)
+        for N in rule.sizes:
+            for R, ball in zip(rule.radii, rule.level(N)):
+                assert abs(np.sum(ball["w"] * ball["v"]) / (math.pi * R * R) - 1.0) <= 1e-13, (N, R)
+
     def test_affine_3d_ball_volume(self):
         # the graph is a 3-plane, so Omega_R is a round 3-ball of radius R in it
         imm = catalogue_lookup("affine", {"slopes": [[0.5, -0.25, 0.3], [0.1, 0.75, -0.4]]})
         table = C.growth_table(imm, [1.0, 2.0, 4.0], cells=64)
         for R, V in zip(table.radii, table.volumes):
-            assert abs(V - 4.0 * math.pi * R**3 / 3.0) <= 0.01 * 4.0 * math.pi * R**3 / 3.0
+            assert abs(V / (4.0 * math.pi * R**3 / 3.0) - 1.0) <= 1e-12
         assert table.flags["volume_monotone"]
         assert table.flags["volume_bound_ok"]
 
-    @pytest.mark.parametrize("k, exprs", [
-        (2, ["x^2 - y^2", "2*x*y"]),
-        (3, ["x^3 - 3*x*y^2", "3*x^2*y - y^3"]),
-    ], ids=["z2", "z3"])
-    def test_curved_graph_volumes_match_closed_form(self, k, exprs):
-        # the closed form integrates v = 1 + k^2 |z|^(2k-2): a table that drops v is off
-        # by far more than 5%; the error grows with R as Omega_R covers fewer cells
-        table = C.growth_table(build_graph_immersion(exprs, 2), [1.0, 10.0, 100.0], cells=256)
-        for R, V in zip(table.radii, table.volumes):
-            exact = holomorphic_ball_volume(k, 1.0, R)
-            assert abs(V - exact) <= 0.05 * exact, (R, V, exact)
-
-    def test_z3_too_coarse_at_radius_1000(self):
-        imm = build_graph_immersion(["x^3 - 3*x*y^2", "3*x^2*y - y^3"], 2)
-        result, table = C.growth_check_result(imm, [1000.0], 256, None)
+    def test_steep_graph_does_not_converge(self):
+        # Omega_1 of (400 x, 0) is an ellipse 400 times longer than wide: at 16 rays
+        # the trapezoid rule in the angle is nowhere near it
+        result, table = C.growth_check_result(build_graph_immersion(["400*x", "0"], 2), [1.0], 16, None)
         assert table is None and result.verdict == "not-applicable"
-        assert result.reason.startswith("quadrature too coarse")
-
-    def test_too_coarse_quadrature(self, affine):
-        with pytest.raises(C.CheckConfigError, match="quadrature too coarse"):
-            C.growth_table(affine, [1.0], cells=2)
+        assert result.reason.startswith("quadrature did not converge: relative error estimate ")
+        assert result.reason.endswith(" > 1e-10 at 16 nodes per axis within radius 1.0")
 
     def test_requires_graph(self, catenoid):
         with pytest.raises(C.CheckConfigError, match="graph"):
@@ -438,9 +463,11 @@ class TestGrowth:
         ([-1, 2], 64, "growth radii must be non-empty, positive and strictly increasing, got [-1.0, 2.0]"),
         ([0, 2], 64, "growth radii must be non-empty, positive and strictly increasing, got [0.0, 2.0]"),
         ([1, 1], 64, "growth radii must be non-empty, positive and strictly increasing, got [1.0, 1.0]"),
-        ([1, 2], 0, "growth cells must be at least 1, got 0"),
+        ([1, 2], 0, "growth cells must be at least 4, got 0"),
+        ([1, 2], 3, "growth cells must be at least 4, got 3"),
         ([1, 2], 4097, "growth cells^2 must be at most 2^24, got 4097^2"),
-    ], ids=["empty", "decreasing", "negative", "zero", "equal", "no-cells", "too-many-cells"])
+    ], ids=["empty", "decreasing", "negative", "zero", "equal", "no-cells", "three-cells",
+            "too-many-cells"])
     def test_options_outside_their_rule(self, affine, radii, cells, message):
         with pytest.raises(C.CheckConfigError) as err:
             C.growth_table(affine, radii, cells)
@@ -453,7 +480,7 @@ class TestGrowth:
                             differentiate(tree, axis))
         C.growth_table(z2, [1.0, 2.0], cells=16)
         assert len(calls) == z2.n * z2.m
-        C._GraphFields(z2).box(1.0, 16, want_normB2=True)
+        assert C.estimate_probe(z2, None, C.ProbeParams(cells=32)).applicable
         assert len(calls) == 2 * z2.n * z2.m + z2.m * z2.n * (z2.n + 1) // 2
 
     def test_derivative_trees_deeper_than_the_bound_are_refused(self):
@@ -481,6 +508,27 @@ class TestProbe:
         assert rec.implied_c3 is not None and rec.implied_c3 > 0
         assert rec.implied_c4 is not None and rec.implied_c4 > 0
 
+    @pytest.mark.parametrize("t, q", [(3.0, 4.0), (4.0, 7.0), (5.0, 7.0)])
+    def test_z2_integrals_match_closed_forms(self, z2, t, q):
+        # on w = z^2, v = 1 + 4 s and |B|^2 = 16 / v^3 with s = |z|^2, and Omega_R is the
+        # disc s + s^2 <= R^2: int v^a dA = pi (v^(a+1) - 1) / (4 (a + 1)) at its edge
+        params = C.ProbeParams(t=t, q=q, R=1.0, R0=0.3, cells=256)
+        rec = C.estimate_probe(z2, None, params)
+
+        def edge(R):
+            return 1.0 + 4.0 * (math.sqrt(1.0 + 4.0 * R * R) - 1.0) / 2.0  # v at the disc's edge
+
+        def power_integral(a, R):
+            return math.pi * (edge(R) ** (a + 1) - 1.0) / (4.0 * (a + 1))
+
+        assert rel_err(rec.lp_rhs ** t, power_integral(2 * q + 1, 1.0)) <= 1e-10
+        assert rel_err(rec.lp_lhs ** t, 16.0**t * power_integral(2 * q + 1 - 3 * t, 0.3)) <= 1e-10
+        assert rel_err(rec.volume_R, power_integral(1, 1.0)) <= 1e-10
+        assert rel_err(rec.volume_half_R, power_integral(1, 0.5)) <= 1e-10
+        assert rec.nodes_per_axis <= 64 and set(rec.errors) == {"lhs_t", "rhs_t", "volume_R",
+                                                                  "volume_half_R"}
+        assert rec.errors["rhs_t"] <= 1e-10 * rec.lp_rhs ** t
+
     def test_parameter_domain(self):
         with pytest.raises(C.CheckConfigError, match="t >= 3"):
             C.ProbeParams(t=2.0).validate()
@@ -492,6 +540,8 @@ class TestProbe:
     def test_cells_bounded_before_quadrature(self, affine):
         with pytest.raises(C.CheckConfigError, match=r"^probe cells\^2 must be at most 2\^24"):
             C.estimate_probe(affine, None, C.ProbeParams(cells=100000))
+        with pytest.raises(C.CheckConfigError, match=r"^probe cells must be at least 4, got 2$"):
+            C.estimate_probe(affine, None, C.ProbeParams(cells=2))
         # the largest legal counts: 4096^2 = 256^3 = 2^24
         assert C.quadrature_cells_fault(4096, 2) is None and C.quadrature_cells_fault(256, 3) is None
         assert C.quadrature_cells_fault(257, 3) == "cells^3 must be at most 2^24, got 257^3"
@@ -508,103 +558,124 @@ class TestProbe:
         assert not rec.applicable
         assert "evaluation error" in rec.reason
 
-    # affine graphs are minimal: the probe reaches the box, whose 9 x 9 cells put 1 to 7
-    # inside Omega_1; growth on the same ball gives the same reason
-    @pytest.mark.parametrize("exprs, inside", [
-        (["20*x", "20*y"], 1), (["20*x", "3*y"], 3), (["20*x", "y"], 7),
-    ])
-    def test_ball_with_fewer_than_8_cells_not_applicable(self, exprs, inside):
-        imm = build_graph_immersion(exprs, 2)
-        rec = C.estimate_probe(imm, None, C.ProbeParams(cells=9))
-        growth, table = C.growth_check_result(imm, [1.0], 9, None)
-        assert not rec.applicable and table is None
-        assert rec.reason == growth.reason == f"quadrature too coarse: {inside} cells inside radius 1.0"
-
     @pytest.mark.filterwarnings("error")
-    def test_undefined_cell_not_applicable(self):
-        # w = 1/(z - c) is minimal, with its pole at the centre c of one of the 16 x 16 cells
+    def test_pole_inside_the_ball_is_not_star_shaped(self):
+        # w = 1/(z - c) is minimal; dist2 grows without bound towards its pole c and falls
+        # behind it, so the ray through c leaves Omega_R and comes back
         c = "0.0625"
         r2 = f"((x-{c})^2+(y-{c})^2)"
         imm = build_graph_immersion([f"(x-{c})/{r2}", f"-(y-{c})/{r2}"], 2)
         rec = C.estimate_probe(imm, COORD_PLANE, C.ProbeParams(cells=16))
-        assert not rec.applicable
-        assert rec.reason == "graph undefined on 1 of 256 quadrature cells within radius 1.0"
+        growth, table = C.growth_check_result(imm, [1.0], 16, None)
+        assert not rec.applicable and table is None
+        # the probe's first ball is Omega_R0, growth's Omega_R
+        assert rec.reason == "Omega_R is not star-shaped along a sampled ray within radius 0.5"
+        assert growth.reason == "Omega_R is not star-shaped along a sampled ray within radius 1.0"
 
 
 CUBIC = [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]  # generic: no symmetric values
-QUADRATURE_SURFACES = {
-    "z2": (("holo-curve", {"coeffs": [0, 0, 1]}), [2.0, 4.0, 8.0], 128),
-    "cubic": (("holo-curve", {"coeffs": CUBIC}), [0.5, 1.0, 2.0], 128),
-    "cylinder-cubic": (("cylinder-over", {"base": "holo-curve", "base_params": {"coeffs": CUBIC}}),
-                       [0.5, 1.0, 2.0], 24),
-}
 
 
-def full_box(gf, radius, cells, want_normB2=False):
-    """`fields` and the squared distance on every midpoint cell of [-radius, radius]^n, unmasked."""
-    h = 2.0 * radius / cells
-    centers = -radius + h * (np.arange(cells) + 0.5)
-    axes = [m.ravel() for m in np.meshgrid(*([centers] * gf.n), indexing="ij")]
-    f = np.stack([evaluate_array(c, axes) for c in gf.comps], axis=1)
-    dist2 = sum(ax**2 for ax in axes) + np.sum((f - gf.f0) ** 2, axis=1)
-    return gf.fields(axes, want_normB2), dist2, h**gf.n
+def reference_volume(imm, R):
+    """V(R) of an n = 2 graph by an independent rule: scipy's adaptive quadrature in the
+    angle, the ray's boundary by brentq on dist2, and 64 Gauss-Legendre nodes in r."""
+    brentq, quad = pytest.importorskip("scipy.optimize").brentq, pytest.importorskip("scipy.integrate").quad
+    gf = C._GraphFields(imm)
+    x, w = np.polynomial.legendre.leggauss(64)
+
+    def ray(theta):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        rho = brentq(lambda r: float(gf.dist2([np.array([r * u[0]]), np.array([r * u[1]])])[0]) - R * R,
+                     0.0, R, xtol=1e-16, rtol=1e-15)
+        r = rho * (x + 1.0) / 2.0
+        return float(np.sum(w * gf.fields([r * u[0], r * u[1]])["v"] * r)) * rho / 2.0
+
+    return quad(ray, 0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
-class TestQuadratureBox:
-    """The box integrates over the cells inside Omega_R only; a full-box masked rule is the reference."""
+class TestBallRule:
+    """The boundary-fitted rule: boundaries, references and the reasons it cannot integrate."""
 
-    @pytest.mark.parametrize("name", sorted(QUADRATURE_SURFACES))
-    def test_growth_table_equals_full_box(self, name):
-        surface, radii, cells = QUADRATURE_SURFACES[name]
-        imm = catalogue_lookup(*surface)
-        table = C.growth_table(imm, radii, cells)
-        gf = C._GraphFields(imm)
-        for R, volume, max_v, half in zip(radii, table.volumes, table.max_v, table.half_volumes):
-            for radius, want in ((R, volume), (R / 2.0, half)):
-                fields, dist2, weight = full_box(gf, radius, cells)
-                v = fields["v"][dist2 <= radius * radius]
-                assert float(np.sum(v) * weight) == want
-                if radius == R:
-                    assert float(np.max(v)) == max_v
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_cubic_volume_matches_an_adaptive_reference(self, R):
+        imm = catalogue_lookup("holo-curve", {"coeffs": CUBIC})
+        table = C.growth_table(imm, [R], 256)
+        assert rel_err(table.volumes[0], reference_volume(imm, R)) <= 1e-10
+        assert table.volume_errors[0] <= 1e-10 * table.volumes[0]
 
-    @pytest.mark.parametrize("name", sorted(QUADRATURE_SURFACES))
-    def test_probe_record_equals_full_box(self, name):
-        surface, _, cells = QUADRATURE_SURFACES[name]
-        imm = catalogue_lookup(*surface)
-        params = C.ProbeParams(t=3.0, q=4.0, R=1.0, R0=0.4, cells=cells)  # R0 != R/2: two sub-balls
-        rec = C.estimate_probe(imm, None, params)
-        assert rec.applicable
-        fields, dist2, weight = full_box(C._GraphFields(imm), params.R, cells, want_normB2=True)
-        v, nb2 = fields["v"], fields["normB2"]
-        in_R, in_R0, in_half = (dist2 <= r**2 for r in (params.R, params.R0, params.R / 2.0))
-        t, q = params.t, params.q
-        lp_lhs = float(np.sum((nb2[in_R0] ** t) * (v[in_R0] ** (2 * q + 1))) * weight) ** (1.0 / t)
-        lp_rhs = float(np.sum(v[in_R] ** (2 * q + 1)) * weight) ** (1.0 / t)
-        assert (rec.lp_lhs, rec.lp_rhs) == (lp_lhs, lp_rhs)
-        assert rec.implied_c3 == lp_lhs * (params.R - params.R0) ** 2 / lp_rhs
-        assert rec.max_v == float(np.max(v[in_R]))
-        assert rec.volume_R == float(np.sum(v[in_R]) * weight)
-        assert rec.volume_half_R == float(np.sum(v[in_half]) * weight)
+    def test_cylinder_volume_matches_a_one_dimensional_reference(self):
+        # over w = z^2, Omega_R is sigma + sigma^2 + z^2 <= R^2 with sigma = x^2 + y^2, and
+        # v = 1 + 4 sigma: V(R) = int pi (sigma + 2 sigma^2) dz over |z| <= R
+        quad = pytest.importorskip("scipy.integrate").quad
+        imm = catalogue_lookup("cylinder-over", {"base": "holo-curve",
+                                                 "base_params": {"coeffs": [0, 0, 1]}})
+        table = C.growth_table(imm, [1.0, 2.0], 64)
+        for R, V in zip(table.radii, table.volumes):
+            def slab(z, R=R):
+                sigma = (math.sqrt(1.0 + 4.0 * (R * R - z * z)) - 1.0) / 2.0
+                return math.pi * (sigma + 2.0 * sigma * sigma)
+            assert rel_err(V, quad(slab, -R, R, epsabs=0.0, epsrel=1e-13)[0]) <= 1e-10
+
+    def test_boundary_is_found_to_a_few_ulps(self, z2):
+        # on w = z^2 every ray leaves Omega_R where rho^2 + rho^4 = R^2
+        dirs, _ = C._directions(2, 16)
+        radii = [0.5, 1.0, 1000.0]
+        gf = C._GraphFields(z2)
+        rho = gf.boundary(radii, dirs)
+        for R, row in zip(radii, rho):
+            exact = math.sqrt((math.sqrt(1.0 + 4.0 * R * R) - 1.0) / 2.0)
+            assert np.all(np.abs(row - exact) <= 16 * np.spacing(exact)), R
+            # rho is the inner end of its bracket: the ray's last node is inside
+            assert np.all(gf.dist2([row * dirs[:, 0], row * dirs[:, 1]]) <= R * R), R
+
+    def test_levels_are_kept_and_rays_reused(self, z2, monkeypatch):
+        searched = []
+        boundary = C._GraphFields.boundary
+        monkeypatch.setattr(C._GraphFields, "boundary", lambda self, radii, dirs:
+                            searched.append((list(radii), len(dirs))) or boundary(self, radii, dirs))
+        rule = C._BallRule(C._GraphFields(z2), [1.0, 0.5, 1.0], 64)
+        assert rule.radii == [1.0, 0.5] and rule.sizes == [8, 16, 32, 64]
+        for N in rule.sizes + rule.sizes:
+            rule.level(N)
+        # one batched search per level, of the new (odd) rays only after the first
+        assert searched == [([1.0, 0.5], 8), ([1.0, 0.5], 8), ([1.0, 0.5], 16), ([1.0, 0.5], 32)]
 
     @pytest.mark.filterwarnings("error")
-    def test_undefined_derivative_outside_the_ball_is_not_integrated(self):
-        # a cone point at the centre (0.9375, 0.9375) of a corner cell of the 16 x 16 box:
-        # F is finite on every cell, v is not at that one, which lies outside Omega_1
-        imm = build_graph_immersion(["sqrt((x-0.9375)^2+(y-0.9375)^2)", "0"], 2)
-        assert not np.all(np.isfinite(full_box(C._GraphFields(imm), 1.0, 16)[0]["v"]))
-        result, table = C.growth_check_result(imm, [1.0], 16, None)
-        assert result.verdict == "pass" and table is not None
-
-    @pytest.mark.filterwarnings("error")
-    def test_undefined_derivative_inside_the_ball_not_applicable(self):
-        imm = build_graph_immersion(["sqrt((x-0.0625)^2+(y-0.0625)^2)", "0"], 2)
-        _, dist2, _ = full_box(C._GraphFields(imm), 1.0, 16)
-        inside = int(np.sum(dist2 <= 1.0))
-        result, table = C.growth_check_result(imm, [1.0], 16, None)
+    def test_undefined_derivative_at_nodes_not_applicable(self):
+        # F = (x, y, |y|, 0) is finite everywhere; its derivative y / sqrt(y^2) is not on
+        # y = 0, which holds the 8 nodes of the ray at angle 0
+        result, table = C.growth_check_result(build_graph_immersion(["sqrt(y^2)", "0"], 2),
+                                              [1.0], 16, None)
         assert result.verdict == "not-applicable" and table is None
         assert result.reason == (
-            f"graph undefined on 1 of {inside} quadrature cells inside the extrinsic ball of radius 1.0"
-        )
+            "graph undefined on 8 of 64 quadrature nodes inside the extrinsic ball of radius 1.0")
+
+    # a cone point of F outside Omega_1, and one inside that no node lands on: v is the
+    # constant sqrt(2) away from it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("centre", ["0.9375", "0.0625"], ids=["outside", "inside"])
+    def test_derivative_undefined_at_one_point_is_integrated(self, centre):
+        imm = build_graph_immersion([f"sqrt((x-{centre})^2+(y-{centre})^2)", "0"], 2)
+        result, table = C.growth_check_result(imm, [1.0], 256, None)
+        assert result.verdict == "pass" and table is not None
+        assert table.max_v[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_star_shaped_ball_not_applicable(self):
+        # along the x axis dist2 = x^2 + 100 sin(5x)^2 rises and falls: Omega_2 is no
+        # union of segments from the origin
+        result, table = C.growth_check_result(build_graph_immersion(["10*sin(5*x)", "0"], 2),
+                                              [2.0], 256, None)
+        assert table is None
+        assert result.reason == "Omega_R is not star-shaped along a sampled ray within radius 2.0"
+
+    @pytest.mark.filterwarnings("error")
+    def test_undefined_boundary_samples_not_applicable(self):
+        # log(x + 0.5) is undefined for x <= -0.5, which the rays towards -x reach
+        result, _ = C.growth_check_result(build_graph_immersion(["log(x+0.5)", "0"], 2),
+                                          [1.0], 16, None)
+        assert result.reason.startswith("graph undefined on ")
+        assert result.reason.endswith(" of 1024 boundary-search samples within radius 1.0")
 
 
 def all_evaluated(residuals, **detail):
@@ -769,6 +840,17 @@ class TestSkipOrder:
         # kato alone asks for rank <= 2, which the minimal origin fails
         rank = [reason for reason in reasons if reason.startswith("Gauss-map rank 3 > 2")]
         assert len(rank) == (name == "kato")
+
+    def test_gauss_conformal_skips_non_minimal_points(self):
+        # its criteria agree only on a minimal surface: on (log x, xy), where x > 0, the
+        # chart is isothermal at (1, 0) and mu, B_ww say conformal while omega = 0.1875
+        imm = build_graph_immersion(["log(x)", "x*y"], 2)
+        grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (6, 5))
+        res = run("gauss-conformal", imm, grid)
+        assert (res.verdict, res.n_skipped) == ("not-applicable", 30)
+        reasons = skip_reasons(res)
+        assert reasons.pop("mean curvature does not vanish") == 15
+        assert all(r.startswith("evaluation error: log") for r in reasons)  # the 15 with x <= 0
 
     def test_mean_curvature_before_alignment(self):
         imm = build_graph_immersion(["x^2", "y^2"], 2)

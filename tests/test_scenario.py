@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -106,16 +107,19 @@ def small_z2_config(**overrides):
     return cfg
 
 
-# a probe ball with no cell inside, and derivative trees too deep to differentiate or
-# evaluate: each is not-applicable with a reason, never a traceback
+# a probe ball too thin for the rule to converge on within its cap of 256 nodes per axis
+# (Omega_1 is an ellipse 400 times longer than wide), and derivative trees too deep to
+# differentiate or evaluate: each is not-applicable with a reason, never a traceback
 CHAIN_360, CHAIN_500 = ("*".join(["x"] * k) for k in (360, 500))
 QUADRATURE_REPROS = {
     "steep-probe": ({"kind": "graph", "exprs": ["400*x", "0"]}, {}, [{"name": "probe"}],
-                    "quadrature too coarse: 0 cells inside radius 1.0"),
+                    "quadrature did not converge: relative error estimate 0.95 > 1e-10 "
+                    "at 256 nodes per axis within radius 1.0"),
     "deep-probe": ({"kind": "graph", "exprs": [CHAIN_360, "y"]}, {"probe": {"cells": 16}},
                    [{"name": "probe"}], "graph expression too deep for quadrature"),
+    # (x^k, y) makes Omega_R an ellipse of axes 1 : 1/sqrt(2), which takes 32 rays
     "deep-growth": ({"kind": "graph", "exprs": [CHAIN_500, "y"]}, {},
-                    [{"name": "growth", "radii": [0.5], "cells": 16}],
+                    [{"name": "growth", "radii": [0.5], "cells": 64}],
                     "graph expression too deep for quadrature"),
 }
 
@@ -138,6 +142,10 @@ PROBE_HYPOTHESIS_REPROS = {
     "evaluation": ({"kind": "graph", "exprs": ["log(x)", "0"]}, None,
                    "evaluation error: log of non-positive jet value 0.0"),
 }
+
+
+ENNEPER_Z4 = ["u1 - u1^3/3 + u1*u2^2", "-u2 - u1^2*u2 + u2^3/3", "u1^2 - u2^2",
+              "(u1^4 - 6*u1^2*u2^2 + u2^4)/4", "u1*u2^3 - u1^3*u2"]
 
 
 def quadrature_repro(name):
@@ -268,6 +276,31 @@ class TestConfigValidation:
         assert config.surface.kind == "graph"
         report = run_scenario(config)
         assert report.overall == "pass"  # z^3 is holomorphic, hence minimal
+
+    def test_parametric_surface_in_codimension_3(self):
+        # Enneper + z^4/4 in R^5: the real parts of the integrals of the Weierstrass data
+        # (1 - z^2, i(1 + z^2), 2z, z^3, i z^3), whose squares sum to zero
+        cfg = small_z2_config(surface={"kind": "parametric", "exprs": ENNEPER_Z4},
+                              checks=[{"name": "minimality"}, {"name": "growth"}])
+        config = load_config(cfg)
+        assert (config.surface.kind, config.surface.n, config.surface.m) == ("parametric", 2, 3)
+        minimality, growth = run_scenario(config).results
+        assert (minimality.verdict, minimality.n_skipped) == ("pass", 0)
+        assert minimality.worst_residual <= 1e-14
+        assert (growth.verdict, growth.reason) == (
+            "not-applicable", "quadrature fields require a graph immersion")
+
+    @pytest.mark.parametrize("surface, message", [
+        ({"kind": "parametric", "exprs": ["u1", "u2"]}, "codimension must be >= 1, got 0"),
+        ({"kind": "parametric", "exprs": ["u1", "u2", "u3"], "n": 2},
+         "variable 'u3' out of range for dimension 2"),
+        ({"kind": "parametric", "exprs": ["u1", "u2", 3]}, "must be a string, got 3"),
+        ({"kind": "parametric", "exprs": ["u1", "u2", "u1*u2"], "n": 4},
+         "domain dimension must be 2 or 3"),
+    ], ids=["no-normal", "variable", "number", "n"])
+    def test_parametric_surface_is_checked(self, surface, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(small_z2_config(surface=surface))
 
     @pytest.mark.parametrize("check, key", [
         ({"name": "kato", "zeta_tol": 1e-3}, "zeta_tol"),
@@ -442,16 +475,19 @@ class TestRunScenario:
         assert report.overall == "fail"
         assert report.results[0].worst_residual >= 2.0
 
-    # log(x) is undefined at F(0), so no distance is; log(x + 0.5) at the cells with x < -0.5
+    # the default affine plane's Omega_R is an ellipse that takes 64 rays; log(x) is
+    # undefined at F(0), so no distance is; log(x + 0.5) at the samples with x <= -0.5
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("surface, options, reason", [
         ({"kind": "catalogue", "name": "catenoid"}, {},
          "quadrature fields require a graph immersion"),
-        ({"kind": "catalogue", "name": "affine"}, {"cells": 2}, "quadrature too coarse"),
+        ({"kind": "catalogue", "name": "affine"}, {"cells": 16},
+         "quadrature did not converge: relative error estimate 1.8e-05 > 1e-10 "
+         "at 16 nodes per axis within radius 1.0"),
         ({"kind": "graph", "exprs": ["log(x)", "0"]}, {},
          "graph undefined at the origin: F(0) is not finite"),
         ({"kind": "graph", "exprs": ["log(x+0.5)", "0"]}, {"radii": [1.0], "cells": 16},
-         "graph undefined on 64 of 256 quadrature cells within radius 1.0"),
+         "graph undefined on 140 of 1024 boundary-search samples within radius 1.0"),
     ])
     def test_growth_not_applicable_reports_its_reason(self, surface, options, reason):
         cfg = {
@@ -530,28 +566,28 @@ class TestRunScenario:
         assert result.reason == reason
 
     def test_short_chain_reports_are_unchanged(self):
-        # 30 factors differentiate and evaluate well within the recursion limit; the
-        # pinned values are those of separate growth and probe quadrature rules
+        # 30 factors differentiate and evaluate well within the recursion limit.  Omega_R
+        # of (x^30, y) is near an ellipse of area pi R^2 / sqrt(2), with v near sqrt(2), but
+        # v and |B|^2 ~ x^56 rise steeply towards x = 1: the rule takes 512 nodes per axis
         cfg = {
             "surface": {"kind": "graph", "exprs": ["*".join(["x"] * 30), "y"]},
             "grid": {"ranges": [[-0.5, 0.5], [-0.5, 0.5]], "counts": [3, 3]},
-            "probe": {"cells": 16},
-            "checks": [{"name": "growth", "radii": [0.5, 1.0], "cells": 16}, {"name": "probe"}],
+            "probe": {"cells": 512},
+            "checks": [{"name": "growth", "radii": [0.5, 1.0], "cells": 512}, {"name": "probe"}],
         }
         growth, probe = run_scenario(load_config(cfg)).results
         assert (growth.verdict, probe.verdict) == ("pass", "pass")
-        assert growth.extras["volumes"] == pytest.approx(
-            [0.7954951288348662, 3.8408763890743503], rel=1e-12)
+        assert growth.extras["volumes"] == pytest.approx([math.pi / 4.0, 3.332151608190899],
+                                                         rel=1e-12)
         assert growth.extras["max_v"] == pytest.approx(
-            [1.4142135623730951, 6.679769604845243], rel=1e-12)
-        want = {"implied_c3": 1.1185742823648292e-17, "implied_c4": 0.0,
-                "lp_lhs": 6.667781860498462e-15, "lp_rhs": 149.02411859500737,
-                "pointwise_lhs": 0.0, "max_v": 6.679769604845243,
-                "volume_R": 3.8408763890743503, "volume_half_R": 0.7954951288348658}
+            [1.4142135623730971, 12.633986029957146], rel=1e-12)
+        assert growth.extras["nodes_per_axis"] == probe.extras["nodes_per_axis"] == 512
+        want = {"implied_c3": 2.417961078016461e-15, "implied_c4": 0.0,
+                "lp_lhs": 2.1919742354063566e-12, "lp_rhs": 226.63456572308752,
+                "pointwise_lhs": 0.0, "max_v": 12.633986029957146,
+                "volume_R": 3.332151608190899, "volume_half_R": math.pi / 4.0}
         assert {key: probe.extras[key] for key in want} == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="the box bound V(R) <= max v omega_n R^n fails on the "
-                       "flat plane at coarse cells: V(0.5) = 0.8125 > pi/4 at 16 cells")
     def test_flat_plane_growth_passes_at_coarse_cells(self):
         cfg = {
             "surface": {"kind": "catalogue", "name": "affine",
@@ -873,6 +909,8 @@ def shared_sweeps():
     probe_cells["sweep"] = {"parameter": "probe.cells", "values": [32, 64]}
     probe_r = copy.deepcopy(probe)
     probe_r["sweep"] = {"parameter": "probe.R", "values": [1.0, 0.8]}
+    probe_r0 = copy.deepcopy(probe)  # Omega_R and Omega_(R/2) stay, Omega_R0 changes
+    probe_r0["sweep"] = {"parameter": "probe.R0", "values": [0.5, 0.3]}
     frame = copy.deepcopy(probe)  # swapped rows: the alignment function changes sign
     frame["checks"].append({"name": "log-alignment"})
     frame["sweep"] = {"parameter": "reference_frame",
@@ -895,42 +933,43 @@ def shared_sweeps():
         "sweep": {"parameter": "checks", "values": [
             [{"name": "growth", "cells": 256, "radii": [float(r)]}] for r in (1, 2, 4, 8)]},
     }
-    return {"probe.t": probe, "probe.q": probe_q, "probe.R": probe_r, "probe.cells": probe_cells,
+    return {"probe.t": probe, "probe.q": probe_q, "probe.R": probe_r, "probe.R0": probe_r0,
+            "probe.cells": probe_cells,
             "reference_frame": frame, "grid.mask": mask, "coeffs": coeffs, "checks": radii,
             "grid checks": grid_checks}
 
 
 @pytest.fixture
 def quadrature_calls(monkeypatch):
-    """The cells of each `_GraphFields.fields` call and the radius of each `box` call."""
-    calls = {"fields": [], "box": []}
-    fields, box = checks._GraphFields.fields, checks._GraphFields.box
+    """The nodes of each `_GraphFields.fields` call and the radii of each boundary search."""
+    calls = {"fields": [], "boundary": []}
+    fields, boundary = checks._GraphFields.fields, checks._GraphFields.boundary
 
     def counted_fields(self, axes, *args, **kwargs):
         calls["fields"].append(int(axes[0].size))
         return fields(self, axes, *args, **kwargs)
 
-    def counted_box(self, radius, *args, **kwargs):
-        calls["box"].append(radius)
-        return box(self, radius, *args, **kwargs)
+    def counted_boundary(self, radii, *args, **kwargs):
+        calls["boundary"].append(list(radii))
+        return boundary(self, radii, *args, **kwargs)
 
     monkeypatch.setattr(checks._GraphFields, "fields", counted_fields)
-    monkeypatch.setattr(checks._GraphFields, "box", counted_box)
+    monkeypatch.setattr(checks._GraphFields, "boundary", counted_boundary)
     return calls
 
 
 def quadrature_work(calls, run) -> tuple:
-    """The cells `fields` evaluates and the radii `box` takes while `run()` runs."""
+    """The nodes `fields` evaluates and the radii of each search while `run()` runs."""
     calls["fields"].clear()
-    calls["box"].clear()
+    calls["boundary"].clear()
     run()
-    return sum(calls["fields"]), list(calls["box"])
+    return sum(calls["fields"]), list(calls["boundary"])
 
 
 def stand_alone_work(calls, reports) -> tuple:
     """The quadrature work of running each report's config on its own, summed."""
     alone = [quadrature_work(calls, lambda: run_scenario(load_config(r.scenario))) for r in reports]
-    return sum(cells for cells, _ in alone), [radius for _, radii in alone for radius in radii]
+    return sum(nodes for nodes, _ in alone), [radii for _, searched in alone for radii in searched]
 
 
 class TestSweepSharedWork:
@@ -951,12 +990,14 @@ class TestSweepSharedWork:
         cfg = bundled("z2-probe")
         first = copy.deepcopy(cfg)
         first.pop("sweep")
-        cells, radii = quadrature_work(quadrature_calls, lambda: sweep(cfg))
-        assert cells > 0 and radii == [1.0]  # one box for three values of t
-        assert (cells, radii) == quadrature_work(
+        nodes, searched = quadrature_work(quadrature_calls, lambda: sweep(cfg))
+        # one search of Omega_R0 = Omega_(R/2) and Omega_R per level for three values of t,
+        # each of which converges at 32 nodes per axis
+        assert nodes > 0 and searched == [[0.5, 1.0]] * 3
+        assert (nodes, searched) == quadrature_work(
             quadrature_calls, lambda: run_scenario(load_config(first)))
         # no piece outlives the call: a second sweep does the same work again
-        assert (cells, radii) == quadrature_work(quadrature_calls, lambda: sweep(cfg))
+        assert (nodes, searched) == quadrature_work(quadrature_calls, lambda: sweep(cfg))
 
     def test_nothing_shared_costs_the_stand_alone_runs(self, quadrature_calls):
         cfg = shared_sweeps()["coeffs"]
@@ -980,9 +1021,15 @@ class TestSweepSharedWork:
         for report in reports:
             alone = run_scenario(load_config(report.scenario))
             assert report.to_dict() == alone.to_dict()
-            assert [(r.verdict, r.reason) for r in report.results] == [("not-applicable", reason)] * 2
-        # the probe's box and growth's first box fail once for the sweep, as in one run
-        assert quadrature_work(quadrature_calls, lambda: sweep(cfg)) == (0, [1.0, 1.0])
+            assert [(r.verdict, r.reason) for r in report.results] == [
+                ("not-applicable", reason), ("not-applicable", reason.replace(
+                    "0.95 > 1e-10 at 256", "1 > 1e-10 at 16"))]
+        # the probe's levels and the growth table fail once for the sweep, as in one run
+        first = copy.deepcopy(cfg)
+        first.pop("sweep")
+        first["probe"]["t"] = 3
+        assert quadrature_work(quadrature_calls, lambda: sweep(cfg)) == quadrature_work(
+            quadrature_calls, lambda: run_scenario(load_config(first)))
 
     def test_bad_last_value_fails_before_any_run(self, monkeypatch, tmp_path, capsys):
         runs = []

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script,args", [
     ("equality_landscape.py", ["--samples", "3"]),
     ("growth_experiment.py", ["--radii", "1", "2", "--cells", "32"]),
+    ("recapture_golden.py", ["z2-growth", "z2-probe", "--checks", "growth", "probe", "--dry-run"]),
     ("probe_constants.py", ["--t", "3", "--cells", "32"]),
     ("mutants.py", ["growth volume drops v"]),
 ])
