@@ -4,6 +4,8 @@ The pipeline: expressions define an immersion, jets differentiate it
 exactly to fourth order, geometry turns the jets into frames, second
 fundamental form data and derived scalar fields, and checks turn the
 structural identities and inequalities into residuals with verdicts.
+Jets are the only source of derivatives: the grid checks and the growth
+and probe quadrature both read them.
 """
 
 from .checks import (
@@ -17,7 +19,6 @@ from .checks import (
 from .expressions import (
     ExprNode,
     ParseError,
-    differentiate,
     evaluate_expression,
     format_expression,
     parse_expression,

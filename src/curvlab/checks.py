@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 # evaluate_expression is unused here; perfbench's tracer rebinds it (test_perfbench_names.py)
-from .expressions import MAX_DEPTH, _depth, differentiate, evaluate_expression  # noqa: F401
+from .expressions import evaluate_expression  # noqa: F401
 from .geometry import (
     RANK_TOL,
     PointGeometry,
@@ -56,7 +56,7 @@ from .geometry import (
     point_geometry_at,
     scalar_field_jet,
 )
-from .immersions import Immersion, evaluate_array
+from .immersions import Immersion, evaluate_array, evaluate_immersion
 from .jets import _table, jet_elementary, ordered_einsum
 
 BLOCK_BUDGET = 6 * 2**20  # bytes: the most point_geometry_at may hold at once for one block
@@ -425,7 +425,6 @@ def _eval_kato(block, state, skips):
         residual = np.where(asserted, _pymax(residual, zres), residual)
         detail.update(zeta_re=_optional(zeta.real, has_zeta),
                       zeta_im=_optional(zeta.imag, has_zeta), zeta_residual=cp.zeta_residual,
-                      xi1=cp.xi1, xi2=cp.xi2,
                       zeta_asserted=_optional(asserted, asserted | equality & ~cp.isothermal,
                                               _ABSENT))
     return skips.evaluated(residual, **detail)
@@ -742,10 +741,11 @@ SEARCH_STEPS = 40  # a boundary takes 7-9 steps at rho ~ R, and 40 reach rho / R
 SEARCH_ULPS = 4  # a ray's search ends when its bracket is this many ulps wide
 STAR_ULPS = 16  # the star-shape test's rounding slack, in ulps of R (R + |F(0)|)
 NODE_BUDGET = 2**24  # the most nodes or search samples one `fields` or `dist2` call takes
+JET_NODES = 2**16  # nodes per `evaluate_immersion` call in `fields`: bounds its jets' memory
 
 
 def _dot(xs, ys):
-    """sum_k xs[k] * ys[k] over two short lists of per-point arrays."""
+    """sum_k xs[k] * ys[k], in order of k, over two short lists or leading axes of per-point arrays."""
     total = xs[0] * ys[0]
     for x, y in zip(xs[1:], ys[1:]):
         total += x * y
@@ -753,24 +753,21 @@ def _dot(xs, ys):
 
 
 class _GraphFields:
-    """Vectorized v, |B|^2, extrinsic distance and ball boundaries for a graph immersion.
+    """Extrinsic distance, ball boundaries and the per-node v and |B|^2 of a graph immersion.
 
-    Uses symbolic derivatives of the graph components, so the quadrature
-    path is independent of the jet pipeline (and cross-checked against it).
-    Fields are flat per-point arrays; the n <= 3 algebra is written out.
-    The second derivatives, which only |B|^2 reads, are built on first use.
+    `dist2` and `boundary` evaluate the graph components over arrays;
+    `fields` reads v and |B|^2 off the jets of `evaluate_immersion`, the
+    derivatives every grid check reads.
     """
 
     def __init__(self, imm: Immersion):
         reason = self.not_a_graph(imm)
         if reason:
             raise CheckConfigError(reason)
-        self.n, self.m = imm.n, imm.m
-        comps = imm.graph_components()
-        self.d1 = [[_shallow(differentiate(c, i)) for i in range(imm.n)] for c in comps]
-        self.comps = comps
+        self.imm, self.n, self.m = imm, imm.n, imm.m
+        self.comps = imm.graph_components()
         with np.errstate(all="ignore"):  # F(0) is NaN where the graph is undefined there
-            self.f0 = np.array([evaluate_array(c, [np.zeros(1)] * imm.n)[0] for c in comps])
+            self.f0 = np.array([evaluate_array(c, [np.zeros(1)] * imm.n)[0] for c in self.comps])
 
     @staticmethod
     def not_a_graph(imm: Immersion) -> str | None:
@@ -788,37 +785,50 @@ class _GraphFields:
         # the sum over a first, then |x|^2: a change of order moves boundaries by an ulp
         return sum(ax**2 for ax in axes) + sum(sq[1:], sq[0])
 
-    @cached_property
-    def d2(self):  # f_ij is symmetric: i <= j only
-        return [{(i, j): _shallow(differentiate(d1[i], j))
-                 for i in range(self.n) for j in range(i, self.n)} for d1 in self.d1]
+    def fields(self, axes, want_normB2=False):
+        """Per-node volume element v = sqrt(det g), and |B|^2 when `want_normB2`.
+
+        From order-1 jets of F at the nodes (order 2 when |B|^2 is read), in
+        blocks of at most JET_NODES nodes; NaN where a jet failed.
+        """
+        points = np.stack(axes, axis=1)
+        parts = [self._fields(points[s:s + JET_NODES], want_normB2)
+                 for s in range(0, len(points), JET_NODES)]
+        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
     @np.errstate(all="ignore")
-    def fields(self, axes, want_normB2=False):
-        """Per-point volume element v, optionally |B|^2.
+    def _fields(self, points, want_normB2):
+        n, order = self.n, 2 if want_normB2 else 1
+        jets = evaluate_immersion(self.imm, points, order)
+        coeffs = np.stack([jet.coeffs for jet in jets]).transpose(2, 0, 1).copy()  # (coef, A, P)
+        index = _table(n, order).index
 
-        Not finite wherever the graph or its derivatives are undefined.
-        """
-        rn, rm = range(self.n), range(self.m)
-        cols = [[evaluate_array(self.d1[a][i], axes) for a in rm] for i in rn]  # cols[i][a] = f^a_i
-        g = [[_dot(cols[i], cols[j]) + (i == j) for j in rn] for i in rn]  # delta_ij + f_i . f_j
-        det, cof = _det_cofactors(g)
+        def coefficient(*axes):  # of u_axes[0] u_axes[1] ... in every component: (A, P)
+            return coeffs[index[tuple(axes.count(k) for k in range(n))]]
+
+        # every sum runs over the leading axis of its operands in order (`_dot`), so that
+        # a node's values do not depend on how many nodes share its call
+        dF = np.stack([coefficient(i) for i in range(n)], axis=1)  # (A, i, P)
+        g = _dot(dF[:, :, None], dF[:, None])  # (i, j, P)
+        det, cof = _det_cofactors([list(row) for row in g])
         out = {"v": np.sqrt(det)}
         if want_normB2:
-            ginv = [[c / det for c in row] for row in cof]  # the cofactors are the adjugate: g is symmetric
-            # B_ij = F_ij - e_ij^r F_r is the normal part of F_ij = (0, f_ij), F_r = (e_r, f_r),
-            # e_ij = g^-1 c_ij, c_ijs = f_ij . f_s; its first n components, -e_ij, enter squared
-            B = {}
-            for i, j in self.d2[0]:
-                fij = [evaluate_array(d2[i, j], axes) for d2 in self.d2]
-                c = [_dot(fij, cols[s]) for s in rn]
-                e = [_dot(row, c) for row in ginv]
-                B[i, j] = B[j, i] = e + [fij[a] - _dot(e, [cols[r][a] for r in rn]) for a in rm]
-            # |B|^2 = g^ik g^jl <B_ij, B_kl>: per component, tr(A A) with A = g^-1 B
-            out["normB2"] = 0.0
-            for comp in range(self.n + self.m):
-                A = [[_dot(ginv[i], [B[k, j][comp] for k in rn]) for j in rn] for i in rn]
-                out["normB2"] += _dot(sum(A, []), [a for row in zip(*A) for a in row])
+            ginv = np.array(cof) / det  # the adjugate over det: g is symmetric
+            # geometry._hessian's pair route on values, once per pair q = (i <= j): the normal
+            # part B_q = F_q - d_l F g^lk <d_k F, F_q>; the coefficient of u_i^2 is half d_i^2 F
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            F2 = np.stack([coefficient(i, j) * (2.0 if i == j else 1.0) for i, j in pairs], axis=1)
+            c = _dot(dF[:, :, None], F2[:, None])  # <d_k F, F_q>: (k, q, P)
+            d = _dot(ginv[:, :, None], c[:, None])  # g^lk c_kq: (l, q, P)
+            B = F2 - _dot(dF.swapaxes(0, 1)[:, :, None], d[:, None])  # (A, q, P)
+            B = B[:, [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]]
+            # |B|^2 = tr(g^-1 B g^-1 B) = <(g^-1 B)_kj, (g^-1 B)_jk>, raised (k, A, j, P)
+            raised = _dot(ginv[:, :, None, None], B.swapaxes(0, 1)[:, None])
+            out["normB2"] = _dot(raised.reshape(-1, len(points)),
+                                 raised.swapaxes(0, 2).reshape(-1, len(points)))
+        failed = [p for jet in jets for p in jet.failures]
+        for value in out.values():
+            value[failed] = np.nan
         return out
 
     @np.errstate(all="ignore")
@@ -988,13 +998,6 @@ class _BallRule:
             f"{QUAD_REL_FLOOR:g} at {N} nodes per axis within radius {radii[i]}")
 
 
-def _shallow(tree):
-    """`tree`, or CheckConfigError when deeper than MAX_DEPTH: the bound, not the stack, decides."""
-    if _depth(tree) > MAX_DEPTH:
-        raise CheckConfigError("graph expression too deep for quadrature")
-    return tree
-
-
 def _require_defined(arrays, what: str) -> None:
     """CheckConfigError when one of `arrays` is not finite at one of its entries."""
     undefined = int(np.sum(~np.logical_and.reduce([np.isfinite(a) for a in arrays])))
@@ -1046,7 +1049,7 @@ def growth_table(imm: Immersion, radii,
     from f alone.  The levels double up to `cells` nodes per axis until
     every volume's estimate |Q_N - Q_(N/2)| is at most QUAD_REL_FLOOR of
     it; max_v is the largest v at that level's nodes of Omega_R.  Fails
-    where the rule, the probe's too, fails: f undefined or too deep, Omega_R
+    where the rule, the probe's too, fails: f or its jets undefined, Omega_R
     not star-shaped along a sampled ray, or no convergence within `cells`.
     """
     radii = [float(r) for r in radii]
@@ -1239,20 +1242,14 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
         (lhs_t, rhs_t, volume_R, volume_half), errors, N, level = rule.integrate(integrals, radii)
     except CheckConfigError as exc:
         return ProbeRecord(params=params, applicable=False, reason=str(exc))
+    # v >= 1 on a graph and every weight is positive, so lp_rhs, volume_half and max_v are > 0
     lp_lhs = lhs_t ** (1.0 / t)
     lp_rhs = rhs_t ** (1.0 / t)
-    implied_c3 = lp_lhs * (params.R - params.R0) ** 2 / lp_rhs if lp_rhs > 0 else None
+    implied_c3 = lp_lhs * (params.R - params.R0) ** 2 / lp_rhs
 
     pointwise_lhs = float(block.pg.normB2[0]) * float(block.volume_jet.value[0]) ** 3
     max_v = float(np.max(level[in_R]["v"]))
-    implied_c4 = None
-    if volume_half > 0 and max_v > 0:
-        implied_c4 = (
-            pointwise_lhs
-            * params.R**2
-            * max_v**-3
-            * (volume_R / volume_half) ** (-1.0 / t)
-        )
+    implied_c4 = pointwise_lhs * params.R**2 * max_v**-3 * (volume_R / volume_half) ** (-1.0 / t)
 
     return ProbeRecord(
         params=params, applicable=True,

@@ -12,10 +12,9 @@ two) and the unary functions sin, cos, sinh, cosh, exp, log, sqrt, atan.  The gr
 differentiable by construction (no abs, no max), so jets of any expression
 are well defined wherever evaluation succeeds.
 
-ASTs are immutable dataclass trees.  `evaluate` works generically over
-floats, jets and numpy arrays; `differentiate` produces the exact symbolic
-partial derivative, which gives quadrature code a fast array path and the
-test-suite an oracle independent of jet arithmetic.
+ASTs are immutable dataclass trees.  `evaluate_expression` works generically
+over floats, jets and numpy arrays; derivatives come from evaluating over
+jets.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .jets import Jet, jet_elementary
 
 VARIABLE_ALIASES = {"x": 0, "y": 1, "z": 2, "u1": 0, "u2": 1, "u3": 2, "u": 0, "v": 1}
 MAX_NESTING = 100  # parentheses, calls and unary minus nest at most this deep
-MAX_DEPTH = 500  # levels of a parsed tree: evaluation and differentiation recurse through each
+MAX_DEPTH = 500  # levels of a parsed tree: evaluation recurses through each
 
 _VAR_NAMES = ("x", "y", "z")  # canonical names used when printing
 
@@ -80,16 +79,16 @@ class Pow:
 
 ExprNode = Union[Const, Var, Call, BinOp, Pow]
 
-# each function: its float function, its array function, and its derivative f'(u) as a node
+# each function: its float function and its array function; jets take it by name
 _FUNCTIONS = {
-    "sin": (math.sin, np.sin, lambda u: Call("cos", u)),
-    "cos": (math.cos, np.cos, lambda u: Call("neg", Call("sin", u))),
-    "sinh": (math.sinh, np.sinh, lambda u: Call("cosh", u)),
-    "cosh": (math.cosh, np.cosh, lambda u: Call("sinh", u)),
-    "exp": (math.exp, np.exp, lambda u: Call("exp", u)),
-    "log": (math.log, np.log, lambda u: BinOp("/", Const(1.0), u)),
-    "sqrt": (math.sqrt, np.sqrt, lambda u: BinOp("/", Const(0.5), Call("sqrt", u))),
-    "atan": (math.atan, np.arctan, lambda u: BinOp("/", Const(1.0), _add(Const(1.0), Pow(u, 2)))),
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "sinh": (math.sinh, np.sinh),
+    "cosh": (math.cosh, np.cosh),
+    "exp": (math.exp, np.exp),
+    "log": (math.log, np.log),
+    "sqrt": (math.sqrt, np.sqrt),
+    "atan": (math.atan, np.arctan),
 }
 FUNCTION_NAMES = tuple(_FUNCTIONS)
 
@@ -260,7 +259,7 @@ def _levels(node: ExprNode):
     level = [node]
     while level:
         yield level
-        # by id: a subtree that derivatives share is listed once per level, not once per path
+        # by id: a subtree shared by several parents is listed once per level, not once per path
         level = list({id(child): child for parent in level for child in vars(parent).values()
                       if isinstance(child, ExprNode)}.values())
 
@@ -320,7 +319,7 @@ def format_expression(node: ExprNode) -> str:
 def _apply_func(name: str, value):
     if isinstance(value, Jet):
         return jet_elementary(name, value)
-    real, array, _ = _FUNCTIONS[name]
+    real, array = _FUNCTIONS[name]
     if isinstance(value, np.ndarray):
         return array(value)
     try:
@@ -354,9 +353,9 @@ def evaluate_expression(node: ExprNode, values):
     """Evaluate over any scalar type with arithmetic: float, Jet, ndarray.
 
     `values` is the sequence of variable values, indexed by variable index.
-    A subtree reached more than once (derivative trees share many) is
-    evaluated once and kept until its last use; the walk takes one frame per
-    tree level.
+    A subtree reached more than once (a tree built by substituting one
+    subtree for a variable shares it) is evaluated once and kept until its
+    last use; the walk takes one frame per tree level.
     """
     return _evaluate(node, values, _shared(node), {})
 
@@ -391,74 +390,6 @@ def _evaluate(node: ExprNode, values, uses: dict, memo: dict):
         uses[key] -= 1
         memo[key] = value
     return value
-
-
-# -- symbolic differentiation ---------------------------------------------
-
-def _is_zero(node: ExprNode) -> bool:
-    return isinstance(node, Const) and node.value == 0
-
-
-def _is_one(node: ExprNode) -> bool:
-    return isinstance(node, Const) and node.value == 1
-
-
-def _add(a: ExprNode, b: ExprNode) -> ExprNode:
-    if _is_zero(a):
-        return b
-    if _is_zero(b):
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a: ExprNode, b: ExprNode) -> ExprNode:
-    if _is_zero(b):
-        return a
-    if _is_zero(a):
-        return Call("neg", b)
-    return BinOp("-", a, b)
-
-
-def _mul(a: ExprNode, b: ExprNode) -> ExprNode:
-    if _is_zero(a) or _is_zero(b):
-        return Const(0.0)
-    if _is_one(a):
-        return b
-    if _is_one(b):
-        return a
-    return BinOp("*", a, b)
-
-
-def differentiate(node: ExprNode, axis: int) -> ExprNode:
-    """Exact symbolic partial derivative with light constant-folding."""
-    if isinstance(node, Const):
-        return Const(0.0)
-    if isinstance(node, Var):
-        return Const(1.0 if node.index == axis else 0.0)
-    if isinstance(node, Call):
-        d_arg = differentiate(node.arg, axis)
-        if node.func == "neg":
-            return Const(0.0) if _is_zero(d_arg) else Call("neg", d_arg)
-        return _mul(_FUNCTIONS[node.func][2](node.arg), d_arg)
-    if isinstance(node, Pow):
-        d_base = differentiate(node.base, axis)
-        if node.exponent == 0 or _is_zero(d_base):
-            return Const(0.0)
-        scaled = _mul(Const(float(node.exponent)), Pow(node.base, node.exponent - 1))
-        return _mul(scaled, d_base)
-    if isinstance(node, BinOp):
-        da = differentiate(node.left, axis)
-        db = differentiate(node.right, axis)
-        if node.op == "+":
-            return _add(da, db)
-        if node.op == "-":
-            return _sub(da, db)
-        if node.op == "*":
-            return _add(_mul(da, node.right), _mul(node.left, db))
-        # quotient rule
-        num = _sub(_mul(da, node.right), _mul(node.left, db))
-        return BinOp("/", num, Pow(node.right, 2))
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def expression_variables(node: ExprNode) -> set[int]:

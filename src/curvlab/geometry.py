@@ -713,8 +713,6 @@ class ComplexPack:
     B_ww: np.ndarray
     zeta: complex | None
     zeta_residual: float | None
-    xi1: float | None
-    xi2: float | None
 
 
 @_pointwise
@@ -748,8 +746,6 @@ def complex_pack_at(pg: PointGeometry) -> ComplexPack:
         B_ww=B_ww,
         zeta=_optional(zeta, has_zeta),
         zeta_residual=_optional(zres, has_zeta),
-        xi1=_optional(zeta.real, has_zeta),
-        xi2=_optional(-zeta.imag, has_zeta),
     )
 
 

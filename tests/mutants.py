@@ -23,6 +23,7 @@ SWEEP_EQUALS = f"{SWEEP_SHARED}test_each_report_equals_a_stand_alone_run"
 WRITER = "tests/test_scenario.py::TestDetailWriter::"
 GROWTH = "tests/test_checks.py::TestGrowth::"
 BALL_RULE = "tests/test_checks.py::TestBallRule::"
+CROSS = "tests/test_checks.py::TestCrossValidation::"
 CHART = ("tests/test_geometry.py::TestChartInvariance::"
          "test_normB2_and_its_laplacian_do_not_depend_on_the_chart")
 
@@ -37,9 +38,12 @@ MUTANTS = [
     Mutant("log-alignment tests the alignment before minimality", CHECKS_PY,
            '("minimal", "aligned", "log-alignment")', '("aligned", "minimal", "log-alignment")',
            ("tests/test_checks.py::TestSkipOrder::test_mean_curvature_before_alignment",)),
-    Mutant("quadrature depth bound doubled", CHECKS_PY,
-           "if _depth(tree) > MAX_DEPTH:", "if _depth(tree) > 2 * MAX_DEPTH:",
-           (f"{GROWTH}test_derivative_trees_deeper_than_the_bound_are_refused",)),
+    Mutant("fields reads the u_i^2 coefficient as d_i^2 F", CHECKS_PY,
+           "coefficient(i, j) * (2.0 if i == j else 1.0)", "coefficient(i, j)",
+           (f"{CROSS}test_closed_form_algebra_matches_jet_pipeline[components0-2]",)),
+    Mutant("fields drops the tangential part of F_q", CHECKS_PY,
+           "B = F2 - _dot(dF.swapaxes(0, 1)[:, :, None], d[:, None])", "B = F2",
+           (f"{CROSS}test_closed_form_algebra_matches_jet_pipeline[components0-2]",)),
     Mutant("growth volume drops v", CHECKS_PY,
            'return [float(np.sum(level[b]["w"] * level[b]["v"])) for b in balls]',
            'return [float(np.sum(level[b]["w"])) for b in balls]',
@@ -108,8 +112,7 @@ MUTANTS = [
            "+ a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]",
            ("tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]",
             f"{GROWTH}test_affine_3d_ball_volume",
-            "tests/test_checks.py::TestCrossValidation::"
-            "test_closed_form_algebra_matches_jet_pipeline[components1-3]")),
+            f"{CROSS}test_closed_form_algebra_matches_jet_pipeline[components1-3]")),
     Mutant("expression evaluation forgets shared subtrees", "src/curvlab/expressions.py",
            "memo[key] = value", "pass",
            ("tests/test_expressions.py::TestEvaluation::test_shared_subtrees_are_evaluated_once",)),

@@ -1,8 +1,9 @@
 """Independent numerical oracles shared by the test suite.
 
 Everything here is deliberately naive: central finite differences with
-Richardson extrapolation, closed-form curvature values derived by hand, and
-brute-force linear algebra.  None of it reuses the jet pipeline it checks.
+Richardson extrapolation, closed-form curvature values derived by hand,
+sympy's symbolic derivatives, and brute-force linear algebra.  None of it
+reuses the jet pipeline it checks.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from curvlab.expressions import BinOp, Call, Const, Pow, Var
 
@@ -132,6 +134,31 @@ def catenoid_lap_scalar(phi, u, h=1e-3):
     d2b = (phi(u + h / 2) - 2 * phi(u) + phi(u - h / 2)) / (h / 2) ** 2
     val = (4 * d2b - d2) / 3
     return val / math.cosh(u) ** 2
+
+
+# -- graphs by sympy ----------------------------------------------------------------
+
+def sympy_graph_fields(components, n, point):
+    """v and |B|^2 at `point` of the graph (u, f(u)) of the strings `components` in x, y, z.
+
+    sympy's exact partials, then the textbook route at 30 digits: the metric
+    g = dF dF^T, v = sqrt(det g), the ambient normal projector I - dF^T g^-1 dF
+    applied to every d_i d_j F, and |B|^2 = g^ik g^jl <B_ij, B_kl>.  None of
+    it is curvlab's: no jets, no cofactors, no pair route.
+    """
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x y z")[:n]
+    F = sympy.Matrix(list(xs) + [sympy.sympify(c.replace("^", "**")) for c in components])
+    at = dict(zip(xs, point))
+    dF = sympy.Matrix([[sympy.diff(Fa, x).subs(at) for Fa in F] for x in xs]).evalf(30)
+    g = dF * dF.T
+    ginv = g.inv()
+    normal = sympy.eye(len(F)) - dF.T * ginv * dF
+    B = [[normal * sympy.Matrix([sympy.diff(Fa, xi, xj).subs(at) for Fa in F]).evalf(30)
+          for xj in xs] for xi in xs]
+    normB2 = sum(ginv[i, k] * ginv[j, l] * B[i][j].dot(B[k][l])
+                 for i in range(n) for j in range(n) for k in range(n) for l in range(n))
+    return float(sympy.sqrt(g.det())), float(normB2)
 
 
 # -- brute-force helpers --------------------------------------------------------

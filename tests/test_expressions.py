@@ -12,7 +12,6 @@ from curvlab.expressions import (
     ParseError,
     Pow,
     Var,
-    differentiate,
     evaluate_expression,
     expression_variables,
     format_expression,
@@ -74,12 +73,12 @@ class TestParse:
                 parse_expression(text, 1)
 
     def test_tree_depth_is_bounded(self):
-        # a flat chain is one tree level per operator, and evaluation, differentiation
-        # and expression_variables recurse through every level: 2000 overflowed them
+        # a flat chain is one tree level per operator, and evaluation and
+        # expression_variables recurse through every level: 2000 overflowed them
         chain = "+".join(["x"] * 500)
         node = parse_expression(chain, 1)
         assert evaluate_expression(node, [2.0]) == 1000.0
-        assert evaluate_expression(differentiate(node, 0), [2.0]) == 500.0
+        assert jet_extract(evaluate_expression(node, [jet_variable(0, 2.0, 1, 1)]), (1,)) == 500.0
         assert expression_variables(node) == {0}
         for text in [chain + "+x", "+".join(["x"] * 2000), "*".join(["x"] * 2000),
                      "-".join(["x"] * 2000), "sin(" * 100 + chain + ")" * 100]:
@@ -203,25 +202,31 @@ class TestEvaluation:
 
 
 class TestDifferentiate:
+    """Jet partials of every EXPRESSIONS entry against sympy's symbolic derivatives."""
+
     @pytest.mark.parametrize("text", EXPRESSIONS)
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_symbolic_derivative_matches_jet(self, text, axis):
-        # two independent derivative routes: AST rules vs jet arithmetic
-        node = parse_expression(text, 2)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_jet_partials_match_sympy(self, text, order):
+        sympy = pytest.importorskip("sympy")
         point = (0.43, -0.29)
-        jets = [jet_variable(i, point[i], 2, 1) for i in range(2)]
-        via_jet = jet_extract(
-            evaluate_expression(node, jets), tuple(1 if a == axis else 0 for a in range(2))
-        )
-        via_ast = evaluate_expression(differentiate(node, axis), list(point))
-        assert rel_err(via_ast, via_jet) <= 1e-12
+        jets = [jet_variable(i, point[i], 2, order) for i in range(2)]
+        jet = evaluate_expression(parse_expression(text, 2), jets)
+        x, y = sympy.symbols("x y")
+        f = sympy.sympify(text.replace("^", "**").replace("u1", "x").replace("u2", "y"))
+        for alpha in multi_indices(2, order):
+            if sum(alpha) == order:
+                want = float(sympy.diff(f, x, alpha[0], y, alpha[1]).subs({x: point[0], y: point[1]}))
+                assert rel_err(jet_extract(jet, alpha), want) <= 1e-13, alpha
 
     def test_against_finite_differences(self):
+        # a route that shares nothing with jets or sympy: every partial up to order 2
         node = parse_expression("exp(x/4)*atan(y)", 2)
-        d = differentiate(differentiate(node, 0), 1)
+        jet = evaluate_expression(node, [jet_variable(i, p, 2, 2) for i, p in enumerate((0.3, 0.5))])
         f = lambda p: math.exp(p[0] / 4) * math.atan(p[1])
-        fd = richardson_derivative(f, (0.3, 0.5), (1, 1))
-        assert rel_err(evaluate_expression(d, [0.3, 0.5]), fd) <= 1e-8
+        for alpha in multi_indices(2, 2):
+            if sum(alpha):
+                fd = richardson_derivative(f, (0.3, 0.5), alpha)
+                assert rel_err(jet_extract(jet, alpha), fd) <= 1e-8, alpha
 
 
 class TestReflectedJetOperators:

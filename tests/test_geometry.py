@@ -432,9 +432,16 @@ class TestComplexPack:
         assert cp.zeta is None
 
     def test_zeta_decomposition(self, z2):
-        cp = complex_pack_at(point_geometry_at(z2, (0.5, 0.2)))
-        assert cp.xi1 == cp.zeta.real
-        assert cp.xi2 == -cp.zeta.imag
+        # zeta is the coefficient of nabla_w B_ww along B_ww, each contracted in full
+        # with d/dw = (d/du - i d/dv)/2 (the pack takes the minimal-surface shortcut)
+        pg = point_geometry_at(z2, (0.5, 0.2))
+        cp = complex_pack_at(pg)
+        w = np.array([0.5, -0.5j])
+        B_ww = np.einsum("i,j,ijA->A", w, w, pg.B_coord)
+        nablaB_www = np.einsum("k,i,j,kijA->A", w, w, w, pg.nablaB_coord)
+        assert np.abs(B_ww - cp.B_ww).max() <= 1e-12 and np.abs(B_ww).max() > 0.1
+        assert np.abs(nablaB_www - cp.zeta * B_ww).max() <= 1e-10
+        assert cp.zeta_residual <= 1e-10
 
     def test_non_isothermal_flagged(self):
         imm = build_graph_immersion(["x^2 + x*y", "y"], 2)

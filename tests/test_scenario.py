@@ -108,19 +108,17 @@ def small_z2_config(**overrides):
 
 
 # a probe ball too thin for the rule to converge on within its cap of 256 nodes per axis
-# (Omega_1 is an ellipse 400 times longer than wide), and derivative trees too deep to
-# differentiate or evaluate: each is not-applicable with a reason, never a traceback
+# (Omega_1 is an ellipse 400 times longer than wide), and a deep tree whose v^9 rises too
+# steeply for 16 nodes per axis: each is not-applicable with a reason, never a traceback
 CHAIN_360, CHAIN_500 = ("*".join(["x"] * k) for k in (360, 500))
+DEEP_PROBE_REASON = ("quadrature did not converge: relative error estimate 1 > 1e-10 "
+                     "at 16 nodes per axis within radius 1.0")
 QUADRATURE_REPROS = {
     "steep-probe": ({"kind": "graph", "exprs": ["400*x", "0"]}, {}, [{"name": "probe"}],
                     "quadrature did not converge: relative error estimate 0.95 > 1e-10 "
                     "at 256 nodes per axis within radius 1.0"),
     "deep-probe": ({"kind": "graph", "exprs": [CHAIN_360, "y"]}, {"probe": {"cells": 16}},
-                   [{"name": "probe"}], "graph expression too deep for quadrature"),
-    # (x^k, y) makes Omega_R an ellipse of axes 1 : 1/sqrt(2), which takes 32 rays
-    "deep-growth": ({"kind": "graph", "exprs": [CHAIN_500, "y"]}, {},
-                    [{"name": "growth", "radii": [0.5], "cells": 64}],
-                    "graph expression too deep for quadrature"),
+                   [{"name": "probe"}], DEEP_PROBE_REASON),
 }
 
 
@@ -539,7 +537,7 @@ class TestRunScenario:
 
     def test_deep_probe_does_not_depend_on_the_stack_depth(self):
         # 330 factors once passed at the top level of an interpreter and were too deep
-        # a few frames lower; the depth of their derivative trees now decides
+        # a few frames lower; the rule's convergence now decides
         cfg = {**quadrature_repro("deep-probe")[0], "surface": {
             "kind": "graph", "exprs": ["*".join(["x"] * 330), "y"]}}
         code = ("import json, sys\nfrom curvlab.scenario import load_config, run_scenario\n"
@@ -553,17 +551,18 @@ class TestRunScenario:
             return deeper(frames - 1) if frames else run_scenario(load_config(cfg)).to_dict()
 
         assert json.loads(top) == json.loads(json.dumps(deeper(100)))
-        assert json.loads(top)["checks"][0]["reason"] == "graph expression too deep for quadrature"
+        assert json.loads(top)["checks"][0]["reason"] == DEEP_PROBE_REASON
 
-    def test_growth_takes_at_most_251_factors(self):
-        # a first derivative of k factors has 2k - 2 levels, at most MAX_DEPTH = 500;
-        # growth never builds the second (test_checks pins the probe's 168)
-        cfg, reason = quadrature_repro("deep-growth")
-        for k, verdict in ((251, "pass"), (252, "not-applicable")):
-            surface = {"kind": "graph", "exprs": ["*".join(["x"] * k), "y"]}
-            [result] = run_scenario(load_config({**cfg, "surface": surface})).results
-            assert result.verdict == verdict, k
-        assert result.reason == reason
+    def test_growth_takes_any_tree_the_parser_accepts(self):
+        # a 500-factor chain is MAX_DEPTH = 500 levels deep.  (x^500, y) makes Omega_R an
+        # ellipse of axes 1 : 1/sqrt(2), whose estimate reaches the floor at 64 nodes per
+        # axis, and v = sqrt(2) on it to within 1e-150: V(R) = pi R^2
+        cfg = {"surface": {"kind": "graph", "exprs": [CHAIN_500, "y"]},
+               "grid": {"ranges": [[-0.5, 0.5], [-0.5, 0.5]], "counts": [3, 3]},
+               "checks": [{"name": "growth", "radii": [0.5], "cells": 64}]}
+        [result] = run_scenario(load_config(cfg)).results
+        assert (result.verdict, result.extras["nodes_per_axis"]) == ("pass", 64)
+        assert result.extras["volumes"] == pytest.approx([math.pi / 4.0], rel=1e-12)
 
     def test_short_chain_reports_are_unchanged(self):
         # 30 factors differentiate and evaluate well within the recursion limit.  Omega_R
@@ -867,7 +866,8 @@ class TestSweep:
         reports, table = sweep(cfg)
         assert [row["value"] for row in table] == [3, 4, 5]
         for row in table:
-            assert row["implied_c4"] is not None and math.isfinite(row["implied_c4"])
+            for key in ("implied_c3", "implied_c4"):
+                assert isinstance(row[key], float) and math.isfinite(row[key]), key
 
     # both replaced the list they went through and failed on a field never set
     @pytest.mark.parametrize("parameter, value, component", [
