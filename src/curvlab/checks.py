@@ -918,17 +918,25 @@ class _BallRule:
     two), so a ball takes at most cells^n <= 2^24 nodes per level.  N / 2
     is even: were it odd, the new rays of level N would be the antipodes of
     level N / 2's, and on a centrally symmetric ball (an affine graph's)
-    Q_N = Q_(N/2) whatever the error.  A level finds the boundaries of every
-    ball's new rays in one `_GraphFields.boundary` search (level 2N of n = 2
-    reuses level N's rays) and evaluates its nodes in one
-    `_GraphFields.fields` call, each split by balls to stay within
-    NODE_BUDGET.  Levels are computed on first use and kept, a failure too,
-    so a sweep shares them between integrands.
+    Q_N = Q_(N/2) whatever the error.  `integrate` reads N0 / 2 and N0
+    before it can compare them, so those two are computed together and
+    each later level alone.  Levels computed together take one
+    `_GraphFields.boundary` search for every ball's new rays (n = 2: the
+    last level's rays, whose even rays are the level below's, and level 2N
+    reuses level N's; n = 3: every level's rays) and one
+    `_GraphFields.fields` call per jet order: order 2, for v and |B|^2, at
+    the balls of `normB2_radii`, order 1, for v, at the others.  Both are
+    split by balls to stay within NODE_BUDGET.  Levels are computed on
+    first use and kept, a failure too, so a sweep shares them between
+    integrands.  A failed search fails every level it searched for; a
+    level whose nodes are undefined names the first such ball in the order
+    of `radii`.
     """
 
-    def __init__(self, gf: _GraphFields, radii, cells: int, want_normB2=False):
-        self.gf, self.want_normB2 = gf, want_normB2
+    def __init__(self, gf: _GraphFields, radii, cells: int, normB2_radii=()):
+        self.gf = gf
         self.radii = list(dict.fromkeys(radii))  # each distinct ball once, in order
+        self.curved = [R in normB2_radii for R in self.radii]  # whose |B|^2 is read
         top = 1 << (cells.bit_length() - 1)  # the largest power of two within cells
         self.sizes = [min(8, top // 2)]
         while self.sizes[-1] < top:
@@ -938,39 +946,60 @@ class _BallRule:
     def level(self, N: int) -> list:
         """Per ball, its nodes' weights "w", "v" and maybe "normB2"; CheckConfigError if it fails."""
         if N not in self._levels:
+            together = self.sizes[:2] if N in self.sizes[:2] else [N]
             try:
-                self._levels[N] = self._level(N)
+                self._levels.update(self._compute(together))
             except CheckConfigError as exc:
-                self._levels[N] = str(exc)
+                self._levels.update(dict.fromkeys(together, str(exc)))
         if isinstance(self._levels[N], str):
             raise CheckConfigError(self._levels[N])
         return self._levels[N]
 
-    def _level(self, N: int) -> list:
+    def _compute(self, sizes: list) -> dict:
+        """Each level of `sizes` as `level` gives it, or why it fails; raises on a failed search."""
         gf, n, balls = self.gf, self.gf.n, len(self.radii)
-        dirs, dir_w = _directions(n, N)
+        rays = [_directions(n, N) for N in sizes]
+        if n == 2:  # level N's rays are the even rays of the last level
+            dirs, known = rays[-1][0], self._rho.get(sizes[-1] // 2)
+            cols = [slice(0, None, sizes[-1] // N) for N in sizes]
+        else:  # Gauss nodes in cos(phi) do not nest: each level's rays are its own
+            dirs, known = np.concatenate([d for d, _ in rays]), None
+            starts = np.cumsum([0] + [N * N for N in sizes])
+            cols = [slice(a, b) for a, b in zip(starts, starts[1:])]
         rho = np.empty((balls, len(dirs)))
-        previous = self._rho.get(N // 2) if n == 2 and N % 2 == 0 else None
-        new = slice(None) if previous is None else slice(1, None, 2)
-        if previous is not None:
-            rho[:, ::2] = previous
+        new = slice(None) if known is None else slice(1, None, 2)
+        if known is not None:
+            rho[:, ::2] = known
         step = max(1, NODE_BUDGET // (len(dirs[new]) * SEARCH_SAMPLES))  # balls per search
         for b in range(0, balls, step):
             rho[b:b + step, new] = gf.boundary(self.radii[b:b + step], dirs[new])
-        self._rho[N] = rho
-        t, w = _gauss(N)
-        nodes = rho[:, :, None] * t  # (ball, ray, radial node)
-        weights = (rho**n)[:, :, None] * dir_w[:, None] * (w * t ** (n - 1))
-        step = max(1, NODE_BUDGET // nodes[0].size)  # balls per `fields` call
-        out = []
-        for b in range(0, balls, step):
-            axes = [(nodes[b:b + step] * dirs[:, a, None]).ravel() for a in range(n)]
-            fields = gf.fields(axes, self.want_normB2)
-            for k, R in enumerate(self.radii[b:b + step]):
-                ball = {key: value.reshape(-1, nodes[0].size)[k] for key, value in fields.items()}
-                _require_defined(list(ball.values()),
-                                 f"quadrature nodes inside the extrinsic ball of radius {R}")
-                out.append({"w": weights[b + k].ravel(), **ball})
+        self._rho[sizes[-1]] = rho
+        levels = []  # per level: its rays, each ball's radial nodes (ray, node) and its weights
+        for N, (d, dir_w), col in zip(sizes, rays, cols):
+            t, w = _gauss(N)
+            r = rho[:, col, None]
+            levels.append((d, r * t, (r**n * dir_w[:, None] * (w * t ** (n - 1))).reshape(balls, -1)))
+        # a ball's row of a `fields` call holds its nodes level by level, each level's up to `ends`
+        ends = np.cumsum([N**n for N in sizes])
+        step = max(1, NODE_BUDGET // ends[-1])  # balls per `fields` call
+        fields = [{} for _ in range(balls)]  # per ball and key, each level's values
+        for want in (False, True):
+            group = [b for b in range(balls) if self.curved[b] == want]
+            for g in range(0, len(group), step):
+                chunk = group[g:g + step]
+                axes = [np.concatenate([(radial[chunk] * d[:, a, None]).reshape(len(chunk), -1)
+                                        for d, radial, _ in levels], axis=1).ravel() for a in range(n)]
+                for key, value in gf.fields(axes, want).items():
+                    for b, row in zip(chunk, value.reshape(len(chunk), -1)):
+                        fields[b][key] = np.split(row, ends[:-1])
+        out = {}
+        for i, (N, (_, _, weights)) in enumerate(zip(sizes, levels)):
+            level = [{key: values[i] for key, values in ball.items()} for ball in fields]
+            reasons = (_undefined(list(ball.values()), f"quadrature nodes inside the extrinsic "
+                                  f"ball of radius {R}") for R, ball in zip(self.radii, level))
+            # the level, or why the first of its balls with undefined nodes fails
+            out[N] = next(filter(None, reasons), None) or [
+                {"w": w, **ball} for w, ball in zip(weights, level)]
         return out
 
     def integrate(self, integrals: Callable, radii: list):
@@ -998,11 +1027,10 @@ class _BallRule:
             f"{QUAD_REL_FLOOR:g} at {N} nodes per axis within radius {radii[i]}")
 
 
-def _require_defined(arrays, what: str) -> None:
-    """CheckConfigError when one of `arrays` is not finite at one of its entries."""
+def _undefined(arrays, what: str) -> str | None:
+    """Why one of `arrays` is not finite at one of its entries, or None."""
     undefined = int(np.sum(~np.logical_and.reduce([np.isfinite(a) for a in arrays])))
-    if undefined:
-        raise CheckConfigError(f"graph undefined on {undefined} of {arrays[0].size} {what}")
+    return f"graph undefined on {undefined} of {arrays[0].size} {what}" if undefined else None
 
 
 @dataclass
@@ -1196,7 +1224,8 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
     pointwise term (|B|^2 v^3)(0) reads the first of them.  The integrals
     over Omega_R, Omega_R0 and Omega_(R/2), each distinct ball once, come
     from one `_BallRule`, growth's rule too, and are not applicable where
-    it fails.  `_once(compute, slot, *inputs)` gives the hypothesis block
+    it fails; only Omega_R0's integrand reads |B|^2, so only its nodes take
+    order-2 jets.  `_once(compute, slot, *inputs)` gives the hypothesis block
     and the rule, whose levels a sweep shares between values of t, q and s.
     """
     params.validate()
@@ -1219,7 +1248,7 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
 
     def balls():  # the rule, or why it cannot be built
         try:
-            return _BallRule(_GraphFields(imm), radii, params.cells, want_normB2=True)
+            return _BallRule(_GraphFields(imm), radii, params.cells, normB2_radii={params.R0})
         except CheckConfigError as exc:
             return str(exc)
 

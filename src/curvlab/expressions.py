@@ -331,65 +331,33 @@ def _apply_func(name: str, value):
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _shared(root: ExprNode) -> dict:
-    """Parent references of each subtree under `root` that is reached more than once, by id."""
-    count, stack = {}, [root]
-    while stack:  # no recursion; each distinct node is expanded once
-        node = stack.pop()
-        if isinstance(node, BinOp):
-            children = (node.left, node.right)
-        else:
-            children = (node.arg,) if isinstance(node, Call) else (node.base,) if isinstance(node, Pow) else ()
-        for child in children:
-            if id(child) in count:
-                count[id(child)] += 1
-            else:
-                count[id(child)] = 1
-                stack.append(child)
-    return {key: n for key, n in count.items() if n > 1}
-
-
 def evaluate_expression(node: ExprNode, values):
     """Evaluate over any scalar type with arithmetic: float, Jet, ndarray.
 
     `values` is the sequence of variable values, indexed by variable index.
-    A subtree reached more than once (a tree built by substituting one
-    subtree for a variable shares it) is evaluated once and kept until its
-    last use; the walk takes one frame per tree level.
+    The walk takes one frame per tree level and evaluates a subtree once
+    per path that reaches it: a tree built by substituting one subtree for
+    a variable shares that subtree, which the parser's trees never do.
     """
-    return _evaluate(node, values, _shared(node), {})
-
-
-def _evaluate(node: ExprNode, values, uses: dict, memo: dict):
-    # uses: id -> uses left of a shared subtree's value; memo: id -> that value
-    key = id(node)
-    if key in memo:
-        uses[key] -= 1
-        return memo[key] if uses[key] else memo.pop(key)
     if isinstance(node, Const):
-        value = node.value
-    elif isinstance(node, Var):
-        value = values[node.index]
-    elif isinstance(node, Call):
-        arg = _evaluate(node.arg, values, uses, memo)
-        value = -arg if node.func == "neg" else _apply_func(node.func, arg)
-    elif isinstance(node, Pow):
-        base = _evaluate(node.base, values, uses, memo)
+        return node.value
+    if isinstance(node, Var):
+        return values[node.index]
+    if isinstance(node, Call):
+        arg = evaluate_expression(node.arg, values)
+        return -arg if node.func == "neg" else _apply_func(node.func, arg)
+    if isinstance(node, Pow):
+        base = evaluate_expression(node.base, values)
         if isinstance(base, (int, float)) and node.exponent < 0 and base == 0:
             raise ExpressionDomainError("zero raised to a negative power")
-        value = base ** node.exponent
-    elif isinstance(node, BinOp):
-        left = _evaluate(node.left, values, uses, memo)
-        right = _evaluate(node.right, values, uses, memo)
+        return base ** node.exponent
+    if isinstance(node, BinOp):
+        left = evaluate_expression(node.left, values)
+        right = evaluate_expression(node.right, values)
         if node.op == "/" and isinstance(right, (int, float)) and right == 0:
             raise ExpressionDomainError("division by zero")
-        value = _ARITHMETIC[node.op](left, right)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    if key in uses:
-        uses[key] -= 1
-        memo[key] = value
-    return value
+        return _ARITHMETIC[node.op](left, right)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def expression_variables(node: ExprNode) -> set[int]:

@@ -54,6 +54,17 @@ MUTANTS = [
     Mutant("rho from the last outside sample", CHECKS_PY,
            "return lo.reshape(len(radii), n_dirs)", "return hi.reshape(len(radii), n_dirs)",
            (f"{BALL_RULE}test_boundary_is_found_to_a_few_ulps",)),
+    Mutant("level N0/2 takes the odd rays of N0", CHECKS_PY,
+           "cols = [slice(0, None, sizes[-1] // N) for N in sizes]",
+           "cols = [slice(int(N < sizes[-1]), None, sizes[-1] // N) for N in sizes]",
+           (f"{BALL_RULE}test_each_level_equals_its_own_search_and_evaluation[cubic-probe]",)),
+    Mutant("a pair's node arrays are split at the other level's offset", CHECKS_PY,
+           "fields[b][key] = np.split(row, ends[:-1])",
+           "fields[b][key] = np.split(row, ends[-1] - ends[:-1])",
+           (f"{BALL_RULE}test_each_level_equals_its_own_search_and_evaluation[z2-growth]",)),
+    Mutant("the probe's order-2 ball is Omega_R instead of Omega_R0", CHECKS_PY,
+           "normB2_radii={params.R0}", "normB2_radii={params.R}",
+           (f"{GROWTH}test_growth_asks_for_first_order_jets_only",)),
     Mutant("the error estimate taken as Q_N - Q_N", CHECKS_PY,
            "errors = [abs(q - p) for q, p in zip(values, previous)]",
            "errors = [abs(q - q) for q, p in zip(values, previous)]",
@@ -113,9 +124,6 @@ MUTANTS = [
            ("tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]",
             f"{GROWTH}test_affine_3d_ball_volume",
             f"{CROSS}test_closed_form_algebra_matches_jet_pipeline[components1-3]")),
-    Mutant("expression evaluation forgets shared subtrees", "src/curvlab/expressions.py",
-           "memo[key] = value", "pass",
-           ("tests/test_expressions.py::TestEvaluation::test_shared_subtrees_are_evaluated_once",)),
     Mutant("kato asserts zeta in a chart that is not isothermal", CHECKS_PY,
            "asserted = equality & has_zeta & cp.isothermal", "asserted = equality & has_zeta",
            ("tests/test_checks.py::TestKato::"

@@ -473,16 +473,23 @@ class TestGrowth:
         assert str(err.value) == message
 
     def test_growth_asks_for_first_order_jets_only(self, z2, monkeypatch):
-        # only the probe's |B|^2 reads second derivatives
-        orders = []
+        # only the probe's |B|^2 over Omega_R0 reads second derivatives
+        nodes = {1: 0, 2: 0}  # per jet order
         evaluate = C.evaluate_immersion
-        monkeypatch.setattr(C, "evaluate_immersion", lambda imm, points, order:
-                            orders.append(order) or evaluate(imm, points, order))
-        C.growth_table(z2, [1.0, 2.0], cells=16)
-        growth = len(orders)
-        assert growth and set(orders) == {1}
-        assert_applicable(C.estimate_probe(z2, None, C.ProbeParams(cells=32)))
-        assert len(orders) > growth and set(orders[growth:]) == {2}
+
+        def counted(imm, points, order):
+            nodes[order] += len(points)
+            return evaluate(imm, points, order)
+
+        monkeypatch.setattr(C, "evaluate_immersion", counted)
+        table = C.growth_table(z2, [1.0, 2.0], cells=16)
+        # Omega_1, Omega_0.5 and Omega_2 at 8 and 16 nodes per axis
+        assert table.nodes_per_axis == 16 and nodes == {1: 3 * (8**2 + 16**2), 2: 0}
+        rec = C.estimate_probe(z2, None, C.ProbeParams(R=1.0, R0=0.3, cells=64))
+        assert_applicable(rec)
+        # Omega_1 and Omega_0.5 at order 1, Omega_0.3 at order 2, at every level up to N
+        ball = sum(N * N for N in (8, 16, 32, 64) if N <= rec.nodes_per_axis)
+        assert nodes == {1: 3 * (8**2 + 16**2) + 2 * ball, 2: ball}
 
     def test_fields_read_second_derivatives_of_any_tree_the_parser_accepts(self):
         # x*...*x with 500 factors is MAX_DEPTH = 500 levels deep.  On the graph of
@@ -642,16 +649,44 @@ class TestBallRule:
             assert np.all(gf.dist2([row * dirs[:, 0], row * dirs[:, 1]]) <= R * R), R
 
     def test_levels_are_kept_and_rays_reused(self, z2, monkeypatch):
-        searched = []
-        boundary = C._GraphFields.boundary
+        searched, evaluated = [], []
+        boundary, fields = C._GraphFields.boundary, C._GraphFields.fields
         monkeypatch.setattr(C._GraphFields, "boundary", lambda self, radii, dirs:
                             searched.append((list(radii), len(dirs))) or boundary(self, radii, dirs))
-        rule = C._BallRule(C._GraphFields(z2), [1.0, 0.5, 1.0], 64)
+        monkeypatch.setattr(C._GraphFields, "fields", lambda self, axes, want=False:
+                            evaluated.append((axes[0].size, want)) or fields(self, axes, want))
+        rule = C._BallRule(C._GraphFields(z2), [1.0, 0.5, 1.0], 64, normB2_radii={0.5})
         assert rule.radii == [1.0, 0.5] and rule.sizes == [8, 16, 32, 64]
-        for N in rule.sizes + rule.sizes:
-            rule.level(N)
-        # one batched search per level, of the new (odd) rays only after the first
-        assert searched == [([1.0, 0.5], 8), ([1.0, 0.5], 8), ([1.0, 0.5], 16), ([1.0, 0.5], 32)]
+        levels = [rule.level(N) for N in rule.sizes]
+        assert all(rule.level(N) is level for N, level in zip(rule.sizes, levels))
+        # levels 8 and 16 from one search of level 16's rays, later levels of their odd rays
+        # only, each ball's nodes once per jet order: |B|^2 over Omega_0.5 alone
+        assert searched == [([1.0, 0.5], 16), ([1.0, 0.5], 16), ([1.0, 0.5], 32)]
+        assert evaluated == [(8**2 + 16**2, False), (8**2 + 16**2, True),
+                             (32**2, False), (32**2, True), (64**2, False), (64**2, True)]
+        assert [[list(ball) for ball in level] for level in levels] == [
+            [["w", "v"], ["w", "v", "normB2"]]] * 4
+
+    # the first two levels share one search and one `fields` call per jet order: each
+    # level's nodes are bitwise those of a search and a call for that level alone
+    @pytest.mark.parametrize("surface, radii, curved", [
+        (("holo-curve", {"coeffs": [0, 0, 1]}), [10.0, 5.0, 100.0, 50.0, 1000.0, 500.0], ()),
+        (("holo-curve", {"coeffs": CUBIC}), [0.3, 1.0, 1.0, 0.5], (0.3,)),
+        (("affine", {"slopes": [[0.5, -0.25, 0.3], [0.1, 0.75, -0.4]]}), [1.0, 0.5, 2.0], (0.5,)),
+    ], ids=["z2-growth", "cubic-probe", "affine-3d"])
+    def test_each_level_equals_its_own_search_and_evaluation(self, surface, radii, curved):
+        gf = C._GraphFields(catalogue_lookup(*surface))
+        n, rule = gf.n, C._BallRule(gf, radii, 64, normB2_radii=curved)
+        for N in rule.sizes[:3]:
+            dirs, dir_w = C._directions(n, N)
+            t, w = C._gauss(N)
+            for R, rho, ball in zip(rule.radii, gf.boundary(rule.radii, dirs), rule.level(N)):
+                nodes = rho[:, None] * t
+                alone = gf.fields([(nodes * dirs[:, a, None]).ravel() for a in range(n)], R in curved)
+                alone["w"] = ((rho**n)[:, None] * dir_w[:, None] * (w * t ** (n - 1))).ravel()
+                assert sorted(ball) == sorted(alone), (N, R)
+                for key, value in alone.items():
+                    assert np.array_equal(ball[key], value, equal_nan=True), (N, R, key)
 
     @pytest.mark.filterwarnings("error")
     def test_undefined_derivative_at_nodes_not_applicable(self):
@@ -688,7 +723,7 @@ class TestBallRule:
         result, _ = C.growth_check_result(build_graph_immersion(["log(x+0.5)", "0"], 2),
                                           [1.0], 16, None)
         assert result.reason.startswith("graph undefined on ")
-        assert result.reason.endswith(" of 1024 boundary-search samples within radius 1.0")
+        assert result.reason.endswith(" of 2048 boundary-search samples within radius 1.0")
 
 
 def all_evaluated(residuals, **detail):

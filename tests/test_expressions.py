@@ -182,23 +182,32 @@ class TestEvaluation:
         for i in range(7):
             assert rel_err(arr[i], evaluate_expression(node, [xs[i], ys[i]])) <= 1e-14
 
-    def test_shared_subtrees_are_evaluated_once(self):
-        # x + x doubled d times has 2^d - 1 additions on its paths, d distinct ones
-        class Counted:
-            additions = 0
+    def test_shared_subtrees_evaluate_as_an_unshared_copy(self):
+        # substitute shares the subtree it puts in for a variable on every path to that
+        # variable; substitute(tree, {}) rebuilds each path on its own
+        inner = parse_expression("sin(x) * y + x^2", 2)
+        outer = parse_expression("x*y - cos(x) / (1 + y^2) + x^3", 2)
+        shared = substitute(outer, {0: inner, 1: BinOp("*", inner, Var(1))})
+        unshared = substitute(shared, {})
 
-            def __init__(self, value):
-                self.value = value
+        def paths(node):  # every node, once per path from the root
+            yield node
+            for child in (getattr(node, key, None) for key in ("arg", "base", "left", "right")):
+                if child is not None:
+                    yield from paths(child)
 
-            def __add__(self, other):
-                Counted.additions += 1
-                return Counted(self.value + other.value)
+        def internal(root):
+            return [node for node in paths(root) if isinstance(node, (BinOp, Call, Pow))]
 
-        node, d = Var(0), 12
-        for _ in range(d):
-            node = BinOp("+", node, node)
-        assert evaluate_expression(node, [Counted(1)]).value == 2**d
-        assert Counted.additions == d
+        assert len({id(node) for node in internal(shared)}) < len(internal(shared))
+        assert len({id(node) for node in internal(unshared)}) == len(internal(unshared))
+        assert shared == unshared
+        point, arrays = [0.37, -0.81], [np.linspace(-0.9, 0.9, 7), np.linspace(-0.5, 0.5, 7)]
+        jets = [jet_variable(i, v, 2, 3) for i, v in enumerate(point)]
+        assert evaluate_expression(shared, point) == evaluate_expression(unshared, point)
+        assert np.array_equal(evaluate_expression(shared, arrays), evaluate_expression(unshared, arrays))
+        assert np.array_equal(evaluate_expression(shared, jets).coeffs,
+                              evaluate_expression(unshared, jets).coeffs)
 
 
 class TestDifferentiate:

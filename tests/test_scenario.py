@@ -485,7 +485,7 @@ class TestRunScenario:
         ({"kind": "graph", "exprs": ["log(x)", "0"]}, {},
          "graph undefined at the origin: F(0) is not finite"),
         ({"kind": "graph", "exprs": ["log(x+0.5)", "0"]}, {"radii": [1.0], "cells": 16},
-         "graph undefined on 140 of 1024 boundary-search samples within radius 1.0"),
+         "graph undefined on 258 of 2048 boundary-search samples within radius 1.0"),
     ])
     def test_growth_not_applicable_reports_its_reason(self, surface, options, reason):
         cfg = {
@@ -991,9 +991,12 @@ class TestSweepSharedWork:
         first = copy.deepcopy(cfg)
         first.pop("sweep")
         nodes, searched = quadrature_work(quadrature_calls, lambda: sweep(cfg))
-        # one search of Omega_R0 = Omega_(R/2) and Omega_R per level for three values of t,
-        # each of which converges at 32 nodes per axis
-        assert nodes > 0 and searched == [[0.5, 1.0]] * 3
+        # for three values of t, each of which converges at 32 nodes per axis: one search of
+        # Omega_R0 = Omega_(R/2) and Omega_R for levels 8 and 16, one for level 32, and per
+        # search one `fields` call for Omega_R's v and one for Omega_R0's v and |B|^2
+        assert searched == [[0.5, 1.0]] * 2
+        assert quadrature_calls["fields"] == [8**2 + 16**2] * 2 + [32**2] * 2
+        assert nodes == 2 * (8**2 + 16**2 + 32**2)
         assert (nodes, searched) == quadrature_work(
             quadrature_calls, lambda: run_scenario(load_config(first)))
         # no piece outlives the call: a second sweep does the same work again
