@@ -29,21 +29,19 @@ Conventions
 
 Blocks
 ------
-`point_geometry_at` takes one point or a block of points, given as a (P, n)
-array; each function that reads geometry takes the PointGeometry it returned.
-For a block, each array of the result gains a leading axis of length P, jets
-are batched, and a failure at one point is recorded in `errors` (or in a
-jet's `failures`) instead of raised.  One point runs the same array code as a
-block of one, then raises that point's failure or drops the batch axis.
+`point_geometry_at` takes a (P, n) block of points, and each function that
+reads geometry takes the PointGeometry it returned; one point is a block of
+one.  Every array of a result has a leading axis of length P and every jet is
+batched.  A point's geometry failure is recorded in `errors`, never raised; a
+field jet's `failures` are those of its own elementary functions.
 Contractions that feed per-point results are summed in a fixed index order,
 so a point's values do not depend on the block it was evaluated in.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,60 +90,6 @@ def _objects(values: list) -> np.ndarray:
 def _optional(values: np.ndarray, present: np.ndarray, absent=None) -> np.ndarray:
     """Per-point values as Python scalars, `absent` where `present` is false."""
     return _objects([v if ok else absent for v, ok in zip(values.tolist(), present.tolist())])
-
-
-def _take(obj, p):
-    """Point p of a block result: arrays lose the batch axis, scalars become Python values."""
-    if isinstance(obj, np.ndarray):
-        item = obj[p]
-        return item.item() if isinstance(item, np.generic) else item
-    if isinstance(obj, Jet):
-        return Jet(obj.dim, obj.order, obj.coeffs[p])
-    if is_dataclass(obj):
-        return type(obj)(**{name: None if name == "errors" else _take(value, p)
-                            for name, value in vars(obj).items()})
-    return obj
-
-
-def _batch1(obj):
-    """A block of one from a single-point result; the inverse of _take(., 0)."""
-    if isinstance(obj, np.ndarray):
-        return obj[None]
-    if isinstance(obj, Jet):
-        return Jet(obj.dim, obj.order, obj.coeffs[None])
-    if isinstance(obj, tuple):
-        return _objects([obj])
-    if isinstance(obj, float):
-        return np.array([obj])
-    if is_dataclass(obj):
-        return replace(obj, **{f.name: [None] if f.name == "errors" else _batch1(getattr(obj, f.name))
-                               for f in fields(obj)})
-    return obj
-
-
-def _single(obj):
-    """The only point of a block of one: raise its failure, else drop the batch axis."""
-    failure = obj.failures.get(0) if isinstance(obj, Jet) else getattr(obj, "errors", [None])[0]
-    if failure is not None:
-        raise failure
-    return _take(obj, 0)
-
-
-def _pointwise(block_fn):
-    """Let a function of a block PointGeometry also take a single-point one.
-
-    A single point (`errors is None`) runs as a block of one, together with
-    any CanonicalFrame passed for it; its failure is then raised, else the
-    batch axis dropped.
-    """
-    @functools.wraps(block_fn)
-    def run(pg, *args, **kwargs):
-        if pg.errors is not None:
-            return block_fn(pg, *args, **kwargs)
-        lift = lambda a: _batch1(a) if isinstance(a, CanonicalFrame) else a  # noqa: E731
-        return _single(block_fn(_batch1(pg), *map(lift, args),
-                                **{k: lift(v) for k, v in kwargs.items()}))
-    return run
 
 
 def _dot(u, v):
@@ -235,46 +179,36 @@ def _gradient(jet: Jet, n: int) -> np.ndarray:
 
 @dataclass
 class PointGeometry:
-    """Full geometric state of an immersion at one parameter point (or a block)."""
+    """Full geometric state of an immersion at each point of a block of P points.
 
-    point: tuple[float, ...]
+    A point whose geometry failed holds its exception in `errors` and
+    finite placeholder values elsewhere; the jets here carry no failures.
+    """
+
+    point: np.ndarray  # (P,) object: each point as a tuple of floats
     n: int
     m: int
-    g: Jet  # (n, n) tensor jet of the metric, order 2
-    g0: np.ndarray  # (n, n) metric values
-    g_inv: np.ndarray  # (n, n)
-    christoffel: np.ndarray  # (n, n, n): christoffel[l, k, i] = Gamma^l_{ki}
-    dF: np.ndarray  # (n, n+m) Jacobian values
-    tangent_frame: np.ndarray  # (n, n+m) orthonormal e_i
-    frame_coeffs: np.ndarray  # (n, n) T with e = T @ dF
-    normal_frame: np.ndarray  # (m, n+m) orthonormal nu_a
-    second_partials: np.ndarray  # (n, n, n+m) values of d_i d_j F
-    B_coord: np.ndarray  # (n, n, n+m) normal projections of d_i d_j F
-    nablaB_coord: np.ndarray  # (n, n, n, n+m): [k, i, j] = (grad_{d_k} B)(d_i, d_j)
-    h: np.ndarray  # (m, n, n)
-    h3: np.ndarray  # (m, n, n, n)
-    mean_curvature: np.ndarray  # (n+m,)
-    normB2: float
-    nablaB2: float
+    g: Jet  # (P, n, n) tensor jet of the metric, order 2
+    g0: np.ndarray  # (P, n, n) metric values
+    g_inv: np.ndarray  # (P, n, n)
+    christoffel: np.ndarray  # (P, n, n, n): christoffel[:, l, k, i] = Gamma^l_{ki}
+    dF: np.ndarray  # (P, n, n+m) Jacobian values
+    tangent_frame: np.ndarray  # (P, n, n+m) orthonormal e_i
+    frame_coeffs: np.ndarray  # (P, n, n) T with e = T @ dF
+    normal_frame: np.ndarray  # (P, m, n+m) orthonormal nu_a
+    second_partials: np.ndarray  # (P, n, n, n+m) values of d_i d_j F
+    B_coord: np.ndarray  # (P, n, n, n+m) normal projections of d_i d_j F
+    nablaB_coord: np.ndarray  # (P, n, n, n, n+m): [:, k, i, j] = (grad_{d_k} B)(d_i, d_j)
+    h: np.ndarray  # (P, m, n, n)
+    h3: np.ndarray  # (P, m, n, n, n)
+    mean_curvature: np.ndarray  # (P, n+m)
+    normB2: np.ndarray  # (P,)
+    nablaB2: np.ndarray  # (P,)
     # order-2 jets reused by scalar_field_jet and the packs
-    dF_jets: Jet  # (n, n+m) tensor jet of d_i F
-    detg_jet: Jet
-    normB2_jet: Jet
-    errors: list | None = None  # block only: the failure of each point, or None
-
-
-def point_geometry_at(imm: Immersion, point) -> PointGeometry:
-    """Evaluate the full per-point geometric bundle at `point`.
-
-    Raises ImmersionRankError when det g degenerates, and propagates
-    expression/jet domain errors from component evaluation.  `point` may
-    also be a (P, n) block of points; those failures are then collected per
-    point in `errors`.
-    """
-    coords = np.asarray(point, dtype=float)
-    if coords.ndim == 2:
-        return _geometry(imm, coords, [tuple(row) for row in coords.tolist()])
-    return _single(_geometry(imm, coords[None], [tuple(point)]))
+    dF_jets: Jet  # (P, n, n+m) tensor jet of d_i F
+    detg_jet: Jet  # (P,)
+    normB2_jet: Jet  # (P,)
+    errors: list  # (P,): each point's failure, or None
 
 
 def _metric(F: Jet, n: int):
@@ -313,8 +247,18 @@ def _hessian(F: Jet, dF_jets: Jet, ginv_jets: Jet, n: int):
             jet_einsum("pkjA,pjkA->p", raised, raised, work))
 
 
-def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry:
+def point_geometry_at(imm: Immersion, points) -> PointGeometry:
+    """Evaluate the full geometric bundle at each point of a (P, n) block.
+
+    A point where det g degenerates gets an ImmersionRankError in `errors`,
+    and one where component evaluation leaves the domain its expression or
+    jet domain error; nothing is raised for a point.
+    """
     n, m, N = imm.n, imm.m, imm.n + imm.m
+    coords = np.asarray(points, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != n:
+        raise ValueError(f"points must be a (P, {n}) block, not an array of shape {coords.shape}")
+    labels = [tuple(row) for row in coords.tolist()]
     P = len(coords)
     comps = evaluate_immersion(imm, coords, 4)
     errors = [None] * P
@@ -389,7 +333,7 @@ def _geometry(imm: Immersion, coords: np.ndarray, labels: list) -> PointGeometry
     mean_curvature = ordered_einsum("pij,pijA->pA", g_inv, B_coord)
 
     return PointGeometry(
-        point=_objects([tuple(row) for row in coords.tolist()]),
+        point=_objects(labels),
         n=n,
         m=m,
         g=g_jets,
@@ -423,14 +367,10 @@ def _gauss_matrix(pg: PointGeometry) -> np.ndarray:
 
 
 def gauss_rank_at(pg: PointGeometry):
-    """Numerical rank of the Gauss-map differential and its singular values.
-
-    For a block: (P,) ranks and (P, n) singular values.
-    """
+    """Numerical rank of the Gauss-map differential, (P,), and its singular values, (P, n)."""
     sv = np.linalg.svd(_gauss_matrix(pg), compute_uv=False)
-    base = np.where(sv[..., 0] > 0, sv[..., 0], 1.0)
-    rank = np.sum(sv > RANK_TOL * base[..., None], axis=-1)
-    return (rank, sv) if pg.errors is not None else (int(rank), sv)
+    base = np.where(sv[:, 0] > 0, sv[:, 0], 1.0)
+    return np.sum(sv > RANK_TOL * base[:, None], axis=-1), sv
 
 
 @dataclass
@@ -442,23 +382,22 @@ class CanonicalFrame:
     A^2 = antidiag(mu2, mu2), mu1 >= mu2 >= 0.
     """
 
-    kernel_basis: np.ndarray  # (n-2, n+m) ambient kernel directions
-    mu1: float
-    mu2: float
-    theta: float
-    residual: float
-    tangent_frame: np.ndarray  # (n, n+m): e1, e2, kernel...
-    normal_frame: np.ndarray  # (m, n+m): nu1, nu2, completion...
-    errors: list | None = None  # block only: the failure of each point, or None
+    kernel_basis: np.ndarray  # (P, n-2, n+m) ambient kernel directions
+    mu1: np.ndarray  # (P,)
+    mu2: np.ndarray  # (P,)
+    theta: np.ndarray  # (P,)
+    residual: np.ndarray  # (P,)
+    tangent_frame: np.ndarray  # (P, n, n+m): e1, e2, kernel...
+    normal_frame: np.ndarray  # (P, m, n+m): nu1, nu2, completion...
+    errors: list  # (P,): the geometry's failure of each point, else a GaussRankError or None
 
 
-@_pointwise
 def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
     """Rotate frames so the shape operators take their rank-2 normal form.
 
-    Requires Gauss-map rank <= 2; raises GaussRankError otherwise (the
-    hypothesis is reported, never silently clamped).  For a block the
-    failures are collected in `errors`.
+    Requires Gauss-map rank <= 2: a point of higher rank gets a
+    GaussRankError in `errors` (the hypothesis is reported, never silently
+    clamped), after the failures the geometry recorded.
     """
     n, m, N = pg.n, pg.m, pg.n + pg.m
     P = len(pg.h)
@@ -558,14 +497,13 @@ def _alignment_jet(pg: PointGeometry, reference_frame: np.ndarray) -> Jet:
     return _det_cofactors(_entries(M))[0] * jet_elementary("pow-const", pg.detg_jet, param=-0.5)
 
 
-@_pointwise
 def scalar_field_jet(pg: PointGeometry, field: str, reference_frame=None) -> Jet:
     """Order-2 jet of a derived scalar field of the immersion.
 
     Fields: 'volume' (sqrt det g), 'alignment' (needs reference_frame),
     'log-alignment', 'normB2', 'normB'.  It is built from the order-2 jets
-    `pg` carries, so the returned jet holds exact first and second
-    derivatives of the field.  For a block the jet is batched.
+    `pg` carries, so the returned (P,) jet holds exact first and second
+    derivatives of the field.
     """
     if field not in SCALAR_FIELDS:
         raise ValueError(f"unknown scalar field {field!r} (known: {SCALAR_FIELDS})")
@@ -577,7 +515,7 @@ def scalar_field_jet(pg: PointGeometry, field: str, reference_frame=None) -> Jet
         nb2 = pg.normB2_jet
         flat = {p: JetDomainError("|B| is singular at a zero of the second fundamental form")
                 for p in np.flatnonzero(nb2.value <= 0.0).tolist()}
-        jet = jet_elementary("sqrt", replace(nb2, failures={**flat, **nb2.failures}))
+        jet = jet_elementary("sqrt", replace(nb2, failures=flat))
     else:
         if reference_frame is None:
             raise ValueError(f"field {field!r} requires a reference frame")
@@ -588,7 +526,7 @@ def scalar_field_jet(pg: PointGeometry, field: str, reference_frame=None) -> Jet
 
 
 def laplace_beltrami_of_jet(pg: PointGeometry, field_jet: Jet):
-    """Lap phi = g^{ij} (d_i d_j phi - Gamma^k_{ij} d_k phi) from an order-2 jet."""
+    """Lap phi = g^{ij} (d_i d_j phi - Gamma^k_{ij} d_k phi), (P,), from an order-2 (P,) jet."""
     n = pg.n
     grad = _gradient(field_jet, n)
     lap = 0.0
@@ -598,30 +536,29 @@ def laplace_beltrami_of_jet(pg: PointGeometry, field_jet: Jet):
             for k in range(n):
                 corrected = corrected - pg.christoffel[..., k, i, j] * grad[..., k]
             lap = lap + pg.g_inv[..., i, j] * corrected
-    return float(lap) if np.ndim(lap) == 0 else lap
+    return lap
 
 
 def gradient_norm2_of_jet(pg: PointGeometry, field_jet: Jet):
-    """|grad phi|^2 = g^{ij} d_i phi d_j phi."""
+    """|grad phi|^2 = g^{ij} d_i phi d_j phi, (P,)."""
     grad = _gradient(field_jet, pg.n)
     out = 0.0
     for i in range(pg.n):
         for j in range(pg.n):
             out = out + grad[..., i] * pg.g_inv[..., i, j] * grad[..., j]
-    return float(out) if np.ndim(out) == 0 else out
+    return out
 
 
 def laplace_beltrami(pg: PointGeometry, field: str, reference_frame=None):
-    """Laplace-Beltrami of a derived scalar field at a point (or a block)."""
+    """Laplace-Beltrami of a derived scalar field, (P,)."""
     return laplace_beltrami_of_jet(pg, scalar_field_jet(pg, field, reference_frame))
 
 
 # -- plane pairings and the alignment pack ---------------------------------------
 
 def frame_pairing(rows: np.ndarray, reference: np.ndarray):
-    """<b_1 ^ ... ^ b_n, a_1 ^ ... ^ a_n> = det(<b_i, a_j>); rows may be a (P, n, N) block."""
-    det = np.linalg.det(np.asarray(rows) @ np.asarray(reference).T)
-    return float(det) if np.ndim(det) == 0 else det
+    """<b_1 ^ ... ^ b_n, a_1 ^ ... ^ a_n> = det(<b_i, a_j>), for the (P, n, N) rows of a block."""
+    return np.linalg.det(np.asarray(rows) @ np.asarray(reference).T)
 
 
 def replaced_pairing(e_rows: np.ndarray, reference: np.ndarray, replacements: dict):
@@ -645,18 +582,17 @@ class AlignmentPack:
     every point; `checks` decides where the Laplacian one's hypotheses hold.
     """
 
-    value: float
-    value_from_frames: float
-    grad_frame: np.ndarray  # grad_{e_i} a by jet differentiation
-    grad_formula: np.ndarray
-    laplacian_numeric: float
-    laplacian_formula: float
-    single_pairings: np.ndarray  # (n, m): <e_{j a}, A>
-    double_pairing: float  # <e_{1 1, 2 2}, A>, with nu_1 again for nu_2 when m == 1
-    jet: Jet  # the alignment scalar as an order-2 jet
+    value: np.ndarray  # (P,)
+    value_from_frames: np.ndarray  # (P,)
+    grad_frame: np.ndarray  # (P, n): grad_{e_i} a by jet differentiation
+    grad_formula: np.ndarray  # (P, n)
+    laplacian_numeric: np.ndarray  # (P,)
+    laplacian_formula: np.ndarray  # (P,)
+    single_pairings: np.ndarray  # (P, n, m): <e_{j a}, A>
+    double_pairing: np.ndarray  # (P,): <e_{1 1, 2 2}, A>, with nu_1 again for nu_2 when m == 1
+    jet: Jet  # (P,): the alignment scalar as an order-2 jet
 
 
-@_pointwise
 def alignment_pack_at(pg: PointGeometry, reference_frame,
                       canon: CanonicalFrame | None = None) -> AlignmentPack:
     """Evaluate the alignment function and its structural identities (`canon`: computed if None)."""
@@ -706,16 +642,15 @@ class ComplexPack:
     i.e. conformality_residual is small; `isothermal` records that flag.
     """
 
-    Fww: np.ndarray  # complex (n+m,)
-    conformality_residual: float
-    isothermal: bool
-    omega_coeff: complex  # <F_ww, F_ww> complex-bilinear
-    B_ww: np.ndarray
-    zeta: complex | None
-    zeta_residual: float | None
+    Fww: np.ndarray  # (P, n+m) complex
+    conformality_residual: np.ndarray  # (P,)
+    isothermal: np.ndarray  # (P,) bool
+    omega_coeff: np.ndarray  # (P,) complex: <F_ww, F_ww> complex-bilinear
+    B_ww: np.ndarray  # (P, n+m) complex
+    zeta: np.ndarray  # (P,) object: a complex, or None where B_ww vanishes
+    zeta_residual: np.ndarray  # (P,) object: a float, or None where zeta is
 
 
-@_pointwise
 def complex_pack_at(pg: PointGeometry) -> ComplexPack:
     """Complex second-order data of a surface: conformality, omega, zeta."""
     if pg.n != 2:
@@ -753,11 +688,10 @@ def complex_pack_at(pg: PointGeometry) -> ComplexPack:
 
 @dataclass
 class CurvaturePack:
-    K_intrinsic: float
-    K_extrinsic: float
+    K_intrinsic: np.ndarray  # (P,)
+    K_extrinsic: np.ndarray  # (P,)
 
 
-@_pointwise
 def curvature_pack_at(pg: PointGeometry) -> CurvaturePack:
     """Gauss curvature by two routes: Brioschi (metric only) and det B."""
     if pg.n != 2:

@@ -137,6 +137,10 @@ MUTANTS = [
            "ok = not n_nonfinite and worst < tol and extra_ok",
            ("tests/test_checks.py::TestAggregation::"
             "test_a_worst_residual_equal_to_the_tolerance_passes",)),
+    Mutant("canonical frame forgets the geometry's failures", GEOMETRY_PY,
+           "errors = list(pg.errors)", "errors = [None] * P",
+           ("tests/test_geometry.py::TestBlockIndependence::"
+            "test_the_canonical_frame_keeps_the_geometry_failures",)),
     Mutant("canonical frame keeps det U = -1", GEOMETRY_PY,
            "U[np.linalg.det(U) < 0, :, 2] *= -1.0", "pass",
            ("tests/test_geometry.py::TestAlignmentPack::"

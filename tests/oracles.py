@@ -3,17 +3,20 @@
 Everything here is deliberately naive: central finite differences with
 Richardson extrapolation, closed-form curvature values derived by hand,
 sympy's symbolic derivatives, and brute-force linear algebra.  None of it
-reuses the jet pipeline it checks.
+reuses the jet pipeline it checks; `at_point` only takes one point of it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from curvlab.expressions import BinOp, Call, Const, Pow, Var
+from curvlab.geometry import point_geometry_at
+from curvlab.jets import Jet
 
 # Central-difference stencils (offsets in units of h, weights) per derivative order.
 _STENCILS = {
@@ -206,3 +209,34 @@ def substitute(node, mapping):
     if isinstance(node, BinOp):
         return BinOp(node.op, substitute(node.left, mapping), substitute(node.right, mapping))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# -- one point of the block geometry -------------------------------------------------
+
+def at_point(fn, imm, point, *args):
+    """`fn` at one point of `imm`, run as a block of one.
+
+    `fn` is `point_geometry_at`, or a function of the block's PointGeometry
+    that takes `args` after it.  A failure the geometry or the result records
+    at the point is raised; otherwise every array, jet and field of the
+    result loses its batch axis.
+    """
+    pg = point_geometry_at(imm, np.array([point], dtype=float))
+    out = pg if fn is point_geometry_at else fn(pg, *args)
+    own = out.failures.get(0) if isinstance(out, Jet) else getattr(out, "errors", [None])[0]
+    if pg.errors[0] or own:
+        raise pg.errors[0] or own
+    return _row(out)
+
+
+def _row(obj):
+    if isinstance(obj, np.ndarray):
+        item = obj[0]
+        return item.item() if isinstance(item, np.generic) else item
+    if isinstance(obj, Jet):
+        return Jet(obj.dim, obj.order, obj.coeffs[0])
+    if isinstance(obj, tuple):
+        return tuple(map(_row, obj))
+    if is_dataclass(obj):
+        return replace(obj, **{f.name: _row(getattr(obj, f.name)) for f in fields(obj) if f.name != "errors"})
+    return obj

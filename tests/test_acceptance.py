@@ -25,7 +25,7 @@ from curvlab.jets import Jet, jet_constant, jet_extract, jet_variable, multi_ind
 from curvlab.scenario import CheckSpec, emit_report, load_config, run_checks, run_scenario
 
 import oracles
-from oracles import rel_err
+from oracles import at_point, rel_err
 
 COORD_PLANE = np.eye(2, 4)
 
@@ -104,20 +104,19 @@ def test_criterion_1_jet_kernel_vs_finite_differences():
 def test_criterion_2_affine_plane():
     imm = catalogue_lookup("affine", {})
     grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (11, 11))
-    pg0 = point_geometry_at(imm, (0.0, 0.0))
-    plane = pg0.tangent_frame
+    plane = at_point(point_geometry_at, imm, (0.0, 0.0)).tangent_frame
     worst = 0.0
     ranks = set()
     for point in grid.points():
-        pg = point_geometry_at(imm, point)
+        pg = at_point(point_geometry_at, imm, point)
         worst = max(
             worst,
             pg.normB2,
             pg.nablaB2,
             float(np.linalg.norm(pg.mean_curvature)),
-            abs(laplace_beltrami(pg, "alignment", plane)),
+            abs(at_point(laplace_beltrami, imm, point, "alignment", plane)),
         )
-        ranks.add(gauss_rank_at(pg)[0])
+        ranks.add(at_point(gauss_rank_at, imm, point)[0])
     verdict(2, worst <= 1e-12 and ranks == {0}, f"affine: worst quantity {worst:.2e}, ranks {ranks}")
 
 
@@ -130,7 +129,7 @@ def test_criterion_3_holomorphic_curve(z2, z2_full_report):
     ok &= minimality <= 1e-10
     notes.append(f"|H| {minimality:.1e}")
 
-    nb0 = point_geometry_at(z2, (0.0, 0.0)).normB2
+    nb0 = at_point(point_geometry_at, z2, (0.0, 0.0)).normB2
     ok &= rel_err(nb0, 16.0) <= 1e-8
     notes.append(f"|B|^2(0) = {nb0}")
 
@@ -168,7 +167,7 @@ def test_criterion_4_catenoid():
     notes = []
 
     worst_b2 = max(
-        rel_err(point_geometry_at(imm, (u, 0.4)).normB2, oracles.catenoid_normB2(u))
+        rel_err(at_point(point_geometry_at, imm, (u, 0.4)).normB2, oracles.catenoid_normB2(u))
         for u in np.linspace(-1, 1, 11)
     )
     ok &= worst_b2 <= 1e-8
@@ -185,13 +184,13 @@ def test_criterion_4_catenoid():
     notes.append(f"|gap| {gap:.1e}")
 
     omega_dev = max(
-        rel_err(abs(complex_pack_at(point_geometry_at(imm, pt)).omega_coeff), 0.25)
+        rel_err(abs(at_point(complex_pack_at, imm, pt).omega_coeff), 0.25)
         for pt in [(0.0, 0.0), (0.8, -0.5), (-1.0, 1.0)]
     )
     ok &= omega_dev <= 1e-8
     notes.append(f"omega vs 1/4: {omega_dev:.1e}")
 
-    kp = curvature_pack_at(point_geometry_at(imm, (0.0, 0.0)))
+    kp = at_point(curvature_pack_at, imm, (0.0, 0.0))
     ok &= abs(kp.K_extrinsic + 1.0) <= 1e-8
     ok &= rel_err(kp.K_intrinsic, kp.K_extrinsic) <= 1e-6
     notes.append(f"K(0,0) = {kp.K_extrinsic:.10f}")
@@ -206,8 +205,8 @@ def test_criterion_5_cylinder_over_helicoid():
     worst_sv3 = 0.0
     worst_h3j = 0.0
     for point in grid.points():
-        pg = point_geometry_at(imm, point)
-        rank, sv = gauss_rank_at(pg)
+        pg = at_point(point_geometry_at, imm, point)
+        rank, sv = at_point(gauss_rank_at, imm, point)
         ok &= rank == 2
         worst_sv3 = max(worst_sv3, sv[2])
         worst_h3j = max(worst_h3j, float(np.abs(pg.h[:, 2, :]).max()))
@@ -249,7 +248,7 @@ def test_criterion_6_cross_validation():
     ]
     worst_codazzi = 0.0
     for imm, pt in surfaces:
-        pg = point_geometry_at(imm, pt)
+        pg = at_point(point_geometry_at, imm, pt)
         scale = 1.0 + math.sqrt(pg.nablaB2)
         worst_codazzi = max(
             worst_codazzi, float(np.abs(pg.h3 - pg.h3.transpose(0, 1, 3, 2)).max()) / scale

@@ -20,13 +20,13 @@ from curvlab.geometry import (
     replaced_pairing,
     scalar_field_jet,
 )
-from curvlab.expressions import BinOp, Const, Var
+from curvlab.expressions import BinOp, Const, Var, parse_expression
 from curvlab.immersions import GridSpec, Immersion, build_graph_immersion, catalogue_lookup
 from curvlab.jets import Jet, JetDomainError
 from curvlab.scenario import CheckSpec, run_checks
 
 import oracles
-from oracles import rel_err, substitute
+from oracles import at_point, rel_err, substitute
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +53,14 @@ CYLINDER_PLANE = np.array(
 
 class TestPointGeometry:
     def test_affine_is_flat(self):
-        pg = point_geometry_at(catalogue_lookup("affine", {}), (0.7, -1.3))
+        pg = at_point(point_geometry_at, catalogue_lookup("affine", {}), (0.7, -1.3))
         assert pg.normB2 == 0.0
         assert pg.nablaB2 == 0.0
         assert np.all(pg.h == 0.0)
         assert np.linalg.norm(pg.mean_curvature) == 0.0
 
     def test_z2_at_origin(self, z2):
-        pg = point_geometry_at(z2, (0.0, 0.0))
+        pg = at_point(point_geometry_at, z2, (0.0, 0.0))
         assert rel_err(pg.normB2, 16.0) <= 1e-12
         # B_xx = 2 eps3, B_xy = 2 eps4, B_yy = -2 eps3
         assert np.allclose(pg.B_coord[0, 0], [0, 0, 2, 0], atol=1e-12)
@@ -70,13 +70,13 @@ class TestPointGeometry:
     def test_z2_closed_forms_on_grid(self, z2):
         for x in np.linspace(-1, 1, 5):
             for y in np.linspace(-1, 1, 5):
-                pg = point_geometry_at(z2, (x, y))
+                pg = at_point(point_geometry_at, z2, (x, y))
                 assert rel_err(pg.normB2, oracles.z2_normB2(x, y)) <= 1e-10
                 assert rel_err(pg.nablaB2, oracles.z2_nablaB2(x, y)) <= 1e-9
 
     def test_catenoid_closed_forms(self, catenoid):
         for u in np.linspace(-1, 1, 9):
-            pg = point_geometry_at(catenoid, (u, 0.3))
+            pg = at_point(point_geometry_at, catenoid, (u, 0.3))
             assert rel_err(pg.normB2, oracles.catenoid_normB2(u)) <= 1e-8
             assert rel_err(pg.nablaB2, oracles.catenoid_nablaB2(u)) <= 1e-8
             assert np.linalg.norm(pg.mean_curvature) <= 1e-12
@@ -89,7 +89,7 @@ class TestPointGeometry:
             (catalogue_lookup("enneper", {}), [(0.4, 0.1)]),
         ]:
             for pt in pts:
-                pg = point_geometry_at(imm, pt)
+                pg = at_point(point_geometry_at, imm, pt)
                 frame = np.vstack([pg.tangent_frame, pg.normal_frame])
                 assert np.abs(frame @ frame.T - np.eye(pg.n + pg.m)).max() <= 1e-10
 
@@ -100,7 +100,7 @@ class TestPointGeometry:
             (cylinder, (0.1, 0.7, -0.4)),
             (catalogue_lookup("enneper", {}), (0.5, -0.3)),
         ]:
-            pg = point_geometry_at(imm, pt)
+            pg = at_point(point_geometry_at, imm, pt)
             scale = 1.0 + math.sqrt(pg.nablaB2)
             codazzi = np.abs(pg.h3 - pg.h3.transpose(0, 1, 3, 2)).max()
             assert codazzi <= 1e-8 * scale
@@ -116,7 +116,7 @@ class TestPointGeometry:
             (cylinder, (0.1, 0.7, -0.4)),
             (build_graph_immersion(["x^2 - y^3", "x*y + y", "x^3*y"], 2), (0.3, -0.7)),
         ]:
-            pg = point_geometry_at(imm, pt)
+            pg = at_point(point_geometry_at, imm, pt)
             PN = np.eye(pg.n + pg.m) - pg.dF.T @ np.linalg.inv(pg.g0) @ pg.dF
             want = np.einsum("AB,ijB->ijA", PN, pg.second_partials)
             assert np.abs(pg.B_coord - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
@@ -127,7 +127,7 @@ class TestPointGeometry:
         # F = (x^2, y, ...) fails immersion at x = 0
         imm = build_graph_immersion(["x^2"], 2)
         bad = catalogue_lookup("affine", {})
-        pg = point_geometry_at(bad, (0.0, 0.0))  # fine
+        pg = at_point(point_geometry_at, bad, (0.0, 0.0))  # fine
         folded = catalogue_lookup("helicoid", {})
         # build an explicitly singular parametrization: components of (x*y, x*y)
         from curvlab.immersions import Immersion
@@ -138,25 +138,23 @@ class TestPointGeometry:
         )
         sing = Immersion(2, 2, comps, "parametric")
         with pytest.raises(ImmersionRankError):
-            point_geometry_at(sing, (0.0, 0.0))
+            at_point(point_geometry_at, sing, (0.0, 0.0))
 
 
 class TestGaussRank:
     def test_affine_rank_zero(self):
-        pg = point_geometry_at(catalogue_lookup("affine", {}), (0.0, 0.0))
-        rank, sv = gauss_rank_at(pg)
+        rank, sv = at_point(gauss_rank_at, catalogue_lookup("affine", {}), (0.0, 0.0))
         assert rank == 0
         assert np.all(sv == 0.0)
 
     def test_z2_rank_two(self, z2):
-        pg = point_geometry_at(z2, (0.0, 0.0))
-        rank, sv = gauss_rank_at(pg)
+        rank, sv = at_point(gauss_rank_at, z2, (0.0, 0.0))
         assert rank == 2
         assert np.allclose(sv, [math.sqrt(8), math.sqrt(8)], atol=1e-12)
 
     def test_cylinder_rank_two_with_flat_factor(self, cylinder):
-        pg = point_geometry_at(cylinder, (0.4, -0.7, 1.1))
-        rank, sv = gauss_rank_at(pg)
+        pg = at_point(point_geometry_at, cylinder, (0.4, -0.7, 1.1))
+        rank, sv = at_point(gauss_rank_at, cylinder, (0.4, -0.7, 1.1))
         assert rank == 2
         assert sv[2] <= 1e-10
         assert np.abs(pg.h[:, 2, :]).max() <= 1e-10
@@ -164,27 +162,26 @@ class TestGaussRank:
     def test_rank_three_detected(self):
         # graph of a definite quadric over R^3 bends in all three directions
         imm = build_graph_immersion(["x^2 + y^2 + z^2"], 3)
-        pg = point_geometry_at(imm, (0.1, 0.2, 0.3))
-        rank, _ = gauss_rank_at(pg)
+        rank, _ = at_point(gauss_rank_at, imm, (0.1, 0.2, 0.3))
         assert rank == 3
         with pytest.raises(GaussRankError):
-            canonical_frame_at(pg)
+            at_point(canonical_frame_at, imm, (0.1, 0.2, 0.3))
 
 
 class TestCanonicalFrame:
     def test_z2_origin(self, z2):
-        cf = canonical_frame_at(point_geometry_at(z2, (0.0, 0.0)))
+        cf = at_point(canonical_frame_at, z2, (0.0, 0.0))
         assert rel_err(cf.mu1, 2.0) <= 1e-12
         assert rel_err(cf.mu2, 2.0) <= 1e-12
         assert cf.residual <= 1e-10
 
     def test_catenoid_origin(self, catenoid):
-        cf = canonical_frame_at(point_geometry_at(catenoid, (0.0, 0.0)))
+        cf = at_point(canonical_frame_at, catenoid, (0.0, 0.0))
         assert rel_err(cf.mu1, 1.0) <= 1e-12
         assert abs(cf.mu2) <= 1e-12
 
     def test_affine_all_zero(self):
-        cf = canonical_frame_at(point_geometry_at(catalogue_lookup("affine", {}), (0.3, 0.1)))
+        cf = at_point(canonical_frame_at, catalogue_lookup("affine", {}), (0.3, 0.1))
         assert cf.mu1 == 0.0 and cf.mu2 == 0.0
 
     def test_normal_form_and_norm_identity(self, z2, catenoid, cylinder):
@@ -194,8 +191,7 @@ class TestCanonicalFrame:
             (cylinder, (0.3, 0.3, -0.9)),
             (catalogue_lookup("enneper", {}), (0.6, 0.2)),
         ]:
-            pg = point_geometry_at(imm, pt)
-            cf = canonical_frame_at(pg)
+            pg, cf = at_point(point_geometry_at, imm, pt), at_point(canonical_frame_at, imm, pt)
             assert cf.mu1 >= cf.mu2 >= 0.0
             assert -math.pi / 4 < cf.theta <= math.pi / 4 + 1e-15
             assert cf.residual <= 1e-8 * (1.0 + cf.mu1)
@@ -211,18 +207,18 @@ class TestCanonicalFrame:
         # On y = 0 the graph (log x, xy) has |B(e1, e1)|^2 = |B(e1, e2)|^2 = x^2 / (1 + x^2)^3
         # and <B(e1, e1), B(e1, e2)> = 0: a conformal point, where the frame needs no
         # rotation and the mu1 >= mu2 swap meets a tie that rounding alone breaks.
-        pg = point_geometry_at(build_graph_immersion(["log(x)", "x*y"], 2), (0.6, 0.0))
-        T, frames, gaps = pg.frame_coeffs, [], []
+        pg = point_geometry_at(build_graph_immersion(["log(x)", "x*y"], 2), [(0.6, 0.0)])
+        T, frames, gaps = pg.frame_coeffs[0], [], []
         for ulps in range(-3, 4):
             B = pg.B_coord.copy()
-            B[0, 0, 0] += ulps * np.spacing(B[0, 0, 0])
-            b11, b12 = T[0, 0] ** 2 * B[0, 0], T[0, 0] * T[1, 1] * B[0, 1]
+            B[0, 0, 0, 0] += ulps * np.spacing(B[0, 0, 0, 0])
+            b11, b12 = T[0, 0] ** 2 * B[0, 0, 0], T[0, 0] * T[1, 1] * B[0, 0, 1]
             gaps.append(b11 @ b11 - b12 @ b12)
             frames.append(canonical_frame_at(replace(pg, B_coord=B)))
         assert min(gaps) < 0.0 < max(gaps)  # both signs of the rounded tie are fed
         mu = 0.6 / 1.36**1.5
         for cf in frames:
-            assert rel_err(cf.mu1, mu) <= 1e-14 and rel_err(cf.mu2, mu) <= 1e-14
+            assert rel_err(cf.mu1[0], mu) <= 1e-14 and rel_err(cf.mu2[0], mu) <= 1e-14
             assert np.array_equal(cf.tangent_frame, frames[0].tangent_frame)
 
 
@@ -268,76 +264,74 @@ class TestChartInvariance:
 
 class TestScalarFields:
     def test_volume_field_z2(self, z2):
-        jet = scalar_field_jet(point_geometry_at(z2, (1.0, 0.0)), "volume")
+        jet = at_point(scalar_field_jet, z2, (1.0, 0.0), "volume")
         assert rel_err(jet.value, 5.0) <= 1e-12
         assert rel_err(jet.coefficient((1, 0)), 8.0) <= 1e-12  # dv/dx = 8x
 
     def test_normB2_field_critical_at_origin(self, z2):
-        jet = scalar_field_jet(point_geometry_at(z2, (0.0, 0.0)), "normB2")
+        jet = at_point(scalar_field_jet, z2, (0.0, 0.0), "normB2")
         assert rel_err(jet.value, 16.0) <= 1e-12
         assert abs(jet.coefficient((1, 0))) <= 1e-12
         assert abs(jet.coefficient((0, 1))) <= 1e-12
 
     def test_affine_alignment_constant(self):
         imm = catalogue_lookup("affine", {})
-        pg = point_geometry_at(imm, (0.2, 0.6))
-        frame = pg.tangent_frame  # the plane itself
-        jet = scalar_field_jet(pg, "alignment", reference_frame=frame)
+        frame = at_point(point_geometry_at, imm, (0.2, 0.6)).tangent_frame  # the plane itself
+        jet = at_point(scalar_field_jet, imm, (0.2, 0.6), "alignment", frame)
         assert rel_err(jet.value, 1.0) <= 1e-12
         assert np.abs(jet.coeffs[1:]).max() <= 1e-14
 
     def test_normB_singular_at_flat_points(self):
         imm = catalogue_lookup("affine", {})
         with pytest.raises(JetDomainError):
-            scalar_field_jet(point_geometry_at(imm, (0.0, 0.0)), "normB")
+            at_point(scalar_field_jet, imm, (0.0, 0.0), "normB")
 
     def test_unknown_field(self, z2):
         with pytest.raises(ValueError, match="unknown scalar field"):
-            scalar_field_jet(point_geometry_at(z2, (0.0, 0.0)), "bogus")
+            at_point(scalar_field_jet, z2, (0.0, 0.0), "bogus")
 
 
 class TestLaplaceBeltrami:
     def test_affine_fields_harmonic(self):
         imm = catalogue_lookup("affine", {})
-        pg = point_geometry_at(imm, (0.1, -0.2))
-        frame = pg.tangent_frame
-        assert abs(laplace_beltrami(pg, "alignment", frame)) <= 1e-12
-        assert abs(laplace_beltrami(pg, "normB2")) <= 1e-12
+        frame = at_point(point_geometry_at, imm, (0.1, -0.2)).tangent_frame
+        assert abs(at_point(laplace_beltrami, imm, (0.1, -0.2), "alignment", frame)) <= 1e-12
+        assert abs(at_point(laplace_beltrami, imm, (0.1, -0.2), "normB2")) <= 1e-12
 
     def test_z2_log_alignment(self, z2):
-        got = laplace_beltrami(point_geometry_at(z2, (0.0, 0.0)), "log-alignment", COORD_PLANE_2)
+        got = at_point(laplace_beltrami, z2, (0.0, 0.0), "log-alignment", COORD_PLANE_2)
         assert rel_err(got, -16.0) <= 1e-10
-        got = laplace_beltrami(point_geometry_at(z2, (0.4, -0.5)), "log-alignment", COORD_PLANE_2)
+        got = at_point(laplace_beltrami, z2, (0.4, -0.5), "log-alignment", COORD_PLANE_2)
         assert rel_err(got, oracles.z2_lap_log_alignment(0.4, -0.5)) <= 1e-9
 
     def test_catenoid_normB2_vs_finite_differences(self, catenoid):
-        got = laplace_beltrami(point_geometry_at(catenoid, (1.0, 0.0)), "normB2")
+        got = at_point(laplace_beltrami, catenoid, (1.0, 0.0), "normB2")
         want = oracles.catenoid_lap_scalar(oracles.catenoid_normB2, 1.0)
         assert rel_err(got, want) <= 1e-5
 
     def test_z2_lap_normB2_closed_form(self, z2):
-        got = laplace_beltrami(point_geometry_at(z2, (0.3, 0.7)), "normB2")
+        got = at_point(laplace_beltrami, z2, (0.3, 0.7), "normB2")
         assert rel_err(got, oracles.z2_lap_normB2(0.3, 0.7)) <= 1e-9
 
 
 class TestAlignmentPack:
     def test_z2_origin(self, z2):
-        ap = alignment_pack_at(point_geometry_at(z2, (0.0, 0.0)), COORD_PLANE_2)
+        ap = at_point(alignment_pack_at, z2, (0.0, 0.0), COORD_PLANE_2)
         assert rel_err(ap.value, 1.0) <= 1e-12
         assert np.abs(ap.grad_frame).max() <= 1e-12
         assert np.abs(ap.grad_formula).max() <= 1e-12
 
     def test_affine_with_own_plane(self):
         imm = catalogue_lookup("affine", {})
-        pg = point_geometry_at(imm, (0.5, 0.5))
-        ap = alignment_pack_at(pg, pg.tangent_frame)
+        frame = at_point(point_geometry_at, imm, (0.5, 0.5)).tangent_frame
+        ap = at_point(alignment_pack_at, imm, (0.5, 0.5), frame)
         assert abs(ap.value - 1.0) <= 1e-12
         assert abs(ap.laplacian_numeric) <= 1e-12
         assert ap.laplacian_formula is not None and abs(ap.laplacian_formula) <= 1e-12
 
     @pytest.mark.parametrize("pt", [(0.5, 0.2), (-0.8, 0.9), (0.0, 1.0)])
     def test_z2_identities_at_generic_points(self, z2, pt):
-        ap = alignment_pack_at(point_geometry_at(z2, pt), COORD_PLANE_2)
+        ap = at_point(alignment_pack_at, z2, pt, COORD_PLANE_2)
         scale = 1.0 + np.abs(ap.grad_frame).max()
         assert np.abs(ap.grad_frame - ap.grad_formula).max() <= 1e-6 * scale
         assert abs(ap.laplacian_numeric - ap.laplacian_formula) <= 1e-6 * (
@@ -345,7 +339,7 @@ class TestAlignmentPack:
         )
 
     def test_cylinder_identities(self, cylinder):
-        ap = alignment_pack_at(point_geometry_at(cylinder, (0.3, -0.2, 0.8)), CYLINDER_PLANE)
+        ap = at_point(alignment_pack_at, cylinder, (0.3, -0.2, 0.8), CYLINDER_PLANE)
         assert abs(ap.laplacian_numeric - ap.laplacian_formula) <= 1e-8
         assert np.abs(ap.grad_frame - ap.grad_formula).max() <= 1e-8
 
@@ -354,18 +348,19 @@ class TestAlignmentPack:
             (z2, (0.6, -0.4), COORD_PLANE_2),
             (catenoid, (0.5, 0.3), CATENOID_PLANE),
         ]:
-            ap = alignment_pack_at(point_geometry_at(imm, pt), frame)
+            ap = at_point(alignment_pack_at, imm, pt, frame)
             assert abs(ap.value - ap.value_from_frames) <= 1e-10
 
     def test_cylinder_canonical_frame_keeps_orientation(self):
         # the SVD may return det U = -1 here; the canonical tangent frame must
         # keep e's orientation or the 4 mu1 mu2 <e_11,22, A> term flips sign
         imm = catalogue_lookup("cylinder-over", {"base": "holo-curve", "base_params": {"coeffs": [0, 0, 1]}})
-        pg = point_geometry_at(imm, (-0.5, 0.0, -1.0))
-        ap = alignment_pack_at(pg, np.eye(3, 5))
+        pt = (-0.5, 0.0, -1.0)
+        ap = at_point(alignment_pack_at, imm, pt, np.eye(3, 5))
         assert abs(ap.laplacian_numeric) <= 1e-12
         assert abs(ap.laplacian_formula - ap.laplacian_numeric) <= 1e-12
-        assert np.linalg.det(canonical_frame_at(pg).tangent_frame @ pg.tangent_frame.T) > 0
+        e = at_point(point_geometry_at, imm, pt).tangent_frame
+        assert np.linalg.det(at_point(canonical_frame_at, imm, pt).tangent_frame @ e.T) > 0
 
     def test_nonminimal_formula_not_applicable(self):
         # the pack computes both formulas everywhere; the check decides where the
@@ -386,7 +381,7 @@ class TestPluecker:
             (catenoid, (0.7, -0.2), CATENOID_PLANE),
             (cylinder, (0.2, 0.4, -0.6), CYLINDER_PLANE),
         ]:
-            pg = point_geometry_at(imm, pt)
+            pg = at_point(point_geometry_at, imm, pt)
             e, nu = pg.tangent_frame, pg.normal_frame
             res = oracles.pluecker_residual(
                 e, nu[0], nu[1] if pg.m > 1 else nu[0], frame
@@ -404,16 +399,16 @@ class TestPluecker:
             assert oracles.pluecker_residual(e, nu1, nu2, a) <= 1e-12
 
     def test_pairing_helpers(self):
-        e = np.eye(2, 4)
+        e = np.eye(2, 4)[None]
         a = np.eye(2, 4)
-        assert frame_pairing(e, a) == 1.0
-        nu = np.array([0.0, 0.0, 1.0, 0.0])
-        assert replaced_pairing(e, a, {0: nu}) == 0.0
+        assert frame_pairing(e, a).tolist() == [1.0]
+        nu = np.array([[0.0, 0.0, 1.0, 0.0]])
+        assert replaced_pairing(e, a, {0: nu}).tolist() == [0.0]
 
 
 class TestComplexPack:
     def test_z2(self, z2):
-        cp = complex_pack_at(point_geometry_at(z2, (0.8, -0.3)))
+        cp = at_point(complex_pack_at, z2, (0.8, -0.3))
         assert cp.conformality_residual <= 1e-12
         assert cp.isothermal
         assert abs(cp.omega_coeff) <= 1e-10
@@ -421,12 +416,12 @@ class TestComplexPack:
 
     def test_catenoid_omega_constant(self, catenoid):
         for pt in [(0.0, 0.0), (0.9, -1.1), (-0.4, 0.6)]:
-            cp = complex_pack_at(point_geometry_at(catenoid, pt))
+            cp = at_point(complex_pack_at, catenoid, pt)
             assert rel_err(abs(cp.omega_coeff), 0.25) <= 1e-8
             assert cp.conformality_residual <= 1e-10
 
     def test_affine(self):
-        cp = complex_pack_at(point_geometry_at(catalogue_lookup("affine", {}), (0.0, 0.0)))
+        cp = at_point(complex_pack_at, catalogue_lookup("affine", {}), (0.0, 0.0))
         assert np.abs(cp.Fww).max() <= 1e-14
         assert abs(cp.omega_coeff) <= 1e-14
         assert cp.zeta is None
@@ -434,8 +429,7 @@ class TestComplexPack:
     def test_zeta_decomposition(self, z2):
         # zeta is the coefficient of nabla_w B_ww along B_ww, each contracted in full
         # with d/dw = (d/du - i d/dv)/2 (the pack takes the minimal-surface shortcut)
-        pg = point_geometry_at(z2, (0.5, 0.2))
-        cp = complex_pack_at(pg)
+        pg, cp = at_point(point_geometry_at, z2, (0.5, 0.2)), at_point(complex_pack_at, z2, (0.5, 0.2))
         w = np.array([0.5, -0.5j])
         B_ww = np.einsum("i,j,ijA->A", w, w, pg.B_coord)
         nablaB_www = np.einsum("k,i,j,kijA->A", w, w, w, pg.nablaB_coord)
@@ -445,23 +439,23 @@ class TestComplexPack:
 
     def test_non_isothermal_flagged(self):
         imm = build_graph_immersion(["x^2 + x*y", "y"], 2)
-        cp = complex_pack_at(point_geometry_at(imm, (0.5, 0.5)))
+        cp = at_point(complex_pack_at, imm, (0.5, 0.5))
         assert not cp.isothermal
 
 
 class TestCurvaturePack:
     def test_catenoid(self, catenoid):
-        kp = curvature_pack_at(point_geometry_at(catenoid, (0.0, 0.0)))
+        kp = at_point(curvature_pack_at, catenoid, (0.0, 0.0))
         assert rel_err(kp.K_intrinsic, -1.0) <= 1e-8
         assert rel_err(kp.K_extrinsic, -1.0) <= 1e-8
 
     def test_z2_origin(self, z2):
-        kp = curvature_pack_at(point_geometry_at(z2, (0.0, 0.0)))
+        kp = at_point(curvature_pack_at, z2, (0.0, 0.0))
         assert rel_err(kp.K_extrinsic, -8.0) <= 1e-10
         assert rel_err(kp.K_intrinsic, -8.0) <= 1e-8
 
     def test_affine(self):
-        kp = curvature_pack_at(point_geometry_at(catalogue_lookup("affine", {}), (0.2, 0.8)))
+        kp = at_point(curvature_pack_at, catalogue_lookup("affine", {}), (0.2, 0.8))
         assert abs(kp.K_intrinsic) <= 1e-12
         assert abs(kp.K_extrinsic) <= 1e-12
 
@@ -473,8 +467,7 @@ class TestCurvaturePack:
             (catalogue_lookup("helicoid", {}), [(0.5, 0.8)]),
         ]:
             for pt in pts:
-                pg = point_geometry_at(imm, pt)
-                kp = curvature_pack_at(pg)
+                pg, kp = at_point(point_geometry_at, imm, pt), at_point(curvature_pack_at, imm, pt)
                 assert rel_err(kp.K_intrinsic, kp.K_extrinsic) <= 1e-6
                 assert rel_err(kp.K_extrinsic, -pg.normB2 / 2) <= 1e-8
 
@@ -495,24 +488,32 @@ def recorded_failure(block_result, p):
     return errors[p] if errors else None
 
 
-def assert_is_row(single, block, p, path="result"):
-    """`single` is row p of `block`: bit-equal numbers, None where the block holds None."""
-    if isinstance(single, Jet):
-        single, block = single.coeffs, block.coeffs
-    elif is_dataclass(single):
-        for f in fields(single):
-            if f.name != "errors":
-                assert_is_row(getattr(single, f.name), getattr(block, f.name), p, f"{path}.{f.name}")
+def assert_same_row(a, p, b, q, path="result"):
+    """Row p of block result `a` is bitwise row q of `b`, and None where `b` holds None."""
+    if isinstance(a, Jet):
+        a, b = a.coeffs, b.coeffs
+    elif isinstance(a, tuple):
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_same_row(x, p, y, q, f"{path}[{k}]")
         return
-    row = None if block is None else block[p]
-    if row is None or isinstance(row, str):
-        assert single == row, path
+    elif is_dataclass(a):
+        for f in fields(a):
+            if f.name != "errors":
+                assert_same_row(getattr(a, f.name), p, getattr(b, f.name), q, f"{path}.{f.name}")
+        return
+    if not isinstance(a, np.ndarray):  # n, m
+        assert a == b, path
+        return
+    if a[p] is None or b[q] is None:
+        assert a[p] is b[q], path
     else:
-        got, want = np.asarray(single), np.asarray(row)
+        got, want = np.asarray(a[p]), np.asarray(b[q])
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), path
 
 
-class TestSinglePointAdapter:
+class TestBlockIndependence:
+    """A point's values and failures do not depend on the block it was evaluated in."""
+
     # log-alignment fails at the catenoid's (0.3, 2.0), where the alignment is
     # negative; the quadric has Gauss-map rank 3, so no canonical frame
     CASES = {
@@ -523,13 +524,15 @@ class TestSinglePointAdapter:
     }
 
     @pytest.mark.parametrize("name", CASES)
-    def test_single_point_is_a_row_of_the_block(self, name, request):
+    def test_a_block_of_one_is_a_row_of_the_block(self, name, request):
         points, frame = self.CASES[name]
         if name == "quadric":
             imm = build_graph_immersion(["x^2+y^2-2*z^2"], 3)
         else:
             imm = request.getfixturevalue(name)
         calls = {
+            "geometry": lambda pg, canon: pg,
+            "rank": lambda pg, canon: gauss_rank_at(pg),
             "canonical": lambda pg, canon: canonical_frame_at(pg),
             "alignment": lambda pg, canon: alignment_pack_at(pg, frame),
             "alignment-canon": lambda pg, canon: alignment_pack_at(pg, frame, canon),
@@ -539,23 +542,35 @@ class TestSinglePointAdapter:
         for field in SCALAR_FIELDS:
             calls[field] = lambda pg, canon, f=field: scalar_field_jet(pg, f, frame)
             calls["lap-" + field] = lambda pg, canon, f=field: laplace_beltrami(pg, f, frame)
-        block = point_geometry_at(imm, np.array(points))
-        canon = canonical_frame_at(block)
-        blocks = {key: outcome(fn, block, canon) for key, fn in calls.items()}
+
+        def evaluate(block_points):
+            pg = point_geometry_at(imm, np.array(block_points))
+            canon = canonical_frame_at(pg)
+            return pg, {key: outcome(fn, pg, canon) for key, fn in calls.items()}
+
+        def failure(pg, results, key, p):
+            result, exc = results[key]
+            # a Laplacian records no failure of its own: its field's jet does
+            source = results[key[4:]][0] if key.startswith("lap-") else result
+            return exc or pg.errors[p] or recorded_failure(source, p)
+
+        block, blocks = evaluate(points)
         failures = 0
         for p, point in enumerate(points):
-            pg = point_geometry_at(imm, point)
-            single_canon = None if canon.errors[p] else canonical_frame_at(pg)
-            for key, fn in calls.items():
-                block_result, block_exc = blocks[key]
-                # a Laplacian records no failure of its own: its field's jet does
-                source = blocks[key[4:]][0] if key.startswith("lap-") else block_result
-                want = block_exc or recorded_failure(source, p)
-                result, exc = outcome(fn, pg, single_canon)
+            one, ones = evaluate([point])
+            for key in calls:
+                want, got = failure(block, blocks, key, p), failure(one, ones, key, 0)
+                assert (type(got), str(got)) == (type(want), str(want)), f"{key} at {point}"
                 if want is None:
-                    assert exc is None, f"{key} at {point}: {exc!r}"
-                    assert_is_row(result, block_result, p, f"{key} at {point}")
+                    assert_same_row(ones[key][0], 0, blocks[key][0], p, f"{key} at {point}")
                 else:
                     failures += 1
-                    assert (type(exc), str(exc)) == (type(want), str(want)), f"{key} at {point}"
         assert failures > 0 or name in ("z2", "cylinder")
+
+    def test_the_canonical_frame_keeps_the_geometry_failures(self):
+        # (x^3, y, x^2, y^2) is singular at the origin only, where d_x F = 0
+        sing = Immersion(2, 2, tuple(parse_expression(s, 2) for s in ["x^3", "y", "x^2", "y^2"]),
+                         "parametric")
+        pg = point_geometry_at(sing, [(0.5, 0.3), (0.0, 0.0), (-0.4, 0.2)])
+        assert isinstance(pg.errors[1], ImmersionRankError)
+        assert canonical_frame_at(pg).errors == [None, pg.errors[1], None]

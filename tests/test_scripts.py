@@ -1,10 +1,11 @@
-"""Each script in scripts/ runs end to end on tiny arguments.
+"""Each script in scripts/, and each Python example of README.md, runs end to end.
 
-The scripts are library callers that no other test exercises, so an API
-change would otherwise break them silently.
+The scripts and the examples are library callers that no other test
+exercises, so an API change would otherwise break them silently.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
+README_EXAMPLES = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
+                             re.MULTILINE | re.DOTALL)
 
 
 @pytest.mark.parametrize("script,args", [
@@ -51,3 +54,13 @@ def test_emit_reports_writes_the_comparison_set(tmp_path):
     assert {"z2-full.json", "z2-full-detail.json", "z2-full.csv", "sweep-z2-probe.json",
             "grid-solid-11-0.json", "quadrature-3-2.json"} <= set(names)
     assert all((out / name).stat().st_size for name in names)
+
+
+def test_readme_has_python_examples():
+    assert len(README_EXAMPLES) >= 2
+
+
+@pytest.mark.parametrize("source", README_EXAMPLES, ids=[f"block{i}" for i in range(len(README_EXAMPLES))])
+def test_readme_example_runs(source):
+    # each block stands alone: it runs in a namespace of its own
+    exec(compile(source, "README.md", "exec"), {})
