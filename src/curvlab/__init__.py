@@ -28,7 +28,6 @@ from .geometry import (
     CanonicalFrame,
     ComplexPack,
     CurvaturePack,
-    GaussRankError,
     ImmersionRankError,
     PointGeometry,
     alignment_pack_at,

@@ -48,7 +48,7 @@ from .geometry import (
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
-    # the next two are unused here; perfbench's tracer rebinds them (test_perfbench_names.py)
+    # curvature_pack_at is unused here; perfbench's tracer rebinds it (test_perfbench_names.py)
     curvature_pack_at,
     gauss_rank_at,
     gradient_norm2_of_jet,
@@ -109,6 +109,13 @@ class BlockContext:
     @cached_property
     def canon(self):
         return canonical_frame_at(self.pg)
+
+    @cached_property
+    def rank_errors(self) -> list:
+        """Each point's Gauss-map rank failure, or None where the rank is at most 2."""
+        rank, sv = gauss_rank_at(self.pg)
+        return [f"Gauss-map rank {r} > 2 at {point} (singular values {s})" if r > 2 else None
+                for r, s, point in zip(rank, sv, self.points)]
 
     @cached_property
     def apack(self):
@@ -179,7 +186,7 @@ class BlockContext:
 # skip rules by name: block -> each point's reason, None where the rule holds
 _HYPOTHESES = {
     "minimal": lambda b: np.where(b.minimal, None, "mean curvature does not vanish"),
-    "rank": lambda b: b.canon.errors,  # the canonical frame's Gauss-map rank error
+    "rank": lambda b: b.rank_errors,
     "curved": lambda b: np.where(b.flat, "second fundamental form vanishes", None),
     "aligned": lambda b: np.where(b.apack.value <= 0.0, "alignment function not positive", None),
 }
@@ -366,7 +373,7 @@ def _eval_simons(block, state, skips):
     # (ii) two independent routes to <grad^2 B, B>
     identity_res = np.abs(inner_numeric + tilde + under) / scale
 
-    has_canon = np.equal(canon.errors, None)
+    has_canon = np.equal(block.rank_errors, None)  # where mu1, mu2 give the normal form
     mu1, mu2 = canon.mu1, canon.mu2
     inner_formula = -(4 * mu1**4 + 4 * mu2**4 + 16 * mu1**2 * mu2**2)
     mu_residual = np.abs((tilde + under) + inner_formula) / scale
@@ -457,7 +464,7 @@ def _eval_gauss_conformal(block, state, skips):
     pg, canon = block.pg, block.canon
     tol = state["tol"]
     convention = block.flat  # B = 0: conformal by convention, a record, not a skip
-    skips.fail({i: exc for i, exc in enumerate(canon.errors) if not convention[i]}, prefix="")
+    skips.fail({i: exc for i, exc in enumerate(block.rank_errors) if not convention[i]}, prefix="")
     crit_mu = np.abs(canon.mu1 - canon.mu2) <= tol * (canon.mu1 + canon.mu2 + tol)
     agree = np.ones(len(convention), dtype=bool)
     isothermal, omega = np.zeros(len(convention), dtype=bool), np.zeros(len(convention))
@@ -937,7 +944,7 @@ class _BallRule:
         self.gf = gf
         self.radii = list(dict.fromkeys(radii))  # each distinct ball once, in order
         self.curved = [R in normB2_radii for R in self.radii]  # whose |B|^2 is read
-        top = 1 << (cells.bit_length() - 1)  # the largest power of two within cells
+        top = 1 << (int(cells).bit_length() - 1)  # the largest power of two within cells
         self.sizes = [min(8, top // 2)]
         while self.sizes[-1] < top:
             self.sizes.append(2 * self.sizes[-1])
@@ -1053,7 +1060,10 @@ class GrowthTable:
 
 
 def quadrature_cells_fault(cells: int, n: int) -> str | None:
-    """Why the node cap `cells` breaks 4 <= cells, cells^n <= 2^24 (128 MB per float array), or None."""
+    """Why the node cap `cells` is not an integer with 4 <= cells, cells^n <= 2^24 (128 MB per
+    float array), or None; an integral float counts, as in a config."""
+    if not (isinstance(cells, (int, np.integer)) or isinstance(cells, float) and cells.is_integer()):
+        return f"cells must be an integer, got {cells!r}"
     if cells < 4:
         return f"cells must be at least 4, got {cells}"
     return None if cells**n <= 2**24 else f"cells^{n} must be at most 2^24, got {cells}^{n}"
@@ -1063,6 +1073,8 @@ def growth_option_fault(key: str, value, n: int) -> str | None:
     """Why a growth option breaks its rule on an n-dimensional domain, or None when it holds."""
     if key == "cells":
         return quadrature_cells_fault(value, n)
+    if not all(math.isfinite(r) for r in value):
+        return f"radii must be finite, got {value}"
     if value and value[0] > 0 and all(r2 > r1 for r1, r2 in zip(value, value[1:])):
         return None
     return f"radii must be non-empty, positive and strictly increasing, got {value}"
@@ -1180,6 +1192,10 @@ class ProbeParams:
     cells: int = 256
 
     def validate(self):
+        for name in ("t", "q", "s", "R", "R0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise CheckConfigError(f"probe requires finite parameters, got {name}={value}")
         if self.t < 3.0:
             raise CheckConfigError(f"probe requires t >= 3, got t={self.t}")
         if self.q <= (3.0 * self.t - 3.0) / 2.0:

@@ -25,7 +25,9 @@ Conventions
   routine, for jets here and for the quadrature's arrays in `checks`.
 * This module computes and never decides: every quantity is computed at
   every point, and whether a hypothesis of the paper (minimality, Gauss-map
-  rank <= 2, positive alignment) holds is decided in `checks`.
+  rank <= 2, positive alignment) holds is decided in `checks`.  The one
+  threshold it still applies to the chart is `complex_pack_at`'s isothermal
+  test, a flag `checks` reads as given.
 
 Blocks
 ------
@@ -41,14 +43,13 @@ so a point's values do not depend on the block it was evaluated in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .immersions import Immersion, evaluate_immersion
 from .jets import (
     Jet,
-    JetDomainError,
     _table,
     jet_constant,
     jet_einsum,
@@ -62,7 +63,7 @@ from .jets import (
 RANK_TOL = 1e-8  # Gauss-map rank, and a vanishing second fundamental form
 TIE_ULPS = 8  # |b12|^2 - |b11|^2 within this many ulps of their sum is a tie: no mu swap
 
-SCALAR_FIELDS = ("volume", "alignment", "log-alignment", "normB2", "normB")
+SCALAR_FIELDS = ("volume", "alignment", "log-alignment", "normB2")
 
 
 class GeometryError(RuntimeError):
@@ -73,23 +74,13 @@ class ImmersionRankError(GeometryError):
     """The differential of F fails to have full rank at the point."""
 
 
-class GaussRankError(GeometryError):
-    """An operation assuming Gauss-map rank <= 2 met a higher rank."""
-
-
 # -- blocks ---------------------------------------------------------------------
 
-def _objects(values: list) -> np.ndarray:
-    # a 1-d object array; tuples stay whole
-    out = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        out[i] = v
-    return out
-
-
 def _optional(values: np.ndarray, present: np.ndarray, absent=None) -> np.ndarray:
-    """Per-point values as Python scalars, `absent` where `present` is false."""
-    return _objects([v if ok else absent for v, ok in zip(values.tolist(), present.tolist())])
+    """Per-point values as Python scalars in a 1-d object array, `absent` where `present` is false."""
+    out = np.empty(len(present), dtype=object)
+    out[:] = [v if ok else absent for v, ok in zip(values.tolist(), present.tolist())]
+    return out
 
 
 def _dot(u, v):
@@ -185,7 +176,6 @@ class PointGeometry:
     finite placeholder values elsewhere; the jets here carry no failures.
     """
 
-    point: np.ndarray  # (P,) object: each point as a tuple of floats
     n: int
     m: int
     g: Jet  # (P, n, n) tensor jet of the metric, order 2
@@ -333,7 +323,6 @@ def point_geometry_at(imm: Immersion, points) -> PointGeometry:
     mean_curvature = ordered_einsum("pij,pijA->pA", g_inv, B_coord)
 
     return PointGeometry(
-        point=_objects(labels),
         n=n,
         m=m,
         g=g_jets,
@@ -375,40 +364,25 @@ def gauss_rank_at(pg: PointGeometry):
 
 @dataclass
 class CanonicalFrame:
-    """Rank-2 normal form of the shape operators.
+    """Frames rotated to the rank-2 normal form of the shape operators.
 
-    In the rotated frames the only nonzero shape operators restrict to the
-    2-plane orthogonal to the kernel as A^1 = diag(mu1, -mu1) and
-    A^2 = antidiag(mu2, mu2), mu1 >= mu2 >= 0.
+    They are computed at every point.  Where the Gauss-map rank is at most 2,
+    the only nonzero shape operators restrict to the 2-plane orthogonal to
+    the kernel e3, ... as A^1 = diag(mu1, -mu1) and A^2 = antidiag(mu2, mu2),
+    mu1 >= mu2 >= 0; `checks` decides where that rank hypothesis holds.
     """
 
-    kernel_basis: np.ndarray  # (P, n-2, n+m) ambient kernel directions
     mu1: np.ndarray  # (P,)
     mu2: np.ndarray  # (P,)
-    theta: np.ndarray  # (P,)
-    residual: np.ndarray  # (P,)
     tangent_frame: np.ndarray  # (P, n, n+m): e1, e2, kernel...
     normal_frame: np.ndarray  # (P, m, n+m): nu1, nu2, completion...
-    errors: list  # (P,): the geometry's failure of each point, else a GaussRankError or None
 
 
 def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
-    """Rotate frames so the shape operators take their rank-2 normal form.
-
-    Requires Gauss-map rank <= 2: a point of higher rank gets a
-    GaussRankError in `errors` (the hypothesis is reported, never silently
-    clamped), after the failures the geometry recorded.
-    """
-    n, m, N = pg.n, pg.m, pg.n + pg.m
+    """Rotate frames so the shape operators take their rank-2 normal form."""
+    n, m = pg.n, pg.m
     P = len(pg.h)
     tol = RANK_TOL
-    rank, sv = gauss_rank_at(pg)
-    errors = list(pg.errors)
-    for p in np.flatnonzero(rank > 2):
-        errors[p] = errors[p] or GaussRankError(
-            f"Gauss-map rank {rank[p]} > 2 at {pg.point[p]} (singular values {sv[p]})"
-        )
-
     if n == 2:
         U = np.broadcast_to(np.eye(2), (P, 2, 2))
     else:
@@ -457,30 +431,7 @@ def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
     fixed = [(b11 / np.where(mu1 > tol, mu1, 1.0)[:, None], mu1 > tol),
              (b12 / np.where(mu2 > tol, mu2, 1.0)[:, None], (mu1 > tol) & (mu2 > tol))]
     normal_frame, _ = _gram_schmidt(pg.normal_frame, m, 0.0, fixed)
-
-    # residual of the normal form, over the full n x n blocks: express the
-    # canonical tangent rows in the coordinate basis (e = T dF) and contract
-    in_e = np.concatenate([f1c[:, None], f2c[:, None], np.swapaxes(U[:, :, 2:], 1, 2)], axis=1)
-    B_can = _frame_B(in_e @ pg.frame_coeffs, pg.B_coord)
-    h_can = ordered_einsum("paA,pijA->paij", normal_frame, B_can)
-
-    target = np.zeros_like(h_can)
-    target[:, 0, 0, 0] = mu1
-    target[:, 0, 1, 1] = -mu1
-    if m >= 2:
-        target[:, 1, 0, 1] = mu2
-        target[:, 1, 1, 0] = mu2
-
-    return CanonicalFrame(
-        kernel_basis=kernel,
-        mu1=mu1,
-        mu2=mu2,
-        theta=theta,
-        residual=np.max(np.abs(h_can - target), axis=(1, 2, 3)),
-        tangent_frame=tangent_frame,
-        normal_frame=normal_frame,
-        errors=errors,
-    )
+    return CanonicalFrame(mu1=mu1, mu2=mu2, tangent_frame=tangent_frame, normal_frame=normal_frame)
 
 
 # -- scalar fields and the Laplace-Beltrami operator ----------------------------
@@ -501,7 +452,7 @@ def scalar_field_jet(pg: PointGeometry, field: str, reference_frame=None) -> Jet
     """Order-2 jet of a derived scalar field of the immersion.
 
     Fields: 'volume' (sqrt det g), 'alignment' (needs reference_frame),
-    'log-alignment', 'normB2', 'normB'.  It is built from the order-2 jets
+    'log-alignment' and 'normB2'.  It is built from the order-2 jets
     `pg` carries, so the returned (P,) jet holds exact first and second
     derivatives of the field.
     """
@@ -511,11 +462,6 @@ def scalar_field_jet(pg: PointGeometry, field: str, reference_frame=None) -> Jet
         jet = jet_elementary("sqrt", pg.detg_jet)
     elif field == "normB2":
         jet = pg.normB2_jet
-    elif field == "normB":
-        nb2 = pg.normB2_jet
-        flat = {p: JetDomainError("|B| is singular at a zero of the second fundamental form")
-                for p in np.flatnonzero(nb2.value <= 0.0).tolist()}
-        jet = jet_elementary("sqrt", replace(nb2, failures=flat))
     else:
         if reference_frame is None:
             raise ValueError(f"field {field!r} requires a reference frame")
@@ -642,7 +588,6 @@ class ComplexPack:
     i.e. conformality_residual is small; `isothermal` records that flag.
     """
 
-    Fww: np.ndarray  # (P, n+m) complex
     conformality_residual: np.ndarray  # (P,)
     isothermal: np.ndarray  # (P,) bool
     omega_coeff: np.ndarray  # (P,) complex: <F_ww, F_ww> complex-bilinear
@@ -674,7 +619,6 @@ def complex_pack_at(pg: PointGeometry) -> ComplexPack:
     zres = np.sqrt(_dot(miss, miss))
 
     return ComplexPack(
-        Fww=Fww,
         conformality_residual=np.abs(conf),
         isothermal=np.abs(conf) <= tol * (scale + tol),
         omega_coeff=_dot(Fww, Fww),

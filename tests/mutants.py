@@ -137,10 +137,17 @@ MUTANTS = [
            "ok = not n_nonfinite and worst < tol and extra_ok",
            ("tests/test_checks.py::TestAggregation::"
             "test_a_worst_residual_equal_to_the_tolerance_passes",)),
-    Mutant("canonical frame forgets the geometry's failures", GEOMETRY_PY,
-           "errors = list(pg.errors)", "errors = [None] * P",
-           ("tests/test_geometry.py::TestBlockIndependence::"
-            "test_the_canonical_frame_keeps_the_geometry_failures",)),
+    Mutant("the rank rule admits Gauss-map rank 3", CHECKS_PY,
+           "if r > 2 else None", "if r > 3 else None",
+           ("tests/test_checks.py::TestSkipOrder::test_mean_curvature_before_gauss_rank[kato]",
+            "tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]")),
+    Mutant("the canonical frame turns by +theta / 2", GEOMETRY_PY,
+           "alpha = -theta / 2.0", "alpha = theta / 2.0",
+           ("tests/test_geometry.py::TestCanonicalFrame::"
+            "test_the_frames_give_the_normal_form_on_a_block[sheared-catenoid]",)),
+    Mutant("growth accepts a radius that is not finite", CHECKS_PY,
+           "if not all(math.isfinite(r) for r in value):", "if False:",
+           (f"{GROWTH}test_options_outside_their_rule[infinite-radius]",)),
     Mutant("canonical frame keeps det U = -1", GEOMETRY_PY,
            "U[np.linalg.det(U) < 0, :, 2] *= -1.0", "pass",
            ("tests/test_geometry.py::TestAlignmentPack::"

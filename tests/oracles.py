@@ -211,6 +211,26 @@ def substitute(node, mapping):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# -- the rank-2 normal form ---------------------------------------------------------
+
+def normal_form_residual(pg, cf):
+    """Per point, the largest entry of h - (its rank-2 normal form) in the frames `cf` gives.
+
+    The canonical tangent rows are taken to coordinates by C = e dF^T g^-1, so
+    e_i = C_ik d_k F, and h_a,ij = <nu_a, C_ik C_jl B_kl> over the full n x n
+    block is compared with diag(mu1, -mu1) for a = 1, antidiag(mu2, mu2) for
+    a = 2 and zero elsewhere: a plain einsum of the block's values, which
+    shares nothing with the frame's rotation.
+    """
+    C = cf.tangent_frame @ np.swapaxes(pg.dF, 1, 2) @ pg.g_inv
+    h = np.einsum("paA,pik,pjl,pklA->paij", cf.normal_frame, C, C, pg.B_coord)
+    target = np.zeros_like(h)
+    target[:, 0, 0, 0], target[:, 0, 1, 1] = cf.mu1, -cf.mu1
+    if pg.m >= 2:
+        target[:, 1, 0, 1] = target[:, 1, 1, 0] = cf.mu2
+    return np.abs(h - target).max(axis=(1, 2, 3))
+
+
 # -- one point of the block geometry -------------------------------------------------
 
 def at_point(fn, imm, point, *args):

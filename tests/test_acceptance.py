@@ -13,7 +13,6 @@ import pytest
 from curvlab import checks as C
 from curvlab.expressions import evaluate_expression
 from curvlab.geometry import (
-    canonical_frame_at,
     complex_pack_at,
     curvature_pack_at,
     gauss_rank_at,

@@ -462,12 +462,22 @@ class TestGrowth:
         ([1, 2], 0, "growth cells must be at least 4, got 0"),
         ([1, 2], 3, "growth cells must be at least 4, got 3"),
         ([1, 2], 4097, "growth cells^2 must be at most 2^24, got 4097^2"),
+        ([1.0, math.inf], 64, "growth radii must be finite, got [1.0, inf]"),
+        ([math.nan, 1.0], 64, "growth radii must be finite, got [nan, 1.0]"),
+        ([1, 2], 16.5, "growth cells must be an integer, got 16.5"),
+        ([1, 2], math.inf, "growth cells must be an integer, got inf"),
+        ([1, 2], math.nan, "growth cells must be an integer, got nan"),
     ], ids=["empty", "decreasing", "negative", "zero", "equal", "no-cells", "three-cells",
-            "too-many-cells"])
+            "too-many-cells", "infinite-radius", "nan-radius", "fractional-cells", "infinite-cells",
+            "nan-cells"])
     def test_options_outside_their_rule(self, affine, radii, cells, message):
         with pytest.raises(C.CheckConfigError) as err:
             C.growth_table(affine, radii, cells)
         assert str(err.value) == message
+
+    def test_an_integral_float_is_a_cell_count(self, z2):
+        # as in a config, where "cells": 16.0 is accepted
+        assert C.growth_table(z2, [1.0], 16.0) == C.growth_table(z2, [1.0], 16)
 
     def test_growth_asks_for_first_order_jets_only(self, z2, monkeypatch):
         # only the probe's |B|^2 over Omega_R0 reads second derivatives
@@ -553,6 +563,21 @@ class TestProbe:
             C.ProbeParams(t=3.0, q=2.0).validate()
         with pytest.raises(C.CheckConfigError, match="R0 < R"):
             C.ProbeParams(R=1.0, R0=2.0).validate()
+
+    # numbers a config rejects; R = inf crashed with a ZeroDivisionError, cells = 16.5 with an
+    # AttributeError, and t = nan came back not applicable with a "nan" error estimate
+    @pytest.mark.parametrize("params, message", [
+        ({"R": math.inf}, "probe requires finite parameters, got R=inf"),
+        ({"t": math.nan}, "probe requires finite parameters, got t=nan"),
+        ({"q": math.inf}, "probe requires finite parameters, got q=inf"),
+        ({"s": math.nan}, "probe requires finite parameters, got s=nan"),
+        ({"R0": -math.inf}, "probe requires finite parameters, got R0=-inf"),
+        ({"cells": 16.5}, "probe cells must be an integer, got 16.5"),
+    ], ids=["infinite-R", "nan-t", "infinite-q", "nan-s", "infinite-R0", "fractional-cells"])
+    def test_numbers_that_are_not_finite_or_not_integers(self, z2, params, message):
+        with pytest.raises(C.CheckConfigError) as err:
+            C.estimate_probe(z2, None, C.ProbeParams(**params))
+        assert str(err.value) == message
 
     def test_cells_bounded_before_quadrature(self, affine):
         with pytest.raises(C.CheckConfigError, match=r"^probe cells\^2 must be at most 2\^24"):
@@ -879,7 +904,7 @@ class TestSkipOrder:
         # off the origin the quadric is neither minimal nor of Gauss rank <= 2
         imm = build_graph_immersion(["x^2+y^2-2*z^2"], 3)
         block = C.BlockContext(imm, GRID3D.points(), None)
-        assert not any(np.equal(block.canon.errors, None)) and block.minimal.sum() == 1
+        assert not any(np.equal(block.rank_errors, None)) and block.minimal.sum() == 1
         reasons = skip_reasons(run(name, imm, GRID3D))
         assert reasons["mean curvature does not vanish"] == 26
         # kato alone asks for rank <= 2, which the minimal origin fails
