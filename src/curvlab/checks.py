@@ -744,7 +744,7 @@ def aggregate_check(name: str, tol: float, cols: Columns) -> CheckResult:
 
 _UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
 SEARCH_SAMPLES = 128  # samples per ray in one step of the boundary search
-SEARCH_STEPS = 40  # a boundary takes 7-9 steps at rho ~ R, and 40 reach rho / R ~ 1e-60
+SEARCH_STEPS = 40  # per search, the scan included: 5-10 on smooth graphs, 25 on a plateau
 SEARCH_ULPS = 4  # a ray's search ends when its bracket is this many ulps wide
 STAR_ULPS = 16  # the star-shape test's rounding slack, in ulps of R (R + |F(0)|)
 NODE_BUDGET = 2**24  # the most nodes or search samples one `fields` or `dist2` call takes
@@ -843,48 +843,99 @@ class _GraphFields:
         """rho[b, j]: where the ray along the unit vector dirs[j] leaves Omega_radii[b].
 
         One batched search for every ray of every ball: dist2 >= |x|^2, so the
-        ray's boundary lies in [0, R].  Each step samples every open bracket
-        at SEARCH_SAMPLES points, ends points included, and keeps the last
-        sample inside and the first outside; a ray is done once its bracket is
-        SEARCH_ULPS ulps wide, and rho is its inner end.  CheckConfigError when
-        F(0) or F at a sample is not finite, when dist2 decreases along a
-        sampled ray by more than rounding (Omega_R is not star-shaped there),
-        or when a bracket is still open after SEARCH_STEPS steps; each names
-        the first ball, in the order of `radii`, that it happens on.
+        ray's boundary lies in [0, R].  The first step scans [0, R] at
+        SEARCH_SAMPLES points, ends included; the last sample inside and the
+        first outside are the ray's bracket [lo, hi].  Each later step takes
+        dist2 at x and x -+ tau, tau = 2 ulps of x, and the bracket shrinks to
+        the two of lo, these and hi around the boundary, so an x within tau of
+        it closes the bracket.  x is the regula falsi point of log(dist2 / R^2)
+        against log s, exact where dist2 is a power of s, with the Illinois
+        rule (an end kept twice running counts half), kept at least tau inside
+        the bracket; from lo = 0 the line has slope 2, that of dist2 at a
+        smooth origin.  No derivative is taken.  A ray is done once its bracket
+        is SEARCH_ULPS ulps wide, and rho is its inner end; a ray's steps read
+        its own samples only.  CheckConfigError when F(0) or F at a sample is
+        not finite, when dist2 falls between a step's sorted samples of a ray
+        by more than rounding (Omega_R is not star-shaped there), or when a
+        bracket is still open after SEARCH_STEPS steps, the scan included;
+        each names the first ball, in the order of `radii`, that it happens on.
         """
         if not np.all(np.isfinite(self.f0)):
             raise CheckConfigError("graph undefined at the origin: F(0) is not finite")
         n_dirs, eps = len(dirs), np.finfo(float).eps
         R = np.repeat(np.asarray(radii, dtype=float), n_dirs)
-        u = np.tile(dirs, (len(radii), 1))
-        lo, hi = np.zeros(R.size), R.copy()
         # rounding of dist2 near R^2: the graph part is a difference of values near F(0)
         slack = STAR_ULPS * eps * R * (R + math.sqrt(float(np.sum(self.f0**2))))
-        frac = np.linspace(0.0, 1.0, SEARCH_SAMPLES)
-        rays = np.arange(R.size)
-        for _ in range(SEARCH_STEPS):
-            live = rays[hi - lo > SEARCH_ULPS * eps * hi]
-            if not live.size:
-                return lo.reshape(len(radii), n_dirs)
-            s = lo[live, None] + (hi - lo)[live, None] * frac
-            s[:, -1] = hi[live]
-            d = self.dist2([u[live, a, None] * s for a in range(self.n)])
-            ball = live // n_dirs
-            undefined = np.sum(~np.isfinite(d), axis=1)
-            if undefined.any():
+        ray, u = np.arange(R.size), np.tile(dirs, (len(radii), 1)).T  # the open rays
+
+        def sample(s):
+            """dist2 at s (samples, open rays); CheckConfigError where it is not finite."""
+            d = self.dist2([u_a * s for u_a in u])
+            if not np.isfinite(d).all():
+                ball, undefined = ray // n_dirs, np.sum(~np.isfinite(d), axis=0)
                 mine = ball == ball[np.argmax(undefined > 0)]
                 raise CheckConfigError(
-                    f"graph undefined on {int(np.sum(undefined[mine]))} of {mine.sum() * s.shape[1]} "
+                    f"graph undefined on {int(np.sum(undefined[mine]))} of {mine.sum() * len(s)} "
                     f"boundary-search samples within radius {radii[ball[mine][0]]}")
-            falls = np.any(np.diff(d, axis=1) < -slack[live, None], axis=1)
+            return d
+
+        def star_shaped(d, slack):
+            """CheckConfigError where dist2 d (sorted samples, open rays) falls by over slack."""
+            falls = d[1:] - d[:-1] < -slack
             if falls.any():
+                ball = ray[np.argmax(falls.any(axis=0))] // n_dirs
                 raise CheckConfigError(f"Omega_R is not star-shaped along a sampled ray "
-                                       f"within radius {radii[ball[np.argmax(falls)]]}")
-            outside = d > (R[live] ** 2)[:, None]
-            # s[0] = lo is inside, so the first sample outside, if any, is s[1] or later
-            first = np.where(outside.any(axis=1), np.argmax(outside, axis=1), SEARCH_SAMPLES)
-            at = np.arange(live.size)
-            lo[live], hi[live] = s[at, first - 1], s[at, np.minimum(first, SEARCH_SAMPLES - 1)]
+                                       f"within radius {radii[ball]}")
+
+        s = np.linspace(0.0, 1.0, SEARCH_SAMPLES)[:, None] * R
+        s[-1] = R
+        d = sample(s)
+        star_shaped(d, slack)
+        # s[0] = 0 is inside, so the first sample outside, if any, is s[1] or later; a ray
+        # without one has the bracket [R, R]
+        first = np.argmax(d > R**2, axis=0)
+        pair = (np.where(first, [first - 1, first], SEARCH_SAMPLES - 1), ray)
+        # a row each per open ray: lo, hi, dist2 at both, the Illinois weights of both, the
+        # end that the last step kept (1: lo, 4: hi), R^2 and the slack
+        state = np.empty((9, R.size))
+        state[:2], state[2:4], state[4:6] = s[pair], d[pair], 1.0
+        state[6], state[7], state[8] = 0.0, R**2, slack
+        rho = np.empty(R.size)
+        offsets = np.array([[-1.0], [0.0], [1.0]])  # x - tau, x, x + tau
+        pick = np.array([[-1], [0], [4], [5]])  # lo, hi and their dist2, from the first outside
+        held = np.array([[1], [4]])  # the first sample outside when a step keeps lo, hi
+        for step in range(SEARCH_STEPS):
+            if step:  # the first step was the scan
+                lo, hi, d_lo, d_hi, w_lo, _, kept, R2, slack = state
+                # log(dist2 / R^2) at lo and hi; dist2 = R^2 at lo counts as rounded from
+                # below, or the line would meet zero at lo itself
+                g = np.log(state[2:4] / R2)
+                g[0] = np.minimum(g[0], -eps / 2.0)
+                g *= state[4:6]
+                # the line's step down from hi in log s, log(hi / lo) from the exact hi - lo
+                log_ratio = np.log1p((hi - lo) / lo)
+                down = np.where(lo > 0, g[1] * log_ratio / (g[1] - g[0]), g[1] / (2.0 * w_lo))
+                x = hi * np.exp(-down)
+                tau = 2.0 * np.spacing(x)
+                x = np.minimum(np.maximum(x, lo + tau), hi - tau)  # strictly inside [lo, hi]
+                # the sorted samples lo, x - tau, x, x + tau, hi, then their dist2
+                sd = np.empty((10, ray.size))
+                sd[0], sd[1:4], sd[4] = lo, x + tau * offsets, hi
+                sd[5], sd[6:9], sd[9] = d_lo, sample(sd[1:4]), d_hi
+                star_shaped(sd[5:], slack)
+                # lo is inside and hi outside, so the first sample outside is x - tau or later
+                first = np.argmax(sd[5:] > R2, axis=0)
+                state[:4] = sd.ravel()[(first + pick) * ray.size + np.arange(ray.size)]
+                # the Illinois rule: an end kept twice running counts half as much
+                halved = state[4:6] * np.where(first == kept, 0.5, 1.0)
+                state[4:6], state[6] = np.where(first == held, halved, 1.0), first
+            lo, hi = state[:2]
+            done = hi - lo <= SEARCH_ULPS * eps * hi
+            if done.any():
+                rho[ray[done]] = lo[done]
+                ray, u, state = ray[~done], u[:, ~done], state[:, ~done]
+            if not ray.size:
+                return rho.reshape(len(radii), n_dirs)
         raise CheckConfigError(f"quadrature did not converge: the boundary of Omega_R is not "
                                f"located within {SEARCH_STEPS} search steps")
 
@@ -933,7 +984,9 @@ class _BallRule:
     reuses level N's; n = 3: every level's rays) and one
     `_GraphFields.fields` call per jet order: order 2, for v and |B|^2, at
     the balls of `normB2_radii`, order 1, for v, at the others.  Both are
-    split by balls to stay within NODE_BUDGET.  Levels are computed on
+    split by balls to stay within NODE_BUDGET, a search by its largest
+    `dist2` call, the scan of SEARCH_SAMPLES samples per ray; its later
+    steps take 3 per ray.  Levels are computed on
     first use and kept, a failure too, so a sweep shares them between
     integrands.  A failed search fails every level it searched for; a
     level whose nodes are undefined names the first such ball in the order

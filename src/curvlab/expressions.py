@@ -78,6 +78,7 @@ class Pow:
 
 
 ExprNode = Union[Const, Var, Call, BinOp, Pow]
+_NODE_CLASSES = (Const, Var, Call, BinOp, Pow)  # for isinstance, which is slow on a Union
 
 # each function: its float function and its array function; jets take it by name
 _FUNCTIONS = {
@@ -261,7 +262,7 @@ def _levels(node: ExprNode):
         yield level
         # by id: a subtree shared by several parents is listed once per level, not once per path
         level = list({id(child): child for parent in level for child in vars(parent).values()
-                      if isinstance(child, ExprNode)}.values())
+                      if isinstance(child, _NODE_CLASSES)}.values())
 
 
 def _depth(node: ExprNode) -> int:

@@ -52,8 +52,20 @@ MUTANTS = [
            "* dir_w[:, None] * (w * t ** (n - 1))", "* dir_w[:, None] * w",
            (f"{GROWTH}test_curved_graph_volumes_match_closed_form",)),
     Mutant("rho from the last outside sample", CHECKS_PY,
-           "return lo.reshape(len(radii), n_dirs)", "return hi.reshape(len(radii), n_dirs)",
+           "rho[ray[done]] = lo[done]", "rho[ray[done]] = hi[done]",
            (f"{BALL_RULE}test_boundary_is_found_to_a_few_ulps",)),
+    Mutant("the secant point taken from the wrong end's value", CHECKS_PY,
+           "g[1] * log_ratio / (g[1] - g[0])", "g[0] * log_ratio / (g[1] - g[0])",
+           (f"{BALL_RULE}test_boundary_is_found_to_a_few_ulps",)),
+    Mutant("the safeguard that keeps the iterate strictly inside the bracket dropped", CHECKS_PY,
+           "x = np.minimum(np.maximum(x, lo + tau), hi - tau)", "x = x",
+           (f"{BALL_RULE}test_each_step_samples_within_its_bracket[x^4]",)),
+    Mutant("the Illinois halving dropped", CHECKS_PY,
+           "halved = state[4:6] * np.where(first == kept, 0.5, 1.0)", "halved = state[4:6]",
+           (f"{BALL_RULE}test_dist2_calls_per_search[z2-0.5]",)),
+    Mutant("dist2 = R^2 at lo ends the secant at lo", CHECKS_PY,
+           "g[0] = np.minimum(g[0], -eps / 2.0)", "g[0] = g[0]",
+           (f"{BALL_RULE}test_rho_is_the_inner_end_of_a_closed_bracket[plateau-atan]",)),
     Mutant("level N0/2 takes the odd rays of N0", CHECKS_PY,
            "cols = [slice(0, None, sizes[-1] // N) for N in sizes]",
            "cols = [slice(int(N < sizes[-1]), None, sizes[-1] // N) for N in sizes]",

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from curvlab import checks as C
 from curvlab.expressions import BinOp, Const, Var
@@ -670,6 +672,87 @@ class TestBallRule:
             # rho is the inner end of its bracket: the ray's last node is inside
             assert np.all(gf.dist2([row * dirs[:, 0], row * dirs[:, 1]]) <= R * R), R
 
+    # cubic graphs need not have star-shaped balls: those are left out; on the example, dist2
+    # crosses R^2 back and forth over 20 ulps of the ray towards (-1, -1)
+    @settings(max_examples=60, deadline=None)
+    @example(coeffs=[[-1.625, 1.0], [1.7804800149254643, 1.0], [1.7804800149254643] * 2, [1.0, 1.75]],
+             R=1.0)
+    @given(coeffs=st.lists(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+                           min_size=4, max_size=4),
+           R=st.floats(0.5, 1000.0))
+    def test_boundary_matches_brentq(self, coeffs, R):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        gf = C._GraphFields(catalogue_lookup("holo-curve", {"coeffs": coeffs}))
+        dirs, _ = C._directions(2, 8)
+        eps, f0 = np.finfo(float).eps, math.sqrt(float(np.sum(gf.f0**2)))
+        slack = C.STAR_ULPS * eps * R * (R + f0)  # the search's rounding allowance
+        try:
+            rho = gf.boundary([R], dirs)[0]
+        except C.CheckConfigError as exc:
+            assume("not star-shaped" not in str(exc))
+            raise
+        for u, r in zip(dirs, rho):
+            def excess(s, u=u):
+                return float(gf.dist2([np.array([s * u[0]]), np.array([s * u[1]])])[0]) - R * R
+            assert excess(r) <= 0.0
+            # dist2 >= |x|^2: R itself is the boundary where dist2(R u) = R^2
+            exact = R if excess(R) <= 0.0 else brentq(excess, 0.0, R, xtol=1e-16, rtol=4 * eps)
+            if abs(r - exact) > 16 * np.spacing(exact):
+                # dist2 can cross R^2 back and forth within rounding over more than 16
+                # ulps: then each crossing there is a boundary, brentq's and rho alike
+                s = np.linspace(min(r, exact), max(r, exact), 64)
+                d = gf.dist2([s * u[0], s * u[1]])
+                assert np.all(np.abs(d - R * R) <= slack), (u, r, exact)
+
+    # dist2 calls per search, the scan included; the search by sampled steps took 8 on
+    # each of these, 9 on the cubic at R = 1000
+    @pytest.mark.parametrize("coeffs, R, calls", [
+        ([0, 0, 1], 0.5, 5), ([0, 0, 1], 1.0, 5), ([0, 0, 1], 1000.0, 5),
+        (CUBIC, 0.5, 5), (CUBIC, 1.0, 5), (CUBIC, 1000.0, 8),
+    ], ids=["z2-0.5", "z2-1", "z2-1000", "cubic-0.5", "cubic-1", "cubic-1000"])
+    def test_dist2_calls_per_search(self, coeffs, R, calls):
+        gf = C._GraphFields(catalogue_lookup("holo-curve", {"coeffs": coeffs}))
+        dist2, counted = gf.dist2, []
+        gf.dist2 = lambda axes: counted.append(1) or dist2(axes)
+        gf.boundary([R], C._directions(2, 16)[0])
+        assert len(counted) == calls
+
+    # rays along +-x, so that a sample's first coordinate is +-s exactly
+    @pytest.mark.parametrize("graph", ["x^4", "x^2+x", "x^2*(1+x)"])
+    def test_each_step_samples_within_its_bracket(self, graph):
+        # a step's bracket is the last sample inside and the first outside of all before
+        # it; the step samples x - tau, x, x + tau within it, x strictly inside
+        gf = C._GraphFields(build_graph_immersion([graph, "0"], 2))
+        dist2 = gf.dist2
+        for sign in (1.0, -1.0):
+            for R in (0.5, 1.0, 2.0, 10.0, 1000.0):
+                calls = []
+                gf.dist2 = lambda axes: calls.append((sign * axes[0], dist2(axes))) or calls[-1][1]
+                gf.boundary([R], np.array([[sign, 0.0]]))
+                s, d = (a.ravel() for a in calls[0])
+                for step, (new, d_new) in enumerate(calls[1:], 2):
+                    lo, hi = s[d <= R * R].max(), s[d > R * R].min()
+                    new, d_new = new.ravel(), d_new.ravel()
+                    assert lo <= new[0] and lo < new[1] < hi and new[2] <= hi, (sign, R, step)
+                    s, d = np.concatenate([s, new]), np.concatenate([d, d_new])
+
+    # plateau: the graph flattens just above height 1, so dist2 rounds to exactly R^2 = 1
+    # over hundreds of ulps of s on the rays near +-x; far: rho < R / 127, so the scan's
+    # bracket starts at 0 and dist2 / R^2 spans dozens of decades across it
+    @pytest.mark.parametrize("imm, R", [
+        (build_graph_immersion(["1.0000001*(1-exp(-100000*x^2))", "0"], 2), 1.0),
+        (build_graph_immersion(["0.6366*1.0000001*atan(100000*x)", "0"], 2), 1.0),
+        (catalogue_lookup("holo-curve", {"coeffs": [0, 0, 1]}), 1e50),
+        (catalogue_lookup("holo-curve", {"coeffs": CUBIC}), 1e12),
+    ], ids=["plateau-exp", "plateau-atan", "far-z2", "far-cubic"])
+    def test_rho_is_the_inner_end_of_a_closed_bracket(self, imm, R):
+        gf = C._GraphFields(imm)
+        dirs, _ = C._directions(2, 16)
+        for u, r in zip(dirs, gf.boundary([R], dirs)[0]):
+            above = r + np.spacing(r) * np.arange(2 * C.SEARCH_ULPS + 1)
+            d = gf.dist2([above * u[0], above * u[1]])
+            assert d[0] <= R * R < d[1:].max(), u
+
     def test_levels_are_kept_and_rays_reused(self, z2, monkeypatch):
         searched, evaluated = [], []
         boundary, fields = C._GraphFields.boundary, C._GraphFields.fields
@@ -738,6 +821,14 @@ class TestBallRule:
                                               [2.0], 256, None)
         assert table is None
         assert result.reason == "Omega_R is not star-shaped along a sampled ray within radius 2.0"
+
+    def test_open_bracket_not_applicable(self, z2, monkeypatch):
+        # the scan alone leaves each ray a bracket R / 127 wide
+        monkeypatch.setattr(C, "SEARCH_STEPS", 1)
+        result, table = C.growth_check_result(z2, [1.0], 16, None)
+        assert result.verdict == "not-applicable" and table is None
+        assert result.reason == ("quadrature did not converge: the boundary of Omega_R is not "
+                                 "located within 1 search steps")
 
     @pytest.mark.filterwarnings("error")
     def test_undefined_boundary_samples_not_applicable(self):
