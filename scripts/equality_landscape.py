@@ -34,9 +34,9 @@ def main():
         sres, kres, gres = run_checks(
             imm, grid, [CheckSpec("simons"), CheckSpec("kato"), CheckSpec("gauss-conformal")]
         )
-        ratios = [r["detail"]["ratio"] for r in sres.details
-                  if not r["skipped"] and r["detail"]["ratio"] is not None]
-        gaps = [abs(r["detail"]["gap"]) for r in kres.details if not r["skipped"]]
+        # each detail column holds one value per evaluated point; ratio is None where B = 0
+        ratios = [r for r in sres.columns.get("ratio") if r is not None]
+        gaps = [abs(gap) for gap in kres.columns.get("gap")]
         omega = gres.extras.get("omega_max", float("nan"))
         print(
             f"{label:<16} {min(ratios):>10.6f} {max(ratios):>10.6f} "

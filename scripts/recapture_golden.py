@@ -4,8 +4,9 @@
     python3 scripts/recapture_golden.py NAME [NAME ...] [--checks CHECK ...] [--dry-run]
 
 A NAME is a bundled scenario, whose golden `tests/golden/NAME.json` is its
-report without detail, or `details-CONFIG`, whose golden holds the raw
-per-point records of `DETAIL_CONFIGS[CONFIG]` in tests/test_golden.py.
+report without detail, or `details-CONFIG`, whose golden holds the grid
+points of `DETAIL_CONFIGS[CONFIG]` in tests/test_golden.py and each check's
+columns over them, by check name.
 With --checks, only the entries of those checks are replaced; every other
 entry keeps its golden value.  Prints one line per changed leaf (its path,
 the old and the new value) and per added or removed key, then writes the
@@ -20,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_golden import GOLDEN, bundled_path, detail_records  # noqa: E402
+from test_golden import GOLDEN, bundled_path, detail_columns  # noqa: E402
 
 from curvlab.scenario import load_config_file, run_scenario  # noqa: E402
 
@@ -43,7 +44,7 @@ def changes(old, new, path):
 def captured(name: str):
     """The golden data of `name`, computed by this checkout."""
     if name.startswith("details-"):
-        return detail_records(name[len("details-"):])
+        return detail_columns(name[len("details-"):])
     return json.loads(json.dumps(run_scenario(load_config_file(bundled_path(name))).to_dict()))
 
 
@@ -56,8 +57,10 @@ def golden_text(name: str, data) -> str:
 
 def keep_other_checks(old, new, name: str, checks):
     """`new`, with the golden entries of every check outside `checks` put back."""
-    if name.startswith("details-"):  # a list of [check name, records]
-        return [entry if entry[0] in checks else was for was, entry in zip(old, new)]
+    if name.startswith("details-"):  # {"points": ..., "checks": {check name: columns}}
+        new["checks"] = {check: new["checks"][check] if check in checks else was
+                         for check, was in old["checks"].items()}
+        return new
     new["checks"] = [entry if entry["name"] in checks else was
                      for was, entry in zip(old["checks"], new["checks"])]
     return new

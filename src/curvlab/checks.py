@@ -12,18 +12,19 @@ form, wrong immersion kind).  A row's `hypotheses` name its skip rules in
 order; `BlockContext.skips` applies them after each point's evaluation
 error, and a point is skipped for the first it fails.  `_HYPOTHESES` is the
 only place a hypothesis is decided: alignment-identities' note and the
-probe's sampled points use it too, and geometry tests none.
+probe's sampled points use it too, and geometry tests none.  Where a
+surface's chart is isothermal and where zeta is defined are decided once
+per block too (`BlockContext.isothermal`, `BlockContext.has_zeta`).
 
 Grid checks share one :class:`BlockContext` per block of grid points, sized
 by `block_size` so that the block's geometry holds at most BLOCK_BUDGET
 bytes at once: the geometry and every derived jet are computed once per
 block in array code.  Each check's evaluator computes the residuals of the
 points its hypotheses leave live and returns the block's :class:`Columns`;
-aggregation reads the blocks' joined columns with numpy.  The per-point
-records (`CheckResult.details`) are the library view, built from the
-columns on first read; the JSON and CSV writers read the columns directly,
-and a JSON report with detail writes each column as one list over the
-report's points (`Columns.lists`).
+aggregation reads the blocks' joined columns with numpy.  The columns are
+a check's only per-point form: the JSON and CSV writers read them, and a
+JSON report with detail writes each column as one list over the report's
+points (`Columns.lists`).
 Growth tables and the estimate probes integrate over extrinsic balls with
 one boundary-fitted Gauss rule (`_BallRule`), whose levels double until
 each integral's error estimate |Q_N - Q_(N/2)| reaches QUAD_REL_FLOOR.
@@ -44,7 +45,6 @@ from .geometry import (
     RANK_TOL,
     PointGeometry,
     _det_cofactors,
-    _optional,
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
@@ -61,6 +61,7 @@ from .jets import _table, jet_elementary, ordered_einsum
 
 BLOCK_BUDGET = 6 * 2**20  # bytes: the most point_geometry_at may hold at once for one block
 MINIMALITY_TOL = 1e-8  # the minimality hypothesis, not the minimality check itself
+ISOTHERMAL_TOL = 1e-8  # the isothermal-chart test, and |B_ww| at or below which zeta is undefined
 EQUALITY_THRESHOLD = 1e-4  # looser than identity tolerances by design
 IDENTITY_DEEP_TOL = 1e-4  # fourth-order two-route identities
 QUAD_REL_FLOOR = 1e-10  # the relative error estimate every growth and probe integral must reach
@@ -81,12 +82,7 @@ class CheckResult:
     n_skipped: int
     extras: dict = field(default_factory=dict)
     reason: str | None = None
-    columns: Columns | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def details(self) -> list:
-        """One record per grid point, built from `columns` (none for growth and probe)."""
-        return [] if self.columns is None else self.columns.records()
+    columns: Columns | None = field(default=None, repr=False, compare=False)  # None: growth, probe
 
 
 class BlockContext:
@@ -118,12 +114,25 @@ class BlockContext:
                 for r, s, point in zip(rank, sv, self.points)]
 
     @cached_property
+    def alignment(self):  # the alignment scalar as an order-2 jet
+        return scalar_field_jet(self.pg, "alignment", self.reference_frame)
+
+    @cached_property
     def apack(self):
-        return alignment_pack_at(self.pg, self.reference_frame, self.canon)
+        return alignment_pack_at(self.pg, self.reference_frame, self.canon, self.alignment)
 
     @cached_property
     def cpack(self):
         return complex_pack_at(self.pg)
+
+    @cached_property
+    def isothermal(self) -> np.ndarray:  # where a surface's chart is isothermal
+        cp = self.cpack
+        return cp.conformality_residual <= ISOTHERMAL_TOL * (cp.conformality_scale + ISOTHERMAL_TOL)
+
+    @cached_property
+    def has_zeta(self) -> np.ndarray:  # where B_ww is large enough to define zeta
+        return self.cpack.B_ww_norm2 > ISOTHERMAL_TOL * ISOTHERMAL_TOL
 
     @cached_property
     def volume_jet(self):
@@ -175,7 +184,7 @@ class BlockContext:
             if field == "normB2":
                 jet = self.pg.normB2_jet
             elif field == "log-alignment":
-                jet = jet_elementary("log", self.apack.jet)
+                jet = jet_elementary("log", self.alignment)
             else:
                 _, s, q = field
                 jet = _power_jet(self.pg.normB2_jet, s) * _power_jet(self.volume_jet, q)
@@ -188,11 +197,8 @@ _HYPOTHESES = {
     "minimal": lambda b: np.where(b.minimal, None, "mean curvature does not vanish"),
     "rank": lambda b: b.rank_errors,
     "curved": lambda b: np.where(b.flat, "second fundamental form vanishes", None),
-    "aligned": lambda b: np.where(b.apack.value <= 0.0, "alignment function not positive", None),
+    "aligned": lambda b: np.where(b.alignment.value <= 0.0, "alignment function not positive", None),
 }
-
-
-_ABSENT = ...  # a column value that a record omits; Ellipsis survives pickle and copy
 
 
 @dataclass
@@ -202,8 +208,7 @@ class Columns:
     `skip` holds each point's skip reason (None: evaluated); a point keeps
     the first reason it is given.  `residual`, `note` (a reason kept at an
     evaluated point) and every `detail` column hold one value per evaluated
-    point.  An object column may hold _ABSENT, which a record omits and a
-    detail report writes as null.
+    point; an object column holds None where the point has no such value.
     """
 
     points: list
@@ -251,30 +256,18 @@ class Columns:
         """Detail column `name`, or None at every evaluated point when the check gave none."""
         return self.detail.get(name, np.full(len(self.residual), None, dtype=object))
 
-    def records(self) -> list:
-        """One dict per point: its skip reason, or its residual, note and detail (the lists zipped)."""
-        cols = self.lists(absent=_ABSENT)
-        rows = zip(self.points, cols["residual"], cols["skipped"], cols["reason"],
-                   *cols["detail"].values())
-        return [{"residual": residual, "skipped": skipped, "reason": reason,
-                 "detail": {} if skipped else {key: value for key, value in zip(self.detail, values)
-                                               if value is not _ABSENT},
-                 "point": point} for point, residual, skipped, reason, *values in rows]
-
-    def lists(self, absent=None) -> dict:
+    def lists(self) -> dict:
         """The columns as lists over every point, as a report with detail writes them.
 
         `skipped` flags each point, and `reason` holds a skipped point's skip
         reason and an evaluated point's note.  `residual` and each `detail`
-        column hold None at a skipped point, and `absent` for an _ABSENT value.
+        column hold None at a skipped point.
         """
         live = self.live
 
         def spread(column):
             out = np.full(len(live), None, dtype=object)
             out[live] = column
-            if column.dtype == object:
-                out[np.equal(out, _ABSENT)] = absent
             return out.tolist()
 
         reason = self.skip.copy()
@@ -282,6 +275,13 @@ class Columns:
         return {"residual": spread(self.residual), "skipped": (~live).tolist(),
                 "reason": reason.tolist(),
                 "detail": {key: spread(column) for key, column in self.detail.items()}}
+
+
+def _optional(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Per-point values as Python scalars in a 1-d object array, None where `present` is false."""
+    out = np.empty(len(present), dtype=object)
+    out[:] = [v if ok else None for v, ok in zip(values.tolist(), present.tolist())]
+    return out
 
 
 def _pymax(first, *others):
@@ -344,11 +344,10 @@ def _eval_alignment_identities(block, state, skips):
 def _eval_log_alignment(block, state, skips):
     lap = block.laplacian("log-alignment")[0]
     normB2 = block.pg.normB2
-    scale = 1.0 + normB2
-    signed = (lap + normB2) / scale  # positive = inequality violated
-    equality = np.abs(lap + normB2) / scale
-    residual = equality if block.imm.kind == "graph" and block.imm.n == 2 else signed
-    return skips.evaluated(residual, signed_violation=signed, equality_residual=equality)
+    signed = (lap + normB2) / (1.0 + normB2)  # positive = inequality violated
+    if block.imm.kind == "graph" and block.imm.n == 2:  # equality holds: the residual is |signed|
+        return skips.evaluated(np.abs(signed), signed_violation=signed)
+    return skips.evaluated(signed, equality_residual=np.abs(signed))
 
 
 def _shape_operator_terms(h):
@@ -422,18 +421,15 @@ def _eval_kato(block, state, skips):
     residual = -gap
     detail = {"gap": gap, "nablaB2": pg.nablaB2, "grad_normB_sq": grad_nb_sq, "equality": equality}
     if pg.n == 2:
-        cp = block.cpack
-        has_zeta = np.not_equal(cp.zeta, None)
-        zeta = np.where(has_zeta, cp.zeta, 0).astype(complex)
+        cp, has_zeta, isothermal = block.cpack, block.has_zeta, block.isothermal
         # in an isothermal chart, equality forces the cubic derivative to be proportional
         # to B_ww; zeta_asserted is false at an equality point of a chart that is not
-        asserted = equality & has_zeta & cp.isothermal
-        zres = np.array(cp.zeta_residual.tolist(), dtype=float)  # NaN where None
-        residual = np.where(asserted, _pymax(residual, zres), residual)
-        detail.update(zeta_re=_optional(zeta.real, has_zeta),
-                      zeta_im=_optional(zeta.imag, has_zeta), zeta_residual=cp.zeta_residual,
-                      zeta_asserted=_optional(asserted, asserted | equality & ~cp.isothermal,
-                                              _ABSENT))
+        asserted = equality & has_zeta & isothermal
+        residual = np.where(asserted, _pymax(residual, cp.zeta_residual), residual)
+        detail.update(zeta_re=_optional(cp.zeta.real, has_zeta),
+                      zeta_im=_optional(cp.zeta.imag, has_zeta),
+                      zeta_residual=_optional(cp.zeta_residual, has_zeta),
+                      zeta_asserted=_optional(asserted, asserted | equality & ~isothermal))
     return skips.evaluated(residual, **detail)
 
 
@@ -470,24 +466,21 @@ def _eval_gauss_conformal(block, state, skips):
     isothermal, omega = np.zeros(len(convention), dtype=bool), np.zeros(len(convention))
     crit_bww = crit_omega = crit_mu
     if pg.n == 2:
-        cp = block.cpack
-        isothermal = cp.isothermal
-        abs_bww = np.abs(cp.B_ww)
-        bww2 = _dot(abs_bww.T, abs_bww.T)
-        crit_bww = np.abs(_dot(cp.B_ww.T, cp.B_ww.T)) <= tol * (bww2 + tol)
+        cp, isothermal = block.cpack, block.isothermal
+        crit_bww = np.abs(_dot(cp.B_ww.T, cp.B_ww.T)) <= tol * (cp.B_ww_norm2 + tol)
         omega = np.abs(cp.omega_coeff)
         crit_omega = omega <= tol
         agree = ~isothermal | ((crit_bww == crit_mu) & (crit_omega == crit_mu))
-    shown = ~convention  # a convention point's record holds only conformal and criteria
+    shown = ~convention  # a convention point has only conformal and criteria
     return skips.evaluated(
         np.where(agree | convention, 0.0, 1.0),
         conformal=crit_mu | convention,
-        criteria=_optional(np.full(len(convention), "convention"), convention, _ABSENT),
-        agree=_optional(agree, shown, _ABSENT),
-        omega=_optional(_optional(omega, isothermal), shown, _ABSENT),
-        criterion_mu=_optional(crit_mu, shown, _ABSENT),
-        criterion_bww=_optional(crit_bww, isothermal & shown, _ABSENT),
-        criterion_omega=_optional(crit_omega, isothermal & shown, _ABSENT),
+        criteria=_optional(np.full(len(convention), "convention"), convention),
+        agree=_optional(agree, shown),
+        omega=_optional(omega, isothermal & shown),
+        criterion_mu=_optional(crit_mu, shown),
+        criterion_bww=_optional(crit_bww, isothermal & shown),
+        criterion_omega=_optional(crit_omega, isothermal & shown),
     )
 
 
@@ -712,8 +705,8 @@ def _finite_max(values):
 
 
 def _given(column):
-    """An object column's values as floats, without its None and _ABSENT ones."""
-    return column[np.not_equal(column, None) & np.not_equal(column, _ABSENT)].astype(float)
+    """An object column's values as floats, without its None ones."""
+    return column[np.not_equal(column, None)].astype(float)
 
 
 def aggregate_check(name: str, tol: float, cols: Columns) -> CheckResult:

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", help="write the report to this path")
     p_check.add_argument("--format", choices=("json", "csv"), help="report format")
     p_check.add_argument("--jobs", type=int, help=JOBS_HELP)
-    p_check.add_argument("--detail", action="store_true", help="include per-point records")
+    p_check.add_argument("--detail", action="store_true", help="include per-point detail columns")
     p_check.set_defaults(func=_cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario once per swept parameter value")

@@ -25,9 +25,8 @@ Conventions
   routine, for jets here and for the quadrature's arrays in `checks`.
 * This module computes and never decides: every quantity is computed at
   every point, and whether a hypothesis of the paper (minimality, Gauss-map
-  rank <= 2, positive alignment) holds is decided in `checks`.  The one
-  threshold it still applies to the chart is `complex_pack_at`'s isothermal
-  test, a flag `checks` reads as given.
+  rank <= 2, positive alignment, an isothermal chart) holds is decided in
+  `checks`.
 
 Blocks
 ------
@@ -75,13 +74,6 @@ class ImmersionRankError(GeometryError):
 
 
 # -- blocks ---------------------------------------------------------------------
-
-def _optional(values: np.ndarray, present: np.ndarray, absent=None) -> np.ndarray:
-    """Per-point values as Python scalars in a 1-d object array, `absent` where `present` is false."""
-    out = np.empty(len(present), dtype=object)
-    out[:] = [v if ok else absent for v, ok in zip(values.tolist(), present.tolist())]
-    return out
-
 
 def _dot(u, v):
     """Sum over the last axis of u * v, accumulated in index order."""
@@ -539,14 +531,17 @@ class AlignmentPack:
     jet: Jet  # (P,): the alignment scalar as an order-2 jet
 
 
-def alignment_pack_at(pg: PointGeometry, reference_frame,
-                      canon: CanonicalFrame | None = None) -> AlignmentPack:
-    """Evaluate the alignment function and its structural identities (`canon`: computed if None)."""
+def alignment_pack_at(pg: PointGeometry, reference_frame, canon: CanonicalFrame | None = None,
+                      jet: Jet | None = None) -> AlignmentPack:
+    """Evaluate the alignment function and its structural identities.
+
+    `canon` and `jet`, the alignment scalar's jet, are computed if None.
+    """
     a = np.asarray(reference_frame, dtype=float)
     n, m, P = pg.n, pg.m, len(pg.h)
     e, nu = pg.tangent_frame, pg.normal_frame
 
-    jet = _alignment_jet(pg, a)
+    jet = _alignment_jet(pg, a) if jet is None else jet
     grad_coord = _gradient(jet, n)
     grad_frame = ordered_einsum("pij,pj->pi", pg.frame_coeffs, grad_coord)
 
@@ -584,47 +579,45 @@ def alignment_pack_at(pg: PointGeometry, reference_frame,
 class ComplexPack:
     """Complex derivatives of a surface immersion in its given chart.
 
-    Uses d/dw = (d/du - i d/dv)/2.  Meaningful when the chart is isothermal,
-    i.e. conformality_residual is small; `isothermal` records that flag.
+    Uses d/dw = (d/du - i d/dv)/2.  Meaningful where the chart is isothermal,
+    i.e. conformality_residual is small against conformality_scale; `checks`
+    decides where it is, and where B_ww is large enough for zeta.
     """
 
-    conformality_residual: np.ndarray  # (P,)
-    isothermal: np.ndarray  # (P,) bool
+    conformality_residual: np.ndarray  # (P,): |<F_w, F_w>|
+    conformality_scale: np.ndarray  # (P,): |F_w|^2
     omega_coeff: np.ndarray  # (P,) complex: <F_ww, F_ww> complex-bilinear
     B_ww: np.ndarray  # (P, n+m) complex
-    zeta: np.ndarray  # (P,) object: a complex, or None where B_ww vanishes
-    zeta_residual: np.ndarray  # (P,) object: a float, or None where zeta is
+    B_ww_norm2: np.ndarray  # (P,): |B_ww|^2
+    zeta: np.ndarray  # (P,) complex: <nabla_w B_ww, B_ww> / |B_ww|^2, not finite where B_ww = 0
+    zeta_residual: np.ndarray  # (P,): |nabla_w B_ww - zeta B_ww|
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def complex_pack_at(pg: PointGeometry) -> ComplexPack:
     """Complex second-order data of a surface: conformality, omega, zeta."""
     if pg.n != 2:
         raise GeometryError("complex pack requires a 2-dimensional domain")
-    tol = 1e-8  # the isothermal-chart test, and |B_ww| below which zeta is undefined
     Fu, Fv = pg.dF[:, 0], pg.dF[:, 1]
     sp = pg.second_partials
     Fw = 0.5 * (Fu - 1j * Fv)
     Fww = 0.25 * (sp[:, 0, 0] - sp[:, 1, 1]) - 0.5j * sp[:, 0, 1]
 
-    conf = _dot(Fw, Fw)
-    scale = _dot(np.abs(Fw), np.abs(Fw))
-
     B_ww = 0.5 * pg.B_coord[:, 0, 0] - 0.5j * pg.B_coord[:, 0, 1]
     nablaB_www = 0.5 * pg.nablaB_coord[:, 0, 0, 0] - 0.5j * pg.nablaB_coord[:, 1, 0, 0]
 
     denom = _dot(np.abs(B_ww), np.abs(B_ww))
-    has_zeta = denom > tol * tol
-    zeta = _dot(nablaB_www, np.conj(B_ww)) / np.where(has_zeta, denom, 1.0)
+    zeta = _dot(nablaB_www, np.conj(B_ww)) / denom
     miss = np.abs(nablaB_www - zeta[:, None] * B_ww)
-    zres = np.sqrt(_dot(miss, miss))
 
     return ComplexPack(
-        conformality_residual=np.abs(conf),
-        isothermal=np.abs(conf) <= tol * (scale + tol),
+        conformality_residual=np.abs(_dot(Fw, Fw)),
+        conformality_scale=_dot(np.abs(Fw), np.abs(Fw)),
         omega_coeff=_dot(Fww, Fww),
         B_ww=B_ww,
-        zeta=_optional(zeta, has_zeta),
-        zeta_residual=_optional(zres, has_zeta),
+        B_ww_norm2=denom,
+        zeta=zeta,
+        zeta_residual=np.sqrt(_dot(miss, miss)),
     )
 
 

@@ -99,9 +99,6 @@ MUTANTS = [
     Mutant("sweep memo outlives the sweep", "src/curvlab/scenario.py",
            "memo = {}  # slot", 'memo = sweep.__dict__.setdefault("memo", {})  # slot',
            (f"{SWEEP_SHARED}test_probe_cells_are_evaluated_once",)),
-    Mutant("absent written as an omitted key instead of null", CHECKS_PY,
-           "out[np.equal(out, _ABSENT)] = absent", "out = out[np.not_equal(out, _ABSENT)]",
-           (f"{WRITER}test_hand_built_columns",)),
     Mutant("residual written over the evaluated points only", CHECKS_PY,
            '"residual": spread(self.residual)', '"residual": self.residual.tolist()',
            (f"{WRITER}test_hand_built_columns",)),
@@ -125,7 +122,12 @@ MUTANTS = [
             "test_a_default_block_of_geometry_peaks_within_the_budget[n3-m2]",)),
     Mutant("alignment-identities asserts the Laplacian at rank 3", CHECKS_PY,
            'note = block.skips(("minimal", "rank")).skip', 'note = block.skips(("minimal",)).skip',
-           ("tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]",)),
+           ("tests/test_golden.py::test_detail_columns_match_golden[rank3-quadric]",)),
+    Mutant("the aligned rule reads the alignment pack", CHECKS_PY,
+           '"aligned": lambda b: np.where(b.alignment.value <= 0.0,',
+           '"aligned": lambda b: np.where(b.apack.value <= 0.0,',
+           ("tests/test_checks.py::TestProbe::"
+            "test_hypotheses_build_no_canonical_frame_or_alignment_pack",)),
     Mutant("probe samples no alignment", CHECKS_PY,
            'names = ("minimal", "rank") + (("aligned",) if reference_frame is not None else ())',
            'names = ("minimal", "rank")',
@@ -133,11 +135,11 @@ MUTANTS = [
     Mutant("3x3 cofactor adds its second product", GEOMETRY_PY,
            "- a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]",
            "+ a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]",
-           ("tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]",
+           ("tests/test_golden.py::test_detail_columns_match_golden[rank3-quadric]",
             f"{GROWTH}test_affine_3d_ball_volume",
             f"{CROSS}test_closed_form_algebra_matches_jet_pipeline[components1-3]")),
     Mutant("kato asserts zeta in a chart that is not isothermal", CHECKS_PY,
-           "asserted = equality & has_zeta & cp.isothermal", "asserted = equality & has_zeta",
+           "asserted = equality & has_zeta & isothermal", "asserted = equality & has_zeta",
            ("tests/test_checks.py::TestKato::"
             "test_zeta_is_not_asserted_in_a_chart_that_is_not_isothermal",)),
     Mutant("growth accepts equal radii", CHECKS_PY,
@@ -152,7 +154,7 @@ MUTANTS = [
     Mutant("the rank rule admits Gauss-map rank 3", CHECKS_PY,
            "if r > 2 else None", "if r > 3 else None",
            ("tests/test_checks.py::TestSkipOrder::test_mean_curvature_before_gauss_rank[kato]",
-            "tests/test_golden.py::test_detail_records_match_golden[rank3-quadric]")),
+            "tests/test_golden.py::test_detail_columns_match_golden[rank3-quadric]")),
     Mutant("the canonical frame turns by +theta / 2", GEOMETRY_PY,
            "alpha = -theta / 2.0", "alpha = theta / 2.0",
            ("tests/test_geometry.py::TestCanonicalFrame::"
@@ -178,5 +180,5 @@ MUTANTS = [
            '_eval_gauss_conformal, hypotheses=("minimal",), aggregate=',
            "_eval_gauss_conformal, aggregate=",
            ("tests/test_checks.py::TestSkipOrder::test_gauss_conformal_skips_non_minimal_points",
-            "tests/test_golden.py::test_detail_records_match_golden[partial-failures]")),
+            "tests/test_golden.py::test_detail_columns_match_golden[partial-failures]")),
 ]

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: central finite differences with
 Richardson extrapolation, closed-form curvature values derived by hand,
 sympy's symbolic derivatives, and brute-force linear algebra.  None of it
-reuses the jet pipeline it checks; `at_point` only takes one point of it.
+reuses the jet pipeline it checks; `at_point` only takes one point of it,
+and `column` and `value_at` read a grid check's columns as a report writes them.
 """
 
 from __future__ import annotations
@@ -260,3 +261,19 @@ def _row(obj):
     if is_dataclass(obj):
         return replace(obj, **{f.name: _row(getattr(obj, f.name)) for f in fields(obj) if f.name != "errors"})
     return obj
+
+
+# -- a grid check's columns, as a report with detail writes them ---------------------
+
+def column(res, key):
+    """The residual, or detail column `key`, of a grid check at the points it evaluated."""
+    cols = res.columns.lists()
+    values = cols[key] if key in cols else cols["detail"][key]
+    return [value for value, skipped in zip(values, cols["skipped"]) if not skipped]
+
+
+def value_at(res, point, key="residual"):
+    """The residual, or detail column `key`, of a grid check at grid point `point`."""
+    cols = res.columns.lists()
+    values = cols[key] if key in cols else cols["detail"][key]
+    return values[res.columns.points.index(point)]

@@ -24,14 +24,9 @@ from curvlab.jets import Jet, jet_constant, jet_extract, jet_variable, multi_ind
 from curvlab.scenario import CheckSpec, emit_report, load_config, run_checks, run_scenario
 
 import oracles
-from oracles import at_point, rel_err
+from oracles import at_point, column, rel_err, value_at
 
 COORD_PLANE = np.eye(2, 4)
-
-
-def evaluated(res):
-    """Detail records of the points a check evaluated (not skipped)."""
-    return [r["detail"] for r in res.details if not r["skipped"]]
 
 
 def verdict(number: int, ok: bool, text: str) -> None:
@@ -132,12 +127,12 @@ def test_criterion_3_holomorphic_curve(z2, z2_full_report):
     ok &= rel_err(nb0, 16.0) <= 1e-8
     notes.append(f"|B|^2(0) = {nb0}")
 
-    ratios = [r["detail"]["ratio"] for r in report["simons"].details if not r["skipped"]]
+    ratios = column(report["simons"], "ratio")
     ratio_dev = max(abs(r - 1.5) for r in ratios)
     ok &= len(ratios) == 441 and ratio_dev <= 1e-5
     notes.append(f"ratio dev {ratio_dev:.1e} at {len(ratios)} pts")
 
-    gaps = [abs(r["detail"]["gap"]) for r in report["kato"].details if not r["skipped"]]
+    gaps = [abs(gap) for gap in column(report["kato"], "gap")]
     ok &= max(gaps) <= 1e-5
     notes.append(f"|gap| {max(gaps):.1e}")
 
@@ -150,9 +145,10 @@ def test_criterion_3_holomorphic_curve(z2, z2_full_report):
     notes.append(f"|omega| {omega:.1e}")
 
     unanimous = all(
-        r["detail"]["criterion_mu"] == r["detail"]["criterion_bww"] == r["detail"]["criterion_omega"]
-        for r in report["gauss-conformal"].details
-        if not r["skipped"] and "criterion_mu" in r["detail"]
+        mu == bww == omega
+        for mu, bww, omega in zip(*(column(report["gauss-conformal"], key) for key in
+                                    ("criterion_mu", "criterion_bww", "criterion_omega")))
+        if mu is not None
     )
     ok &= unanimous and report["gauss-conformal"].extras["all_conformal"]
     notes.append("criteria unanimous" if unanimous else "criteria disagree")
@@ -174,11 +170,11 @@ def test_criterion_4_catenoid():
 
     grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
     simons, kato = run_checks(imm, grid, [CheckSpec("simons"), CheckSpec("kato")])
-    ratio_dev = max(abs(rep["ratio"] - 1.0) for rep in evaluated(simons))
+    ratio_dev = max(abs(ratio - 1.0) for ratio in column(simons, "ratio"))
     ok &= ratio_dev <= 1e-5
     notes.append(f"ratio dev {ratio_dev:.1e}")
 
-    gap = max(abs(rep["gap"]) for rep in evaluated(kato))
+    gap = max(abs(gap) for gap in column(kato, "gap"))
     ok &= gap <= 1e-5
     notes.append(f"|gap| {gap:.1e}")
 
@@ -257,12 +253,10 @@ def test_criterion_6_cross_validation():
     grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (5, 5))
     for imm in (surfaces[0][0], surfaces[1][0]):
         [simons] = run_checks(imm, grid, [CheckSpec("simons")])
-        for rep in evaluated(simons):
-            algebraic = -(rep["tilde_term"] + rep["under_term"])
-            worst_inner = max(
-                worst_inner,
-                abs(rep["inner_numeric"] - algebraic) / (1.0 + abs(algebraic)),
-            )
+        for numeric, tilde, under in zip(*(column(simons, key) for key in
+                                           ("inner_numeric", "tilde_term", "under_term"))):
+            algebraic = -(tilde + under)
+            worst_inner = max(worst_inner, abs(numeric - algebraic) / (1.0 + abs(algebraic)))
 
     ok = worst_pluecker <= 1e-12 and worst_codazzi <= 1e-8 and worst_inner <= 1e-4
     verdict(
@@ -276,9 +270,9 @@ def test_criterion_6_cross_validation():
 def test_criterion_7_nonminimal_detection():
     imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
     [res] = run_checks(imm, GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (5, 5)), [CheckSpec("minimality")])
-    origin = next(r for r in res.details if r["point"] == (0.0, 0.0))
-    ok = res.verdict == "fail" and rel_err(origin["residual"], 4.0) <= 1e-10
-    verdict(7, ok, f"paraboloid graph: verdict {res.verdict}, |H|(0) = {origin['residual']}")
+    origin = value_at(res, (0.0, 0.0))
+    ok = res.verdict == "fail" and rel_err(origin, 4.0) <= 1e-10
+    verdict(7, ok, f"paraboloid graph: verdict {res.verdict}, |H|(0) = {origin}")
 
 
 def test_criterion_8_growth_and_probes(z2):
@@ -297,7 +291,7 @@ def test_criterion_8_growth_and_probes(z2):
     grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
     specs = [CheckSpec("subharmonicity", options={"s": s, "q": q}) for s, q in [(1, 1), (1, 3)]]
     for res in run_checks(z2, grid, specs):
-        margins.append(min(r["detail"]["margin"] for r in res.details if not r["skipped"]))
+        margins.append(min(column(res, "margin")))
     ok &= all(m >= -1e-6 for m in margins)
 
     verdict(

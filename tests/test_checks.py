@@ -21,7 +21,15 @@ from curvlab.immersions import (
 )
 from curvlab.scenario import CheckSpec, run_checks
 
-from oracles import at_point, holomorphic_ball_volume, rel_err, substitute, sympy_graph_fields
+from oracles import (
+    at_point,
+    column,
+    holomorphic_ball_volume,
+    rel_err,
+    substitute,
+    sympy_graph_fields,
+    value_at,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +67,6 @@ def run(name, imm, grid, frame=None, tol=None, **options):
     return res
 
 
-def evaluated(res):
-    """Detail records of the points a check evaluated (not skipped)."""
-    return [r["detail"] for r in res.details if not r["skipped"]]
-
-
 class TestMinimality:
     def test_catenoid_minimal(self, catenoid):
         res = run("minimality", catenoid, GridSpec(((-1, 1), (-1, 1)), (11, 11)))
@@ -75,8 +78,7 @@ class TestMinimality:
         res = run("minimality", imm, GRID5)
         assert res.verdict == "fail"
         assert res.worst_residual >= 2.0
-        origin = next(r for r in res.details if r["point"] == (0.0, 0.0))
-        assert rel_err(origin["residual"], 4.0) <= 1e-10
+        assert rel_err(value_at(res, (0.0, 0.0)), 4.0) <= 1e-10
 
     def test_affine_residual_zero(self, affine):
         res = run("minimality", affine, GRID5)
@@ -94,8 +96,7 @@ class TestMinimalSystem:
     def test_paraboloid_residual_vector(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
         res = run("minimal-system", imm, GRID5)
-        origin = next(r for r in res.details if r["point"] == (0.0, 0.0))
-        assert rel_err(origin["residual"], 4.0) <= 1e-12
+        assert rel_err(value_at(res, (0.0, 0.0)), 4.0) <= 1e-12
 
     def test_affine_zero(self, affine):
         res = run("minimal-system", affine, GRID5)
@@ -135,9 +136,9 @@ class TestLogAlignment:
     def test_catenoid_inequality(self, catenoid):
         res = run("log-alignment", catenoid, GRID7, CATENOID_PLANE)
         assert res.verdict == "pass"
-        # strict slack away from the symmetry point
-        slacks = [r["detail"]["signed_violation"] for r in res.details if not r["skipped"]]
-        assert min(slacks) < -1e-3
+        # strict slack away from the symmetry point: the residual is the signed violation
+        assert min(column(res, "residual")) < -1e-3
+        assert column(res, "equality_residual") == [abs(r) for r in column(res, "residual")]
 
     def test_affine_zero_plus_zero(self, affine):
         pg = at_point(point_geometry_at, affine, (0.0, 0.0))
@@ -148,53 +149,47 @@ class TestLogAlignment:
 class TestSimons:
     def test_z2_ratio_everywhere(self, z2):
         res = run("simons", z2, GRID7)
-        reports = evaluated(res)
         assert res.verdict == "pass"
-        for rep in reports:
-            assert abs(rep["ratio"] - 1.5) <= 1e-6
+        for ratio in column(res, "ratio"):
+            assert abs(ratio - 1.5) <= 1e-6
         assert res.extras["worst_identity_residual"] <= 1e-10
 
     def test_catenoid_ratio_one(self, catenoid):
         res = run("simons", catenoid, GRID7)
-        reports = evaluated(res)
         assert res.verdict == "pass"
-        for rep in reports:
-            assert abs(rep["ratio"] - 1.0) <= 1e-6
+        for ratio, tilde, inner in zip(*(column(res, key) for key in
+                                         ("ratio", "tilde_term", "inner_formula"))):
+            assert abs(ratio - 1.0) <= 1e-6
             # codimension-one terms: tilde = 4 mu1^4, under = 0
-            assert rel_err(rep["tilde_term"], -rep["inner_formula"]) <= 1e-8
+            assert rel_err(tilde, -inner) <= 1e-8
 
     def test_affine_not_applicable_ratio(self, affine):
         res = run("simons", affine, GRID5)
-        reports = evaluated(res)
         assert res.verdict == "pass"
-        assert all(rep["ratio"] is None for rep in reports)
+        assert all(ratio is None for ratio in column(res, "ratio"))
 
     def test_inner_term_two_routes(self, z2, catenoid, cylinder):
         for imm, grid in [(z2, GRID5), (catenoid, GRID5), (cylinder, GRID3D)]:
             res = run("simons", imm, grid)
-            for rep in evaluated(res):
-                if rep["inner_formula"] is None:
+            for numeric, formula in zip(column(res, "inner_numeric"), column(res, "inner_formula")):
+                if formula is None:
                     continue
-                scale = 1.0 + abs(rep["inner_numeric"])
-                assert abs(rep["inner_numeric"] - rep["inner_formula"]) / scale <= 1e-4
+                assert abs(numeric - formula) / (1.0 + abs(numeric)) <= 1e-4
 
 
 class TestKato:
     def test_catenoid_equality_everywhere(self, catenoid):
         res = run("kato", catenoid, GRID7)
-        reports = evaluated(res)
         assert res.verdict == "pass"
-        for rep in reports:
-            assert abs(rep["gap"]) <= 1e-5
+        assert max(abs(gap) for gap in column(res, "gap")) <= 1e-5
 
     def test_z2_equality_with_zeta(self, z2):
         res = run("kato", z2, GRID7)
-        reports = evaluated(res)
         assert res.verdict == "pass" and res.extras["equality_not_isothermal"] == 0
-        for rep in reports:
-            assert abs(rep["gap"]) <= 1e-5 and rep["zeta_asserted"] is True
-            assert rep["zeta_re"] is not None and rep["zeta_im"] is not None
-            assert rep["zeta_residual"] <= 1e-6
+        assert max(abs(gap) for gap in column(res, "gap")) <= 1e-5
+        assert set(column(res, "zeta_asserted")) == {True}
+        assert None not in column(res, "zeta_re") + column(res, "zeta_im")
+        assert max(column(res, "zeta_residual")) <= 1e-6
 
     def test_affine_not_applicable(self, affine):
         res = run("kato", affine, GRID5)
@@ -213,8 +208,8 @@ class TestKato:
         assert kato.worst_residual <= kato.extras["worst_gap"] <= 1e-11  # -gap, not zeta
         assert kato.extras["equality_points"] == kato.extras["equality_not_isothermal"] == 81
         assert kato.extras["worst_zeta_residual_at_equality"] is None
-        assert {rec["detail"]["zeta_asserted"] for rec in kato.details} == {False}
-        assert max(rec["detail"]["zeta_residual"] for rec in kato.details) > 1.0
+        assert set(column(kato, "zeta_asserted")) == {False}
+        assert max(column(kato, "zeta_residual")) > 1.0
 
     def test_state_is_only_the_tolerance(self, z2):
         # kato has no options: an unread zeta_tol must not reach the state
@@ -229,8 +224,7 @@ class TestRefinedSimons:
 
     def test_z2_is_equality(self, z2):
         res = run("refined-simons", z2, GRID5)
-        margins = [abs(r["detail"]["margin"]) for r in res.details if not r["skipped"]]
-        assert max(margins) <= 1e-9
+        assert max(abs(margin) for margin in column(res, "margin")) <= 1e-9
 
 
 class TestGaussConformal:
@@ -239,9 +233,9 @@ class TestGaussConformal:
         assert res.verdict == "pass"
         assert res.extras["all_conformal"]
         assert res.extras["omega_max"] <= 1e-10
-        for rec in res.details:
-            d = rec["detail"]
-            assert d["criterion_mu"] == d["criterion_bww"] == d["criterion_omega"] is True
+        assert res.n_skipped == 0
+        for key in ("criterion_mu", "criterion_bww", "criterion_omega"):
+            assert set(column(res, key)) == {True}
 
     def test_catenoid_false_everywhere(self, catenoid):
         res = run("gauss-conformal", catenoid, GRID7)
@@ -255,9 +249,9 @@ class TestGaussConformal:
 
     def test_simons_equality_couples_to_conformality(self, z2, catenoid):
         for imm, conformal in [(z2, True), (catenoid, False)]:
-            sreports = evaluated(run("simons", imm, GRID5))
+            ratios = column(run("simons", imm, GRID5), "ratio")
             cres = run("gauss-conformal", imm, GRID5)
-            simons_eq = all(abs(rep["ratio"] - 1.5) <= 1e-4 for rep in sreports)
+            simons_eq = all(abs(ratio - 1.5) <= 1e-4 for ratio in ratios)
             assert simons_eq == conformal == cres.extras["all_conformal"]
 
 
@@ -265,27 +259,24 @@ class TestJacobian:
     def test_z2_values(self, z2):
         res = run("jacobian", z2, GRID5)
         assert res.verdict == "pass"
-        rec = next(r for r in res.details if r["point"] == (1.0, 0.0))
-        assert rel_err(rec["detail"]["sigma1"], 2.0) <= 1e-12
-        assert rel_err(rec["detail"]["sigma2"], 2.0) <= 1e-12
-        assert rel_err(rec["detail"]["minor_sum"], 16.0) <= 1e-12
-        assert rel_err(rec["detail"]["volume_factor"], 5.0) <= 1e-12
+        for key, want in (("sigma1", 2.0), ("sigma2", 2.0), ("minor_sum", 16.0),
+                          ("volume_factor", 5.0)):
+            assert rel_err(value_at(res, (1.0, 0.0), key), want) <= 1e-12
 
     def test_affine_zero_graph(self):
         imm = build_graph_immersion(["0"], 2)
         res = run("jacobian", imm, GRID5)
-        rec = res.details[0]["detail"]
-        assert rec["sigma1"] == 0.0 and rec["volume_factor"] == 1.0
+        first = res.columns.points[0]
+        assert value_at(res, first, "sigma1") == 0.0 and value_at(res, first, "volume_factor") == 1.0
 
     def test_independent_svd_oracle(self):
         imm = build_graph_immersion(["x^3", "y"], 2)
         res = run("jacobian", imm, GridSpec(((0.5, 1.5), (0.5, 1.5)), (3, 3)))
         assert res.verdict == "pass"
         assert res.worst_residual <= 1e-10
-        rec = next(r for r in res.details if r["point"] == (1.0, 1.0))
         # Df = [[3, 0], [0, 1]]: singular values 3, 1 by inspection
-        assert rel_err(rec["detail"]["sigma1"], 3.0) <= 1e-12
-        assert rel_err(rec["detail"]["sigma2"], 1.0) <= 1e-12
+        assert rel_err(value_at(res, (1.0, 1.0), "sigma1"), 3.0) <= 1e-12
+        assert rel_err(value_at(res, (1.0, 1.0), "sigma2"), 1.0) <= 1e-12
 
 
 class TestIsothermal:
@@ -302,9 +293,9 @@ class TestIsothermal:
         res = run("isothermal", imm, GRID5, a=a, b=b)
         assert res.verdict == "pass"
         assert res.worst_residual <= 1e-12
-        rec = res.details[0]["detail"]
-        assert rel_err(rec["conformal_factor"], 1.5) <= 1e-12
-        assert rec["decomposition_residual"] <= 1e-12
+        first = res.columns.points[0]
+        assert rel_err(value_at(res, first, "conformal_factor"), 1.5) <= 1e-12
+        assert value_at(res, first, "decomposition_residual") <= 1e-12
 
     def test_z2_bad_shear_fails(self, z2):
         res = run("isothermal", z2, GRID5, a=1.0, b=1.0)
@@ -333,12 +324,12 @@ class TestIsothermal:
                             "parametric")
         res = run("isothermal", imm, GRID5, a=a, b=b)
         assert res.n_skipped == 0
-        for rec in res.details:
-            x, y = rec["point"]
+        for (x, y), got, factor in zip(res.columns.points, column(res, "residual"),
+                                       column(res, "conformal_factor")):
             g = at_point(point_geometry_at, sheared, (x, a * x + b * y)).g0
             residual = max(abs(g[0, 0] - g[1, 1]), abs(g[0, 1])) / (1.0 + abs(g[0, 0]))
-            assert abs(rec["detail"]["conformal_factor"] - g[0, 0]) <= 1e-12 * (1.0 + abs(g[0, 0]))
-            assert abs(rec["residual"] - residual) <= 1e-12 * (1.0 + residual)
+            assert abs(factor - g[0, 0]) <= 1e-12 * (1.0 + abs(g[0, 0]))
+            assert abs(got - residual) <= 1e-12 * (1.0 + residual)
 
 
 class TestSubharmonicity:
@@ -346,8 +337,7 @@ class TestSubharmonicity:
     def test_z2_pointwise(self, z2, s, q):
         res = run("subharmonicity", z2, GridSpec(((-1, 1), (-1, 1)), (9, 9)), s=s, q=q)
         assert res.verdict == "pass"
-        margins = [r["detail"]["margin"] for r in res.details if not r["skipped"]]
-        assert min(margins) >= -1e-6
+        assert min(column(res, "margin")) >= -1e-6
 
     def test_domain_validation(self, z2):
         with pytest.raises(C.CheckConfigError, match="s >= 1"):
@@ -589,6 +579,17 @@ class TestProbe:
         # the largest legal counts: 4096^2 = 256^3 = 2^24
         assert C.quadrature_cells_fault(4096, 2) is None and C.quadrature_cells_fault(256, 3) is None
         assert C.quadrature_cells_fault(257, 3) == "cells^3 must be at most 2^24, got 257^3"
+
+    def test_hypotheses_build_no_canonical_frame_or_alignment_pack(self, z2, monkeypatch):
+        # the aligned rule reads the alignment jet alone: at the origin of w = z^2 the
+        # tangent plane is orthogonal to the normal coordinate plane
+        def unused(*args):
+            raise AssertionError("the probe's hypotheses read no frame or pairing")
+
+        monkeypatch.setattr(C, "canonical_frame_at", unused)
+        monkeypatch.setattr(C, "alignment_pack_at", unused)
+        rec = C.estimate_probe(z2, np.eye(4)[2:], C.ProbeParams(cells=32))
+        assert (rec.applicable, rec.reason) == (False, "alignment function not positive")
 
     def test_nonminimal_not_applicable(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
@@ -929,26 +930,22 @@ class TestAggregation:
         assert res.verdict == "fail"
         assert res.extras["omega_max"] == 1e-12
 
-    def test_records_are_built_from_the_columns(self):
-        # point 1 is skipped; an _ABSENT value omits its key, None stays
+    def test_the_result_keeps_the_columns(self):
+        # point 1 is skipped; a None detail value stays None
         cols = C.Columns(
             [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], np.array([None, "flat", None], dtype=object),
             np.array([0.5, -0.0]), np.array([None, "why"], dtype=object),
-            {"a": np.array([1.0, 2.0]), "b": np.array([None, C._ABSENT], dtype=object)},
+            {"a": np.array([1.0, 2.0]), "b": np.array([None, 3.0], dtype=object)},
         )
         res = C.aggregate_check("minimality", 1.0, cols)
         assert (res.n_points, res.n_skipped, res.worst_residual) == (3, 1, 0.5)
-        assert res.details == [
-            {"residual": 0.5, "skipped": False, "reason": None,
-             "detail": {"a": 1.0, "b": None}, "point": (0.0, 0.0)},
-            {"residual": None, "skipped": True, "reason": "flat", "detail": {},
-             "point": (1.0, 0.0)},
-            {"residual": -0.0, "skipped": False, "reason": "why", "detail": {"a": 2.0},
-             "point": (2.0, 0.0)},
-        ]
-        assert res.details is res.details  # built once
-        # _ABSENT stays itself when the columns are pickled
-        assert pickle.loads(pickle.dumps(res.columns)).records() == res.details
+        assert res.columns is cols
+        lists = {"residual": [0.5, None, -0.0], "skipped": [False, True, False],
+                 "reason": [None, "flat", "why"],
+                 "detail": {"a": [1.0, None, 2.0], "b": [None, None, 3.0]}}
+        assert repr(cols.lists()) == repr(lists)  # repr tells -0.0 from 0.0
+        # the columns cross a process pool pickled
+        assert repr(pickle.loads(pickle.dumps(cols)).lists()) == repr(lists)
 
     def test_all_skipped_is_not_applicable_with_the_first_reason(self):
         cols = C.Columns.concat([
@@ -974,7 +971,8 @@ TILTED_PLANE = np.array([[0.5**0.5, 0, 0.5**0.5, 0], [0, 0.5**0.5, 0, -(0.5**0.5
 
 
 def skip_reasons(res):
-    return Counter(r["reason"] for r in res.details if r["skipped"])
+    cols = res.columns.lists()
+    return Counter(reason for reason, skipped in zip(cols["reason"], cols["skipped"]) if skipped)
 
 
 class TestSkipOrder:
@@ -1016,7 +1014,7 @@ class TestSkipOrder:
     def test_mean_curvature_before_alignment(self):
         imm = build_graph_immersion(["x^2", "y^2"], 2)
         block = C.BlockContext(imm, GRID5.points(), TILTED_PLANE)
-        assert np.sum(block.apack.value <= 0.0) == 15 and not block.minimal.any()
+        assert np.sum(block.alignment.value <= 0.0) == 15 and not block.minimal.any()
         res = run("log-alignment", imm, GRID5, TILTED_PLANE)
         assert skip_reasons(res) == {"mean curvature does not vanish": 25}
 

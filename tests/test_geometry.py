@@ -378,9 +378,9 @@ class TestAlignmentPack:
         grid = GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (3, 3))
         [res] = run_checks(imm, grid, [CheckSpec("alignment-identities")], COORD_PLANE_2)
         assert res.n_points == 9 and res.n_skipped == 0
-        for rec in res.details:
-            assert rec["reason"] == "mean curvature does not vanish"
-            assert rec["detail"]["laplacian_residual"] is None
+        cols = res.columns.lists()
+        assert set(cols["reason"]) == {"mean curvature does not vanish"}
+        assert set(cols["detail"]["laplacian_residual"]) == {None}
 
 
 class TestPluecker:
@@ -415,13 +415,19 @@ class TestPluecker:
         assert replaced_pairing(e, a, {0: nu}).tolist() == [0.0]
 
 
+def chart_flags(imm, point):
+    """BlockContext's decisions at one point: (isothermal chart, zeta defined)."""
+    block = BlockContext(imm, [point], None)
+    return bool(block.isothermal[0]), bool(block.has_zeta[0])
+
+
 class TestComplexPack:
     def test_z2(self, z2):
         cp = at_point(complex_pack_at, z2, (0.8, -0.3))
-        assert cp.conformality_residual <= 1e-12
-        assert cp.isothermal
+        assert cp.conformality_residual <= 1e-12 and cp.conformality_scale > 0.5
         assert abs(cp.omega_coeff) <= 1e-10
-        assert cp.zeta is not None and cp.zeta_residual <= 1e-10
+        assert cp.B_ww_norm2 > 0.1 and cp.zeta_residual <= 1e-10
+        assert chart_flags(z2, (0.8, -0.3)) == (True, True)
 
     def test_catenoid_omega_constant(self, catenoid):
         for pt in [(0.0, 0.0), (0.9, -1.1), (-0.4, 0.6)]:
@@ -430,9 +436,12 @@ class TestComplexPack:
             assert cp.conformality_residual <= 1e-10
 
     def test_affine(self):
-        cp = at_point(complex_pack_at, catalogue_lookup("affine", {}), (0.0, 0.0))
+        affine = catalogue_lookup("affine", {})
+        cp = at_point(complex_pack_at, affine, (0.0, 0.0))
         assert abs(cp.omega_coeff) <= 1e-14
-        assert cp.zeta is None
+        # B_ww = 0: zeta is 0 / 0, which no check reads
+        assert cp.B_ww_norm2 == 0.0 and not np.isfinite(cp.zeta)
+        assert chart_flags(affine, (0.0, 0.0))[1] is False
 
     def test_zeta_decomposition(self, z2):
         # zeta is the coefficient of nabla_w B_ww along B_ww, each contracted in full
@@ -442,13 +451,15 @@ class TestComplexPack:
         B_ww = np.einsum("i,j,ijA->A", w, w, pg.B_coord)
         nablaB_www = np.einsum("k,i,j,kijA->A", w, w, w, pg.nablaB_coord)
         assert np.abs(B_ww - cp.B_ww).max() <= 1e-12 and np.abs(B_ww).max() > 0.1
+        assert rel_err(cp.B_ww_norm2, np.vdot(B_ww, B_ww).real) <= 1e-12
         assert np.abs(nablaB_www - cp.zeta * B_ww).max() <= 1e-10
         assert cp.zeta_residual <= 1e-10
 
     def test_non_isothermal_flagged(self):
         imm = build_graph_immersion(["x^2 + x*y", "y"], 2)
         cp = at_point(complex_pack_at, imm, (0.5, 0.5))
-        assert not cp.isothermal
+        assert cp.conformality_residual > 0.1 * cp.conformality_scale
+        assert chart_flags(imm, (0.5, 0.5))[0] is False
 
 
 class TestCurvaturePack:
@@ -546,6 +557,7 @@ class TestBlockIndependence:
             "alignment": lambda b: alignment_pack_at(b.pg, frame),
             "alignment-canon": lambda b: alignment_pack_at(b.pg, frame, b.canon),
             "complex": lambda b: complex_pack_at(b.pg),
+            "chart-flags": lambda b: (b.isothermal, b.has_zeta),
             "curvature": lambda b: curvature_pack_at(b.pg),
         }
         for field in SCALAR_FIELDS:

@@ -2,11 +2,12 @@
 
 tests/golden/<name>.json holds each bundled scenario's report,
 `to_dict(detail=False)`, as captured from the per-point pipeline before grid
-points were evaluated in blocks.  tests/golden/details-<name>.json holds the
-raw per-point records of a small config from DETAIL_CONFIGS, as captured from
-the per-point evaluators before they evaluated whole blocks.  Verdicts,
-counts, reasons, types and every key (in order) must match exactly; floats
-within |delta| <= 1e-9 (1 + |x|).
+points were evaluated in blocks.  tests/golden/details-<name>.json holds what
+a report with detail writes of a small config from DETAIL_CONFIGS: its grid
+points once and each check's `Columns.lists()`, by check name, with the
+values captured from the per-point evaluators before they evaluated whole
+blocks.  Verdicts, counts, reasons, types and every key (in order) must
+match exactly; floats within |delta| <= 1e-9 (1 + |x|).
 """
 
 import json
@@ -71,13 +72,18 @@ def leaves(obj):
         yield obj
 
 
-def test_detail_records_hold_only_python_values():
-    # emit_report hands the records and the extras to json.dumps as they are
+def test_detail_columns_hold_only_python_values():
+    # emit_report hands the columns' lists and the extras to json.dumps as they are
     for name in SCENARIOS:
         report = run_scenario(load_config_file(bundled_path(name)))
-        bad = {type(leaf).__name__ for res in report.results for rec in res.details
-               for leaf in leaves(rec) if type(leaf) not in LEAF_TYPES + (tuple,)}
-        assert not bad, f"{name}: detail records hold {sorted(bad)}"
+        columns = [(res.columns.points, res.columns.lists())
+                   for res in report.results if res.columns is not None]
+        values = [value for points, cols in columns
+                  for column in (points, cols["residual"], cols["skipped"], cols["reason"],
+                                 *cols["detail"].values()) for value in column]
+        bad = {type(leaf).__name__ for value in values for leaf in leaves(value)
+               if type(leaf) not in LEAF_TYPES + (tuple,)}
+        assert not bad, f"{name}: detail columns hold {sorted(bad)}"
         bad = {type(leaf).__name__ for res in report.results for leaf in leaves(res.extras)
                if type(leaf) not in LEAF_TYPES + (list,)}
         assert not bad, f"{name}: extras hold {sorted(bad)}"
@@ -144,17 +150,18 @@ DETAIL_CONFIGS = {
 }
 
 
-def detail_records(name):
-    """The raw records of DETAIL_CONFIGS[name], one list per check, round-tripped through JSON."""
+def detail_columns(name):
+    """The points of DETAIL_CONFIGS[name] and each check's columns, round-tripped through JSON."""
     config = load_config(DETAIL_CONFIGS[name])
     results = run_checks(config.surface, config.grid, config.checks, config.frame_or_default)
-    return json.loads(json.dumps([[res.name, res.details] for res in results]))
+    return json.loads(json.dumps({"points": results[0].columns.points,
+                                  "checks": {res.name: res.columns.lists() for res in results}}))
 
 
 @pytest.mark.parametrize("name", sorted(DETAIL_CONFIGS))
-def test_detail_records_match_golden(name):
+def test_detail_columns_match_golden(name):
     want = json.loads((GOLDEN / f"details-{name}.json").read_text())
-    assert_matches(detail_records(name), want, f"details-{name}")
+    assert_matches(detail_columns(name), want, f"details-{name}")
 
 
 @pytest.mark.parametrize("config", [
@@ -183,7 +190,7 @@ def test_detail_records_match_golden(name):
     load_config_file(bundled_path("cylinder-helicoid")),
 ], ids=["z2-full", "cubic", "cylinder-cubic", "partial-failures", "rank3-quadric",
         "isothermal-shear", "cylinder-helicoid"])
-def test_block_composition_does_not_change_records(config, monkeypatch):
+def test_block_composition_does_not_change_columns(config, monkeypatch):
     encode, entries = [], []
     # the default rule (one block for z2-full's 441 points and cylinder-helicoid's 125),
     # one block, blocks of 64 and of 7, point by point
@@ -191,7 +198,8 @@ def test_block_composition_does_not_change_records(config, monkeypatch):
         if size is not None:
             monkeypatch.setattr(checks, "block_size", lambda imm, size=size: size)
         results = run_checks(config.surface, config.grid, config.checks, config.frame_or_default)
-        encode.append([json.dumps(rec) for res in results for rec in res.details])
+        encode.append([json.dumps([res.columns.points, res.columns.lists()])
+                       for res in results if res.columns is not None])
         # verdicts, worst residuals, skip counts and extras, aggregated from the joined columns
         report = Report({}, results, "pass", 0, 0.0)
         entries.append(json.dumps(report.to_dict(detail=False)["checks"]))

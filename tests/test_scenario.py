@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvlab import checks, cli, scenario
-from curvlab.checks import _ABSENT, CHECKS, CheckResult, Columns
+from curvlab.checks import CHECKS, CheckResult, Columns
 from curvlab.scenario import (
     ConfigError,
     Report,
@@ -41,26 +41,27 @@ REPORT_KEYS = ["format", "scenario", "n_grid_points", "overall", "points", "chec
 COLUMN_KEYS = ["residual", "skipped", "reason", "detail"]
 
 
-def zipped_records(points, details) -> list:
-    """A format-2 check's columns zipped back into one record per point, as Columns.records()
-    builds them, except that a value a record omits is None; a skipped point's detail is {}."""
-    return [{"residual": details["residual"][i], "skipped": skipped, "reason": details["reason"][i],
-             "detail": {} if skipped else {key: column[i] for key, column in details["detail"].items()},
-             "point": point}
-            for i, (point, skipped) in enumerate(zip(points, details["skipped"]))]
-
-
-def absent_as_none(columns) -> list:
-    """columns.records(), with each detail key an evaluated point's record omits as None."""
-    return [rec if rec["skipped"] else {**rec, "detail": {key: rec["detail"].get(key)
-                                                          for key in columns.detail}}
-            for rec in columns.records()]
+def lists_by_point(columns) -> dict:
+    """`columns.lists()`, built point by point: an evaluated point takes the next value of
+    the residual, note and each detail column, a skipped point its reason and None."""
+    out = {"residual": [], "skipped": [], "reason": [], "detail": {key: [] for key in columns.detail}}
+    k = 0  # the next evaluated point's index into the residual, note and detail columns
+    for skip in columns.skip:
+        evaluated = skip is None
+        out["skipped"].append(not evaluated)
+        out["reason"].append(columns.note[k] if evaluated else skip)
+        for target, column in zip([out["residual"], *out["detail"].values()],
+                                  [columns.residual, *columns.detail.values()]):
+            value = column[k] if evaluated else None
+            target.append(value.item() if isinstance(value, np.generic) else value)
+        k += evaluated
+    return out
 
 
 def assert_detail_file(text, reports):
     """`text`, a JSON file written with detail of one report or a sweep's, is each report's
     `to_dict(detail=True)`; each column is one line with one entry per point, and a
-    check's columns zip back into its records."""
+    check's columns are its Columns read point by point."""
     data = json.loads(text)
     written = data["reports"] if "reports" in data else [data]
     assert len(written) == len(reports)
@@ -76,21 +77,24 @@ def assert_detail_file(text, reports):
                 assert details == {}
                 continue
             assert list(details) == COLUMN_KEYS
-            assert json.dumps(zipped_records(points, details)) == json.dumps(absent_as_none(res.columns))
+            assert points == json.loads(json.dumps(res.columns.points))
+            assert json.dumps(details) == json.dumps(lists_by_point(res.columns))
             columns += [(key, details[key]) for key in COLUMN_KEYS[:-1]] + list(details["detail"].items())
         for key, column in columns:
             assert len(column) == len(points)
             assert f"{json.dumps(key)}: {json.dumps(column)}" in lines
 
 
-def records_csv_text(report):
-    """The CSV report as written from each check's `details` records."""
+def csv_text_by_point(report):
+    """The CSV report as written point by point from each check's columns."""
     lines = ["check,u1,u2,u3,residual,status"]
     for res in report.results:
-        for rec in res.details:
-            coords = [repr(c) for c in rec["point"]] + [""] * (3 - len(rec["point"]))
-            residual = rec["residual"]
-            status = ("skipped" if rec["skipped"] else
+        if res.columns is None:
+            continue
+        cols = lists_by_point(res.columns)
+        for point, residual, skipped in zip(res.columns.points, cols["residual"], cols["skipped"]):
+            coords = [repr(c) for c in point] + [""] * (3 - len(point))
+            status = ("skipped" if skipped else
                       "ok" if residual <= res.tolerance else "violation")
             lines.append(",".join([res.name, *coords, "" if residual is None else repr(residual),
                                    status]))
@@ -123,7 +127,7 @@ QUADRATURE_REPROS = {
 
 
 def has_details(path) -> bool:
-    """Whether every check entry of the sweep file at `path` has per-point records."""
+    """Whether every check entry of the sweep file at `path` has per-point columns."""
     entries = [entry for report in json.loads(path.read_text())["reports"]
                for entry in report["checks"]]
     return all("details" in entry for entry in entries)
@@ -669,7 +673,7 @@ class TestEmission:
         assert a.read_bytes() == b.read_bytes()
 
     # a config's unknown top-level keys stay in the report's scenario, strings
-    # included; half this grid fails to evaluate, and growth has no records
+    # included; half this grid fails to evaluate, and growth has no columns
     USER_KEYS = {
         "surface": {"kind": "graph", "exprs": ["log(x+0.5)", "0"], "n": 2},
         "grid": {"ranges": [[-1.0, 1.0], [-1.0, 1.0]], "counts": [4, 3]},
@@ -712,7 +716,7 @@ FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e
 TEXTS = st.one_of(st.sampled_from(["%", "%s %d", ", ", 'say "a, b"', "%(x)s, \\"]),
                   st.text(max_size=8))
 OBJECTS = st.one_of(FLOATS, TEXTS, st.none(), st.booleans(), st.integers(-2**63, 2**63),
-                    st.tuples(TEXTS, FLOATS), st.just(_ABSENT))
+                    st.tuples(TEXTS, FLOATS))
 KINDS = {"float": (FLOATS, float), "bool": (st.booleans(), bool),
          "float objects": (st.one_of(FLOATS, st.none()), object),
          "scalar objects": (st.one_of(st.none(), st.booleans(), st.integers()), object),
@@ -759,9 +763,8 @@ class TestDetailWriter:
         out, csv = tmp_path / "report.json", tmp_path / "report.csv"
         emit_report(report, "json", out, detail=True)
         emit_report(report, "csv", csv)
-        assert all("details" not in res.__dict__ for res in report.results)  # never built
         assert_detail_file(out.read_text(), [report])
-        assert csv.read_text() == records_csv_text(report)
+        assert csv.read_text() == csv_text_by_point(report)
 
     def test_hand_built_columns(self, tmp_path):
         reason = 'not evaluated: a, "quoted" \\ path, \u00fc\u2202'
@@ -772,17 +775,15 @@ class TestDetailWriter:
             np.array([None, "kept, with a comma", None], dtype=object),
             {"flag": np.array([True, False, True]),
              "value": np.array([1.5, None, math.nan], dtype=object),
-             "shown": np.array([_ABSENT, 2.0, _ABSENT], dtype=object),
-             "label": np.array(["x, y", ("a, b", 1.0), _ABSENT], dtype=object)},
+             "label": np.array(["x, y", ("a, b", 1.0), None], dtype=object)},
         )
-        # a skipped point is null in every column but skipped and reason; _ABSENT is null
+        # a skipped point is null in every column but skipped and reason
         assert json.dumps(cols.lists()) == json.dumps({
             "residual": [math.nan, None, math.inf, -math.inf, None],
             "skipped": [False, True, False, False, True],
             "reason": [None, reason, "kept, with a comma", None, reason],
             "detail": {"flag": [True, None, False, True, None],
                        "value": [1.5, None, None, math.nan, None],
-                       "shown": [None, None, 2.0, None, None],
                        "label": ["x, y", None, ["a, b", 1.0], None, None]}})
         no_live_point = Columns([(1.0, 2.0), (3.0, 4.0)], np.array([reason, "other"], dtype=object))
         reports = [one_check_report(columns)
@@ -797,7 +798,7 @@ class TestDetailWriter:
     @given(st.lists(writer_columns(), min_size=1, max_size=3))
     @example([Columns([(0.0, 1.0), (-0.0, 2.0)], object_array([None, None]), np.array([0.0, -0.0]),
                       object_array([None, None]), {"x": object_array([-0.0, 0.0])})])
-    def test_columns_zip_back_into_the_records(self, parts):
+    def test_columns_are_written_point_by_point(self, parts):
         # one report per part, alone and in one sweep file
         reports = [one_check_report(columns) for columns in parts]
         with tempfile.TemporaryDirectory() as tmp:
@@ -812,7 +813,6 @@ class TestDetailWriter:
         assert cli.main(["sweep", "z2-probe", "--out", str(out), "--detail"]) == 0
         reports, table = sweep(bundled("z2-probe"))
         emit_sweep(reports, table, again, detail=True)
-        assert all("details" not in res.__dict__ for r in reports for res in r.results)
         text = out.read_text()
         assert again.read_text() == text and json.loads(text)["aggregation"] == table
         assert_detail_file(text, reports)
@@ -1105,8 +1105,9 @@ class TestCli:
             {"name": "minimality"}, {"name": "kato"}, {"name": "gauss-conformal"}])))
         assert report.n_grid_points == 0 and report.overall == "pass"
         for res in report.results:
-            assert (res.verdict, res.reason, res.n_points, res.details) == (
-                "not-applicable", "no points evaluated", 0, [])
+            assert (res.verdict, res.reason, res.n_points, res.columns.lists()) == (
+                "not-applicable", "no points evaluated", 0,
+                {"residual": [], "skipped": [], "reason": [], "detail": {}})
         assert report.results[1].extras["evaluated_points"] == 0
 
     def test_constant_mask_keeps_every_point(self, tmp_path):
