@@ -45,6 +45,7 @@ from .geometry import (
     RANK_TOL,
     PointGeometry,
     _det_cofactors,
+    _gauss_matrix,
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
@@ -103,13 +104,17 @@ class BlockContext:
         return point_geometry_at(self.imm, np.array(self.points))
 
     @cached_property
+    def gauss_svd(self):  # n = 3: U and the singular values, for the canonical frame and the rank
+        return np.linalg.svd(_gauss_matrix(self.pg))[:2] if self.imm.n == 3 else (None, None)
+
+    @cached_property
     def canon(self):
-        return canonical_frame_at(self.pg)
+        return canonical_frame_at(self.pg, self.gauss_svd[0])
 
     @cached_property
     def rank_errors(self) -> list:
         """Each point's Gauss-map rank failure, or None where the rank is at most 2."""
-        rank, sv = gauss_rank_at(self.pg)
+        rank, sv = gauss_rank_at(self.pg, self.gauss_svd[1])
         return [f"Gauss-map rank {r} > 2 at {point} (singular values {s})" if r > 2 else None
                 for r, s, point in zip(rank, sv, self.points)]
 
@@ -615,7 +620,7 @@ CHECKS = {
                    _eval_kato, hypotheses=("minimal", "rank", "curved"),
                    aggregate=_aggregate_kato),
     "refined-simons": _Check(1e-8, "combined inequality Lap|B|^2 >= 4|grad|B||^2 - 3|B|^4",
-                             _eval_refined_simons, hypotheses=("minimal", "curved", "normB2")),
+                             _eval_refined_simons, hypotheses=("minimal", "rank", "curved", "normB2")),
     "gauss-conformal": _Check(
         1e-6, "agreement of the conformal-point criteria (mu, B_ww, omega)",
         _eval_gauss_conformal, hypotheses=("minimal",), aggregate=_aggregate_gauss_conformal),
@@ -778,10 +783,11 @@ class _GraphFields:
     def dist2(self, axes):
         """Squared extrinsic distance |x|^2 + sum_a (f^a - f^a(0))^2 to F(0).
 
-        One evaluation of each graph component over `axes`, which broadcast
-        together; not finite wherever F is undefined.
+        One evaluation of the graph components over `axes`, which broadcast
+        together, their shared subtrees once; not finite wherever F is undefined.
         """
-        sq = [(evaluate_array(c, axes) - c0) ** 2 for c, c0 in zip(self.comps, self.f0)]
+        memo = self.imm.sharing.memo()
+        sq = [(evaluate_array(c, axes, memo) - c0) ** 2 for c, c0 in zip(self.comps, self.f0)]
         # the sum over a first, then |x|^2: a change of order moves boundaries by an ulp
         return sum(ax**2 for ax in axes) + sum(sq[1:], sq[0])
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -332,33 +334,147 @@ def _apply_func(name: str, value):
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def evaluate_expression(node: ExprNode, values):
+def _key(node: ExprNode, key_of: dict, interned: dict) -> int:
+    """The key of the subtree `node`, numbered in `interned` by signature; one frame per level.
+
+    A signature is the node's kind, its parameter and the keys of its
+    children; a constant is told by its bits, so -0.0 is not 0.0, and NaNs
+    differ by sign and payload.  `key_of` holds the key of each node by id.
+    """
+    key = key_of.get(id(node))
+    if key is None:
+        if isinstance(node, Const):
+            signature = ("c", struct.pack("<d", node.value), ())
+        elif isinstance(node, Var):
+            signature = ("v", node.index, ())
+        elif isinstance(node, Call):
+            signature = ("f", node.func, (_key(node.arg, key_of, interned),))
+        elif isinstance(node, Pow):
+            signature = ("p", node.exponent, (_key(node.base, key_of, interned),))
+        else:
+            signature = ("b", node.op, (_key(node.left, key_of, interned),
+                                        _key(node.right, key_of, interned)))
+        key = key_of[id(node)] = interned.setdefault(signature, len(interned))
+    return key
+
+
+def _factors(exponent: int) -> tuple:
+    """The powers of x whose product Jet.__pow__ forms last for x^exponent, exponent >= 2.
+
+    x^(e/2) squared when e is a power of two, else x^(e - t) times x^t, t
+    the highest power of two below e.
+    """
+    top = 1 << (exponent.bit_length() - 1)
+    return (top // 2,) if exponent == top else (exponent - top, top)
+
+
+class Sharing:
+    """The subtrees that a tuple of trees have in common, found once for those trees.
+
+    Two subtrees are one when they are built alike from the same leaves.  An
+    evaluation of all the trees through one `memo()` evaluates each subtree
+    once.  `uses` counts how often that evaluation then reaches each subtree
+    it reaches more than once, and `keys` maps the id of each node of such a
+    subtree to its key.  A Jet power of such a subtree x is formed by the
+    products of Jet.__pow__ from the powers of x formed before; the key
+    (x's key, e) counts the uses of x^e where several powers need it.
+    """
+
+    def __init__(self, roots):
+        self.roots = tuple(roots)
+        key_of, interned = {}, {}
+        uses = Counter(_key(root, key_of, interned) for root in self.roots)
+        powers = {}  # base key -> the exponents >= 2 it is raised to
+        for kind, parameter, children in interned:  # each subtree is evaluated once
+            for child in children:
+                uses[child] += 1
+            if kind == "p" and parameter > 1:
+                powers.setdefault(children[0], []).append(parameter)
+        for base, pending in powers.items():
+            if uses[base] < 2:  # one power of x alone: x ** e forms it
+                continue
+            while pending:  # x^e is formed at its first request, which requests its factors
+                exponent = pending.pop()
+                uses[base, exponent] += 1
+                if uses[base, exponent] == 1:
+                    pending += [f for f in _factors(exponent) if f > 1]
+        self.uses = {key: count for key, count in uses.items() if count > 1}
+        self.keys = {node_id: key for node_id, key in key_of.items() if key in self.uses}
+
+    def __reduce__(self):  # `keys` holds ids: a copy finds them again in its own trees
+        return Sharing, (self.roots,)
+
+    def memo(self) -> "_Memo":
+        """A fresh memo for one evaluation of the trees, its calls sharing it."""
+        return _Memo(self)
+
+
+class _Memo:
+    """One evaluation's values of shared subtrees, each dropped after its last use."""
+
+    __slots__ = ("keys", "left", "values")
+
+    def __init__(self, sharing: Sharing):
+        self.keys, self.left, self.values = sharing.keys, dict(sharing.uses), {}
+
+    def recall(self, key):
+        self.left[key] -= 1
+        return self.values[key] if self.left[key] else self.values.pop(key)
+
+    def keep(self, key, value):
+        if key in self.left:
+            self.left[key] -= 1
+            self.values[key] = value
+        return value
+
+    def power(self, base: Jet, exponent: int, key):
+        """base^exponent by the products of Jet.__pow__, for the shared subtree `key` whose value is `base`."""
+        if exponent == 1:
+            return base
+        if (key, exponent) in self.values:
+            return self.recall((key, exponent))
+        factors = [self.power(base, f, key) for f in _factors(exponent)]
+        return self.keep((key, exponent), factors[0] * factors[-1])
+
+
+def evaluate_expression(node: ExprNode, values, memo: _Memo | None = None):
     """Evaluate over any scalar type with arithmetic: float, Jet, ndarray.
 
     `values` is the sequence of variable values, indexed by variable index.
-    The walk takes one frame per tree level and evaluates a subtree once
-    per path that reaches it: a tree built by substituting one subtree for
-    a variable shares that subtree, which the parser's trees never do.
+    The walk takes one frame per tree level.  Without `memo` it evaluates a
+    subtree once per path that reaches it.  With a `Sharing.memo()` of trees
+    that hold `node`, the calls that share the memo evaluate each subtree the
+    trees share once, and a Jet power reuses the powers of its base that
+    they formed; every value is bitwise the one an unshared walk gives.
     """
-    if isinstance(node, Const):
+    if isinstance(node, Const):  # a leaf is read, never kept
         return node.value
     if isinstance(node, Var):
         return values[node.index]
+    key = None if memo is None else memo.keys.get(id(node))
+    if key is not None and key in memo.values:
+        return memo.recall(key)
     if isinstance(node, Call):
-        arg = evaluate_expression(node.arg, values)
-        return -arg if node.func == "neg" else _apply_func(node.func, arg)
-    if isinstance(node, Pow):
-        base = evaluate_expression(node.base, values)
+        arg = evaluate_expression(node.arg, values, memo)
+        value = -arg if node.func == "neg" else _apply_func(node.func, arg)
+    elif isinstance(node, Pow):
+        base = evaluate_expression(node.base, values, memo)
         if isinstance(base, (int, float)) and node.exponent < 0 and base == 0:
             raise ExpressionDomainError("zero raised to a negative power")
-        return base ** node.exponent
-    if isinstance(node, BinOp):
-        left = evaluate_expression(node.left, values)
-        right = evaluate_expression(node.right, values)
+        base_key = None if memo is None else memo.keys.get(id(node.base))
+        if base_key is not None and isinstance(base, Jet) and node.exponent > 1:
+            value = memo.power(base, node.exponent, base_key)
+        else:
+            value = base ** node.exponent
+    elif isinstance(node, BinOp):
+        left = evaluate_expression(node.left, values, memo)
+        right = evaluate_expression(node.right, values, memo)
         if node.op == "/" and isinstance(right, (int, float)) and right == 0:
             raise ExpressionDomainError("division by zero")
-        return _ARITHMETIC[node.op](left, right)
-    raise TypeError(f"not an expression node: {node!r}")
+        value = _ARITHMETIC[node.op](left, right)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return value if key is None else memo.keep(key, value)
 
 
 def expression_variables(node: ExprNode) -> set[int]:

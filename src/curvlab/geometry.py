@@ -21,8 +21,8 @@ Conventions
   formulas: g^-1 from determinant and cofactors, and B from d_i d_j F less
   its tangential part, raised through g^-1, with no ambient projector.
   Gram-Schmidt frames are used only for point values, where smoothness is
-  not needed.  `_det_cofactors` is the one determinant-and-cofactor
-  routine, for jets here and for the quadrature's arrays in `checks`.
+  not needed.  `_cofactor` is the one cofactor formula and `_det` the one
+  determinant, for jets here and for the quadrature's arrays in `checks`.
 * This module computes and never decides: every quantity is computed at
   every point, and whether a hypothesis of the paper (minimality, Gauss-map
   rank <= 2, positive alignment, an isothermal chart) holds is decided in
@@ -36,7 +36,8 @@ one.  Every array of a result has a leading axis of length P and every jet is
 batched.  A point's geometry failure is recorded in `errors`, never raised; a
 field jet's `failures` are those of its own elementary functions.
 Contractions that feed per-point results are summed in a fixed index order,
-so a point's values do not depend on the block it was evaluated in.
+so a point's values do not depend on the block it was evaluated in.  Each
+jet, cofactor and frame tensor of a block is formed once.
 """
 
 from __future__ import annotations
@@ -116,8 +117,11 @@ def _gram_schmidt(vectors: np.ndarray, count: int, floor: float, fixed=()):
 
 
 def _frame_B(C: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """C_ik C_jl B_klA: the second fundamental form in the frame with coefficient rows C."""
-    return ordered_einsum("pik,pjl,pklA->pijA", C, C, B)
+    """C_ik C_jl B_klA: the second fundamental form in the frame with coefficient rows C.
+
+    The frame changes one index at a time, each step a 2-operand contraction.
+    """
+    return ordered_einsum("pik,pkjA->pijA", C, ordered_einsum("pjl,pklA->pkjA", C, B))
 
 
 # -- jet linear algebra on tensor jets (P, n, n, ncoef) -----------------------
@@ -134,22 +138,39 @@ def _entries(mat: Jet) -> list:
     return [[mat[..., i, j, :] for j in range(n)] for i in range(n)]
 
 
-def _det_cofactors(a: list):
-    """det and cofactors C_ij of a 2x2 or 3x3 nested list of arrays or batched jets.
+def _cofactor(a: list, i: int, j: int):
+    """Cofactor C_ij of a 2x2 or 3x3 nested list of arrays or batched jets.
 
     The 3x3 cofactors are cyclic, C_ij = a_{i+1,j+1} a_{i+2,j+2} - a_{i+1,j+2} a_{i+2,j+1}
-    (indices mod 3), and det = sum_j a_0j C_0j is added up in order of j.
+    (indices mod 3).
     """
     if len(a) == 2:
-        cof = [[a[1][1], -a[1][0]], [-a[0][1], a[0][0]]]
-    else:
-        cof = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-                - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3] for j in range(3)]
-               for i in range(3)]
-    det = a[0][0] * cof[0][0]
+        return a[1 - i][1 - j] if i == j else -a[1 - i][1 - j]
+    return (a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+            - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3])
+
+
+def _det(a: list, row0: list):
+    """det = sum_j a_0j C_0j, added up in order of j, from row 0's cofactors `row0`."""
+    det = a[0][0] * row0[0]
     for j in range(1, len(a)):
-        det = det + a[0][j] * cof[0][j]
-    return det, cof
+        det = det + a[0][j] * row0[j]
+    return det
+
+
+def _det_cofactors(a: list):
+    """det and cofactors C_ij of a symmetric 2x2 or 3x3 nested list of arrays or batched jets.
+
+    `a` is symmetric bitwise, as a Gram matrix is, and so is C: each C_ij
+    with i <= j is formed once and C_ji is that same object, bitwise the
+    cofactor formed from the other triangle, as products commute bitwise.
+    """
+    n = len(a)
+    cof = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cof[i][j] = cof[j][i] if j < i else _cofactor(a, i, j)
+    return _det(a, cof[0]), cof
 
 
 def _gradient(jet: Jet, n: int) -> np.ndarray:
@@ -166,6 +187,8 @@ class PointGeometry:
 
     A point whose geometry failed holds its exception in `errors` and
     finite placeholder values elsewhere; the jets here carry no failures.
+    `B_frame`, the second fundamental form in the frame e, is formed once
+    here and read by the canonical frame and the curvature pack.
     """
 
     n: int
@@ -180,6 +203,7 @@ class PointGeometry:
     normal_frame: np.ndarray  # (P, m, n+m) orthonormal nu_a
     second_partials: np.ndarray  # (P, n, n, n+m) values of d_i d_j F
     B_coord: np.ndarray  # (P, n, n, n+m) normal projections of d_i d_j F
+    B_frame: np.ndarray  # (P, n, n, n+m) B(e_i, e_j) = _frame_B(frame_coeffs, B_coord)
     nablaB_coord: np.ndarray  # (P, n, n, n, n+m): [:, k, i, j] = (grad_{d_k} B)(d_i, d_j)
     h: np.ndarray  # (P, m, n, n)
     h3: np.ndarray  # (P, m, n, n, n)
@@ -281,9 +305,14 @@ def point_geometry_at(imm: Immersion, points) -> PointGeometry:
     # oriented Gram-Schmidt: T = L^-1 is lower triangular with positive diagonal
     T = np.linalg.solve(L, np.broadcast_to(np.eye(n), L.shape))
     e = T @ dF
+    # g^-1 = adjugate / det; g's cofactors are symmetric, so each distinct one is scaled once
     inv_det = jet_elementary("recip", detg_jet)
-    ginv_jets = _tensor([[c * inv_det for c in column] for column in zip(*g_cof)])  # adjugate / det
-    del inv_det, g_cof
+    ginv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ginv[i][j] = ginv[j][i] = g_cof[i][j] * inv_det
+    ginv_jets = _tensor(ginv)
+    del inv_det, g_cof, ginv
     g_inv = ginv_jets.value
 
     # normal frame: ambient basis projected to the normal space, pivoted
@@ -308,10 +337,13 @@ def point_geometry_at(imm: Immersion, points) -> PointGeometry:
     nablaB_coord -= ordered_einsum("plki,pljA->pkijA", christoffel, B_coord)
     nablaB_coord -= ordered_einsum("plkj,pilA->pkijA", christoffel, B_coord)
 
-    h = ordered_einsum("pijA,paA->paij", _frame_B(T, B_coord), nu)
-    # normal projection first: bounds the term array of the frame change
-    h3 = ordered_einsum("pkc,pia,pjb,pmcab->pmijk", T, T, T,
-                        ordered_einsum("pcabA,pmA->pmcab", nablaB_coord, nu))
+    B_frame = _frame_B(T, B_coord)
+    h = ordered_einsum("pijA,paA->paij", B_frame, nu)
+    # normal projection first, then the frame changes one index at a time
+    h3 = ordered_einsum("pcabA,pmA->pmcab", nablaB_coord, nu)
+    h3 = ordered_einsum("pjb,pmcab->pmcaj", T, h3)
+    h3 = ordered_einsum("pia,pmcaj->pmcij", T, h3)
+    h3 = ordered_einsum("pkc,pmcij->pmijk", T, h3)
     mean_curvature = ordered_einsum("pij,pijA->pA", g_inv, B_coord)
 
     return PointGeometry(
@@ -327,6 +359,7 @@ def point_geometry_at(imm: Immersion, points) -> PointGeometry:
         normal_frame=nu,
         second_partials=second_partials,
         B_coord=B_coord,
+        B_frame=B_frame,
         nablaB_coord=nablaB_coord,
         h=h,
         h3=h3,
@@ -347,9 +380,14 @@ def _gauss_matrix(pg: PointGeometry) -> np.ndarray:
     return np.moveaxis(pg.h, -3, -1).reshape(pg.h.shape[:-3] + (pg.n, pg.n * pg.m))
 
 
-def gauss_rank_at(pg: PointGeometry):
-    """Numerical rank of the Gauss-map differential, (P,), and its singular values, (P, n)."""
-    sv = np.linalg.svd(_gauss_matrix(pg), compute_uv=False)
+def gauss_rank_at(pg: PointGeometry, sv: np.ndarray | None = None):
+    """Numerical rank of the Gauss-map differential, (P,), and its singular values, (P, n).
+
+    `sv` gives the singular values of the Gauss matrix when the caller has
+    taken its SVD already.
+    """
+    if sv is None:
+        sv = np.linalg.svd(_gauss_matrix(pg), compute_uv=False)
     base = np.where(sv[:, 0] > 0, sv[:, 0], 1.0)
     return np.sum(sv > RANK_TOL * base[:, None], axis=-1), sv
 
@@ -370,21 +408,24 @@ class CanonicalFrame:
     normal_frame: np.ndarray  # (P, m, n+m): nu1, nu2, completion...
 
 
-def canonical_frame_at(pg: PointGeometry) -> CanonicalFrame:
-    """Rotate frames so the shape operators take their rank-2 normal form."""
+def canonical_frame_at(pg: PointGeometry, U: np.ndarray | None = None) -> CanonicalFrame:
+    """Rotate frames so the shape operators take their rank-2 normal form.
+
+    For n = 3, `U` gives the left singular vectors of the Gauss matrix when
+    the caller has taken its SVD already.
+    """
     n, m = pg.n, pg.m
     P = len(pg.h)
     tol = RANK_TOL
     if n == 2:
         U = np.broadcast_to(np.eye(2), (P, 2, 2))
     else:
-        U = np.linalg.svd(_gauss_matrix(pg))[0]
+        U = np.linalg.svd(_gauss_matrix(pg))[0] if U is None else U.copy()
         # the SVD fixes U only up to column signs; det U = +1 keeps the
         # canonical tangent frame oriented like e
         U[np.linalg.det(U) < 0, :, 2] *= -1.0
 
-    # frame-valued second fundamental form
-    Bf = _frame_B(pg.frame_coeffs, pg.B_coord)
+    Bf = pg.B_frame
     Bhat = _frame_B(np.swapaxes(U, 1, 2), Bf)
     B11, B12 = Bhat[:, 0, 0], Bhat[:, 0, 1]
     G00, G01, G11 = _dot(B11, B11), _dot(B11, B12), _dot(B12, B12)
@@ -437,7 +478,9 @@ def _alignment_jet(pg: PointGeometry, reference_frame: np.ndarray) -> Jet:
     a = np.asarray(reference_frame, dtype=float)
     d = pg.dF_jets.coeffs  # <d_j F, a_k> as an (n, n) tensor jet
     M = Jet(pg.n, 2, sum(d[..., :, A, None, :] * a[:, A, None] for A in range(pg.n + pg.m)))
-    return _det_cofactors(_entries(M))[0] * jet_elementary("pow-const", pg.detg_jet, param=-0.5)
+    rows = _entries(M)
+    det = _det(rows, [_cofactor(rows, 0, j) for j in range(pg.n)])
+    return det * jet_elementary("pow-const", pg.detg_jet, param=-0.5)
 
 
 def scalar_field_jet(pg: PointGeometry, field: str, reference_frame=None) -> Jet:
@@ -633,7 +676,7 @@ def curvature_pack_at(pg: PointGeometry) -> CurvaturePack:
     """Gauss curvature by two routes: Brioschi (metric only) and det B."""
     if pg.n != 2:
         raise GeometryError("curvature pack requires a 2-dimensional domain")
-    Bf = _frame_B(pg.frame_coeffs, pg.B_coord)
+    Bf = pg.B_frame
     K_ext = _dot(Bf[:, 0, 0], Bf[:, 1, 1]) - _dot(Bf[:, 0, 1], Bf[:, 0, 1])
 
     d = lambda jet, *axes: jet_extract(jet, tuple(axes.count(k) for k in range(2)))  # noqa: E731

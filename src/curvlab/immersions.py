@@ -14,7 +14,8 @@ both domain and ambient space, which leaves the Gauss-map rank at 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .expressions import (
     Const,
     ExprNode,
     Pow,
+    Sharing,
     Var,
     evaluate_expression,
     expression_fault,
@@ -74,6 +76,11 @@ class Immersion:
             fault = expression_fault(comp, self.n)  # after: it evaluates the n variables
             if fault:
                 raise ImmersionError(fault)
+
+    @cached_property
+    def sharing(self) -> Sharing:
+        """The subtrees the components have in common, found on first use."""
+        return Sharing(self.components)
 
     def graph_components(self) -> tuple[ExprNode, ...]:
         """The m graph components f^1..f^m (graph kind only)."""
@@ -131,24 +138,28 @@ def build_graph_immersion(f_components, n: int, name: str = "") -> Immersion:
 def evaluate_immersion(imm: Immersion, point, order: int) -> list[Jet]:
     """Ambient components of F as jets expanded at `point`.
 
-    A (P, n) block of points gives batched jets, one row per point.
+    A (P, n) block of points gives batched jets, one row per point.  A
+    subtree that several components share is evaluated once.
     """
     coords = np.asarray(point, dtype=float)
     if coords.shape[-1] != imm.n:
         raise ImmersionError(f"point has {coords.shape[-1]} coordinates, expected {imm.n}")
     variables = [jet_variable(i, coords[..., i], imm.n, order) for i in range(imm.n)]
-    jets = []
+    jets, memo = [], imm.sharing.memo()
     for comp in imm.components:
-        val = evaluate_expression(comp, variables)
+        val = evaluate_expression(comp, variables, memo)
         if not isinstance(val, Jet):
             val = jet_constant(np.full(coords.shape[:-1], float(val)), imm.n, order)
         jets.append(val)
     return jets
 
 
-def evaluate_array(node: ExprNode, arrays) -> np.ndarray:
-    """`node` over coordinate arrays; a constant is broadcast to their shape."""
-    val = evaluate_expression(node, arrays)
+def evaluate_array(node: ExprNode, arrays, memo=None) -> np.ndarray:
+    """`node` over coordinate arrays; a constant is broadcast to their shape.
+
+    `memo` is an evaluation memo (`Sharing.memo()`) that calls share.
+    """
+    val = evaluate_expression(node, arrays, memo)
     return val if isinstance(val, np.ndarray) else np.full_like(arrays[0], float(val))
 
 

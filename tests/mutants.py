@@ -17,6 +17,7 @@ class Mutant(NamedTuple):
 
 
 CHECKS_PY = "src/curvlab/checks.py"
+EXPRESSIONS_PY = "src/curvlab/expressions.py"
 GEOMETRY_PY = "src/curvlab/geometry.py"
 SWEEP_SHARED = "tests/test_scenario.py::TestSweepSharedWork::"
 SWEEP_EQUALS = f"{SWEEP_SHARED}test_each_report_equals_a_stand_alone_run"
@@ -26,6 +27,7 @@ BALL_RULE = "tests/test_checks.py::TestBallRule::"
 CROSS = "tests/test_checks.py::TestCrossValidation::"
 CHART = ("tests/test_geometry.py::TestChartInvariance::"
          "test_normB2_and_its_laplacian_do_not_depend_on_the_chart")
+FORMED_ONCE = "tests/test_geometry.py::TestFormedOnce::"
 
 MUTANTS = [
     Mutant("kato skips no non-minimal point", CHECKS_PY,
@@ -181,4 +183,19 @@ MUTANTS = [
            "_eval_gauss_conformal, aggregate=",
            ("tests/test_checks.py::TestSkipOrder::test_gauss_conformal_skips_non_minimal_points",
             "tests/test_golden.py::test_detail_columns_match_golden[partial-failures]")),
+    Mutant("a sharing key that ignores the sign of zero", EXPRESSIONS_PY,
+           'struct.pack("<d", node.value)', "node.value",
+           ("tests/test_expressions.py::TestSharing::"
+            "test_the_sign_of_zero_and_the_bits_of_nan_keep_constants_apart",)),
+    Mutant("a symmetric cofactor mirrored from the wrong entry", GEOMETRY_PY,
+           "cof[j][i] if j < i", "cof[j][j] if j < i",
+           (f"{FORMED_ONCE}test_symmetric_and_row_zero_cofactors_are_bitwise_the_full_ones[3]",)),
+    Mutant("an h3 chain that contracts T untransposed", GEOMETRY_PY,
+           'ordered_einsum("pkc,pmcij->pmijk", T, h3)', 'ordered_einsum("pck,pmcij->pmijk", T, h3)',
+           (f"{FORMED_ONCE}test_frame_changes_one_index_at_a_time[sheared-cylinder-cubic]",)),
+    Mutant("refined-simons drops its rank hypothesis", CHECKS_PY,
+           'hypotheses=("minimal", "rank", "curved", "normB2")',
+           'hypotheses=("minimal", "curved", "normB2")',
+           ("tests/test_checks.py::TestRefinedSimons::test_a_minimal_germ_of_gauss_rank_3_is_skipped",
+            "tests/test_golden.py::test_detail_columns_match_golden[rank3-quadric]")),
 ]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from curvlab import checks as C
 from curvlab.expressions import BinOp, Const, Var
-from curvlab.geometry import laplace_beltrami, point_geometry_at
+from curvlab.geometry import canonical_frame_at, gauss_rank_at, laplace_beltrami, point_geometry_at
 from curvlab.immersions import (
     GridSpec,
     Immersion,
@@ -225,6 +225,20 @@ class TestRefinedSimons:
     def test_z2_is_equality(self, z2):
         res = run("refined-simons", z2, GRID5)
         assert max(abs(margin) for margin in column(res, "margin")) <= 1e-9
+
+    def test_a_minimal_germ_of_gauss_rank_3_is_skipped(self):
+        # this n = 3, m = 1 graph solves the minimal-surface system to order 2 at the
+        # origin, where its Gauss map has rank 3: Delta|B|^2 >= 4|grad|B||^2 - 3|B|^4 rests
+        # on Kato's constant 2, which needs rank <= 2, and kato skips the point too
+        imm = build_graph_immersion(["x^2/2+y^2/2-z^2+(x^4+y^4-8*z^4)/12"], 3)
+        minimality, kato, refined = run_checks(
+            imm, None, [CheckSpec(name) for name in ("minimality", "kato", "refined-simons")],
+            points=[(0.0, 0.0, 0.0)])
+        assert (minimality.verdict, minimality.worst_residual) == ("pass", 0.0)
+        reason = "Gauss-map rank 3 > 2 at (0.0, 0.0, 0.0) (singular values [2. 1. 1.])"
+        for res in (kato, refined):
+            assert (res.verdict, res.n_skipped) == ("not-applicable", 1)
+            assert res.columns.lists()["reason"] == [reason]
 
 
 class TestGaussConformal:
@@ -881,6 +895,24 @@ class TestBlocks:
         assert size * growth <= 2 * C.BLOCK_BUDGET
         assert traced_peak(imm, points(size)) <= C.BLOCK_BUDGET
 
+    def test_an_n3_block_takes_one_svd_for_the_rank_rule_and_the_canonical_frame(self, monkeypatch):
+        imm = catalogue_lookup("cylinder-over", {"base": "holo-curve",
+                                                 "base_params": {"coeffs": [0, 0.5, [0.2, 0.1], [0.3, -0.7]]}})
+        block = C.BlockContext(imm, GRID3D.points(), None)
+        pg, svd, calls = block.pg, np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(kw) or svd(*args, **kw))
+        canon, rank_errors = block.canon, block.rank_errors
+        assert calls == [{}]  # one full SVD
+        monkeypatch.undo()
+        # the frame is bitwise its own SVD's; the singular values of the full SVD move
+        # only in the last bits from those taken alone, and the rank with them
+        own = canonical_frame_at(pg)
+        for key in ("mu1", "mu2", "tangent_frame", "normal_frame"):
+            assert getattr(canon, key).tobytes() == getattr(own, key).tobytes(), key
+        (rank, sv), (own_rank, own_sv) = gauss_rank_at(pg, block.gauss_svd[1]), gauss_rank_at(pg)
+        assert rank_errors == [None] * 27 and np.array_equal(rank, own_rank)
+        assert np.all(np.abs(sv - own_sv) <= 1e-14 * sv[:, :1])
+
     def test_a_disk_masked_21x21_surface_is_one_block(self, z2):
         # 293 points: the grid of the grid-surface benchmark
         assert (z2.n, z2.m) == (2, 2) and C.block_size(z2) >= 293
@@ -996,9 +1028,10 @@ class TestSkipOrder:
         assert not any(np.equal(block.rank_errors, None)) and block.minimal.sum() == 1
         reasons = skip_reasons(run(name, imm, GRID3D))
         assert reasons["mean curvature does not vanish"] == 26
-        # kato alone asks for rank <= 2, which the minimal origin fails
+        # kato and refined-simons, which rests on Kato's constant 2, ask for rank <= 2,
+        # which the minimal origin fails
         rank = [reason for reason in reasons if reason.startswith("Gauss-map rank 3 > 2")]
-        assert len(rank) == (name == "kato")
+        assert len(rank) == (name in ("kato", "refined-simons"))
 
     def test_gauss_conformal_skips_non_minimal_points(self):
         # its criteria agree only on a minimal surface: on (log x, xy), where x > 0, the

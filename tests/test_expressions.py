@@ -11,13 +11,15 @@ from curvlab.expressions import (
     Const,
     ParseError,
     Pow,
+    Sharing,
     Var,
     evaluate_expression,
     expression_variables,
     format_expression,
     parse_expression,
 )
-from curvlab.jets import Jet, jet_extract, jet_variable, multi_indices
+from curvlab import jets
+from curvlab.jets import Jet, jet_extract, jet_product, jet_variable, multi_indices
 
 from oracles import rel_err, richardson_derivative, substitute
 
@@ -208,6 +210,101 @@ class TestEvaluation:
         assert np.array_equal(evaluate_expression(shared, arrays), evaluate_expression(unshared, arrays))
         assert np.array_equal(evaluate_expression(shared, jets).coeffs,
                               evaluate_expression(unshared, jets).coeffs)
+
+
+SHARING_CONSTANTS = (0.0, -0.0, math.nan, -math.nan, 1.5, -2.0, 0.25)
+
+
+@st.composite
+def shared_trees(draw):
+    """Trees over x and y that share subtrees, by object and by structure.
+
+    Each tree is built from a pool of drawn subtrees: some reused as the same
+    object, some rebuilt equal, and some put in for a variable by
+    oracles.substitute, which shares them on every path to that variable.
+    Constants include -0.0 beside 0.0 and NaNs of both signs.
+    """
+    pool = [Var(0), Var(1)] + [Const(v) for v in draw(st.lists(st.sampled_from(SHARING_CONSTANTS),
+                                                                min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(3, 8))):
+        kind = draw(st.integers(0, 4))
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if kind == 0:
+            node = BinOp(draw(st.sampled_from("+-*/")), a, b)
+        elif kind == 1:
+            node = Pow(a, draw(st.integers(-2, 7)))
+        elif kind == 2:
+            node = Call(draw(st.sampled_from(("sin", "exp", "log", "sqrt", "atan", "neg"))), a)
+        elif kind == 3:
+            node = substitute(a, {draw(st.integers(0, 1)): b})
+        else:
+            node = substitute(a, {})  # equal to a, no node shared with it
+        pool.append(node)
+    return draw(st.lists(st.sampled_from(pool[2:]), min_size=2, max_size=5))
+
+
+def evaluated_in_turn(roots, values, memo=None):
+    """Each root's value in turn, or, for the first that raises, its exception and no more."""
+    out = []
+    for root in roots:
+        try:
+            out.append(evaluate_expression(root, values, memo))
+        except (ArithmeticError, ValueError) as exc:
+            return out + [(type(exc), str(exc))]
+    return out
+
+
+def as_bytes(value):
+    """A value's bits: a jet's coefficients with its failures, an array's or a float's bytes."""
+    if isinstance(value, Jet):
+        return value.coeffs.tobytes(), {p: str(exc) for p, exc in value.failures.items()}
+    if isinstance(value, tuple):
+        return value
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestSharing:
+    """One memo's evaluation of several trees is bitwise each tree's own evaluation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_trees())
+    def test_shared_evaluation_is_bitwise_each_tree_alone(self, roots):
+        x, y = np.array([0.37, -0.5, 0.0, 2.0]), np.array([-0.81, 0.5, 0.0, 1.0])
+        for values in ([jet_variable(0, x, 2, 4), jet_variable(1, y, 2, 4)], [x, y],
+                       [jet_variable(0, x[0], 2, 3), jet_variable(1, y[0], 2, 3)], [0.37, -0.81]):
+            with np.errstate(all="ignore"):
+                alone = evaluated_in_turn(roots, values)
+                shared = evaluated_in_turn(roots, values, Sharing(roots).memo())
+            assert [as_bytes(v) for v in shared] == [as_bytes(v) for v in alone]
+
+    def test_the_sign_of_zero_and_the_bits_of_nan_keep_constants_apart(self):
+        roots = [BinOp("*", Const(c), Var(0)) for c in (0.0, -0.0, math.nan, -math.nan)]
+        sharing = Sharing(roots)
+        assert len(set(sharing.keys.values())) == 1  # x alone
+        x = np.array([0.5, 2.0])
+        memo = sharing.memo()
+        got = [evaluate_expression(root, [x], memo) for root in roots]
+        assert [np.signbit(v).tolist() for v in got] == [[False] * 2, [True] * 2, [False] * 2, [True] * 2]
+
+    def test_equal_subtrees_and_powers_are_formed_once(self, monkeypatch):
+        roots = [BinOp("+", Pow(Var(0), 2), Var(1)), BinOp("*", Const(3.0), Pow(Var(0), 2)),
+                 Pow(Var(0), 3), Pow(Var(0), 6)]
+        sharing = Sharing(roots)
+        # x is the base of x^2, x^3 and x^6 (3 uses); the subtree x^2 is in two roots (2);
+        # the power x^2 is that subtree's value and a factor of x^3 = x x^2, x^4 = x^2 x^2
+        # and x^6 = x^2 x^4, the products Jet.__pow__ forms (4)
+        assert sorted(sharing.uses.values()) == [2, 3, 4]
+        products = []
+        monkeypatch.setattr(jets, "jet_product", lambda a, b: products.append(1) or jet_product(a, b))
+        values = [jet_variable(0, [0.3, -1.2], 2, 4), jet_variable(1, [0.7, 0.1], 2, 4)]
+        memo = sharing.memo()
+        for root in roots:
+            evaluate_expression(root, values, memo)
+        assert len(products) == 4 and memo.values == {}  # each value dropped after its last use
+        products.clear()
+        for root in roots:
+            evaluate_expression(root, values)
+        assert len(products) == 1 + 1 + 2 + 3
 
 
 class TestDifferentiate:

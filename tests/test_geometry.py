@@ -8,6 +8,10 @@ import pytest
 from curvlab.geometry import (
     SCALAR_FIELDS,
     ImmersionRankError,
+    _cofactor,
+    _det,
+    _det_cofactors,
+    _frame_B,
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
@@ -21,7 +25,8 @@ from curvlab.geometry import (
 )
 from curvlab.expressions import BinOp, Const, Var, parse_expression
 from curvlab.immersions import GridSpec, Immersion, build_graph_immersion, catalogue_lookup
-from curvlab.jets import Jet
+from curvlab import jets
+from curvlab.jets import Jet, jet_einsum, jet_product, ordered_einsum
 from curvlab.checks import BlockContext
 from curvlab.scenario import CheckSpec, run_checks
 
@@ -228,7 +233,7 @@ class TestCanonicalFrame:
             B[0, 0, 0, 0] += ulps * np.spacing(B[0, 0, 0, 0])
             b11, b12 = T[0, 0] ** 2 * B[0, 0, 0], T[0, 0] * T[1, 1] * B[0, 0, 1]
             gaps.append(b11 @ b11 - b12 @ b12)
-            frames.append(canonical_frame_at(replace(pg, B_coord=B)))
+            frames.append(canonical_frame_at(replace(pg, B_coord=B, B_frame=_frame_B(pg.frame_coeffs, B))))
         assert min(gaps) < 0.0 < max(gaps)  # both signs of the rounded tie are fed
         mu = 0.6 / 1.36**1.5
         for cf in frames:
@@ -250,6 +255,67 @@ def in_chart(imm, A, b):
          for i in range(imm.n)]
     return Immersion(imm.n, imm.m, tuple(substitute(c, dict(enumerate(x))) for c in imm.components),
                      "parametric")
+
+
+def random_gram(n, points, rng):
+    """g = dF dF^T, as np.einsum's arrays and as jet_einsum's order-2 jets (P, n, n)."""
+    dF = rng.standard_normal((points, n, n + 2))
+    dF[0, 0] = -0.0  # a signed zero in every product it meets
+    jet_dF = Jet(n, 2, rng.standard_normal((points, n, n + 2, 10 if n == 3 else 6)))
+    return np.einsum("piA,pjA->ijp", dF, dF), jet_einsum("piA,pjA->pij", jet_dF, jet_dF)
+
+
+def entries_bytes(entries):
+    return [[(e.coeffs if isinstance(e, Jet) else e).tobytes() for e in row] for row in entries]
+
+
+class TestFormedOnce:
+    """Each cofactor, frame-valued B and frame change of a block is formed once."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_symmetric_and_row_zero_cofactors_are_bitwise_the_full_ones(self, n):
+        arrays, jet = random_gram(n, 16, np.random.default_rng(n))
+        for a in ([list(row) for row in arrays], [[jet[:, i, j] for j in range(n)] for i in range(n)]):
+            full = [[_cofactor(a, i, j) for j in range(n)] for i in range(n)]
+            det, cof = _det_cofactors(a)
+            assert entries_bytes(cof) == entries_bytes(full)
+            # the determinant from row 0's cofactors alone, as the alignment forms it
+            assert entries_bytes([[det, _det(a, full[0])]]) == entries_bytes([[det, det]])
+            # the lower triangle is the upper one, formed once
+            assert all(cof[j][i] is cof[i][j] for i in range(n) for j in range(i))
+
+    @pytest.mark.parametrize("n, products", [(2, 16), (3, 32)])
+    def test_a_block_of_the_cubic_forms_each_product_once(self, n, products, monkeypatch):
+        # n = 2: the cubic graph; n = 3: its cylinder, the benchmark's grid-solid surface.
+        # Before shared subtrees, symmetric cofactors and g^-1's distinct entries: 29 and 53
+        imm = catalogue_lookup("holo-curve", CUBIC)
+        if n == 3:
+            imm = catalogue_lookup("cylinder-over", {"base": "holo-curve", "base_params": CUBIC})
+        counted = []
+        monkeypatch.setattr(jets, "jet_product", lambda a, b: counted.append(1) or jet_product(a, b))
+        point_geometry_at(imm, np.random.default_rng(0).uniform(-0.9, 0.9, (7, n)))
+        assert len(counted) == products
+
+    @pytest.mark.parametrize("surface", [
+        lambda: catalogue_lookup("cylinder-over", {"base": "holo-curve", "base_params": CUBIC}),
+        lambda: in_chart(catalogue_lookup("cylinder-over", {"base": "holo-curve", "base_params": CUBIC}),
+                         SHEAR_A[3], SHEAR_B[3]),
+        lambda: build_graph_immersion(["x^2+y^2-2*z^2+x*y*z"], 3),
+        lambda: in_chart(catalogue_lookup("catenoid", {}), SHEAR_A[2], SHEAR_B[2]),
+    ], ids=["cylinder-cubic", "sheared-cylinder-cubic", "quadric", "sheared-catenoid"])
+    def test_frame_changes_one_index_at_a_time(self, surface):
+        imm = surface()
+        pg = point_geometry_at(imm, np.random.default_rng(0).uniform(-0.9, 0.9, (64, imm.n)))
+        T = pg.frame_coeffs
+        # kept, not formed again: canonical_frame_at and curvature_pack_at read it
+        assert pg.B_frame.tobytes() == _frame_B(T, pg.B_coord).tobytes()
+        # the frame changes that contracted every index at once; measured worst 4e-16
+        bound = 8 * np.finfo(float).eps
+        whole_B = ordered_einsum("pik,pjl,pklA->pijA", T, T, pg.B_coord)
+        assert np.abs(pg.B_frame - whole_B).max() <= bound * np.abs(whole_B).max()
+        whole_h3 = ordered_einsum("pkc,pia,pjb,pmcab->pmijk", T, T, T,
+                                  ordered_einsum("pcabA,pmA->pmcab", pg.nablaB_coord, pg.normal_frame))
+        assert np.abs(pg.h3 - whole_h3).max() <= bound * np.abs(whole_h3).max()
 
 
 class TestChartInvariance:

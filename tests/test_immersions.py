@@ -1,9 +1,11 @@
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from curvlab.expressions import BinOp, Const, Var, format_expression, parse_expression
+from curvlab import jets
+from curvlab.expressions import BinOp, Const, Var, evaluate_expression, format_expression, parse_expression
 from curvlab.immersions import (
     GridSpec,
     Immersion,
@@ -14,7 +16,7 @@ from curvlab.immersions import (
     evaluate_array,
     evaluate_immersion,
 )
-from curvlab.jets import coefficient_count
+from curvlab.jets import coefficient_count, jet_constant, jet_product, jet_variable
 
 from oracles import rel_err
 
@@ -151,6 +153,57 @@ class TestArrays:
             jets = evaluate_immersion(imm, (xs[i], ys[i]), 0)
             for arr, jet in zip(arrays, jets):
                 assert rel_err(arr[i], jet.value) <= 1e-14
+
+
+CUBIC = {"coeffs": [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]}
+
+
+class TestSharedEvaluation:
+    """evaluate_immersion evaluates what the components share once, bitwise as each alone."""
+
+    @staticmethod
+    def alone(imm, points, order):
+        values = [jet_variable(i, points[:, i], imm.n, order) for i in range(imm.n)]
+        out = [evaluate_expression(comp, values) for comp in imm.components]
+        return [v if isinstance(v, jets.Jet) else jet_constant(np.full(len(points), v), imm.n, order)
+                for v in out]
+
+    def test_the_holomorphic_cubic_forms_each_power_once(self, monkeypatch):
+        # Re and Im of (a + ib)(x + iy)^3 + ... share x^2, x^3, y^2 and y^3, and x^3 = x x^2
+        imm = catalogue_lookup("holo-curve", CUBIC)
+        points = np.random.default_rng(0).uniform(-0.9, 0.9, (5, 2))
+        products = []
+        monkeypatch.setattr(jets, "jet_product", lambda a, b: products.append(1) or jet_product(a, b))
+        got = evaluate_immersion(imm, points, 4)
+        assert len(products) == 10
+        products.clear()
+        want = self.alone(imm, points, 4)
+        assert len(products) == 22
+        assert [j.coeffs.tobytes() for j in got] == [j.coeffs.tobytes() for j in want]
+
+    @pytest.mark.parametrize("name, params", [
+        ("enneper", {}), ("cylinder-over", {"base": "holo-curve", "base_params": CUBIC}),
+        ("catenoid", {}), ("holo-curve", {"coeffs": [0, 0, -0.0, 1.0]}),
+    ])
+    def test_catalogue_jets_and_arrays_are_bitwise_each_component_alone(self, name, params):
+        imm = catalogue_lookup(name, params)
+        points = np.random.default_rng(1).uniform(-0.9, 0.9, (6, imm.n))
+        got = evaluate_immersion(imm, points, 3)
+        assert [j.coeffs.tobytes() for j in got] == [j.coeffs.tobytes() for j in self.alone(imm, points, 3)]
+        axes, memo = list(points.T), imm.sharing.memo()
+        assert [evaluate_array(c, axes, memo).tobytes() for c in imm.components] == \
+            [evaluate_array(c, axes).tobytes() for c in imm.components]
+
+    def test_a_copy_finds_the_shared_subtrees_in_its_own_components(self):
+        # the analysis is kept by node id: a pickled immersion (a pool worker's) redoes it
+        imm = catalogue_lookup("holo-curve", CUBIC)
+        points = np.random.default_rng(2).uniform(-0.9, 0.9, (4, 2))
+        want = [j.coeffs.tobytes() for j in evaluate_immersion(imm, points, 4)]
+        copy = pickle.loads(pickle.dumps(imm))
+        assert copy.sharing.uses == imm.sharing.uses
+        assert sorted(copy.sharing.keys.values()) == sorted(imm.sharing.keys.values())
+        assert not set(copy.sharing.keys) & set(imm.sharing.keys)
+        assert [j.coeffs.tobytes() for j in evaluate_immersion(copy, points, 4)] == want
 
 
 class TestGridSpec:

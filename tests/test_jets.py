@@ -307,14 +307,17 @@ class TestBatch:
 SIZES = dict(p=64, i=3, j=3, k=3, l=3, r=3, c=3, a=2, b=2, m=2, A=5, B=5)
 TANGENT_AB = dict(a=3, b=3)
 ORDERED_SPECS = [
-    ("pik,pjl,pklA->pijA", {}),
+    ("pjl,pklA->pkjA", {}),
+    ("pik,pkjA->pijA", {}),
     ("plr,pkir->plki", {}),
     ("pAB,pkijB->pkijA", {}),
     ("plki,pljA->pkijA", {}),
     ("plkj,pilA->pkijA", {}),
     ("pijA,paA->paij", {}),
     ("pcabA,pmA->pmcab", TANGENT_AB),
-    ("pkc,pia,pjb,pmcab->pmijk", TANGENT_AB),
+    ("pjb,pmcab->pmcaj", TANGENT_AB),
+    ("pia,pmcaj->pmcij", TANGENT_AB),
+    ("pkc,pmcij->pmijk", {}),
     ("pij,pijA->pA", {}),
     ("pi,pj,pijA->pA", {}),
     ("pi,piA->pA", {}),
