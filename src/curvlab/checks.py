@@ -11,8 +11,9 @@ fails everywhere (Gauss-map rank above 2, vanishing second fundamental
 form, wrong immersion kind).  A row's `hypotheses` name its skip rules in
 order; `BlockContext.skips` applies them after each point's evaluation
 error, and a point is skipped for the first it fails.  `_HYPOTHESES` is the
-only place a hypothesis is decided: alignment-identities' note and the
-probe's sampled points use it too, and geometry tests none.  Where a
+only place a hypothesis is decided: alignment-identities' note uses it
+too, and so does the probe, on the order-2 fields of its three points
+(`_GraphFields.hypotheses_at`), and geometry tests none.  Where a
 surface's chart is isothermal and where zeta is defined are decided once
 per block too (`BlockContext.isothermal`, `BlockContext.has_zeta`).
 
@@ -44,13 +45,18 @@ from .expressions import evaluate_expression  # noqa: F401
 from .geometry import (
     RANK_TOL,
     PointGeometry,
+    _cofactor,
+    _det,
     _det_cofactors,
+    _frame_B,
     _gauss_matrix,
+    add_rank_errors,
     alignment_pack_at,
     canonical_frame_at,
     complex_pack_at,
     # curvature_pack_at is unused here; perfbench's tracer rebinds it (test_perfbench_names.py)
     curvature_pack_at,
+    first_failures,
     gauss_rank_at,
     gradient_norm2_of_jet,
     laplace_beltrami_of_jet,
@@ -86,7 +92,50 @@ class CheckResult:
     columns: Columns | None = field(default=None, repr=False, compare=False)  # None: growth, probe
 
 
-class BlockContext:
+class _Hypotheses:
+    """The skip rules of _HYPOTHESES over a run of `points`.
+
+    A subclass gives each point's evaluation `errors` and the fields that
+    the rules it is asked for read (`normH`, `rank_errors`, `flat`, `w`).
+    """
+
+    @property
+    def minimal(self) -> np.ndarray:  # false where |H| is NaN
+        return self.normH <= MINIMALITY_TOL
+
+    def skips(self, hypotheses) -> Columns:
+        """The points' Columns, each point skipped for the first hypothesis it fails.
+
+        Evaluation errors come first, then each name of `hypotheses` in turn: a
+        key of _HYPOTHESES, or a `laplacian` field whose jet must not fail.  No
+        later name is computed once every point is skipped.
+        """
+        skips = Columns(self.points, np.full(len(self.points), None, dtype=object))
+        skips.fail(self.errors)
+        for name in hypotheses:
+            if skips.done:
+                break
+            if name in _HYPOTHESES:
+                skips.fail(_HYPOTHESES[name](self), prefix="")
+            else:
+                skips.fail(self.laplacian(name)[1])
+        return skips
+
+
+def _rank_errors(points, singular_values) -> list:
+    """Each point's Gauss-map rank failure, or None where the rank is at most 2.
+
+    `singular_values()` gives the Gauss matrix's, (P, n).  With n = 2 rows
+    the rank is at most 2, so it is not called.
+    """
+    if len(points[0]) == 2:
+        return [None] * len(points)
+    rank, sv = gauss_rank_at(None, singular_values())  # given `sv`, it reads no geometry
+    return [f"Gauss-map rank {r} > 2 at {point} (singular values {s})" if r > 2 else None
+            for r, s, point in zip(rank, sv, points)]
+
+
+class BlockContext(_Hypotheses):
     """Lazy per-block cache shared by all grid checks.
 
     Each attribute is computed once, for every point of the block, by the
@@ -103,6 +152,10 @@ class BlockContext:
     def pg(self) -> PointGeometry:
         return point_geometry_at(self.imm, np.array(self.points))
 
+    @property
+    def errors(self) -> list:
+        return self.pg.errors
+
     @cached_property
     def gauss_svd(self):  # n = 3: U and the singular values, for the canonical frame and the rank
         return np.linalg.svd(_gauss_matrix(self.pg))[:2] if self.imm.n == 3 else (None, None)
@@ -113,14 +166,15 @@ class BlockContext:
 
     @cached_property
     def rank_errors(self) -> list:
-        """Each point's Gauss-map rank failure, or None where the rank is at most 2."""
-        rank, sv = gauss_rank_at(self.pg, self.gauss_svd[1])
-        return [f"Gauss-map rank {r} > 2 at {point} (singular values {s})" if r > 2 else None
-                for r, s, point in zip(rank, sv, self.points)]
+        return _rank_errors(self.points, lambda: self.gauss_svd[1])
 
     @cached_property
     def alignment(self):  # the alignment scalar as an order-2 jet
         return scalar_field_jet(self.pg, "alignment", self.reference_frame)
+
+    @property
+    def w(self) -> np.ndarray:  # the alignment function's values
+        return self.alignment.value
 
     @cached_property
     def apack(self):
@@ -154,30 +208,8 @@ class BlockContext:
         return np.sqrt(_dot(mc.T, mc.T))
 
     @cached_property
-    def minimal(self) -> np.ndarray:
-        return self.normH <= MINIMALITY_TOL
-
-    @cached_property
     def flat(self) -> np.ndarray:  # where the second fundamental form vanishes
         return self.pg.normB2 <= RANK_TOL
-
-    def skips(self, hypotheses) -> Columns:
-        """The block's Columns, each point skipped for the first hypothesis it fails.
-
-        Evaluation errors come first, then each name of `hypotheses` in turn: a
-        key of _HYPOTHESES, or a `laplacian` field whose jet must not fail.  No
-        later name is computed once every point is skipped.
-        """
-        skips = Columns(self.points, np.full(len(self.points), None, dtype=object))
-        skips.fail(self.pg.errors)
-        for name in hypotheses:
-            if skips.done:
-                break
-            if name in _HYPOTHESES:
-                skips.fail(_HYPOTHESES[name](self), prefix="")
-            else:
-                skips.fail(self.laplacian(name)[1])
-        return skips
 
     def laplacian(self, field):
         """Per-point Laplacian of a derived field, and the failures of its jet.
@@ -197,12 +229,48 @@ class BlockContext:
         return self._laplacians[field]
 
 
-# skip rules by name: block -> each point's reason, None where the rule holds
+@dataclass
+class _PointFields(_Hypotheses):
+    """The order-2 fields of `_GraphFields.hypotheses_at` at a few points."""
+
+    points: list
+    errors: list  # each point's first jet failure, or None
+    normH: np.ndarray
+    w: np.ndarray | None  # the alignment function, None without a reference frame
+    v: np.ndarray
+    normB2: np.ndarray
+    g: np.ndarray  # (i, j, P)
+    B: np.ndarray  # (A, i, j, P)
+
+    @cached_property
+    def rank_errors(self) -> list:
+        return _rank_errors(self.points, self.gauss_sv)
+
+    def gauss_sv(self) -> np.ndarray:
+        """The Gauss map's singular values, (P, n); NaN where g or B is not finite.
+
+        Those of B(e_i, e_j) in the orthonormal frame e = T dF, T the inverse
+        Cholesky factor of g, by ambient components: B is normal, so they are
+        the singular values of its normal components too.
+        """
+        B = self.B
+        sv = np.full((B.shape[-1], B.shape[1]), np.nan)
+        for p in np.flatnonzero(np.isfinite(B).all(axis=(0, 1, 2))):
+            try:
+                T = np.linalg.inv(np.linalg.cholesky(self.g[..., p]))
+            except np.linalg.LinAlgError:  # g not positive definite in rounding
+                continue
+            frame = _frame_B(T[None], B[None, ..., p].transpose(0, 2, 3, 1))[0]  # (i, j, A)
+            sv[p] = np.linalg.svd(frame.reshape(len(T), -1), compute_uv=False)
+        return sv
+
+
+# skip rules by name: points -> each point's reason, None where the rule holds
 _HYPOTHESES = {
     "minimal": lambda b: np.where(b.minimal, None, "mean curvature does not vanish"),
     "rank": lambda b: b.rank_errors,
     "curved": lambda b: np.where(b.flat, "second fundamental form vanishes", None),
-    "aligned": lambda b: np.where(b.alignment.value <= 0.0, "alignment function not positive", None),
+    "aligned": lambda b: np.where(b.w <= 0.0, "alignment function not positive", None),
 }
 
 
@@ -746,7 +814,7 @@ SEARCH_STEPS = 40  # per search, the scan included: 5-10 on smooth graphs, 25 on
 SEARCH_ULPS = 4  # a ray's search ends when its bracket is this many ulps wide
 STAR_ULPS = 16  # the star-shape test's rounding slack, in ulps of R (R + |F(0)|)
 NODE_BUDGET = 2**24  # the most nodes or search samples one `fields` or `dist2` call takes
-JET_NODES = 2**16  # nodes per `evaluate_immersion` call in `fields`: bounds its jets' memory
+JET_NODES = 2**16  # nodes or samples per evaluation in `fields` and `dist2`: bounds their memory
 
 
 def _dot(xs, ys):
@@ -755,6 +823,14 @@ def _dot(xs, ys):
     for x, y in zip(xs[1:], ys[1:]):
         total += x * y
     return total
+
+
+def _raised(ginv, B):
+    """g^-1 B as (k, A, j, P) from g^-1 (i, j, P) and B (A, i, j, P), and
+    |B|^2 = tr(g^-1 B g^-1 B) = <(g^-1 B)_kj, (g^-1 B)_jk>, (P,)."""
+    raised = _dot(ginv[:, :, None, None], B.swapaxes(0, 1)[:, None])
+    P = B.shape[-1]
+    return raised, _dot(raised.reshape(-1, P), raised.swapaxes(0, 2).reshape(-1, P))
 
 
 class _GraphFields:
@@ -783,13 +859,19 @@ class _GraphFields:
     def dist2(self, axes):
         """Squared extrinsic distance |x|^2 + sum_a (f^a - f^a(0))^2 to F(0).
 
-        One evaluation of the graph components over `axes`, which broadcast
-        together, their shared subtrees once; not finite wherever F is undefined.
+        `axes` broadcast together; the graph components are evaluated over
+        runs of at most JET_NODES samples, their shared subtrees once per run.
+        Not finite wherever F is undefined.
         """
-        memo = self.imm.sharing.memo()
-        sq = [(evaluate_array(c, axes, memo) - c0) ** 2 for c, c0 in zip(self.comps, self.f0)]
-        # the sum over a first, then |x|^2: a change of order moves boundaries by an ulp
-        return sum(ax**2 for ax in axes) + sum(sq[1:], sq[0])
+        shape = np.broadcast_shapes(*(np.shape(ax) for ax in axes))
+        axes = [np.broadcast_to(ax, shape).ravel() for ax in axes]
+        out = np.empty(axes[0].size)
+        for s in range(0, out.size, JET_NODES):
+            part, memo = [ax[s:s + JET_NODES] for ax in axes], self.imm.sharing.memo()
+            sq = [(evaluate_array(c, part, memo) - c0) ** 2 for c, c0 in zip(self.comps, self.f0)]
+            # the sum over a first, then |x|^2: a change of order moves boundaries by an ulp
+            out[s:s + JET_NODES] = sum(ax**2 for ax in part) + sum(sq[1:], sq[0])
+        return out.reshape(shape)
 
     def fields(self, axes, want_normB2=False):
         """Per-node volume element v = sqrt(det g), and |B|^2 when `want_normB2`.
@@ -804,8 +886,22 @@ class _GraphFields:
 
     @np.errstate(all="ignore")
     def _fields(self, points, want_normB2):
-        n, order = self.n, 2 if want_normB2 else 1
+        errors, _, _, det, ginv, B = self._second_order(points, 2 if want_normB2 else 1)
+        out = {"v": np.sqrt(det)}
+        if want_normB2:
+            out["normB2"] = _raised(ginv, B)[1]
+        failed = np.not_equal(errors, None)
+        for value in out.values():
+            value[failed] = np.nan
+        return out
+
+    @np.errstate(all="ignore")
+    def _second_order(self, points, order):
+        """Each point's first jet failure or None, dF (A, i, P), g (i, j, P) and det g, and
+        at order 2 g^-1 (i, j, P) and the normal parts B (A, i, j, P) of the second partials."""
+        n = self.n
         jets = evaluate_immersion(self.imm, points, order)
+        errors = first_failures(jets, len(points))
         coeffs = np.stack([jet.coeffs for jet in jets]).transpose(2, 0, 1).copy()  # (coef, A, P)
         index = _table(n, order).index
 
@@ -817,25 +913,41 @@ class _GraphFields:
         dF = np.stack([coefficient(i) for i in range(n)], axis=1)  # (A, i, P)
         g = _dot(dF[:, :, None], dF[:, None])  # (i, j, P)
         det, cof = _det_cofactors([list(row) for row in g])
-        out = {"v": np.sqrt(det)}
-        if want_normB2:
-            ginv = np.array(cof) / det  # the adjugate over det: g is symmetric
-            # geometry._hessian's pair route on values, once per pair q = (i <= j): the normal
-            # part B_q = F_q - d_l F g^lk <d_k F, F_q>; the coefficient of u_i^2 is half d_i^2 F
-            pairs = [(i, j) for i in range(n) for j in range(i, n)]
-            F2 = np.stack([coefficient(i, j) * (2.0 if i == j else 1.0) for i, j in pairs], axis=1)
-            c = _dot(dF[:, :, None], F2[:, None])  # <d_k F, F_q>: (k, q, P)
-            d = _dot(ginv[:, :, None], c[:, None])  # g^lk c_kq: (l, q, P)
-            B = F2 - _dot(dF.swapaxes(0, 1)[:, :, None], d[:, None])  # (A, q, P)
-            B = B[:, [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]]
-            # |B|^2 = tr(g^-1 B g^-1 B) = <(g^-1 B)_kj, (g^-1 B)_jk>, raised (k, A, j, P)
-            raised = _dot(ginv[:, :, None, None], B.swapaxes(0, 1)[:, None])
-            out["normB2"] = _dot(raised.reshape(-1, len(points)),
-                                 raised.swapaxes(0, 2).reshape(-1, len(points)))
-        failed = [p for jet in jets for p in jet.failures]
-        for value in out.values():
-            value[failed] = np.nan
-        return out
+        if order == 1:
+            return errors, dF, g, det, None, None
+        ginv = np.array(cof) / det  # the adjugate over det: g is symmetric
+        # geometry._hessian's pair route on values, once per pair q = (i <= j): the normal
+        # part B_q = F_q - d_l F g^lk <d_k F, F_q>; the coefficient of u_i^2 is half d_i^2 F
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        F2 = np.stack([coefficient(i, j) * (2.0 if i == j else 1.0) for i, j in pairs], axis=1)
+        c = _dot(dF[:, :, None], F2[:, None])  # <d_k F, F_q>: (k, q, P)
+        d = _dot(ginv[:, :, None], c[:, None])  # g^lk c_kq: (l, q, P)
+        B = F2 - _dot(dF.swapaxes(0, 1)[:, :, None], d[:, None])  # (A, q, P)
+        B = B[:, [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]]
+        return errors, dF, g, det, ginv, B
+
+    @np.errstate(all="ignore")
+    def hypotheses_at(self, points, reference_frame) -> _PointFields:
+        """The order-2 fields that decide the hypotheses at a few `points` (P, n).
+
+        Each point's evaluation error (its first jet failure, else the det g
+        test of `point_geometry_at`, `add_rank_errors`), |H| = |g^ij B_ij|,
+        the alignment function w = det<d_j F, a_k> / sqrt(det g) when a frame
+        is given, v and |B|^2, and g and B for the Gauss map's singular values.
+        """
+        points = np.asarray(points, dtype=float)
+        labels = [tuple(p) for p in points.tolist()]
+        errors, dF, g, det, ginv, B = self._second_order(points, 2)
+        add_rank_errors(errors, labels, det, np.diagonal(g))
+        raised, normB2 = _raised(ginv, B)
+        H = np.trace(raised, axis1=0, axis2=2)  # (A, P): the trace of g^-1 B
+        w = None
+        if reference_frame is not None:
+            a = np.asarray(reference_frame, dtype=float)
+            pairing = list(_dot(dF[:, :, None], a.T[:, None, :, None]))  # <d_j F, a_k>: (j, k, P)
+            w = _det(pairing, [_cofactor(pairing, 0, k) for k in range(self.n)]) / np.sqrt(det)
+        return _PointFields(labels, errors, np.sqrt(_dot(H, H)), w,
+                            np.sqrt(det), normB2, g, B)
 
     @np.errstate(all="ignore")
     def boundary(self, radii, dirs):
@@ -1288,12 +1400,14 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
 
     The probes are reported, never asserted: the constants in the estimates
     are non-constructive, so only the measured quotients are meaningful.
-    The hypotheses are sampled at three points near the origin, and the
-    pointwise term (|B|^2 v^3)(0) reads the first of them.  The integrals
+    The hypotheses are decided at three points near the origin from their
+    order-2 fields (`_GraphFields.hypotheses_at`), by the grid checks' rules
+    and in their words, and the pointwise term (|B|^2 v^3)(0) reads the
+    first of them.  The integrals
     over Omega_R, Omega_R0 and Omega_(R/2), each distinct ball once, come
     from one `_BallRule`, growth's rule too, and are not applicable where
     it fails; only Omega_R0's integrand reads |B|^2, so only its nodes take
-    order-2 jets.  `_once(compute, slot, *inputs)` gives the hypothesis block
+    order-2 jets.  `_once(compute, slot, *inputs)` gives the hypothesis fields
     and the rule, whose levels a sweep shares between values of t, q and s.
     """
     params.validate()
@@ -1308,9 +1422,9 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
 
     def hypotheses():
         # the first of the three points that fails a hypothesis gives the first it fails
-        block = BlockContext(imm, [(0.1 * k,) * imm.n for k in (0, 1, 3)], reference_frame)
+        at = _GraphFields(imm).hypotheses_at([(0.1 * k,) * imm.n for k in (0, 1, 3)], reference_frame)
         names = ("minimal", "rank") + (("aligned",) if reference_frame is not None else ())
-        return block, next(filter(None, block.skips(names).skip), None)
+        return at, next(filter(None, at.skips(names).skip), None)
 
     radii = [params.R0, params.R, params.R, params.R / 2.0]  # the ball of each integral
 
@@ -1320,7 +1434,7 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
         except CheckConfigError as exc:
             return str(exc)
 
-    block, reason = _once(hypotheses, "probe origin", reference_frame)
+    at, reason = _once(hypotheses, "probe origin", reference_frame)
     if reason is not None:
         return ProbeRecord(params=params, applicable=False, reason=reason)
     rule = _once(balls, "probe balls", params.R, params.R0, params.cells)
@@ -1344,7 +1458,7 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
     lp_rhs = rhs_t ** (1.0 / t)
     implied_c3 = lp_lhs * (params.R - params.R0) ** 2 / lp_rhs
 
-    pointwise_lhs = float(block.pg.normB2[0]) * float(block.volume_jet.value[0]) ** 3
+    pointwise_lhs = float(at.normB2[0]) * float(at.v[0]) ** 3
     max_v = float(np.max(level[in_R]["v"]))
     implied_c4 = pointwise_lhs * params.R**2 * max_v**-3 * (volume_R / volume_half) ** (-1.0 / t)
 

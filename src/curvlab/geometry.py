@@ -253,6 +253,26 @@ def _hessian(F: Jet, dF_jets: Jet, ginv_jets: Jet, n: int):
             jet_einsum("pkjA,pjkA->p", raised, raised, work))
 
 
+def first_failures(jets, P: int) -> list:
+    """Each of P points' first failure among the batched component `jets`, or None."""
+    errors = [None] * P
+    for jet in jets:
+        for p, exc in jet.failures.items():
+            errors[p] = errors[p] or exc
+    return errors
+
+
+def add_rank_errors(errors: list, labels, detg, g_diagonal) -> None:
+    """Give each point that has no error an ImmersionRankError where det g is not
+    above 1e-13 prod_i g_ii (NaN included); `g_diagonal` is (P, n)."""
+    scale = np.prod(g_diagonal, axis=1)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    for p in np.flatnonzero(~(detg > 1e-13 * scale)):
+        errors[p] = errors[p] or ImmersionRankError(
+            f"Jacobian rank-deficient at {labels[p]}: det g = {detg[p]:.3e}"
+        )
+
+
 def point_geometry_at(imm: Immersion, points) -> PointGeometry:
     """Evaluate the full geometric bundle at each point of a (P, n) block.
 
@@ -267,21 +287,13 @@ def point_geometry_at(imm: Immersion, points) -> PointGeometry:
     labels = [tuple(row) for row in coords.tolist()]
     P = len(coords)
     comps = evaluate_immersion(imm, coords, 4)
-    errors = [None] * P
-    for jet in comps:
-        for p, exc in jet.failures.items():
-            errors[p] = errors[p] or exc
+    errors = first_failures(comps, P)
     F = _tensor([comps])[:, 0]  # (P, N, ncoef)
     del comps  # F holds their coefficients; a jet dropped once read lowers the block's peak
 
     dF_jets, g_jets, detg_jet, g_cof = _metric(F, n)
     g0, detg = g_jets.value, detg_jet.value
-    scale = np.prod(np.diagonal(g0, axis1=1, axis2=2), axis=1)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    for p in np.flatnonzero(~(detg > 1e-13 * scale)):
-        errors[p] = errors[p] or ImmersionRankError(
-            f"Jacobian rank-deficient at {labels[p]}: det g = {detg[p]:.3e}"
-        )
+    add_rank_errors(errors, labels, detg, np.diagonal(g0, axis1=1, axis2=2))
     failed = np.array([exc is not None for exc in errors])
     if failed.any():
         # failed points go on as a flat coordinate plane, so the array code

@@ -500,9 +500,10 @@ class TestGrowth:
         assert table.nodes_per_axis == 16 and nodes == {1: 3 * (8**2 + 16**2), 2: 0}
         rec = C.estimate_probe(z2, None, C.ProbeParams(R=1.0, R0=0.3, cells=64))
         assert_applicable(rec)
-        # Omega_1 and Omega_0.5 at order 1, Omega_0.3 at order 2, at every level up to N
+        # Omega_1 and Omega_0.5 at order 1, Omega_0.3 at order 2, at every level up to N,
+        # and the hypotheses' three points at order 2
         ball = sum(N * N for N in (8, 16, 32, 64) if N <= rec.nodes_per_axis)
-        assert nodes == {1: 3 * (8**2 + 16**2) + 2 * ball, 2: ball}
+        assert nodes == {1: 3 * (8**2 + 16**2) + 2 * ball, 2: ball + 3}
 
     def test_fields_read_second_derivatives_of_any_tree_the_parser_accepts(self):
         # x*...*x with 500 factors is MAX_DEPTH = 500 levels deep.  On the graph of
@@ -539,6 +540,14 @@ class TestProbe:
         assert rel_err(rec.pointwise_lhs, 16.0) <= 1e-10
         assert_applicable(rec)
         assert rec.implied_c3 > 0 and rec.implied_c4 > 0
+
+    def test_pointwise_term_reads_the_origin(self):
+        # on the graph of a holomorphic p, |B|^2 v^3 = 4 |p''|^2, which is 16 |c_2|^2 at
+        # the origin and varies away from it
+        imm = catalogue_lookup("holo-curve", {"coeffs": CUBIC})
+        rec = C.estimate_probe(imm, None, C.ProbeParams(cells=64))
+        assert_applicable(rec)
+        assert rel_err(rec.pointwise_lhs, 16.0 * abs(complex(*CUBIC[2])) ** 2) <= 1e-14
 
     @pytest.mark.parametrize("t, q", [(3.0, 4.0), (4.0, 7.0), (5.0, 7.0)])
     def test_z2_integrals_match_closed_forms(self, z2, t, q):
@@ -594,16 +603,29 @@ class TestProbe:
         assert C.quadrature_cells_fault(4096, 2) is None and C.quadrature_cells_fault(256, 3) is None
         assert C.quadrature_cells_fault(257, 3) == "cells^3 must be at most 2^24, got 257^3"
 
-    def test_hypotheses_build_no_canonical_frame_or_alignment_pack(self, z2, monkeypatch):
-        # the aligned rule reads the alignment jet alone: at the origin of w = z^2 the
-        # tangent plane is orthogonal to the normal coordinate plane
+    def test_hypotheses_build_no_block_frame_or_pairing(self, z2, monkeypatch):
+        # the three points' order-2 fields decide the hypotheses; the pointwise term reads
+        # the origin's.  At the origin of w = z^2 the tangent plane is orthogonal to the
+        # normal coordinate plane, so w = 0 there
         def unused(*args):
-            raise AssertionError("the probe's hypotheses read no frame or pairing")
+            raise AssertionError("the probe's hypotheses take no order-4 geometry")
 
-        monkeypatch.setattr(C, "canonical_frame_at", unused)
-        monkeypatch.setattr(C, "alignment_pack_at", unused)
+        for name in ("BlockContext", "point_geometry_at", "canonical_frame_at", "alignment_pack_at"):
+            monkeypatch.setattr(C, name, unused)
+        rec = C.estimate_probe(z2, COORD_PLANE, C.ProbeParams(cells=32))
+        assert_applicable(rec)
+        assert rel_err(rec.pointwise_lhs, 16.0) <= 1e-15
         rec = C.estimate_probe(z2, np.eye(4)[2:], C.ProbeParams(cells=32))
         assert (rec.applicable, rec.reason) == (False, "alignment function not positive")
+
+    def test_mean_curvature_that_is_not_finite_does_not_vanish(self):
+        # the harmonic 1e308 (x^2 - y^2): at the origin g = I, but its second partials
+        # 2e308 overflow, so B and H are NaN there, though every jet evaluates
+        imm = build_graph_immersion(["1e308*(x^2-y^2)"], 2)
+        at = C._GraphFields(imm).hypotheses_at([(0.0, 0.0)], None)
+        assert at.errors == [None] and at.v[0] == 1.0 and np.isnan(at.normH[0])
+        rec = C.estimate_probe(imm, None, C.ProbeParams(cells=16))
+        assert (rec.applicable, rec.reason) == (False, "mean curvature does not vanish")
 
     def test_nonminimal_not_applicable(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
@@ -630,6 +652,80 @@ class TestProbe:
         # the probe's first ball is Omega_R0, growth's Omega_R
         assert rec.reason == "Omega_R is not star-shaped along a sampled ray within radius 0.5"
         assert growth.reason == "Omega_R is not star-shaped along a sampled ray within radius 1.0"
+
+
+# Re and Im of z, z^2, z^3 for z = x + i y
+HOLOMORPHIC = (("x", "y"), ("(x^2-y^2)", "(2*x*y)"), ("(x^3-3*x*y^2)", "(3*x^2*y-y^3)"))
+HARMONIC = ("(x^2-y^2)", "x*y", "(x^2-z^2)", "(y^2-z^2)", "x*z", "y*z")  # quadrics, n = 3
+HALVES = st.integers(-3, 3).map(lambda k: k / 2)
+
+
+@st.composite
+def probe_germs(draw):
+    """(components, n, reference frame or None) of a graph over R^n in codimension 1 to 3.
+
+    A component is the real or imaginary part of a complex polynomial p in x + i y
+    without constant term, a harmonic quadric (minimal at the origin; n = 3: of
+    Gauss rank up to 3), a quadric that is not harmonic, log(x) or 0.  The pair
+    Re p, Im p is a minimal graph, and for n = 3 a cylinder over one.
+    """
+    n, m = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+
+    def combination(terms):
+        return "+".join(f"{draw(HALVES)}*{term}" for term in terms)
+
+    coeffs = draw(st.lists(st.tuples(HALVES, HALVES), min_size=3, max_size=3))
+    re = "+".join(f"{a}*{u}-{b}*{v}" for (a, b), (u, v) in zip(coeffs, HOLOMORPHIC))
+    im = "+".join(f"{a}*{v}+{b}*{u}" for (a, b), (u, v) in zip(coeffs, HOLOMORPHIC))
+    kinds = {"re": lambda: re, "im": lambda: im, "log": lambda: "log(x)", "zero": lambda: "0",
+             "harmonic": lambda: combination(HARMONIC[:2] if n == 2 else HARMONIC),
+             "squares": lambda: combination(("x^2", "y^2", "x*y"))}
+    mode = draw(st.sampled_from(["pair", "harmonic", "any"]))
+    if mode == "harmonic":
+        components = [kinds["harmonic"]() for _ in range(m)]
+    else:
+        components = [re, im][:m] if mode == "pair" else []
+        components += [kinds[draw(st.sampled_from(sorted(kinds)))]() for _ in range(m - len(components))]
+    frame = None
+    if draw(st.booleans()):  # orthonormal rows of a drawn matrix, of either orientation
+        rows = draw(st.lists(HALVES, min_size=n * (n + m), max_size=n * (n + m)))
+        q, r = np.linalg.qr(np.array(rows).reshape(n, n + m).T)
+        assume(np.all(np.abs(np.diagonal(r)) > 1e-3))
+        frame = (q * np.where(np.diagonal(r) < 0, -1.0, 1.0)).T
+    return components, n, frame
+
+
+class TestProbeHypotheses:
+    """The probe's order-2 route decides its hypotheses as an order-4 block of its points."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(germ=probe_germs())
+    @example(germ=(["x^2+y^2-2*z^2"], 3, None))  # Gauss rank 3 at the minimal origin
+    @example(germ=(["log(x)", "x*y"], 2, COORD_PLANE))  # not evaluated at the origin
+    @example(germ=(["x^2+y^2", "0"], 2, None))  # nowhere minimal
+    @example(germ=(["x^2-y^2", "2*x*y"], 2, np.array([[-1.0, 0, 0, 0], [0, 1.0, 0, 0]])))  # w < 0
+    @example(germ=(["x^2-y^2", "2*x*y"], 3, None))  # a minimal cylinder: Gauss rank 2
+    # det g below 1e-13 prod g_ii at (0.1, 0.1): steep and not conformal
+    @example(germ=(["1e8*x*y"], 2, None))
+    # g overflows at (0.1, 0.1); at the origin H is NaN where g = I
+    @example(germ=(["1e200*(x^3-3*x*y^2)", "1e200*(3*x^2*y-y^3)"], 2, None))
+    @example(germ=(["1e308*(x^2-y^2)"], 2, None))
+    def test_the_same_reasons_as_the_block(self, germ):
+        components, n, frame = germ
+        imm = build_graph_immersion(components, n)
+        points = [(0.1 * k,) * n for k in (0, 1, 3)]
+        names = ("minimal", "rank") + (("aligned",) if frame is not None else ())
+        block, at = C.BlockContext(imm, points, frame), C._GraphFields(imm).hypotheses_at(points, frame)
+        with np.errstate(over="ignore", invalid="ignore"):  # the block's jets may overflow
+            reasons = block.skips(names).skip.tolist()
+            want = block.pg.normB2[0] * block.volume_jet.value[0] ** 3  # (|B|^2 v^3)(0)
+        assert at.skips(names).skip.tolist() == reasons
+        first = next(filter(None, reasons), None)
+        if first is not None:
+            assert C.estimate_probe(imm, frame, C.ProbeParams(cells=16)).reason == first
+        if block.pg.errors[0] is None:
+            got = at.normB2[0] * at.v[0] ** 3
+            assert abs(got - want) <= 16 * np.spacing(want) if np.isfinite(want) else np.isnan(got)
 
 
 CUBIC = [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]  # generic: no symmetric values
@@ -731,6 +827,32 @@ class TestBallRule:
         gf.dist2 = lambda axes: counted.append(1) or dist2(axes)
         gf.boundary([R], C._directions(2, 16)[0])
         assert len(counted) == calls
+
+    def test_a_large_dist2_call_holds_a_bounded_peak_and_equals_one_evaluation(self, monkeypatch):
+        # c z^5 shares the powers of x and y between its two components: one evaluation
+        # of all samples held 11 arrays of them at once; sqrt(y) is undefined where y < 0
+        gf = C._GraphFields(build_graph_immersion(
+            ["0.7*(x^5-10*x^3*y^2+5*x*y^4)", "0.7*(5*x^4*y-10*x^2*y^3+y^5)+sin(x)*exp(y)*sqrt(y)"], 2))
+        axes = list(np.random.default_rng(2).uniform(-1.0, 1.0, (2, 4 * C.JET_NODES + 3)))
+        gf.dist2([axes[0][:5], axes[1][:5]])  # tables and caches, built once
+        tracemalloc.start()
+        try:
+            d = gf.dist2(axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, and at most 16 arrays of one run's samples
+        assert peak <= d.nbytes + 16 * 8 * C.JET_NODES
+        assert np.isnan(d).sum() == np.sum(axes[1] < 0) > 0
+        for samples in (2**24, 1000):  # one evaluation; runs that split a vector's lanes
+            monkeypatch.setattr(C, "JET_NODES", samples)
+            assert gf.dist2(axes).tobytes() == d.tobytes()
+        # axes that broadcast together, (S, 1) against (S, D)
+        s, u = axes[0][:2**9, None], axes[1][None, :2**9]
+        monkeypatch.setattr(C, "JET_NODES", 2**24)
+        whole = gf.dist2([s, s * u])
+        monkeypatch.setattr(C, "JET_NODES", 1000)
+        assert gf.dist2([s, s * u]).tobytes() == whole.tobytes() and whole.shape == (2**9, 2**9)
 
     # rays along +-x, so that a sample's first coordinate is +-s exactly
     @pytest.mark.parametrize("graph", ["x^4", "x^2+x", "x^2*(1+x)"])
@@ -913,6 +1035,17 @@ class TestBlocks:
         assert rank_errors == [None] * 27 and np.array_equal(rank, own_rank)
         assert np.all(np.abs(sv - own_sv) <= 1e-14 * sv[:, :1])
 
+    def test_an_n2_block_takes_no_svd_for_the_rank_rule(self, z2, monkeypatch):
+        # two rows: the Gauss-map rank of a surface is at most 2
+        def unused(*args, **kwargs):
+            raise AssertionError("an n = 2 block takes no Gauss-map SVD")
+
+        block = C.BlockContext(z2, GRID5.points(), None)
+        monkeypatch.setattr(C, "gauss_rank_at", unused)
+        monkeypatch.setattr(np.linalg, "svd", unused)
+        assert block.rank_errors == [None] * 25
+        assert run("kato", z2, GRID5).verdict == "pass"
+
     def test_a_disk_masked_21x21_surface_is_one_block(self, z2):
         # 293 points: the grid of the grid-surface benchmark
         assert (z2.n, z2.m) == (2, 2) and C.block_size(z2) >= 293
@@ -1060,6 +1193,18 @@ class TestSkipOrder:
         res = run("log-alignment", imm, GRID5, TILTED_PLANE)
         assert skip_reasons(res) == {"alignment function not positive": 20}
         assert res.n_points - res.n_skipped == 5
+
+
+    def test_the_aligned_rule_builds_no_alignment_pack(self, monkeypatch):
+        # it reads the alignment jet's values, as log-alignment does
+        def unused(*args):
+            raise AssertionError("the aligned rule reads no frame or pairing")
+
+        monkeypatch.setattr(C, "canonical_frame_at", unused)
+        monkeypatch.setattr(C, "alignment_pack_at", unused)
+        imm = catalogue_lookup("holo-curve", {"coeffs": [0, 0, 0, 1]})
+        res = run("log-alignment", imm, GRID5, TILTED_PLANE)
+        assert skip_reasons(res) == {"alignment function not positive": 20}
 
 
 class TestRequirements:
