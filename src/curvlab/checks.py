@@ -13,7 +13,8 @@ order; `BlockContext.skips` applies them after each point's evaluation
 error, and a point is skipped for the first it fails.  `_HYPOTHESES` is the
 only place a hypothesis is decided: alignment-identities' note uses it
 too, and so does the probe, on the order-2 fields of its three points
-(`_GraphFields.hypotheses_at`), and geometry tests none.  Where a
+(`_GraphFields.at`, the quadrature's one pass over its nodes), and geometry
+tests none.  Where a
 surface's chart is isothermal and where zeta is defined are decided once
 per block too (`BlockContext.isothermal`, `BlockContext.has_zeta`).
 
@@ -59,6 +60,7 @@ from .geometry import (
     first_failures,
     gauss_rank_at,
     gradient_norm2_of_jet,
+    inverse_cholesky,
     laplace_beltrami_of_jet,
     point_geometry_at,
     scalar_field_jet,
@@ -231,43 +233,48 @@ class BlockContext(_Hypotheses):
 
 @dataclass
 class _PointFields(_Hypotheses):
-    """The order-2 fields of `_GraphFields.hypotheses_at` at a few points."""
+    """The fields of `_GraphFields.at` at a run of points; None where not asked for."""
 
-    points: list
+    coords: np.ndarray  # (P, n)
     errors: list  # each point's first jet failure, or None
-    normH: np.ndarray
-    w: np.ndarray | None  # the alignment function, None without a reference frame
-    v: np.ndarray
-    normB2: np.ndarray
     g: np.ndarray  # (i, j, P)
-    B: np.ndarray  # (A, i, j, P)
+    det: np.ndarray  # det g
+    v: np.ndarray  # sqrt(det g)
+    B: np.ndarray | None = None  # (A, i, j, P), order 2
+    normB2: np.ndarray | None = None  # order 2
+    normH: np.ndarray | None = None  # order 2
+    w: np.ndarray | None = None  # the alignment function, given a reference frame
+
+    @cached_property
+    def points(self) -> list:
+        return [tuple(p) for p in self.coords.tolist()]
 
     @cached_property
     def rank_errors(self) -> list:
         return _rank_errors(self.points, self.gauss_sv)
 
     def gauss_sv(self) -> np.ndarray:
-        """The Gauss map's singular values, (P, n); NaN where g or B is not finite.
+        """The Gauss map's singular values, (P, n); NaN where B is not finite or g is
+        not positive definite.
 
         Those of B(e_i, e_j) in the orthonormal frame e = T dF, T the inverse
         Cholesky factor of g, by ambient components: B is normal, so they are
         the singular values of its normal components too.
         """
-        B = self.B
-        sv = np.full((B.shape[-1], B.shape[1]), np.nan)
-        for p in np.flatnonzero(np.isfinite(B).all(axis=(0, 1, 2))):
-            try:
-                T = np.linalg.inv(np.linalg.cholesky(self.g[..., p]))
-            except np.linalg.LinAlgError:  # g not positive definite in rounding
-                continue
-            frame = _frame_B(T[None], B[None, ..., p].transpose(0, 2, 3, 1))[0]  # (i, j, A)
-            sv[p] = np.linalg.svd(frame.reshape(len(T), -1), compute_uv=False)
+        B = self.B.transpose(3, 1, 2, 0)  # (P, i, j, A)
+        _, n, _, N = B.shape
+        T, positive = inverse_cholesky(self.g.transpose(2, 0, 1))
+        rows = positive & np.isfinite(B).all(axis=(1, 2, 3))
+        sv = np.full(B.shape[:2], np.nan)
+        frame = _frame_B(T[rows], B[rows]).reshape(-1, n, n * N)  # the Gauss matrices
+        sv[rows] = np.linalg.svd(frame, compute_uv=False)
         return sv
 
 
 # skip rules by name: points -> each point's reason, None where the rule holds
 _HYPOTHESES = {
-    "minimal": lambda b: np.where(b.minimal, None, "mean curvature does not vanish"),
+    "minimal": lambda b: np.where(b.minimal, None, np.where(
+        np.isfinite(b.normH), "mean curvature does not vanish", "second fundamental form not finite")),
     "rank": lambda b: b.rank_errors,
     "curved": lambda b: np.where(b.flat, "second fundamental form vanishes", None),
     "aligned": lambda b: np.where(b.w <= 0.0, "alignment function not positive", None),
@@ -825,20 +832,13 @@ def _dot(xs, ys):
     return total
 
 
-def _raised(ginv, B):
-    """g^-1 B as (k, A, j, P) from g^-1 (i, j, P) and B (A, i, j, P), and
-    |B|^2 = tr(g^-1 B g^-1 B) = <(g^-1 B)_kj, (g^-1 B)_jk>, (P,)."""
-    raised = _dot(ginv[:, :, None, None], B.swapaxes(0, 1)[:, None])
-    P = B.shape[-1]
-    return raised, _dot(raised.reshape(-1, P), raised.swapaxes(0, 2).reshape(-1, P))
-
-
 class _GraphFields:
     """Extrinsic distance, ball boundaries and the per-node v and |B|^2 of a graph immersion.
 
     `dist2` and `boundary` evaluate the graph components over arrays;
-    `fields` reads v and |B|^2 off the jets of `evaluate_immersion`, the
-    derivatives every grid check reads.
+    `at` reads the order-1 or order-2 fields of any points off the jets of
+    `evaluate_immersion`, the derivatives every grid check reads, and
+    `fields` runs it over the quadrature's nodes.
     """
 
     def __init__(self, imm: Immersion):
@@ -880,28 +880,25 @@ class _GraphFields:
         blocks of at most JET_NODES nodes; NaN where a jet failed.
         """
         points = np.stack(axes, axis=1)
-        parts = [self._fields(points[s:s + JET_NODES], want_normB2)
+        parts = [self.at(points[s:s + JET_NODES], 2 if want_normB2 else 1)
                  for s in range(0, len(points), JET_NODES)]
-        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+        failed = np.concatenate([np.not_equal(part.errors, None) for part in parts])
+        return {key: np.where(failed, np.nan, np.concatenate([getattr(part, key) for part in parts]))
+                for key in (("v", "normB2") if want_normB2 else ("v",))}
 
     @np.errstate(all="ignore")
-    def _fields(self, points, want_normB2):
-        errors, _, _, det, ginv, B = self._second_order(points, 2 if want_normB2 else 1)
-        out = {"v": np.sqrt(det)}
-        if want_normB2:
-            out["normB2"] = _raised(ginv, B)[1]
-        failed = np.not_equal(errors, None)
-        for value in out.values():
-            value[failed] = np.nan
-        return out
+    def at(self, points, order, reference_frame=None) -> _PointFields:
+        """The fields of order-`order` jets of F at `points` (P, n), each jet evaluated once.
 
-    @np.errstate(all="ignore")
-    def _second_order(self, points, order):
-        """Each point's first jet failure or None, dF (A, i, P), g (i, j, P) and det g, and
-        at order 2 g^-1 (i, j, P) and the normal parts B (A, i, j, P) of the second partials."""
+        Each point's first jet failure, g, det g and v = sqrt(det g); at order 2
+        the normal parts B of the second partials, |B|^2 = tr(g^-1 B g^-1 B) and
+        |H| = |g^ij B_ij|; given a frame, the alignment function
+        w = det<d_j F, a_k> / v.  Nothing is decided here: the det g test of
+        `point_geometry_at` (`add_rank_errors`) is the caller's.
+        """
         n = self.n
+        points = np.asarray(points, dtype=float)
         jets = evaluate_immersion(self.imm, points, order)
-        errors = first_failures(jets, len(points))
         coeffs = np.stack([jet.coeffs for jet in jets]).transpose(2, 0, 1).copy()  # (coef, A, P)
         index = _table(n, order).index
 
@@ -913,41 +910,28 @@ class _GraphFields:
         dF = np.stack([coefficient(i) for i in range(n)], axis=1)  # (A, i, P)
         g = _dot(dF[:, :, None], dF[:, None])  # (i, j, P)
         det, cof = _det_cofactors([list(row) for row in g])
-        if order == 1:
-            return errors, dF, g, det, None, None
-        ginv = np.array(cof) / det  # the adjugate over det: g is symmetric
-        # geometry._hessian's pair route on values, once per pair q = (i <= j): the normal
-        # part B_q = F_q - d_l F g^lk <d_k F, F_q>; the coefficient of u_i^2 is half d_i^2 F
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        F2 = np.stack([coefficient(i, j) * (2.0 if i == j else 1.0) for i, j in pairs], axis=1)
-        c = _dot(dF[:, :, None], F2[:, None])  # <d_k F, F_q>: (k, q, P)
-        d = _dot(ginv[:, :, None], c[:, None])  # g^lk c_kq: (l, q, P)
-        B = F2 - _dot(dF.swapaxes(0, 1)[:, :, None], d[:, None])  # (A, q, P)
-        B = B[:, [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]]
-        return errors, dF, g, det, ginv, B
-
-    @np.errstate(all="ignore")
-    def hypotheses_at(self, points, reference_frame) -> _PointFields:
-        """The order-2 fields that decide the hypotheses at a few `points` (P, n).
-
-        Each point's evaluation error (its first jet failure, else the det g
-        test of `point_geometry_at`, `add_rank_errors`), |H| = |g^ij B_ij|,
-        the alignment function w = det<d_j F, a_k> / sqrt(det g) when a frame
-        is given, v and |B|^2, and g and B for the Gauss map's singular values.
-        """
-        points = np.asarray(points, dtype=float)
-        labels = [tuple(p) for p in points.tolist()]
-        errors, dF, g, det, ginv, B = self._second_order(points, 2)
-        add_rank_errors(errors, labels, det, np.diagonal(g))
-        raised, normB2 = _raised(ginv, B)
-        H = np.trace(raised, axis1=0, axis2=2)  # (A, P): the trace of g^-1 B
-        w = None
+        out = _PointFields(points, first_failures(jets, len(points)), g, det, np.sqrt(det))
+        if order == 2:
+            ginv = np.array(cof) / det  # the adjugate over det: g is symmetric
+            # geometry._hessian's pair route on values, once per pair q = (i <= j): the normal
+            # part B_q = F_q - d_l F g^lk <d_k F, F_q>; the coefficient of u_i^2 is half d_i^2 F
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            F2 = np.stack([coefficient(i, j) * (2.0 if i == j else 1.0) for i, j in pairs], axis=1)
+            c = _dot(dF[:, :, None], F2[:, None])  # <d_k F, F_q>: (k, q, P)
+            d = _dot(ginv[:, :, None], c[:, None])  # g^lk c_kq: (l, q, P)
+            B = F2 - _dot(dF.swapaxes(0, 1)[:, :, None], d[:, None])  # (A, q, P)
+            out.B = B[:, [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]]
+            # g^-1 B as (k, A, j, P); |B|^2 = <(g^-1 B)_kj, (g^-1 B)_jk> and H its trace
+            raised = _dot(ginv[:, :, None, None], out.B.swapaxes(0, 1)[:, None])
+            P = len(points)
+            out.normB2 = _dot(raised.reshape(-1, P), raised.swapaxes(0, 2).reshape(-1, P))
+            H = np.trace(raised, axis1=0, axis2=2)  # (A, P)
+            out.normH = np.sqrt(_dot(H, H))
         if reference_frame is not None:
             a = np.asarray(reference_frame, dtype=float)
             pairing = list(_dot(dF[:, :, None], a.T[:, None, :, None]))  # <d_j F, a_k>: (j, k, P)
-            w = _det(pairing, [_cofactor(pairing, 0, k) for k in range(self.n)]) / np.sqrt(det)
-        return _PointFields(labels, errors, np.sqrt(_dot(H, H)), w,
-                            np.sqrt(det), normB2, g, B)
+            out.w = _det(pairing, [_cofactor(pairing, 0, k) for k in range(n)]) / out.v
+        return out
 
     @np.errstate(all="ignore")
     def boundary(self, radii, dirs):
@@ -1401,9 +1385,9 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
     The probes are reported, never asserted: the constants in the estimates
     are non-constructive, so only the measured quotients are meaningful.
     The hypotheses are decided at three points near the origin from their
-    order-2 fields (`_GraphFields.hypotheses_at`), by the grid checks' rules
-    and in their words, and the pointwise term (|B|^2 v^3)(0) reads the
-    first of them.  The integrals
+    order-2 fields (`_GraphFields.at`) and the det g test of
+    `point_geometry_at`, by the grid checks' rules and in their words, and
+    the pointwise term (|B|^2 v^3)(0) reads the first of them.  The integrals
     over Omega_R, Omega_R0 and Omega_(R/2), each distinct ball once, come
     from one `_BallRule`, growth's rule too, and are not applicable where
     it fails; only Omega_R0's integrand reads |B|^2, so only its nodes take
@@ -1420,9 +1404,12 @@ def estimate_probe(imm: Immersion, reference_frame, params: ProbeParams, *,
     if reason:
         return ProbeRecord(params=params, applicable=False, reason=reason)
 
+    @np.errstate(all="ignore")  # prod g_ii may overflow
     def hypotheses():
-        # the first of the three points that fails a hypothesis gives the first it fails
-        at = _GraphFields(imm).hypotheses_at([(0.1 * k,) * imm.n for k in (0, 1, 3)], reference_frame)
+        # the first of the three points that fails a hypothesis gives the first it fails;
+        # a jet failure comes first, then the det g test of point_geometry_at
+        at = _GraphFields(imm).at([(0.1 * k,) * imm.n for k in (0, 1, 3)], 2, reference_frame)
+        add_rank_errors(at.errors, at.points, at.det, np.diagonal(at.g))
         names = ("minimal", "rank") + (("aligned",) if reference_frame is not None else ())
         return at, next(filter(None, at.skips(names).skip), None)
 

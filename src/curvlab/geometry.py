@@ -273,6 +273,26 @@ def add_rank_errors(errors: list, labels, detg, g_diagonal) -> None:
         )
 
 
+def inverse_cholesky(g: np.ndarray):
+    """T = L^-1, L the lower Cholesky factor of each g (P, n, n), and where g is positive definite.
+
+    Where g is not finite or does not factor (not positive definite in
+    rounding), T = I and the mask is false.
+    """
+    n = g.shape[-1]
+    ok = np.isfinite(g).all(axis=(1, 2))  # LAPACK may factor a NaN matrix without failing
+    L = np.broadcast_to(np.eye(n), g.shape).copy()
+    try:
+        L[ok] = np.linalg.cholesky(g[ok])
+    except np.linalg.LinAlgError:  # g not positive definite in rounding at some point
+        for p in np.flatnonzero(ok):
+            try:
+                L[p] = np.linalg.cholesky(g[p])
+            except np.linalg.LinAlgError:
+                ok[p] = False
+    return np.linalg.solve(L, np.broadcast_to(np.eye(n), L.shape)), ok
+
+
 def point_geometry_at(imm: Immersion, points) -> PointGeometry:
     """Evaluate the full geometric bundle at each point of a (P, n) block.
 
@@ -304,18 +324,10 @@ def point_geometry_at(imm: Immersion, points) -> PointGeometry:
         dF_jets, g_jets, detg_jet, g_cof = _metric(F, n)
         g0 = g_jets.value
     dF = dF_jets.value
-    try:
-        L = np.linalg.cholesky(g0)
-    except np.linalg.LinAlgError:
-        L = np.array([np.eye(n)] * P)
-        for p in range(P):
-            try:
-                L[p] = np.linalg.cholesky(g0[p])
-            except np.linalg.LinAlgError:
-                errors[p] = errors[p] or ImmersionRankError(f"metric not positive definite at {labels[p]}")
-
     # oriented Gram-Schmidt: T = L^-1 is lower triangular with positive diagonal
-    T = np.linalg.solve(L, np.broadcast_to(np.eye(n), L.shape))
+    T, positive = inverse_cholesky(g0)
+    for p in np.flatnonzero(~positive):
+        errors[p] = errors[p] or ImmersionRankError(f"metric not positive definite at {labels[p]}")
     e = T @ dF
     # g^-1 = adjugate / det; g's cofactors are symmetric, so each distinct one is scaled once
     inv_det = jet_elementary("recip", detg_jet)

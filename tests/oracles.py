@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from curvlab.expressions import BinOp, Call, Const, Pow, Var
-from curvlab.geometry import point_geometry_at
+from curvlab.geometry import _frame_B, point_geometry_at
 from curvlab.jets import Jet
 
 # Central-difference stencils (offsets in units of h, weights) per derivative order.
@@ -173,6 +173,25 @@ def random_orthonormal_rows(rng, rows, dim):
     q, r = np.linalg.qr(mat)
     q = q * np.sign(np.diag(r))[None, :]
     return q.T
+
+
+def gauss_singular_values(g, B):
+    """The Gauss map's singular values, (P, n), one point at a time; NaN where B is not
+    finite or the Cholesky factorisation of g fails.
+
+    g is (i, j, P) and B (A, i, j, P), as `_GraphFields.at` gives them: the
+    per-point loop that `_PointFields.gauss_sv` batches, kept as its bitwise
+    reference.
+    """
+    sv = np.full((B.shape[-1], B.shape[1]), np.nan)
+    for p in np.flatnonzero(np.isfinite(B).all(axis=(0, 1, 2))):
+        try:
+            T = np.linalg.inv(np.linalg.cholesky(g[..., p]))
+        except np.linalg.LinAlgError:  # g not positive definite in rounding
+            continue
+        frame = _frame_B(T[None], B[None, ..., p].transpose(0, 2, 3, 1))[0]  # (i, j, A)
+        sv[p] = np.linalg.svd(frame.reshape(len(T), -1), compute_uv=False)
+    return sv
 
 
 def pluecker_residual(e_rows, nu1, nu2, a_rows):

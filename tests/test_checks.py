@@ -24,6 +24,7 @@ from curvlab.scenario import CheckSpec, run_checks
 from oracles import (
     at_point,
     column,
+    gauss_singular_values,
     holomorphic_ball_volume,
     rel_err,
     substitute,
@@ -618,14 +619,19 @@ class TestProbe:
         rec = C.estimate_probe(z2, np.eye(4)[2:], C.ProbeParams(cells=32))
         assert (rec.applicable, rec.reason) == (False, "alignment function not positive")
 
-    def test_mean_curvature_that_is_not_finite_does_not_vanish(self):
+    def test_a_second_fundamental_form_that_is_not_finite_is_named(self):
         # the harmonic 1e308 (x^2 - y^2): at the origin g = I, but its second partials
         # 2e308 overflow, so B and H are NaN there, though every jet evaluates
         imm = build_graph_immersion(["1e308*(x^2-y^2)"], 2)
-        at = C._GraphFields(imm).hypotheses_at([(0.0, 0.0)], None)
+        at = C._GraphFields(imm).at([(0.0, 0.0)], 2)
         assert at.errors == [None] and at.v[0] == 1.0 and np.isnan(at.normH[0])
         rec = C.estimate_probe(imm, None, C.ProbeParams(cells=16))
-        assert (rec.applicable, rec.reason) == (False, "mean curvature does not vanish")
+        assert (rec.applicable, rec.reason) == (False, "second fundamental form not finite")
+        # a grid block gives the same reason, in the same rule
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = C.BlockContext(imm, [(0.0, 0.0)], None)
+            assert block.errors == [None] and np.isnan(block.normH[0])
+            assert block.skips(("minimal",)).skip.tolist() == ["second fundamental form not finite"]
 
     def test_nonminimal_not_applicable(self):
         imm = build_graph_immersion(["x^2 + y^2", "0"], 2)
@@ -715,17 +721,64 @@ class TestProbeHypotheses:
         imm = build_graph_immersion(components, n)
         points = [(0.1 * k,) * n for k in (0, 1, 3)]
         names = ("minimal", "rank") + (("aligned",) if frame is not None else ())
-        block, at = C.BlockContext(imm, points, frame), C._GraphFields(imm).hypotheses_at(points, frame)
+        shared = []
+
+        def once(compute, slot, *inputs):  # the probe's own hypothesis fields, and no balls
+            shared.append(compute() if slot == "probe origin" else "no balls")
+            return shared[-1]
+
+        rec = C.estimate_probe(imm, frame, C.ProbeParams(cells=16), _once=once)
+        at, first = shared[0]
+        block = C.BlockContext(imm, points, frame)
         with np.errstate(over="ignore", invalid="ignore"):  # the block's jets may overflow
             reasons = block.skips(names).skip.tolist()
             want = block.pg.normB2[0] * block.volume_jet.value[0] ** 3  # (|B|^2 v^3)(0)
-        assert at.skips(names).skip.tolist() == reasons
-        first = next(filter(None, reasons), None)
-        if first is not None:
-            assert C.estimate_probe(imm, frame, C.ProbeParams(cells=16)).reason == first
+        assert at.points == points and at.skips(names).skip.tolist() == reasons
+        assert first == next(filter(None, reasons), None) and rec.reason == (first or "no balls")
+        if n == 3:
+            assert at.gauss_sv().tobytes() == gauss_singular_values(at.g, at.B).tobytes()
         if block.pg.errors[0] is None:
             got = at.normB2[0] * at.v[0] ** 3
             assert abs(got - want) <= 16 * np.spacing(want) if np.isfinite(want) else np.isnan(got)
+
+
+GAUSS_ROWS = ("definite", "indefinite", "nan-B", "inf-B", "nan-g")
+
+
+def gauss_stack(kinds, m: int, seed: int):
+    """(g (i, j, P), B (A, i, j, P)) of n = 3 in codimension m, row p of kind kinds[p] (GAUSS_ROWS).
+
+    g is positive definite or indefinite; B is symmetric in (i, j), with a NaN or
+    an infinite entry in some rows.  Where g is NaN, so is B, as `_GraphFields.at`
+    gives them: its B is formed through g^-1.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((len(kinds), 3, 3))
+    g = A @ A.swapaxes(1, 2) + 0.1 * np.eye(3)
+    B = rng.standard_normal((len(kinds), 3 + m, 3, 3))
+    B = B + B.swapaxes(2, 3)
+    for p, kind in enumerate(kinds):
+        if kind == "indefinite":  # its middle eigenvalue moved below zero
+            g[p] -= (np.linalg.eigvalsh(g[p])[1] + 0.5) * np.eye(3)
+        elif kind == "nan-g":
+            g[p], B[p] = np.nan, np.nan
+        elif kind != "definite":
+            B[p, rng.integers(3 + m), 1, 2] = np.nan if kind == "nan-B" else np.inf
+    return g.transpose(1, 2, 0), B.transpose(1, 2, 3, 0)
+
+
+class TestGaussSingularValues:
+    """The probe's batched Gauss-map SVD is the per-point loop, bitwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 3), kinds=st.lists(st.sampled_from(GAUSS_ROWS), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=2, kinds=["definite", "indefinite"], seed=0)  # B finite where g is not definite
+    @example(m=1, kinds=["nan-g", "inf-B", "nan-B"], seed=1)  # no row to factor
+    def test_the_batch_is_the_per_point_loop(self, m, kinds, seed):
+        g, B = gauss_stack(kinds, m, seed)
+        fields = C._PointFields(np.zeros((len(kinds), 3)), [None] * len(kinds), g, None, None, B=B)
+        assert fields.gauss_sv().tobytes() == gauss_singular_values(g, B).tobytes()
 
 
 CUBIC = [[0.3, 0.1], [0.7, -0.2], [1.4, 0.5], [0.2, 0.1]]  # generic: no symmetric values

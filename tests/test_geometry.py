@@ -18,6 +18,7 @@ from curvlab.geometry import (
     curvature_pack_at,
     frame_pairing,
     gauss_rank_at,
+    inverse_cholesky,
     laplace_beltrami,
     point_geometry_at,
     replaced_pairing,
@@ -25,7 +26,7 @@ from curvlab.geometry import (
 )
 from curvlab.expressions import BinOp, Const, Var, parse_expression
 from curvlab.immersions import GridSpec, Immersion, build_graph_immersion, catalogue_lookup
-from curvlab import jets
+from curvlab import geometry, jets
 from curvlab.jets import Jet, jet_einsum, jet_product, ordered_einsum
 from curvlab.checks import BlockContext
 from curvlab.scenario import CheckSpec, run_checks
@@ -135,6 +136,37 @@ class TestPointGeometry:
         sing = Immersion(2, 2, comps, "parametric")
         with pytest.raises(ImmersionRankError):
             at_point(point_geometry_at, sing, (0.0, 0.0))
+
+    def test_a_metric_that_does_not_factor_is_reported(self, z2, monkeypatch):
+        # a Gram matrix with det g above add_rank_errors' floor factors in practice, so
+        # the factorisation is made to fail at the second point
+        def second_fails(g):
+            T, positive = inverse_cholesky(g)
+            return T, positive & (np.arange(len(g)) != 1)
+
+        monkeypatch.setattr(geometry, "inverse_cholesky", second_fails)
+        pg = point_geometry_at(z2, [(0.1, 0.2), (0.3, -0.1)])
+        assert pg.errors[0] is None and isinstance(pg.errors[1], ImmersionRankError)
+        assert str(pg.errors[1]) == "metric not positive definite at (0.3, -0.1)"
+
+
+class TestInverseCholesky:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_that_do_not_factor_give_the_identity_and_a_false_mask(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((6, n, n))
+        g = A @ A.swapaxes(1, 2) + 0.1 * np.eye(n)
+        g[1] = np.diag([1.0, -1.0, 2.0][:n])  # indefinite
+        g[3, 0, 1] = g[3, 1, 0] = np.nan  # LAPACK factors it without an error
+        g[4, -1, -1] = np.inf
+        T, positive = inverse_cholesky(g)
+        assert positive.tolist() == [True, False, True, False, False, True]
+        assert (T[~positive] == np.eye(n)).all()
+        for p in np.flatnonzero(positive):
+            assert T[p].tobytes() == np.linalg.inv(np.linalg.cholesky(g[p])).tobytes()
+        # a stack that factors at once gives the same rows
+        T_all, positive_all = inverse_cholesky(g[positive])
+        assert positive_all.all() and T_all.tobytes() == T[positive].tobytes()
 
 
 class TestGaussRank:
