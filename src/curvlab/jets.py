@@ -77,7 +77,7 @@ class _JetTable:
     """Precomputed index tables for one (dim, order) coefficient layout."""
 
     __slots__ = ("dim", "order", "multis", "index", "ncoef", "pair_i", "pair_j", "weight",
-                 "starts", "deriv")
+                 "depths", "restore", "deriv")
 
     def __init__(self, dim: int, order: int):
         self.dim = dim
@@ -89,19 +89,30 @@ class _JetTable:
         self.index = {m: i for i, m in enumerate(multis)}
         self.ncoef = len(multis)
 
-        # Unordered-pair product table, sorted by the output coefficient k.  A
-        # pair term is a[i]*b[j] + a[j]*b[i], halved on the diagonal (exact), which
-        # makes jet_product bitwise commutative; reduceat then sums each k's run.
-        pairs = []
+        # Unordered-pair product table.  A pair term is a[i]*b[j] + a[j]*b[i], halved
+        # on the diagonal (exact), which makes jet_product bitwise commutative.  The
+        # coefficient k sums its run of pairs, in (i, j) order, as x0 + ((x1 + x2) + ...):
+        # numpy's order for reducing a run of at most 8 terms (longer ones it sums
+        # pairwise); MAX_DIM 3 and MAX_ORDER 4 give runs of at most 6.  The columns go
+        # depth by depth, so that _fold adds slices.  Depth 0 holds every coefficient's
+        # first pair (0, k): those with one pair (degree <= 1) in order, then the tail,
+        # those with more, longest run first.  Depth d >= 1 holds the d-th pair of each
+        # tail coefficient whose run is longer than d, in the tail's order: a prefix of
+        # the depth before.
+        runs = [[] for _ in multis]
         for i, mi in enumerate(multis):
             for j in range(i, self.ncoef):
                 s = tuple(p + q for p, q in zip(mi, multis[j]))
                 if sum(s) <= order:
-                    pairs.append((self.index[s], i, j))
-        pairs.sort(key=lambda t: t[0])  # stable: (i, j) order within each k
-        k, self.pair_i, self.pair_j = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+                    runs[self.index[s]].append((i, j))
+        head = sorted(range(self.ncoef), key=lambda k: (len(runs[k]) > 1, -len(runs[k]), k))
+        longest = max(map(len, runs))
+        pairs = [runs[k][d] for d in range(longest) for k in head if len(runs[k]) > d]
+        self.pair_i, self.pair_j = (np.array(col, dtype=np.intp) for col in zip(*pairs))
         self.weight = np.where(self.pair_i == self.pair_j, 0.5, 1.0)
-        self.starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        self.depths = tuple(sum(len(run) > d for run in runs) for d in range(1, longest))
+        # depth 0 back in coefficient order: a gather, or None where it is in order
+        self.restore = None if head == sorted(head) else np.argsort(head)
 
         # Per-axis differentiation tables: coefficient of b in d_axis f comes
         # from the coefficient of b + e_axis, scaled by b_axis + 1.
@@ -315,11 +326,21 @@ def jet_product(a: Jet, b: Jet) -> Jet:
 
 
 def _fold(ab: np.ndarray, ba: np.ndarray, tab: _JetTable) -> np.ndarray:
-    # pair terms a_i b_j and a_j b_i on the last axis -> product coefficients;
-    # `ab` is overwritten
+    # pair terms a_i b_j and a_j b_i on the last axis -> product coefficients, a new
+    # array; `ab` is overwritten.  Depths 2, 3, ... are added in turn to a prefix of
+    # depth 1 (each run's tail, summed left to right), then depth 1 to depth 0's tail.
     ab += ba
     ab *= tab.weight
-    return np.add.reduceat(ab, tab.starts, axis=-1)
+    n = tab.ncoef
+    head = ab[..., :n]
+    if tab.depths:
+        rest = ab[..., n:n + tab.depths[0]]
+        start = n + tab.depths[0]
+        for width in tab.depths[1:]:
+            rest[..., :width] += ab[..., start:start + width]
+            start += width
+        head[..., n - tab.depths[0]:] += rest
+    return head.copy() if tab.restore is None else head[..., tab.restore]
 
 
 TERMS_BYTES = 2**19  # up to this, ordered_einsum forms its terms at once: fewest numpy calls
@@ -399,10 +420,13 @@ def jet_einsum(spec: str, a: Jet, b: Jet, work: np.ndarray | None = None) -> Jet
     `spec` names the leading axes only, e.g. "pij,pjk->pik" for a batch of
     jet-valued matrix products.  The pair-table columns a_i b_j and a_j b_i
     are summed term by term, in ordered_einsum's order, each term gathered
-    from the operands' slices, and folded once, as _fold is linear.  The two
+    from the operands' slices.  The two sums are then folded once, as one
+    jet_product's pair terms are: each coefficient adds its pairs in _fold's
+    fixed order, so a point's result does not depend on its block.  The two
     sums and their term buffer are formed in `work` when it is given, a flat
     float64 array of at least three times their size, so that a sequence of
-    contractions can share one buffer.
+    contractions can share one buffer; the result is a new array, never a
+    view of `work`.
     """
     a._is_compatible(b)
     tab = _table(a.dim, a.order)

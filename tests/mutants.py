@@ -19,6 +19,7 @@ class Mutant(NamedTuple):
 CHECKS_PY = "src/curvlab/checks.py"
 EXPRESSIONS_PY = "src/curvlab/expressions.py"
 GEOMETRY_PY = "src/curvlab/geometry.py"
+JETS_PY = "src/curvlab/jets.py"
 SWEEP_SHARED = "tests/test_scenario.py::TestSweepSharedWork::"
 SWEEP_EQUALS = f"{SWEEP_SHARED}test_each_report_equals_a_stand_alone_run"
 WRITER = "tests/test_scenario.py::TestDetailWriter::"
@@ -29,6 +30,13 @@ CHART = ("tests/test_geometry.py::TestChartInvariance::"
          "test_normB2_and_its_laplacian_do_not_depend_on_the_chart")
 FORMED_ONCE = "tests/test_geometry.py::TestFormedOnce::"
 PROBE_ROUTE = "tests/test_checks.py::TestProbeHypotheses::"
+FOLD_ORDER = "tests/test_jets.py::TestFoldOrder::"
+FOLD_DEEPER = """\
+        start = n + tab.depths[0]
+        for width in tab.depths[1:]:
+            rest[..., :width] += ab[..., start:start + width]
+            start += width
+"""
 
 MUTANTS = [
     Mutant("kato skips no non-minimal point", CHECKS_PY,
@@ -110,15 +118,27 @@ MUTANTS = [
            'entry["details"] = {} if res.columns is None else {"points": res.columns.points, '
            "**res.columns.lists()}",
            (f"{WRITER}test_report_file_holds_the_columns[z2-full]",)),
-    Mutant("contraction sums start from zero", "src/curvlab/jets.py",
+    Mutant("contraction sums start from zero", JETS_PY,
            "total = _product(next(terms))", "total = 0.0 + _product(next(terms))",
            ("tests/test_jets.py::TestContraction::"
             "test_sums_of_special_values_are_bitwise_the_einsum_layout[pij,pijA->pA-7-C-one-by-one]",)),
-    Mutant("integer power starts from the constant one", "src/curvlab/jets.py",
+    Mutant("integer power starts from the constant one", JETS_PY,
            "result = base if result is None else jet_product(result, base)",
            "result = jet_product(jet_constant(1.0, self.dim, self.order) if result is None"
            " else result, base)",
            ("tests/test_jets.py::TestJetMethods::test_integer_power_is_repeated_products[1]",)),
+    Mutant("a run's head is added before its tail", JETS_PY,  # (x0 + x1) + x2
+           "        rest = ab[..., n:n + tab.depths[0]]\n" + FOLD_DEEPER
+           + "        head[..., n - tab.depths[0]:] += rest\n",
+           "        rest = head[..., n - tab.depths[0]:]\n"
+           "        rest += ab[..., n:n + tab.depths[0]]\n" + FOLD_DEEPER,
+           (f"{FOLD_ORDER}test_jet_product_is_the_reference_fold[3-4-tensor]",)),
+    Mutant("deeper pairs are added to the wrong coefficients", JETS_PY,
+           "(len(runs[k]) > 1, -len(runs[k]), k)", "(len(runs[k]) > 1, len(runs[k]), k)",
+           (f"{FOLD_ORDER}test_jet_product_is_the_reference_fold[3-4-tensor]",)),
+    Mutant("the diagonal pair is not halved", JETS_PY,
+           "np.where(self.pair_i == self.pair_j, 0.5, 1.0)", "np.ones(len(self.pair_i))",
+           (f"{FOLD_ORDER}test_jet_product_is_the_reference_fold[2-2-batch]",)),
     Mutant("block_size divides by the widest tensor jet again", CHECKS_PY,
            "point_bytes = 8 * 8 * (imm.n + imm.m)", "point_bytes = (imm.n + imm.m)",
            ("tests/test_checks.py::TestBlocks::"

@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: central finite differences with
 Richardson extrapolation, closed-form curvature values derived by hand,
-sympy's symbolic derivatives, and brute-force linear algebra.  None of it
-reuses the jet pipeline it checks; `at_point` only takes one point of it,
+sympy's symbolic derivatives, brute-force linear algebra, and the jet
+product's pair terms summed by np.add.reduceat.  None of it reuses the jet
+pipeline it checks; `at_point` only takes one point of it,
 and `column` and `value_at` read a grid check's columns as a report writes them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import fields, is_dataclass, replace
 
@@ -63,6 +65,40 @@ def richardson_derivative(f, point, alpha, h=0.1):
 
 def rel_err(got, expected):
     return abs(got - expected) / max(1.0, abs(expected))
+
+
+# -- the truncated product, folded as np.add.reduceat sums --------------------
+
+def pair_table(dim, order):
+    """The unordered pairs (k, i, j) of multi-indices i <= j that add up to k, in (k, i, j) order.
+
+    Coefficients are numbered in graded-lexicographic order, as jets store
+    them.  Returns three integer arrays.
+    """
+    multis = sorted((m for m in itertools.product(range(order + 1), repeat=dim) if sum(m) <= order),
+                    key=lambda m: (sum(m), m))
+    index = {m: k for k, m in enumerate(multis)}
+    pairs = sorted((index[tuple(p + q for p, q in zip(mi, mj))], i, j)
+                   for (i, mi), (j, mj) in itertools.combinations_with_replacement(enumerate(multis), 2)
+                   if sum(mi) + sum(mj) <= order)
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*pairs))
+
+
+def reference_fold(ab, ba, dim, order):
+    """Coefficients from the pair terms a_i b_j and a_j b_i, in pair_table's column order.
+
+    Each pair is (a_i b_j + a_j b_i), halved when i = j, and np.add.reduceat
+    sums each coefficient's run of pairs.
+    """
+    k, i, j = pair_table(dim, order)
+    terms = (ab + ba) * np.where(i == j, 0.5, 1.0)
+    return np.add.reduceat(terms, np.flatnonzero(np.r_[True, k[1:] != k[:-1]]), axis=-1)
+
+
+def reference_product(a, b, dim, order):
+    """The truncated product of the coefficient arrays `a` and `b`, on their last axis."""
+    _, i, j = pair_table(dim, order)
+    return reference_fold(a[..., i] * b[..., j], a[..., j] * b[..., i], dim, order)
 
 
 # -- closed forms for the z^2 graph (derived by hand, see docstrings) ---------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvlab import jets
 from curvlab.checks import block_size
@@ -23,9 +24,9 @@ from curvlab.jets import (
     jet_variable,
     ordered_einsum,
 )
-from curvlab.jets import _fold, _table
+from curvlab.jets import _table
 
-from oracles import rel_err, richardson_derivative
+from oracles import pair_table, reference_fold, reference_product, rel_err, richardson_derivative
 
 
 from curvlab.jets import multi_indices as multis
@@ -448,22 +449,22 @@ class TestContraction:
         assert_bitwise(got, want)
         assert (got[0] == 0.0).all() and np.signbit(got[0]).all()
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
     @pytest.mark.parametrize("points", BLOCK_POINTS)
     @pytest.mark.parametrize("spec", JET_SPECS)
-    def test_jet_einsum_is_bitwise_its_pair_column_sums_folded(self, spec, points):
-        # jets of dim 3, order 2; the reference folds the einsum layout of the
-        # pair columns a_i b_j and a_j b_i
-        tab = _table(3, 2)
+    def test_jet_einsum_is_bitwise_its_pair_column_sums_folded(self, spec, points, order):
+        # jets of dim 3; the reference folds the einsum layout of the pair columns
+        # a_i b_j and a_j b_i as np.add.reduceat sums (tests/oracles.py)
+        _, i, j = pair_table(3, order)
         spec_t = "{}t,{}t->{}t".format(*spec.replace("->", ",").split(","))
-        a, b = (Jet(3, 2, op) for op in special_operands(spec_t, dict(t=tab.ncoef), points,
-                                                          seed=points, order="C"))
+        a, b = (Jet(3, order, op) for op in special_operands(
+            spec_t, dict(t=coefficient_count(3, order)), points, seed=points, order="C"))
         with np.errstate(invalid="ignore"):
-            want = _fold(einsum_layout(spec_t, a.coeffs[..., tab.pair_i], b.coeffs[..., tab.pair_j]),
-                         einsum_layout(spec_t, a.coeffs[..., tab.pair_j], b.coeffs[..., tab.pair_i]),
-                         tab)
+            want = reference_fold(einsum_layout(spec_t, a.coeffs[..., i], b.coeffs[..., j]),
+                                  einsum_layout(spec_t, a.coeffs[..., j], b.coeffs[..., i]), 3, order)
             got = jet_einsum(spec, a, b).coeffs
             # a shared buffer, longer than needed and holding NaN from before
-            work = np.full(3 * got[..., 0].size * len(tab.pair_i) + 5, np.nan)
+            work = np.full(3 * got[..., 0].size * len(i) + 5, np.nan)
             shared = [jet_einsum(spec, a, b, work).coeffs for _ in range(2)]
         assert_bitwise(got, want)
         assert shared[0].tobytes() == shared[1].tobytes() == got.tobytes()
@@ -506,3 +507,53 @@ class TestContraction:
         for p in range(SIZES["p"]):
             alone = jet_einsum(spec, a[p:p + 1], b[p:p + 1]).coeffs
             assert alone.tobytes() == block[p:p + 1].tobytes()
+
+
+# every (dim, order) the tables allow
+JET_SHAPES = [(dim, order) for dim in range(1, jets.MAX_DIM + 1) for order in range(jets.MAX_ORDER + 1)]
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e308, -1e308]
+TENSOR_LEADS = {"single": (), "batch": (7,), "tensor": (5, 3)}
+
+
+def special_coefficients(rng, shape):
+    """Normal values over seven decades, 30% of them replaced by SPECIAL_VALUES."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    pick = rng.random(shape) < 0.3
+    values[pick] = rng.choice(SPECIAL_VALUES, pick.sum())
+    return values
+
+
+class TestFoldOrder:
+    """_fold's slices add each coefficient's pair terms as np.add.reduceat did (tests/oracles.py)."""
+
+    def test_every_allowed_run_is_within_reduceats_left_to_right_sum(self):
+        # numpy sums a run of more than 8 terms pairwise: raising MAX_DIM or MAX_ORDER that
+        # far would leave the reference's order
+        for dim, order in JET_SHAPES:
+            k, i, j = pair_table(dim, order)
+            assert np.bincount(k).max() <= 8, (dim, order)
+            tab = _table(dim, order)
+            assert sorted(zip(tab.pair_i, tab.pair_j)) == sorted(zip(i, j))
+
+    @pytest.mark.parametrize("lead", TENSOR_LEADS.values(), ids=TENSOR_LEADS.keys())
+    @pytest.mark.parametrize("dim,order", JET_SHAPES)
+    def test_jet_product_is_the_reference_fold(self, dim, order, lead):
+        rng = np.random.default_rng(10 * dim + order)
+        a, b = (special_coefficients(rng, lead + (coefficient_count(dim, order),)) for _ in "ab")
+        with np.errstate(all="ignore"):
+            got = jet_product(Jet(dim, order, a), Jet(dim, order, b)).coeffs
+            want = reference_product(a, b, dim, order)
+        assert_bitwise(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_jet_product_is_the_reference_fold_of_drawn_values(self, data):
+        dim, order = data.draw(st.sampled_from(JET_SHAPES))
+        lead = data.draw(st.sampled_from(list(TENSOR_LEADS.values())))
+        values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+        a, b = (data.draw(arrays(np.float64, lead + (coefficient_count(dim, order),), elements=values))
+                for _ in "ab")
+        with np.errstate(all="ignore"):
+            got = jet_product(Jet(dim, order, a), Jet(dim, order, b)).coeffs
+            want = reference_product(a, b, dim, order)
+        assert_bitwise(got, want)

@@ -4,6 +4,7 @@ The scripts and the examples are library callers that no other test
 exercises, so an API change would otherwise break them silently.
 """
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -54,6 +55,63 @@ def test_emit_reports_writes_the_comparison_set(tmp_path):
     assert {"z2-full.json", "z2-full-detail.json", "z2-full.csv", "sweep-z2-probe.json",
             "grid-solid-11-0.json", "quadrature-3-2.json"} <= set(names)
     assert all((out / name).stat().st_size for name in names)
+
+
+def perfbench_output(run_s, correct="true", failed=0):
+    """The output of one `perfbench/run.py --trace 0` run, as it prints it."""
+    return f"""workload grid-solid, seed 5: python 3.11.7, numpy 2.4.6, nproc 2
+  9 timed runs at jobs=1, 125 grid points per run
+  run_s quartiles, scaled: 0.0219 / {run_s:.4f} / 0.0225 s
+  run_s quartiles, wall:   0.0342 / 0.0353 / 0.0366 s
+  setup_s                                0.208875 s
+  run_s                                  {run_s:>8} s
+  failed_frac                                   0 (0 of 270 outcomes)
+{{"correct": {correct}, "attempted": 270, "failed": {failed}, "metrics": {{"setup_s": {{"value": 0.2, \
+"unit": "s"}}, "run_s": {{"value": {run_s}, "unit": "s"}}}}}}
+"""
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAbPairs:
+    """scripts/ab_pairs.py's summary, fed canned perfbench output (tier-1 runs no perfbench)."""
+
+    def rows(self, parent_run_s, change_run_s):
+        ab = load_script("ab_pairs")
+        parent = [ab.parse_run(perfbench_output(t)) for t in parent_run_s]
+        change = [ab.parse_run(perfbench_output(t)) for t in change_run_s]
+        return {line.split("  ")[0].strip(): line.split() for line in ab.summarize(parent, change)[2:]}
+
+    def test_parse_reads_the_metrics_and_both_quartile_lines(self):
+        run = load_script("ab_pairs").parse_run(perfbench_output(0.0221))
+        assert run == {"setup_s": 0.2, "run_s": 0.0221, "run_s scaled q1": 0.0219,
+                       "run_s scaled median": 0.0221, "run_s scaled q3": 0.0225,
+                       "run_s wall q1": 0.0342, "run_s wall median": 0.0353, "run_s wall q3": 0.0366}
+
+    @pytest.mark.parametrize("correct,failed", [("false", 0), ("true", 1)])
+    def test_parse_requires_correct_and_no_failure(self, correct, failed):
+        with pytest.raises(ValueError, match="perfbench reported"):
+            load_script("ab_pairs").parse_run(perfbench_output(0.0221, correct, failed))
+
+    def test_a_gain_in_every_pair_beyond_the_quartile_distance_holds(self):
+        rows = self.rows([0.0230 + 0.0001 * k for k in range(10)],
+                         [0.0210 + 0.0001 * k for k in range(10)])
+        assert rows["run_s"][-2:] == ["10/10", "holds"]
+        assert rows["run_s"][3:9:5] == ["0.02345", "0.02145"]  # the two medians
+        assert rows["setup_s"][-2:] == ["0/10", "fails"]  # equal in every pair
+        assert rows["run_s wall q3"][-2:] == ["0/10", "fails"]
+
+    def test_eight_of_ten_pairs_or_a_gap_inside_the_quartiles_fails(self):
+        parent = [0.0230 + 0.0001 * k for k in range(10)]
+        eight = self.rows(parent, [t - 0.002 for t in parent[:8]] + [t + 0.001 for t in parent[8:]])
+        assert eight["run_s"][-2:] == ["8/10", "fails"]
+        close = self.rows(parent, [t - 0.00005 for t in parent])
+        assert close["run_s"][-2:] == ["10/10", "fails"]
 
 
 def test_readme_has_python_examples():
