@@ -15,6 +15,11 @@ runs of each end-to-end metric and of the scaled and wall run_s quartiles
 that perfbench prints for a run; then the pairs in which CHANGE was lower,
 and whether the rule for a claimed gain holds: lower in at least 9 of 10
 pairs, with the medians further apart than PARENT's quartile distance.
+For each end-to-end metric of BENCHMARK.json (read, never written) it
+prints the no-regression rule as well: it holds when CHANGE's median is at
+most PARENT's median times (1 + the metric's bound), and is unresolved when
+PARENT's runs spread wider than the bound, (q3 - q1) / median > bound,
+unless every CHANGE run is lower than every PARENT run.
 """
 
 import argparse
@@ -27,6 +32,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 QUARTILE_LINE = re.compile(r"run_s quartiles, (scaled|wall): +(\S+) / (\S+) / (\S+) s")
 WIN_SHARE = 0.9
 
@@ -54,20 +60,42 @@ def quartiles(values) -> tuple:
     return q1, statistics.median(values), q3
 
 
-def summarize(parent: list, change: list) -> list:
-    """The summary lines for runs paired by position; every metric is better lower."""
+def end_to_end_bounds(path: Path = ROOT / "BENCHMARK.json") -> dict:
+    """{metric: bound} of the benchmark's end-to-end metrics."""
+    return {metric["name"]: metric["bound"]
+            for metric in json.loads(path.read_text(encoding="utf-8"))["end_to_end"]}
+
+
+def no_regression(a: list, b: list, bound: float) -> str:
+    """'holds', 'fails' or 'unresolved': CHANGE's runs `b` against PARENT's `a`, lower is better."""
+    q1, median, q3 = quartiles(a)
+    if (q3 - q1) / median > bound and max(b) >= min(a):
+        return "unresolved"
+    return "holds" if quartiles(b)[1] <= median * (1.0 + bound) else "fails"
+
+
+def summarize(parent: list, change: list, bounds: dict) -> list:
+    """The summary lines for runs paired by position; every metric is better lower.
+
+    `bounds` gives the no-regression bound of each end-to-end metric.
+    """
     lines = [f"{len(parent)} pairs; q1 / median / q3 over the runs; won: pairs where CHANGE "
-             f"is lower; rule: won in >= {WIN_SHARE:.0%} of pairs and a median gap above "
-             "PARENT's q3 - q1",
-             f"{'metric':<22} {'PARENT':>32} {'CHANGE':>32} {'won':>7}  rule"]
+             f"is lower; gain: won in >= {WIN_SHARE:.0%} of pairs and a median gap above "
+             "PARENT's q3 - q1; no-regression: CHANGE's median <= PARENT's x (1 + bound), "
+             "unresolved where PARENT's (q3 - q1) / median > bound",
+             f"{'metric':<22} {'PARENT':>32} {'CHANGE':>32} {'won':>7}  gain   no-regression"]
     for name in parent[0]:
         a, b = [run[name] for run in parent], [run[name] for run in change]
         qa, qb = quartiles(a), quartiles(b)
         won = sum(y < x for x, y in zip(a, b))
         holds = won >= WIN_SHARE * len(a) and qa[1] - qb[1] > qa[2] - qa[0]
+        rule = "-"
+        if name in bounds:
+            rule = (f"{no_regression(a, b, bounds[name])} ({qb[1] / qa[1] - 1:+.1%} against "
+                    f"{bounds[name]:.0%}; PARENT spread {(qa[2] - qa[0]) / qa[1]:.1%})")
         lines.append(f"{name:<22} {' / '.join(f'{q:.4g}' for q in qa):>32} "
                      f"{' / '.join(f'{q:.4g}' for q in qb):>32} "
-                     f"{f'{won}/{len(a)}':>7}  {'holds' if holds else 'fails'}")
+                     f"{f'{won}/{len(a)}':>7}  {'holds' if holds else 'fails'}  {rule}")
     return lines
 
 
@@ -108,7 +136,7 @@ def main(argv=None) -> int:
         print(f"pair {pair}: run_s {runs['parent'][-1]['run_s']:.4g} (PARENT), "
               f"{runs['change'][-1]['run_s']:.4g} (CHANGE)", flush=True)
     clear_caches(checkouts.values())
-    print("\n".join(summarize(runs["parent"], runs["change"])))
+    print("\n".join(summarize(runs["parent"], runs["change"], end_to_end_bounds())))
     return 0
 
 

@@ -35,7 +35,7 @@ from .geometry import (
     complex_pack_at,
     curvature_pack_at,
     gauss_rank_at,
-    laplace_beltrami,
+    gauss_svd,
     point_geometry_at,
     scalar_field_jet,
 )

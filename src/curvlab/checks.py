@@ -50,7 +50,6 @@ from .geometry import (
     _det,
     _det_cofactors,
     _frame_B,
-    _gauss_matrix,
     add_rank_errors,
     alignment_pack_at,
     canonical_frame_at,
@@ -59,6 +58,7 @@ from .geometry import (
     curvature_pack_at,
     first_failures,
     gauss_rank_at,
+    gauss_svd,
     gradient_norm2_of_jet,
     inverse_cholesky,
     laplace_beltrami_of_jet,
@@ -132,7 +132,8 @@ def _rank_errors(points, singular_values) -> list:
     """
     if len(points[0]) == 2:
         return [None] * len(points)
-    rank, sv = gauss_rank_at(None, singular_values())  # given `sv`, it reads no geometry
+    sv = singular_values()
+    rank = gauss_rank_at(sv)
     return [f"Gauss-map rank {r} > 2 at {point} (singular values {s})" if r > 2 else None
             for r, s, point in zip(rank, sv, points)]
 
@@ -160,7 +161,7 @@ class BlockContext(_Hypotheses):
 
     @cached_property
     def gauss_svd(self):  # n = 3: U and the singular values, for the canonical frame and the rank
-        return np.linalg.svd(_gauss_matrix(self.pg))[:2] if self.imm.n == 3 else (None, None)
+        return gauss_svd(self.pg) if self.imm.n == 3 else (None, None)
 
     @cached_property
     def canon(self):

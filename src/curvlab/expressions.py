@@ -358,16 +358,6 @@ def _key(node: ExprNode, key_of: dict, interned: dict) -> int:
     return key
 
 
-def _factors(exponent: int) -> tuple:
-    """The powers of x whose product Jet.__pow__ forms last for x^exponent, exponent >= 2.
-
-    x^(e/2) squared when e is a power of two, else x^(e - t) times x^t, t
-    the highest power of two below e.
-    """
-    top = 1 << (exponent.bit_length() - 1)
-    return (top // 2,) if exponent == top else (exponent - top, top)
-
-
 class Sharing:
     """The subtrees that a tuple of trees have in common, found once for those trees.
 
@@ -375,29 +365,15 @@ class Sharing:
     evaluation of all the trees through one `memo()` evaluates each subtree
     once.  `uses` counts how often that evaluation then reaches each subtree
     it reaches more than once, and `keys` maps the id of each node of such a
-    subtree to its key.  A Jet power of such a subtree x is formed by the
-    products of Jet.__pow__ from the powers of x formed before; the key
-    (x's key, e) counts the uses of x^e where several powers need it.
+    subtree to its key.
     """
 
     def __init__(self, roots):
         self.roots = tuple(roots)
         key_of, interned = {}, {}
         uses = Counter(_key(root, key_of, interned) for root in self.roots)
-        powers = {}  # base key -> the exponents >= 2 it is raised to
-        for kind, parameter, children in interned:  # each subtree is evaluated once
-            for child in children:
-                uses[child] += 1
-            if kind == "p" and parameter > 1:
-                powers.setdefault(children[0], []).append(parameter)
-        for base, pending in powers.items():
-            if uses[base] < 2:  # one power of x alone: x ** e forms it
-                continue
-            while pending:  # x^e is formed at its first request, which requests its factors
-                exponent = pending.pop()
-                uses[base, exponent] += 1
-                if uses[base, exponent] == 1:
-                    pending += [f for f in _factors(exponent) if f > 1]
+        for _, _, children in interned:  # each subtree is evaluated once
+            uses.update(children)
         self.uses = {key: count for key, count in uses.items() if count > 1}
         self.keys = {node_id: key for node_id, key in key_of.items() if key in self.uses}
 
@@ -422,19 +398,9 @@ class _Memo:
         return self.values[key] if self.left[key] else self.values.pop(key)
 
     def keep(self, key, value):
-        if key in self.left:
-            self.left[key] -= 1
-            self.values[key] = value
+        self.left[key] -= 1
+        self.values[key] = value
         return value
-
-    def power(self, base: Jet, exponent: int, key):
-        """base^exponent by the products of Jet.__pow__, for the shared subtree `key` whose value is `base`."""
-        if exponent == 1:
-            return base
-        if (key, exponent) in self.values:
-            return self.recall((key, exponent))
-        factors = [self.power(base, f, key) for f in _factors(exponent)]
-        return self.keep((key, exponent), factors[0] * factors[-1])
 
 
 def evaluate_expression(node: ExprNode, values, memo: _Memo | None = None):
@@ -444,8 +410,7 @@ def evaluate_expression(node: ExprNode, values, memo: _Memo | None = None):
     The walk takes one frame per tree level.  Without `memo` it evaluates a
     subtree once per path that reaches it.  With a `Sharing.memo()` of trees
     that hold `node`, the calls that share the memo evaluate each subtree the
-    trees share once, and a Jet power reuses the powers of its base that
-    they formed; every value is bitwise the one an unshared walk gives.
+    trees share once; every value is bitwise the one an unshared walk gives.
     """
     if isinstance(node, Const):  # a leaf is read, never kept
         return node.value
@@ -461,11 +426,7 @@ def evaluate_expression(node: ExprNode, values, memo: _Memo | None = None):
         base = evaluate_expression(node.base, values, memo)
         if isinstance(base, (int, float)) and node.exponent < 0 and base == 0:
             raise ExpressionDomainError("zero raised to a negative power")
-        base_key = None if memo is None else memo.keys.get(id(node.base))
-        if base_key is not None and isinstance(base, Jet) and node.exponent > 1:
-            value = memo.power(base, node.exponent, base_key)
-        else:
-            value = base ** node.exponent
+        value = base ** node.exponent
     elif isinstance(node, BinOp):
         left = evaluate_expression(node.left, values, memo)
         right = evaluate_expression(node.right, values, memo)

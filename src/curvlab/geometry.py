@@ -63,7 +63,7 @@ from .jets import (
 RANK_TOL = 1e-8  # Gauss-map rank, and a vanishing second fundamental form
 TIE_ULPS = 8  # |b12|^2 - |b11|^2 within this many ulps of their sum is a tie: no mu swap
 
-SCALAR_FIELDS = ("volume", "alignment", "log-alignment", "normB2")
+SCALAR_FIELDS = ("volume", "alignment")
 
 
 class GeometryError(RuntimeError):
@@ -399,21 +399,19 @@ def point_geometry_at(imm: Immersion, points) -> PointGeometry:
 
 # -- Gauss-map rank and the canonical frame -------------------------------------
 
-def _gauss_matrix(pg: PointGeometry) -> np.ndarray:
-    # row i of the Gauss-map differential in the orthonormal bases: (j, a) -> h_{a,ij}
-    return np.moveaxis(pg.h, -3, -1).reshape(pg.h.shape[:-3] + (pg.n, pg.n * pg.m))
+def gauss_svd(pg: PointGeometry):
+    """U (P, n, n) and the singular values (P, n) of the Gauss-map differential.
 
-
-def gauss_rank_at(pg: PointGeometry, sv: np.ndarray | None = None):
-    """Numerical rank of the Gauss-map differential, (P,), and its singular values, (P, n).
-
-    `sv` gives the singular values of the Gauss matrix when the caller has
-    taken its SVD already.
+    Row i of the Gauss matrix is the differential in the orthonormal bases:
+    (j, a) -> h_{a,ij}.
     """
-    if sv is None:
-        sv = np.linalg.svd(_gauss_matrix(pg), compute_uv=False)
+    return np.linalg.svd(np.moveaxis(pg.h, -3, -1).reshape(pg.h.shape[:-3] + (pg.n, pg.n * pg.m)))[:2]
+
+
+def gauss_rank_at(sv: np.ndarray) -> np.ndarray:
+    """Numerical rank of the Gauss-map differential, (P,), from its singular values (P, n)."""
     base = np.where(sv[:, 0] > 0, sv[:, 0], 1.0)
-    return np.sum(sv > RANK_TOL * base[:, None], axis=-1), sv
+    return np.sum(sv > RANK_TOL * base[:, None], axis=-1)
 
 
 @dataclass
@@ -432,11 +430,11 @@ class CanonicalFrame:
     normal_frame: np.ndarray  # (P, m, n+m): nu1, nu2, completion...
 
 
-def canonical_frame_at(pg: PointGeometry, U: np.ndarray | None = None) -> CanonicalFrame:
+def canonical_frame_at(pg: PointGeometry, U: np.ndarray | None) -> CanonicalFrame:
     """Rotate frames so the shape operators take their rank-2 normal form.
 
-    For n = 3, `U` gives the left singular vectors of the Gauss matrix when
-    the caller has taken its SVD already.
+    `U` is the left singular vectors of the Gauss matrix (`gauss_svd`) for
+    n = 3, and None for n = 2.
     """
     n, m = pg.n, pg.m
     P = len(pg.h)
@@ -444,7 +442,7 @@ def canonical_frame_at(pg: PointGeometry, U: np.ndarray | None = None) -> Canoni
     if n == 2:
         U = np.broadcast_to(np.eye(2), (P, 2, 2))
     else:
-        U = np.linalg.svd(_gauss_matrix(pg))[0] if U is None else U.copy()
+        U = U.copy()
         # the SVD fixes U only up to column signs; det U = +1 keeps the
         # canonical tangent frame oriented like e
         U[np.linalg.det(U) < 0, :, 2] *= -1.0
@@ -510,24 +508,18 @@ def _alignment_jet(pg: PointGeometry, reference_frame: np.ndarray) -> Jet:
 def scalar_field_jet(pg: PointGeometry, field: str, reference_frame=None) -> Jet:
     """Order-2 jet of a derived scalar field of the immersion.
 
-    Fields: 'volume' (sqrt det g), 'alignment' (needs reference_frame),
-    'log-alignment' and 'normB2'.  It is built from the order-2 jets
-    `pg` carries, so the returned (P,) jet holds exact first and second
+    Fields: 'volume' (sqrt det g) and 'alignment' (needs reference_frame);
+    |B|^2 is `pg.normB2_jet`.  It is built from the order-2 jets `pg`
+    carries, so the returned (P,) jet holds exact first and second
     derivatives of the field.
     """
     if field not in SCALAR_FIELDS:
         raise ValueError(f"unknown scalar field {field!r} (known: {SCALAR_FIELDS})")
     if field == "volume":
-        jet = jet_elementary("sqrt", pg.detg_jet)
-    elif field == "normB2":
-        jet = pg.normB2_jet
-    else:
-        if reference_frame is None:
-            raise ValueError(f"field {field!r} requires a reference frame")
-        jet = _alignment_jet(pg, reference_frame)
-        if field == "log-alignment":
-            jet = jet_elementary("log", jet)
-    return jet
+        return jet_elementary("sqrt", pg.detg_jet)
+    if reference_frame is None:
+        raise ValueError(f"field {field!r} requires a reference frame")
+    return _alignment_jet(pg, reference_frame)
 
 
 def laplace_beltrami_of_jet(pg: PointGeometry, field_jet: Jet):
@@ -552,11 +544,6 @@ def gradient_norm2_of_jet(pg: PointGeometry, field_jet: Jet):
         for j in range(pg.n):
             out = out + grad[..., i] * pg.g_inv[..., i, j] * grad[..., j]
     return out
-
-
-def laplace_beltrami(pg: PointGeometry, field: str, reference_frame=None):
-    """Laplace-Beltrami of a derived scalar field, (P,)."""
-    return laplace_beltrami_of_jet(pg, scalar_field_jet(pg, field, reference_frame))
 
 
 # -- plane pairings and the alignment pack ---------------------------------------
@@ -598,17 +585,16 @@ class AlignmentPack:
     jet: Jet  # (P,): the alignment scalar as an order-2 jet
 
 
-def alignment_pack_at(pg: PointGeometry, reference_frame, canon: CanonicalFrame | None = None,
-                      jet: Jet | None = None) -> AlignmentPack:
+def alignment_pack_at(pg: PointGeometry, reference_frame, canon: CanonicalFrame,
+                      jet: Jet) -> AlignmentPack:
     """Evaluate the alignment function and its structural identities.
 
-    `canon` and `jet`, the alignment scalar's jet, are computed if None.
+    `jet` is the alignment scalar's, `scalar_field_jet(pg, "alignment", reference_frame)`.
     """
     a = np.asarray(reference_frame, dtype=float)
     n, m, P = pg.n, pg.m, len(pg.h)
     e, nu = pg.tangent_frame, pg.normal_frame
 
-    jet = _alignment_jet(pg, a) if jet is None else jet
     grad_coord = _gradient(jet, n)
     grad_frame = ordered_einsum("pij,pj->pi", pg.frame_coeffs, grad_coord)
 
@@ -620,7 +606,6 @@ def alignment_pack_at(pg: PointGeometry, reference_frame, canon: CanonicalFrame 
 
     grad_formula = ordered_einsum("paij,pja->pi", pg.h, single)
 
-    canon = canonical_frame_at(pg) if canon is None else canon
     if m == 1:
         pair_canon = 0.0  # mu2 = 0 in codimension one; the term drops
     else:

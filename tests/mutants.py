@@ -240,6 +240,10 @@ MUTANTS = [
     Mutant("an h3 chain that contracts T untransposed", GEOMETRY_PY,
            'ordered_einsum("pkc,pmcij->pmijk", T, h3)', 'ordered_einsum("pck,pmcij->pmijk", T, h3)',
            (f"{FORMED_ONCE}test_frame_changes_one_index_at_a_time[sheared-cylinder-cubic]",)),
+    Mutant("normal frame cut to two vectors", GEOMETRY_PY,
+           "_gram_schmidt(np.swapaxes(PN0, 1, 2), m, 1e-10)",
+           "_gram_schmidt(np.swapaxes(PN0, 1, 2), min(m, 2), 1e-10)",
+           ("tests/test_checks.py::TestCodimensionThree::test_every_surface_check_passes_with_no_skip",)),
     Mutant("refined-simons drops its rank hypothesis", CHECKS_PY,
            'hypotheses=("minimal", "rank", "curved", "normB2")',
            'hypotheses=("minimal", "curved", "normB2")',

@@ -4,8 +4,9 @@ Everything here is deliberately naive: central finite differences with
 Richardson extrapolation, closed-form curvature values derived by hand,
 sympy's symbolic derivatives, brute-force linear algebra, and the jet
 product's pair terms summed by np.add.reduceat.  None of it reuses the jet
-pipeline it checks; `at_point` only takes one point of it,
-and `column` and `value_at` read a grid check's columns as a report writes them.
+pipeline it checks; `at_point` only takes one point of it, `gauss_rank`,
+`canonical_frame` and `alignment_pack` compose geometry's functions as the
+checks do, and `column` and `value_at` read a grid check's columns as a report writes them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import numpy as np
 import pytest
 
 from curvlab.expressions import BinOp, Call, Const, Pow, Var
-from curvlab.geometry import _frame_B, point_geometry_at
+from curvlab.geometry import (
+    _frame_B,
+    alignment_pack_at,
+    canonical_frame_at,
+    gauss_rank_at,
+    gauss_svd,
+    point_geometry_at,
+    scalar_field_jet,
+)
 from curvlab.jets import Jet
 
 # Central-difference stencils (offsets in units of h, weights) per derivative order.
@@ -176,6 +185,21 @@ def catenoid_lap_scalar(phi, u, h=1e-3):
     return val / math.cosh(u) ** 2
 
 
+# -- minimal submanifolds beyond the catalogue ---------------------------------------
+
+# Enneper's surface and (Re z^4, -Im z^4)/4 side by side: harmonic components whose
+# d/dz derivatives square to zero in sum, so the surface is minimal and conformal in
+# R^5, of codimension 3.
+ENNEPER_Z4 = ["x - x^3/3 + x*y^2", "-(y + (3*x^2*y - y^3)/3)", "x^2 - y^2",
+              "(x^4 - 6*x^2*y^2 + y^4)/4", "-(4*x^3*y - 4*x*y^3)/4"]
+
+# The Veronese surface V(u) = (sqrt3 yz, sqrt3 xz, sqrt3 xy, sqrt3 (x^2 - y^2)/2,
+# (2z^2 - x^2 - y^2)/2) maps the unit sphere minimally into S^4, so the cone |u| V(u/|u|)
+# = V(u)/|u| is a minimal 3-fold in R^5 that is no product; its only singular point is 0.
+VERONESE_CONE = [f"({v})/sqrt(x^2+y^2+z^2)" for v in (
+    "sqrt(3)*y*z", "sqrt(3)*x*z", "sqrt(3)*x*y", "sqrt(3)*(x^2 - y^2)/2", "(2*z^2 - x^2 - y^2)/2")]
+
+
 # -- graphs by sympy ----------------------------------------------------------------
 
 def sympy_graph_fields(components, n, point):
@@ -303,6 +327,22 @@ def at_point(fn, imm, point, *args):
     if pg.errors[0] or own:
         raise pg.errors[0] or own
     return _row(out)
+
+
+def gauss_rank(pg):
+    """Each point's Gauss-map rank and singular values, from the block's own SVD."""
+    sv = gauss_svd(pg)[1]
+    return gauss_rank_at(sv), sv
+
+
+def canonical_frame(pg):
+    """The canonical frame on the block's own Gauss SVD, as `BlockContext.canon` takes it."""
+    return canonical_frame_at(pg, gauss_svd(pg)[0] if pg.n == 3 else None)
+
+
+def alignment_pack(pg, frame):
+    """The alignment pack on the block's own canonical frame and alignment jet, as `BlockContext.apack`."""
+    return alignment_pack_at(pg, frame, canonical_frame(pg), scalar_field_jet(pg, "alignment", frame))
 
 
 def _row(obj):

@@ -15,16 +15,16 @@ from curvlab.expressions import evaluate_expression
 from curvlab.geometry import (
     complex_pack_at,
     curvature_pack_at,
-    gauss_rank_at,
-    laplace_beltrami,
+    laplace_beltrami_of_jet,
     point_geometry_at,
+    scalar_field_jet,
 )
 from curvlab.immersions import GridSpec, build_graph_immersion, catalogue_lookup
 from curvlab.jets import Jet, jet_constant, jet_extract, jet_variable, multi_indices
 from curvlab.scenario import CheckSpec, emit_report, load_config, run_checks, run_scenario
 
 import oracles
-from oracles import at_point, column, rel_err, value_at
+from oracles import at_point, column, gauss_rank, rel_err, value_at
 
 COORD_PLANE = np.eye(2, 4)
 
@@ -108,9 +108,10 @@ def test_criterion_2_affine_plane():
             pg.normB2,
             pg.nablaB2,
             float(np.linalg.norm(pg.mean_curvature)),
-            abs(at_point(laplace_beltrami, imm, point, "alignment", plane)),
+            abs(at_point(lambda pg: laplace_beltrami_of_jet(pg, scalar_field_jet(pg, "alignment", plane)),
+                         imm, point)),
         )
-        ranks.add(at_point(gauss_rank_at, imm, point)[0])
+        ranks.add(at_point(gauss_rank, imm, point)[0])
     verdict(2, worst <= 1e-12 and ranks == {0}, f"affine: worst quantity {worst:.2e}, ranks {ranks}")
 
 
@@ -201,7 +202,7 @@ def test_criterion_5_cylinder_over_helicoid():
     worst_h3j = 0.0
     for point in grid.points():
         pg = at_point(point_geometry_at, imm, point)
-        rank, sv = at_point(gauss_rank_at, imm, point)
+        rank, sv = at_point(gauss_rank, imm, point)
         ok &= rank == 2
         worst_sv3 = max(worst_sv3, sv[2])
         worst_h3j = max(worst_h3j, float(np.abs(pg.h[:, 2, :]).max()))

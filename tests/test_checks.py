@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from curvlab import checks as C
 from curvlab.expressions import BinOp, Const, Var
-from curvlab.geometry import canonical_frame_at, gauss_rank_at, laplace_beltrami, point_geometry_at
+from curvlab.geometry import canonical_frame_at, gauss_rank_at, gauss_svd, point_geometry_at
 from curvlab.immersions import (
     GridSpec,
     Immersion,
@@ -21,6 +21,7 @@ from curvlab.immersions import (
 )
 from curvlab.scenario import CheckSpec, run_checks
 
+import oracles
 from oracles import (
     at_point,
     column,
@@ -1079,13 +1080,14 @@ class TestBlocks:
         canon, rank_errors = block.canon, block.rank_errors
         assert calls == [{}]  # one full SVD
         monkeypatch.undo()
-        # the frame is bitwise its own SVD's; the singular values of the full SVD move
-        # only in the last bits from those taken alone, and the rank with them
-        own = canonical_frame_at(pg)
+        # the frame is bitwise that of geometry's SVD; the singular values of the full SVD
+        # move only in the last bits from those taken alone, and the rank with them
+        U, sv = gauss_svd(pg)
+        own = canonical_frame_at(pg, U)
         for key in ("mu1", "mu2", "tangent_frame", "normal_frame"):
             assert getattr(canon, key).tobytes() == getattr(own, key).tobytes(), key
-        (rank, sv), (own_rank, own_sv) = gauss_rank_at(pg, block.gauss_svd[1]), gauss_rank_at(pg)
-        assert rank_errors == [None] * 27 and np.array_equal(rank, own_rank)
+        own_sv = np.linalg.svd(np.moveaxis(pg.h, 1, -1).reshape(27, 3, -1), compute_uv=False)
+        assert rank_errors == [None] * 27 and np.array_equal(gauss_rank_at(sv), gauss_rank_at(own_sv))
         assert np.all(np.abs(sv - own_sv) <= 1e-14 * sv[:, :1])
 
     def test_an_n2_block_takes_no_svd_for_the_rank_rule(self, z2, monkeypatch):
@@ -1325,3 +1327,53 @@ class TestCrossValidation:
             pg = at_point(point_geometry_at, imm, tuple(point))
             assert rel_err(fields["normB2"][i], pg.normB2) <= 1e-10
             assert rel_err(fields["v"][i], math.sqrt(np.linalg.det(pg.g0))) <= 1e-12
+
+
+SURFACE_CHECKS = ["minimality", "simons", "kato", "refined-simons", "gauss-conformal", "subharmonicity"]
+SOLID_CHECKS = ["minimality", "pluecker", "alignment-identities", "log-alignment", "simons",
+                "kato", "refined-simons", "gauss-conformal", "subharmonicity"]
+
+
+def verdicts(imm, grid, names, frame=None):
+    return [(res.name, res.verdict, res.n_points, res.n_skipped)
+            for res in run_checks(imm, grid, [CheckSpec(name) for name in names], frame)]
+
+
+class TestCodimensionThree:
+    """Enneper's surface beside z^4/4 in R^5: three normal directions, which no catalogue surface has."""
+
+    GRID = GridSpec(((-0.8, 0.8), (-0.8, 0.8)), (9, 9))
+
+    def test_every_surface_check_passes_with_no_skip(self):
+        imm = _parametric(oracles.ENNEPER_Z4, 2, "enneper-z4")
+        assert imm.m == 3
+        assert verdicts(imm, self.GRID, SURFACE_CHECKS) == [(name, "pass", 81, 0) for name in SURFACE_CHECKS]
+
+    def test_a_bent_fourth_component_fails_minimality(self):
+        # + 1e-3 x^2 gives the fourth component a Laplacian of 2e-3, and H that length
+        comps = oracles.ENNEPER_Z4[:3] + [oracles.ENNEPER_Z4[3] + " + 1e-3*x^2"] + oracles.ENNEPER_Z4[4:]
+        res = run("minimality", _parametric(comps, 2, "bent"), self.GRID)
+        assert res.verdict == "fail" and 1.9e-3 <= res.worst_residual <= 2.1e-3
+
+
+class TestVeroneseCone:
+    """The cone over the Veronese surface: a minimal 3-fold in R^5 that is not a product."""
+
+    CHART = GridSpec(((0.8, 1.2), (0.4, 0.8), (0.3, 0.7)), (4, 4, 4))
+
+    def test_every_solid_check_passes_with_no_skip(self):
+        imm = _parametric(oracles.VERONESE_CONE, 3, "veronese-cone")
+        assert verdicts(imm, self.CHART, SOLID_CHECKS, np.eye(3, 5)) == \
+            [(name, "pass", 64, 0) for name in SOLID_CHECKS]
+
+    def test_the_vertex_is_skipped_and_nothing_else_fails(self):
+        imm = _parametric(oracles.VERONESE_CONE, 3, "veronese-cone")
+        for res in run_checks(imm, GRID3D, [CheckSpec(name) for name in SOLID_CHECKS], np.eye(3, 5)):
+            assert res.verdict == "pass", res.name
+            assert value_at(res, (0.0, 0.0, 0.0), "reason") == \
+                "evaluation error: sqrt of non-positive jet value 0.0", res.name
+
+    def test_a_stretched_last_component_fails_minimality(self):
+        comps = oracles.VERONESE_CONE[:4] + [f"1.04*{oracles.VERONESE_CONE[4]}"]
+        res = run("minimality", _parametric(comps, 3, "stretched"), self.CHART)
+        assert res.verdict == "fail" and 2.7e-2 <= res.worst_residual <= 2.9e-2

@@ -9,6 +9,7 @@ from curvlab.expressions import (
     BinOp,
     Call,
     Const,
+    ExpressionDomainError,
     ParseError,
     Pow,
     Sharing,
@@ -37,6 +38,20 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_expression("cosh(u)*cos(v", 2)
         assert err.value.offset == 14
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("x + $", "unexpected character '$'", 5),
+        ("x + foo", "unknown identifier 'foo'", 5),
+        ("(2 (y)", "expected ')'", 4),  # an operator token, but not the one expected
+        ("+x)", "unexpected token '+'", 1),  # no operator but '-' and '(' starts a base
+    ])
+    def test_errors_name_the_offending_token_and_its_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 2)
+        assert str(err.value) == f"{message} (offset {offset})" and err.value.offset == offset
+
+    def test_trailing_whitespace_ends_the_input(self):
+        assert parse_expression("x + y \t\n", 2) == BinOp("+", Var(0), Var(1))
 
     def test_unknown_identifier(self):
         with pytest.raises(ParseError, match="unknown identifier"):
@@ -116,6 +131,9 @@ class TestRoundTrip:
         node = parse_expression(text, 2)
         assert parse_expression(format_expression(node), 2) == node
 
+    def test_a_power_parenthesizes_only_a_base_that_is_no_atom(self):
+        assert format_expression(parse_expression("x^2 - (-x)^3 + sin(x)^2", 1)) == "x^2 - (-x)^3 + sin(x)^2"
+
 
 @st.composite
 def expr_trees(draw, depth=0):
@@ -166,6 +184,12 @@ class TestRandomRoundTrip:
 
 
 class TestEvaluation:
+    def test_zero_to_the_zeroth_power_is_one(self):
+        # only a negative power of zero is a domain error
+        assert evaluate_expression(parse_expression("x^0", 1), [0.0]) == 1.0
+        with pytest.raises(ExpressionDomainError, match="zero raised to a negative power"):
+            evaluate_expression(parse_expression("x^-1", 1), [0.0])
+
     @pytest.mark.parametrize("text", EXPRESSIONS)
     def test_order_zero_matches_plain_evaluation(self, text):
         node = parse_expression(text, 2)
@@ -286,21 +310,20 @@ class TestSharing:
         got = [evaluate_expression(root, [x], memo) for root in roots]
         assert [np.signbit(v).tolist() for v in got] == [[False] * 2, [True] * 2, [False] * 2, [True] * 2]
 
-    def test_equal_subtrees_and_powers_are_formed_once(self, monkeypatch):
+    def test_equal_subtrees_are_formed_once(self, monkeypatch):
         roots = [BinOp("+", Pow(Var(0), 2), Var(1)), BinOp("*", Const(3.0), Pow(Var(0), 2)),
                  Pow(Var(0), 3), Pow(Var(0), 6)]
         sharing = Sharing(roots)
-        # x is the base of x^2, x^3 and x^6 (3 uses); the subtree x^2 is in two roots (2);
-        # the power x^2 is that subtree's value and a factor of x^3 = x x^2, x^4 = x^2 x^2
-        # and x^6 = x^2 x^4, the products Jet.__pow__ forms (4)
-        assert sorted(sharing.uses.values()) == [2, 3, 4]
+        # x is the base of x^2, x^3 and x^6 (3 uses); the subtree x^2 is in two roots (2)
+        assert sorted(sharing.uses.values()) == [2, 3]
         products = []
         monkeypatch.setattr(jets, "jet_product", lambda a, b: products.append(1) or jet_product(a, b))
         values = [jet_variable(0, [0.3, -1.2], 2, 4), jet_variable(1, [0.7, 0.1], 2, 4)]
         memo = sharing.memo()
         for root in roots:
             evaluate_expression(root, values, memo)
-        assert len(products) == 4 and memo.values == {}  # each value dropped after its last use
+        # x^2 once; x^3 and x^6 each by Jet.__pow__ from x.  Each value dropped after its last use
+        assert len(products) == 1 + 2 + 3 and memo.values == {}
         products.clear()
         for root in roots:
             evaluate_expression(root, values)

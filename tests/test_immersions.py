@@ -169,13 +169,14 @@ class TestSharedEvaluation:
                 for v in out]
 
     def test_the_holomorphic_cubic_forms_each_power_once(self, monkeypatch):
-        # Re and Im of (a + ib)(x + iy)^3 + ... share x^2, x^3, y^2 and y^3, and x^3 = x x^2
+        # Re and Im of (a + ib)(x + iy)^3 + ... share x^2, x^3, y^2 and y^3; Jet.__pow__
+        # forms each from x or y, x^3 in two products
         imm = catalogue_lookup("holo-curve", CUBIC)
         points = np.random.default_rng(0).uniform(-0.9, 0.9, (5, 2))
         products = []
         monkeypatch.setattr(jets, "jet_product", lambda a, b: products.append(1) or jet_product(a, b))
         got = evaluate_immersion(imm, points, 4)
-        assert len(products) == 10
+        assert len(products) == 12
         products.clear()
         want = self.alone(imm, points, 4)
         assert len(products) == 22

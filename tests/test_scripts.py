@@ -4,6 +4,7 @@ The scripts and the examples are library callers that no other test
 exercises, so an API change would otherwise break them silently.
 """
 
+import ast
 import importlib.util
 import os
 import re
@@ -44,6 +45,34 @@ def test_every_mutant_applies_exactly_once():
         assert m.tests and all(test.startswith("tests/test_") for test in m.tests), m.name
 
 
+class TestGeneratedMutants:
+    """scripts/mutants.py --generate's enumeration; tier-1 runs none of the mutants."""
+
+    def operator_mutants(self, source):
+        spec = importlib.util.spec_from_file_location("mutants_script", ROOT / "scripts" / "mutants.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.operator_mutants(source)
+
+    def test_each_operator_is_swapped_once_and_no_other_token(self):
+        # *args and **kw are no operators, and - in 1e-3 is part of a number
+        source = "def f(a, b, *args, **kw):\n    return a + b * 2 < 3 and -a ** 1e-3\n"
+        assert [(row, line) for row, line, _ in self.operator_mutants(source)] == [
+            (2, "return a - b * 2 < 3 and -a ** 1e-3"), (2, "return a + b / 2 < 3 and -a ** 1e-3"),
+            (2, "return a + b * 2 <= 3 and -a ** 1e-3"), (2, "return a + b * 2 < 3 or -a ** 1e-3"),
+            (2, "return a + b * 2 < 3 and +a ** 1e-3")]  # -a ** e -> -a * e regroups: not listed
+
+    @pytest.mark.parametrize("module", ["expressions", "geometry"])
+    def test_the_mutants_of_a_module_are_fixed_and_each_parses_and_differs(self, module):
+        source = (ROOT / "src" / "curvlab" / f"{module}.py").read_text(encoding="utf-8")
+        mutants = self.operator_mutants(source)
+        assert len(mutants) > 50 and mutants == self.operator_mutants(source)
+        assert [row for row, _, _ in mutants] == sorted(row for row, _, _ in mutants)
+        for row, line, mutated in mutants:
+            ast.parse(mutated)
+            assert mutated.splitlines()[row - 1].strip() == line != source.splitlines()[row - 1].strip()
+
+
 def test_emit_reports_writes_the_comparison_set(tmp_path):
     # 6 bundled scenarios x 3 forms, one sweep, 15 benchmark workload reports
     out = tmp_path / "reports"
@@ -81,11 +110,41 @@ def load_script(name):
 class TestAbPairs:
     """scripts/ab_pairs.py's summary, fed canned perfbench output (tier-1 runs no perfbench)."""
 
-    def rows(self, parent_run_s, change_run_s):
+    def summary(self, parent_run_s, change_run_s, bounds):
         ab = load_script("ab_pairs")
         parent = [ab.parse_run(perfbench_output(t)) for t in parent_run_s]
         change = [ab.parse_run(perfbench_output(t)) for t in change_run_s]
-        return {line.split("  ")[0].strip(): line.split() for line in ab.summarize(parent, change)[2:]}
+        return {line.split("  ")[0].strip(): line.split() for line in ab.summarize(parent, change, bounds)[2:]}
+
+    def rows(self, parent_run_s, change_run_s):
+        # without bounds, each row ends in the gain rule and a "-" for no-regression
+        rows = self.summary(parent_run_s, change_run_s, {})
+        assert all(words[-1] == "-" for words in rows.values())
+        return {name: words[:-1] for name, words in rows.items()}
+
+    def no_regression(self, parent_run_s, change_run_s, bound):
+        """The verdict in run_s's row, and that of no_regression itself."""
+        words = self.summary(parent_run_s, change_run_s, {"run_s": bound})["run_s"]
+        return words[13], load_script("ab_pairs").no_regression(parent_run_s, change_run_s, bound)
+
+    def test_the_bounds_are_the_benchmarks_end_to_end_metrics(self):
+        bounds = load_script("ab_pairs").end_to_end_bounds()
+        assert bounds == {"setup_s": 0.25, "run_s": 0.25, "ms_per_point": 0.25, "peak_rss_mb": 0.1}
+
+    @pytest.mark.parametrize("change, verdict", [
+        ([0.0232 + 0.0001 * k for k in range(10)], "holds"),  # 1% above PARENT's median
+        ([0.0290 + 0.0001 * k for k in range(10)], "fails"),  # 26% above
+        ([0.0279 + 0.0001 * k for k in range(10)], "holds"),  # 21% above, within the bound
+    ], ids=["holds", "fails", "holds-near-the-bound"])
+    def test_no_regression_against_the_bound(self, change, verdict):
+        parent = [0.0230 + 0.0001 * k for k in range(10)]  # spread 3%
+        assert self.no_regression(parent, change, 0.25) == (verdict, verdict)
+
+    def test_no_regression_is_unresolved_when_the_parent_spreads_beyond_the_bound(self):
+        parent = [0.010, 0.014, 0.018, 0.022, 0.026] * 2  # (q3 - q1) / median = 0.67
+        assert self.no_regression(parent, [t * 0.99 for t in parent], 0.25) == ("unresolved",) * 2
+        # unless every CHANGE run is lower than every PARENT run
+        assert self.no_regression(parent, [0.009] * 10, 0.25) == ("holds",) * 2
 
     def test_parse_reads_the_metrics_and_both_quartile_lines(self):
         run = load_script("ab_pairs").parse_run(perfbench_output(0.0221))
