@@ -286,10 +286,11 @@ _HYPOTHESES = {
 class Columns:
     """One check's results over a run of grid points, column by column.
 
-    `skip` holds each point's skip reason (None: evaluated); a point keeps
-    the first reason it is given.  `residual`, `note` (a reason kept at an
-    evaluated point) and every `detail` column hold one value per evaluated
-    point; an object column holds None where the point has no such value.
+    `points` holds each point as a tuple of floats, and `skip` each point's
+    skip reason (None: evaluated); a point keeps the first reason it is
+    given.  `residual`, `note` (a reason kept at an evaluated point) and
+    every `detail` column hold one value per evaluated point; an object
+    column holds None where the point has no such value.
     """
 
     points: list
@@ -337,16 +338,19 @@ class Columns:
         """Detail column `name`, or None at every evaluated point when the check gave none."""
         return self.detail.get(name, np.full(len(self.residual), None, dtype=object))
 
-    def lists(self) -> dict:
+    def lists(self, floats=None) -> dict:
         """The columns as lists over every point, as a report with detail writes them.
 
         `skipped` flags each point, and `reason` holds a skipped point's skip
         reason and an evaluated point's note.  `residual` and each `detail`
-        column hold None at a skipped point.
+        column hold None at a skipped point.  A given `floats(values, live)`
+        stands in for the list of each float64 column (the JSON writer's table).
         """
         live = self.live
 
         def spread(column):
+            if floats is not None and column.dtype == np.float64:
+                return floats(column, live)
             out = np.full(len(live), None, dtype=object)
             out[live] = column
             return out.tolist()

@@ -305,8 +305,9 @@ def _fmt(node: ExprNode) -> tuple[str, int]:
         prec = _PREC[node.op]
         if lp < prec:
             lhs = f"({lhs})"
-        # - and / are left associative: parenthesize right operands of equal precedence
-        if rp < prec or (rp == prec and node.op in "-/"):
+        # the parser reads equal precedence left to right, and no floating-point
+        # operator is associative: a right operand of equal precedence keeps its parentheses
+        if rp <= prec:
             rhs = f"({rhs})"
         return f"{lhs} {node.op} {rhs}", prec
     raise TypeError(f"not an expression node: {node!r}")

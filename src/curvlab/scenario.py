@@ -327,16 +327,18 @@ class Report:
     n_grid_points: int
     elapsed_seconds: float  # console-only; excluded from emitted files
 
-    def to_dict(self, detail: bool = False) -> dict:
+    def to_dict(self, detail: bool = False, floats=None) -> dict:
         """The report as JSON data.  With `detail` it is format 2: the points every
         grid check ran over, once (none without a grid check), and each check's
         `details` as columns over them (`Columns.lists`); `{}` for a check without
-        columns (growth, probe)."""
+        columns (growth, probe).  A given `floats(values, live)` stands in for
+        the list of `points` and of each float64 column (emit_report's table)."""
         out = {"format": 2} if detail else {}
         out.update(scenario=self.scenario, n_grid_points=self.n_grid_points, overall=self.overall)
         if detail:
-            out["points"] = next((res.columns.points for res in self.results
-                                  if res.columns is not None), [])
+            points = next((res.columns.points for res in self.results
+                           if res.columns is not None), [])
+            out["points"] = points if floats is None else floats(np.array(points, float), None)
         out["checks"] = []
         for res in self.results:
             entry = {
@@ -352,7 +354,7 @@ class Report:
             if res.extras:
                 entry["extras"] = res.extras
             if detail:
-                entry["details"] = {} if res.columns is None else res.columns.lists()
+                entry["details"] = {} if res.columns is None else res.columns.lists(floats)
             out["checks"].append(entry)
         return out
 
@@ -438,6 +440,59 @@ def run_scenario(config: ScenarioConfig, jobs: int | None = None, *, _once=_now)
 _LINE = object()
 _REPORT_LAYOUT = {"points": _LINE, "checks": [{"details": {
     "residual": _LINE, "skipped": _LINE, "reason": _LINE, "detail": {"*": _LINE}}}]}
+# json's words for the doubles that float.__repr__ writes as nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Line:
+    """A float64 column, or the points, that `_FloatTable.fill` writes as one line."""
+
+    def __init__(self, values, live):
+        self.values, self.live, self.text = values, live, None
+
+
+class _FloatTable(list):
+    """One report's float64 columns and points, written through one table of distinct doubles.
+
+    Calling the table records `values` at the points `live` marks (None: at
+    every point; a 2-d array is one list per row) and returns their `_Line`.
+    `fill` formats each distinct bit pattern once, so that 0.0 and -0.0 keep
+    their own text, and writes each line as `json.dumps` writes its list,
+    `null` at a point `live` leaves out.
+    """
+
+    def __call__(self, values, live):
+        self.append(_Line(values, live))
+        return self[-1]
+
+    def fill(self):
+        bits = np.concatenate([line.values.ravel() for line in self]).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        values = distinct.view(np.float64)
+        words = np.array([*map(float.__repr__, values.tolist()), "null"], dtype=object)
+        special = np.flatnonzero(~np.isfinite(values))
+        words[special] = [_NON_FINITE[word] for word in words[special]]
+        end = 0
+        for line in self:
+            start, end = end, end + line.values.size
+            index = inverse[start:end].reshape(line.values.shape)
+            if line.live is not None:  # "null", the last word, where `live` leaves a point out
+                spread = np.full(len(line.live), len(words) - 1)
+                spread[line.live] = index
+                index = spread
+            if index.ndim == 2:
+                line.text = "[[" + "], [".join(map(", ".join, words[index].tolist())) + "]]"
+            else:
+                line.text = "[" + ", ".join(words[index].tolist()) + "]"
+
+
+def _report_data(report: Report, detail: bool) -> dict:
+    """`report.to_dict(detail)`, with its points and float64 columns the `_Line`s of one table."""
+    table = _FloatTable()
+    data = report.to_dict(detail, table)
+    if table:  # a report without detail has no line
+        table.fill()
+    return data
 
 
 def _json_text(obj, layout, pad: str = "") -> str:
@@ -447,11 +502,14 @@ def _json_text(obj, layout, pad: str = "") -> str:
     keys to the layout of their values (a key it lacks takes its "*" entry),
     a one-item list gives the layout of every item, `_LINE` marks a list
     written by `json.dumps(obj)`, and None is `json.dumps(obj, indent=2)`.
+    A `_Line` is written as its table rendered it.
     """
+    if isinstance(obj, _Line):
+        return obj.text
+    if layout is _LINE or not isinstance(obj, (dict, list, tuple)):  # indent leaves a scalar be
+        return json.dumps(obj)
     if layout is None:  # json escapes newlines in strings, so every "\n" here is layout
         return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    if layout is _LINE:
-        return json.dumps(obj)
     inner = pad + "  "
     if isinstance(layout, dict):
         items = [f"{json.dumps(key)}: {_json_text(value, layout.get(key, layout.get('*')), inner)}"
@@ -468,11 +526,14 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
     """Write a report to disk; floats round-trip at full double precision.
 
     JSON is `report.to_dict(detail)`, indented, with each detail column on
-    one compact line.  The wall-clock timing is deliberately omitted so
-    identical configs produce byte-identical files.
+    one compact line, byte for byte `json.dumps(column)`.  The points and
+    the float64 columns are written from their arrays, with each distinct
+    double of the report formatted once (`_FloatTable`).  The wall-clock
+    timing is deliberately omitted so identical configs produce
+    byte-identical files.
     """
     if fmt == "json":
-        text = _json_text(report.to_dict(detail), _REPORT_LAYOUT) + "\n"
+        text = _json_text(_report_data(report, detail), _REPORT_LAYOUT) + "\n"
     elif fmt == "csv":
         lines = ["check,u1,u2,u3,residual,status"]
         for res in report.results:
@@ -491,8 +552,9 @@ def emit_report(report: Report, fmt: str, path, detail: bool = False) -> None:
 
 
 def emit_sweep(reports: list[Report], table: list, path, detail: bool = False) -> None:
-    """Write a sweep's reports and aggregation table as one JSON file, laid out as emit_report's."""
-    payload = {"reports": [r.to_dict(detail) for r in reports], "aggregation": table}
+    """Write a sweep's reports and aggregation table as one JSON file, laid out as emit_report's,
+    with one float table per report."""
+    payload = {"reports": [_report_data(r, detail) for r in reports], "aggregation": table}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_json_text(payload, {"reports": [_REPORT_LAYOUT]}) + "\n")
 

@@ -114,10 +114,14 @@ MUTANTS = [
            '"residual": spread(self.residual)', '"residual": self.residual.tolist()',
            (f"{WRITER}test_hand_built_columns",)),
     Mutant("points written per check instead of once per report", "src/curvlab/scenario.py",
-           'entry["details"] = {} if res.columns is None else res.columns.lists()',
+           'entry["details"] = {} if res.columns is None else res.columns.lists(floats)',
            'entry["details"] = {} if res.columns is None else {"points": res.columns.points, '
-           "**res.columns.lists()}",
+           "**res.columns.lists(floats)}",
            (f"{WRITER}test_report_file_holds_the_columns[z2-full]",)),
+    Mutant("detail writer keys its float table by value", "src/curvlab/scenario.py",
+           "bits = np.concatenate([line.values.ravel() for line in self]).view(np.uint64)",
+           "bits = np.concatenate([line.values.ravel() for line in self])",
+           (f"{WRITER}test_float_table_keeps_each_bit_pattern",)),
     Mutant("contraction sums start from zero", JETS_PY,
            "total = _product(next(terms))", "total = 0.0 + _product(next(terms))",
            ("tests/test_jets.py::TestContraction::"
@@ -230,6 +234,10 @@ MUTANTS = [
            "_eval_gauss_conformal, aggregate=",
            ("tests/test_checks.py::TestSkipOrder::test_gauss_conformal_skips_non_minimal_points",
             "tests/test_golden.py::test_detail_columns_match_golden[partial-failures]")),
+    Mutant("a right operand of equal precedence loses its parentheses for + and *",
+           EXPRESSIONS_PY, "if rp <= prec:", 'if rp < prec or (rp == prec and node.op in "-/"):',
+           ("tests/test_expressions.py::TestRoundTrip::"
+            "test_a_right_operand_of_equal_precedence_keeps_its_value",)),
     Mutant("a sharing key that ignores the sign of zero", EXPRESSIONS_PY,
            'struct.pack("<d", node.value)', "node.value",
            ("tests/test_expressions.py::TestSharing::"

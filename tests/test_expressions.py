@@ -122,6 +122,8 @@ EXPRESSIONS = [
     "-x + 3.5*y - 1.25",
     "x/(1 + y^2)",
     "log(2 + cos(x))",
+    "x + (y + 1)",
+    "x*(y*2)",
 ]
 
 
@@ -130,6 +132,13 @@ class TestRoundTrip:
     def test_print_parse_fixpoint(self, text):
         node = parse_expression(text, 2)
         assert parse_expression(format_expression(node), 2) == node
+
+    def test_a_right_operand_of_equal_precedence_keeps_its_value(self):
+        # 1e16 + (-1e16 + 1.0) is 1e16 + -1e16 = 0.0, and (1e16 + -1e16) + 1.0 is 1.0
+        node = BinOp("+", Const(1e16), BinOp("+", Const(-1e16), Const(1.0)))
+        text = format_expression(node)
+        assert text == "1e+16 + (-1e+16 + 1.0)"
+        assert evaluate_expression(parse_expression(text, 1), [0.0]) == evaluate_expression(node, [0.0]) == 0.0
 
     def test_a_power_parenthesizes_only_a_base_that_is_no_atom(self):
         assert format_expression(parse_expression("x^2 - (-x)^3 + sin(x)^2", 1)) == "x^2 - (-x)^3 + sin(x)^2"

@@ -794,6 +794,39 @@ class TestDetailWriter:
         assert '"residual": [NaN, null, Infinity, -Infinity, null]' in text
         assert '"points": [[0.0, 1.0], [0.5, -0.25], [1e-300, 2.0], [3.0, 4.0], [-0.0, 6.0]]' in text
 
+    def test_float_table_keeps_each_bit_pattern(self, tmp_path):
+        # the points and float64 columns of a report share one table of distinct doubles;
+        # 0.0 and -0.0, and NaNs of other payloads, are distinct there but equal as values
+        other_nan, negative_nan = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                                           dtype=np.uint64).view(np.float64)
+        points = [(0.0, -0.0), (1.5, math.nan), (-math.inf, 5e-324), (math.inf, 0.0)]
+        reason = "not evaluated: the Gauss map has rank 3"
+        first = Columns(points, object_array([None, None, reason, None]),
+                        np.array([-0.0, 0.0, 1.5]), object_array([None, "kept", None]),
+                        {"value": np.array([5e-324, -math.inf, other_nan]),
+                         "flag": np.array([True, False, True]),
+                         "maybe": object_array([-0.0, None, 1.5])})
+        second = Columns(points, object_array([None, None, None, None]),
+                         np.array([0.0, -0.0, negative_nan, math.inf]), object_array([None] * 4),
+                         {"value": np.array([1.5, 1.5, -0.0, 5e-324])})
+        every_point_skipped = Columns(points, object_array([reason] * 4))
+        results = [CheckResult(name, 1.0, None, "pass", 4, int((~cols.live).sum()), columns=cols)
+                   for name, cols in zip(["minimality", "simons", "kato"],
+                                         [first, second, every_point_skipped])]
+        growth = CheckResult("growth", 1.0, None, "not-applicable", 0, 0, reason="no growth")
+        reports = [Report({}, results, "pass", 4, 0.0), Report({}, [growth], "pass", 0, 0.0)]
+        for k, report in enumerate(reports):
+            emit_report(report, "json", tmp_path / f"{k}.json", detail=True)
+            assert_detail_file((tmp_path / f"{k}.json").read_text(), [report])
+        emit_sweep(reports, [], tmp_path / "sweep.json", detail=True)
+        text = (tmp_path / "sweep.json").read_text()
+        assert_detail_file(text, reports)
+        for line in ['"points": [[0.0, -0.0], [1.5, NaN], [-Infinity, 5e-324], [Infinity, 0.0]]',
+                     '"residual": [-0.0, 0.0, null, 1.5]', '"residual": [0.0, -0.0, NaN, Infinity]',
+                     '"value": [5e-324, -Infinity, null, NaN]', '"value": [1.5, 1.5, -0.0, 5e-324]',
+                     '"residual": [null, null, null, null]', '"points": []']:
+            assert line in text
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(writer_columns(), min_size=1, max_size=3))
     @example([Columns([(0.0, 1.0), (-0.0, 2.0)], object_array([None, None]), np.array([0.0, -0.0]),
