@@ -11,15 +11,21 @@ cache left by an earlier run lowers setup_s.  Every run must report
 `correct` with 0 failed outcomes.
 
 Prints, per side, the first quartile, median and third quartile over the
-runs of each end-to-end metric and of the scaled and wall run_s quartiles
-that perfbench prints for a run; then the pairs in which CHANGE was lower,
-and whether the rule for a claimed gain holds: lower in at least 9 of 10
-pairs, with the medians further apart than PARENT's quartile distance.
-For each end-to-end metric of BENCHMARK.json (read, never written) it
-prints the no-regression rule as well: it holds when CHANGE's median is at
-most PARENT's median times (1 + the metric's bound), and is unresolved when
-PARENT's runs spread wider than the bound, (q3 - q1) / median > bound,
-unless every CHANGE run is lower than every PARENT run.
+runs of each end-to-end metric, of the scaled and wall run_s quartiles
+that perfbench prints for a run, and of each run's calibration factor, its
+wall run_s median over its scaled one; then the pairs in which CHANGE was
+lower, and whether the rule for a claimed gain holds: lower in at least 9
+of 10 pairs, with the medians further apart than PARENT's quartile
+distance.  For each end-to-end metric of BENCHMARK.json (read, never
+written) it prints the no-regression rule as well: it holds when CHANGE's
+median is at most PARENT's median times (1 + the metric's bound), and is
+unresolved when PARENT's runs spread wider than the bound,
+(q3 - q1) / median > bound, unless every CHANGE run is lower than every
+PARENT run.  run_s's verdict is flagged "calibration moved" when the two
+sides' median calibration factors are further apart than PARENT's
+quartile distance: perfbench scales run_s by a timing loop whose speed
+can shift between processes while curvlab's wall times stay level, so
+the scaled figure then compares the loop as much as the change.
 """
 
 import argparse
@@ -40,7 +46,9 @@ WIN_SHARE = 0.9
 def parse_run(stdout: str) -> dict:
     """One perfbench output -> {metric: value}, with its run_s quartiles as "run_s scaled q1" ...
 
-    ValueError unless the run reported `correct` with 0 failed outcomes.
+    and its calibration factor, the wall run_s median over the scaled one,
+    as "calibration".  ValueError unless the run reported `correct` with 0
+    failed outcomes.
     """
     result = json.loads(stdout.strip().splitlines()[-1])
     if result["correct"] is not True or result["failed"] != 0:
@@ -50,6 +58,7 @@ def parse_run(stdout: str) -> dict:
     for kind, *quartiles in QUARTILE_LINE.findall(stdout):
         for label, value in zip(("q1", "median", "q3"), quartiles):
             values[f"run_s {kind} {label}"] = float(value)
+    values["calibration"] = values["run_s wall median"] / values["run_s scaled median"]
     return values
 
 
@@ -74,15 +83,25 @@ def no_regression(a: list, b: list, bound: float) -> str:
     return "holds" if quartiles(b)[1] <= median * (1.0 + bound) else "fails"
 
 
+def calibration_moved(a: list, b: list) -> bool:
+    """Whether the median of CHANGE's calibration factors `b` is further from that of
+    PARENT's `a` than a's q3 - q1."""
+    q1, median, q3 = quartiles(a)
+    return abs(quartiles(b)[1] - median) > q3 - q1
+
+
 def summarize(parent: list, change: list, bounds: dict) -> list:
     """The summary lines for runs paired by position; every metric is better lower.
 
     `bounds` gives the no-regression bound of each end-to-end metric.
     """
+    moved = calibration_moved(*([run["calibration"] for run in runs] for runs in (parent, change)))
     lines = [f"{len(parent)} pairs; q1 / median / q3 over the runs; won: pairs where CHANGE "
              f"is lower; gain: won in >= {WIN_SHARE:.0%} of pairs and a median gap above "
              "PARENT's q3 - q1; no-regression: CHANGE's median <= PARENT's x (1 + bound), "
-             "unresolved where PARENT's (q3 - q1) / median > bound",
+             "unresolved where PARENT's (q3 - q1) / median > bound; calibration: wall / scaled "
+             "run_s median, and run_s's verdict is flagged [calibration moved] where the two "
+             "sides' medians of it are further apart than PARENT's q3 - q1",
              f"{'metric':<22} {'PARENT':>32} {'CHANGE':>32} {'won':>7}  gain   no-regression"]
     for name in parent[0]:
         a, b = [run[name] for run in parent], [run[name] for run in change]
@@ -91,7 +110,8 @@ def summarize(parent: list, change: list, bounds: dict) -> list:
         holds = won >= WIN_SHARE * len(a) and qa[1] - qb[1] > qa[2] - qa[0]
         rule = "-"
         if name in bounds:
-            rule = (f"{no_regression(a, b, bounds[name])} ({qb[1] / qa[1] - 1:+.1%} against "
+            flag = " [calibration moved]" if name == "run_s" and moved else ""
+            rule = (f"{no_regression(a, b, bounds[name])}{flag} ({qb[1] / qa[1] - 1:+.1%} against "
                     f"{bounds[name]:.0%}; PARENT spread {(qa[2] - qa[0]) / qa[1]:.1%})")
         lines.append(f"{name:<22} {' / '.join(f'{q:.4g}' for q in qa):>32} "
                      f"{' / '.join(f'{q:.4g}' for q in qb):>32} "

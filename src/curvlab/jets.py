@@ -20,6 +20,11 @@ through the same code.  Where an elementary function meets a value outside
 its domain, a single jet raises; a batched jet marks that row as failed
 (NaN coefficients, the exception kept in `failures`) and the rest go on.
 
+Shape is not memory order: products and contractions work on the
+coefficient-major view `coeffs.swapaxes(0, -1)`, each coefficient's points
+one contiguous run, and return that view of a C-ordered array, so `coeffs`
+keeps its (P, ..., ncoef) shape whatever its memory order.
+
 Jets are immutable values and every operation is a pure function.
 """
 
@@ -94,11 +99,12 @@ class _JetTable:
         # coefficient k sums its run of pairs, in (i, j) order, as x0 + ((x1 + x2) + ...):
         # numpy's order for reducing a run of at most 8 terms (longer ones it sums
         # pairwise); MAX_DIM 3 and MAX_ORDER 4 give runs of at most 6.  The columns go
-        # depth by depth, so that _fold adds slices.  Depth 0 holds every coefficient's
-        # first pair (0, k): those with one pair (degree <= 1) in order, then the tail,
-        # those with more, longest run first.  Depth d >= 1 holds the d-th pair of each
-        # tail coefficient whose run is longer than d, in the tail's order: a prefix of
-        # the depth before.
+        # depth by depth, so that _fold adds slices of the pair columns on axis 0 of
+        # their coefficient-major arrays.  Depth 0 holds every coefficient's first pair
+        # (0, k): those with one pair (degree <= 1) in order, then the tail, those with
+        # more, longest run first.  Depth d >= 1 holds the d-th pair of each tail
+        # coefficient whose run is longer than d, in the tail's order: a prefix of the
+        # depth before.
         runs = [[] for _ in multis]
         for i, mi in enumerate(multis):
             for j in range(i, self.ncoef):
@@ -321,26 +327,29 @@ def jet_product(a: Jet, b: Jet) -> Jet:
     tab = _table(a.dim, a.order)
     i, j = tab.pair_i, tab.pair_j
     ca, cb = a.coeffs, b.coeffs
-    return _make(a.dim, a.order, _fold(ca[..., i] * cb[..., j], ca[..., j] * cb[..., i], tab),
+    if ca.ndim != cb.ndim:  # pad the fewer leading axes on the left before swapaxes moves them
+        ca, cb = (c[(None,) * (max(ca.ndim, cb.ndim) - c.ndim)] for c in (ca, cb))
+    ca, cb = ca.swapaxes(0, -1), cb.swapaxes(0, -1)
+    return _make(a.dim, a.order, _fold(ca[i] * cb[j], ca[j] * cb[i], tab).swapaxes(0, -1),
                  _merged(a, b))
 
 
 def _fold(ab: np.ndarray, ba: np.ndarray, tab: _JetTable) -> np.ndarray:
-    # pair terms a_i b_j and a_j b_i on the last axis -> product coefficients, a new
-    # array; `ab` is overwritten.  Depths 2, 3, ... are added in turn to a prefix of
-    # depth 1 (each run's tail, summed left to right), then depth 1 to depth 0's tail.
+    # pair terms a_i b_j and a_j b_i on axis 0 -> product coefficients on axis 0, a new
+    # C-ordered array; `ab` is overwritten.  Depths 2, 3, ... are added in turn to a prefix
+    # of depth 1 (each run's tail, summed left to right), then depth 1 to depth 0's tail.
     ab += ba
-    ab *= tab.weight
+    ab *= tab.weight.reshape((-1,) + (1,) * (ab.ndim - 1))
     n = tab.ncoef
-    head = ab[..., :n]
+    head = ab[:n]
     if tab.depths:
-        rest = ab[..., n:n + tab.depths[0]]
+        rest = ab[n:n + tab.depths[0]]
         start = n + tab.depths[0]
         for width in tab.depths[1:]:
-            rest[..., :width] += ab[..., start:start + width]
+            rest[:width] += ab[start:start + width]
             start += width
-        head[..., n - tab.depths[0]:] += rest
-    return head.copy() if tab.restore is None else head[..., tab.restore]
+        head[n - tab.depths[0]:] += rest
+    return head.copy() if tab.restore is None else head.take(tab.restore, 0)
 
 
 TERMS_BYTES = 2**19  # up to this, ordered_einsum forms its terms at once: fewest numpy calls
@@ -418,30 +427,35 @@ def jet_einsum(spec: str, a: Jet, b: Jet, work: np.ndarray | None = None) -> Jet
     """Truncated products of tensor jets, summed over their leading axes as in np.einsum.
 
     `spec` names the leading axes only, e.g. "pij,pjk->pik" for a batch of
-    jet-valued matrix products.  The pair-table columns a_i b_j and a_j b_i
-    are summed term by term, in ordered_einsum's order, each term gathered
-    from the operands' slices.  The two sums are then folded once, as one
-    jet_product's pair terms are: each coefficient adds its pairs in _fold's
-    fixed order, so a point's result does not depend on its block.  The two
-    sums and their term buffer are formed in `work` when it is given, a flat
-    float64 array of at least three times their size, so that a sequence of
-    contractions can share one buffer; the result is a new array, never a
-    view of `work`.
+    jet-valued matrix products; every term starts with the batch letter,
+    never summed, or JetShapeError is raised.  On the operands'
+    coefficient-major views the coefficient axis takes that letter's place
+    and the points ride along innermost.  The pair-table columns a_i b_j and
+    a_j b_i are summed term by term, in ordered_einsum's order, each term
+    gathered from the operands' slices on axis 0.  The two sums are then
+    folded once, as one jet_product's pair terms are: each coefficient adds
+    its pairs in _fold's fixed order, so a point's result does not depend on
+    its block.  The two sums and their term buffer, pair columns first and
+    points last, are formed in `work` when it is given, a flat float64 array
+    of at least three times their size, so that a sequence of contractions
+    can share one buffer; the result is a new array, never a view of `work`.
     """
     a._is_compatible(b)
+    if len({sub[:1] for sub in spec.replace("->", ",").split(",")}) != 1:
+        raise JetShapeError(f"jet_einsum needs one batch letter first in every term, got {spec!r}")
     tab = _table(a.dim, a.order)
     i, j = tab.pair_i, tab.pair_j
-    terms = _terms(*_layout(spec, (a.coeffs, b.coeffs)))
+    terms = _terms(*_layout(spec, (a.coeffs.swapaxes(0, -1), b.coeffs.swapaxes(0, -1))))
     sa, sb = next(terms)
-    shape = np.broadcast_shapes(sa.shape[:-1], sb.shape[:-1]) + (len(i),)
+    shape = (len(i),) + np.broadcast_shapes(sa.shape[1:], sb.shape[1:])
     size = math.prod(shape)
     ab, ba, term = (np.empty(3 * size) if work is None else work[:3 * size]).reshape((3,) + shape)
-    np.multiply(sa[..., i], sb[..., j], out=ab)
-    np.multiply(sa[..., j], sb[..., i], out=ba)
+    np.multiply(sa[i], sb[j], out=ab)
+    np.multiply(sa[j], sb[i], out=ba)
     for sa, sb in terms:
-        ab += np.multiply(sa[..., i], sb[..., j], out=term)
-        ba += np.multiply(sa[..., j], sb[..., i], out=term)
-    return _make(a.dim, a.order, _fold(ab, ba, tab), _merged(a, b))
+        ab += np.multiply(sa[i], sb[j], out=term)
+        ba += np.multiply(sa[j], sb[i], out=term)
+    return _make(a.dim, a.order, _fold(ab, ba, tab).swapaxes(0, -1), _merged(a, b))
 
 
 def jet_extract(a: Jet, alpha: tuple[int, ...]) -> float:

@@ -34,8 +34,35 @@ FOLD_ORDER = "tests/test_jets.py::TestFoldOrder::"
 FOLD_DEEPER = """\
         start = n + tab.depths[0]
         for width in tab.depths[1:]:
+            rest[:width] += ab[start:start + width]
+            start += width
+"""
+# _fold's body on axis 0, and the pair-last fold it replaced, run on the same buffer
+FOLD_AXIS0 = """\
+    ab += ba
+    ab *= tab.weight.reshape((-1,) + (1,) * (ab.ndim - 1))
+    n = tab.ncoef
+    head = ab[:n]
+    if tab.depths:
+        rest = ab[n:n + tab.depths[0]]
+""" + FOLD_DEEPER + """\
+        head[n - tab.depths[0]:] += rest
+    return head.copy() if tab.restore is None else head.take(tab.restore, 0)
+"""
+FOLD_LAST_AXIS = """\
+    ab += ba
+    ab = ab.swapaxes(0, -1)
+    ab *= tab.weight
+    n = tab.ncoef
+    head = ab[..., :n]
+    if tab.depths:
+        rest = ab[..., n:n + tab.depths[0]]
+        start = n + tab.depths[0]
+        for width in tab.depths[1:]:
             rest[..., :width] += ab[..., start:start + width]
             start += width
+        head[..., n - tab.depths[0]:] += rest
+    return (head.copy() if tab.restore is None else head[..., tab.restore]).swapaxes(0, -1)
 """
 
 MUTANTS = [
@@ -132,10 +159,10 @@ MUTANTS = [
            " else result, base)",
            ("tests/test_jets.py::TestJetMethods::test_integer_power_is_repeated_products[1]",)),
     Mutant("a run's head is added before its tail", JETS_PY,  # (x0 + x1) + x2
-           "        rest = ab[..., n:n + tab.depths[0]]\n" + FOLD_DEEPER
-           + "        head[..., n - tab.depths[0]:] += rest\n",
-           "        rest = head[..., n - tab.depths[0]:]\n"
-           "        rest += ab[..., n:n + tab.depths[0]]\n" + FOLD_DEEPER,
+           "        rest = ab[n:n + tab.depths[0]]\n" + FOLD_DEEPER
+           + "        head[n - tab.depths[0]:] += rest\n",
+           "        rest = head[n - tab.depths[0]:]\n"
+           "        rest += ab[n:n + tab.depths[0]]\n" + FOLD_DEEPER,
            (f"{FOLD_ORDER}test_jet_product_is_the_reference_fold[3-4-tensor]",)),
     Mutant("deeper pairs are added to the wrong coefficients", JETS_PY,
            "(len(runs[k]) > 1, -len(runs[k]), k)", "(len(runs[k]) > 1, len(runs[k]), k)",
@@ -143,6 +170,11 @@ MUTANTS = [
     Mutant("the diagonal pair is not halved", JETS_PY,
            "np.where(self.pair_i == self.pair_j, 0.5, 1.0)", "np.ones(len(self.pair_i))",
            (f"{FOLD_ORDER}test_jet_product_is_the_reference_fold[2-2-batch]",)),
+    Mutant("a deeper depth is added to the last pairs of depth 1", JETS_PY,
+           "rest[:width] += ab[start:start + width]", "rest[-width:] += ab[start:start + width]",
+           (f"{FOLD_ORDER}test_jet_product_is_the_reference_fold[3-4-tensor]",)),
+    Mutant("pair columns folded on the last axis again", JETS_PY, FOLD_AXIS0, FOLD_LAST_AXIS,
+           ("tests/test_jets.py::TestLayout::test_products_and_contractions_are_coefficient_major[3-4]",)),
     Mutant("block_size divides by the widest tensor jet again", CHECKS_PY,
            "point_bytes = 8 * 8 * (imm.n + imm.m)", "point_bytes = (imm.n + imm.m)",
            ("tests/test_checks.py::TestBlocks::"

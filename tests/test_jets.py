@@ -557,3 +557,71 @@ class TestFoldOrder:
             got = jet_product(Jet(dim, order, a), Jet(dim, order, b)).coeffs
             want = reference_product(a, b, dim, order)
         assert_bitwise(got, want)
+
+
+def layouts(coeffs):
+    """`coeffs` in C order, in F order, coefficient-major (points innermost) and as a strided slice."""
+    yield np.ascontiguousarray(coeffs)
+    yield np.asfortranarray(coeffs)
+    yield np.ascontiguousarray(coeffs.swapaxes(0, -1)).swapaxes(0, -1)
+    wide = np.full(tuple(2 * size for size in coeffs.shape[:-1]) + (coeffs.shape[-1] + 3,), np.nan)
+    strided = wide[(slice(1, None, 2),) * (coeffs.ndim - 1) + (slice(2, 2 + coeffs.shape[-1]),)]
+    strided[...] = coeffs
+    yield strided
+
+
+class TestLayout:
+    """Products, contractions and elementary functions give the same bits whatever the
+    operands' memory order, and products and contractions return coefficient-major memory."""
+
+    @pytest.mark.parametrize("lead", TENSOR_LEADS.values(), ids=TENSOR_LEADS.keys())
+    @pytest.mark.parametrize("dim,order", JET_SHAPES)
+    def test_jet_product_and_elementary_do_not_depend_on_the_layout(self, dim, order, lead):
+        rng = np.random.default_rng(10 * dim + order)
+        a, b = (special_coefficients(rng, lead + (coefficient_count(dim, order),)) for _ in "ab")
+        positive = np.abs(rng.standard_normal(a.shape)) + 0.5
+        with np.errstate(all="ignore"):
+            want = jet_product(Jet(dim, order, a), Jet(dim, order, b)).coeffs
+            roots = jet_elementary("sqrt", Jet(dim, order, positive)).coeffs
+            for la, lb in itertools.product(layouts(a), layouts(b)):
+                assert_bitwise(jet_product(Jet(dim, order, la), Jet(dim, order, lb)).coeffs, want)
+            for lp in layouts(positive):
+                assert_bitwise(jet_elementary("sqrt", Jet(dim, order, lp)).coeffs, roots)
+
+    @pytest.mark.parametrize("points", [1, 7])
+    @pytest.mark.parametrize("spec", JET_SPECS)
+    @pytest.mark.parametrize("dim,order", JET_SHAPES)
+    def test_jet_einsum_does_not_depend_on_the_layout(self, dim, order, spec, points):
+        rng = np.random.default_rng(10 * dim + order + points)
+        ncoef = coefficient_count(dim, order)
+        a, b = (special_coefficients(rng, op.shape)
+                for op in spec_operands(spec, {"p": points}, trailing=(ncoef,)))
+        with np.errstate(all="ignore"):
+            want = jet_einsum(spec, Jet(dim, order, a), Jet(dim, order, b)).coeffs
+            pairs = [*zip(layouts(a), layouts(b)), *zip(layouts(a), reversed(list(layouts(b))))]
+            for la, lb in pairs:
+                assert_bitwise(jet_einsum(spec, Jet(dim, order, la), Jet(dim, order, lb)).coeffs, want)
+
+    @pytest.mark.parametrize("dim,order", JET_SHAPES)
+    def test_products_and_contractions_are_coefficient_major(self, dim, order):
+        rng = np.random.default_rng(dim + order)
+        a = Jet(dim, order, rng.standard_normal((7, 3, 5, coefficient_count(dim, order))))
+        assert jet_product(a, a).coeffs.swapaxes(0, -1).flags.c_contiguous
+        assert jet_product(a[:, 0, 0], a[:, 1, 1]).coeffs.swapaxes(0, -1).flags.c_contiguous
+        assert jet_einsum("piA,pjA->pij", a, a).coeffs.swapaxes(0, -1).flags.c_contiguous
+
+    def test_a_single_jet_broadcasts_against_a_batch(self):
+        # as many points as pair columns: a single jet's gathered columns, unpadded, would
+        # broadcast against the points without an error
+        points = len(_table(3, 4).pair_i)
+        rng = np.random.default_rng(5)
+        single, batch = Jet(3, 4, rng.standard_normal(35)), Jet(3, 4, rng.standard_normal((points, 35)))
+        for got in (jet_product(single, batch), jet_product(batch, single)):
+            for p in range(points):
+                assert got.coeffs[p].tobytes() == jet_product(single, batch[p]).coeffs.tobytes()
+
+    @pytest.mark.parametrize("spec", ["pi,qi->pq", "pi,pi->i", "ip,pi->p", "piA,pjA->ij"])
+    def test_jet_einsum_needs_the_batch_letter_first_in_every_term(self, spec):
+        a = Jet(2, 2, np.ones((3,) * len(spec.split(",")[0]) + (6,)))
+        with pytest.raises(JetShapeError, match="one batch letter first in every term"):
+            jet_einsum(spec, a, a)

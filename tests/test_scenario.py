@@ -199,6 +199,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="orthonormal"):
             load_config(cfg)
 
+    def test_reference_frame_off_by_the_bound_loads(self):
+        # <e_1, e_2> = 1e-8 exactly, and |e_2|^2 = 1 + 1e-16 rounds to 1: the bound itself
+        config = load_config(small_z2_config(reference_frame=[[1, 0, 0, 0], [1e-8, 1, 0, 0]]))
+        assert config.reference_frame.tolist() == [[1, 0, 0, 0], [1e-8, 1, 0, 0]]
+
     # each of these ended in a traceback at run time, or for counts in a meshgrid of
     # 2 x 10^10 floats (only loaded here: nothing is allocated before the run)
     @pytest.mark.parametrize("overrides, path", [
@@ -1164,6 +1169,26 @@ class TestCli:
         path.write_bytes(data)
         assert cli.main(["sweep", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    # a string where a list belongs: its characters must not pass for the list's entries
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("check", {"surface": {"kind": "graph", "exprs": "x^2-y^2"}},
+         "surface.exprs: graph surfaces need expressions"),
+        ("check", {"grid": {"ranges": [[-1, 1], "01"], "counts": [5, 5]}},
+         "grid.ranges: need 2 [lo, hi] pairs"),
+        ("check", {"grid": {"ranges": [[-1, 1], [-1, 1]], "counts": "55"}},
+         "grid.counts: need 2 sample counts"),
+        ("check", {"reference_frame": [[1, 0, 0, 0], "0100"]},
+         "reference_frame: must be 2 rows of length 4"),
+        ("sweep", {"sweep": {"parameter": 7, "values": [1]}},
+         "sweep.parameter: must be a dotted config path"),
+    ], ids=["exprs", "ranges-pair", "counts", "frame-row", "sweep-parameter"])
+    def test_wrong_typed_container_exits_2_naming_its_field(self, tmp_path, capsys, command,
+                                                           overrides, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(small_z2_config(**overrides)))
+        assert cli.main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_config_path_that_is_a_directory_exits_2(self, tmp_path, capsys, command):

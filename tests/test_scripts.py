@@ -86,12 +86,13 @@ def test_emit_reports_writes_the_comparison_set(tmp_path):
     assert all((out / name).stat().st_size for name in names)
 
 
-def perfbench_output(run_s, correct="true", failed=0):
-    """The output of one `perfbench/run.py --trace 0` run, as it prints it."""
+def perfbench_output(run_s, correct="true", failed=0, wall=0.0353):
+    """The output of one `perfbench/run.py --trace 0` run, as it prints it but for the two medians,
+    run_s and `wall`, which are unrounded."""
     return f"""workload grid-solid, seed 5: python 3.11.7, numpy 2.4.6, nproc 2
   9 timed runs at jobs=1, 125 grid points per run
-  run_s quartiles, scaled: 0.0219 / {run_s:.4f} / 0.0225 s
-  run_s quartiles, wall:   0.0342 / 0.0353 / 0.0366 s
+  run_s quartiles, scaled: 0.0219 / {run_s} / 0.0225 s
+  run_s quartiles, wall:   0.0342 / {wall} / 0.0366 s
   setup_s                                0.208875 s
   run_s                                  {run_s:>8} s
   failed_frac                                   0 (0 of 270 outcomes)
@@ -110,10 +111,12 @@ def load_script(name):
 class TestAbPairs:
     """scripts/ab_pairs.py's summary, fed canned perfbench output (tier-1 runs no perfbench)."""
 
-    def summary(self, parent_run_s, change_run_s, bounds):
+    def summary(self, parent_run_s, change_run_s, bounds, parent_wall=None, change_wall=None):
         ab = load_script("ab_pairs")
-        parent = [ab.parse_run(perfbench_output(t)) for t in parent_run_s]
-        change = [ab.parse_run(perfbench_output(t)) for t in change_run_s]
+        parent = [ab.parse_run(perfbench_output(t, wall=w))
+                  for t, w in zip(parent_run_s, parent_wall or [0.0353] * len(parent_run_s))]
+        change = [ab.parse_run(perfbench_output(t, wall=w))
+                  for t, w in zip(change_run_s, change_wall or [0.0353] * len(change_run_s))]
         return {line.split("  ")[0].strip(): line.split() for line in ab.summarize(parent, change, bounds)[2:]}
 
     def rows(self, parent_run_s, change_run_s):
@@ -150,7 +153,8 @@ class TestAbPairs:
         run = load_script("ab_pairs").parse_run(perfbench_output(0.0221))
         assert run == {"setup_s": 0.2, "run_s": 0.0221, "run_s scaled q1": 0.0219,
                        "run_s scaled median": 0.0221, "run_s scaled q3": 0.0225,
-                       "run_s wall q1": 0.0342, "run_s wall median": 0.0353, "run_s wall q3": 0.0366}
+                       "run_s wall q1": 0.0342, "run_s wall median": 0.0353, "run_s wall q3": 0.0366,
+                       "calibration": 0.0353 / 0.0221}
 
     @pytest.mark.parametrize("correct,failed", [("false", 0), ("true", 1)])
     def test_parse_requires_correct_and_no_failure(self, correct, failed):
@@ -171,6 +175,35 @@ class TestAbPairs:
         assert eight["run_s"][-2:] == ["8/10", "fails"]
         close = self.rows(parent, [t - 0.00005 for t in parent])
         assert close["run_s"][-2:] == ["10/10", "fails"]
+
+    # the scaled run_s of PARENT's runs, and calibration factors (wall / scaled) 1.46 to 1.54
+    PARENT_SCALED = [0.0230 + 0.0001 * k for k in range(10)]
+    FACTORS = [1.46 + 0.02 * (k % 5) for k in range(10)]  # q1 1.475, median 1.5, q3 1.525
+    PARENT_WALL = [f * t for f, t in zip(FACTORS, PARENT_SCALED)]
+
+    def test_a_level_calibration_leaves_run_s_unflagged(self):
+        change = [t - 0.002 for t in self.PARENT_SCALED]  # faster, wall and scaled alike
+        rows = self.summary(self.PARENT_SCALED, change, {"run_s": 0.25},
+                            self.PARENT_WALL, [f * t for f, t in zip(self.FACTORS, change)])
+        calibration = rows["calibration"]
+        assert calibration[1:6:2] == calibration[6:11:2] == ["1.475", "1.5", "1.525"]
+        assert calibration[-1] == "-" and "[calibration" not in rows["run_s"]
+        assert rows["run_s"][13] == "holds"
+
+    @pytest.mark.parametrize("factor", [1.5 / 1.17, 1.5 * 1.07], ids=["faster-loop", "slower-loop"])
+    def test_a_moved_calibration_flags_run_s(self, factor):
+        # the wall times stay level, and the scaled run_s moves with the loop alone
+        change = [w / factor for w in self.PARENT_WALL]
+        rows = self.summary(self.PARENT_SCALED, change, {"run_s": 0.25},
+                            self.PARENT_WALL, self.PARENT_WALL)
+        assert rows["calibration"][8] == f"{factor:.4g}"  # CHANGE's median
+        assert rows["run_s"][13:16] == ["holds", "[calibration", "moved]"]
+
+    def test_calibration_moves_beyond_parents_quartile_distance(self):
+        moved = load_script("ab_pairs").calibration_moved
+        parent = [1.40, 1.45, 1.50, 1.55, 1.60]  # q1 1.425, median 1.5, q3 1.575
+        assert not moved(parent, [1.64] * 5) and not moved(parent, [1.36] * 5)
+        assert moved(parent, [1.66] * 5) and moved(parent, [1.34] * 5)
 
 
 def test_readme_has_python_examples():
